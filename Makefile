@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt bench chaos failover fleet serving serving-trace trace analyze descore scenarios stress
+.PHONY: check build test race vet fmt bench chaos failover fleet serving serving-trace trace analyze descore scenarios stress perf
 
 check: ## full gate: gofmt + vet + build + race pass + full tests
 	$(GO) run ./tools/ci
@@ -89,3 +89,10 @@ stress:
 # including the fig10 -quick wall-clock section. See docs/PERF.md.
 descore:
 	$(GO) run ./tools/descore -wall -o BENCH_descore.json
+
+# End-to-end and per-layer performance benchmark over the four canonical
+# workloads (see tools/perf/README.md and BENCHMARK.json). Builds the
+# harness into .bench_build/; pass flags with PERFFLAGS, e.g.
+# `make perf PERFFLAGS="-workload serve-decode -trace 0"`.
+perf:
+	bash tools/perf/run.sh $(PERFFLAGS)

@@ -1,6 +1,7 @@
 package generate
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -208,6 +209,37 @@ func TestContinuousPagedPreemptionCompletes(t *testing.T) {
 	if res.AvgTotal() <= base.AvgTotal() {
 		t.Fatalf("pressure run %v not slower than roomy run %v — recompute cost missing",
 			res.AvgTotal(), base.AvgTotal())
+	}
+}
+
+// doubleRelease is a paged allocator whose owner releases one sequence
+// twice — the accounting bug the allocator's invariant ledger records.
+type doubleRelease struct {
+	*kvcache.PagedManager
+	seq int
+}
+
+func (d doubleRelease) Release(id int) {
+	d.PagedManager.Release(id)
+	if id == d.seq {
+		d.PagedManager.Release(id)
+	}
+}
+
+func TestContinuousDoubleReleaseFailsRun(t *testing.T) {
+	kv, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B(), 16, 512, kvcache.PagedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engineFor(t, core.KindLiger)
+	cfg := contCfg()
+	cfg.KV = doubleRelease{PagedManager: kv, seq: 3}
+	_, err = RunContinuous(eng.Clock(), eng.Runtime(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "double release") {
+		t.Fatalf("run with a double-released sequence returned %v, want the invariant violation", err)
+	}
+	if kv.Violations() != 1 {
+		t.Fatalf("%d violations recorded, want 1", kv.Violations())
 	}
 }
 

@@ -40,7 +40,8 @@ type Collective struct {
 	rate        float64
 	lastUpdate  simclock.Time
 	completion  simclock.Handle
-	// completionFn is the reusable completion callback, allocated once.
+	// completionFn is the reusable completion callback, allocated with
+	// the group.
 	completionFn func(simclock.Time)
 	// scanEpoch marks the last Device.recompute pass that gathered this
 	// collective (the epoch-mark dedup).
@@ -89,6 +90,8 @@ func (c *Collective) join(k *kernelInstance, now simclock.Time) {
 			k.startedAt = k.admittedAt
 			k.cancelled = CancelCollectiveAbort
 			k.stream.dev.finish(k, now)
+			// Never listed as a member, so no group loop will recycle it.
+			c.node.recycleKernel(k)
 			return
 		}
 		panic("gpusim: member joined a finished collective")
@@ -154,9 +157,6 @@ func (c *Collective) refreshRate(now simclock.Time) {
 	}
 	c.rate = rate
 	c.completion.Cancel()
-	if c.completionFn == nil {
-		c.completionFn = func(t simclock.Time) { c.finish(t) }
-	}
 	delay := completionDelay(c.remainingNS, rate)
 	c.node.evCounts.Collective++
 	c.completion = c.node.eng.After(delay, c.completionFn)
@@ -172,8 +172,19 @@ func (c *Collective) finish(now simclock.Time) {
 	for _, m := range c.members {
 		m.stream.dev.finish(m, now)
 	}
+	c.release(c.members)
 	if ct := c.node.collTracer; ct != nil {
 		ct.CollectiveFinish(c.id, now)
+	}
+}
+
+// release recycles the finished members once the group's member loop
+// is done with them, leaving nil entries behind (a done group never
+// reads its members again).
+func (c *Collective) release(members []*kernelInstance) {
+	for i, m := range members {
+		c.node.recycleKernel(m)
+		members[i] = nil
 	}
 }
 
@@ -203,6 +214,7 @@ func (c *Collective) abort(now simclock.Time) {
 		m.cancelled = CancelCollectiveAbort
 		m.stream.dev.finish(m, now)
 	}
+	c.release(members)
 	if ct := c.node.collTracer; ct != nil {
 		ct.CollectiveAbort(c.id, now)
 	}

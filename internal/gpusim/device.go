@@ -47,8 +47,11 @@ type Device struct {
 	running      []*kernelInstance
 	computeInUse float64
 	// membwFactor is the current slowdown (>=1) from bandwidth
-	// oversubscription.
+	// oversubscription. commFactor is the communication-kernel slowdown
+	// derived from it (see classFactor), recomputed only when
+	// membwFactor changes.
 	membwFactor float64
+	commFactor  float64
 
 	// pendingAdmission holds streams whose head kernel was delivered but
 	// did not fit under the left-over policy, kept sorted in admission
@@ -92,7 +95,7 @@ type Device struct {
 }
 
 func newDevice(n *Node, id, conns int) *Device {
-	d := &Device{node: n, id: id, membwFactor: 1, speed: 1, linkFactor: 1,
+	d := &Device{node: n, id: id, membwFactor: 1, commFactor: 1, speed: 1, linkFactor: 1,
 		lastFreed: -1, memCapacity: int64(n.spec.GPU.MemGB * 1e9)}
 	for i := 0; i < conns; i++ {
 		d.conns = append(d.conns, &connection{id: i, lastKernel: -1})
@@ -368,6 +371,11 @@ func (d *Device) finish(k *kernelInstance, now simclock.Time) {
 	if k.spec.OnDone != nil {
 		k.spec.OnDone(now)
 	}
+	if k.spec.Coll == nil {
+		// Collective members stay listed in their group until its member
+		// loop ends; the group recycles them (Collective.release).
+		d.node.recycleKernel(k)
+	}
 }
 
 // emitSpan reports a finishing kernel to the tracer: SpanTracer
@@ -436,7 +444,13 @@ func (d *Device) recompute(now simclock.Time) {
 	if bw > 1 {
 		factor = bw
 	}
-	d.membwFactor = factor
+	if factor != d.membwFactor {
+		d.membwFactor = factor
+		d.commFactor = factor
+		if s := d.node.spec.Contention.CommBWSensitivity; s > 0 && factor > 1 {
+			d.commFactor = math.Pow(factor, s)
+		}
+	}
 
 	// Epoch-mark dedup of the running set's collectives: each recompute
 	// pass gets a fresh node-wide epoch, and a collective is gathered the
@@ -480,15 +494,15 @@ func (d *Device) kernelRate(class KernelClass, membw float64) float64 {
 }
 
 // classFactor returns the slowdown applied to a kernel class under the
-// current bandwidth oversubscription.
+// current bandwidth oversubscription: the factor itself for compute,
+// the factor raised to CommBWSensitivity for communication (cached in
+// commFactor by recompute).
 func (d *Device) classFactor(class KernelClass) float64 {
 	if d.membwFactor <= 1 {
 		return 1
 	}
 	if class == Comm {
-		if s := d.node.spec.Contention.CommBWSensitivity; s > 0 {
-			return math.Pow(d.membwFactor, s)
-		}
+		return d.commFactor
 	}
 	return d.membwFactor
 }
@@ -501,14 +515,6 @@ func (d *Device) setKernelRate(k *kernelInstance, rate float64, now simclock.Tim
 	}
 	k.rate = rate
 	k.completion.Cancel()
-	if k.completionFn == nil {
-		// One closure per kernel instance, reused across every rate
-		// change instead of a fresh allocation per re-time.
-		k.completionFn = func(t simclock.Time) {
-			k.updateProgress(t)
-			d.finish(k, t)
-		}
-	}
 	delay := completionDelay(k.remainingNS, rate)
 	d.node.evCounts.Device++
 	k.completion = d.node.eng.After(delay, k.completionFn)

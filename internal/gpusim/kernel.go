@@ -73,6 +73,16 @@ const (
 )
 
 // kernelInstance is a launched kernel tracked by the simulator.
+//
+// Instances are pooled on a node-level free list (Node.newKernel /
+// Node.recycleKernel). The lifetime rule: an instance returns to the
+// pool only once it is finished (kDone), popped from its stream, off
+// every running set, and no unfinished collective lists it as a
+// member. Concretely, Device.finish recycles a local kernel after its
+// OnDone; a collective recycles its members after its finish or abort
+// member loop; the failed-device cancel path and a late join to an
+// aborted collective recycle the kernel they retire. Nothing else may
+// hold an instance across a call that can finish kernels.
 type kernelInstance struct {
 	id     int
 	spec   KernelSpec
@@ -97,8 +107,9 @@ type kernelInstance struct {
 	rate        float64
 	lastUpdate  simclock.Time
 	completion  simclock.Handle
-	// completionFn is the reusable completion callback; allocated once
-	// on the kernel's first rate assignment.
+	// completionFn is the completion callback, allocated once per pooled
+	// object: it reaches the device through k.stream, so it stays valid
+	// across recycling.
 	completionFn func(simclock.Time)
 
 	admittedAt simclock.Time

@@ -222,6 +222,13 @@ type Node struct {
 	// cmdFree recycles stream commands (and their delivery closures);
 	// see Stream.pop.
 	cmdFree []*command
+	// kernFree recycles kernel instances (and their completion
+	// closures); see the lifetime rule on kernelInstance.
+	kernFree []*kernelInstance
+	// recycleHook, when set by tests, inspects every retired kernel
+	// instance before it is pooled; returning false drops the instance
+	// instead, giving the unpooled run that pooling must match.
+	recycleHook func(k *kernelInstance) (pool bool)
 
 	// onFail observers run when a device permanently fails, before its
 	// resident work drains, so runtimes can enter their reconfiguring
@@ -373,6 +380,38 @@ func (n *Node) recycleCommand(cmd *command) {
 	n.cmdFree = append(n.cmdFree, cmd)
 }
 
+// newKernel takes a kernel instance from the free list (or allocates
+// one). Like a command's delivery callback, the completion callback is
+// allocated once per pooled object, so steady-state launching does not
+// allocate.
+func (n *Node) newKernel() *kernelInstance {
+	if l := len(n.kernFree); l > 0 {
+		k := n.kernFree[l-1]
+		n.kernFree[l-1] = nil
+		n.kernFree = n.kernFree[:l-1]
+		return k
+	}
+	k := &kernelInstance{}
+	k.completionFn = func(t simclock.Time) {
+		k.updateProgress(t)
+		k.stream.dev.finish(k, t)
+	}
+	return k
+}
+
+// recycleKernel resets a retired kernel instance and returns it to the
+// free list. Callers must obey the lifetime rule on kernelInstance.
+func (n *Node) recycleKernel(k *kernelInstance) {
+	if k.state != kDone {
+		panic("gpusim: recycling a kernel instance that has not finished")
+	}
+	if n.recycleHook != nil && !n.recycleHook(k) {
+		return
+	}
+	*k = kernelInstance{completionFn: k.completionFn}
+	n.kernFree = append(n.kernFree, k)
+}
+
 // NewStream creates a stream on device dev. Streams are assigned to
 // host→device connections round-robin, mirroring how CUDA maps streams
 // onto CUDA_DEVICE_MAX_CONNECTIONS hardware queues.
@@ -402,7 +441,9 @@ func (n *Node) NewCollective(size int) *Collective {
 	if size < 1 {
 		panic("gpusim: collective size must be >= 1")
 	}
-	c := &Collective{node: n, id: n.nextCollID, size: size, timeout: n.collTimeout}
+	c := &Collective{node: n, id: n.nextCollID, size: size, timeout: n.collTimeout,
+		members: make([]*kernelInstance, 0, size)}
+	c.completionFn = func(t simclock.Time) { c.finish(t) }
 	n.nextCollID++
 	return c
 }

@@ -39,7 +39,14 @@ type Event struct {
 	// stream when the event fired (-1 if none): the predecessor edge a
 	// waiting kernel inherits.
 	firedBy int
-	subs    []func(simclock.Time)
+	subs    []eventSub
+}
+
+// eventSub is one same-instant subscription to an event: either a
+// stream whose head wait the event gates, or a callback.
+type eventSub struct {
+	waiter *Stream
+	fn     func(simclock.Time)
 }
 
 // Fired reports whether the event has completed.
@@ -56,8 +63,13 @@ func (e *Event) fire(now simclock.Time) {
 	e.firedAt = now
 	subs := e.subs
 	e.subs = nil
-	for _, fn := range subs {
-		fn(now)
+	for _, sub := range subs {
+		if s := sub.waiter; s != nil {
+			s.advCause, s.advPred = CauseEvent, e.firedBy
+			s.advance(now)
+			continue
+		}
+		sub.fn(now)
 	}
 }
 
@@ -67,7 +79,7 @@ func (e *Event) onFire(fn func(simclock.Time)) {
 		fn(e.firedAt)
 		return
 	}
-	e.subs = append(e.subs, fn)
+	e.subs = append(e.subs, eventSub{fn: fn})
 }
 
 // Observe registers an instrumentation callback invoked at the event's
@@ -88,11 +100,15 @@ func (e *Event) OnHost(fn func(now simclock.Time)) {
 
 // Stream is a CUDA-like in-order command queue on one device.
 type Stream struct {
-	node     *Node
-	dev      *Device
-	id       int
-	conn     *connection
+	node *Node
+	dev  *Device
+	id   int
+	conn *connection
+	// queue[qhead:] are the outstanding commands, oldest first. Popping
+	// advances qhead; the slice resets when it drains and reuses the
+	// retired prefix before it would grow.
 	queue    []*command
+	qhead    int
 	priority int
 
 	// lastDone is the id of the last kernel completed on this stream
@@ -124,16 +140,23 @@ func (s *Stream) ID() int { return s.id }
 func (s *Stream) DeviceID() int { return s.dev.id }
 
 // QueueLen reports commands not yet completed.
-func (s *Stream) QueueLen() int { return len(s.queue) }
+func (s *Stream) QueueLen() int { return len(s.queue) - s.qhead }
 
 // Idle reports whether the stream has no outstanding work.
-func (s *Stream) Idle() bool { return len(s.queue) == 0 }
+func (s *Stream) Idle() bool { return s.QueueLen() == 0 }
 
 // issue appends a command, computing its host→device delivery time from
 // the stream's launch connection, and schedules the delivery.
 func (s *Stream) issue(cmd *command) {
 	now := s.node.eng.Now()
 	cmd.deliveredAt = s.dev.deliver(s.conn, now)
+	if s.qhead > 0 && 2*s.qhead >= len(s.queue) && len(s.queue) == cap(s.queue) {
+		// Full, and at least half of it retired: slide the outstanding
+		// commands down instead of growing the slice.
+		n := copy(s.queue, s.queue[s.qhead:])
+		clear(s.queue[n:])
+		s.queue, s.qhead = s.queue[:n], 0
+	}
 	s.queue = append(s.queue, cmd)
 	s.dev.queueDepth++
 	if qt := s.node.queueTracer; qt != nil {
@@ -150,8 +173,9 @@ func (s *Stream) Launch(spec KernelSpec) {
 	if spec.ComputeDemand < 0 || spec.MemBWDemand < 0 || spec.Duration < 0 {
 		panic("gpusim: negative kernel demand or duration")
 	}
-	k := &kernelInstance{spec: spec, stream: s, id: s.node.nextKernelID,
-		connPred: s.conn.lastKernel, headPred: -1, admitPred: -1}
+	k := s.node.newKernel()
+	k.spec, k.stream, k.id = spec, s, s.node.nextKernelID
+	k.connPred, k.headPred, k.admitPred = s.conn.lastKernel, -1, -1
 	s.node.nextKernelID++
 	if c := spec.Coll; c != nil {
 		if ct := s.node.collTracer; ct != nil {
@@ -194,10 +218,10 @@ func (s *Stream) Wait(ev *Event) {
 
 // head returns the oldest incomplete command, or nil.
 func (s *Stream) head() *command {
-	if len(s.queue) == 0 {
+	if s.qhead == len(s.queue) {
 		return nil
 	}
-	return s.queue[0]
+	return s.queue[s.qhead]
 }
 
 // headKernelDelivery is used for deterministic admission ordering.
@@ -211,9 +235,12 @@ func (s *Stream) headKernelDelivery() simclock.Time {
 // pop removes the head command and recycles it. Callers must copy any
 // command fields they still need (e.g. the record event) before popping.
 func (s *Stream) pop() {
-	cmd := s.queue[0]
-	s.queue[0] = nil
-	s.queue = s.queue[1:]
+	cmd := s.queue[s.qhead]
+	s.queue[s.qhead] = nil
+	s.qhead++
+	if s.qhead == len(s.queue) {
+		s.queue, s.qhead = s.queue[:0], 0
+	}
 	s.dev.queueDepth--
 	if qt := s.node.queueTracer; qt != nil {
 		qt.QueueDepth(s.dev.id, s.dev.queueDepth, s.node.eng.Now())
@@ -223,8 +250,8 @@ func (s *Stream) pop() {
 
 // completeHead is called by the device when the head kernel finishes.
 func (s *Stream) completeHead(now simclock.Time) {
-	if len(s.queue) > 0 && s.queue[0].kind == cmdKernel && s.queue[0].kernel.state == kDone {
-		s.lastDone = s.queue[0].kernel.id
+	if cmd := s.head(); cmd != nil && cmd.kind == cmdKernel && cmd.kernel.state == kDone {
+		s.lastDone = cmd.kernel.id
 		s.pop()
 	}
 	// Whatever runs next on this stream was released by the finished
@@ -253,11 +280,8 @@ func (s *Stream) advance(now simclock.Time) {
 			}
 			if !cmd.waitRegistered {
 				cmd.waitRegistered = true
-				ev := cmd.event
-				ev.onFire(func(t simclock.Time) {
-					s.advCause, s.advPred = CauseEvent, ev.firedBy
-					s.advance(t)
-				})
+				// Subscribe the stream itself rather than a fresh closure.
+				cmd.event.subs = append(cmd.event.subs, eventSub{waiter: s})
 			}
 			return
 		case cmdKernel:
@@ -292,6 +316,7 @@ func (s *Stream) advance(now simclock.Time) {
 					if k.spec.OnDone != nil {
 						k.spec.OnDone(now)
 					}
+					s.node.recycleKernel(k)
 					continue
 				}
 				if !s.dev.tryAdmit(s, cmd.kernel, now) {

@@ -10,6 +10,7 @@
 package liger
 
 import (
+	"container/list"
 	"fmt"
 	"time"
 
@@ -69,8 +70,14 @@ type Batch struct {
 	// a tracked request.
 	Req int
 
-	funcs []Func
-	pos   int
+	// kernels is the batch's compiled kernel sequence, shared read-only
+	// with every batch of the same shape (see Assembler); pos indexes the
+	// next unscheduled kernel. While split is set, rest stands in for
+	// kernels[pos]: the remainder runtime decomposition left of it.
+	kernels []parallel.KernelDesc
+	pos     int
+	rest    parallel.KernelDesc
+	split   bool
 
 	// SubmittedAt / DoneAt bound the batch's latency (pending + CUDA
 	// execution time, the paper's latency metric); FirstLaunchAt splits
@@ -95,23 +102,32 @@ type Batch struct {
 	// into every launched kernel's OnDone (one closure per batch instead
 	// of one per launch).
 	kernelDoneFn func(now simclock.Time)
+	// failFn is the reusable abort callback registered on every
+	// collective the batch's kernels join (see abortFn).
+	failFn func(now simclock.Time)
 }
 
-// NewBatch wraps a compiled kernel sequence as a schedulable batch.
-func NewBatch(id int, w model.Workload, kernels []parallel.KernelDesc) *Batch {
-	b := &Batch{ID: id, Workload: w, Req: -1}
-	b.funcs = make([]Func, len(kernels))
-	for i, k := range kernels {
-		b.funcs[i] = Func{Desc: k, batch: b}
+// abortFn returns the batch's collective-abort callback, which marks
+// the batch failed; one closure per batch instead of one per collective.
+func (b *Batch) abortFn() func(now simclock.Time) {
+	if b.failFn == nil {
+		b.failFn = func(simclock.Time) { b.Failed = true }
 	}
-	return b
+	return b.failFn
+}
+
+// NewBatch wraps a compiled kernel sequence as a schedulable batch. The
+// batch reads kernels without copying or modifying it, so the caller
+// must not modify it afterwards.
+func NewBatch(id int, w model.Workload, kernels []parallel.KernelDesc) *Batch {
+	return &Batch{ID: id, Workload: w, Req: -1, kernels: kernels}
 }
 
 // Remaining reports how many funcs are not yet scheduled.
-func (b *Batch) Remaining() int { return len(b.funcs) - b.pos }
+func (b *Batch) Remaining() int { return len(b.kernels) - b.pos }
 
 // Exhausted reports whether every func has been scheduled.
-func (b *Batch) Exhausted() bool { return b.pos >= len(b.funcs) }
+func (b *Batch) Exhausted() bool { return b.pos >= len(b.kernels) }
 
 // Completed reports whether every launched kernel has finished.
 func (b *Batch) Completed() bool { return b.completed }
@@ -143,20 +159,26 @@ func (b *Batch) ExecutionTime() time.Duration {
 
 // head returns the next unscheduled func; callers must check
 // Exhausted first.
-func (b *Batch) head() Func { return b.funcs[b.pos] }
+func (b *Batch) head() Func {
+	if b.split {
+		return Func{Desc: b.rest, batch: b}
+	}
+	return Func{Desc: b.kernels[b.pos], batch: b}
+}
 
 // pop consumes and returns the head func.
 func (b *Batch) pop() Func {
-	f := b.funcs[b.pos]
+	f := b.head()
 	b.pos++
+	b.split = false
 	return f
 }
 
 // replaceHead swaps the head's kernel descriptor — used when runtime
 // decomposition peels a prefix off a lengthy kernel and leaves the
-// remainder in place (§3.6).
+// remainder in place (§3.6). The shared kernel sequence is untouched.
 func (b *Batch) replaceHead(desc parallel.KernelDesc) {
-	b.funcs[b.pos].Desc = desc
+	b.rest, b.split = desc, true
 }
 
 // nextSwitch reports whether the head kernel's type differs from typ —
@@ -195,7 +217,7 @@ func (b *Batch) failRemaining(now simclock.Time) {
 		return
 	}
 	b.Failed = true
-	b.pos = len(b.funcs)
+	b.pos, b.split = len(b.kernels), false
 	if b.pendingKernels == 0 {
 		b.completed = true
 		b.DoneAt = now
@@ -213,6 +235,27 @@ type Assembler struct {
 	spec     model.Spec
 	tp       int
 	nextID   int
+
+	// plans caches compiled kernel sequences by workload shape, most
+	// recently used first in lru; it fills lazily, holds at most
+	// planBudget kernels, and Retarget drops it. A cached plan is shared
+	// read-only by every batch of that shape: runtime decomposition
+	// writes only the batch's own head override (Batch.replaceHead).
+	plans       map[model.Workload]*list.Element
+	lru         list.List // of *cachedPlan
+	planKernels int
+}
+
+// planBudget bounds the kernel descriptors the plan cache holds (about
+// 18 MB of heap); past it the least recently used plans are dropped.
+// OPT-30B at four-way tensor parallelism compiles to 578 kernels per
+// rank, so the cache keeps about 225 shapes.
+const planBudget = 1 << 17
+
+// cachedPlan is one entry of the plan cache.
+type cachedPlan struct {
+	w       model.Workload
+	kernels []parallel.KernelDesc
 }
 
 // NewAssembler returns an assembler serving spec with tensor-parallel
@@ -229,7 +272,7 @@ func NewAssembler(c *parallel.Compiler, spec model.Spec, tp int) (*Assembler, er
 
 // Assemble compiles one batch's inference into a schedulable Batch.
 func (a *Assembler) Assemble(w model.Workload) (*Batch, error) {
-	kernels, err := a.compiler.IntraOp(a.spec, a.tp, w)
+	kernels, err := a.plan(w)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +294,35 @@ func (a *Assembler) Retarget(c *parallel.Compiler, tp int) error {
 	}
 	a.compiler = c
 	a.tp = tp
+	a.plans = nil
+	a.lru.Init()
+	a.planKernels = 0
 	return nil
+}
+
+// plan returns the compiled kernel sequence for w, compiling it on the
+// first request for that shape. Compilation is a pure function of the
+// compiler, model, degree and shape, so a cached plan is the plan.
+func (a *Assembler) plan(w model.Workload) ([]parallel.KernelDesc, error) {
+	if e, ok := a.plans[w]; ok {
+		a.lru.MoveToFront(e)
+		return e.Value.(*cachedPlan).kernels, nil
+	}
+	kernels, err := a.compiler.IntraOp(a.spec, a.tp, w)
+	if err != nil {
+		return nil, err
+	}
+	if a.plans == nil {
+		a.plans = make(map[model.Workload]*list.Element)
+	}
+	a.plans[w] = a.lru.PushFront(&cachedPlan{w: w, kernels: kernels})
+	a.planKernels += len(kernels)
+	for a.planKernels > planBudget && a.lru.Len() > 1 {
+		old := a.lru.Remove(a.lru.Back()).(*cachedPlan)
+		delete(a.plans, old.w)
+		a.planKernels -= len(old.kernels)
+	}
+	return kernels, nil
 }
 
 // Spec returns the served model.

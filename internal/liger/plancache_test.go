@@ -1,0 +1,153 @@
+package liger
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"liger/internal/hw"
+	"liger/internal/model"
+	"liger/internal/nccl"
+	"liger/internal/parallel"
+)
+
+// describe renders every scheduling-relevant field of a kernel
+// sequence, so sequences can be compared without their split closures.
+func describe(ks []parallel.KernelDesc) []string {
+	out := make([]string, len(ks))
+	for i, k := range ks {
+		out[i] = fmt.Sprintf("%s %v %v %g %g %v %d %v", k.Name, k.Class, k.Duration,
+			k.ComputeDemand, k.MemBWDemand, k.Collective, k.Bytes, k.CanSplit())
+	}
+	return out
+}
+
+// batchDescs drains a fresh batch into the kernel sequence the
+// scheduler would see.
+func batchDescs(b *Batch) []parallel.KernelDesc {
+	var out []parallel.KernelDesc
+	for !b.Exhausted() {
+		out = append(out, b.pop().Desc)
+	}
+	return out
+}
+
+func compiled(t *testing.T, c *parallel.Compiler, tp int, w model.Workload) []string {
+	t.Helper()
+	ks, err := c.IntraOp(model.Tiny(), tp, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return describe(ks)
+}
+
+// A runtime decomposition rewrites only the decomposed batch: the cached
+// plan and the next batch of the same shape keep the compiled kernels,
+// and Retarget drops the cache so the next batch compiles for the new
+// world.
+func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
+	comp := parallel.NewCompiler(hw.V100Node(), nccl.Config{ReducedChannels: true})
+	asm, err := NewAssembler(comp, model.Tiny(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := model.Workload{Batch: 2, SeqLen: 32, Phase: model.Context}
+	want := compiled(t, comp, 4, w)
+	b1, err := asm.Assemble(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Advance to the first decomposable all-reduce and let a round whose
+	// compute window is half its length peel a prefix off it.
+	for !b1.head().Desc.Collective || !b1.head().Desc.CanSplit() {
+		b1.pop()
+	}
+	head := b1.head().Desc
+	cfg := testCfg()
+	cfg.ContentionFactor, cfg.DivisionFactor, cfg.MinOverlapWindow = 1, 8, 0
+	s := &Scheduler{cfg: cfg}
+	primary := syntheticBatch(99, 1, 1, head.Duration/2, head.Duration)
+	s.processing = []*Batch{primary, b1}
+	_, window, typ := s.collectPrimary(primary)
+	if sub := s.collectSecondary(typ, window); len(sub) == 0 || s.stats.Decompositions != 1 {
+		t.Fatalf("no decomposition: %d pieces, %d decompositions", len(sub), s.stats.Decompositions)
+	}
+	if b1.head().Desc.Name == head.Name {
+		t.Fatal("decomposed batch still holds the whole kernel")
+	}
+
+	if got := describe(asm.plans[w].Value.(*cachedPlan).kernels); !reflect.DeepEqual(got, want) {
+		t.Fatal("decomposition changed the cached plan")
+	}
+	b2, err := asm.Assemble(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := describe(batchDescs(b2)); !reflect.DeepEqual(got, want) {
+		t.Fatal("the next same-shape batch does not carry the compiled plan")
+	}
+
+	comp2 := comp.ForWorldSize(2)
+	if err := asm.Retarget(comp2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if len(asm.plans) != 0 || asm.lru.Len() != 0 || asm.planKernels != 0 {
+		t.Fatalf("Retarget kept %d plans (%d kernels)", len(asm.plans), asm.planKernels)
+	}
+	b3, err := asm.Assemble(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want2 := compiled(t, comp2, 2, w)
+	if reflect.DeepEqual(want2, want) {
+		t.Fatal("the two-way plan equals the four-way plan; the check below proves nothing")
+	}
+	if got := describe(batchDescs(b3)); !reflect.DeepEqual(got, want2) {
+		t.Fatal("after Retarget the batch was not compiled for the new world")
+	}
+}
+
+// The cache holds at most planBudget kernels, dropping the least
+// recently used plans first; an evicted shape compiles again on demand.
+func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	spec := model.OPT30B()
+	comp := parallel.NewCompiler(hw.A100Node(), nccl.Config{ReducedChannels: true})
+	asm, err := NewAssembler(comp, spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := func(i int) model.Workload { return model.Workload{Batch: 1, SeqLen: 16 + i, Phase: model.Context} }
+	first, err := asm.Assemble(shape(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPlan := first.Remaining()
+	n := planBudget/perPlan + 2
+	for i := 1; i < n; i++ {
+		if i == n/2 {
+			// Touch shape 1 so it becomes recently used and survives.
+			if _, err := asm.Assemble(shape(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := asm.Assemble(shape(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if asm.planKernels > planBudget || asm.planKernels != perPlan*len(asm.plans) || asm.lru.Len() != len(asm.plans) {
+		t.Fatalf("cache holds %d kernels in %d plans (%d listed), budget %d", asm.planKernels, len(asm.plans), asm.lru.Len(), planBudget)
+	}
+	if _, ok := asm.plans[shape(0)]; ok {
+		t.Fatal("the least recently used plan was kept")
+	}
+	if _, ok := asm.plans[shape(1)]; !ok {
+		t.Fatal("a recently used plan was evicted")
+	}
+	again, err := asm.Assemble(shape(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(describe(batchDescs(again)), describe(batchDescs(first))) {
+		t.Fatal("an evicted shape recompiled differently")
+	}
+}

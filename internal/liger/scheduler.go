@@ -86,6 +86,19 @@ type Scheduler struct {
 
 	journal    []RoundRecord
 	journalCap int
+
+	// Round buffers, owned by the scheduler and reused by every
+	// launchRound: the two subsets, their collectives, and the per-device
+	// end events. A round launches synchronously and retains none of
+	// them, so the next round may overwrite them.
+	sub0, sub1     []Func
+	colls0, colls1 []*gpusim.Collective
+	endPrim        []*gpusim.Event
+	endSec         []*gpusim.Event
+	barrier        []*gpusim.Event
+	// nextRound is the round-completion trigger, allocated on the first
+	// round.
+	nextRound func(now simclock.Time)
 }
 
 // NewScheduler builds a scheduler over the simulated node.
@@ -209,7 +222,17 @@ func (s *Scheduler) refill() {
 		s.processing = append(s.processing, b)
 		s.waiting = append(s.waiting[:pick], s.waiting[pick+1:]...)
 	}
-	// Stable partition by class.
+	// Stable partition by class; only a list holding both classes needs
+	// reordering.
+	var efforts int
+	for _, b := range s.processing {
+		if b.Class == BestEffort {
+			efforts++
+		}
+	}
+	if efforts == 0 || efforts == len(s.processing) {
+		return
+	}
 	var critical, effort []*Batch
 	for _, b := range s.processing {
 		if b.Class == BestEffort {
@@ -218,9 +241,7 @@ func (s *Scheduler) refill() {
 			critical = append(critical, b)
 		}
 	}
-	if len(effort) > 0 && len(critical) > 0 {
-		s.processing = append(critical, effort...)
-	}
+	s.processing = append(critical, effort...)
 }
 
 // maybeStartRound launches the next scheduling round unless one is
@@ -239,14 +260,17 @@ func (s *Scheduler) maybeStartRound(now simclock.Time) {
 
 // collectPrimary implements the first half of Algorithm 1: pop kernels
 // from the primary batch until the kernel type switches, accumulating
-// the window duration.
+// the window duration. The subset lives in the scheduler's sub0 buffer
+// until the next round.
 func (s *Scheduler) collectPrimary(primary *Batch) (subset []Func, window time.Duration, typ gpusim.KernelClass) {
 	typ = primary.head().Desc.Class
+	subset = s.sub0[:0]
 	for !primary.Exhausted() && primary.head().Desc.Class == typ {
 		f := primary.pop()
 		window += f.Desc.Duration
 		subset = append(subset, f)
 	}
+	s.sub0 = subset
 	return subset, window, typ
 }
 
@@ -254,14 +278,15 @@ func (s *Scheduler) collectPrimary(primary *Batch) (subset []Func, window time.D
 // §3.5/§3.6 refinements: walk subsequent batches in arrival order,
 // taking opposite-type kernels whose contention-scaled durations fit in
 // the primary window, decomposing lengthy kernels when only a fraction
-// fits.
+// fits. The subset lives in the scheduler's sub1 buffer until the next
+// round.
 func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duration) []Func {
 	if window < s.cfg.MinOverlapWindow {
 		return nil
 	}
 	// Budget in un-scaled duration: scaled total = sum(dur)·cf ≤ window.
 	budget := time.Duration(float64(window) / s.contentionFactor())
-	var subset []Func
+	subset := s.sub1[:0]
 	for _, v := range s.processing[1:] {
 		for !v.Exhausted() && budget > 0 {
 			head := v.head()
@@ -299,6 +324,7 @@ func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duratio
 			break
 		}
 	}
+	s.sub1 = subset
 	return subset
 }
 
@@ -407,13 +433,17 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 	secStreams, secLast := s.streamsFor(otherClass(typ))
 
 	// Collectives rendezvous across the SPMD group: one per comm func.
-	colls0 := s.collectives(sub0)
-	colls1 := s.collectives(sub1)
+	s.colls0 = s.collectives(s.colls0, sub0)
+	s.colls1 = s.collectives(s.colls1, sub1)
+	colls0, colls1 := s.colls0, s.colls1
 
 	var notify *gpusim.Event
 	lead := s.alive[0]
-	endPrim := make([]*gpusim.Event, ndev)
-	endSec := make([]*gpusim.Event, ndev)
+	if len(s.endPrim) != ndev {
+		s.endPrim = make([]*gpusim.Event, ndev)
+		s.endSec = make([]*gpusim.Event, ndev)
+	}
+	endPrim, endSec := s.endPrim, s.endSec
 	for _, d := range s.alive {
 		ps := primStreams[d]
 		// Inter-stream half of the synchronization: this round must not
@@ -489,11 +519,20 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 			}
 		})
 	}
+	// Drop the buffers' references so finished batches and collectives
+	// are not kept alive until the next round.
+	clear(sub0)
+	clear(sub1)
+	clear(colls0)
+	clear(colls1)
 
-	next := func(t simclock.Time) {
-		s.roundPending = false
-		s.maybeStartRound(t)
+	if s.nextRound == nil {
+		s.nextRound = func(t simclock.Time) {
+			s.roundPending = false
+			s.maybeStartRound(t)
+		}
 	}
+	next := s.nextRound
 	switch s.cfg.Sync {
 	case Hybrid:
 		if notify == nil {
@@ -504,10 +543,11 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 		}
 		notify.OnHost(next)
 	case CPUGPU:
-		evs := make([]*gpusim.Event, 0, 2*len(s.alive))
+		evs := s.barrier[:0]
 		for _, d := range s.alive {
 			evs = append(evs, endPrim[d], endSec[d])
 		}
+		s.barrier = evs
 		s.node.HostBarrier(evs, next)
 	case InterStreamOnly:
 		// No CPU trigger at all: the next schedulable round launches
@@ -534,18 +574,18 @@ func otherClass(typ gpusim.KernelClass) gpusim.KernelClass {
 }
 
 // collectives allocates one rendezvous group per communication func in
-// a subset (index-aligned; nil for compute funcs). An abort — the
-// watchdog tearing down a hung group under fault injection — marks the
-// owning batch failed so the serving layer can retry it.
-func (s *Scheduler) collectives(subset []Func) []*gpusim.Collective {
-	out := make([]*gpusim.Collective, len(subset))
-	for i, f := range subset {
+// a subset into buf (index-aligned; nil for compute funcs). An abort —
+// the watchdog tearing down a hung group under fault injection — marks
+// the owning batch failed so the serving layer can retry it.
+func (s *Scheduler) collectives(buf []*gpusim.Collective, subset []Func) []*gpusim.Collective {
+	out := buf[:0]
+	for _, f := range subset {
+		var c *gpusim.Collective
 		if f.Desc.Collective {
-			c := s.node.NewCollective(len(s.alive))
-			b := f.batch
-			c.OnAbort(func(simclock.Time) { b.Failed = true })
-			out[i] = c
+			c = s.node.NewCollective(len(s.alive))
+			c.OnAbort(f.batch.abortFn())
 		}
+		out = append(out, c)
 	}
 	return out
 }

@@ -14,11 +14,13 @@
 //     (the concurrency-bearing packages plus the fault-injection,
 //     deadline/retry, fleet, and serving-telemetry layers get a
 //     dedicated race pass)
-//  5. go test ./... (full suite)
+//  5. go test ./... (full suite), then `go test ./...` inside
+//     tools/perf, the benchmark harness's own module
 //  6. a chaos smoke run: `ligerbench -exp chaos -quick` at a small
 //     batch count, proving the fault scenarios execute end to end
 //  7. a failover race pass: the permanent-device-failure paths across
-//     gpusim, runtimes, liger, and serve under -race
+//     gpusim, runtimes, liger, and serve under -race, including the
+//     kernel-instance pool's teardown paths (KernelPool tests)
 //  8. an observability race pass: the tracer hook, dependency-edge
 //     emission, per-request decomposition, trace-analysis, and
 //     metrics-export paths under -race
@@ -94,10 +96,13 @@ func main() {
 			"./internal/runner", "./internal/simclock", "./internal/faults", "./internal/serve",
 			"./internal/cluster", "./internal/kvcache", "./internal/generate"}},
 		{"go test", []string{"go", "test", "./..."}},
+		// tools/perf is a module of its own, so the root test run above
+		// does not reach its tests.
+		{"perf harness tests", []string{"go", "-C", "tools/perf", "test", "./..."}},
 		{"chaos smoke", []string{"go", "run", "./cmd/ligerbench",
 			"-exp", "chaos", "-quick", "-batches", "25", "-seed", "5"}},
 		{"failover race", []string{"go", "test", "-race",
-			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce",
+			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce|KernelPool",
 			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve"}},
 		{"observability race", []string{"go", "test", "-race",
 			"-run", "Observability|ChromeTrace|Tracer|Truncated|Rendezvous|ReqBreakdown|RequestID|PerRequest|Percentiles|FromRun|WriteJSON|Dep|CriticalPath|Gap|Overlap|Window|Determinism|Timeline",
