@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt bench chaos failover fleet serving serving-trace trace analyze descore scenarios stress perf
+.PHONY: check build test race vet fmt bench chaos failover fleet serving serving-trace trace analyze scenarios stress perf
 
 check: ## full gate: gofmt + vet + build + race pass + full tests
 	$(GO) run ./tools/ci
@@ -82,13 +82,6 @@ scenarios:
 # same -n/-seed always prints identical bytes).
 stress:
 	$(GO) run ./cmd/ligersim stress -n 25 -seed 42
-
-# DES-core throughput measurement: re-measures the frozen pre-rewrite
-# heap engine (internal/simclock/refheap) against the calendar queue on
-# this host and regenerates BENCH_descore.json at the repo root,
-# including the fig10 -quick wall-clock section. See docs/PERF.md.
-descore:
-	$(GO) run ./tools/descore -wall -o BENCH_descore.json
 
 # End-to-end and per-layer performance benchmark over the four canonical
 # workloads (see tools/perf/README.md and BENCHMARK.json). Builds the

@@ -396,6 +396,13 @@ func (d *Disagg) Run() (DisaggResult, error) {
 		if err := n.cb.Err(); err != nil {
 			return res, fmt.Errorf("cluster: decode node %d: %w", n.idx, err)
 		}
+		// A corrupted KV ledger fails the run instead of passing as a
+		// success.
+		if n.kv != nil {
+			if err := n.kv.InvariantErr(); err != nil {
+				return res, fmt.Errorf("cluster: decode node %d: kv cache invariant violated: %w", n.idx, err)
+			}
+		}
 	}
 	if d.completed != d.cfg.Sequences {
 		return res, fmt.Errorf("cluster: %d of %d sequences finished", d.completed, d.cfg.Sequences)

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
 	"liger/internal/core"
 	"liger/internal/hw"
 	"liger/internal/model"
+	"liger/internal/simclock"
 )
 
 func disaggCfg(workers int) DisaggConfig {
@@ -111,6 +113,31 @@ func TestDisaggDecodePoolScales(t *testing.T) {
 	wide := runDisagg(t, two)
 	if wide.Makespan > narrow.Makespan {
 		t.Fatalf("doubling decode nodes slowed the run: %v -> %v", narrow.Makespan, wide.Makespan)
+	}
+}
+
+// A KV accounting bug on one decode pool fails the whole run, naming
+// the node.
+func TestDisaggDoubleReleaseFailsRun(t *testing.T) {
+	d, err := NewDisagg(disaggCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := d.decodes[1]
+	const seq = 1 << 20 // no workload sequence has this id
+	n.eng.At(0, func(simclock.Time) {
+		if err := n.kv.Admit(seq, 16); err != nil {
+			t.Error(err)
+		}
+		n.kv.Release(seq)
+		n.kv.Release(seq)
+	})
+	_, err = d.Run()
+	if err == nil || !strings.Contains(err.Error(), "decode node 1") || !strings.Contains(err.Error(), "double release") {
+		t.Fatalf("run with a double-released sequence returned %v, want decode node 1's invariant violation", err)
+	}
+	if n.kv.Violations() != 1 {
+		t.Fatalf("%d violations recorded, want 1", n.kv.Violations())
 	}
 }
 

@@ -40,9 +40,10 @@ type Collective struct {
 	rate        float64
 	lastUpdate  simclock.Time
 	completion  simclock.Handle
-	// completionFn is the reusable completion callback, allocated with
-	// the group.
+	// completionFn and abortFn are the reusable completion and watchdog
+	// callbacks, allocated once per pooled group.
 	completionFn func(simclock.Time)
+	abortFn      func(simclock.Time)
 	// scanEpoch marks the last Device.recompute pass that gathered this
 	// collective (the epoch-mark dedup).
 	scanEpoch uint64
@@ -105,7 +106,7 @@ func (c *Collective) join(k *kernelInstance, now simclock.Time) {
 	}
 	if len(c.members) == 1 && c.timeout > 0 {
 		c.node.evCounts.Collective++
-		c.timeoutH = c.node.eng.After(c.timeout, func(t simclock.Time) { c.abort(t) })
+		c.timeoutH = c.node.eng.After(c.timeout, c.abortFn)
 	}
 	if len(c.members) == c.size {
 		c.start(now)
@@ -176,6 +177,7 @@ func (c *Collective) finish(now simclock.Time) {
 	if ct := c.node.collTracer; ct != nil {
 		ct.CollectiveFinish(c.id, now)
 	}
+	c.recycle()
 }
 
 // release recycles the finished members once the group's member loop
@@ -221,4 +223,18 @@ func (c *Collective) abort(now simclock.Time) {
 	for _, fn := range c.onAbort {
 		fn(now)
 	}
+}
+
+// recycle pools a finished group. Every member joined before the group
+// started, so no queued kernel can still reach it. Aborted groups are
+// never pooled: one short of members may yet get late joiners. The
+// group's state stays readable (Aborted, ID) until NewCollective reuses
+// it.
+func (c *Collective) recycle() {
+	clear(c.onAbort)
+	n := c.node
+	if n.collHook != nil && !n.collHook(c) {
+		return
+	}
+	n.collFree = append(n.collFree, c)
 }

@@ -2,45 +2,44 @@ package gpusim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"liger/internal/simclock"
 )
 
-// Tests for the kernel-instance pool: the steady-state launch path
-// allocates nothing, and no instance is reused while anything still
-// refers to it — in particular on the teardown paths (device failure,
-// collective abort, late join to an aborted group) that retire kernels
-// outside the normal completion.
+// Tests for the kernel-instance, event and collective pools: the
+// steady-state launch path allocates nothing, and no object is reused
+// while anything still refers to it — in particular on the teardown
+// paths (device failure, collective abort, late join to an aborted
+// group) that retire kernels outside the normal completion.
 
 func TestSteadyStateLaunchAllocatesNothing(t *testing.T) {
-	const perRun, runs, warm = 32, 20, 50
+	// The warm-up fills the pools and also grows every slot of the
+	// engine's calendar ring to its steady-state capacity. Each run lands
+	// its events on different slots, and since only stream heads get
+	// delivery events, few events land per run: 50 or even 600 warm-up
+	// runs still left a slot growth or two to the measured runs.
+	const perRun, runs, warm = 32, 20, 1500
 	eng, n := testNode(t, 2)
 	s0, s1 := n.NewStream(0), n.NewStream(1)
 	done := 0
 	onDone := func(simclock.Time) { done++ }
+	gemm := func(s *Stream) {
+		s.Launch(KernelSpec{Name: "gemm", Class: Compute, Duration: time.Microsecond,
+			ComputeDemand: 0.4, MemBWDemand: 0.7, Req: -1, OnDone: onDone})
+	}
 	local := func() {
 		for i := 0; i < perRun; i++ {
-			for _, s := range []*Stream{s0, s1} {
-				s.Launch(KernelSpec{Name: "gemm", Class: Compute, Duration: time.Microsecond,
-					ComputeDemand: 0.4, MemBWDemand: 0.7, Req: -1, OnDone: onDone})
-			}
+			gemm(s0)
+			gemm(s1)
 		}
 		eng.Run()
 	}
-	// The collectives are the runtime's objects, built before the
-	// measured loop; launching and retiring their members is the kernel
-	// path under test.
-	colls := make([]*Collective, (warm+runs+1)*perRun)
-	for i := range colls {
-		colls[i] = n.NewCollective(2)
-	}
-	next := 0
 	collective := func() {
 		for i := 0; i < perRun; i++ {
-			c := colls[next]
-			next++
+			c := n.NewCollective(2)
 			for _, s := range []*Stream{s0, s1} {
 				s.Launch(KernelSpec{Name: "ar", Class: Comm, Duration: time.Microsecond,
 					ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: c, Req: -1, OnDone: onDone})
@@ -48,72 +47,159 @@ func TestSteadyStateLaunchAllocatesNothing(t *testing.T) {
 		}
 		eng.Run()
 	}
-	// Warm the pools, the stream queues and the event queue's buckets.
-	for i := 0; i < warm; i++ {
-		local()
-		collective()
+	// Each kernel on s1 waits for its peer on s0 through an event the
+	// launcher releases as soon as the wait holds it.
+	handoff := func() {
+		for i := 0; i < perRun; i++ {
+			gemm(s0)
+			ev := s0.Record()
+			s1.Wait(ev)
+			ev.Release()
+			gemm(s1)
+		}
+		eng.Run()
 	}
-	for _, tc := range []struct {
+	cases := []struct {
 		name string
 		run  func()
-	}{{"local", local}, {"collective", collective}} {
+	}{{"local", local}, {"collective", collective}, {"event", handoff}}
+	for i := 0; i < warm; i++ {
+		for _, tc := range cases {
+			tc.run()
+		}
+	}
+	for _, tc := range cases {
 		if a := testing.AllocsPerRun(runs, tc.run); a != 0 {
 			t.Errorf("%s: %v allocations per run of %d kernels, want 0", tc.name, a, 2*perRun)
 		}
 	}
-	if want := 2 * 2 * perRun * (warm + runs + 1); done != want {
+	if want := len(cases) * 2 * perRun * (warm + runs + 1); done != want {
 		t.Fatalf("%d kernels completed, want %d", done, want)
+	}
+}
+
+// A wait binds to the recording it was issued on: released, fired,
+// recycled and recorded again before the wait reaches its stream's head,
+// the event must not hold the wait back for the new recording.
+func TestEventPoolWaitKeepsGeneration(t *testing.T) {
+	eng, n := testNode(t, 1)
+	prod, cons := n.NewStream(0), n.NewStream(0)
+	launch(prod, "short", Compute, 10*time.Microsecond, 0.3, 0, nil)
+	ev := prod.Record()
+	// The consumer is busy long past the event, so its wait reaches the
+	// head only after the event fired and was recorded again.
+	var busy, gated simclock.Time
+	launch(cons, "busy", Compute, 100*time.Microsecond, 0.3, 0, &busy)
+	cons.Wait(ev)
+	ev.Release()
+	launch(cons, "gated", Compute, 10*time.Microsecond, 0.3, 0, &gated)
+	var again *Event
+	eng.At(50*time.Microsecond, func(simclock.Time) {
+		launch(prod, "long", Compute, 500*time.Microsecond, 0.3, 0, nil)
+		again = prod.Record()
+	})
+	eng.Run()
+	if again != ev {
+		t.Fatal("the released, fired event was not recycled for the next recording")
+	}
+	if !again.Fired() || gated <= busy || gated >= again.FiredAt() {
+		t.Fatalf("gated kernel finished at %v (busy until %v); the new recording fired at %v: the wait followed the recycled event",
+			gated, busy, again.FiredAt())
 	}
 }
 
 // poolRun is what one pool scenario observed.
 type poolRun struct {
-	spans            []KernelSpan
-	deps             []KernelDep
-	launched, done   int
-	distinct, pooled int
+	spans                  []KernelSpan
+	deps                   []KernelDep
+	launched, done         int
+	kernels, events, colls poolCount
 }
+
+// poolCount counts one pool's objects: distinct ever pooled, back in the
+// pool at run end, and the number of times any was pooled.
+type poolCount struct{ distinct, pooled, recycles int }
 
 // runPoolScenario launches rounds onto every device — a local kernel,
 // an event handoff to the device's second stream, one member of a
 // node-wide collective there, and another local kernel — every 15µs,
-// with perturb injecting the faults. With pool set, a hook fails the
-// test whenever an instance is pooled while a stream queue, a running
-// set or an unfinished collective still refers to it, or while it is
-// already pooled; without it, retired instances are dropped instead,
-// which is the unpooled oracle.
+// with perturb injecting the faults. The handoff event is released as
+// soon as the wait holds it. With pool set, hooks fail the test whenever
+// a kernel instance, event or collective is pooled while anything still
+// refers to it, or while it is already pooled; without it, retired
+// objects are dropped instead, which is the unpooled oracle.
 func runPoolScenario(t *testing.T, pool bool, gpus, rounds int, perturb func(*simclock.Engine, *Node)) poolRun {
 	t.Helper()
 	eng, n, rec := depNode(t, gpus)
 	var r poolRun
-	seen := map[*kernelInstance]bool{}
-	n.recycleHook = func(k *kernelInstance) bool {
-		if !pool {
-			return false
-		}
+	seenK := map[*kernelInstance]bool{}
+	seenE := map[*Event]bool{}
+	seenC := map[*Collective]bool{}
+	// reaches reports whether a running or queued kernel satisfies f.
+	reaches := func(f func(k *kernelInstance) bool) (string, bool) {
 		for _, d := range n.devices {
 			for _, x := range d.running {
-				if x == k {
-					t.Errorf("kernel %d pooled while resident on device %d", k.id, d.id)
+				if f(x) {
+					return "resident", true
 				}
 			}
 			for _, s := range d.streams {
 				for _, cmd := range s.queue[s.qhead:] {
-					if cmd.kernel == k {
-						t.Errorf("kernel %d pooled while queued on stream %d", k.id, s.id)
+					if cmd.kernel != nil && f(cmd.kernel) {
+						return "queued", true
 					}
 				}
 			}
 		}
+		return "", false
+	}
+	n.kernelHook = func(k *kernelInstance) bool {
+		if !pool {
+			return false
+		}
+		if where, ok := reaches(func(x *kernelInstance) bool { return x == k }); ok {
+			t.Errorf("kernel %d pooled while %s", k.id, where)
+		}
 		if c := k.spec.Coll; c != nil && !c.done {
 			t.Errorf("kernel %d pooled while collective %d is unfinished", k.id, c.id)
 		}
-		for _, f := range n.kernFree {
-			if f == k {
-				t.Errorf("kernel %d pooled twice", k.id)
-			}
+		if slices.Contains(n.kernFree, k) {
+			t.Errorf("kernel %d pooled twice", k.id)
 		}
-		seen[k] = true
+		seenK[k] = true
+		r.kernels.recycles++
+		return true
+	}
+	n.eventHook = func(ev *Event) bool {
+		if !pool {
+			return false
+		}
+		if !ev.fired || !ev.released || ev.firing || len(ev.subs) != 0 {
+			t.Errorf("event pooled while live: fired %v, released %v, firing %v, %d subscribers",
+				ev.fired, ev.released, ev.firing, len(ev.subs))
+		}
+		if slices.Contains(n.evFree, ev) {
+			t.Error("event pooled twice")
+		}
+		seenE[ev] = true
+		r.events.recycles++
+		return true
+	}
+	n.collHook = func(c *Collective) bool {
+		if !pool {
+			return false
+		}
+		if !c.started || !c.done || c.aborted {
+			t.Errorf("collective %d pooled unfinished or aborted: started %v, done %v, aborted %v", c.id, c.started, c.done, c.aborted)
+		}
+		if where, ok := reaches(func(x *kernelInstance) bool { return x.spec.Coll == c }); ok {
+			t.Errorf("collective %d pooled while a member is %s", c.id, where)
+		}
+		if slices.Contains(n.collFree, c) {
+			t.Errorf("collective %d pooled twice", c.id)
+		}
+		seenC[c] = true
+		r.colls.recycles++
 		return true
 	}
 	onDone := func(simclock.Time) { r.done++ }
@@ -128,7 +214,9 @@ func runPoolScenario(t *testing.T, pool bool, gpus, rounds int, perturb func(*si
 			for d := range compute {
 				compute[d].Launch(KernelSpec{Name: "gemm", Class: Compute, Duration: 8 * time.Microsecond,
 					ComputeDemand: 0.5, MemBWDemand: 0.6, Batch: i, Req: -1, OnDone: onDone})
-				comm[d].Wait(compute[d].Record())
+				ev := compute[d].Record()
+				comm[d].Wait(ev)
+				ev.Release()
 				comm[d].Launch(KernelSpec{Name: "ar", Class: Comm, Duration: 6 * time.Microsecond,
 					ComputeDemand: 0.1, MemBWDemand: 0.3, Coll: c, Batch: i, Req: -1, OnDone: onDone})
 				compute[d].Launch(KernelSpec{Name: "ln", Class: Compute, Duration: 4 * time.Microsecond,
@@ -140,13 +228,15 @@ func runPoolScenario(t *testing.T, pool bool, gpus, rounds int, perturb func(*si
 	perturb(eng, n)
 	eng.Run()
 	r.spans, r.deps = rec.spans, rec.deps
-	r.distinct, r.pooled = len(seen), len(n.kernFree)
+	r.kernels.distinct, r.kernels.pooled = len(seenK), len(n.kernFree)
+	r.events.distinct, r.events.pooled = len(seenE), len(n.evFree)
+	r.colls.distinct, r.colls.pooled = len(seenC), len(n.collFree)
 	return r
 }
 
 // checkPoolScenario runs a scenario pooled and unpooled and requires
-// identical spans and deps, one span per launch, and every instance back
-// in the pool at run end after being reused.
+// identical spans and deps, one span per launch, every kernel instance
+// and event back in the pool at run end, and every pool reused.
 func checkPoolScenario(t *testing.T, gpus, rounds int, perturb func(*simclock.Engine, *Node)) []KernelSpan {
 	t.Helper()
 	pooled := runPoolScenario(t, true, gpus, rounds, perturb)
@@ -169,11 +259,26 @@ func checkPoolScenario(t *testing.T, gpus, rounds int, perturb func(*simclock.En
 	if !reflect.DeepEqual(pooled.deps, oracle.deps) {
 		t.Fatal("pooled run's deps differ from the unpooled run's")
 	}
-	if pooled.pooled != pooled.distinct {
-		t.Fatalf("%d instances back in the pool at run end, %d ever pooled: one is still live or pooled twice", pooled.pooled, pooled.distinct)
+	for _, p := range []struct {
+		name string
+		poolCount
+		// Aborted collectives are never pooled, so a reused group may end
+		// the run outside the pool.
+		mayLeave bool
+	}{
+		{"kernel instances", pooled.kernels, false},
+		{"events", pooled.events, false},
+		{"collectives", pooled.colls, true},
+	} {
+		if !p.mayLeave && p.pooled != p.distinct {
+			t.Fatalf("%d %s back in the pool at run end, %d ever pooled: one is still live or pooled twice", p.pooled, p.name, p.distinct)
+		}
+		if p.distinct == 0 || p.recycles <= p.distinct {
+			t.Fatalf("%d %s pooled %d times: the pool is not being reused", p.distinct, p.name, p.recycles)
+		}
 	}
-	if pooled.distinct*4 > pooled.launched {
-		t.Fatalf("%d instances for %d launches: the pool is not being reused", pooled.distinct, pooled.launched)
+	if pooled.kernels.distinct*4 > pooled.launched {
+		t.Fatalf("%d kernel instances for %d launches: the pool is not being reused", pooled.kernels.distinct, pooled.launched)
 	}
 	return pooled.spans
 }

@@ -225,10 +225,18 @@ type Node struct {
 	// kernFree recycles kernel instances (and their completion
 	// closures); see the lifetime rule on kernelInstance.
 	kernFree []*kernelInstance
-	// recycleHook, when set by tests, inspects every retired kernel
-	// instance before it is pooled; returning false drops the instance
-	// instead, giving the unpooled run that pooling must match.
-	recycleHook func(k *kernelInstance) (pool bool)
+	// evFree recycles fired, released events (see Event); collFree
+	// recycles collectives no member can reach any more (see
+	// Collective.recycle).
+	evFree   []*Event
+	collFree []*Collective
+	// The hooks, when set by tests, inspect every retired kernel
+	// instance, event or collective before it is pooled; returning false
+	// drops the object instead, giving the unpooled run that pooling must
+	// match.
+	kernelHook func(k *kernelInstance) (pool bool)
+	eventHook  func(ev *Event) (pool bool)
+	collHook   func(c *Collective) (pool bool)
 
 	// onFail observers run when a device permanently fails, before its
 	// resident work drains, so runtimes can enter their reconfiguring
@@ -360,7 +368,6 @@ func (n *Node) newCommand(s *Stream) *command {
 	}
 	cmd := &command{stream: s}
 	cmd.deliverFn = func(t simclock.Time) {
-		cmd.delivered = true
 		cmd.stream.advCause, cmd.stream.advPred = CauseDelivery, -1
 		cmd.stream.advance(t)
 	}
@@ -375,9 +382,38 @@ func (n *Node) recycleCommand(cmd *command) {
 	cmd.event = nil
 	cmd.stream = nil
 	cmd.deliveredAt = 0
-	cmd.delivered = false
 	cmd.waitRegistered = false
 	n.cmdFree = append(n.cmdFree, cmd)
+}
+
+// newEvent takes an event from the free list (or allocates one) for a
+// new recording. The subscriber slice keeps its backing array.
+func (n *Node) newEvent() *Event {
+	if l := len(n.evFree); l > 0 {
+		ev := n.evFree[l-1]
+		n.evFree[l-1] = nil
+		n.evFree = n.evFree[:l-1]
+		ev.fired, ev.released = false, false
+		ev.firedAt, ev.firedBy = 0, -1
+		return ev
+	}
+	return &Event{node: n, firedBy: -1}
+}
+
+// recycleEvent pools a fired, released event. The new generation tells
+// waits on the old recording that it has fired.
+func (n *Node) recycleEvent(ev *Event) {
+	ev.gen++
+	if n.eventHook != nil && !n.eventHook(ev) {
+		return
+	}
+	n.evFree = append(n.evFree, ev)
+}
+
+// notifyHost runs fn on the host after the notification latency.
+func (n *Node) notifyHost(fn func(simclock.Time)) {
+	n.evCounts.Host++
+	n.eng.After(n.spec.Host.NotifyLatency, fn)
 }
 
 // newKernel takes a kernel instance from the free list (or allocates
@@ -405,7 +441,7 @@ func (n *Node) recycleKernel(k *kernelInstance) {
 	if k.state != kDone {
 		panic("gpusim: recycling a kernel instance that has not finished")
 	}
-	if n.recycleHook != nil && !n.recycleHook(k) {
+	if n.kernelHook != nil && !n.kernelHook(k) {
 		return
 	}
 	*k = kernelInstance{completionFn: k.completionFn}
@@ -436,14 +472,30 @@ func (n *Node) NewStreamOnConnection(dev, conn int) *Stream {
 }
 
 // NewCollective creates a rendezvous group expecting size members,
-// inheriting the node's collective timeout (if any).
+// inheriting the node's collective timeout (if any). Groups are pooled:
+// the node reuses one once no member can reach it any more (see
+// Collective.recycle), so callers must not hold a group past the next
+// NewCollective after its members have all finished.
 func (n *Node) NewCollective(size int) *Collective {
 	if size < 1 {
 		panic("gpusim: collective size must be >= 1")
 	}
-	c := &Collective{node: n, id: n.nextCollID, size: size, timeout: n.collTimeout,
-		members: make([]*kernelInstance, 0, size)}
-	c.completionFn = func(t simclock.Time) { c.finish(t) }
+	var c *Collective
+	if l := len(n.collFree); l > 0 {
+		c = n.collFree[l-1]
+		n.collFree[l-1] = nil
+		n.collFree = n.collFree[:l-1]
+		*c = Collective{node: n, members: c.members[:0], onAbort: c.onAbort[:0],
+			completionFn: c.completionFn, abortFn: c.abortFn}
+	} else {
+		c = &Collective{node: n}
+		c.completionFn = func(t simclock.Time) { c.finish(t) }
+		c.abortFn = func(t simclock.Time) { c.abort(t) }
+	}
+	c.id, c.size, c.timeout = n.nextCollID, size, n.collTimeout
+	if cap(c.members) < size {
+		c.members = make([]*kernelInstance, 0, size)
+	}
 	n.nextCollID++
 	return c
 }

@@ -17,7 +17,8 @@ import (
 // record the same spans, deps and kernel ids on a second identical run
 // on the same node type, and the same again with pooling turned off.
 func TestKernelPoolTracedFig10Point(t *testing.T) {
-	run := func(pool bool) (*trace.Recorder, int) {
+	type pooled struct{ kernels, events, colls int }
+	run := func(pool bool) (*trace.Recorder, pooled) {
 		t.Helper()
 		rec := trace.NewRecorder()
 		eng, err := core.NewEngine(core.Options{
@@ -27,7 +28,7 @@ func TestKernelPoolTracedFig10Point(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gpusim.SetKernelPooling(eng.SimNode(), pool)
+		gpusim.SetPooling(eng.SimNode(), pool)
 		arrivals, err := serve.Generate(serve.TraceConfig{
 			Batches: 24, BatchSize: 2, RatePerSec: 2000, MinSeq: 16, MaxSeq: 128,
 			Phase: model.Context, Seed: 1,
@@ -42,25 +43,42 @@ func TestKernelPoolTracedFig10Point(t *testing.T) {
 		if res.Completed != len(arrivals) {
 			t.Fatalf("%d of %d batches completed", res.Completed, len(arrivals))
 		}
-		return rec, gpusim.PooledKernels(eng.SimNode())
+		var p pooled
+		p.kernels, p.events, p.colls = gpusim.Pooled(eng.SimNode())
+		return rec, p
 	}
-	first, pooled := run(true)
+	first, p := run(true)
 	second, _ := run(true)
 	unpooled, _ := run(false)
 
 	spans := first.Spans()
 	ids := make([]int, len(spans))
+	var colls int
+	seenColl := map[int]bool{}
 	for _, sp := range spans {
 		if sp.ID < 0 || sp.ID >= len(spans) || ids[sp.ID] != 0 {
 			t.Fatalf("kernel id %d out of range or recorded twice among %d spans", sp.ID, len(spans))
 		}
 		ids[sp.ID]++
+		if sp.Coll >= 0 && !seenColl[sp.Coll] {
+			seenColl[sp.Coll] = true
+			colls++
+		}
 	}
 	if len(first.Deps()) != len(spans) {
 		t.Fatalf("%d deps for %d spans", len(first.Deps()), len(spans))
 	}
-	if pooled == 0 || pooled*10 > len(spans) {
-		t.Fatalf("%d pooled instances for %d kernels: the pool is not being reused", pooled, len(spans))
+	// A pool that is filled but never drawn from ends up holding one
+	// object per use: hundreds of collectives, and an end event per
+	// device and round, about one per four kernels here.
+	if p.kernels == 0 || p.kernels*10 > len(spans) {
+		t.Fatalf("%d pooled instances for %d kernels: the pool is not being reused", p.kernels, len(spans))
+	}
+	if p.events == 0 || p.events*10 > len(spans) {
+		t.Fatalf("%d pooled events for %d kernels: the event pool is not being reused", p.events, len(spans))
+	}
+	if p.colls == 0 || p.colls*10 > colls {
+		t.Fatalf("%d pooled collectives for %d collectives: the pool is not being reused", p.colls, colls)
 	}
 	for name, other := range map[string]*trace.Recorder{"second run": second, "unpooled run": unpooled} {
 		if !reflect.DeepEqual(spans, other.Spans()) {

@@ -17,13 +17,18 @@ const (
 // pooled object and reused for every delivery, so issuing a command does
 // not allocate a fresh closure.
 type command struct {
-	kind           cmdKind
-	kernel         *kernelInstance
-	event          *Event
-	stream         *Stream
-	deliverFn      simclock.Event
+	kind   cmdKind
+	kernel *kernelInstance
+	event  *Event
+	// gen is the event generation a wait command captured.
+	gen    uint64
+	stream *Stream
+	// deliveredAt and seq are the command's delivery position in the
+	// engine's (time, seq) order, reserved at issue; an event is armed
+	// there only while the command heads its stream (see Stream.issue).
 	deliveredAt    simclock.Time
-	delivered      bool
+	seq            uint64
+	deliverFn      simclock.Event
 	waitRegistered bool
 }
 
@@ -31,10 +36,20 @@ type command struct {
 // prior work on that stream completes. Other streams can wait on it
 // without CPU involvement (inter-stream synchronization, Fig. 8), and
 // the host can register a notification callback.
+//
+// Events are pooled per node. The holder calls Release once it no longer
+// needs the event, and the node reuses it only after it has also fired.
+// A Wait captures the event's generation, so a wait issued before the
+// release completes on the recording it waited for, even if the event is
+// recycled and recorded again before the wait reaches its stream's head.
 type Event struct {
-	node    *Node
-	fired   bool
-	firedAt simclock.Time
+	node *Node
+	// gen counts the event's recycles.
+	gen      uint64
+	fired    bool
+	firing   bool
+	released bool
+	firedAt  simclock.Time
 	// firedBy is the id of the last kernel completed on the recording
 	// stream when the event fired (-1 if none): the predecessor edge a
 	// waiting kernel inherits.
@@ -42,11 +57,13 @@ type Event struct {
 	subs    []eventSub
 }
 
-// eventSub is one same-instant subscription to an event: either a
-// stream whose head wait the event gates, or a callback.
+// eventSub is one same-instant subscription to an event: a stream whose
+// head wait the event gates, or a callback, run at the firing instant or
+// (host set) on the host after the notification latency.
 type eventSub struct {
 	waiter *Stream
 	fn     func(simclock.Time)
+	host   bool
 }
 
 // Fired reports whether the event has completed.
@@ -55,21 +72,45 @@ func (e *Event) Fired() bool { return e.fired }
 // FiredAt returns the completion instant (zero if not fired).
 func (e *Event) FiredAt() simclock.Time { return e.firedAt }
 
+// Release hands the event back to its node: the holder will not use it
+// again. Subscriptions and waits already registered are unaffected; the
+// node reuses the event once it has fired.
+func (e *Event) Release() {
+	if e.released {
+		panic("gpusim: event released twice")
+	}
+	e.released = true
+	if e.fired && !e.firing {
+		e.node.recycleEvent(e)
+	}
+}
+
 func (e *Event) fire(now simclock.Time) {
 	if e.fired {
 		return
 	}
-	e.fired = true
+	e.fired, e.firing = true, true
 	e.firedAt = now
-	subs := e.subs
-	e.subs = nil
-	for _, sub := range subs {
-		if s := sub.waiter; s != nil {
+	// A fired event takes no new subscriptions (they run at once), so the
+	// list cannot grow under this loop; a Release from a subscriber
+	// defers recycling until the loop is done.
+	for _, sub := range e.subs {
+		switch {
+		case sub.waiter != nil:
+			s := sub.waiter
 			s.advCause, s.advPred = CauseEvent, e.firedBy
 			s.advance(now)
-			continue
+		case sub.host:
+			e.node.notifyHost(sub.fn)
+		default:
+			sub.fn(now)
 		}
-		sub.fn(now)
+	}
+	clear(e.subs)
+	e.subs = e.subs[:0]
+	e.firing = false
+	if e.released {
+		e.node.recycleEvent(e)
 	}
 }
 
@@ -91,11 +132,11 @@ func (e *Event) Observe(fn func(now simclock.Time)) { e.onFire(fn) }
 // host notification latency. This is the mechanism behind hybrid
 // synchronization's pre-launch trigger (§3.4).
 func (e *Event) OnHost(fn func(now simclock.Time)) {
-	lat := e.node.spec.Host.NotifyLatency
-	e.onFire(func(simclock.Time) {
-		e.node.evCounts.Host++
-		e.node.eng.After(lat, fn)
-	})
+	if e.fired {
+		e.node.notifyHost(fn)
+		return
+	}
+	e.subs = append(e.subs, eventSub{fn: fn, host: true})
 }
 
 // Stream is a CUDA-like in-order command queue on one device.
@@ -146,10 +187,16 @@ func (s *Stream) QueueLen() int { return len(s.queue) - s.qhead }
 func (s *Stream) Idle() bool { return s.QueueLen() == 0 }
 
 // issue appends a command, computing its host→device delivery time from
-// the stream's launch connection, and schedules the delivery.
+// the stream's launch connection and reserving the delivery's position
+// in the engine's order. Only the head command gets a delivery event:
+// delivering a command behind the head changes nothing, so advance reads
+// such a delivery off the clock once the command reaches the head, and
+// arms an event there only if the delivery is still to come.
 func (s *Stream) issue(cmd *command) {
-	now := s.node.eng.Now()
+	eng := s.node.eng
+	now := eng.Now()
 	cmd.deliveredAt = s.dev.deliver(s.conn, now)
+	cmd.seq = eng.Reserve()
 	if s.qhead > 0 && 2*s.qhead >= len(s.queue) && len(s.queue) == cap(s.queue) {
 		// Full, and at least half of it retired: slide the outstanding
 		// commands down instead of growing the slice.
@@ -162,8 +209,21 @@ func (s *Stream) issue(cmd *command) {
 	if qt := s.node.queueTracer; qt != nil {
 		qt.QueueDepth(s.dev.id, s.dev.queueDepth, now)
 	}
+	if s.QueueLen() == 1 {
+		s.armHead()
+	}
+}
+
+// armHead arms the head command's delivery event, unless the clock has
+// already passed the delivery.
+func (s *Stream) armHead() {
+	cmd := s.queue[s.qhead]
+	eng := s.node.eng
+	if eng.Passed(cmd.deliveredAt, cmd.seq) {
+		return
+	}
 	s.node.evCounts.Stream++
-	s.node.eng.At(cmd.deliveredAt, cmd.deliverFn)
+	eng.AtSeq(cmd.deliveredAt, cmd.seq, cmd.deliverFn)
 }
 
 // Launch enqueues a kernel. The call returns immediately (asynchronous
@@ -197,9 +257,10 @@ func (s *Stream) Launch(spec KernelSpec) {
 	s.conn.lastKernel = k.id
 }
 
-// Record enqueues an event-record command and returns the event.
+// Record enqueues an event-record command and returns the event, which
+// the caller should Release once done with it.
 func (s *Stream) Record() *Event {
-	ev := &Event{node: s.node, firedBy: -1}
+	ev := s.node.newEvent()
 	cmd := s.node.newCommand(s)
 	cmd.kind = cmdRecord
 	cmd.event = ev
@@ -209,10 +270,12 @@ func (s *Stream) Record() *Event {
 
 // Wait enqueues a wait: subsequent commands on s do not execute until ev
 // fires. This is pure inter-stream synchronization — no CPU round trip.
+// The wait is bound to the current recording of ev: it may be released
+// right after this call.
 func (s *Stream) Wait(ev *Event) {
 	cmd := s.node.newCommand(s)
 	cmd.kind = cmdWait
-	cmd.event = ev
+	cmd.event, cmd.gen = ev, ev.gen
 	s.issue(cmd)
 }
 
@@ -240,6 +303,8 @@ func (s *Stream) pop() {
 	s.qhead++
 	if s.qhead == len(s.queue) {
 		s.queue, s.qhead = s.queue[:0], 0
+	} else {
+		s.armHead()
 	}
 	s.dev.queueDepth--
 	if qt := s.node.queueTracer; qt != nil {
@@ -264,7 +329,7 @@ func (s *Stream) completeHead(now simclock.Time) {
 func (s *Stream) advance(now simclock.Time) {
 	for {
 		cmd := s.head()
-		if cmd == nil || !cmd.delivered {
+		if cmd == nil || !s.node.eng.Passed(cmd.deliveredAt, cmd.seq) {
 			return
 		}
 		switch cmd.kind {
@@ -274,7 +339,8 @@ func (s *Stream) advance(now simclock.Time) {
 			s.pop()
 			ev.fire(now)
 		case cmdWait:
-			if cmd.event.fired {
+			// A recycled event fired on the generation the wait captured.
+			if ev := cmd.event; ev.fired || ev.gen != cmd.gen {
 				s.pop()
 				continue
 			}

@@ -38,10 +38,6 @@ type Stats struct {
 	DegradedRebalances int
 }
 
-// debugOverrunHook, when set by tests, observes (window, overrun) pairs
-// for every round with a secondary subset.
-var debugOverrunHook func(window, overrun time.Duration)
-
 // Scheduler is the multi-GPU multi-stream scheduler (§3.3). It owns a
 // compute stream and a communication stream on each device (each on its
 // own host launch connection, mirroring CUDA_DEVICE_MAX_CONNECTIONS=2),
@@ -55,7 +51,8 @@ type Scheduler struct {
 
 	// lastComputeEnd / lastCommEnd are the previous round's end events
 	// per device; the next round's streams wait on the *other* stream's
-	// event — the inter-stream half of hybrid synchronization.
+	// event — the inter-stream half of hybrid synchronization. The
+	// scheduler holds each until a round replaces it, then releases it.
 	lastComputeEnd []*gpusim.Event
 	lastCommEnd    []*gpusim.Event
 
@@ -99,6 +96,8 @@ type Scheduler struct {
 	// nextRound is the round-completion trigger, allocated on the first
 	// round.
 	nextRound func(now simclock.Time)
+	// obsFree recycles overrun observers (see observeOverrun).
+	obsFree []*roundObserver
 }
 
 // NewScheduler builds a scheduler over the simulated node.
@@ -472,52 +471,22 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 		}
 		endSec[d] = ss.Record()
 	}
-	// Remember this round's end events for the next round's waits.
-	for _, d := range s.alive {
-		if typ == gpusim.Compute {
-			s.lastComputeEnd[d] = endPrim[d]
-			s.lastCommEnd[d] = endSec[d]
-		} else {
-			s.lastCommEnd[d] = endPrim[d]
-			s.lastComputeEnd[d] = endSec[d]
-		}
-	}
-
 	// Observe whether the secondary subset outlasted the primary — the
-	// §3.5 scheduling-failure signal — and adapt the online contention
-	// factor when enabled.
+	// §3.5 scheduling-failure signal. Nothing has subscribed to this
+	// round's end events yet.
 	if len(sub1) > 0 {
-		ep, es := endPrim[lead], endSec[lead]
-		threshold := window / 50 // ignore sub-2% overruns: noise, not failures
-		es.Observe(func(now simclock.Time) {
-			if debugOverrunHook != nil {
-				if ep.Fired() {
-					debugOverrunHook(window, time.Duration(now-ep.FiredAt()))
-				} else {
-					debugOverrunHook(window, -1)
-				}
-			}
-			// If the primary's end event has not fired yet, the secondary
-			// finished first — the desired outcome. Overrun means the
-			// secondary ended meaningfully after the primary.
-			overran := ep.Fired() && es.FiredAt() > ep.FiredAt()+threshold
-			if overran {
-				s.stats.SecondaryOverruns++
-			}
-			if s.cfg.AdaptiveContention {
-				if overran {
-					s.dynFactor *= 1.01
-					if s.dynFactor > 1.5 {
-						s.dynFactor = 1.5
-					}
-				} else if s.dynFactor > 1.0 {
-					s.dynFactor *= 0.998
-					if s.dynFactor < 1.0 {
-						s.dynFactor = 1.0
-					}
-				}
-			}
-		})
+		s.observeOverrun(endPrim[lead], endSec[lead], window)
+	}
+	// Remember this round's end events for the next round's waits; the
+	// events they replace are no longer needed (the waits above hold
+	// them).
+	for _, d := range s.alive {
+		compEnd, commEnd := endPrim[d], endSec[d]
+		if typ != gpusim.Compute {
+			compEnd, commEnd = commEnd, compEnd
+		}
+		replaceEvent(&s.lastComputeEnd[d], compEnd)
+		replaceEvent(&s.lastCommEnd[d], commEnd)
 	}
 	// Drop the buffers' references so finished batches and collectives
 	// are not kept alive until the next round.
@@ -542,6 +511,7 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 			return
 		}
 		notify.OnHost(next)
+		notify.Release()
 	case CPUGPU:
 		evs := s.barrier[:0]
 		for _, d := range s.alive {
@@ -564,6 +534,87 @@ func (s *Scheduler) streamsFor(typ gpusim.KernelClass) ([]*gpusim.Stream, []*gpu
 		return s.comm, s.lastCommEnd
 	}
 	return s.compute, s.lastComputeEnd
+}
+
+// replaceEvent stores ev in *slot and releases the event it replaces.
+func replaceEvent(slot **gpusim.Event, ev *gpusim.Event) {
+	if old := *slot; old != nil {
+		old.Release()
+	}
+	*slot = ev
+}
+
+// roundObserver watches one round's lead-device end events. It records
+// the primary's end instant itself instead of reading the primary's
+// event when the secondary ends, because the scheduler may have
+// released that event by then. Observers are pooled on the scheduler.
+type roundObserver struct {
+	s         *Scheduler
+	threshold time.Duration
+	primEnded bool
+	primAt    simclock.Time
+	// pending counts the end events still to fire; the observer is reused
+	// once both have.
+	pending       int
+	onPrim, onSec func(now simclock.Time)
+}
+
+// observeOverrun arms an observer on a round's primary and secondary end
+// events. It must be the primary event's first subscriber, so that the
+// primary's end is on record before anything its firing sets off.
+func (s *Scheduler) observeOverrun(ep, es *gpusim.Event, window time.Duration) {
+	var o *roundObserver
+	if n := len(s.obsFree); n > 0 {
+		o = s.obsFree[n-1]
+		s.obsFree[n-1] = nil
+		s.obsFree = s.obsFree[:n-1]
+	} else {
+		o = &roundObserver{s: s}
+		o.onPrim, o.onSec = o.primaryEnded, o.secondaryEnded
+	}
+	o.threshold = window / 50 // ignore sub-2% overruns: noise, not failures
+	o.primEnded, o.primAt, o.pending = false, 0, 2
+	ep.Observe(o.onPrim)
+	es.Observe(o.onSec)
+}
+
+func (o *roundObserver) primaryEnded(now simclock.Time) {
+	o.primEnded, o.primAt = true, now
+	o.done()
+}
+
+// secondaryEnded counts an overrun and adapts the online contention
+// factor when enabled.
+func (o *roundObserver) secondaryEnded(now simclock.Time) {
+	s := o.s
+	// If the primary has not ended yet, the secondary finished first —
+	// the desired outcome. Overrun means the secondary ended meaningfully
+	// after the primary.
+	overran := o.primEnded && now > o.primAt+o.threshold
+	if overran {
+		s.stats.SecondaryOverruns++
+	}
+	if s.cfg.AdaptiveContention {
+		if overran {
+			s.dynFactor *= 1.01
+			if s.dynFactor > 1.5 {
+				s.dynFactor = 1.5
+			}
+		} else if s.dynFactor > 1.0 {
+			s.dynFactor *= 0.998
+			if s.dynFactor < 1.0 {
+				s.dynFactor = 1.0
+			}
+		}
+	}
+	o.done()
+}
+
+func (o *roundObserver) done() {
+	o.pending--
+	if o.pending == 0 {
+		o.s.obsFree = append(o.s.obsFree, o)
+	}
 }
 
 func otherClass(typ gpusim.KernelClass) gpusim.KernelClass {

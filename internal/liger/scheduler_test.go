@@ -428,6 +428,36 @@ func TestKernelDoneUnderflowPanics(t *testing.T) {
 	b.kernelDone(0)
 }
 
+// A warmed-up scheduling round allocates nothing: its subsets,
+// collectives, end events, overrun observer and round trigger all come
+// from buffers and pools that earlier rounds filled. Decomposition is
+// off because splitting a kernel builds its pieces in package parallel.
+func TestSteadyStateRoundAllocatesNothing(t *testing.T) {
+	cfg := testCfg()
+	cfg.DivisionFactor = 1
+	eng, _, s := testRig(t, cfg)
+	b0 := syntheticBatch(0, 400, 3, 40*time.Microsecond, 100*time.Microsecond)
+	b1 := syntheticBatch(1, 400, 3, 40*time.Microsecond, 100*time.Microsecond)
+	eng.After(0, func(simclock.Time) { s.Submit(b0); s.Submit(b1) })
+	round := func() {
+		for r := s.stats.Rounds; s.stats.Rounds == r; {
+			if !eng.Step() {
+				t.Fatal("the engine drained before the next round")
+			}
+		}
+	}
+	for i := 0; i < 300; i++ {
+		round()
+	}
+	secondary := s.stats.SecondaryKernels
+	if a := testing.AllocsPerRun(100, round); a != 0 {
+		t.Fatalf("%v allocations per round, want 0", a)
+	}
+	if s.stats.SecondaryKernels == secondary || b0.Completed() {
+		t.Fatal("the measured rounds did not interleave two live batches")
+	}
+}
+
 func TestRealModelEndToEnd(t *testing.T) {
 	// Serve the tiny model through the full stack: assembler + scheduler
 	// + simulated node, several batches.

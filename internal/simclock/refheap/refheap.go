@@ -2,16 +2,11 @@
 // the simclock engine — the exact event queue the simulator shipped with
 // before the calendar-queue rewrite.
 //
-// It exists for two reasons:
-//
-//   - the differential property test in internal/simclock drives this
-//     engine and the calendar-queue engine side by side through
-//     randomized schedule/cancel/re-arm/RunUntil workloads and asserts
-//     identical fire order and clock values — the strongest form of the
-//     "byte-identical semantics" guarantee;
-//   - tools/descore re-measures its events/sec on the current host so
-//     BENCH_descore.json always carries a like-for-like baseline next to
-//     the calendar queue's numbers.
+// It exists for the differential property test in internal/simclock,
+// which drives this engine and the calendar-queue engine side by side
+// through randomized schedule/cancel/re-arm/RunUntil workloads and
+// asserts identical fire order and clock values — the strongest form of
+// the "byte-identical semantics" guarantee.
 //
 // Do not optimize this package: its value is that it stays the simple,
 // obviously correct total order on (time, sequence).

@@ -35,6 +35,15 @@
 // when tombstones outnumber live events. Bucket width self-tunes: the
 // ring widens when events are too sparse for the window and narrows when
 // single buckets grow pathological.
+//
+// # Reserved positions
+//
+// Reserve takes a place in the (time, seq) order without scheduling an
+// event; Passed reports whether the clock has moved beyond a place, and
+// AtSeq arms an event there while it has not. A caller that only
+// sometimes needs an event can skip it without moving any other event:
+// the GPU model arms a command's delivery only once the command heads
+// its stream (see docs/PERF.md).
 package simclock
 
 import (
@@ -156,6 +165,10 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	fired uint64
+	// curSeq is one past the seq of the last fired event; with now it is
+	// the clock's position in the (time, seq) order that Passed compares
+	// against.
+	curSeq uint64
 
 	// Near band: ring of nb buckets. buckets[cur] holds events in
 	// [winStart, winStart+width); every stored near event e satisfies
@@ -225,8 +238,9 @@ func (e *Engine) width() Time { return Time(1) << e.shift }
 // winEnd returns the first instant beyond the near window.
 func (e *Engine) winEnd() Time { return e.winStart + Time(1)<<(e.shift+nbBits) }
 
-// newItem takes an item from the free list (or allocates one) and arms it.
-func (e *Engine) newItem(at Time, fn Event) *item {
+// newItem takes an item from the free list (or allocates one) and arms it
+// at position (at, seq).
+func (e *Engine) newItem(at Time, seq uint64, fn Event) *item {
 	var it *item
 	if n := len(e.free); n > 0 {
 		it = e.free[n-1]
@@ -236,10 +250,9 @@ func (e *Engine) newItem(at Time, fn Event) *item {
 		it = &item{}
 	}
 	it.at = at
-	it.seq = e.seq
+	it.seq = seq
 	it.fn = fn
 	it.cancelled = false
-	e.seq++
 	return it
 }
 
@@ -268,17 +281,54 @@ func (e *Engine) At(at Time, fn Event) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, e.now))
 	}
-	it := e.newItem(at, fn)
-	e.schedule(it)
-	if live := e.nearCount + len(e.far) - e.cancelled; live > e.stats.MaxPending {
-		e.stats.MaxPending = live
-	}
-	return Handle{eng: e, it: it, gen: it.gen}
+	return e.push(e.newItem(at, e.Reserve(), fn))
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
 func (e *Engine) After(d time.Duration, fn Event) Handle {
 	return e.At(e.now+d, fn)
+}
+
+// Reserve takes the next sequence number without scheduling anything.
+// A caller that may not need an event at all reserves its place in the
+// (time, seq) order where At would have scheduled it, and arms it later
+// with AtSeq only if Passed says it is still due: every event it does
+// arm then fires exactly where At would have fired it.
+func (e *Engine) Reserve() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// Passed reports whether the clock has moved beyond position (at, seq),
+// that is, whether an event scheduled there would already have fired.
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	if at != e.now {
+		return at < e.now
+	}
+	return seq < e.curSeq
+}
+
+// AtSeq schedules fn at position (at, seq), where seq came from Reserve.
+// Arming a position the clock has passed panics, like scheduling in the
+// past, and so does arming a seq that was never reserved.
+func (e *Engine) AtSeq(at Time, seq uint64, fn Event) Handle {
+	if seq >= e.seq {
+		panic(fmt.Sprintf("simclock: schedule at unreserved seq %d", seq))
+	}
+	if e.Passed(at, seq) {
+		panic(fmt.Sprintf("simclock: schedule at (%v, seq %d), which the clock has passed (now %v)", at, seq, e.now))
+	}
+	return e.push(e.newItem(at, seq, fn))
+}
+
+// push queues an armed item and returns its handle.
+func (e *Engine) push(it *item) Handle {
+	e.schedule(it)
+	if live := e.nearCount + len(e.far) - e.cancelled; live > e.stats.MaxPending {
+		e.stats.MaxPending = live
+	}
+	return Handle{eng: e, it: it, gen: it.gen}
 }
 
 // schedule places an armed item into the correct band. This is the only
@@ -328,8 +378,8 @@ func (e *Engine) insertNear(it *item, idx int) {
 		return
 	}
 	// Sorted bucket (the one being consumed, typically). Fast path: the
-	// new entry is the latest seq, so it lands at the end unless an
-	// existing entry has a later timestamp.
+	// new entry usually has the latest seq, so it lands at the end unless
+	// an existing entry orders after it.
 	if last := b.items[len(b.items)-1]; !itemAfter(last, it) {
 		b.items = append(b.items, it)
 	} else {
@@ -662,13 +712,19 @@ func (e *Engine) Step() bool {
 	if it == nil {
 		return false
 	}
+	e.fire(it)
+	return true
+}
+
+// fire takes the settled head event off the queue, moves the clock to
+// its position and runs it.
+func (e *Engine) fire(it *item) {
 	e.take()
-	e.now = it.at
+	e.now, e.curSeq = it.at, it.seq+1
 	e.fired++
 	fn := it.fn
 	e.recycle(it)
 	fn(e.now)
-	return true
 }
 
 // Run fires events until the queue is empty.
@@ -685,15 +741,12 @@ func (e *Engine) RunUntil(deadline Time) {
 		if it == nil || it.at > deadline {
 			break
 		}
-		e.take()
-		e.now = it.at
-		e.fired++
-		fn := it.fn
-		e.recycle(it)
-		fn(e.now)
+		e.fire(it)
 	}
-	if e.now < deadline {
-		e.now = deadline
+	if e.now <= deadline {
+		// Everything due by the deadline has fired, so every position
+		// reserved so far at or before it has passed.
+		e.now, e.curSeq = deadline, e.seq
 	}
 }
 
@@ -712,12 +765,7 @@ func (e *Engine) RunBefore(bound Time) {
 		if it == nil || it.at >= bound {
 			return
 		}
-		e.take()
-		e.now = it.at
-		e.fired++
-		fn := it.fn
-		e.recycle(it)
-		fn(e.now)
+		e.fire(it)
 	}
 }
 

@@ -20,7 +20,8 @@
 //     batch count, proving the fault scenarios execute end to end
 //  7. a failover race pass: the permanent-device-failure paths across
 //     gpusim, runtimes, liger, and serve under -race, including the
-//     kernel-instance pool's teardown paths (KernelPool tests)
+//     teardown paths of the kernel-instance, event and collective pools
+//     (KernelPool and EventPool tests)
 //  8. an observability race pass: the tracer hook, dependency-edge
 //     emission, per-request decomposition, trace-analysis, and
 //     metrics-export paths under -race
@@ -38,17 +39,12 @@
 //     -shards 0 and -shards 4 must print byte-identical output
 //     (timing lines stripped) — the lookahead-sharded path may never
 //     change results, only speed (hard fail)
-//  12. a descore regression pass: tools/descore re-measures DES-core
-//     events/sec (frozen heap baseline vs calendar queue) and benchdiff
-//     compares against the committed BENCH_descore.json — warn-only,
-//     because throughput on the 1-CPU CI container is noise; the
-//     determinism smokes above are the hard gates
-//  13. a fleet smoke + determinism check: `ligerbench -exp fleet
+//  12. a fleet smoke + determinism check: `ligerbench -exp fleet
 //     -quick` at -parallel 1 -shards 1 and -parallel 4 -shards 4 must
 //     print identical tables and write byte-identical BENCH_fleet.json
 //     artifacts (each parsing as JSON), then a warn-only benchdiff
 //     over the two proves the regression gate reads the fleet artifact
-//  14. a serving smoke + determinism check: `ligerbench -exp serving
+//  13. a serving smoke + determinism check: `ligerbench -exp serving
 //     -quick -trace-dir` (continuous batching over the paged KV
 //     allocator) at -parallel 1 -shards 1 and -parallel 4 -shards 4
 //     must print identical tables and write byte-identical
@@ -60,14 +56,14 @@
 //     warn-only benchdiff passes over the two BENCH_serving.json and
 //     the two BENCH_serving_analysis.json prove the regression gate
 //     reads both serving artifacts
-//  15. scenario acceptance: every scenarios/*.yaml must PASS its
+//  14. scenario acceptance: every scenarios/*.yaml must PASS its
 //     assertions, the impossible-slo and no-spare-capacity negative
 //     fixtures must FAIL (exit 1) — a gate that cannot reject is not a
 //     gate — and `scenarios/cascading-failures.yaml`,
 //     `scenarios/fleet-node-loss.yaml`, and `scenarios/decode-heavy.yaml`
 //     (the continuous-batching corpus entry) must print byte-identical
 //     reports at -parallel 1 and -parallel 4 -shards 4
-//  16. a stress smoke: `ligersim stress -n 25 -seed 42` twice must
+//  15. a stress smoke: `ligersim stress -n 25 -seed 42` twice must
 //     produce byte-identical aggregate survival reports, plus a small
 //     -race pass (`stress -n 3 -seed 7`) over the randomized fleet
 package main
@@ -102,7 +98,7 @@ func main() {
 		{"chaos smoke", []string{"go", "run", "./cmd/ligerbench",
 			"-exp", "chaos", "-quick", "-batches", "25", "-seed", "5"}},
 		{"failover race", []string{"go", "test", "-race",
-			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce|KernelPool",
+			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce|KernelPool|EventPool",
 			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve"}},
 		{"observability race", []string{"go", "test", "-race",
 			"-run", "Observability|ChromeTrace|Tracer|Truncated|Rendezvous|ReqBreakdown|RequestID|PerRequest|Percentiles|FromRun|WriteJSON|Dep|CriticalPath|Gap|Overlap|Window|Determinism|Timeline",
@@ -144,12 +140,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("ok   shards smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := descoreRegression(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL descore: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   descore (%v)\n", time.Since(start).Round(time.Millisecond))
 	start = time.Now()
 	if err := fleetDeterminism(); err != nil {
 		fmt.Fprintf(os.Stderr, "FAIL fleet smoke: %v\n", err)
@@ -478,33 +468,6 @@ func stripTimingLines(out []byte) []byte {
 		kept = append(kept, line)
 	}
 	return bytes.Join(kept, []byte("\n"))
-}
-
-// descoreRegression re-measures DES-core throughput into a temp file
-// and benchdiffs it against the committed BENCH_descore.json, warn-only
-// (-threshold 0.5: only a halving of events/sec would even warn, and a
-// warn never fails the gate — CI container timing is not a benchmark).
-func descoreRegression() error {
-	tmp, err := os.MkdirTemp("", "ci-descore-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	fresh := filepath.Join(tmp, "BENCH_descore.json")
-	cmd := exec.Command("go", "run", "./tools/descore", "-o", fresh)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("descore run: %v", err)
-	}
-	cmd = exec.Command("go", "run", "./tools/benchdiff", "-warn", "-threshold", "0.5",
-		"BENCH_descore.json", fresh)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("benchdiff: %v", err)
-	}
-	return nil
 }
 
 // failoverDeterminism runs the traced failover sweep at two worker
