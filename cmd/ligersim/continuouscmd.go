@@ -15,7 +15,6 @@ import (
 	"liger/internal/liger"
 	"liger/internal/metrics"
 	"liger/internal/model"
-	"liger/internal/serve"
 	"liger/internal/stats"
 	"liger/internal/trace"
 )
@@ -28,9 +27,6 @@ type continuousOpts struct {
 	Prompt int
 	Gen    int
 	Pool   int
-	// Paged selects the paged KV allocator (preemption under pressure);
-	// false reserves worst-case prompt+gen tokens per admitted sequence.
-	Paged bool
 	// Disagg splits prefill and decode onto separate node pools joined
 	// by -network; Prefill/Decode size the pools.
 	Disagg  bool
@@ -112,26 +108,12 @@ func runContinuousCLI(node hw.Node, spec model.Spec, kind core.RuntimeKind, lcfg
 	if co.traced() {
 		rec = trace.NewServingRecorder()
 	}
-	maxTokens := co.Prompt + co.Gen
-	var kv serve.KVAllocator
-	var kvLabel string
-	if co.Paged {
-		pm, err := kvcache.NewPaged(node, spec, co.Pool, maxTokens, kvcache.PagedConfig{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rec != nil {
-			pm.SetTracer(rec, eng.Clock().Now)
-		}
-		kv = pm
-		kvLabel = "paged"
-	} else {
-		m, err := kvcache.New(node, spec, co.Pool, maxTokens)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kv = m
-		kvLabel = "reserved"
+	kv, err := kvcache.NewPaged(node, spec, co.Pool, co.Prompt+co.Gen, kvcache.PagedConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if rec != nil {
+		kv.SetTracer(rec, eng.Clock().Now)
 	}
 	ccfg := generate.ContinuousConfig{
 		Sequences:  sequences,
@@ -153,8 +135,8 @@ func runContinuousCLI(node hw.Node, spec model.Spec, kind core.RuntimeKind, lcfg
 	fmt.Printf("node      : %s (%d GPUs, %s)\n", node.Name, node.NumGPUs, node.Interconnect.Name)
 	fmt.Printf("model     : %s (%.0fB params)\n", spec.Name, float64(spec.Params())/1e9)
 	fmt.Printf("runtime   : %s\n", kind)
-	fmt.Printf("serving   : continuous, %d sequences (prompt %d + gen %d), poisson rate %.2f/s, pool %d, kv %s\n",
-		sequences, co.Prompt, co.Gen, rate, co.Pool, kvLabel)
+	fmt.Printf("serving   : continuous, %d sequences (prompt %d + gen %d), poisson rate %.2f/s, pool %d, kv paged\n",
+		sequences, co.Prompt, co.Gen, rate, co.Pool)
 	printContinuousMetrics(res)
 	writeServingOutputs(rec, fmt.Sprint(kind), co)
 }

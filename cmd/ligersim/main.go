@@ -70,7 +70,6 @@ func main() {
 		promptLen  = flag.Int("prompt", 96, "prompt length per sequence (with -continuous/-disagg)")
 		genTokens  = flag.Int("gen", 32, "decode tokens per sequence (with -continuous/-disagg)")
 		pool       = flag.Int("pool", 16, "max resident sequences per decode iteration (with -continuous/-disagg)")
-		paged      = flag.Bool("paged", true, "paged KV allocator with watermark preemption; false reserves worst-case prompt+gen per sequence (with -continuous)")
 		disagg     = flag.Bool("disagg", false, "disaggregate prefill and decode onto separate node pools over -network (implies -continuous)")
 		prefillN   = flag.Int("prefillnodes", 1, "prefill pool size for -disagg")
 		decodeN    = flag.Int("decodenodes", 1, "decode pool size for -disagg")
@@ -117,7 +116,6 @@ func main() {
 			Prompt:       *promptLen,
 			Gen:          *genTokens,
 			Pool:         *pool,
-			Paged:        *paged,
 			Disagg:       *disagg,
 			Prefill:      *prefillN,
 			Decode:       *decodeN,

@@ -46,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		kv, err := kvcache.New(node, spec, cfg.BatchSize, cfg.PromptLen)
+		kv, err := kvcache.NewPaged(node, spec, cfg.BatchSize, cfg.PromptLen, kvcache.PagedConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}

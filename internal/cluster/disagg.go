@@ -407,15 +407,7 @@ func (d *Disagg) Run() (DisaggResult, error) {
 	if d.completed != d.cfg.Sequences {
 		return res, fmt.Errorf("cluster: %d of %d sequences finished", d.completed, d.cfg.Sequences)
 	}
-	for i := 0; i < d.cfg.Sequences; i++ {
-		res.TTFT = append(res.TTFT, time.Duration(d.firstTok[i]-d.arrived[i]))
-		res.TPOT = append(res.TPOT, time.Duration(d.finished[i]-d.firstTok[i])/time.Duration(d.cfg.GenTokens))
-		res.Total = append(res.Total, time.Duration(d.finished[i]-d.arrived[i]))
-		if m := time.Duration(d.finished[i]); m > res.Makespan {
-			res.Makespan = m
-		}
-	}
-	res.Conversations = d.cfg.Sequences
+	res.Makespan = res.Fold(d.arrived, d.firstTok, d.finished, d.cfg.GenTokens)
 	var poolSum float64
 	for _, n := range d.decodes {
 		res.Iterations += n.cb.Iterations

@@ -32,17 +32,18 @@ type ContinuousConfig struct {
 	MaxPool int
 	// KV, if non-nil, gates admission on cache capacity. Only the prompt
 	// is admitted up front; the cache then grows one token per decode
-	// iteration (paged growth), so a kvcache.PagedManager here admits
-	// far more concurrency than the old worst-case reservation — at the
-	// price of mid-decode preemption when blocks run out.
+	// iteration, so a kvcache.PagedManager here admits far more
+	// concurrency than reserving each sequence's worst-case prompt+gen
+	// would — at the price of mid-decode preemption when blocks run out.
 	KV serve.KVAllocator
 	// Seed jitters arrivals (Poisson).
 	Seed int64
 	// Tracer, if non-nil, observes the batcher's iterations and sequence
 	// lifecycles (trace.ServingRecorder implements it along with the
-	// other serving extensions). The caller wires a paged allocator's
-	// own tracer separately (kvcache.PagedManager.SetTracer) since KV
-	// may be any allocator. Tracing never perturbs the simulation.
+	// other serving extensions). The caller wires the allocator's own
+	// tracer separately (kvcache.PagedManager.SetTracer) since KV may be
+	// any KVAllocator, including a test fake or a measuring decorator.
+	// Tracing never perturbs the simulation.
 	Tracer serve.ServingTracer
 }
 
@@ -81,8 +82,7 @@ type ContinuousResult struct {
 // RunContinuous executes the workload on the runtime attached to eng.
 // It owns the runtime's completion callback for the duration. When the
 // KV allocator records invariant violations (InvariantErr, as
-// kvcache.Manager and kvcache.PagedManager do), the first one is the
-// run's error.
+// kvcache.PagedManager does), the first one is the run's error.
 func RunContinuous(eng *simclock.Engine, rt runtimes.Runtime, cfg ContinuousConfig) (ContinuousResult, error) {
 	res := ContinuousResult{}
 	if err := cfg.Validate(); err != nil {
@@ -132,15 +132,7 @@ func RunContinuous(eng *simclock.Engine, rt runtimes.Runtime, cfg ContinuousConf
 	if completed != cfg.Sequences {
 		return res, fmt.Errorf("generate: %d of %d sequences finished", completed, cfg.Sequences)
 	}
-	for i := 0; i < cfg.Sequences; i++ {
-		res.TTFT = append(res.TTFT, time.Duration(firstTok[i]-arrived[i]))
-		res.TPOT = append(res.TPOT, time.Duration(finished[i]-firstTok[i])/time.Duration(cfg.GenTokens))
-		res.Total = append(res.Total, time.Duration(finished[i]-arrived[i]))
-		if d := time.Duration(finished[i]); d > res.Makespan {
-			res.Makespan = d
-		}
-	}
-	res.Conversations = cfg.Sequences
+	res.Makespan = res.Fold(arrived, firstTok, finished, cfg.GenTokens)
 	res.Iterations = cb.Iterations
 	res.MeanPool = cb.MeanPool()
 	res.PrefillBatches = cb.PrefillBatches

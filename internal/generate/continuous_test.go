@@ -114,7 +114,7 @@ func TestContinuousSerialChainDegeneratesLiger(t *testing.T) {
 
 func TestContinuousWithKVAdmission(t *testing.T) {
 	eng := engineFor(t, core.KindLiger)
-	kv, err := kvcache.New(hw.A100Node(), model.OPT30B().WithLayers(8), 8, 32)
+	kv, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B().WithLayers(8), 8, 32, kvcache.PagedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"time"
 
-	"liger/internal/kvcache"
 	"liger/internal/model"
 	"liger/internal/runtimes"
+	"liger/internal/serve"
 	"liger/internal/simclock"
 	"liger/internal/stats"
 )
@@ -30,9 +30,12 @@ type Config struct {
 	GenTokens int
 	// ArrivalGap spaces conversation arrivals.
 	ArrivalGap time.Duration
-	// KV, if non-nil, enforces cache admission: conversations queue
-	// until their whole generation fits.
-	KV *kvcache.Manager
+	// KV, if non-nil, enforces cache admission. Run admits a whole
+	// conversation's prompt+gen tokens at once and releases them when
+	// it finishes, so conversations queue until their whole generation
+	// fits (a worst-case reservation policy over any allocator, typically
+	// a kvcache.PagedManager).
+	KV serve.KVAllocator
 }
 
 // Validate reports bad configurations.
@@ -75,16 +78,36 @@ func (r Result) AvgTPOT() time.Duration { return stats.Mean(r.TPOT) }
 // AvgTotal returns the mean end-to-end generation time.
 func (r Result) AvgTotal() time.Duration { return stats.Mean(r.Total) }
 
+// Fold appends one latency sample per sequence — TTFT (arrival → first
+// token), TPOT (first token → finish, per generated token) and Total
+// (arrival → finish) — from index-aligned instants, sets Conversations,
+// and returns the makespan: the latest finish instant.
+func (r *Result) Fold(arrived, firstTok, finished []simclock.Time, genTokens int) time.Duration {
+	var makespan time.Duration
+	for i := range arrived {
+		r.TTFT = append(r.TTFT, time.Duration(firstTok[i]-arrived[i]))
+		r.TPOT = append(r.TPOT, time.Duration(finished[i]-firstTok[i])/time.Duration(genTokens))
+		r.Total = append(r.Total, time.Duration(finished[i]-arrived[i]))
+		if d := time.Duration(finished[i]); d > makespan {
+			makespan = d
+		}
+	}
+	r.Conversations = len(arrived)
+	return makespan
+}
+
 type conversation struct {
-	id       int
-	step     int
-	started  simclock.Time
-	firstTok simclock.Time
-	finished simclock.Time
+	id   int
+	step int
 }
 
 // Run executes the workload on the runtime attached to eng. It owns the
-// runtime's completion callback for the duration of the run.
+// runtime's completion callback for the duration of the run. Unlike
+// RunContinuous, every conversation carries its own batch through its
+// whole generation, so several conversations' iterations are in flight
+// at once — the concurrency Liger interleaves. When the KV allocator
+// records invariant violations (InvariantErr) or still holds sequences
+// at the end (Live), the run fails.
 func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -92,7 +115,9 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 	res := Result{}
 	perConv := cfg.BatchSize * (cfg.PromptLen + cfg.GenTokens)
 
-	convs := map[int]*conversation{}
+	arrived := make([]simclock.Time, cfg.Conversations)
+	firstTok := make([]simclock.Time, cfg.Conversations)
+	finished := make([]simclock.Time, cfg.Conversations)
 	outstanding := map[int]*conversation{}
 	var admitQueue []*conversation
 	pendingID := 0
@@ -138,11 +163,11 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 		}
 		delete(outstanding, done.ID)
 		if c.step == 0 {
-			c.firstTok = done.Done
+			firstTok[c.id] = done.Done
 		}
 		c.step++
 		if c.step > cfg.GenTokens {
-			c.finished = done.Done
+			finished[c.id] = done.Done
 			if cfg.KV != nil {
 				cfg.KV.Release(c.id)
 			}
@@ -157,8 +182,8 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 	for i := 0; i < cfg.Conversations; i++ {
 		i := i
 		eng.At(simclock.Time(i)*simclock.Time(cfg.ArrivalGap), func(now simclock.Time) {
-			c := &conversation{id: i, started: now}
-			convs[i] = c
+			c := &conversation{id: i}
+			arrived[i] = now
 			if !admit(c) {
 				res.QueuedForKV++
 				admitQueue = append(admitQueue, c)
@@ -169,16 +194,20 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 	if runErr != nil {
 		return res, runErr
 	}
-
-	for i := 0; i < cfg.Conversations; i++ {
-		c := convs[i]
-		if c == nil || c.finished == 0 {
+	// A corrupted KV ledger fails the run instead of passing as a success.
+	if a, ok := cfg.KV.(interface{ InvariantErr() error }); ok {
+		if err := a.InvariantErr(); err != nil {
+			return res, fmt.Errorf("generate: kv cache invariant violated: %w", err)
+		}
+	}
+	for i, f := range finished {
+		if f == 0 {
 			return res, fmt.Errorf("generate: conversation %d never finished", i)
 		}
-		res.TTFT = append(res.TTFT, time.Duration(c.firstTok-c.started))
-		res.TPOT = append(res.TPOT, time.Duration(c.finished-c.firstTok)/time.Duration(cfg.GenTokens))
-		res.Total = append(res.Total, time.Duration(c.finished-c.started))
 	}
-	res.Conversations = cfg.Conversations
+	if a, ok := cfg.KV.(interface{ Live() int }); ok && a.Live() != 0 {
+		return res, fmt.Errorf("generate: kv cache still holds %d sequences after the run", a.Live())
+	}
+	res.Fold(arrived, firstTok, finished, cfg.GenTokens)
 	return res, nil
 }

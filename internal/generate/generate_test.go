@@ -1,6 +1,7 @@
 package generate
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -74,7 +75,7 @@ func TestLigerImprovesGeneration(t *testing.T) {
 
 func TestKVAdmissionQueues(t *testing.T) {
 	eng := engineFor(t, core.KindLiger)
-	kv, err := kvcache.New(hw.A100Node(), model.OPT30B().WithLayers(8), 2, 32)
+	kv, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B().WithLayers(8), 2, 32, kvcache.PagedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +83,10 @@ func TestKVAdmissionQueues(t *testing.T) {
 	cfg.KV = kv
 	cfg.Conversations = 8
 	cfg.ArrivalGap = 0 // all at once
-	// Shrink capacity artificially by pre-admitting a huge sequence.
+	// Shrink capacity artificially by pre-admitting a huge sequence that
+	// leaves room for fewer than three whole conversations.
 	perConv := cfg.BatchSize * (cfg.PromptLen + cfg.GenTokens)
-	hold := int(kv.Budget()/kv.BytesPerToken()) - 3*perConv
+	hold := kv.TotalBlocks()*kv.BlockTokens() - 3*perConv
 	if hold > 0 {
 		if err := kv.Admit(99999, hold); err != nil {
 			t.Fatal(err)
@@ -105,6 +107,52 @@ func TestKVAdmissionQueues(t *testing.T) {
 	}
 	if kv.Live() != 0 {
 		t.Fatalf("%d sequences leaked", kv.Live())
+	}
+}
+
+// Run fails on a broken KV ledger like the continuous drivers do: a
+// double release is an invariant violation, not a successful run.
+func TestRunDoubleReleaseFailsRun(t *testing.T) {
+	kv, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B().WithLayers(8), 2, 32, kvcache.PagedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engineFor(t, core.KindLiger)
+	cfg := baseCfg()
+	cfg.KV = doubleRelease{PagedManager: kv, seq: 3}
+	_, err = Run(eng.Clock(), eng.Runtime(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "double release") {
+		t.Fatalf("run with a double-released conversation returned %v, want the invariant violation", err)
+	}
+	if kv.Violations() != 1 {
+		t.Fatalf("%d violations recorded, want 1", kv.Violations())
+	}
+}
+
+// leakyRelease drops one sequence's release, so the allocator still
+// holds it when the run ends.
+type leakyRelease struct {
+	*kvcache.PagedManager
+	seq int
+}
+
+func (l leakyRelease) Release(id int) {
+	if id != l.seq {
+		l.PagedManager.Release(id)
+	}
+}
+
+func TestRunLeakedSequenceFailsRun(t *testing.T) {
+	kv, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B().WithLayers(8), 2, 32, kvcache.PagedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engineFor(t, core.KindLiger)
+	cfg := baseCfg()
+	cfg.KV = leakyRelease{PagedManager: kv, seq: 2}
+	_, err = Run(eng.Clock(), eng.Runtime(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "kv cache still holds 1") {
+		t.Fatalf("run that leaked a sequence returned %v, want the leak error", err)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package kvcache manages the key/value-cache memory of generative
 // serving (§4.3). Each live sequence owns cache that grows one token
 // per sampling iteration; the cache is sharded across the
-// tensor-parallel group, and the manager enforces the per-device
-// capacity left after weights and activation workspace — the admission
-// control a production serving system needs before accepting new
-// conversations.
+// tensor-parallel group, and the paged allocator (PagedManager) enforces
+// the per-device capacity left after weights and activation workspace —
+// the admission control a production serving system needs before
+// accepting new conversations.
 package kvcache
 
 import (
@@ -15,25 +15,9 @@ import (
 	"liger/internal/parallel"
 )
 
-// Manager tracks per-sequence KV allocations on one node.
-type Manager struct {
-	spec model.Spec
-	node hw.Node
-	// bytesPerToken is the per-device cache footprint of one token of
-	// one sequence.
-	bytesPerToken int64
-	// budget is the per-device byte budget for KV cache.
-	budget int64
-	used   int64
-
-	seqs map[int]int // sequence id → cached tokens
-
-	violations violations
-}
-
-// violations records accounting-invariant breaches (double release,
-// negative usage) instead of silently papering over them: the first
-// breach keeps its descriptive error, later ones only bump the count.
+// violations records accounting-invariant breaches (double release)
+// instead of silently papering over them: the first breach keeps its
+// descriptive error, later ones only bump the count.
 type violations struct {
 	count int
 	first error
@@ -47,9 +31,8 @@ func (v *violations) record(err error) {
 }
 
 // budgetFor computes the per-device byte budget left for KV cache after
-// the weight shard and the activation workspace — shared by the
-// reservation Manager and the paged allocator so the two agree with
-// parallel.PlanPlacement's safety margin.
+// the weight shard and the activation workspace, with the same safety
+// margin as parallel.PlanPlacement.
 func budgetFor(node hw.Node, spec model.Spec, maxBatch, maxSeq int) (int64, error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
@@ -60,125 +43,4 @@ func budgetFor(node hw.Node, spec model.Spec, maxBatch, maxSeq int) (int64, erro
 		return 0, fmt.Errorf("kvcache: no memory left for KV cache serving %s on %s", spec.Name, node.Name)
 	}
 	return budget, nil
-}
-
-// New sizes the manager: the budget is device memory minus the weights
-// shard and the activation workspace for the given maximum batch shape.
-func New(node hw.Node, spec model.Spec, maxBatch, maxSeq int) (*Manager, error) {
-	budget, err := budgetFor(node, spec, maxBatch, maxSeq)
-	if err != nil {
-		return nil, err
-	}
-	devs := int64(node.NumGPUs)
-	if devs < 1 {
-		devs = 1
-	}
-	return &Manager{
-		spec:          spec,
-		node:          node,
-		bytesPerToken: spec.KVCacheBytes(1) / devs,
-		budget:        budget,
-		seqs:          map[int]int{},
-	}, nil
-}
-
-// BytesPerToken returns the per-device cache cost of one token.
-func (m *Manager) BytesPerToken() int64 { return m.bytesPerToken }
-
-// Budget returns the per-device KV byte budget.
-func (m *Manager) Budget() int64 { return m.budget }
-
-// UsedBytes returns the per-device bytes currently allocated.
-func (m *Manager) UsedBytes() int64 { return m.used }
-
-// FreeTokens returns how many more tokens of cache fit.
-func (m *Manager) FreeTokens() int64 {
-	if m.bytesPerToken <= 0 {
-		return 0
-	}
-	return (m.budget - m.used) / m.bytesPerToken
-}
-
-// Live returns the number of admitted sequences.
-func (m *Manager) Live() int { return len(m.seqs) }
-
-// CanAdmit reports whether a sequence needing tokens of cache fits now.
-func (m *Manager) CanAdmit(tokens int) bool {
-	return m.used+int64(tokens)*m.bytesPerToken <= m.budget
-}
-
-// Admit reserves cache for a new sequence's prompt. It fails when the
-// sequence exists or memory is exhausted — the caller should queue the
-// conversation and retry after a Release.
-func (m *Manager) Admit(seqID, promptTokens int) error {
-	if promptTokens <= 0 {
-		return fmt.Errorf("kvcache: sequence %d needs positive prompt length", seqID)
-	}
-	if _, ok := m.seqs[seqID]; ok {
-		return fmt.Errorf("kvcache: sequence %d already admitted", seqID)
-	}
-	need := int64(promptTokens) * m.bytesPerToken
-	if m.used+need > m.budget {
-		return fmt.Errorf("kvcache: %d tokens (%d MB) exceed free budget (%d MB used of %d)",
-			promptTokens, need>>20, m.used>>20, m.budget>>20)
-	}
-	m.used += need
-	m.seqs[seqID] = promptTokens
-	return nil
-}
-
-// Extend grows a sequence's cache by one generated token.
-func (m *Manager) Extend(seqID int) error {
-	tokens, ok := m.seqs[seqID]
-	if !ok {
-		return fmt.Errorf("kvcache: sequence %d not admitted", seqID)
-	}
-	if m.used+m.bytesPerToken > m.budget {
-		return fmt.Errorf("kvcache: out of memory extending sequence %d at %d tokens", seqID, tokens)
-	}
-	m.used += m.bytesPerToken
-	m.seqs[seqID] = tokens + 1
-	return nil
-}
-
-// Tokens returns a sequence's cached length (0 if unknown).
-func (m *Manager) Tokens(seqID int) int { return m.seqs[seqID] }
-
-// Release frees a finished sequence's cache. Releasing an id that was
-// never admitted (or already released) is a double-release: the bytes
-// were returned once already, so the call records an invariant
-// violation instead of silently ignoring the corruption. Likewise a
-// release that would drive usage negative is recorded rather than
-// clamped away — the clamp used to mask exactly this class of
-// accounting bug.
-func (m *Manager) Release(seqID int) {
-	tokens, ok := m.seqs[seqID]
-	if !ok {
-		m.violations.record(fmt.Errorf("kvcache: release of unknown sequence %d (double release?)", seqID))
-		return
-	}
-	m.used -= int64(tokens) * m.bytesPerToken
-	if m.used < 0 {
-		m.violations.record(fmt.Errorf("kvcache: usage went negative (%d bytes) releasing sequence %d (%d tokens)",
-			m.used, seqID, tokens))
-		m.used = 0
-	}
-	delete(m.seqs, seqID)
-}
-
-// Violations returns how many accounting-invariant breaches the manager
-// has recorded (0 in a healthy run).
-func (m *Manager) Violations() int { return m.violations.count }
-
-// InvariantErr returns the first recorded invariant violation, nil when
-// the accounting has stayed consistent.
-func (m *Manager) InvariantErr() error { return m.violations.first }
-
-// MaxResidentSequences returns how many sequences of the given total
-// length (prompt + generation) can be resident simultaneously.
-func (m *Manager) MaxResidentSequences(totalTokens int) int {
-	if totalTokens <= 0 || m.bytesPerToken <= 0 {
-		return 0
-	}
-	return int(m.budget / (int64(totalTokens) * m.bytesPerToken))
 }

@@ -8,17 +8,8 @@ import (
 	"liger/internal/model"
 )
 
-func manager(t *testing.T) *Manager {
-	t.Helper()
-	m, err := New(hw.A100Node(), model.OPT30B(), 32, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 func TestBudgetSensible(t *testing.T) {
-	m := manager(t)
+	m := paged(t, PagedConfig{})
 	// A100 80 GB minus ~15 GB of weights: tens of GB of KV budget.
 	if m.Budget() < 20e9 || m.Budget() > 70e9 {
 		t.Fatalf("budget %d bytes implausible", m.Budget())
@@ -33,31 +24,33 @@ func TestBudgetSensible(t *testing.T) {
 func TestNoRoomOnTightNode(t *testing.T) {
 	// OPT-30B on the V100 node leaves almost nothing after weights:
 	// KV-cache serving of long generations must be rejected or tiny.
-	m, err := New(hw.V100Node(), model.OPT30B(), 32, 128)
+	m, err := NewPaged(hw.V100Node(), model.OPT30B(), 32, 128, PagedConfig{})
 	if err == nil && m.MaxResidentSequences(2048) > 64 {
 		t.Fatalf("V100 node implausibly roomy: %d sequences", m.MaxResidentSequences(2048))
 	}
-	if _, err := New(hw.V100Node(), model.GLM130B(), 8, 128); err == nil {
+	if _, err := NewPaged(hw.V100Node(), model.GLM130B(), 8, 128, PagedConfig{}); err == nil {
 		t.Fatal("GLM-130B on V100 should have no budget at all")
 	}
 }
 
 func TestAdmitExtendRelease(t *testing.T) {
-	m := manager(t)
+	m := paged(t, PagedConfig{BlockTokens: 16})
 	if err := m.Admit(1, 64); err != nil {
 		t.Fatal(err)
 	}
 	if m.Tokens(1) != 64 {
 		t.Fatalf("tokens %d", m.Tokens(1))
 	}
+	// 64 tokens fill exactly four blocks.
 	used := m.UsedBytes()
-	if used != 64*m.BytesPerToken() {
+	if used != 4*m.blockBytes || used != 64*m.BytesPerToken() {
 		t.Fatalf("used %d", used)
 	}
+	// The 65th token opens a fifth block.
 	if err := m.Extend(1); err != nil {
 		t.Fatal(err)
 	}
-	if m.Tokens(1) != 65 || m.UsedBytes() != used+m.BytesPerToken() {
+	if m.Tokens(1) != 65 || m.UsedBytes() != used+m.blockBytes {
 		t.Fatal("extend accounting wrong")
 	}
 	m.Release(1)
@@ -67,7 +60,7 @@ func TestAdmitExtendRelease(t *testing.T) {
 }
 
 func TestAdmitErrors(t *testing.T) {
-	m := manager(t)
+	m := paged(t, PagedConfig{})
 	if err := m.Admit(1, 0); err == nil {
 		t.Error("zero prompt accepted")
 	}
@@ -91,27 +84,13 @@ func TestAdmitErrors(t *testing.T) {
 	if m.Violations() != 2 {
 		t.Errorf("double release not recorded: %d violations", m.Violations())
 	}
-}
-
-func TestReleaseNegativeUsageRecorded(t *testing.T) {
-	m := manager(t)
-	if err := m.Admit(1, 64); err != nil {
-		t.Fatal(err)
-	}
-	// Manufacture the corruption the old code silently clamped away:
-	// usage below the live sequence's footprint.
-	m.used = m.bytesPerToken
-	m.Release(1)
-	if m.Violations() == 0 || m.InvariantErr() == nil {
-		t.Fatal("negative usage clamped without recording a violation")
-	}
-	if m.UsedBytes() != 0 {
-		t.Fatalf("used %d after corrupted release", m.UsedBytes())
+	if m.FreeBlocks() != m.TotalBlocks() {
+		t.Errorf("double release over-freed: %d of %d blocks free", m.FreeBlocks(), m.TotalBlocks())
 	}
 }
 
 func TestCapacityEnforced(t *testing.T) {
-	m := manager(t)
+	m := paged(t, PagedConfig{BlockTokens: 16})
 	perSeq := 4096
 	max := m.MaxResidentSequences(perSeq)
 	if max <= 0 {
@@ -136,10 +115,11 @@ func TestCapacityEnforced(t *testing.T) {
 }
 
 // Property: any admit/extend/release sequence keeps used within
-// [0, budget] and consistent with the per-sequence token counts.
+// [0, budget] and equal to the whole blocks covering the per-sequence
+// token counts.
 func TestPropertyAccountingConsistent(t *testing.T) {
 	f := func(ops []uint8) bool {
-		m, err := New(hw.A100Node(), model.OPT30B(), 8, 128)
+		m, err := NewPaged(hw.A100Node(), model.OPT30B(), 8, 128, PagedConfig{})
 		if err != nil {
 			return false
 		}
@@ -169,7 +149,7 @@ func TestPropertyAccountingConsistent(t *testing.T) {
 			}
 			var sum int64
 			for id := range live {
-				sum += int64(m.Tokens(id)) * m.BytesPerToken()
+				sum += int64(m.blocksFor(m.Tokens(id))) * m.blockBytes
 			}
 			if sum != m.UsedBytes() {
 				return false

@@ -13,11 +13,11 @@ import (
 // fixed-size blocks of BlockTokens tokens each, and every live sequence
 // owns a block table — an ordered list of block ids — that grows one
 // block at a time as decoding extends the sequence. A sequence only
-// ever holds ceil(tokens/BlockTokens) blocks, so memory that the
-// reservation Manager would pin for worst-case generation stays free
-// for admitting more concurrent sequences; the price is that the
-// allocator can run out mid-decode, which the serving layer resolves by
-// preempting the lowest-priority sequence (recompute-on-resume).
+// ever holds ceil(tokens/BlockTokens) blocks, so memory that a
+// worst-case prompt+gen reservation would pin stays free for admitting
+// more concurrent sequences; the price is that the allocator can run
+// out mid-decode, which the serving layer resolves by preempting the
+// lowest-priority sequence (recompute-on-resume).
 
 // ErrNoFreeBlocks is the sentinel wrapped by Extend/Admit when the
 // block pool is exhausted. The continuous batcher treats it as a
@@ -40,9 +40,9 @@ type pagedSeq struct {
 	blocks []int // block table, allocation-ordered
 }
 
-// PagedManager is the paged KV allocator for one node. Like Manager it
-// accounts per-device bytes; unlike Manager it allocates in blocks and
-// supports preemption of the lowest-priority live sequence.
+// PagedManager is the KV allocator for one node. It accounts
+// per-device bytes in whole blocks and supports preemption of the
+// lowest-priority live sequence.
 type PagedManager struct {
 	spec model.Spec
 	node hw.Node
@@ -69,7 +69,9 @@ type PagedManager struct {
 	peakUsed int
 }
 
-// NewPaged sizes a paged allocator with the same budget rule as New.
+// NewPaged sizes a paged allocator: the budget is device memory minus
+// the weight shard and the activation workspace for the given maximum
+// batch shape, carved into whole blocks.
 func NewPaged(node hw.Node, spec model.Spec, maxBatch, maxSeq int, cfg PagedConfig) (*PagedManager, error) {
 	budget, err := budgetFor(node, spec, maxBatch, maxSeq)
 	if err != nil {
@@ -173,9 +175,9 @@ func (m *PagedManager) CanAdmit(tokens int) bool {
 	return tokens > 0 && m.blocksFor(tokens) <= len(m.free)
 }
 
-// Admit allocates a new sequence's prompt blocks. Unlike the
-// reservation Manager, only the prompt is allocated — generation grows
-// the table one block at a time through Extend.
+// Admit allocates a new sequence's prompt blocks. Only the prompt is
+// allocated — generation grows the table one block at a time through
+// Extend.
 func (m *PagedManager) Admit(seqID, promptTokens int) error {
 	if promptTokens <= 0 {
 		return fmt.Errorf("kvcache: sequence %d needs positive prompt length", seqID)
@@ -220,8 +222,10 @@ func (m *PagedManager) Extend(seqID int) error {
 	return nil
 }
 
-// Release frees a finished sequence's blocks. Releasing an unknown id
-// records an invariant violation (double release), mirroring Manager.
+// Release frees a finished sequence's blocks. Releasing an id that was
+// never admitted (or already released) is a double release: the blocks
+// were returned once already, so the call records an invariant
+// violation instead of silently ignoring the corruption.
 func (m *PagedManager) Release(seqID int) {
 	s, ok := m.seqs[seqID]
 	if !ok {

@@ -59,11 +59,9 @@ type ContinuousPlan struct {
 	// Prompt/Gen shape every sequence; Pool caps live sequences per
 	// decode iteration.
 	Prompt, Gen, Pool int
-	// KV arms cache admission control (a kv: section was present).
-	KV bool
-	// Paged selects the paged allocator (vs worst-case reservation);
-	// Block and Watermark are its knobs.
-	Paged     bool
+	// KV arms cache admission control (a kv: section was present);
+	// Block and Watermark are the paged allocator's knobs.
+	KV        bool
 	Block     int
 	Watermark float64
 }
@@ -226,15 +224,11 @@ func (c *Compiled) compileContinuous(sc *Scenario) error {
 		Prompt:    w.Prompt,
 		Gen:       w.Gen,
 		Pool:      w.Pool,
-		Paged:     true,
 		Block:     16,
 		Watermark: 0.05,
 	}
 	if kv := sc.KV; kv != nil {
 		plan.KV = true
-		if kv.Paged != nil {
-			plan.Paged = *kv.Paged
-		}
 		if kv.Block != 0 {
 			plan.Block = kv.Block
 		}

@@ -21,7 +21,7 @@ workload:
   pool: 4
   seed: 3
 kv:
-  paged: true
+  block: 16
 assert:
   - liger.completed == 12
   - liger.ttft > 0s
@@ -37,7 +37,7 @@ func TestParseContinuous(t *testing.T) {
 	if !sc.Workload.Continuous() {
 		t.Fatal("workload not continuous")
 	}
-	if sc.KV == nil || sc.KV.Paged == nil || !*sc.KV.Paged {
+	if sc.KV == nil || sc.KV.Block != 16 {
 		t.Fatalf("kv = %+v", sc.KV)
 	}
 }
@@ -51,7 +51,7 @@ func TestParseContinuousErrors(t *testing.T) {
 		},
 		{
 			"kv without continuous",
-			"name: t\nworkload:\n  batches: 5\n  rate: 1\nkv:\n  paged: true\n",
+			"name: t\nworkload:\n  batches: 5\n  rate: 1\nkv:\n  block: 16\n",
 			"kv: admission control needs workload.mode: continuous",
 		},
 		{
@@ -95,9 +95,9 @@ func TestParseContinuousErrors(t *testing.T) {
 			"policies apply to batch serving",
 		},
 		{
-			"reservation kv with paged knobs",
-			"name: t\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 1\nkv:\n  paged: false\n  block: 32\n",
-			"block/watermark are paged-allocator knobs",
+			"kv paged knob retired",
+			"name: t\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 1\nkv:\n  paged: true\n",
+			`unknown key "kv.paged"`,
 		},
 		{
 			"kv typo suggestion",
@@ -116,10 +116,11 @@ func TestParseContinuousErrors(t *testing.T) {
 }
 
 // TestCompileContinuousDefaults pins the lowered plan: prompt/gen/pool
-// default to 32/16/8, and the kv section defaults to the paged
-// allocator at block 16, watermark 5%.
+// default to 32/16/8, and the kv section's block size defaults to 16
+// tokens. (The kv section keeps one explicit key: an empty kv: decodes
+// as null, which means no kv section at all.)
 func TestCompileContinuousDefaults(t *testing.T) {
-	sc, err := Parse([]byte("name: t\nmodel: tiny\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 1\nkv:\n  paged: true\n"), "t")
+	sc, err := Parse([]byte("name: t\nmodel: tiny\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 1\nkv:\n  watermark: 0.05\n"), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestCompileContinuousDefaults(t *testing.T) {
 	if cp.Sequences != 5 || cp.Prompt != 32 || cp.Gen != 16 || cp.Pool != 8 {
 		t.Errorf("plan = %+v", cp)
 	}
-	if !cp.KV || !cp.Paged || cp.Block != 16 || cp.Watermark != 0.05 {
+	if !cp.KV || cp.Block != 16 || cp.Watermark != 0.05 {
 		t.Errorf("kv plan = %+v", cp)
 	}
 	if c.Rate != 1 || c.Horizon.Seconds() != 5 {

@@ -162,20 +162,6 @@ func (s *section) number(key string) (float64, error) {
 	return f, nil
 }
 
-// boolean returns nil when the key is absent, so callers can tell
-// "unset" from an explicit false (KVSpec.Paged defaults to true).
-func (s *section) boolean(key string) (*bool, error) {
-	v, ok := s.get(key)
-	if !ok || v == nil {
-		return nil, nil
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return nil, fmt.Errorf("%s: want a bool, got %s", s.child(key), renderScalar(v))
-	}
-	return &b, nil
-}
-
 func (s *section) timeSpec(key string) (TimeSpec, error) {
 	v, ok := s.get(key)
 	if !ok || v == nil {
@@ -438,11 +424,8 @@ func decodeKV(v any) (KVSpec, error) {
 	if err != nil {
 		return KVSpec{}, err
 	}
-	s.expect("paged", "block", "watermark")
+	s.expect("block", "watermark")
 	var k KVSpec
-	if k.Paged, err = s.boolean("paged"); err != nil {
-		return k, err
-	}
 	if k.Block, err = s.integer("block"); err != nil {
 		return k, err
 	}

@@ -187,14 +187,10 @@ func (r *Report) continuous() *ContinuousPlan {
 }
 
 func kvDesc(cp *ContinuousPlan) string {
-	switch {
-	case !cp.KV:
+	if !cp.KV {
 		return "off"
-	case cp.Paged:
-		return fmt.Sprintf("paged (block %d, watermark %.0f%%)", cp.Block, 100*cp.Watermark)
-	default:
-		return "reserved"
 	}
+	return fmt.Sprintf("paged (block %d, watermark %.0f%%)", cp.Block, 100*cp.Watermark)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -97,24 +97,13 @@ func runContinuousOne(c *Compiled, kind core.RuntimeKind, shards int) (serve.Res
 	var kv serve.KVAllocator
 	var paged *kvcache.PagedManager
 	if plan.KV {
-		maxTokens := plan.Prompt + plan.Gen
-		if plan.Paged {
-			pm, err := kvcache.NewPaged(c.Node, c.Model, plan.Pool, maxTokens, kvcache.PagedConfig{
-				BlockTokens: plan.Block,
-				Watermark:   plan.Watermark,
-			})
-			if err != nil {
-				return serve.Result{}, fmt.Errorf("kv: %w", err)
-			}
-			kv = pm
-			paged = pm
-		} else {
-			m, err := kvcache.New(c.Node, c.Model, plan.Pool, maxTokens)
-			if err != nil {
-				return serve.Result{}, fmt.Errorf("kv: %w", err)
-			}
-			kv = m
+		if paged, err = kvcache.NewPaged(c.Node, c.Model, plan.Pool, plan.Prompt+plan.Gen, kvcache.PagedConfig{
+			BlockTokens: plan.Block,
+			Watermark:   plan.Watermark,
+		}); err != nil {
+			return serve.Result{}, fmt.Errorf("kv: %w", err)
 		}
+		kv = paged
 	}
 	cres, err := generate.RunContinuous(eng.Clock(), eng.Runtime(), generate.ContinuousConfig{
 		Sequences:  plan.Sequences,

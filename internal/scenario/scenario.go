@@ -43,8 +43,7 @@ type Scenario struct {
 	Cluster  *ClusterSpec
 	Workload Workload
 	// KV, when present, arms KV-cache admission control for a
-	// continuous-mode workload: the paged allocator (default) or the
-	// worst-case reservation manager.
+	// continuous-mode workload over the paged allocator.
 	KV     *KVSpec
 	Policy PolicySpec
 	Chaos  Chaos
@@ -145,12 +144,11 @@ type Workload struct {
 	Seed int64
 }
 
-// KVSpec arms KV-cache admission control (continuous mode only).
+// KVSpec arms KV-cache admission control (continuous mode only) over
+// the paged allocator: prompts are admitted in whole blocks, the cache
+// grows one token per decode iteration, and the newest sequence is
+// preempted when blocks run out.
 type KVSpec struct {
-	// Paged selects the paged allocator with preemption (default true);
-	// false uses worst-case reservation — strictly fewer concurrent
-	// sequences at equal memory, but no preemptions.
-	Paged *bool
 	// Block is the paged allocator's tokens-per-block (default 16).
 	Block int
 	// Watermark is the free-block fraction under which the scheduler
@@ -164,11 +162,6 @@ func (k *KVSpec) validate() error {
 		return fmt.Errorf("kv.block: negative block size %d", k.Block)
 	case k.Watermark < 0 || k.Watermark >= 1:
 		return fmt.Errorf("kv.watermark: %v outside [0, 1)", k.Watermark)
-	}
-	if k.Paged != nil && !*k.Paged {
-		if k.Block != 0 || k.Watermark != 0 {
-			return fmt.Errorf("kv: block/watermark are paged-allocator knobs; drop them or set paged: true")
-		}
 	}
 	return nil
 }

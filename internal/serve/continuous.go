@@ -13,11 +13,11 @@ import (
 // runs over the current pool of live sequences, and newly arrived
 // sequences are admitted and prefilled between iterations. The batcher
 // owns the scheduling policy only — KV memory lives behind the
-// KVAllocator interface, so the same loop runs over the reservation
-// manager, the paged allocator, or no admission control at all.
+// KVAllocator interface, so the same loop runs over the paged
+// allocator, a decorated or fake one, or no admission control at all.
 
 // KVAllocator is the admission-control surface the continuous batcher
-// drives (implemented by kvcache.Manager and kvcache.PagedManager).
+// drives (implemented by kvcache.PagedManager).
 type KVAllocator interface {
 	// CanAdmit reports whether tokens of cache fit right now.
 	CanAdmit(tokens int) bool

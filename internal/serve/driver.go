@@ -152,7 +152,7 @@ type Result struct {
 	// RecomputedTokens totals the prefill tokens recomputed after
 	// preemptions (recompute-on-resume); Iterations and MeanPool
 	// describe decode scheduling; KVPeakBlocks is the paged allocator's
-	// allocation high-water mark (zero under the reservation manager).
+	// allocation high-water mark (zero when the run has no KV allocator).
 	RecomputedTokens int
 	Iterations       int
 	MeanPool         float64

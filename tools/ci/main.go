@@ -25,37 +25,31 @@
 //  8. an observability race pass: the tracer hook, dependency-edge
 //     emission, per-request decomposition, trace-analysis, and
 //     metrics-export paths under -race
-//  9. a failover smoke + determinism check: `ligerbench -exp failover
-//     -quick -trace-dir` at -parallel 1 and -parallel 4 must produce
-//     identical BENCH_failover.json bytes AND identical per-runtime
-//     Chrome-trace/metrics/analysis artifacts, each of which must parse
-//     as JSON — the byte-compare of failover_*.analysis.json doubles as
-//     the analyzer determinism smoke; a warn-only benchdiff pass then
-//     diffs the two sweeps' BENCH_failover.json to prove the regression
-//     gate runs end to end
-//  10. an explain smoke: `ligersim -explain` twice on the same seed must
-//     print byte-identical critical-path/gap/overlap reports
-//  11. a shards determinism smoke: `ligerbench -exp fig10 -quick` at
-//     -shards 0 and -shards 4 must print byte-identical output
-//     (timing lines stripped) — the lookahead-sharded path may never
-//     change results, only speed (hard fail)
-//  12. a fleet smoke + determinism check: `ligerbench -exp fleet
-//     -quick` at -parallel 1 -shards 1 and -parallel 4 -shards 4 must
-//     print identical tables and write byte-identical BENCH_fleet.json
-//     artifacts (each parsing as JSON), then a warn-only benchdiff
-//     over the two proves the regression gate reads the fleet artifact
-//  13. a serving smoke + determinism check: `ligerbench -exp serving
-//     -quick -trace-dir` (continuous batching over the paged KV
-//     allocator) at -parallel 1 -shards 1 and -parallel 4 -shards 4
-//     must print identical tables and write byte-identical
-//     BENCH_serving.json and BENCH_serving_analysis.json artifacts
-//     plus byte-identical per-runtime serving Chrome-trace/metrics/
-//     decomposition artifacts, each parsing as JSON; every
-//     serving_*.serving.json must carry the decomposition schema
-//     (requests, segment_ns, pools, imbalance, episodes, counters);
-//     warn-only benchdiff passes over the two BENCH_serving.json and
-//     the two BENCH_serving_analysis.json prove the regression gate
-//     reads both serving artifacts
+//
+// Then the determinism smokes. Each runs one command at two settings
+// and fails unless stdout (host-dependent lines stripped) and every
+// artifact file are byte-identical; artifacts must parse as JSON, and a
+// warn-only benchdiff over the named sweep JSONs proves the regression
+// gate runs end to end. One table-driven helper (smoke.run) does all of
+// it:
+//  9. failover: `ligerbench -exp failover -quick -trace-dir` at
+//     -parallel 1 and 4 — BENCH_failover.json plus per-runtime Chrome
+//     trace/metrics/analysis artifacts (at least 10); the byte-compare
+//     of failover_*.analysis.json doubles as the analyzer determinism
+//     smoke
+//  10. explain: `ligersim -explain` twice on the same seed must print
+//     byte-identical critical-path/gap/overlap reports
+//  11. shards: `ligerbench -exp fig10 -quick` at -shards 0 and -shards 4
+//     — the lookahead-sharded path may never change results, only speed
+//  12. fleet: `ligerbench -exp fleet -quick` at -parallel 1 -shards 1
+//     and -parallel 4 -shards 4 — tables and BENCH_fleet.json
+//  13. serving: `ligerbench -exp serving -quick -trace-dir` (continuous
+//     batching over the paged KV allocator) at the same two settings —
+//     tables, BENCH_serving.json, BENCH_serving_analysis.json and the
+//     per-runtime serving Chrome-trace/metrics/decomposition artifacts
+//     (at least 11); every serving_*.serving.json must carry the
+//     decomposition schema (requests, segment_ns, pools, imbalance,
+//     episodes, counters) and tile each request's latency exactly
 //  14. scenario acceptance: every scenarios/*.yaml must PASS its
 //     assertions, the impossible-slo and no-spare-capacity negative
 //     fixtures must FAIL (exit 1) — a gate that cannot reject is not a
@@ -63,9 +57,9 @@
 //     `scenarios/fleet-node-loss.yaml`, and `scenarios/decode-heavy.yaml`
 //     (the continuous-batching corpus entry) must print byte-identical
 //     reports at -parallel 1 and -parallel 4 -shards 4
-//  15. a stress smoke: `ligersim stress -n 25 -seed 42` twice must
-//     produce byte-identical aggregate survival reports, plus a small
-//     -race pass (`stress -n 3 -seed 7`) over the randomized fleet
+//  15. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
+//     must produce byte-identical aggregate survival reports, plus a
+//     small -race pass (`stress -n 3 -seed 7`) over the randomized fleet
 package main
 
 import (
@@ -79,214 +73,213 @@ import (
 	"time"
 )
 
-type step struct {
+// gate is one named check of the sequence.
+type gate struct {
 	name string
-	args []string
+	run  func() error
 }
 
+// command returns a gate body that runs args with the gate's output
+// streamed to the console.
+func command(args ...string) func() error {
+	return func() error {
+		cmd := exec.Command(args[0], args[1:]...)
+		cmd.Stdout = os.Stdout
+		cmd.Stderr = os.Stderr
+		return cmd.Run()
+	}
+}
+
+// ligerbench and ligersim return a `go run` command line for the CLI.
+func ligerbench(args ...string) []string {
+	return append([]string{"go", "run", "./cmd/ligerbench"}, args...)
+}
+
+func ligersim(args ...string) []string {
+	return append([]string{"go", "run", "./cmd/ligersim"}, args...)
+}
+
+// parallelShards are the worker/shard settings of the sharded sweeps.
+var parallelShards = [2][]string{{"-parallel", "1", "-shards", "1"}, {"-parallel", "4", "-shards", "4"}}
+
 func main() {
-	steps := []step{
-		{"go vet", []string{"go", "vet", "./..."}},
-		{"go build", []string{"go", "build", "./..."}},
-		{"race (runner, simclock, faults, serve, cluster, kvcache, generate)", []string{"go", "test", "-race",
+	gates := []gate{
+		{"gofmt", gofmtCheck},
+		{"go vet", command("go", "vet", "./...")},
+		{"go build", command("go", "build", "./...")},
+		{"race (runner, simclock, faults, serve, cluster, kvcache, generate)", command("go", "test", "-race",
 			"./internal/runner", "./internal/simclock", "./internal/faults", "./internal/serve",
-			"./internal/cluster", "./internal/kvcache", "./internal/generate"}},
-		{"go test", []string{"go", "test", "./..."}},
+			"./internal/cluster", "./internal/kvcache", "./internal/generate")},
+		{"go test", command("go", "test", "./...")},
 		// tools/perf is a module of its own, so the root test run above
 		// does not reach its tests.
-		{"perf harness tests", []string{"go", "-C", "tools/perf", "test", "./..."}},
-		{"chaos smoke", []string{"go", "run", "./cmd/ligerbench",
-			"-exp", "chaos", "-quick", "-batches", "25", "-seed", "5"}},
-		{"failover race", []string{"go", "test", "-race",
+		{"perf harness tests", command("go", "-C", "tools/perf", "test", "./...")},
+		{"chaos smoke", command(ligerbench(
+			"-exp", "chaos", "-quick", "-batches", "25", "-seed", "5")...)},
+		{"failover race", command("go", "test", "-race",
 			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce|KernelPool|EventPool",
-			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve"}},
-		{"observability race", []string{"go", "test", "-race",
+			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve")},
+		{"observability race", command("go", "test", "-race",
 			"-run", "Observability|ChromeTrace|Tracer|Truncated|Rendezvous|ReqBreakdown|RequestID|PerRequest|Percentiles|FromRun|WriteJSON|Dep|CriticalPath|Gap|Overlap|Window|Determinism|Timeline",
 			"./internal/trace", "./internal/metrics", "./internal/gpusim",
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
-			"./internal/analyze"}},
+			"./internal/analyze")},
+		{"failover smoke", smoke{
+			what: "failover sweep",
+			args: ligerbench("-exp", "failover", "-quick", "-batches", "25", "-seed", "5"),
+			runs: [2][]string{{"-parallel", "1"}, {"-parallel", "4"}},
+			// Sweep JSON + a trace/metrics/analysis triple per runtime.
+			dirFlags:     []string{"-json", "-trace-dir"},
+			minArtifacts: 10,
+			benchdiff:    []string{"BENCH_failover.json"},
+		}.run},
+		{"explain smoke", smoke{
+			what: "ligersim -explain output",
+			args: ligersim("-runtime", "Liger", "-batches", "20", "-rate", "20", "-explain"),
+		}.run},
+		// Today the single-node shard plan falls back to the sequential
+		// engine, so this pins the fallback; when a multi-domain plan
+		// lands, it pins the lookahead invariant.
+		{"shards smoke", smoke{
+			what: "fig10 output",
+			args: ligerbench("-exp", "fig10", "-quick", "-batches", "25", "-seed", "5"),
+			runs: [2][]string{{"-shards", "0"}, {"-shards", "4"}},
+		}.run},
+		{"fleet smoke", smoke{
+			what:         "fleet table",
+			args:         ligerbench("-exp", "fleet", "-quick", "-batches", "25", "-seed", "5"),
+			runs:         parallelShards,
+			dirFlags:     []string{"-json"},
+			minArtifacts: 1,
+			benchdiff:    []string{"BENCH_fleet.json"},
+		}.run},
+		{"serving smoke", smoke{
+			what: "serving table",
+			args: ligerbench("-exp", "serving", "-quick", "-batches", "25", "-seed", "5"),
+			runs: parallelShards,
+			// Sweep JSON + analysis aggregate + a trace/metrics/serving
+			// triple per runtime.
+			dirFlags:     []string{"-json", "-trace-dir"},
+			minArtifacts: 11,
+			benchdiff:    []string{"BENCH_serving.json", "BENCH_serving_analysis.json"},
+			check: func(name string, doc any) error {
+				if strings.HasSuffix(name, ".serving.json") {
+					return checkServingSchema(name, doc)
+				}
+				return nil
+			},
+		}.run},
+		{"scenario acceptance", scenarioAcceptance},
+		{"stress smoke", stressSmoke},
 	}
-	if err := gofmtCheck(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL gofmt: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("ok   gofmt")
-	for _, s := range steps {
+	for _, g := range gates {
 		start := time.Now()
-		cmd := exec.Command(s.args[0], s.args[1:]...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", s.name, err)
+		if err := g.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", g.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("ok   %s (%v)\n", s.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("ok   %s (%v)\n", g.name, time.Since(start).Round(time.Millisecond))
 	}
-	start := time.Now()
-	if err := failoverDeterminism(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL failover smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   failover smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := explainDeterminism(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL explain smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   explain smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := shardsDeterminism(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL shards smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   shards smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := fleetDeterminism(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL fleet smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   fleet smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := servingDeterminism(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL serving smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   serving smoke (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := scenarioAcceptance(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL scenario acceptance: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   scenario acceptance (%v)\n", time.Since(start).Round(time.Millisecond))
-	start = time.Now()
-	if err := stressSmoke(); err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL stress smoke: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("ok   stress smoke (%v)\n", time.Since(start).Round(time.Millisecond))
 	fmt.Println("all checks passed")
 }
 
-// fleetDeterminism runs the fleet-failover sweep at two worker/shard
-// settings and fails unless table output and BENCH_fleet.json are
-// byte-identical — the fleet simulation's shard schedule (frontend +
-// one shard per node) may never change results. A warn-only benchdiff
-// over the two JSONs then proves the regression gate reads the fleet
-// artifact cleanly.
-func fleetDeterminism() error {
-	tmp, err := os.MkdirTemp("", "ci-fleet-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	var outs [][]byte
-	for _, workers := range []string{"1", "4"} {
-		dir := filepath.Join(tmp, "p"+workers)
-		cmd := exec.Command("go", "run", "./cmd/ligerbench",
-			"-exp", "fleet", "-quick", "-batches", "25", "-seed", "5",
-			"-parallel", workers, "-shards", workers, "-json", dir)
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return fmt.Errorf("-parallel %s: %v", workers, err)
-		}
-		outs = append(outs, stripTimingLines(out))
-	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		return fmt.Errorf("fleet table differs between -parallel 1 and -parallel 4 -shards 4")
-	}
-	var jsons [][]byte
-	for _, workers := range []string{"1", "4"} {
-		buf, err := os.ReadFile(filepath.Join(tmp, "p"+workers, "BENCH_fleet.json"))
-		if err != nil {
-			return err
-		}
-		var doc any
-		if err := json.Unmarshal(buf, &doc); err != nil {
-			return fmt.Errorf("-parallel %s BENCH_fleet.json is not valid JSON: %v", workers, err)
-		}
-		jsons = append(jsons, buf)
-	}
-	if !bytes.Equal(jsons[0], jsons[1]) {
-		return fmt.Errorf("BENCH_fleet.json differs between -parallel 1 and -parallel 4 -shards 4")
-	}
-	cmd := exec.Command("go", "run", "./tools/benchdiff", "-warn",
-		filepath.Join(tmp, "p1", "BENCH_fleet.json"),
-		filepath.Join(tmp, "p4", "BENCH_fleet.json"))
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("benchdiff: %v", err)
-	}
-	return nil
+// smoke is one determinism check: the same command at two settings
+// must print the same stdout (host-dependent lines stripped) and write
+// byte-identical artifact files.
+type smoke struct {
+	// what names the stdout in failure messages ("fleet table").
+	what string
+	// args is the command line both runs share; runs holds each run's
+	// extra flags (both empty: the same command twice); tail follows the
+	// flags (positional arguments).
+	args []string
+	runs [2][]string
+	tail []string
+	// dirFlags each take the run's artifact directory (e.g. -json). With
+	// none, the run writes no artifacts.
+	dirFlags []string
+	// minArtifacts is the least number of files each run must write.
+	minArtifacts int
+	// benchdiff lists the artifacts a warn-only benchdiff pass reads.
+	benchdiff []string
+	// check, if set, validates each parsed JSON artifact.
+	check func(name string, doc any) error
 }
 
-// servingDeterminism runs the continuous-serving sweep — with serving
-// telemetry on — at two worker/shard settings and fails unless table
-// output and every artifact are byte-identical: the sweep JSON, the
-// serving-analysis aggregate, and the per-runtime serving Chrome
-// trace, metrics snapshot and TTFT/TPOT decomposition. Iteration-level
-// scheduling over the paged KV allocator may never let the shard
-// schedule change results, and neither may tracing. Every artifact
-// must parse as JSON and every *.serving.json must carry the
-// decomposition schema; warn-only benchdiff passes over the two
-// sweeps' BENCH_serving.json and BENCH_serving_analysis.json prove
-// the regression gate reads both serving artifacts cleanly.
-func servingDeterminism() error {
-	tmp, err := os.MkdirTemp("", "ci-serving-*")
+// label names run i in failure messages.
+func (s smoke) label(i int) string {
+	if len(s.runs[i]) == 0 {
+		return fmt.Sprintf("run %d", i)
+	}
+	return strings.Join(s.runs[i], " ")
+}
+
+// between names the pair of runs in failure messages.
+func (s smoke) between() string {
+	if len(s.runs[0])+len(s.runs[1]) == 0 {
+		return "identical runs"
+	}
+	return s.label(0) + " and " + s.label(1)
+}
+
+func (s smoke) run() error {
+	tmp, err := os.MkdirTemp("", "ci-smoke-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	var outs [][]byte
-	var artifacts []map[string][]byte
-	for _, workers := range []string{"1", "4"} {
-		dir := filepath.Join(tmp, "p"+workers)
-		cmd := exec.Command("go", "run", "./cmd/ligerbench",
-			"-exp", "serving", "-quick", "-batches", "25", "-seed", "5",
-			"-parallel", workers, "-shards", workers, "-json", dir, "-trace-dir", dir)
+	var outs [2][]byte
+	var artifacts [2]map[string][]byte
+	dirs := [2]string{filepath.Join(tmp, "a"), filepath.Join(tmp, "b")}
+	for i := range s.runs {
+		args := append(append([]string(nil), s.args...), s.runs[i]...)
+		for _, f := range s.dirFlags {
+			args = append(args, f, dirs[i])
+		}
+		args = append(args, s.tail...)
+		cmd := exec.Command(args[0], args[1:]...)
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
 		if err != nil {
-			return fmt.Errorf("-parallel %s: %v", workers, err)
+			return fmt.Errorf("%s: %v", s.label(i), err)
 		}
-		outs = append(outs, stripTracedLines(stripTimingLines(out)))
-		files, err := readArtifacts(dir)
-		if err != nil {
+		outs[i] = stripHostLines(out)
+		if len(s.dirFlags) == 0 {
+			continue
+		}
+		if artifacts[i], err = readArtifacts(dirs[i]); err != nil {
 			return err
 		}
-		// Sweep JSON + analysis aggregate + a trace/metrics/serving
-		// triple per runtime.
-		if len(files) < 11 {
-			return fmt.Errorf("-parallel %s: %d artifacts in %s, want >= 11", workers, len(files), dir)
+		if n := len(artifacts[i]); n < s.minArtifacts {
+			return fmt.Errorf("%s: %d artifacts in %s, want >= %d", s.label(i), n, dirs[i], s.minArtifacts)
 		}
-		artifacts = append(artifacts, files)
 	}
 	if !bytes.Equal(outs[0], outs[1]) {
-		return fmt.Errorf("serving table differs between -parallel 1 and -parallel 4 -shards 4")
+		return fmt.Errorf("%s differs between %s", s.what, s.between())
 	}
 	for name, buf := range artifacts[0] {
 		other, ok := artifacts[1][name]
 		if !ok {
-			return fmt.Errorf("%s missing from the -parallel 4 run", name)
+			return fmt.Errorf("%s missing from the %s run", name, s.label(1))
 		}
 		if !bytes.Equal(buf, other) {
-			return fmt.Errorf("%s differs between -parallel 1 and -parallel 4 -shards 4", name)
+			return fmt.Errorf("%s differs between %s", name, s.between())
 		}
 		var doc any
 		if err := json.Unmarshal(buf, &doc); err != nil {
 			return fmt.Errorf("%s is not valid JSON: %v", name, err)
 		}
-		if strings.HasSuffix(name, ".serving.json") {
-			if err := checkServingSchema(name, doc); err != nil {
+		if s.check != nil {
+			if err := s.check(name, doc); err != nil {
 				return err
 			}
 		}
 	}
-	for _, artifact := range []string{"BENCH_serving.json", "BENCH_serving_analysis.json"} {
+	// The artifacts just proved byte-identical, so this asserts the
+	// regression gate itself runs clean on a no-change diff.
+	for _, artifact := range s.benchdiff {
 		cmd := exec.Command("go", "run", "./tools/benchdiff", "-warn",
-			filepath.Join(tmp, "p1", artifact),
-			filepath.Join(tmp, "p4", artifact))
+			filepath.Join(dirs[0], artifact), filepath.Join(dirs[1], artifact))
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Run(); err != nil {
@@ -294,6 +287,22 @@ func servingDeterminism() error {
 		}
 	}
 	return nil
+}
+
+// stripHostLines removes the only output that legitimately differs
+// between two runs of the same command: the "---- <exp> done in <wall>
+// ----" lines, which depend on host speed, and the "traced: ..."
+// artifact-pointer lines, which embed the run's output directory.
+func stripHostLines(out []byte) []byte {
+	var kept [][]byte
+	for _, line := range bytes.Split(out, []byte("\n")) {
+		timing := bytes.HasPrefix(line, []byte("---- ")) && bytes.Contains(line, []byte(" done in "))
+		if timing || bytes.HasPrefix(bytes.TrimSpace(line), []byte("traced:")) {
+			continue
+		}
+		kept = append(kept, line)
+	}
+	return bytes.Join(kept, []byte("\n"))
 }
 
 // checkServingSchema validates a serving_*.serving.json decomposition
@@ -335,8 +344,8 @@ func checkServingSchema(name string, doc any) error {
 }
 
 // scenarioAcceptance is the robustness gate: the whole corpus must
-// pass its assertions, the negative fixtures must fail, and one
-// scenario's report must be byte-identical across -parallel/-shards.
+// pass its assertions, the negative fixtures must fail, and three
+// scenarios' reports must be byte-identical across -parallel/-shards.
 func scenarioAcceptance() error {
 	corpus, err := filepath.Glob(filepath.Join("scenarios", "*.yaml"))
 	if err != nil {
@@ -345,10 +354,7 @@ func scenarioAcceptance() error {
 	if len(corpus) < 9 {
 		return fmt.Errorf("only %d corpus files in scenarios/ (want >= 9)", len(corpus))
 	}
-	cmd := exec.Command("go", append([]string{"run", "./cmd/ligersim", "run", "-q"}, corpus...)...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
+	if err := command(ligersim(append([]string{"run", "-q"}, corpus...)...)...)(); err != nil {
 		return fmt.Errorf("corpus: %v", err)
 	}
 	// The negative fixtures must be rejected: exit status 1, no other
@@ -356,8 +362,8 @@ func scenarioAcceptance() error {
 	// vacuous; a passing no-spare-capacity means a fleet with nothing
 	// to fail over to would count as surviving a node loss.
 	for _, fixture := range []string{"impossible-slo.yaml", "no-spare-capacity.yaml"} {
-		cmd = exec.Command("go", "run", "./cmd/ligersim", "run", "-q",
-			filepath.Join("scenarios", "fixtures", fixture))
+		args := ligersim("run", "-q", filepath.Join("scenarios", "fixtures", fixture))
+		cmd := exec.Command(args[0], args[1:]...)
 		out, err := cmd.CombinedOutput()
 		if err == nil {
 			return fmt.Errorf("%s fixture PASSED; the assertion gate cannot reject\n%s", fixture, out)
@@ -373,20 +379,14 @@ func scenarioAcceptance() error {
 	// scenario, and the continuous-batching scenario must render the
 	// same bytes at any -parallel or -shards setting.
 	for _, name := range []string{"cascading-failures.yaml", "fleet-node-loss.yaml", "decode-heavy.yaml"} {
-		var reports [][]byte
-		for _, extra := range [][]string{{"-parallel", "1"}, {"-parallel", "4", "-shards", "4"}} {
-			args := append([]string{"run", "./cmd/ligersim", "run"}, extra...)
-			args = append(args, filepath.Join("scenarios", name))
-			cmd := exec.Command("go", args...)
-			cmd.Stderr = os.Stderr
-			out, err := cmd.Output()
-			if err != nil {
-				return fmt.Errorf("%s %v: %v", name, extra, err)
-			}
-			reports = append(reports, out)
-		}
-		if !bytes.Equal(reports[0], reports[1]) {
-			return fmt.Errorf("%s report differs between -parallel 1 and -parallel 4 -shards 4", name)
+		err := smoke{
+			what: "report",
+			args: ligersim("run"),
+			runs: [2][]string{{"-parallel", "1"}, {"-parallel", "4", "-shards", "4"}},
+			tail: []string{filepath.Join("scenarios", name)},
+		}.run()
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return nil
@@ -397,154 +397,19 @@ func scenarioAcceptance() error {
 // small campaign under the race detector (the harness fans instances
 // out across workers).
 func stressSmoke() error {
-	var outs [][]byte
-	for _, workers := range []string{"1", "4"} {
-		cmd := exec.Command("go", "run", "./cmd/ligersim",
-			"stress", "-n", "25", "-seed", "42", "-parallel", workers)
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return fmt.Errorf("-parallel %s: %v", workers, err)
-		}
-		outs = append(outs, out)
-	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		return fmt.Errorf("stress -n 25 -seed 42 report differs between -parallel 1 and -parallel 4")
+	err := smoke{
+		what: "stress -n 25 -seed 42 report",
+		args: ligersim("stress", "-n", "25", "-seed", "42"),
+		runs: [2][]string{{"-parallel", "1"}, {"-parallel", "4"}},
+	}.run()
+	if err != nil {
+		return err
 	}
 	cmd := exec.Command("go", "run", "-race", "./cmd/ligersim",
 		"stress", "-n", "3", "-seed", "7", "-parallel", "4")
 	cmd.Stderr = os.Stderr
 	if _, err := cmd.Output(); err != nil {
 		return fmt.Errorf("-race stress: %v", err)
-	}
-	return nil
-}
-
-// shardsDeterminism runs the fig10 quick sweep at -shards 0 and
-// -shards 4 and fails unless stdout is byte-identical after stripping
-// the wall-clock timing lines. Today the single-node shard plan falls
-// back to the sequential engine, so this pins the fallback; when a
-// multi-domain plan lands, it pins the lookahead invariant.
-func shardsDeterminism() error {
-	var outs [][]byte
-	for _, shards := range []string{"0", "4"} {
-		cmd := exec.Command("go", "run", "./cmd/ligerbench",
-			"-exp", "fig10", "-quick", "-batches", "25", "-seed", "5", "-shards", shards)
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return fmt.Errorf("-shards %s: %v", shards, err)
-		}
-		outs = append(outs, stripTimingLines(out))
-	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		return fmt.Errorf("fig10 output differs between -shards 0 and -shards 4")
-	}
-	return nil
-}
-
-// stripTimingLines removes the "---- <exp> done in <wall> ----" lines,
-// the only output legitimately dependent on host speed.
-// stripTracedLines removes the "traced: ..." artifact-pointer lines —
-// they embed the output directory, which necessarily differs between
-// the two determinism runs.
-func stripTracedLines(out []byte) []byte {
-	var kept [][]byte
-	for _, line := range bytes.Split(out, []byte("\n")) {
-		if bytes.HasPrefix(bytes.TrimSpace(line), []byte("traced:")) {
-			continue
-		}
-		kept = append(kept, line)
-	}
-	return bytes.Join(kept, []byte("\n"))
-}
-
-func stripTimingLines(out []byte) []byte {
-	var kept [][]byte
-	for _, line := range bytes.Split(out, []byte("\n")) {
-		if bytes.HasPrefix(line, []byte("---- ")) && bytes.Contains(line, []byte(" done in ")) {
-			continue
-		}
-		kept = append(kept, line)
-	}
-	return bytes.Join(kept, []byte("\n"))
-}
-
-// failoverDeterminism runs the traced failover sweep at two worker
-// counts and fails unless both produce byte-identical artifacts — the
-// sweep JSON plus every per-runtime Chrome trace and metrics snapshot
-// must be a pure function of the seed, never of the parallel schedule.
-// Each artifact must also parse as JSON (a malformed trace loads as a
-// blank screen in Perfetto, which no test would otherwise notice).
-func failoverDeterminism() error {
-	tmp, err := os.MkdirTemp("", "ci-failover-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	var artifacts []map[string][]byte
-	for _, workers := range []string{"1", "4"} {
-		dir := filepath.Join(tmp, "p"+workers)
-		cmd := exec.Command("go", "run", "./cmd/ligerbench",
-			"-exp", "failover", "-quick", "-batches", "25", "-seed", "5",
-			"-parallel", workers, "-json", dir, "-trace-dir", dir)
-		cmd.Stderr = os.Stderr
-		if out, err := cmd.Output(); err != nil {
-			return fmt.Errorf("-parallel %s: %v\n%s", workers, err, out)
-		}
-		files, err := readArtifacts(dir)
-		if err != nil {
-			return err
-		}
-		if len(files) < 10 { // sweep JSON + a trace/metrics/analysis triple per runtime
-			return fmt.Errorf("-parallel %s: %d artifacts in %s, want >= 10", workers, len(files), dir)
-		}
-		artifacts = append(artifacts, files)
-	}
-	for name, buf := range artifacts[0] {
-		other, ok := artifacts[1][name]
-		if !ok {
-			return fmt.Errorf("%s missing from the -parallel 4 run", name)
-		}
-		if !bytes.Equal(buf, other) {
-			return fmt.Errorf("%s differs between -parallel 1 and -parallel 4", name)
-		}
-		var doc any
-		if err := json.Unmarshal(buf, &doc); err != nil {
-			return fmt.Errorf("%s is not valid JSON: %v", name, err)
-		}
-	}
-	// Warn-only benchdiff pass over the two sweeps' JSON: the artifacts
-	// just proved byte-identical, so this asserts the regression gate
-	// itself runs clean on a no-change diff.
-	cmd := exec.Command("go", "run", "./tools/benchdiff", "-warn",
-		filepath.Join(tmp, "p1", "BENCH_failover.json"),
-		filepath.Join(tmp, "p4", "BENCH_failover.json"))
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("benchdiff: %v", err)
-	}
-	return nil
-}
-
-// explainDeterminism runs ligersim -explain twice on the same seed and
-// fails unless the printed report — critical path, gap table, overlap
-// summary, annotated timeline — is byte-identical.
-func explainDeterminism() error {
-	var outs [][]byte
-	for i := 0; i < 2; i++ {
-		cmd := exec.Command("go", "run", "./cmd/ligersim",
-			"-runtime", "Liger", "-batches", "20", "-rate", "20", "-explain")
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return fmt.Errorf("run %d: %v", i, err)
-		}
-		outs = append(outs, out)
-	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		return fmt.Errorf("ligersim -explain output differs between identical runs")
 	}
 	return nil
 }
