@@ -16,10 +16,11 @@ test:
 	$(GO) test ./...
 
 # The concurrency-bearing packages (parallel sweep executor, event
-# engine) plus the fault-injection, deadline/retry, serving-telemetry,
-# and observability layers get a dedicated -race pass.
+# engine, the compiler's shared layer-name table) plus the
+# fault-injection, deadline/retry, serving-telemetry, and observability
+# layers get a dedicated -race pass.
 race:
-	$(GO) test -race ./internal/runner ./internal/simclock ./internal/faults ./internal/serve ./internal/cluster ./internal/trace ./internal/metrics ./internal/analyze ./internal/kvcache ./internal/generate
+	$(GO) test -race ./internal/runner ./internal/simclock ./internal/parallel ./internal/faults ./internal/serve ./internal/cluster ./internal/trace ./internal/metrics ./internal/analyze ./internal/kvcache ./internal/generate
 
 vet:
 	$(GO) vet ./...

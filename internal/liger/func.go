@@ -70,14 +70,15 @@ type Batch struct {
 	// a tracked request.
 	Req int
 
-	// kernels is the batch's compiled kernel sequence, shared read-only
-	// with every batch of the same shape (see Assembler); pos indexes the
-	// next unscheduled kernel. While split is set, rest stands in for
-	// kernels[pos]: the remainder runtime decomposition left of it.
-	kernels []parallel.KernelDesc
-	pos     int
-	rest    parallel.KernelDesc
-	split   bool
+	// plan is the batch's compiled kernel sequence, shared read-only
+	// with every batch of the same shape (see Assembler); pos is the
+	// cursor into its expansion, the next unscheduled kernel. While split
+	// is set, rest stands in for kernel pos: the remainder runtime
+	// decomposition left of it.
+	plan  *parallel.Plan
+	pos   int
+	rest  parallel.KernelDesc
+	split bool
 
 	// SubmittedAt / DoneAt bound the batch's latency (pending + CUDA
 	// execution time, the paper's latency metric); FirstLaunchAt splits
@@ -116,18 +117,23 @@ func (b *Batch) abortFn() func(now simclock.Time) {
 	return b.failFn
 }
 
-// NewBatch wraps a compiled kernel sequence as a schedulable batch. The
-// batch reads kernels without copying or modifying it, so the caller
-// must not modify it afterwards.
+// NewBatch wraps a flat kernel sequence as a schedulable batch: a plan
+// with only a pre block, walked like any assembled plan. The batch reads
+// kernels without copying or modifying it, so the caller must not
+// modify it afterwards.
 func NewBatch(id int, w model.Workload, kernels []parallel.KernelDesc) *Batch {
-	return &Batch{ID: id, Workload: w, Req: -1, kernels: kernels}
+	return newBatch(id, w, &parallel.Plan{Pre: kernels})
+}
+
+func newBatch(id int, w model.Workload, plan *parallel.Plan) *Batch {
+	return &Batch{ID: id, Workload: w, Req: -1, plan: plan}
 }
 
 // Remaining reports how many funcs are not yet scheduled.
-func (b *Batch) Remaining() int { return len(b.kernels) - b.pos }
+func (b *Batch) Remaining() int { return b.plan.Len() - b.pos }
 
 // Exhausted reports whether every func has been scheduled.
-func (b *Batch) Exhausted() bool { return b.pos >= len(b.kernels) }
+func (b *Batch) Exhausted() bool { return b.pos >= b.plan.Len() }
 
 // Completed reports whether every launched kernel has finished.
 func (b *Batch) Completed() bool { return b.completed }
@@ -163,7 +169,7 @@ func (b *Batch) head() Func {
 	if b.split {
 		return Func{Desc: b.rest, batch: b}
 	}
-	return Func{Desc: b.kernels[b.pos], batch: b}
+	return Func{Desc: b.plan.Kernel(b.pos), batch: b}
 }
 
 // pop consumes and returns the head func.
@@ -217,7 +223,7 @@ func (b *Batch) failRemaining(now simclock.Time) {
 		return
 	}
 	b.Failed = true
-	b.pos, b.split = len(b.kernels), false
+	b.pos, b.split = b.plan.Len(), false
 	if b.pendingKernels == 0 {
 		b.completed = true
 		b.DoneAt = now
@@ -236,26 +242,28 @@ type Assembler struct {
 	tp       int
 	nextID   int
 
-	// plans caches compiled kernel sequences by workload shape, most
-	// recently used first in lru; it fills lazily, holds at most
-	// planBudget kernels, and Retarget drops it. A cached plan is shared
+	// plans caches compiled plans by workload shape, most recently used
+	// first in lru; it fills lazily, holds at most planBudget
+	// descriptors, and Retarget drops it. A cached plan is shared
 	// read-only by every batch of that shape: runtime decomposition
 	// writes only the batch's own head override (Batch.replaceHead).
-	plans       map[model.Workload]*list.Element
-	lru         list.List // of *cachedPlan
-	planKernels int
+	plans     map[model.Workload]*list.Element
+	lru       list.List // of *cachedPlan
+	planDescs int
 }
 
-// planBudget bounds the kernel descriptors the plan cache holds (about
-// 18 MB of heap); past it the least recently used plans are dropped.
-// OPT-30B at four-way tensor parallelism compiles to 578 kernels per
-// rank, so the cache keeps about 225 shapes.
+// planBudget bounds the kernel descriptors the plan cache holds; past it
+// the least recently used plans are dropped. Plans are layer-periodic
+// (parallel.Plan), so a shape holds one layer's descriptors, not every
+// layer's: OPT-30B at four-way tensor parallelism stores 14 descriptors
+// per context shape and 15 per decode shape, though either expands to
+// 578 or more kernels per rank. The budget keeps about 9,000 such shapes.
 const planBudget = 1 << 17
 
 // cachedPlan is one entry of the plan cache.
 type cachedPlan struct {
-	w       model.Workload
-	kernels []parallel.KernelDesc
+	w    model.Workload
+	plan *parallel.Plan
 }
 
 // NewAssembler returns an assembler serving spec with tensor-parallel
@@ -272,11 +280,11 @@ func NewAssembler(c *parallel.Compiler, spec model.Spec, tp int) (*Assembler, er
 
 // Assemble compiles one batch's inference into a schedulable Batch.
 func (a *Assembler) Assemble(w model.Workload) (*Batch, error) {
-	kernels, err := a.plan(w)
+	plan, err := a.plan(w)
 	if err != nil {
 		return nil, err
 	}
-	b := NewBatch(a.nextID, w, kernels)
+	b := newBatch(a.nextID, w, plan)
 	// Live activations at the widest point (FFN expansion), double
 	// buffered — consistent with parallel.PlanPlacement.
 	b.WorkspaceBytes = 3 * int64(w.Tokens()) * int64(a.spec.FFNHidden()) * 2
@@ -296,33 +304,33 @@ func (a *Assembler) Retarget(c *parallel.Compiler, tp int) error {
 	a.tp = tp
 	a.plans = nil
 	a.lru.Init()
-	a.planKernels = 0
+	a.planDescs = 0
 	return nil
 }
 
-// plan returns the compiled kernel sequence for w, compiling it on the
-// first request for that shape. Compilation is a pure function of the
+// plan returns the compiled plan for w, compiling it on the first
+// request for that shape. Compilation is a pure function of the
 // compiler, model, degree and shape, so a cached plan is the plan.
-func (a *Assembler) plan(w model.Workload) ([]parallel.KernelDesc, error) {
+func (a *Assembler) plan(w model.Workload) (*parallel.Plan, error) {
 	if e, ok := a.plans[w]; ok {
 		a.lru.MoveToFront(e)
-		return e.Value.(*cachedPlan).kernels, nil
+		return e.Value.(*cachedPlan).plan, nil
 	}
-	kernels, err := a.compiler.IntraOp(a.spec, a.tp, w)
+	plan, err := a.compiler.IntraOpPlan(a.spec, a.tp, w)
 	if err != nil {
 		return nil, err
 	}
 	if a.plans == nil {
 		a.plans = make(map[model.Workload]*list.Element)
 	}
-	a.plans[w] = a.lru.PushFront(&cachedPlan{w: w, kernels: kernels})
-	a.planKernels += len(kernels)
-	for a.planKernels > planBudget && a.lru.Len() > 1 {
+	a.plans[w] = a.lru.PushFront(&cachedPlan{w: w, plan: plan})
+	a.planDescs += plan.Stored()
+	for a.planDescs > planBudget && a.lru.Len() > 1 {
 		old := a.lru.Remove(a.lru.Back()).(*cachedPlan)
 		delete(a.plans, old.w)
-		a.planKernels -= len(old.kernels)
+		a.planDescs -= old.plan.Stored()
 	}
-	return kernels, nil
+	return plan, nil
 }
 
 // Spec returns the served model.

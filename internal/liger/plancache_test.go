@@ -3,6 +3,8 @@ package liger
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"liger/internal/hw"
@@ -57,9 +59,10 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Advance to the first decomposable all-reduce and let a round whose
-	// compute window is half its length peel a prefix off it.
-	for !b1.head().Desc.Collective || !b1.head().Desc.CanSplit() {
+	// Advance to the first decomposable all-reduce past layer 0, read out
+	// of the shared layer block under its own layer's name, and let a
+	// round whose compute window is half its length peel a prefix off it.
+	for !b1.head().Desc.Collective || !b1.head().Desc.CanSplit() || !strings.HasPrefix(b1.head().Desc.Name, "l1.") {
 		b1.pop()
 	}
 	head := b1.head().Desc
@@ -69,19 +72,26 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	primary := syntheticBatch(99, 1, 1, head.Duration/2, head.Duration)
 	s.processing = []*Batch{primary, b1}
 	_, window, typ := s.collectPrimary(primary)
-	if sub := s.collectSecondary(typ, window); len(sub) == 0 || s.stats.Decompositions != 1 {
+	sub := s.collectSecondary(typ, window)
+	if len(sub) == 0 || s.stats.Decompositions != 1 {
 		t.Fatalf("no decomposition: %d pieces, %d decompositions", len(sub), s.stats.Decompositions)
 	}
-	if b1.head().Desc.Name == head.Name {
-		t.Fatal("decomposed batch still holds the whole kernel")
+	if got := sub[0].Desc.Name; got != head.Name+"[1/8]" {
+		t.Fatalf("first piece of %s is named %s", head.Name, got)
+	}
+	if got := b1.head().Desc.Name; !strings.HasPrefix(got, head.Name+"[rest") {
+		t.Fatalf("decomposed batch holds %s, want the remainder of %s", got, head.Name)
 	}
 
-	if got := describe(asm.plans[w].Value.(*cachedPlan).kernels); !reflect.DeepEqual(got, want) {
+	if got := describe(asm.plans[w].Value.(*cachedPlan).plan.Kernels()); !reflect.DeepEqual(got, want) {
 		t.Fatal("decomposition changed the cached plan")
 	}
 	b2, err := asm.Assemble(w)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if b2.plan != b1.plan {
+		t.Fatal("same-shape batches do not share the cached plan")
 	}
 	if got := describe(batchDescs(b2)); !reflect.DeepEqual(got, want) {
 		t.Fatal("the next same-shape batch does not carry the compiled plan")
@@ -91,8 +101,8 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	if err := asm.Retarget(comp2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(asm.plans) != 0 || asm.lru.Len() != 0 || asm.planKernels != 0 {
-		t.Fatalf("Retarget kept %d plans (%d kernels)", len(asm.plans), asm.planKernels)
+	if len(asm.plans) != 0 || asm.lru.Len() != 0 || asm.planDescs != 0 {
+		t.Fatalf("Retarget kept %d plans (%d descriptors)", len(asm.plans), asm.planDescs)
 	}
 	b3, err := asm.Assemble(w)
 	if err != nil {
@@ -107,8 +117,10 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	}
 }
 
-// The cache holds at most planBudget kernels, dropping the least
+// The cache holds at most planBudget descriptors, dropping the least
 // recently used plans first; an evicted shape compiles again on demand.
+// A plan counts the descriptors it stores, one layer's worth, not the
+// kernels it expands to.
 func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	spec := model.OPT30B()
 	comp := parallel.NewCompiler(hw.A100Node(), nccl.Config{ReducedChannels: true})
@@ -121,7 +133,11 @@ func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perPlan := first.Remaining()
+	plan := asm.plans[shape(0)].Value.(*cachedPlan).plan
+	perPlan := plan.Stored()
+	if want := first.Remaining() - (spec.Layers-1)*len(plan.Layer); perPlan != want {
+		t.Fatalf("a %d-kernel plan stores %d descriptors, want %d: one layer's", first.Remaining(), perPlan, want)
+	}
 	n := planBudget/perPlan + 2
 	for i := 1; i < n; i++ {
 		if i == n/2 {
@@ -134,8 +150,8 @@ func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if asm.planKernels > planBudget || asm.planKernels != perPlan*len(asm.plans) || asm.lru.Len() != len(asm.plans) {
-		t.Fatalf("cache holds %d kernels in %d plans (%d listed), budget %d", asm.planKernels, len(asm.plans), asm.lru.Len(), planBudget)
+	if asm.planDescs > planBudget || asm.planDescs != perPlan*len(asm.plans) || asm.lru.Len() != len(asm.plans) {
+		t.Fatalf("cache holds %d descriptors in %d plans (%d listed), budget %d", asm.planDescs, len(asm.plans), asm.lru.Len(), planBudget)
 	}
 	if _, ok := asm.plans[shape(0)]; ok {
 		t.Fatal("the least recently used plan was kept")
@@ -149,5 +165,65 @@ func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(describe(batchDescs(again)), describe(batchDescs(first))) {
 		t.Fatal("an evicted shape recompiled differently")
+	}
+}
+
+// A cache miss costs one layer's compile, so its allocations do not grow
+// with depth: GPT-175B's 96 layers allocate exactly what OPT-30B's 48
+// do, in count and in bytes.
+func TestPlanMissCostIndependentOfDepth(t *testing.T) {
+	const runs = 20
+	comp := parallel.NewCompiler(hw.A100Node(), nccl.Config{ReducedChannels: true})
+	w := model.Workload{Batch: 2, SeqLen: 64, Phase: model.Context}
+	var allocs [2]float64
+	var bytes [2]uint64
+	for i, spec := range []model.Spec{model.OPT30B(), model.GPT175B()} {
+		asm, err := NewAssembler(comp, spec, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		miss := func() {
+			if err := asm.Retarget(comp, 4); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := asm.Assemble(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs[i] = testing.AllocsPerRun(runs, miss)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range runs {
+			miss()
+		}
+		runtime.ReadMemStats(&m1)
+		bytes[i] = (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	if allocs[0] != allocs[1] || bytes[0] != bytes[1] {
+		t.Fatalf("a cache miss allocates %v times (%d B) at 48 layers and %v times (%d B) at 96",
+			allocs[0], bytes[0], allocs[1], bytes[1])
+	}
+}
+
+// Walking an assembled batch reads the shared plan in place: draining
+// it through pop allocates nothing.
+func TestDrainAssembledBatchAllocatesNothing(t *testing.T) {
+	comp := parallel.NewCompiler(hw.A100Node(), nccl.Config{ReducedChannels: true})
+	asm, err := NewAssembler(comp, model.OPT30B(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := asm.Assemble(model.Workload{Batch: 2, SeqLen: 64, Phase: model.Context})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := func() {
+		b.pos = 0
+		for !b.Exhausted() {
+			b.pop()
+		}
+	}
+	if a := testing.AllocsPerRun(20, drain); a != 0 {
+		t.Fatalf("draining a %d-kernel batch allocates %v times", b.plan.Len(), a)
 	}
 }

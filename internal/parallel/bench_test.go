@@ -22,6 +22,20 @@ func BenchmarkCompileIntraOp(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileIntraOpPlan measures one plan-cache miss of the
+// Liger assembler: the layer-periodic plan, not expanded.
+func BenchmarkCompileIntraOpPlan(b *testing.B) {
+	c := NewCompiler(hw.V100Node(), nccl.Config{ReducedChannels: true})
+	w := model.Workload{Batch: 2, SeqLen: 64, Phase: model.Context}
+	spec := model.OPT30B()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.IntraOpPlan(spec, 4, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSplitGEMM measures runtime decomposition cost (fired inside
 // the scheduling loop).
 func BenchmarkSplitGEMM(b *testing.B) {

@@ -40,6 +40,9 @@ type Compiler struct {
 	comm      *nccl.Comm
 	ncclCfg   nccl.Config
 	gemmSplit SplitStrategy
+	// names holds the per-layer kernel names every Plan of this compiler
+	// shares; it fills on the first compile.
+	names layerNames
 }
 
 // NewCompiler builds a compiler for the node. ncclCfg selects the
@@ -100,7 +103,7 @@ func (c *Compiler) gemmDesc(name string, m, n, k int) KernelDesc {
 		ComputeDemand: cs.GEMMCompute,
 		MemBWDemand:   cs.GEMMMemBW,
 	}
-	d.split = func(parts int) []KernelDesc {
+	d.split = func(name string, parts int) []KernelDesc {
 		out := make([]KernelDesc, parts)
 		splitDim := n
 		if strategy == SplitHorizontal {
@@ -118,7 +121,7 @@ func (c *Compiler) gemmDesc(name string, m, n, k int) KernelDesc {
 				rows, cols = piece, n
 			}
 			out[i] = KernelDesc{
-				Name:          fmt.Sprintf("%s[%d/%d]", name, i+1, parts),
+				Name:          pieceName(name, i, parts),
 				Class:         gpusim.Compute,
 				Duration:      cm.GEMM(rows, cols, k),
 				ComputeDemand: cs.GEMMCompute,
@@ -157,7 +160,7 @@ func (c *Compiler) allReduceDesc(name string, bytes int64) KernelDesc {
 		Collective:    true,
 		Bytes:         bytes,
 	}
-	d.split = func(parts int) []KernelDesc {
+	d.split = func(name string, parts int) []KernelDesc {
 		out := make([]KernelDesc, parts)
 		base := bytes / int64(parts)
 		extra := bytes % int64(parts)
@@ -167,7 +170,7 @@ func (c *Compiler) allReduceDesc(name string, bytes int64) KernelDesc {
 				b++
 			}
 			out[i] = KernelDesc{
-				Name:          fmt.Sprintf("%s[%d/%d]", name, i+1, parts),
+				Name:          pieceName(name, i, parts),
 				Class:         gpusim.Comm,
 				Duration:      comm.AllReduceChunk(bytes, b),
 				ComputeDemand: comm.ComputeDemand(),
@@ -197,11 +200,10 @@ func (c *Compiler) p2pDesc(name string, bytes int64) KernelDesc {
 }
 
 // compileOp lowers one logical op at tensor-parallel degree tp into the
-// kernels one rank executes, appending the Megatron all-reduce at
-// ReduceAfter points.
-func (c *Compiler) compileOp(prefix string, op model.Op, tp int, w model.Workload) []KernelDesc {
+// kernels one rank executes, appending them to out together with the
+// Megatron all-reduce at ReduceAfter points.
+func (c *Compiler) compileOp(out []KernelDesc, prefix string, op model.Op, tp int, w model.Workload) []KernelDesc {
 	tokens := w.Tokens()
-	var out []KernelDesc
 	name := prefix + op.Name
 	switch op.Kind {
 	case model.OpGEMM:
@@ -258,11 +260,42 @@ func (c *Compiler) hidden(op model.Op) int {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
+// compileBlock lowers a run of ops at tensor-parallel degree tp into a
+// slice sized exactly, since plans are cached: one kernel per op plus
+// compileOp's all-reduces.
+func (c *Compiler) compileBlock(ops []model.Op, tp int, w model.Workload) []KernelDesc {
+	n := len(ops)
+	if tp > 1 {
+		for _, op := range ops {
+			if op.ReduceAfter {
+				n++
+			}
+		}
+	}
+	out := make([]KernelDesc, 0, n)
+	for _, op := range ops {
+		out = c.compileOp(out, "", op, tp, w)
+	}
+	return out
+}
+
 // IntraOp compiles the full forward pass under tensor parallelism of
 // degree tp. The result is the SPMD kernel sequence every rank runs;
 // Collective kernels rendezvous across all tp ranks. With tp == 1 the
-// result is the plain single-device execution (no communication).
+// result is the plain single-device execution (no communication). It is
+// IntraOpPlan expanded.
 func (c *Compiler) IntraOp(spec model.Spec, tp int, w model.Workload) ([]KernelDesc, error) {
+	p, err := c.IntraOpPlan(spec, tp, w)
+	if err != nil {
+		return nil, err
+	}
+	return p.Kernels(), nil
+}
+
+// IntraOpPlan compiles the forward pass of IntraOp in layer-periodic
+// form. Every transformer layer lowers to the same costed kernels, so
+// the layer block is compiled and costed once, whatever the depth.
+func (c *Compiler) IntraOpPlan(spec model.Spec, tp int, w model.Workload) (*Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,20 +305,14 @@ func (c *Compiler) IntraOp(spec model.Spec, tp int, w model.Workload) ([]KernelD
 	if tp < 1 {
 		return nil, fmt.Errorf("parallel: tensor-parallel degree %d", tp)
 	}
-	var out []KernelDesc
-	for _, op := range model.PreOps(spec, w) {
-		out = append(out, c.compileOp("", op, tp, w)...)
+	p := &Plan{
+		Pre:    c.compileBlock(model.PreOps(spec, w), tp, w),
+		Layer:  c.compileBlock(model.LayerOps(spec, w), tp, w),
+		Post:   c.compileBlock(model.PostOps(spec, w), tp, w),
+		Layers: spec.Layers,
 	}
-	for l := 0; l < spec.Layers; l++ {
-		prefix := fmt.Sprintf("l%d.", l)
-		for _, op := range model.LayerOps(spec, w) {
-			out = append(out, c.compileOp(prefix, op, tp, w)...)
-		}
-	}
-	for _, op := range model.PostOps(spec, w) {
-		out = append(out, c.compileOp("", op, tp, w)...)
-	}
-	return out, nil
+	p.names = c.names.of(p.Layer, p.Layers)
+	return p, nil
 }
 
 // Stage is one pipeline stage: the kernels one device runs for its
@@ -341,19 +368,19 @@ func (c *Compiler) interOp(spec model.Spec, stages int, w model.Workload, tp int
 		stage := Stage{Device: st}
 		if st == 0 {
 			for _, op := range model.PreOps(spec, w) {
-				stage.Kernels = append(stage.Kernels, c.compilePieces("", op, tp, w)...)
+				stage.Kernels = c.compilePieces(stage.Kernels, "", op, tp, w)
 			}
 		}
 		for i := 0; i < count; i++ {
 			prefix := fmt.Sprintf("l%d.", layer)
 			for _, op := range model.LayerOps(spec, w) {
-				stage.Kernels = append(stage.Kernels, c.compilePieces(prefix, op, tp, w)...)
+				stage.Kernels = c.compilePieces(stage.Kernels, prefix, op, tp, w)
 			}
 			layer++
 		}
 		if st == stages-1 {
 			for _, op := range model.PostOps(spec, w) {
-				stage.Kernels = append(stage.Kernels, c.compilePieces("", op, tp, w)...)
+				stage.Kernels = c.compilePieces(stage.Kernels, "", op, tp, w)
 			}
 		} else {
 			stage.SendNext = c.p2pDesc(fmt.Sprintf("s%d_send", st), actBytes)
@@ -364,27 +391,24 @@ func (c *Compiler) interOp(spec model.Spec, stages int, w model.Workload, tp int
 	return out, nil
 }
 
-// compilePieces lowers an op for a pipeline stage. With tp == 1 it is
-// the original kernel; with tp > 1 (Inter-Th) the op becomes its tp
-// partitioned pieces executed sequentially on the stage device, with no
-// all-reduce (a single device holds every piece).
-func (c *Compiler) compilePieces(prefix string, op model.Op, tp int, w model.Workload) []KernelDesc {
-	if tp == 1 {
-		op.ReduceAfter = false
-		return c.compileOp(prefix, op, 1, w)
-	}
+// compilePieces lowers an op for a pipeline stage, appending to out.
+// With tp == 1 it is the original kernel; with tp > 1 (Inter-Th) the op
+// becomes its tp partitioned pieces executed sequentially on the stage
+// device, with no all-reduce (a single device holds every piece).
+func (c *Compiler) compilePieces(out []KernelDesc, prefix string, op model.Op, tp int, w model.Workload) []KernelDesc {
 	op.ReduceAfter = false
+	if tp == 1 {
+		return c.compileOp(out, prefix, op, 1, w)
+	}
 	switch op.Partition {
 	case model.PartCols, model.PartRows, model.PartHeads:
-		var out []KernelDesc
 		for p := 0; p < tp; p++ {
-			piece := c.compileOp(fmt.Sprintf("%sp%d.", prefix, p), op, tp, w)
-			out = append(out, piece...)
+			out = c.compileOp(out, fmt.Sprintf("%sp%d.", prefix, p), op, tp, w)
 		}
 		return out
 	default:
 		// Replicated ops run once per device in intra-op; a single stage
 		// device runs them once.
-		return c.compileOp(prefix, op, 1, w)
+		return c.compileOp(out, prefix, op, 1, w)
 	}
 }

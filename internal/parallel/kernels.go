@@ -32,9 +32,11 @@ type KernelDesc struct {
 	// Bytes is the payload of communication kernels.
 	Bytes int64
 
-	// split produces parts equal-capability sub-kernels, or nil if the
-	// kernel is not decomposable.
-	split func(parts int) []KernelDesc
+	// split produces parts equal-capability sub-kernels named after
+	// name, or nil if the kernel is not decomposable. It takes the name
+	// when called instead of capturing it, so one costed descriptor
+	// serves every layer of a Plan.
+	split func(name string, parts int) []KernelDesc
 }
 
 // CanSplit reports whether runtime kernel decomposition applies.
@@ -46,7 +48,7 @@ func (k KernelDesc) Split(parts int) ([]KernelDesc, bool) {
 	if k.split == nil || parts < 2 {
 		return nil, false
 	}
-	return k.split(parts), true
+	return k.split(k.Name, parts), true
 }
 
 // SplitPrefix returns the first `take` of `parts` pieces and a
@@ -56,7 +58,7 @@ func (k KernelDesc) SplitPrefix(parts, take int) (head []KernelDesc, rest Kernel
 	if k.split == nil || parts < 2 || take <= 0 || take >= parts {
 		return nil, KernelDesc{}, false
 	}
-	pieces := k.split(parts)
+	pieces := k.split(k.Name, parts)
 	if len(pieces) != parts {
 		return nil, KernelDesc{}, false
 	}
@@ -70,22 +72,23 @@ func (k KernelDesc) SplitPrefix(parts, take int) (head []KernelDesc, rest Kernel
 	}
 	rest.Name = fmt.Sprintf("%s[rest%d/%d]", k.Name, parts-take, parts)
 	// The merged remainder keeps the original split granularity.
-	restCopy := rest
 	origSplit := k.split
 	frac := float64(parts-take) / float64(parts)
-	rest.split = func(p int) []KernelDesc {
+	rest.split = func(name string, p int) []KernelDesc {
 		// Re-split the remainder by splitting the original and scaling.
-		pieces := origSplit(p)
-		out := make([]KernelDesc, p)
-		for i := range pieces {
-			out[i] = pieces[i]
-			out[i].Duration = time.Duration(float64(pieces[i].Duration) * frac)
-			out[i].Bytes = int64(float64(pieces[i].Bytes) * frac)
-			out[i].Name = fmt.Sprintf("%s[%d/%d]", restCopy.Name, i+1, p)
+		out := origSplit(name, p)
+		for i := range out {
+			out[i].Duration = time.Duration(float64(out[i].Duration) * frac)
+			out[i].Bytes = int64(float64(out[i].Bytes) * frac)
 		}
 		return out
 	}
 	return head, rest, true
+}
+
+// pieceName names piece i (from 0) of a parts-way split of name.
+func pieceName(name string, i, parts int) string {
+	return fmt.Sprintf("%s[%d/%d]", name, i+1, parts)
 }
 
 // TotalDurations sums solo durations by kernel class — the analytical

@@ -1,0 +1,88 @@
+package parallel
+
+import (
+	"strconv"
+	"sync"
+)
+
+// Plan is a compiled forward pass in layer-periodic form: the kernels
+// before the transformer stack (Pre), one layer's kernels (Layer)
+// repeated Layers times, and the kernels after it (Post). Every layer of
+// a decoder lowers to the same costed kernels and only the "l<i>." name
+// prefix differs, so a plan stores one layer and names the i-th copy
+// when it is read. A Plan is read-only once built and may be shared.
+type Plan struct {
+	Pre, Layer, Post []KernelDesc
+	Layers           int
+
+	// names[j][l] is the name of Layer[j] in layer l. A plan built
+	// without it repeats Layer's names verbatim.
+	names [][]string
+}
+
+// Len returns the number of kernels the plan expands to.
+func (p *Plan) Len() int { return len(p.Pre) + p.Layers*len(p.Layer) + len(p.Post) }
+
+// Stored returns the number of descriptors the plan holds: Layer counts
+// once, not Layers times.
+func (p *Plan) Stored() int { return len(p.Pre) + len(p.Layer) + len(p.Post) }
+
+// Kernel returns kernel i of the expanded sequence, 0 <= i < Len().
+func (p *Plan) Kernel(i int) KernelDesc {
+	if i < len(p.Pre) {
+		return p.Pre[i]
+	}
+	i -= len(p.Pre)
+	n := p.Layers * len(p.Layer)
+	if i >= n {
+		return p.Post[i-n]
+	}
+	l, j := i/len(p.Layer), i%len(p.Layer)
+	k := p.Layer[j]
+	if p.names != nil {
+		k.Name = p.names[j][l]
+	}
+	return k
+}
+
+// Kernels expands the plan into its flat kernel sequence.
+func (p *Plan) Kernels() []KernelDesc {
+	out := make([]KernelDesc, p.Len())
+	for i := range out {
+		out[i] = p.Kernel(i)
+	}
+	return out
+}
+
+// layerNames interns the per-layer kernel names of a compiler's plans:
+// byBase[base][l] is "l<l>." + base. It fills lazily, as compiles ask
+// for deeper models or new kernels, and every plan shares its strings.
+type layerNames struct {
+	mu     sync.Mutex
+	byBase map[string][]string
+}
+
+// of returns, for each kernel of a layer block, its names in layers 0
+// to layers-1.
+func (t *layerNames) of(block []KernelDesc, layers int) [][]string {
+	out := make([][]string, len(block))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.byBase == nil {
+		t.byBase = make(map[string][]string)
+	}
+	for j, k := range block {
+		names := t.byBase[k.Name]
+		if len(names) < layers {
+			grown := make([]string, layers)
+			copy(grown, names)
+			for l := len(names); l < layers; l++ {
+				grown[l] = "l" + strconv.Itoa(l) + "." + k.Name
+			}
+			t.byBase[k.Name] = grown
+			names = grown
+		}
+		out[j] = names[:layers:layers]
+	}
+	return out
+}

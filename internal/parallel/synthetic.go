@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"fmt"
 	"time"
 
 	"liger/internal/gpusim"
@@ -28,11 +27,11 @@ func (k KernelDesc) WithEqualSplit() KernelDesc {
 	base := k
 	base.split = nil
 	out := k
-	out.split = func(parts int) []KernelDesc {
+	out.split = func(name string, parts int) []KernelDesc {
 		pieces := make([]KernelDesc, parts)
 		for i := range pieces {
 			pieces[i] = base
-			pieces[i].Name = fmt.Sprintf("%s[%d/%d]", base.Name, i+1, parts)
+			pieces[i].Name = pieceName(name, i, parts)
 			pieces[i].Duration = base.Duration / time.Duration(parts)
 			pieces[i].Bytes = base.Bytes / int64(parts)
 		}

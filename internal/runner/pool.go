@@ -19,6 +19,9 @@ import (
 type Pool struct {
 	cmds []chan *round
 	wg   sync.WaitGroup
+	// r is the one round every Run reuses: Run waits for its workers
+	// before returning, so no worker still reads it when the next begins.
+	r round
 }
 
 // round is one barrier-synchronized batch of n jobs.
@@ -66,7 +69,8 @@ func (p *Pool) Workers() int {
 }
 
 // Run executes fn(i) for every i in [0, n) and blocks until all jobs
-// finish. On a serial pool jobs run in index order on the caller.
+// finish. On a serial pool jobs run in index order on the caller. Rounds
+// do not overlap: Run must not be called again before it returns.
 func (p *Pool) Run(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -77,13 +81,15 @@ func (p *Pool) Run(n int, fn func(i int)) {
 		}
 		return
 	}
-	r := &round{n: n, fn: fn}
+	r := &p.r
+	r.n, r.fn = n, fn
 	r.next.Store(-1)
 	r.done.Add(len(p.cmds))
 	for _, ch := range p.cmds {
 		ch <- r
 	}
 	r.done.Wait()
+	r.fn = nil
 }
 
 // Close stops the workers. Run must not be called after Close. Close on

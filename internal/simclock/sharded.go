@@ -1,8 +1,9 @@
 package simclock
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"liger/internal/runner"
 )
@@ -44,6 +45,14 @@ type Sharded struct {
 	// window needs no locking; the barrier drains all outboxes
 	// single-threaded.
 	outbox [][]post
+	// merged is the barrier's reused buffer of every outbox's posts.
+	merged []post
+
+	// horizon bounds the current window; window is the per-shard job
+	// that runs one shard up to it, built once so a window allocates
+	// nothing.
+	horizon Time
+	window  func(i int)
 
 	// firedAtBarrier[i] snapshots shard i's Fired() before each window,
 	// for exact stall accounting after the barrier.
@@ -98,6 +107,7 @@ func NewSharded(n int, lookahead Time, workers int) *Sharded {
 	for i := range s.shards {
 		s.shards[i] = New()
 	}
+	s.window = func(i int) { s.shards[i].RunBefore(s.horizon) }
 	return s
 }
 
@@ -150,21 +160,12 @@ func (s *Sharded) deliver() int {
 	if total == 0 {
 		return 0
 	}
-	all := make([]post, 0, total)
+	all := s.merged[:0]
 	for i, ob := range s.outbox {
 		all = append(all, ob...)
 		s.outbox[i] = ob[:0]
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.idx < b.idx
-	})
+	slices.SortFunc(all, comparePosts)
 	for _, p := range all {
 		dst := s.shards[p.dst]
 		at := p.at
@@ -176,8 +177,21 @@ func (s *Sharded) deliver() int {
 		}
 		dst.At(at, p.fn)
 	}
+	clear(all) // drop the delivered events' references
+	s.merged = all[:0]
 	s.stats.Posts += uint64(total)
 	return total
+}
+
+// comparePosts orders posts by (at, src, idx), a key unique to each post.
+func comparePosts(a, b post) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	if a.src != b.src {
+		return cmp.Compare(a.src, b.src)
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // minNext returns the earliest pending event time across shards.
@@ -217,19 +231,17 @@ func (s *Sharded) runWindows(deadline *Time) {
 		if deadline != nil && next > *deadline {
 			return
 		}
-		horizon := next + s.lookahead
-		if deadline != nil && horizon > *deadline+1 {
+		s.horizon = next + s.lookahead
+		if deadline != nil && s.horizon > *deadline+1 {
 			// Cap the window so nothing beyond the deadline fires; +1
 			// keeps the deadline itself inside (RunBefore is exclusive).
-			horizon = *deadline + 1
+			s.horizon = *deadline + 1
 		}
 		s.stats.Windows++
 		for i, e := range s.shards {
 			s.firedAtBarrier[i] = e.Fired()
 		}
-		s.pool.Run(len(s.shards), func(i int) {
-			s.shards[i].RunBefore(horizon)
-		})
+		s.pool.Run(len(s.shards), s.window)
 		// Stall accounting happens outside the window (single-threaded):
 		// racing increments from the workers would tear the counter.
 		for i, e := range s.shards {

@@ -206,6 +206,41 @@ func TestShardedZeroLookaheadRejected(t *testing.T) {
 	NewSharded(2, 0, 1)
 }
 
+// TestShardedWindowAllocatesNothing pins the window loop's steady state
+// at zero allocations, serial and parallel: the window job, the post
+// merge buffer and the pool's round are all reused.
+func TestShardedWindowAllocatesNothing(t *testing.T) {
+	la := time.Microsecond
+	for _, workers := range []int{1, 2} {
+		s := NewSharded(2, la, workers)
+		var tick [2]Event
+		arrived := func(Time) {}
+		for i := range tick {
+			i := i
+			// Each shard fires every lookahead and posts across at the
+			// bound, so every window both runs events and delivers posts.
+			tick[i] = func(now Time) {
+				s.Shard(i).At(now+la, tick[i])
+				s.Post(i, 1-i, now+la, arrived)
+			}
+			s.Shard(i).At(0, tick[i])
+		}
+		windows := func() { s.RunUntil(s.Shard(0).Now() + 4*la) }
+		for k := 0; k < 2000; k++ {
+			windows() // fill the calendar buckets, the pools and the buffers
+		}
+		before := s.Stats()
+		if a := testing.AllocsPerRun(100, windows); a != 0 {
+			t.Errorf("workers=%d: %v allocations per 4 windows, want 0", workers, a)
+		}
+		if after := s.Stats(); after.Windows == before.Windows || after.Posts == before.Posts {
+			t.Fatalf("workers=%d: the measured calls ran %d windows and %d posts", workers,
+				after.Windows-before.Windows, after.Posts-before.Posts)
+		}
+		s.Close()
+	}
+}
+
 // BenchmarkShardedRing measures windowed-execution throughput on the
 // synthetic ring at 1 and 4 workers. On multi-core hosts the parallel
 // variant demonstrates the scaling headroom the 1-CPU CI container

@@ -9,20 +9,27 @@
 //  2. go vet ./...
 //  3. go build ./...
 //  4. go test -race ./internal/runner ./internal/simclock
-//     ./internal/faults ./internal/serve ./internal/cluster
-//     ./internal/kvcache ./internal/generate
-//     (the concurrency-bearing packages plus the fault-injection,
+//     ./internal/parallel ./internal/faults ./internal/serve
+//     ./internal/cluster ./internal/kvcache ./internal/generate
+//     (the concurrency-bearing packages, including the compiler's
+//     shared layer-name table, plus the fault-injection,
 //     deadline/retry, fleet, and serving-telemetry layers get a
 //     dedicated race pass)
 //  5. go test ./... (full suite), then `go test ./...` inside
 //     tools/perf, the benchmark harness's own module
-//  6. a chaos smoke run: `ligerbench -exp chaos -quick` at a small
+//  6. the benchmark's correctness gate: `bash tools/perf/run.sh
+//     -workload all -seconds 1 -trace 0` must end every BENCHMARK.json
+//     workload with a result line reading correct, with no failed
+//     request (the harness checks request conservation, KV block
+//     balance, a drained engine and identical reps; timings are not
+//     judged)
+//  7. a chaos smoke run: `ligerbench -exp chaos -quick` at a small
 //     batch count, proving the fault scenarios execute end to end
-//  7. a failover race pass: the permanent-device-failure paths across
+//  8. a failover race pass: the permanent-device-failure paths across
 //     gpusim, runtimes, liger, and serve under -race, including the
 //     teardown paths of the kernel-instance, event and collective pools
 //     (KernelPool and EventPool tests)
-//  8. an observability race pass: the tracer hook, dependency-edge
+//  9. an observability race pass: the tracer hook, dependency-edge
 //     emission, per-request decomposition, trace-analysis, and
 //     metrics-export paths under -race
 //
@@ -32,32 +39,32 @@
 // warn-only benchdiff over the named sweep JSONs proves the regression
 // gate runs end to end. One table-driven helper (smoke.run) does all of
 // it:
-//  9. failover: `ligerbench -exp failover -quick -trace-dir` at
+//  10. failover: `ligerbench -exp failover -quick -trace-dir` at
 //     -parallel 1 and 4 — BENCH_failover.json plus per-runtime Chrome
 //     trace/metrics/analysis artifacts (at least 10); the byte-compare
 //     of failover_*.analysis.json doubles as the analyzer determinism
 //     smoke
-//  10. explain: `ligersim -explain` twice on the same seed must print
+//  11. explain: `ligersim -explain` twice on the same seed must print
 //     byte-identical critical-path/gap/overlap reports
-//  11. shards: `ligerbench -exp fig10 -quick` at -shards 0 and -shards 4
+//  12. shards: `ligerbench -exp fig10 -quick` at -shards 0 and -shards 4
 //     — the lookahead-sharded path may never change results, only speed
-//  12. fleet: `ligerbench -exp fleet -quick` at -parallel 1 -shards 1
+//  13. fleet: `ligerbench -exp fleet -quick` at -parallel 1 -shards 1
 //     and -parallel 4 -shards 4 — tables and BENCH_fleet.json
-//  13. serving: `ligerbench -exp serving -quick -trace-dir` (continuous
+//  14. serving: `ligerbench -exp serving -quick -trace-dir` (continuous
 //     batching over the paged KV allocator) at the same two settings —
 //     tables, BENCH_serving.json, BENCH_serving_analysis.json and the
 //     per-runtime serving Chrome-trace/metrics/decomposition artifacts
 //     (at least 11); every serving_*.serving.json must carry the
 //     decomposition schema (requests, segment_ns, pools, imbalance,
 //     episodes, counters) and tile each request's latency exactly
-//  14. scenario acceptance: every scenarios/*.yaml must PASS its
+//  15. scenario acceptance: every scenarios/*.yaml must PASS its
 //     assertions, the impossible-slo and no-spare-capacity negative
 //     fixtures must FAIL (exit 1) — a gate that cannot reject is not a
 //     gate — and `scenarios/cascading-failures.yaml`,
 //     `scenarios/fleet-node-loss.yaml`, and `scenarios/decode-heavy.yaml`
 //     (the continuous-batching corpus entry) must print byte-identical
 //     reports at -parallel 1 and -parallel 4 -shards 4
-//  15. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
+//  16. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
 //     must produce byte-identical aggregate survival reports, plus a
 //     small -race pass (`stress -n 3 -seed 7`) over the randomized fleet
 package main
@@ -107,13 +114,14 @@ func main() {
 		{"gofmt", gofmtCheck},
 		{"go vet", command("go", "vet", "./...")},
 		{"go build", command("go", "build", "./...")},
-		{"race (runner, simclock, faults, serve, cluster, kvcache, generate)", command("go", "test", "-race",
-			"./internal/runner", "./internal/simclock", "./internal/faults", "./internal/serve",
+		{"race (runner, simclock, parallel, faults, serve, cluster, kvcache, generate)", command("go", "test", "-race",
+			"./internal/runner", "./internal/simclock", "./internal/parallel", "./internal/faults", "./internal/serve",
 			"./internal/cluster", "./internal/kvcache", "./internal/generate")},
 		{"go test", command("go", "test", "./...")},
 		// tools/perf is a module of its own, so the root test run above
 		// does not reach its tests.
 		{"perf harness tests", command("go", "-C", "tools/perf", "test", "./...")},
+		{"benchmark correctness", benchmarkCorrectness},
 		{"chaos smoke", command(ligerbench(
 			"-exp", "chaos", "-quick", "-batches", "25", "-seed", "5")...)},
 		{"failover race", command("go", "test", "-race",
@@ -338,6 +346,63 @@ func checkServingSchema(name string, doc any) error {
 		}
 		if sum != total {
 			return fmt.Errorf("%s: request %v segments sum to %.0f, total %.0f", name, r["seq"], sum, total)
+		}
+	}
+	return nil
+}
+
+// benchmarkCorrectness runs every BENCHMARK.json workload through the
+// benchmark harness for a second of timed reps and fails unless each
+// ends in a result line reading correct, with no failed request. The
+// harness itself checks conservation, KV balance, a drained engine and
+// identical reps; the timings it prints are not judged here.
+func benchmarkCorrectness() error {
+	var bench struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
+	}
+	buf, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(buf, &bench); err != nil {
+		return fmt.Errorf("BENCHMARK.json: %v", err)
+	}
+	cmd := exec.Command("bash", "tools/perf/run.sh", "-workload", "all", "-seconds", "1", "-trace", "0")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("tools/perf: %v\n%s%s", err, out, stderr.Bytes())
+	}
+	// Each workload prints an "== <name> (seed N): ..." header, its
+	// metric table, and then its result line.
+	results := map[string]bool{}
+	var current string
+	for _, line := range bytes.Split(out, []byte("\n")) {
+		if name, ok := bytes.CutPrefix(line, []byte("== ")); ok {
+			current = string(bytes.Fields(name)[0])
+			continue
+		}
+		if !bytes.HasPrefix(line, []byte("{")) {
+			continue
+		}
+		var r struct {
+			Correct bool `json:"correct"`
+			Failed  int  `json:"failed"`
+		}
+		if err := json.Unmarshal(line, &r); err != nil {
+			return fmt.Errorf("%s: result line: %v", current, err)
+		}
+		if !r.Correct || r.Failed != 0 {
+			return fmt.Errorf("%s: result line %s", current, line)
+		}
+		results[current] = true
+	}
+	for _, w := range bench.Workloads {
+		if !results[w.Name] {
+			return fmt.Errorf("%s: no result line", w.Name)
 		}
 	}
 	return nil
