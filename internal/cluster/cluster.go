@@ -425,6 +425,30 @@ func (f *Fleet) FleetStats() (int, time.Duration) {
 	return failovers, recovery
 }
 
+// NodeStats is one fleet node's simulator counters: its shard engine's
+// counters, its node's per-subsystem event counts, and its devices'
+// utilization counters summed over the node.
+type NodeStats struct {
+	Engine  simclock.Stats
+	Events  gpusim.EventCounters
+	Devices gpusim.DeviceStats
+}
+
+// NodeStats returns every physical node's counters in node order, spares
+// included. Read it after Run: the node engines run on the executor's
+// workers until then.
+func (f *Fleet) NodeStats() []NodeStats {
+	out := make([]NodeStats, len(f.nodes))
+	for i, n := range f.nodes {
+		sim := n.core.SimNode()
+		out[i] = NodeStats{Engine: n.eng.Stats(), Events: sim.EventCounters()}
+		for _, d := range sim.Stats() {
+			out[i].Devices = out[i].Devices.Add(d)
+		}
+	}
+	return out
+}
+
 // ShardStats exposes the windowed-execution counters for diagnostics.
 func (f *Fleet) ShardStats() simclock.ShardStats { return f.sh.Stats() }
 

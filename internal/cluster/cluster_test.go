@@ -7,8 +7,11 @@ import (
 
 	"liger/internal/core"
 	"liger/internal/faults"
+	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/model"
+	"liger/internal/nccl"
+	"liger/internal/parallel"
 	"liger/internal/serve"
 )
 
@@ -74,6 +77,55 @@ func TestFleetServesHealthy(t *testing.T) {
 	// over the network.
 	if res.P50 < 2*hw.IBNetwork().Latency {
 		t.Fatalf("p50 %v below one network round trip", res.P50)
+	}
+}
+
+// NodeStats reads each node's engine and devices: a healthy Intra-Op
+// fleet runs every batch's kernel sequence once per device of the
+// replica it lands on, so the nodes' kernels sum to that count, and the
+// idle spare runs nothing.
+func TestFleetNodeStatsCountKernels(t *testing.T) {
+	cl := testCluster(2, 1)
+	f, err := New(Config{Cluster: cl, Model: model.Tiny(), Runtime: core.KindIntraOp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := testTrace(t, 30)
+	res, err := serve.RunFleet(f, arrivals, testPolicy(), serve.RouterPolicy{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != len(arrivals) || res.Retries != 0 {
+		t.Fatalf("healthy fleet: %d of %d completed, %d retries", res.Completed, len(arrivals), res.Retries)
+	}
+	comp := parallel.NewCompiler(cl.Node, nccl.Config{})
+	want := 0
+	for _, a := range arrivals {
+		ks, err := comp.IntraOp(model.Tiny(), cl.Node.NumGPUs, a.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += len(ks) * cl.Node.NumGPUs
+	}
+	stats := f.NodeStats()
+	if len(stats) != cl.TotalNodes() {
+		t.Fatalf("%d node stats for %d nodes", len(stats), cl.TotalNodes())
+	}
+	got := 0
+	var fired, completions uint64
+	for _, st := range stats {
+		got += st.Devices.KernelsRun
+		fired += st.Engine.Fired
+		completions += st.Events.Device
+	}
+	if fired == 0 || completions == 0 {
+		t.Fatalf("node engines read idle: %+v", stats)
+	}
+	if got != want {
+		t.Fatalf("nodes ran %d kernels, the batches hold %d", got, want)
+	}
+	if spare := stats[cl.Nodes]; spare.Devices != (gpusim.DeviceStats{}) || spare.Events.Total() != 0 {
+		t.Fatalf("idle spare reads %+v", spare)
 	}
 }
 

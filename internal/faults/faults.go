@@ -266,7 +266,8 @@ func Static(device int, speed float64) Schedule {
 // Inject validates the schedule against the node and arms every fault
 // as timed simulation events. Overlapping windows on the same device
 // compose multiplicatively; each transition re-times in-flight kernels
-// and collectives at its exact sim instant. Must be called before the
+// and collectives at its exact sim instant. A schedule with any event
+// keeps the node unfolded (gpusim.Node.Fold). Must be called before the
 // simulation runs.
 func Inject(node *gpusim.Node, s Schedule) error {
 	if err := s.Validate(node.NumDevices()); err != nil {
@@ -274,6 +275,11 @@ func Inject(node *gpusim.Node, s Schedule) error {
 	}
 	if s.CollTimeout > 0 {
 		node.SetCollectiveTimeout(s.CollTimeout)
+	}
+	if len(s.Events) > 0 {
+		// Every event targets one device, so the devices stop being
+		// identical: the node must simulate each of them.
+		node.KeepUnfolded()
 	}
 	eng := node.Engine()
 	// Canonicalize the event order first: float products are commutative

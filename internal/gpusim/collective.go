@@ -25,6 +25,9 @@ type Collective struct {
 	size int
 
 	members []*kernelInstance
+	// joined counts the member devices that joined: a member on a folded
+	// device counts once per device it stands for.
+	joined  int
 	started bool
 	done    bool
 	aborted bool
@@ -97,18 +100,22 @@ func (c *Collective) join(k *kernelInstance, now simclock.Time) {
 		}
 		panic("gpusim: member joined a finished collective")
 	}
+	d := k.stream.dev
 	c.members = append(c.members, k)
-	if len(c.members) > c.size {
+	c.joined += d.copies()
+	if c.joined > c.size {
 		panic("gpusim: too many members joined collective")
 	}
 	if ct := c.node.collTracer; ct != nil {
-		ct.RendezvousBegin(c.id, k.stream.dev.id, k.spec.Batch, k.spec.Req, now)
+		for r := range d.copies() {
+			ct.RendezvousBegin(c.id, d.copyID(r), k.spec.Batch, k.spec.Req, now)
+		}
 	}
 	if len(c.members) == 1 && c.timeout > 0 {
 		c.node.evCounts.Collective++
 		c.timeoutH = c.node.eng.After(c.timeout, c.abortFn)
 	}
-	if len(c.members) == c.size {
+	if c.joined == c.size {
 		c.start(now)
 	}
 }
@@ -124,7 +131,10 @@ func (c *Collective) start(now simclock.Time) {
 		}
 		m.startedAt = now
 		if tr := c.node.tracer; tr != nil {
-			tr.KernelStart(m.stream.dev.id, m.spec.Name, m.spec.Class, now)
+			d := m.stream.dev
+			for r := range d.copies() {
+				tr.KernelStart(d.copyID(r), m.spec.Name, m.spec.Class, now)
+			}
 		}
 	}
 	if ct := c.node.collTracer; ct != nil {

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -17,10 +18,10 @@ const admitEpsilon = 1e-9
 type connection struct {
 	id           int
 	lastDelivery simclock.Time
-	// lastKernel is the id of the last kernel command delivered on this
-	// connection (-1 if none): the launch-queue serialization edge
-	// reported to DepTracer.
-	lastKernel int
+	// lastKernel is the last kernel command delivered on this connection
+	// (noKernel if none): the launch-queue serialization edge reported to
+	// DepTracer.
+	lastKernel kernelRef
 }
 
 // DeviceStats aggregates utilization over the run; all durations are in
@@ -35,6 +36,16 @@ type DeviceStats struct {
 	OverlapBusy simclock.Time
 	// KernelsRun counts completed kernels.
 	KernelsRun int
+}
+
+// Add returns the field-wise sum of s and o.
+func (s DeviceStats) Add(o DeviceStats) DeviceStats {
+	return DeviceStats{
+		ComputeBusy: s.ComputeBusy + o.ComputeBusy,
+		CommBusy:    s.CommBusy + o.CommBusy,
+		OverlapBusy: s.OverlapBusy + o.OverlapBusy,
+		KernelsRun:  s.KernelsRun + o.KernelsRun,
+	}
 }
 
 // Device is one simulated GPU.
@@ -86,21 +97,140 @@ type Device struct {
 	// yet retired — the launch-queue backlog sampled to QueueTracer.
 	queueDepth int
 
-	// lastFreed is the id of the last kernel to finish on this device:
-	// the capacity predecessor a blocked admission inherits.
-	lastFreed int
+	// lastFreed is the last kernel to finish on this device: the
+	// capacity predecessor a blocked admission inherits.
+	lastFreed kernelRef
 
 	stats      DeviceStats
 	lastSample simclock.Time
+
+	// Folding (see Node.Fold). A representative's fold lists the devices
+	// it stands for in id order, itself last; it runs their identical
+	// work once, with their multiplicity. A device folded into a
+	// representative has rep set and runs nothing itself.
+	fold []*Device
+	rep  *Device
+	// The representative's current block of kernel ids (ReserveBlock):
+	// the next id its own copy takes, how many launches the block has
+	// left, and the id stride between the copies.
+	blockNext, blockLeft, blockStride int
 }
 
 func newDevice(n *Node, id, conns int) *Device {
 	d := &Device{node: n, id: id, membwFactor: 1, commFactor: 1, speed: 1, linkFactor: 1,
-		lastFreed: -1, memCapacity: int64(n.spec.GPU.MemGB * 1e9)}
+		lastFreed: noKernel, memCapacity: int64(n.spec.GPU.MemGB * 1e9)}
 	for i := 0; i < conns; i++ {
-		d.conns = append(d.conns, &connection{id: i, lastKernel: -1})
+		d.conns = append(d.conns, &connection{id: i, lastKernel: noKernel})
 	}
 	return d
+}
+
+// copies returns how many devices d's work stands for: its fold
+// multiplicity, 1 on an unfolded device.
+func (d *Device) copies() int {
+	if d.fold == nil {
+		return 1
+	}
+	return len(d.fold)
+}
+
+// copyID returns the id of the device copy r of d's work runs on.
+func (d *Device) copyID(r int) int {
+	if d.fold == nil {
+		return d.id
+	}
+	return d.fold[r].id
+}
+
+// live returns the device whose state d reports: its representative when
+// d is folded into one, else d itself.
+func (d *Device) live() *Device {
+	if d.rep != nil {
+		return d.rep
+	}
+	return d
+}
+
+// inFold reports whether d is part of a folded group, as its
+// representative or as a device folded into one.
+func (d *Device) inFold() bool { return d.fold != nil || d.rep != nil }
+
+// diverge records a per-device change (op names the call). Before the
+// node decides on folding, it keeps the node unfolded; afterwards it
+// panics on a folded device, whose state is shared with its group.
+func (d *Device) diverge(op string) {
+	if d.inFold() {
+		panic(fmt.Sprintf("gpusim: %s on device %d, which is folded into device %d: "+
+			"a folded device cannot diverge once the run has started", op, d.id, d.live().id))
+	}
+	if !d.node.foldDecided {
+		d.node.asym = true
+	}
+}
+
+// pristine reports whether d has never run or queued anything: its state
+// is the fresh state every device starts in.
+func (d *Device) pristine() bool {
+	if d.failed || d.queueDepth != 0 || len(d.running) != 0 || d.lastFreed != noKernel ||
+		d.stats != (DeviceStats{}) || d.speed != 1 || d.linkFactor != 1 {
+		return false
+	}
+	for _, c := range d.conns {
+		if c.lastKernel != noKernel || c.lastDelivery != 0 {
+			return false
+		}
+	}
+	for _, s := range d.streams {
+		if s.lastDone != noKernel {
+			return false
+		}
+	}
+	return true
+}
+
+// sameLayout reports whether d's streams match o's one for one in
+// launch connection and priority, and d holds as much memory as o.
+func (d *Device) sameLayout(o *Device) bool {
+	if len(d.streams) != len(o.streams) || len(d.conns) != len(o.conns) ||
+		d.memUsed != o.memUsed || d.memCapacity != o.memCapacity || d.connRR != o.connRR {
+		return false
+	}
+	for i, s := range d.streams {
+		if s.conn.id != o.streams[i].conn.id || s.priority != o.streams[i].priority {
+			return false
+		}
+	}
+	return true
+}
+
+// sampleQueue reports d's launch-queue depth to qt, once per device its
+// work stands for.
+func (d *Device) sampleQueue(qt QueueTracer, now simclock.Time) {
+	for r := range d.copies() {
+		qt.QueueDepth(d.copyID(r), d.queueDepth, now)
+	}
+}
+
+// ReserveBlock reserves the kernel ids of a representative's next n
+// launches: one contiguous block of n ids per device it stands for,
+// as if each device launched the same n kernels in turn, in id order.
+// The representative's own launches take the last block, and copy r of
+// launch j gets id base + r*n + j. Every launch onto a representative
+// must fall in a block, and a block must be used up before the next.
+func (d *Device) ReserveBlock(n int) {
+	if d.fold == nil {
+		panic(fmt.Sprintf("gpusim: ReserveBlock on device %d, which is not a representative", d.id))
+	}
+	if d.blockLeft != 0 {
+		panic(fmt.Sprintf("gpusim: device %d reserves a block with %d launches of the last one left", d.id, d.blockLeft))
+	}
+	if n < 1 {
+		panic("gpusim: empty kernel block")
+	}
+	node := d.node
+	d.blockNext = node.nextKernelID + (len(d.fold)-1)*n
+	d.blockLeft, d.blockStride = n, n
+	node.nextKernelID += len(d.fold) * n
 }
 
 // ID returns the device index within the node.
@@ -115,6 +245,7 @@ func (d *Device) SetSpeed(f float64) {
 	if f <= 0 {
 		panic("gpusim: device speed must be positive")
 	}
+	d.diverge("SetSpeed")
 	if d.failed || f == d.speed {
 		// Speed transitions scheduled before a permanent failure may still
 		// fire after it; a dead device has no rate to change.
@@ -140,6 +271,7 @@ func (d *Device) SetLinkFactor(f float64) {
 	if f <= 0 || f > 1 {
 		panic("gpusim: link factor must be in (0, 1]")
 	}
+	d.diverge("SetLinkFactor")
 	if d.failed || f == d.linkFactor {
 		return
 	}
@@ -179,10 +311,10 @@ func (d *Device) nextConn() int {
 }
 
 // ComputeInUse reports the SM fraction currently allocated.
-func (d *Device) ComputeInUse() float64 { return d.computeInUse }
+func (d *Device) ComputeInUse() float64 { return d.live().computeInUse }
 
 // RunningKernels reports how many kernels are resident.
-func (d *Device) RunningKernels() int { return len(d.running) }
+func (d *Device) RunningKernels() int { return len(d.live().running) }
 
 // sample folds elapsed busy time into the counters. Must be called
 // before the running set changes.
@@ -248,7 +380,9 @@ func (d *Device) tryAdmit(s *Stream, k *kernelInstance, now simclock.Time) bool 
 	} else {
 		k.startedAt = now
 		if tr := d.node.tracer; tr != nil {
-			tr.KernelStart(d.id, k.spec.Name, k.spec.Class, now)
+			for r := range d.copies() {
+				tr.KernelStart(d.copyID(r), k.spec.Name, k.spec.Class, now)
+			}
 		}
 	}
 	d.recompute(now)
@@ -256,9 +390,9 @@ func (d *Device) tryAdmit(s *Stream, k *kernelInstance, now simclock.Time) bool 
 }
 
 // emitDep reports the admitted kernel's causal launch record to the
-// DepTracer. A kernel admitted later than its first head attempt sat
-// blocked on SM capacity; the last finish on the device is what freed
-// it.
+// DepTracer, once per device its copies run on. A kernel admitted later
+// than its first head attempt sat blocked on SM capacity; the last
+// finish on the device is what freed it.
 func (d *Device) emitDep(k *kernelInstance, now simclock.Time) {
 	dt := d.node.depTracer
 	if dt == nil {
@@ -276,13 +410,17 @@ func (d *Device) emitDep(k *kernelInstance, now simclock.Time) {
 	if k.spec.Coll != nil {
 		coll = k.spec.Coll.id
 	}
-	dt.KernelDep(KernelDep{
-		ID: k.id, Device: d.id, Stream: k.stream.id, Coll: coll,
-		Issued: k.issuedAt, Delivered: k.deliveredAt,
-		Serialized: k.serialized, ConnPred: k.connPred,
-		HeadAt: k.headAt, HeadCause: k.headCause, HeadPred: k.headPred,
-		Admitted: now, AdmitPred: k.admitPred,
-	})
+	m := d.copies()
+	for r := range m {
+		back := m - 1 - r
+		dt.KernelDep(KernelDep{
+			ID: k.ref().copyID(back), Device: d.copyID(r), Stream: k.stream.copyID(r), Coll: coll,
+			Issued: k.issuedAt, Delivered: k.deliveredAt,
+			Serialized: k.serialized, ConnPred: k.connPred.copyID(back),
+			HeadAt: k.headAt, HeadCause: k.headCause, HeadPred: k.headPred.copyID(back),
+			Admitted: now, AdmitPred: k.admitPred.copyID(back),
+		})
+	}
 }
 
 // admitBefore is the deterministic admission order of blocked streams:
@@ -363,13 +501,16 @@ func (d *Device) finish(k *kernelInstance, now simclock.Time) {
 		}
 	}
 	d.stats.KernelsRun++
-	d.lastFreed = k.id
+	d.lastFreed = k.ref()
 	d.emitSpan(k, now)
 	k.stream.completeHead(now)
 	d.admitPending(now)
 	d.recompute(now)
 	if k.spec.OnDone != nil {
-		k.spec.OnDone(now)
+		// Once per copy: each device's kernel completes.
+		for range d.copies() {
+			k.spec.OnDone(now)
+		}
 	}
 	if k.spec.Coll == nil {
 		// Collective members stay listed in their group until its member
@@ -378,27 +519,33 @@ func (d *Device) finish(k *kernelInstance, now simclock.Time) {
 	}
 }
 
-// emitSpan reports a finishing kernel to the tracer: SpanTracer
-// implementations get the full span (metadata plus the truncation
-// flag); plain tracers get the legacy KernelEnd callback.
+// emitSpan reports a finishing kernel to the tracer, once per device
+// its copies run on: SpanTracer implementations get the full span
+// (metadata plus the truncation flag); plain tracers get the legacy
+// KernelEnd callback.
 func (d *Device) emitSpan(k *kernelInstance, end simclock.Time) {
 	if d.node.tracer == nil {
 		return
 	}
+	m := d.copies()
 	if st := d.node.spanTracer; st != nil {
 		coll := -1
 		if k.spec.Coll != nil {
 			coll = k.spec.Coll.id
 		}
-		st.KernelSpan(KernelSpan{
-			ID: k.id, Device: d.id, Name: k.spec.Name, Class: k.spec.Class,
-			Start: k.startedAt, End: end,
-			Batch: k.spec.Batch, Req: k.spec.Req, Coll: coll,
-			Cancelled: k.cancelled,
-		})
+		for r := range m {
+			st.KernelSpan(KernelSpan{
+				ID: k.ref().copyID(m - 1 - r), Device: d.copyID(r), Name: k.spec.Name, Class: k.spec.Class,
+				Start: k.startedAt, End: end,
+				Batch: k.spec.Batch, Req: k.spec.Req, Coll: coll,
+				Cancelled: k.cancelled,
+			})
+		}
 		return
 	}
-	d.node.tracer.KernelEnd(d.id, k.spec.Name, k.spec.Class, k.startedAt, end)
+	for r := range m {
+		d.node.tracer.KernelEnd(d.copyID(r), k.spec.Name, k.spec.Class, k.startedAt, end)
+	}
 }
 
 // drainFailed tears down a freshly failed device's resident work.

@@ -17,3 +17,11 @@ func SetPooling(n *Node, on bool) {
 func Pooled(n *Node) (kernels, events, colls int) {
 	return len(n.kernFree), len(n.evFree), len(n.collFree)
 }
+
+// SetFolding turns folding on n on (the default) or off. Off keeps every
+// device simulated on its own: the unfolded oracle a folded run must
+// match. It must be called before the first Fold.
+func SetFolding(n *Node, on bool) { n.noFold = !on }
+
+// IsFolded reports whether a group of n's devices folded.
+func IsFolded(n *Node) bool { return n.folded }

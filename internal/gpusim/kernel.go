@@ -84,7 +84,10 @@ const (
 // aborted collective recycle the kernel they retire. Nothing else may
 // hold an instance across a call that can finish kernels.
 type kernelInstance struct {
-	id     int
+	id int
+	// stride is the id distance between the copies of a kernel launched
+	// on a folded device (see Device.ReserveBlock); 0 elsewhere.
+	stride int
 	spec   KernelSpec
 	stream *Stream
 	state  kernelState
@@ -95,12 +98,12 @@ type kernelInstance struct {
 	issuedAt    simclock.Time
 	deliveredAt simclock.Time
 	serialized  simclock.Time
-	connPred    int
+	connPred    kernelRef
 	headAt      simclock.Time
 	headCause   string
-	headPred    int
+	headPred    kernelRef
 	headStamped bool
-	admitPred   int
+	admitPred   kernelRef
 
 	// remainingNS is solo-time work left, in float nanoseconds.
 	remainingNS float64
@@ -121,6 +124,26 @@ type kernelInstance struct {
 	// a normal completion. Set by the cancel paths before finish so the
 	// tracer can flag the span.
 	cancelled string
+}
+
+// ref names k in dependency records.
+func (k *kernelInstance) ref() kernelRef { return kernelRef{k.id, k.stride} }
+
+// kernelRef names a kernel in a dependency edge: its id and the id
+// stride of its folded copies (0 for a kernel of an unfolded device, whose
+// id every copy of a dependent kernel shares). A representative launches
+// the last copy, so copy back places before it has id id - back*stride.
+type kernelRef struct{ id, stride int }
+
+// noKernel is the empty edge, reported as id -1.
+var noKernel = kernelRef{id: -1}
+
+// copyID returns the id of the copy back places before the launched one.
+func (r kernelRef) copyID(back int) int {
+	if r.id < 0 {
+		return -1
+	}
+	return r.id - back*r.stride
 }
 
 // updateProgress folds elapsed time into remaining work at the old rate.

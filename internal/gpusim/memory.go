@@ -19,8 +19,15 @@ func (d *Device) MemUsed() int64 { return d.memUsed }
 // MemFree returns unallocated bytes.
 func (d *Device) MemFree() int64 { return d.memCapacity - d.memUsed }
 
-// Alloc reserves bytes of device memory.
+// Alloc reserves bytes of device memory. Like SetSpeed, it is a
+// per-device change: called before the run it keeps the node unfolded,
+// and it panics on a folded device (use Node.AllocAll).
 func (d *Device) Alloc(bytes int64) error {
+	d.diverge("Alloc")
+	return d.alloc(bytes)
+}
+
+func (d *Device) alloc(bytes int64) error {
 	if bytes < 0 {
 		return fmt.Errorf("gpusim: negative allocation %d on device %d", bytes, d.id)
 	}
@@ -33,8 +40,14 @@ func (d *Device) Alloc(bytes int64) error {
 }
 
 // Free releases bytes of device memory. Over-freeing panics: it always
-// indicates a runtime accounting bug.
+// indicates a runtime accounting bug. Like Alloc, it is a per-device
+// change (use Node.FreeAll on a folded node).
 func (d *Device) Free(bytes int64) {
+	d.diverge("Free")
+	d.free(bytes)
+}
+
+func (d *Device) free(bytes int64) {
 	if bytes < 0 || bytes > d.memUsed {
 		panic(fmt.Sprintf("gpusim: device %d freeing %d of %d used", d.id, bytes, d.memUsed))
 	}
@@ -49,10 +62,10 @@ func (n *Node) AllocAll(bytes int64) error {
 		if d.failed {
 			continue
 		}
-		if err := d.Alloc(bytes); err != nil {
+		if err := d.alloc(bytes); err != nil {
 			for j := 0; j < i; j++ {
 				if !n.devices[j].failed {
-					n.devices[j].Free(bytes)
+					n.devices[j].free(bytes)
 				}
 			}
 			return err
@@ -69,6 +82,6 @@ func (n *Node) FreeAll(bytes int64) {
 		if d.failed {
 			continue
 		}
-		d.Free(bytes)
+		d.free(bytes)
 	}
 }

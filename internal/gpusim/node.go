@@ -248,6 +248,15 @@ type Node struct {
 	// subsystem; see EventCounters in shards.go.
 	evCounts EventCounters
 
+	// Folding (see Fold). foldDecided is set by the first Fold call;
+	// before it, asym records a per-device change that keeps the node
+	// unfolded. folded is set once a group has folded; noFold (tests
+	// only) forces every run unfolded.
+	foldDecided bool
+	asym        bool
+	folded      bool
+	noFold      bool
+
 	tracer Tracer
 	// The optional tracer extensions, type-asserted once at SetTracer so
 	// the hot paths pay a nil check instead of an interface assertion.
@@ -325,6 +334,11 @@ func (n *Node) FailDevice(i int) {
 	if d.failed {
 		return
 	}
+	if n.folded {
+		panic(fmt.Sprintf("gpusim: FailDevice on device %d of a folded node: "+
+			"the alive set of a folded SPMD group cannot change once the run has started", i))
+	}
+	d.diverge("FailDevice")
 	now := n.eng.Now()
 	d.failed = true
 	n.failedCount++
@@ -368,7 +382,7 @@ func (n *Node) newCommand(s *Stream) *command {
 	}
 	cmd := &command{stream: s}
 	cmd.deliverFn = func(t simclock.Time) {
-		cmd.stream.advCause, cmd.stream.advPred = CauseDelivery, -1
+		cmd.stream.advCause, cmd.stream.advPred = CauseDelivery, noKernel
 		cmd.stream.advance(t)
 	}
 	return cmd
@@ -394,10 +408,10 @@ func (n *Node) newEvent() *Event {
 		n.evFree[l-1] = nil
 		n.evFree = n.evFree[:l-1]
 		ev.fired, ev.released = false, false
-		ev.firedAt, ev.firedBy = 0, -1
+		ev.firedAt, ev.firedBy = 0, noKernel
 		return ev
 	}
-	return &Event{node: n, firedBy: -1}
+	return &Event{node: n, firedBy: noKernel}
 }
 
 // recycleEvent pools a fired, released event. The new generation tells
@@ -464,8 +478,11 @@ func (n *Node) NewStreamOnConnection(dev, conn int) *Stream {
 	if conn < 0 || conn >= len(d.conns) {
 		panic(fmt.Sprintf("gpusim: connection %d out of range (device has %d)", conn, len(d.conns)))
 	}
+	if d.inFold() {
+		panic(fmt.Sprintf("gpusim: new stream on device %d, which is folded into device %d", dev, d.live().id))
+	}
 	s := &Stream{node: n, dev: d, id: n.nextStreamID, conn: d.conns[conn],
-		lastDone: -1, advCause: CauseDelivery, advPred: -1}
+		lastDone: noKernel, advCause: CauseDelivery, advPred: noKernel}
 	n.nextStreamID++
 	d.streams = append(d.streams, s)
 	return s
@@ -573,11 +590,78 @@ func (n *Node) HostBarrier(events []*Event, fn func(now simclock.Time)) {
 }
 
 // Stats returns a copy of every device's utilization counters, folding
-// in busy time up to the current instant.
+// in busy time up to the current instant. A device folded into a
+// representative reports the representative's counters: it ran the
+// same kernels at the same instants.
 func (n *Node) Stats() []DeviceStats {
 	out := make([]DeviceStats, len(n.devices))
 	for i, d := range n.devices {
-		out[i] = d.statsAt(n.eng.Now())
+		out[i] = d.live().statsAt(n.eng.Now())
 	}
 	return out
+}
+
+// KeepUnfolded keeps the node from folding (see Fold): its devices will
+// be asked to diverge, as a fault schedule does. It must be called
+// before the run starts.
+func (n *Node) KeepUnfolded() {
+	if n.folded {
+		panic("gpusim: KeepUnfolded on a node that has already folded")
+	}
+	n.asym = true
+}
+
+// Fold folds the SPMD group devs into one simulated device, if the node
+// allows it, and returns the representative's index; it returns -1 and
+// changes nothing otherwise. The representative is the group's last
+// device. From then on, work launched onto it stands for the same work
+// launched onto every device of the group in turn, in id order, and
+// the group's other devices run nothing: a runtime launches once per
+// round onto the representative, each launch inside a ReserveBlock
+// block, and must not launch onto the other devices.
+//
+// Each kernel of the representative counts once per device of the
+// group: in its collective's rendezvous size, its OnDone calls and the
+// DeviceStats of every device of the group. Tracers receive one record
+// per device, with the kernel, stream and predecessor ids the unfolded
+// run assigns.
+//
+// Only the first call decides: a node folds at most one group, before
+// its devices ran anything, and only when nothing made its devices
+// diverge — a per-device SetSpeed, SetLinkFactor, Alloc, Free or
+// FailDevice, or KeepUnfolded (fault injection). The group must have
+// at least two devices with the same stream layout. After the decision
+// those calls panic on a folded device, and FailDevice panics on any
+// device of a folded node: a folded group cannot unfold mid-run.
+func (n *Node) Fold(devs []int) int {
+	if n.foldDecided {
+		return -1
+	}
+	n.foldDecided = true
+	if n.noFold || n.asym || len(devs) < 2 {
+		return -1
+	}
+	group := make([]*Device, len(devs))
+	for i, id := range devs {
+		if id < 0 || id >= len(n.devices) || (i > 0 && id <= devs[i-1]) {
+			return -1
+		}
+		group[i] = n.devices[id]
+		if !group[i].pristine() || !group[i].sameLayout(group[0]) {
+			return -1
+		}
+	}
+	rep := group[len(group)-1]
+	rep.fold = group
+	for i, s := range rep.streams {
+		s.twins = make([]*Stream, len(group))
+		for r, d := range group {
+			s.twins[r] = d.streams[i]
+		}
+	}
+	for _, d := range group[:len(group)-1] {
+		d.rep = rep
+	}
+	n.folded = true
+	return rep.id
 }

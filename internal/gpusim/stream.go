@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"fmt"
+
 	"liger/internal/simclock"
 )
 
@@ -50,10 +52,10 @@ type Event struct {
 	firing   bool
 	released bool
 	firedAt  simclock.Time
-	// firedBy is the id of the last kernel completed on the recording
-	// stream when the event fired (-1 if none): the predecessor edge a
-	// waiting kernel inherits.
-	firedBy int
+	// firedBy is the last kernel completed on the recording stream when
+	// the event fired (noKernel if none): the predecessor edge a waiting
+	// kernel inherits.
+	firedBy kernelRef
 	subs    []eventSub
 }
 
@@ -152,15 +154,28 @@ type Stream struct {
 	qhead    int
 	priority int
 
-	// lastDone is the id of the last kernel completed on this stream
-	// (-1 if none); events recorded on the stream inherit it as their
-	// firing cause.
-	lastDone int
+	// lastDone is the last kernel completed on this stream (noKernel if
+	// none); events recorded on the stream inherit it as their firing
+	// cause.
+	lastDone kernelRef
 	// advCause/advPred carry the reason the current advance pass runs
 	// (delivery, predecessor finish, event fire) so a kernel's first
 	// admission attempt can stamp its head cause for DepTracer.
 	advCause string
-	advPred  int
+	advPred  kernelRef
+
+	// twins, on a representative's stream, are the matching streams of
+	// the devices it stands for, in the order of Device.fold: copy r of
+	// the stream's work reports stream twins[r].
+	twins []*Stream
+}
+
+// copyID returns the id of the stream copy r of s's work runs on.
+func (s *Stream) copyID(r int) int {
+	if s.twins == nil {
+		return s.id
+	}
+	return s.twins[r].id
 }
 
 // SetPriority raises (positive) or lowers the stream's scheduling
@@ -169,7 +184,12 @@ type Stream struct {
 // priorities. It does not reorder host→device delivery, which is why
 // the paper found priorities insufficient against the communication
 // launch lag (§2.3.1).
-func (s *Stream) SetPriority(p int) { s.priority = p }
+func (s *Stream) SetPriority(p int) {
+	if s.dev.inFold() && p != s.priority {
+		panic(fmt.Sprintf("gpusim: SetPriority on stream %d of device %d, which is folded into device %d", s.id, s.dev.id, s.dev.live().id))
+	}
+	s.priority = p
+}
 
 // Priority returns the stream's scheduling priority.
 func (s *Stream) Priority() int { return s.priority }
@@ -207,7 +227,7 @@ func (s *Stream) issue(cmd *command) {
 	s.queue = append(s.queue, cmd)
 	s.dev.queueDepth++
 	if qt := s.node.queueTracer; qt != nil {
-		qt.QueueDepth(s.dev.id, s.dev.queueDepth, now)
+		s.dev.sampleQueue(qt, now)
 	}
 	if s.QueueLen() == 1 {
 		s.armHead()
@@ -233,13 +253,30 @@ func (s *Stream) Launch(spec KernelSpec) {
 	if spec.ComputeDemand < 0 || spec.MemBWDemand < 0 || spec.Duration < 0 {
 		panic("gpusim: negative kernel demand or duration")
 	}
+	d := s.dev
 	k := s.node.newKernel()
-	k.spec, k.stream, k.id = spec, s, s.node.nextKernelID
-	k.connPred, k.headPred, k.admitPred = s.conn.lastKernel, -1, -1
-	s.node.nextKernelID++
+	k.spec, k.stream = spec, s
+	switch {
+	case d.fold != nil:
+		if d.blockLeft == 0 {
+			panic(fmt.Sprintf("gpusim: launch on representative device %d outside a ReserveBlock block", d.id))
+		}
+		k.id, k.stride = d.blockNext, d.blockStride
+		d.blockNext++
+		d.blockLeft--
+	case d.rep != nil:
+		panic(fmt.Sprintf("gpusim: launch on device %d, which is folded into device %d", d.id, d.rep.id))
+	default:
+		k.id = s.node.nextKernelID
+		s.node.nextKernelID++
+	}
+	k.connPred, k.headPred, k.admitPred = s.conn.lastKernel, noKernel, noKernel
 	if c := spec.Coll; c != nil {
 		if ct := s.node.collTracer; ct != nil {
-			ct.CollectiveEnqueue(c.id, c.size, s.dev.id, s.node.eng.Now())
+			now := s.node.eng.Now()
+			for r := range d.copies() {
+				ct.CollectiveEnqueue(c.id, c.size, d.copyID(r), now)
+			}
 		}
 	}
 	cmd := s.node.newCommand(s)
@@ -254,7 +291,7 @@ func (s *Stream) Launch(spec KernelSpec) {
 	if ser := cmd.deliveredAt - (k.issuedAt + s.node.spec.Host.LaunchLatency); ser > 0 {
 		k.serialized = ser
 	}
-	s.conn.lastKernel = k.id
+	s.conn.lastKernel = k.ref()
 }
 
 // Record enqueues an event-record command and returns the event, which
@@ -308,7 +345,7 @@ func (s *Stream) pop() {
 	}
 	s.dev.queueDepth--
 	if qt := s.node.queueTracer; qt != nil {
-		qt.QueueDepth(s.dev.id, s.dev.queueDepth, s.node.eng.Now())
+		s.dev.sampleQueue(qt, s.node.eng.Now())
 	}
 	s.node.recycleCommand(cmd)
 }
@@ -316,7 +353,7 @@ func (s *Stream) pop() {
 // completeHead is called by the device when the head kernel finishes.
 func (s *Stream) completeHead(now simclock.Time) {
 	if cmd := s.head(); cmd != nil && cmd.kind == cmdKernel && cmd.kernel.state == kDone {
-		s.lastDone = cmd.kernel.id
+		s.lastDone = cmd.kernel.ref()
 		s.pop()
 	}
 	// Whatever runs next on this stream was released by the finished
@@ -392,7 +429,7 @@ func (s *Stream) advance(now simclock.Time) {
 			case kRunning:
 				return
 			case kDone:
-				s.lastDone = cmd.kernel.id
+				s.lastDone = cmd.kernel.ref()
 				s.pop()
 			}
 		}

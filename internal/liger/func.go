@@ -193,8 +193,8 @@ func (b *Batch) nextSwitch(typ gpusim.KernelClass) bool {
 	return b.Exhausted() || b.head().Desc.Class != typ
 }
 
-// kernelLaunched records one launched kernel instance.
-func (b *Batch) kernelLaunched() { b.pendingKernels++ }
+// kernelLaunched records n launched kernel instances.
+func (b *Batch) kernelLaunched(n int) { b.pendingKernels += n }
 
 // kernelDone records a completion and fires the batch callback when the
 // last in-flight kernel of an exhausted batch lands.

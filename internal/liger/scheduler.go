@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"liger/internal/gpusim"
-	"liger/internal/parallel"
 	"liger/internal/simclock"
 )
 
@@ -64,6 +63,14 @@ type Scheduler struct {
 	// device permanently fails and the scheduler resumes on the
 	// survivors (collectives are sized to it).
 	alive []int
+	// Folding (gpusim.Node.Fold), asked for on the first round: rep is
+	// the representative device (-1 while unfolded), standing for
+	// repCopies devices of alive; folded lists the devices a round then
+	// launches onto.
+	foldAsked bool
+	rep       int
+	repCopies int
+	folded    []int
 	// quiescing gates round launches during a failover: set by Quiesce,
 	// cleared by Resume.
 	quiescing bool
@@ -105,7 +112,7 @@ func NewScheduler(node *gpusim.Node, cfg Config) (*Scheduler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Scheduler{node: node, cfg: cfg, alive: node.AliveDevices(), live: make(map[*Batch]struct{})}
+	s := &Scheduler{node: node, cfg: cfg, alive: node.AliveDevices(), rep: -1, live: make(map[*Batch]struct{})}
 	for d := 0; d < node.NumDevices(); d++ {
 		// Compute launches on connection 0, communication on connection 1:
 		// a burst of compute launches can never delay the delivery of a
@@ -303,7 +310,7 @@ func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duratio
 			}
 			// Lengthy kernel: runtime decomposition (§3.6). Find how many
 			// 1/D pieces fit in the remaining budget.
-			take := s.fittingPieces(head.Desc, budget)
+			take := head.Desc.FittingPieces(s.cfg.DivisionFactor, budget)
 			if take == 0 {
 				break
 			}
@@ -363,33 +370,6 @@ func (s *Scheduler) planSecondary(typ gpusim.KernelClass, window time.Duration) 
 	return s.collectSecondary(typ, window)
 }
 
-// fittingPieces returns how many pieces of a DivisionFactor-way split
-// of desc fit within budget (0 if the kernel is indivisible or nothing
-// fits).
-func (s *Scheduler) fittingPieces(desc parallel.KernelDesc, budget time.Duration) int {
-	d := s.cfg.DivisionFactor
-	if d < 2 || !desc.CanSplit() {
-		return 0
-	}
-	pieces, ok := desc.Split(d)
-	if !ok {
-		return 0
-	}
-	var acc time.Duration
-	take := 0
-	for _, p := range pieces {
-		if acc+p.Duration > budget {
-			break
-		}
-		acc += p.Duration
-		take++
-	}
-	if take >= d {
-		take = d - 1 // whole kernel fitting is handled by the fast path
-	}
-	return take
-}
-
 // launchRound collects the two subsets and launches them onto the
 // per-device streams with the configured synchronization approach.
 func (s *Scheduler) launchRound(now simclock.Time) {
@@ -427,6 +407,7 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 
 	// Rounds launch onto the surviving devices only; after a failover
 	// the SPMD group (and every collective) is sized to the survivors.
+	devs := s.roundDevices()
 	ndev := s.node.NumDevices()
 	primStreams, primLast := s.streamsFor(typ)
 	secStreams, secLast := s.streamsFor(otherClass(typ))
@@ -437,13 +418,18 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 	colls0, colls1 := s.colls0, s.colls1
 
 	var notify *gpusim.Event
-	lead := s.alive[0]
+	lead := devs[0]
 	if len(s.endPrim) != ndev {
 		s.endPrim = make([]*gpusim.Event, ndev)
 		s.endSec = make([]*gpusim.Event, ndev)
 	}
 	endPrim, endSec := s.endPrim, s.endSec
-	for _, d := range s.alive {
+	for _, d := range devs {
+		copies := 1
+		if d == s.rep {
+			copies = s.repCopies
+			s.node.Device(d).ReserveBlock(len(sub0) + len(sub1))
+		}
 		ps := primStreams[d]
 		// Inter-stream half of the synchronization: this round must not
 		// start before the previous round's kernels on the other stream
@@ -458,7 +444,7 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 				// hiding the launch overhead (Fig. 8, bottom).
 				notify = ps.Record()
 			}
-			s.launchFunc(ps, f, colls0[i])
+			s.launchFunc(ps, f, colls0[i], copies)
 		}
 		endPrim[d] = ps.Record()
 
@@ -467,7 +453,7 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 			ss.Wait(ev)
 		}
 		for i, f := range sub1 {
-			s.launchFunc(ss, f, colls1[i])
+			s.launchFunc(ss, f, colls1[i], copies)
 		}
 		endSec[d] = ss.Record()
 	}
@@ -480,7 +466,7 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 	// Remember this round's end events for the next round's waits; the
 	// events they replace are no longer needed (the waits above hold
 	// them).
-	for _, d := range s.alive {
+	for _, d := range devs {
 		compEnd, commEnd := endPrim[d], endSec[d]
 		if typ != gpusim.Compute {
 			compEnd, commEnd = commEnd, compEnd
@@ -514,7 +500,7 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 		notify.Release()
 	case CPUGPU:
 		evs := s.barrier[:0]
-		for _, d := range s.alive {
+		for _, d := range devs {
 			evs = append(evs, endPrim[d], endSec[d])
 		}
 		s.barrier = evs
@@ -525,6 +511,29 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 		// launch connections flood and late arrivals miss the windows.
 		s.node.Engine().After(0, next)
 	}
+}
+
+// roundDevices returns the devices a round launches onto. On the first
+// round it asks the node to fold the SPMD group: every alive device but
+// the lead under Hybrid sync, where only the lead records the
+// pre-launch trigger, and every alive device otherwise. A folded round
+// launches onto the lead (Hybrid) and once onto the representative.
+func (s *Scheduler) roundDevices() []int {
+	if !s.foldAsked {
+		s.foldAsked = true
+		group := s.alive
+		if s.cfg.Sync == Hybrid {
+			group = s.alive[1:]
+		}
+		if rep := s.node.Fold(group); rep >= 0 {
+			s.rep, s.repCopies = rep, len(group)
+			s.folded = append(append([]int(nil), s.alive[:len(s.alive)-len(group)]...), rep)
+		}
+	}
+	if s.rep >= 0 {
+		return s.folded
+	}
+	return s.alive
 }
 
 // streamsFor maps a kernel class to its stream set and the previous
@@ -708,13 +717,14 @@ func (s *Scheduler) Resume(now simclock.Time) {
 }
 
 // launchFunc launches one func on one device's stream, wiring batch
-// completion accounting.
-func (s *Scheduler) launchFunc(st *gpusim.Stream, f Func, coll *gpusim.Collective) {
+// completion accounting; copies is how many devices the stream's device
+// stands for.
+func (s *Scheduler) launchFunc(st *gpusim.Stream, f Func, coll *gpusim.Collective, copies int) {
 	b := f.batch
 	if b.FirstLaunchAt == 0 {
 		b.FirstLaunchAt = s.node.Engine().Now()
 	}
-	b.kernelLaunched()
+	b.kernelLaunched(copies)
 	if b.kernelDoneFn == nil {
 		b.kernelDoneFn = func(now simclock.Time) { b.kernelDone(now) }
 	}

@@ -406,8 +406,8 @@ func TestBatchAccounting(t *testing.T) {
 	if !b.Exhausted() {
 		t.Fatal("batch not exhausted after popping all funcs")
 	}
-	b.kernelLaunched()
-	b.kernelLaunched()
+	b.kernelLaunched(1)
+	b.kernelLaunched(1)
 	b.kernelDone(10)
 	if b.Completed() {
 		t.Fatal("completed with a kernel in flight")

@@ -103,32 +103,25 @@ func (c *Compiler) gemmDesc(name string, m, n, k int) KernelDesc {
 		ComputeDemand: cs.GEMMCompute,
 		MemBWDemand:   cs.GEMMMemBW,
 	}
-	d.split = func(name string, parts int) []KernelDesc {
-		out := make([]KernelDesc, parts)
+	d.piece = func(i, parts int) KernelDesc {
 		splitDim := n
 		if strategy == SplitHorizontal {
 			splitDim = m
 		}
-		base := splitDim / parts
-		extra := splitDim % parts
-		for i := range out {
-			piece := base
-			if i < extra {
-				piece++
-			}
-			rows, cols := m, piece
-			if strategy == SplitHorizontal {
-				rows, cols = piece, n
-			}
-			out[i] = KernelDesc{
-				Name:          pieceName(name, i, parts),
-				Class:         gpusim.Compute,
-				Duration:      cm.GEMM(rows, cols, k),
-				ComputeDemand: cs.GEMMCompute,
-				MemBWDemand:   cs.GEMMMemBW,
-			}
+		size := splitDim / parts
+		if i < splitDim%parts {
+			size++
 		}
-		return out
+		rows, cols := m, size
+		if strategy == SplitHorizontal {
+			rows, cols = size, n
+		}
+		return KernelDesc{
+			Class:         gpusim.Compute,
+			Duration:      cm.GEMM(rows, cols, k),
+			ComputeDemand: cs.GEMMCompute,
+			MemBWDemand:   cs.GEMMMemBW,
+		}
 	}
 	return d
 }
@@ -160,26 +153,19 @@ func (c *Compiler) allReduceDesc(name string, bytes int64) KernelDesc {
 		Collective:    true,
 		Bytes:         bytes,
 	}
-	d.split = func(name string, parts int) []KernelDesc {
-		out := make([]KernelDesc, parts)
-		base := bytes / int64(parts)
-		extra := bytes % int64(parts)
-		for i := range out {
-			b := base
-			if int64(i) < extra {
-				b++
-			}
-			out[i] = KernelDesc{
-				Name:          pieceName(name, i, parts),
-				Class:         gpusim.Comm,
-				Duration:      comm.AllReduceChunk(bytes, b),
-				ComputeDemand: comm.ComputeDemand(),
-				MemBWDemand:   comm.MemBWDemand(),
-				Collective:    true,
-				Bytes:         b,
-			}
+	d.piece = func(i, parts int) KernelDesc {
+		b := bytes / int64(parts)
+		if int64(i) < bytes%int64(parts) {
+			b++
 		}
-		return out
+		return KernelDesc{
+			Class:         gpusim.Comm,
+			Duration:      comm.AllReduceChunk(bytes, b),
+			ComputeDemand: comm.ComputeDemand(),
+			MemBWDemand:   comm.MemBWDemand(),
+			Collective:    true,
+			Bytes:         b,
+		}
 	}
 	return d
 }

@@ -32,56 +32,84 @@ type KernelDesc struct {
 	// Bytes is the payload of communication kernels.
 	Bytes int64
 
-	// split produces parts equal-capability sub-kernels named after
-	// name, or nil if the kernel is not decomposable. It takes the name
-	// when called instead of capturing it, so one costed descriptor
-	// serves every layer of a Plan.
-	split func(name string, parts int) []KernelDesc
+	// piece costs piece i of a parts-way split into equal-capability
+	// sub-kernels, unnamed; nil if the kernel is not decomposable. The
+	// callers name the pieces they keep, so counting how many pieces fit
+	// builds no names, and one costed descriptor serves every layer of a
+	// Plan.
+	piece func(i, parts int) KernelDesc
 }
 
 // CanSplit reports whether runtime kernel decomposition applies.
-func (k KernelDesc) CanSplit() bool { return k.split != nil }
+func (k KernelDesc) CanSplit() bool { return k.piece != nil }
 
 // Split decomposes the kernel into parts equal pieces. It returns
 // ok=false when the kernel is indivisible or parts < 2.
 func (k KernelDesc) Split(parts int) ([]KernelDesc, bool) {
-	if k.split == nil || parts < 2 {
+	if k.piece == nil || parts < 2 {
 		return nil, false
 	}
-	return k.split(k.Name, parts), true
+	out := make([]KernelDesc, parts)
+	for i := range out {
+		out[i] = k.namedPiece(i, parts)
+	}
+	return out, true
+}
+
+// namedPiece returns piece i of a parts-way split, named after k.
+func (k KernelDesc) namedPiece(i, parts int) KernelDesc {
+	p := k.piece(i, parts)
+	p.Name = pieceName(k.Name, i, parts)
+	return p
+}
+
+// FittingPieces returns how many leading pieces of a parts-way split
+// fit within budget together, at most parts-1 (a kernel that fits whole
+// needs no split); 0 when the kernel is indivisible, parts < 2 or not
+// even the first piece fits. It costs the pieces without building them.
+func (k KernelDesc) FittingPieces(parts int, budget time.Duration) int {
+	if k.piece == nil || parts < 2 {
+		return 0
+	}
+	var acc time.Duration
+	for i := 0; i < parts-1; i++ {
+		if acc += k.piece(i, parts).Duration; acc > budget {
+			return i
+		}
+	}
+	return parts - 1
 }
 
 // SplitPrefix returns the first `take` of `parts` pieces and a
 // remainder kernel representing the rest, used when the scheduler only
-// needs a fraction of a lengthy kernel to fill an overlap window.
+// needs a fraction of a lengthy kernel to fill an overlap window. Only
+// the head pieces and the remainder are built.
 func (k KernelDesc) SplitPrefix(parts, take int) (head []KernelDesc, rest KernelDesc, ok bool) {
-	if k.split == nil || parts < 2 || take <= 0 || take >= parts {
+	if k.piece == nil || parts < 2 || take <= 0 || take >= parts {
 		return nil, KernelDesc{}, false
 	}
-	pieces := k.split(k.Name, parts)
-	if len(pieces) != parts {
-		return nil, KernelDesc{}, false
+	head = make([]KernelDesc, take)
+	for i := range head {
+		head[i] = k.namedPiece(i, parts)
 	}
-	head = pieces[:take]
 	// Merge the remaining pieces into one kernel to avoid needless
 	// launches; its duration is the sum of the tail pieces.
-	rest = pieces[take]
-	for _, p := range pieces[take+1:] {
+	rest = k.piece(take, parts)
+	for i := take + 1; i < parts; i++ {
+		p := k.piece(i, parts)
 		rest.Duration += p.Duration
 		rest.Bytes += p.Bytes
 	}
 	rest.Name = fmt.Sprintf("%s[rest%d/%d]", k.Name, parts-take, parts)
-	// The merged remainder keeps the original split granularity.
-	origSplit := k.split
+	// The merged remainder keeps the original split granularity: its
+	// pieces are the original's, scaled.
+	orig := k.piece
 	frac := float64(parts-take) / float64(parts)
-	rest.split = func(name string, p int) []KernelDesc {
-		// Re-split the remainder by splitting the original and scaling.
-		out := origSplit(name, p)
-		for i := range out {
-			out[i].Duration = time.Duration(float64(out[i].Duration) * frac)
-			out[i].Bytes = int64(float64(out[i].Bytes) * frac)
-		}
-		return out
+	rest.piece = func(i, p int) KernelDesc {
+		q := orig(i, p)
+		q.Duration = time.Duration(float64(q.Duration) * frac)
+		q.Bytes = int64(float64(q.Bytes) * frac)
+		return q
 	}
 	return head, rest, true
 }

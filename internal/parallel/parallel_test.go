@@ -332,6 +332,70 @@ func TestSplitPrefixRejectsBadArgs(t *testing.T) {
 	}
 }
 
+// buildAndCount is the reference count FittingPieces replaces: build
+// every piece and count the leading ones that fit, at most parts-1.
+func buildAndCount(k KernelDesc, parts int, budget time.Duration) int {
+	pieces, ok := k.Split(parts)
+	if !ok {
+		return 0
+	}
+	var acc time.Duration
+	take := 0
+	for _, p := range pieces {
+		if acc+p.Duration > budget {
+			break
+		}
+		acc += p.Duration
+		take++
+	}
+	return min(take, parts-1)
+}
+
+// FittingPieces counts without building what building every piece and
+// counting would: for every splittable OPT-30B kernel (context and
+// decode, the horizontal GEMM split too, and split remainders) over
+// budgets from nothing to past the whole kernel.
+func TestFittingPiecesMatchesBuildAndCount(t *testing.T) {
+	var kernels []KernelDesc
+	for _, c := range []*Compiler{compilerFor(hw.A100Node()), NewCompiler(hw.A100Node(), nccl.Config{}, WithGEMMSplit(SplitHorizontal))} {
+		for _, w := range []model.Workload{ctxWorkload(2, 64), ctxWorkload(8, 128), {Batch: 16, CtxLen: 512, Phase: model.Decode}} {
+			ks, err := c.IntraOp(model.OPT30B(), 4, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernels = append(kernels, ks...)
+		}
+	}
+	checked := 0
+	for _, k := range kernels {
+		if !k.CanSplit() {
+			if k.FittingPieces(8, k.Duration) != 0 {
+				t.Fatalf("%s: indivisible kernel counted pieces", k.Name)
+			}
+			continue
+		}
+		descs := []KernelDesc{k}
+		if _, rest, ok := k.SplitPrefix(8, 3); ok {
+			descs = append(descs, rest)
+		}
+		for _, d := range descs {
+			for _, parts := range []int{1, 2, 3, 4, 8, 16} {
+				for step := 0; step <= 24; step++ {
+					budget := d.Duration * time.Duration(step) / 20
+					if got, want := d.FittingPieces(parts, budget), buildAndCount(d, parts, budget); got != want {
+						t.Fatalf("%s: %d-way split within %v: %d pieces fit, building and counting says %d",
+							d.Name, parts, budget, got, want)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no splittable kernel checked")
+	}
+}
+
 func TestNonDecomposableKernels(t *testing.T) {
 	c := compilerFor(hw.V100Node())
 	k, _ := c.IntraOp(model.Tiny(), 4, ctxWorkload(2, 16))

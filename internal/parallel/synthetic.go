@@ -25,17 +25,13 @@ func SyntheticKernel(name string, class gpusim.KernelClass, dur time.Duration, c
 // isolates scheduler behaviour from decomposition overhead in tests.
 func (k KernelDesc) WithEqualSplit() KernelDesc {
 	base := k
-	base.split = nil
+	base.piece = nil
 	out := k
-	out.split = func(name string, parts int) []KernelDesc {
-		pieces := make([]KernelDesc, parts)
-		for i := range pieces {
-			pieces[i] = base
-			pieces[i].Name = pieceName(name, i, parts)
-			pieces[i].Duration = base.Duration / time.Duration(parts)
-			pieces[i].Bytes = base.Bytes / int64(parts)
-		}
-		return pieces
+	out.piece = func(_, parts int) KernelDesc {
+		p := base
+		p.Duration = base.Duration / time.Duration(parts)
+		p.Bytes = base.Bytes / int64(parts)
+		return p
 	}
 	return out
 }

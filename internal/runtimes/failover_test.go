@@ -46,6 +46,10 @@ func TestRuntimesSurvivePermanentDeviceFailure(t *testing.T) {
 					}
 				})
 			}
+			// The failure is armed by hand rather than through
+			// faults.Inject, so keep the node unfolded as Inject does: a
+			// folded node cannot lose a device mid-run.
+			node.KeepUnfolded()
 			eng.At(simclock.Time(400*time.Microsecond), func(simclock.Time) { node.FailDevice(1) })
 			eng.Run()
 			if len(byID) != batches {
@@ -102,6 +106,7 @@ func TestFailoverReconfiguredCallbackFires(t *testing.T) {
 					t.Error(err)
 				}
 			})
+			node.KeepUnfolded() // the failure is armed by hand, not by faults.Inject
 			eng.At(failAt, func(simclock.Time) {
 				node.FailDevice(2)
 				if !el.Reconfiguring() {
@@ -145,6 +150,7 @@ func TestFailoverImpossibleWhenSurvivorsCannotHostModel(t *testing.T) {
 					t.Error(err)
 				}
 			})
+			node.KeepUnfolded() // the failure is armed by hand, not by faults.Inject
 			eng.At(simclock.Time(time.Millisecond), func(simclock.Time) { node.FailDevice(0) })
 			// Submitted long after the failed re-shard: must fail fast.
 			eng.At(simclock.Time(10*time.Second), func(simclock.Time) {

@@ -4,8 +4,8 @@
 //
 // It exists for the differential property test in internal/simclock,
 // which drives this engine and the calendar-queue engine side by side
-// through randomized schedule/cancel/re-arm/RunUntil workloads and
-// asserts identical fire order and clock values — the strongest form of
+// through randomized schedule/cancel/re-arm/Reserve+AtSeq/RunUntil
+// workloads and asserts identical fire order and clock values — the strongest form of
 // the "byte-identical semantics" guarantee.
 //
 // Do not optimize this package: its value is that it stays the simple,
@@ -79,8 +79,11 @@ const compactMinLen = 64
 
 // Engine is the reference discrete-event engine. Use New.
 type Engine struct {
-	now       Time
-	seq       uint64
+	now Time
+	seq uint64
+	// curSeq is one past the seq of the last fired event: with now, the
+	// clock's position in the (time, seq) order.
+	curSeq    uint64
 	events    eventHeap
 	fired     uint64
 	cancelled int
@@ -106,7 +109,7 @@ func (e *Engine) Pending() int { return e.events.Len() - e.cancelled }
 // PendingRaw returns queued entries including cancelled placeholders.
 func (e *Engine) PendingRaw() int { return e.events.Len() }
 
-func (e *Engine) newItem(at Time, fn Event) *item {
+func (e *Engine) newItem(at Time, seq uint64, fn Event) *item {
 	var it *item
 	if n := len(e.free); n > 0 {
 		it = e.free[n-1]
@@ -116,10 +119,9 @@ func (e *Engine) newItem(at Time, fn Event) *item {
 		it = &item{}
 	}
 	it.at = at
-	it.seq = e.seq
+	it.seq = seq
 	it.fn = fn
 	it.cancelled = false
-	e.seq++
 	return it
 }
 
@@ -154,7 +156,33 @@ func (e *Engine) At(at Time, fn Event) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("refheap: schedule at %v before now %v", at, e.now))
 	}
-	it := e.newItem(at, fn)
+	it := e.newItem(at, e.Reserve(), fn)
+	heap.Push(&e.events, it)
+	return Handle{eng: e, it: it, gen: it.gen}
+}
+
+// Reserve takes the next sequence number without scheduling anything.
+func (e *Engine) Reserve() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// Passed reports whether the clock has moved beyond position (at, seq).
+func (e *Engine) Passed(at Time, seq uint64) bool {
+	if at != e.now {
+		return at < e.now
+	}
+	return seq < e.curSeq
+}
+
+// AtSeq schedules fn at position (at, seq), where seq came from
+// Reserve; an unreserved or passed position panics.
+func (e *Engine) AtSeq(at Time, seq uint64, fn Event) Handle {
+	if seq >= e.seq || e.Passed(at, seq) {
+		panic(fmt.Sprintf("refheap: schedule at (%v, seq %d), unreserved or passed (now %v)", at, seq, e.now))
+	}
+	it := e.newItem(at, seq, fn)
 	heap.Push(&e.events, it)
 	return Handle{eng: e, it: it, gen: it.gen}
 }
@@ -173,7 +201,7 @@ func (e *Engine) Step() bool {
 			e.recycle(it)
 			continue
 		}
-		e.now = it.at
+		e.now, e.curSeq = it.at, it.seq+1
 		e.fired++
 		fn := it.fn
 		e.recycle(it)
@@ -199,8 +227,8 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.Step()
 	}
-	if e.now < deadline {
-		e.now = deadline
+	if e.now <= deadline {
+		e.now, e.curSeq = deadline, e.seq
 	}
 }
 

@@ -277,6 +277,9 @@ func (r *Recorder) Deps() []Dep { return r.deps }
 // Waits returns the closed rendezvous-wait spans in close order.
 func (r *Recorder) Waits() []WaitSpan { return r.waits }
 
+// Enqueues returns the collective member launches in launch order.
+func (r *Recorder) Enqueues() []EnqueueEvent { return r.enqueues }
+
 // RateSamples returns the fault-model rate changes in event order.
 func (r *Recorder) RateSamples() []RateSample { return r.rates }
 

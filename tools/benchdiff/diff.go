@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path"
 	"sort"
 )
 
@@ -65,16 +66,33 @@ type delta struct {
 type report struct {
 	deltas      []delta
 	regressions []delta
-	onlyOld     []string
-	onlyNew     []string
-	compared    int
-	structural  int
+	// mismatches are the exact metrics that changed at all, and
+	// exactMissing the exact metrics present on one side only.
+	mismatches   []delta
+	exactMissing []string
+	onlyOld      []string
+	onlyNew      []string
+	compared     int
+	structural   int
+}
+
+// isExact reports whether key matches one of the exact-path patterns
+// (path.Match syntax: "workloads.*.gpusim.kernels").
+func isExact(key string, exact []string) bool {
+	for _, p := range exact {
+		if ok, _ := path.Match(p, key); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // diffMetrics compares the documents' shared numeric metrics. A metric
-// whose relative change exceeds threshold is a regression; keys that
-// exist on only one side are structural drift.
-func diffMetrics(old, cur map[string]float64, threshold float64) report {
+// whose path matches an exact pattern must not change at all, and must
+// be on both sides; any other metric whose relative change exceeds
+// threshold is a regression. Keys that exist on only one side are
+// structural drift.
+func diffMetrics(old, cur map[string]float64, threshold float64, exact ...string) report {
 	var rep report
 	for k, ov := range old {
 		cv, ok := cur[k]
@@ -86,7 +104,12 @@ func diffMetrics(old, cur map[string]float64, threshold float64) report {
 		rel := relChange(ov, cv)
 		d := delta{key: k, old: ov, cur: cv, rel: rel}
 		rep.deltas = append(rep.deltas, d)
-		if rel > threshold {
+		switch {
+		case isExact(k, exact):
+			if ov != cv {
+				rep.mismatches = append(rep.mismatches, d)
+			}
+		case rel > threshold:
 			rep.regressions = append(rep.regressions, d)
 		}
 	}
@@ -95,10 +118,22 @@ func diffMetrics(old, cur map[string]float64, threshold float64) report {
 			rep.onlyNew = append(rep.onlyNew, k)
 		}
 	}
-	sort.Slice(rep.deltas, func(i, j int) bool { return rep.deltas[i].key < rep.deltas[j].key })
-	sort.Slice(rep.regressions, func(i, j int) bool { return rep.regressions[i].key < rep.regressions[j].key })
+	for _, keys := range [][]string{rep.onlyOld, rep.onlyNew} {
+		for _, k := range keys {
+			if isExact(k, exact) {
+				rep.exactMissing = append(rep.exactMissing, k)
+			}
+		}
+	}
+	byKey := func(ds []delta) {
+		sort.Slice(ds, func(i, j int) bool { return ds[i].key < ds[j].key })
+	}
+	byKey(rep.deltas)
+	byKey(rep.regressions)
+	byKey(rep.mismatches)
 	sort.Strings(rep.onlyOld)
 	sort.Strings(rep.onlyNew)
+	sort.Strings(rep.exactMissing)
 	rep.structural = len(rep.onlyOld) + len(rep.onlyNew)
 	return rep
 }
@@ -120,11 +155,16 @@ func relChange(old, cur float64) float64 {
 // changes, then (with all) unchanged metrics, then structural drift.
 func (r report) format(all bool) []string {
 	over := map[string]bool{}
+	var lines []string
+	for _, d := range r.mismatches {
+		over[d.key] = true
+		lines = append(lines, fmt.Sprintf("MISMATCH %s: %g -> %g (exact)", d.key, d.old, d.cur))
+	}
+	for _, k := range r.exactMissing {
+		lines = append(lines, "MISSING  "+k+" (exact)")
+	}
 	for _, d := range r.regressions {
 		over[d.key] = true
-	}
-	var lines []string
-	for _, d := range r.regressions {
 		lines = append(lines, fmt.Sprintf("REGRESSION %s: %g -> %g (%+.1f%%)", d.key, d.old, d.cur, signedPct(d)))
 	}
 	for _, d := range r.deltas {

@@ -88,3 +88,48 @@ func TestLoadMetricsAndFormat(t *testing.T) {
 		t.Fatalf("regression line = %q", lines[0])
 	}
 }
+
+// Exact paths must keep their value to the last bit and be on both
+// sides; the threshold does not apply to them, and the other metrics
+// keep their threshold judgement.
+func TestDiffExactPaths(t *testing.T) {
+	exact := []string{"workloads.*.gpusim.kernels", "workloads.*.latency_*"}
+	old := map[string]float64{
+		"workloads.a.gpusim.kernels":  100,
+		"workloads.b.gpusim.kernels":  200,
+		"workloads.a.latency_p50_ms":  1.5,
+		"workloads.a.cpu_s":           2,
+		"workloads.a.latency_p99_ms":  3,
+		"workloads.a.gpusim.kernels2": 5,
+	}
+	cur := map[string]float64{
+		"workloads.a.gpusim.kernels":  100,
+		"workloads.b.gpusim.kernels":  200.0001, // far below any threshold
+		"workloads.a.latency_p50_ms":  1.5,
+		"workloads.a.cpu_s":           4, // a threshold regression, not an exact one
+		"workloads.a.gpusim.kernels2": 50,
+	}
+	rep := diffMetrics(old, cur, 0.05, exact...)
+	if len(rep.mismatches) != 1 || rep.mismatches[0].key != "workloads.b.gpusim.kernels" {
+		t.Fatalf("mismatches = %+v, want workloads.b.gpusim.kernels", rep.mismatches)
+	}
+	if !reflect.DeepEqual(rep.exactMissing, []string{"workloads.a.latency_p99_ms"}) {
+		t.Fatalf("exact metrics on one side = %v, want workloads.a.latency_p99_ms", rep.exactMissing)
+	}
+	var regressed []string
+	for _, d := range rep.regressions {
+		regressed = append(regressed, d.key)
+	}
+	if !reflect.DeepEqual(regressed, []string{"workloads.a.cpu_s", "workloads.a.gpusim.kernels2"}) {
+		t.Fatalf("regressions = %v, want cpu_s and kernels2 (no pattern matches it)", regressed)
+	}
+	lines := rep.format(false)
+	if lines[0] != "MISMATCH workloads.b.gpusim.kernels: 200 -> 200.0001 (exact)" ||
+		lines[1] != "MISSING  workloads.a.latency_p99_ms (exact)" {
+		t.Fatalf("format lines = %q", lines)
+	}
+	// Without patterns the same documents have no exact findings.
+	if rep := diffMetrics(old, cur, 0.05); len(rep.mismatches)+len(rep.exactMissing) != 0 {
+		t.Fatalf("exact findings without patterns: %+v", rep)
+	}
+}

@@ -17,12 +17,16 @@
 //     dedicated race pass)
 //  5. go test ./... (full suite), then `go test ./...` inside
 //     tools/perf, the benchmark harness's own module
-//  6. the benchmark's correctness gate: `bash tools/perf/run.sh
-//     -workload all -seconds 1 -trace 0` must end every BENCHMARK.json
+//  6. the benchmark's readings gate: `bash tools/perf/run.sh
+//     -workload all -seconds 1 -trace 1` must end every BENCHMARK.json
 //     workload with a result line reading correct, with no failed
 //     request (the harness checks request conservation, KV block
-//     balance, a drained engine and identical reps; timings are not
-//     judged)
+//     balance, a drained engine and identical reps), and a benchdiff
+//     against the committed BENCH_perf.json must find the same metrics,
+//     with simclock.events, gpusim.kernels, runtimes.submits and the
+//     modeled latency, TTFT and throughput unchanged to the printed
+//     digit; host timings and CPU shares only warn. `go run ./tools/ci
+//     -perf-baseline` re-records BENCH_perf.json
 //  7. a chaos smoke run: `ligerbench -exp chaos -quick` at a small
 //     batch count, proving the fault scenarios execute end to end
 //  8. a failover race pass: the permanent-device-failure paths across
@@ -72,6 +76,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -110,6 +115,19 @@ func ligersim(args ...string) []string {
 var parallelShards = [2][]string{{"-parallel", "1", "-shards", "1"}, {"-parallel", "4", "-shards", "4"}}
 
 func main() {
+	baseline := flag.Bool("perf-baseline", false, "run the perf harness once, write its readings to BENCH_perf.json and exit")
+	flag.Parse()
+	if *baseline {
+		doc, err := perfReadings()
+		if err == nil {
+			err = writePerf("BENCH_perf.json", doc)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "FAIL perf baseline:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	gates := []gate{
 		{"gofmt", gofmtCheck},
 		{"go vet", command("go", "vet", "./...")},
@@ -121,7 +139,7 @@ func main() {
 		// tools/perf is a module of its own, so the root test run above
 		// does not reach its tests.
 		{"perf harness tests", command("go", "-C", "tools/perf", "test", "./...")},
-		{"benchmark correctness", benchmarkCorrectness},
+		{"benchmark readings", benchmarkReadings},
 		{"chaos smoke", command(ligerbench(
 			"-exp", "chaos", "-quick", "-batches", "25", "-seed", "5")...)},
 		{"failover race", command("go", "test", "-race",
@@ -351,12 +369,33 @@ func checkServingSchema(name string, doc any) error {
 	return nil
 }
 
-// benchmarkCorrectness runs every BENCHMARK.json workload through the
-// benchmark harness for a second of timed reps and fails unless each
-// ends in a result line reading correct, with no failed request. The
-// harness itself checks conservation, KV balance, a drained engine and
-// identical reps; the timings it prints are not judged here.
-func benchmarkCorrectness() error {
+// perfCommand is the harness run the benchmark gate reads, and the one
+// BENCH_perf.json was recorded from.
+var perfCommand = []string{"bash", "tools/perf/run.sh", "-workload", "all", "-seconds", "1", "-trace", "1"}
+
+// perfExact are the readings of a perf run that must match BENCH_perf.json
+// exactly: the deterministic counts and the modeled latency, TTFT and
+// throughput. Host timings and CPU shares may only warn.
+var perfExact = []string{
+	"workloads.*.simclock.events", "workloads.*.gpusim.kernels", "workloads.*.runtimes.submits",
+	"workloads.*.latency_*", "workloads.*.ttft_*", "workloads.*.throughput_rps",
+}
+
+// perfBaseline is the document BENCH_perf.json holds: every metric the
+// harness printed, per workload.
+type perfBaseline struct {
+	Command   string                        `json:"command"`
+	Workloads map[string]map[string]float64 `json:"workloads"`
+}
+
+// perfReadings runs the harness and reads its output. Every
+// BENCHMARK.json workload must end with a result line reading correct,
+// with no failed request (the harness checks request conservation, KV
+// block balance, a drained engine and identical reps). The readings are
+// the metric table of each workload, overlaid with its result line,
+// whose values carry full precision.
+func perfReadings() (perfBaseline, error) {
+	doc := perfBaseline{Command: strings.Join(perfCommand, " "), Workloads: map[string]map[string]float64{}}
 	var bench struct {
 		Workloads []struct {
 			Name string `json:"name"`
@@ -364,25 +403,35 @@ func benchmarkCorrectness() error {
 	}
 	buf, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
-		return err
+		return doc, err
 	}
 	if err := json.Unmarshal(buf, &bench); err != nil {
-		return fmt.Errorf("BENCHMARK.json: %v", err)
+		return doc, fmt.Errorf("BENCHMARK.json: %v", err)
 	}
-	cmd := exec.Command("bash", "tools/perf/run.sh", "-workload", "all", "-seconds", "1", "-trace", "0")
+	cmd := exec.Command(perfCommand[0], perfCommand[1:]...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return fmt.Errorf("tools/perf: %v\n%s%s", err, out, stderr.Bytes())
+		return doc, fmt.Errorf("tools/perf: %v\n%s%s", err, out, stderr.Bytes())
 	}
 	// Each workload prints an "== <name> (seed N): ..." header, its
-	// metric table, and then its result line.
+	// metric table ("  <metric> <value> <unit>"), and then its result
+	// line.
 	results := map[string]bool{}
 	var current string
 	for _, line := range bytes.Split(out, []byte("\n")) {
 		if name, ok := bytes.CutPrefix(line, []byte("== ")); ok {
 			current = string(bytes.Fields(name)[0])
+			doc.Workloads[current] = map[string]float64{}
+			continue
+		}
+		if f := strings.Fields(string(line)); len(f) == 3 && current != "" && bytes.HasPrefix(line, []byte("  ")) {
+			var v float64
+			if _, err := fmt.Sscan(f[1], &v); err != nil {
+				return doc, fmt.Errorf("%s: metric line %q: %v", current, line, err)
+			}
+			doc.Workloads[current][f[0]] = v
 			continue
 		}
 		if !bytes.HasPrefix(line, []byte("{")) {
@@ -391,19 +440,61 @@ func benchmarkCorrectness() error {
 		var r struct {
 			Correct bool `json:"correct"`
 			Failed  int  `json:"failed"`
+			Metrics map[string]struct {
+				Value float64 `json:"value"`
+			} `json:"metrics"`
 		}
 		if err := json.Unmarshal(line, &r); err != nil {
-			return fmt.Errorf("%s: result line: %v", current, err)
+			return doc, fmt.Errorf("%s: result line: %v", current, err)
 		}
 		if !r.Correct || r.Failed != 0 {
-			return fmt.Errorf("%s: result line %s", current, line)
+			return doc, fmt.Errorf("%s: result line %s", current, line)
+		}
+		for name, m := range r.Metrics {
+			doc.Workloads[current][name] = m.Value
 		}
 		results[current] = true
 	}
 	for _, w := range bench.Workloads {
 		if !results[w.Name] {
-			return fmt.Errorf("%s: no result line", w.Name)
+			return doc, fmt.Errorf("%s: no result line", w.Name)
 		}
+	}
+	return doc, nil
+}
+
+// writePerf writes a readings document as indented JSON.
+func writePerf(path string, doc perfBaseline) error {
+	buf, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
+// benchmarkReadings is the benchmark gate: the harness must read
+// correct on every workload, and a benchdiff against BENCH_perf.json
+// must find the same metrics with the same deterministic readings.
+func benchmarkReadings() error {
+	doc, err := perfReadings()
+	if err != nil {
+		return err
+	}
+	tmp, err := os.MkdirTemp("", "ci-perf-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	cur := filepath.Join(tmp, "perf.json")
+	if err := writePerf(cur, doc); err != nil {
+		return err
+	}
+	cmd := exec.Command("go", "run", "./tools/benchdiff", "-warn", "-structure",
+		"-exact", strings.Join(perfExact, ","), "BENCH_perf.json", cur)
+	cmd.Stdout = os.Stdout
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("benchdiff BENCH_perf.json (re-record it with `go run ./tools/ci -perf-baseline` only when a change is meant to move a reading): %v", err)
 	}
 	return nil
 }
