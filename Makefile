@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt bench chaos failover fleet serving serving-trace trace analyze scenarios stress perf
+.PHONY: check build test race vet fmt bench fuzz chaos failover fleet serving serving-trace trace analyze scenarios stress perf
 
 check: ## full gate: gofmt + vet + build + race pass + full tests
 	$(GO) run ./tools/ci
@@ -30,6 +30,14 @@ fmt:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/simclock ./internal/gpusim ./internal/bench
+
+# The stdlib fuzz targets, 15 s each (plain `go test` runs only their
+# seeds): the scenario loader, the paged KV allocator against a naive
+# model, and the calendar queue against the reference heap.
+fuzz:
+	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 15s -parallel 1 ./internal/scenario
+	$(GO) test -run XXX -fuzz FuzzPagedOps -fuzztime 15s -parallel 1 ./internal/kvcache
+	$(GO) test -run XXX -fuzz FuzzEngineVsRefheap -fuzztime 15s -parallel 1 ./internal/simclock
 
 # Full-fidelity chaos sweep: every fault scenario x runtime under the
 # deadline/retry policy (seeded, byte-reproducible).

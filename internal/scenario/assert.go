@@ -170,7 +170,7 @@ func parseRef(s string) (*metricRef, error) {
 		return nil, fmt.Errorf("bad operand %q (want runtime.metric, e.g. liger.goodput)", s)
 	}
 	alias := strings.ToLower(strings.TrimSpace(parts[0]))
-	runtime, ok := runtimeAliases[alias]
+	kind, ok := runtimeAliases[alias]
 	if !ok {
 		return nil, fmt.Errorf("unknown runtime %q in %q (want liger, intra, inter, or interth)", parts[0], s)
 	}
@@ -178,7 +178,7 @@ func parseRef(s string) (*metricRef, error) {
 	if _, ok := metricDefs[metric]; !ok {
 		return nil, fmt.Errorf("unknown metric %q in %q (want one of: %s)", metric, s, metricNames())
 	}
-	return &metricRef{runtime: runtime, alias: alias, metric: metric}, nil
+	return &metricRef{runtime: kind.String(), alias: alias, metric: metric}, nil
 }
 
 func parseLiteral(s string) (literal, error) {

@@ -66,24 +66,6 @@ type ContinuousPlan struct {
 	Watermark float64
 }
 
-// kindByAlias maps scenario runtime aliases to engine kinds.
-var kindByAlias = map[string]core.RuntimeKind{
-	"Liger":    core.KindLiger,
-	"Intra-Op": core.KindIntraOp,
-	"Inter-Op": core.KindInterOp,
-	"Inter-Th": core.KindInterTh,
-}
-
-// faultKindByName maps scenario kind names to faults kinds.
-var faultKindByName = map[string]faults.Kind{
-	"slowdown":     faults.Slowdown,
-	"link-degrade": faults.LinkDegrade,
-	"device-drop":  faults.DeviceDrop,
-	"coll-stall":   faults.CollStall,
-	"device-fail":  faults.DeviceFail,
-	"node-fail":    faults.NodeFail,
-}
-
 // Compile lowers a validated scenario. It performs the checks that
 // need resolved absolute times — zero-length windows, overlapping
 // same-channel windows, device bounds — and reports each with the
@@ -114,9 +96,7 @@ func Compile(sc *Scenario) (*Compiled, error) {
 	}
 	c.Model = spec
 
-	for _, name := range sc.ResultRuntimes() {
-		c.Kinds = append(c.Kinds, kindByAlias[name])
-	}
+	c.Kinds = sc.runtimeKinds()
 
 	if sc.Workload.Continuous() {
 		if err := c.compileContinuous(sc); err != nil {
@@ -130,8 +110,8 @@ func Compile(sc *Scenario) (*Compiled, error) {
 	if w.Batch == 0 {
 		w.Batch = 2
 	}
-	if w.MinSeq == 0 && w.MaxSeq == 0 {
-		w.MinSeq, w.MaxSeq = 16, 128
+	if w.Seq == (SeqRange{}) {
+		w.Seq = SeqRange{Min: 16, Max: 128}
 	}
 	phase := model.Context
 	if w.Phase == "decode" {
@@ -141,7 +121,7 @@ func Compile(sc *Scenario) (*Compiled, error) {
 		}
 	}
 
-	capacity := intraCapacity(node, spec, w.Batch, phase, w.CtxLen, (w.MinSeq+w.MaxSeq)/2)
+	capacity := intraCapacity(node, spec, w.Batch, phase, w.CtxLen, (w.Seq.Min+w.Seq.Max)/2)
 	c.Solo = time.Duration(float64(time.Second) / capacity)
 	// A fleet's capacity-relative rate scales with the replica count:
 	// "80%" means 80% of what the whole serving pool can absorb.
@@ -150,7 +130,7 @@ func Compile(sc *Scenario) (*Compiled, error) {
 		effCapacity = capacity * float64(sc.Cluster.Nodes)
 	}
 	c.Rate = w.Rate.Resolve(effCapacity)
-	if c.Rate <= 0 {
+	if c.Rate <= 0 || !finite(c.Rate) {
 		return nil, fmt.Errorf("workload.rate: resolves to %v batches/s", c.Rate)
 	}
 	batches := w.Batches
@@ -166,8 +146,8 @@ func Compile(sc *Scenario) (*Compiled, error) {
 		Batches:    batches,
 		BatchSize:  w.Batch,
 		RatePerSec: c.Rate,
-		MinSeq:     w.MinSeq,
-		MaxSeq:     w.MaxSeq,
+		MinSeq:     w.Seq.Min,
+		MaxSeq:     w.Seq.Max,
 		Phase:      phase,
 		CtxLen:     w.CtxLen,
 		Seed:       w.Seed,
@@ -207,7 +187,7 @@ func (c *Compiled) compileContinuous(sc *Scenario) error {
 	capacity := intraCapacity(c.Node, c.Model, 1, model.Context, 0, w.Prompt)
 	c.Solo = time.Duration(float64(time.Second) / capacity)
 	c.Rate = w.Rate.Resolve(capacity)
-	if c.Rate <= 0 {
+	if c.Rate <= 0 || !finite(c.Rate) {
 		return fmt.Errorf("workload.rate: resolves to %v sequences/s", c.Rate)
 	}
 	seqs := w.Batches
@@ -363,7 +343,7 @@ func (c *Compiled) compileChaos(sc *Scenario) error {
 	failedBy := make(map[[2]int]int)  // (node, device) -> event index
 	failedNode := make(map[int]int)   // node -> event index
 	for i, e := range sc.Chaos.Events {
-		kind := faultKindByName[e.Kind]
+		kind, _ := faultKindByName(e.Kind)
 		if e.Node >= totalNodes {
 			return fmt.Errorf("chaos.events[%d] (%s): node %d of a %d-node cluster", i, e.Kind, e.Node, totalNodes)
 		}
@@ -415,7 +395,7 @@ func (c *Compiled) compileChaos(sc *Scenario) error {
 	// stream (workload seed mixed with the generator's seed and index),
 	// so inserting a generator never perturbs its neighbours.
 	for i, g := range sc.Chaos.Random {
-		kind := faultKindByName[g.Kind]
+		kind, _ := faultKindByName(g.Kind)
 		rng := rand.New(rand.NewSource(mixSeed(sc.Workload.Seed, g.Seed, i)))
 		pool := g.Devices
 		if len(pool) == 0 {

@@ -3,28 +3,210 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
+	"strings"
+	"time"
 )
 
-// Strict decoding of the generic parse tree into Scenario. Every
-// mapping checks its key set: an unknown key is an error that names
-// the full dotted path and suggests the nearest valid key, so a typo'd
-// scenario fails loudly at load instead of silently dropping a fault.
+// Strict decoding of the generic parse tree into Scenario, driven by
+// the `yaml:"key"` tags on the scenario types. Fields decode in
+// declaration order and every mapping checks its key set: an unknown
+// key is an error that names the full dotted path and suggests the
+// nearest tagged key, so a typo'd scenario fails loudly at load instead
+// of silently dropping a fault.
+//
+// A null or omitted value leaves the field's zero value (a nil pointer
+// for an optional section); `,required` makes omission an error. A
+// `want:"..."` tag on a string sequence names what its elements must
+// be. Types with a spelling of their own implement valueDecoder.
 
-// section wraps one mapping with its dotted path for error reporting.
-type section struct {
-	path  string
-	m     map[string]any
-	used  map[string]bool
-	valid []string
+// valueDecoder is implemented by the types that parse their own
+// spelling (times, rates, sequence ranges, windows).
+type valueDecoder interface {
+	decodeValue(v any, path string) error
 }
 
-func asSection(v any, path string) (*section, error) {
+var durationType = reflect.TypeOf(time.Duration(0))
+
+func decodeScenario(doc any) (*Scenario, error) {
+	sc := &Scenario{}
+	if err := decodeStruct(reflect.ValueOf(sc).Elem(), doc, ""); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// decodeStruct fills the tagged fields of rv from a mapping, then
+// rejects the keys no field consumed.
+func decodeStruct(rv reflect.Value, v any, path string) error {
 	m, ok := v.(map[string]any)
 	if !ok {
-		return nil, fmt.Errorf("%s: want a mapping, got %s", path, typeName(v))
+		return fmt.Errorf("%s: want a mapping, got %s", path, typeName(v))
 	}
-	return &section{path: path, m: m, used: make(map[string]bool)}, nil
+	t := rv.Type()
+	keys := make([]string, 0, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		key, opt, _ := strings.Cut(f.Tag.Get("yaml"), ",")
+		keys = append(keys, key)
+		fv := m[key]
+		if fv == nil {
+			if opt == "required" {
+				return fmt.Errorf("missing required section %q", key)
+			}
+			continue
+		}
+		if err := decodeValue(rv.Field(i), fv, childPath(path, key), f.Tag.Get("want")); err != nil {
+			return err
+		}
+	}
+	var unknown []string
+	for k := range m {
+		if !slices.Contains(keys, k) {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	sort.Strings(unknown)
+	msg := fmt.Sprintf("unknown key %q", childPath(path, unknown[0]))
+	if hint := nearest(unknown[0], keys); hint != "" {
+		msg += fmt.Sprintf(" (did you mean %q?)", hint)
+	}
+	return fmt.Errorf("%s", msg)
+}
+
+// decodeValue decodes one value (never skipped as null: sequence
+// elements must all be present) into rv. want names a string's kind
+// in errors ("a runtime name"); empty means "a string".
+func decodeValue(rv reflect.Value, v any, path, want string) error {
+	if d, ok := rv.Addr().Interface().(valueDecoder); ok {
+		return d.decodeValue(v, path)
+	}
+	switch {
+	case rv.Type() == durationType:
+		ts, err := parseTimeSpec(v, path)
+		if err != nil || ts.IsZero() {
+			return err
+		}
+		if ts.kind != timeAbs {
+			return fmt.Errorf("%s: want an absolute duration, got %q", path, ts)
+		}
+		rv.SetInt(int64(ts.abs))
+	case rv.Kind() == reflect.Pointer:
+		rv.Set(reflect.New(rv.Type().Elem()))
+		return decodeValue(rv.Elem(), v, path, want)
+	case rv.Kind() == reflect.Struct:
+		return decodeStruct(rv, v, path)
+	case rv.Kind() == reflect.Slice:
+		seq, ok := v.([]any)
+		if !ok {
+			return fmt.Errorf("%s: want a sequence, got %s", path, typeName(v))
+		}
+		if len(seq) == 0 { // an empty sequence stays nil, like an omitted one
+			return nil
+		}
+		rv.Set(reflect.MakeSlice(rv.Type(), len(seq), len(seq)))
+		for i, ev := range seq {
+			if err := decodeValue(rv.Index(i), ev, fmt.Sprintf("%s[%d]", path, i), want); err != nil {
+				return err
+			}
+		}
+	case rv.Kind() == reflect.String:
+		s, ok := v.(string)
+		if !ok {
+			if want == "" {
+				want = "a string"
+			}
+			return fmt.Errorf("%s: want %s, got %s", path, want, typeName(v))
+		}
+		rv.SetString(s)
+	case rv.Kind() == reflect.Int || rv.Kind() == reflect.Int64:
+		n, ok := asInt(v)
+		if !ok {
+			return fmt.Errorf("%s: want an integer, got %s", path, renderScalar(v))
+		}
+		rv.SetInt(n)
+	case rv.Kind() == reflect.Float64:
+		f, ok := v.(float64)
+		if !ok {
+			return fmt.Errorf("%s: want a number, got %s", path, renderScalar(v))
+		}
+		if !finite(f) {
+			return fmt.Errorf("%s: want a finite number, got %s", path, renderScalar(v))
+		}
+		rv.SetFloat(f)
+	default:
+		panic(fmt.Sprintf("scenario: no decoder for %s (%s)", rv.Type(), path))
+	}
+	return nil
+}
+
+// asInt accepts a whole number that fits in 64 bits.
+func asInt(v any) (int64, bool) {
+	f, ok := v.(float64)
+	if !ok || f != math.Trunc(f) || f < -(1<<63) || f >= 1<<63 {
+		return 0, false
+	}
+	return int64(f), true
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+func childPath(path, key string) string {
+	if path == "" {
+		return key
+	}
+	return path + "." + key
+}
+
+// SeqRange bounds the uniform per-batch sequence length. Scenarios
+// spell it `seq: [16, 128]` or as a {min, max} mapping.
+type SeqRange struct {
+	Min int `yaml:"min"`
+	Max int `yaml:"max"`
+}
+
+func (r *SeqRange) decodeValue(v any, path string) error {
+	switch sv := v.(type) {
+	case []any:
+		if len(sv) != 2 {
+			return fmt.Errorf("%s: want [min, max], got %d elements", path, len(sv))
+		}
+		lo, ok1 := asInt(sv[0])
+		hi, ok2 := asInt(sv[1])
+		if !ok1 || !ok2 {
+			return fmt.Errorf("%s: want two integers, got %v", path, sv)
+		}
+		*r = SeqRange{Min: int(lo), Max: int(hi)}
+		return nil
+	case map[string]any:
+		return decodeStruct(reflect.ValueOf(r).Elem(), v, path)
+	default:
+		return fmt.Errorf("%s: want [min, max], got %s", path, typeName(v))
+	}
+}
+
+// Window bounds generated start instants [lo, hi), spelled as a
+// two-element sequence of times.
+type Window [2]TimeSpec
+
+func (w *Window) decodeValue(v any, path string) error {
+	seq, ok := v.([]any)
+	if !ok || len(seq) != 2 {
+		return fmt.Errorf("%s: want [lo, hi]", path)
+	}
+	for i, tv := range seq {
+		ts, err := parseTimeSpec(tv, fmt.Sprintf("%s[%d]", path, i))
+		if err != nil {
+			return err
+		}
+		w[i] = ts
+	}
+	return nil
 }
 
 func typeName(v any) string {
@@ -46,43 +228,12 @@ func typeName(v any) string {
 	}
 }
 
-// get marks a key used and returns its value.
-func (s *section) get(key string) (any, bool) {
-	v, ok := s.m[key]
-	if ok {
-		s.used[key] = true
+func renderScalar(v any) string {
+	if s, ok := v.(string); ok {
+		return fmt.Sprintf("%q", s)
 	}
-	return v, ok
+	return fmt.Sprintf("%v (%s)", v, typeName(v))
 }
-
-func (s *section) child(key string) string {
-	if s.path == "" {
-		return key
-	}
-	return s.path + "." + key
-}
-
-// finish errors on any unconsumed (unknown) key, with a suggestion.
-func (s *section) finish() error {
-	var unknown []string
-	for k := range s.m {
-		if !s.used[k] {
-			unknown = append(unknown, k)
-		}
-	}
-	if len(unknown) == 0 {
-		return nil
-	}
-	sort.Strings(unknown)
-	msg := fmt.Sprintf("unknown key %q", s.child(unknown[0]))
-	if hint := nearest(unknown[0], s.valid); hint != "" {
-		msg += fmt.Sprintf(" (did you mean %q?)", hint)
-	}
-	return fmt.Errorf("%s", msg)
-}
-
-// expect declares the section's valid keys (for typo suggestions).
-func (s *section) expect(keys ...string) { s.valid = keys }
 
 // nearest returns the valid key with the smallest edit distance, when
 // that distance is small enough to be a plausible typo.
@@ -109,461 +260,9 @@ func editDistance(a, b string) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-func (s *section) str(key string) (string, error) {
-	v, ok := s.get(key)
-	if !ok || v == nil {
-		return "", nil
-	}
-	out, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("%s: want a string, got %s", s.child(key), typeName(v))
-	}
-	return out, nil
-}
-
-func (s *section) integer(key string) (int, error) {
-	v, ok := s.get(key)
-	if !ok || v == nil {
-		return 0, nil
-	}
-	f, ok := v.(float64)
-	if !ok || f != math.Trunc(f) {
-		return 0, fmt.Errorf("%s: want an integer, got %s", s.child(key), renderScalar(v))
-	}
-	return int(f), nil
-}
-
-func (s *section) number(key string) (float64, error) {
-	v, ok := s.get(key)
-	if !ok || v == nil {
-		return 0, nil
-	}
-	f, ok := v.(float64)
-	if !ok {
-		return 0, fmt.Errorf("%s: want a number, got %s", s.child(key), renderScalar(v))
-	}
-	return f, nil
-}
-
-func (s *section) timeSpec(key string) (TimeSpec, error) {
-	v, ok := s.get(key)
-	if !ok || v == nil {
-		return TimeSpec{}, nil
-	}
-	return parseTimeSpec(v, s.child(key))
-}
-
-func (s *section) seq(key string) ([]any, error) {
-	v, ok := s.get(key)
-	if !ok || v == nil {
-		return nil, nil
-	}
-	out, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("%s: want a sequence, got %s", s.child(key), typeName(v))
-	}
-	return out, nil
-}
-
-func renderScalar(v any) string {
-	if s, ok := v.(string); ok {
-		return fmt.Sprintf("%q", s)
-	}
-	return fmt.Sprintf("%v (%s)", v, typeName(v))
-}
-
-func decodeScenario(doc any) (*Scenario, error) {
-	top, err := asSection(doc, "")
-	if err != nil {
-		return nil, err
-	}
-	top.expect("name", "description", "model", "runtimes", "node", "cluster", "workload", "kv", "policy", "chaos", "assert")
-	sc := &Scenario{}
-	if sc.Name, err = top.str("name"); err != nil {
-		return nil, err
-	}
-	if sc.Description, err = top.str("description"); err != nil {
-		return nil, err
-	}
-	if sc.Model, err = top.str("model"); err != nil {
-		return nil, err
-	}
-	if rts, err := top.seq("runtimes"); err != nil {
-		return nil, err
-	} else {
-		for i, v := range rts {
-			name, ok := v.(string)
-			if !ok {
-				return nil, fmt.Errorf("runtimes[%d]: want a runtime name, got %s", i, typeName(v))
-			}
-			sc.Runtimes = append(sc.Runtimes, name)
-		}
-	}
-	if v, ok := top.get("node"); ok && v != nil {
-		if sc.Node, err = decodeNode(v); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := top.get("cluster"); ok && v != nil {
-		cl, err := decodeCluster(v)
-		if err != nil {
-			return nil, err
-		}
-		sc.Cluster = &cl
-	}
-	if v, ok := top.get("workload"); ok && v != nil {
-		if sc.Workload, err = decodeWorkload(v); err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, fmt.Errorf("missing required section \"workload\"")
-	}
-	if v, ok := top.get("kv"); ok && v != nil {
-		kv, err := decodeKV(v)
-		if err != nil {
-			return nil, err
-		}
-		sc.KV = &kv
-	}
-	if v, ok := top.get("policy"); ok && v != nil {
-		if sc.Policy, err = decodePolicy(v); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := top.get("chaos"); ok && v != nil {
-		if sc.Chaos, err = decodeChaos(v); err != nil {
-			return nil, err
-		}
-	}
-	if exprs, err := top.seq("assert"); err != nil {
-		return nil, err
-	} else {
-		for i, v := range exprs {
-			expr, ok := v.(string)
-			if !ok {
-				return nil, fmt.Errorf("assert[%d]: want an expression string, got %s", i, typeName(v))
-			}
-			sc.Assert = append(sc.Assert, expr)
-		}
-	}
-	return sc, top.finish()
-}
-
-func decodeNode(v any) (NodeSpec, error) {
-	s, err := asSection(v, "node")
-	if err != nil {
-		return NodeSpec{}, err
-	}
-	s.expect("preset", "gpus", "devices")
-	var n NodeSpec
-	if n.Preset, err = s.str("preset"); err != nil {
-		return n, err
-	}
-	if n.GPUs, err = s.integer("gpus"); err != nil {
-		return n, err
-	}
-	devs, err := s.seq("devices")
-	if err != nil {
-		return n, err
-	}
-	for i, dv := range devs {
-		ds, err := asSection(dv, fmt.Sprintf("node.devices[%d]", i))
-		if err != nil {
-			return n, err
-		}
-		ds.expect("device", "speed", "link")
-		var d DeviceOverride
-		if d.Device, err = ds.integer("device"); err != nil {
-			return n, err
-		}
-		if d.Speed, err = ds.number("speed"); err != nil {
-			return n, err
-		}
-		if d.Link, err = ds.number("link"); err != nil {
-			return n, err
-		}
-		if err := ds.finish(); err != nil {
-			return n, err
-		}
-		n.Devices = append(n.Devices, d)
-	}
-	return n, s.finish()
-}
-
-func decodeCluster(v any) (ClusterSpec, error) {
-	s, err := asSection(v, "cluster")
-	if err != nil {
-		return ClusterSpec{}, err
-	}
-	s.expect("nodes", "spares", "network", "probe_interval")
-	var c ClusterSpec
-	if c.Nodes, err = s.integer("nodes"); err != nil {
-		return c, err
-	}
-	if c.Spares, err = s.integer("spares"); err != nil {
-		return c, err
-	}
-	if c.Network, err = s.str("network"); err != nil {
-		return c, err
-	}
-	if c.Probe, err = s.timeSpec("probe_interval"); err != nil {
-		return c, err
-	}
-	return c, s.finish()
-}
-
-func decodeWorkload(v any) (Workload, error) {
-	s, err := asSection(v, "workload")
-	if err != nil {
-		return Workload{}, err
-	}
-	s.expect("batches", "duration", "batch", "rate", "process", "seq", "phase", "ctx", "mode", "prompt", "gen", "pool", "seed")
-	var w Workload
-	if w.Batches, err = s.integer("batches"); err != nil {
-		return w, err
-	}
-	if ts, err := s.timeSpec("duration"); err != nil {
-		return w, err
-	} else if !ts.IsZero() {
-		if ts.kind != timeAbs {
-			return w, fmt.Errorf("workload.duration: want an absolute duration, got %q", ts)
-		}
-		w.Duration = ts.abs
-	}
-	if w.Batch, err = s.integer("batch"); err != nil {
-		return w, err
-	}
-	if rv, ok := s.get("rate"); ok && rv != nil {
-		if w.Rate, err = parseRateSpec(rv, "workload.rate"); err != nil {
-			return w, err
-		}
-	}
-	if w.Process, err = s.str("process"); err != nil {
-		return w, err
-	}
-	if sv, ok := s.get("seq"); ok && sv != nil {
-		if w.MinSeq, w.MaxSeq, err = decodeSeqRange(sv); err != nil {
-			return w, err
-		}
-	}
-	if w.Phase, err = s.str("phase"); err != nil {
-		return w, err
-	}
-	if w.CtxLen, err = s.integer("ctx"); err != nil {
-		return w, err
-	}
-	if w.Mode, err = s.str("mode"); err != nil {
-		return w, err
-	}
-	if w.Prompt, err = s.integer("prompt"); err != nil {
-		return w, err
-	}
-	if w.Gen, err = s.integer("gen"); err != nil {
-		return w, err
-	}
-	if w.Pool, err = s.integer("pool"); err != nil {
-		return w, err
-	}
-	seed, err := s.integer("seed")
-	if err != nil {
-		return w, err
-	}
-	w.Seed = int64(seed)
-	return w, s.finish()
-}
-
-// decodeSeqRange accepts `seq: [16, 128]` or a {min, max} mapping.
-func decodeSeqRange(v any) (int, int, error) {
-	switch sv := v.(type) {
-	case []any:
-		if len(sv) != 2 {
-			return 0, 0, fmt.Errorf("workload.seq: want [min, max], got %d elements", len(sv))
-		}
-		lo, ok1 := sv[0].(float64)
-		hi, ok2 := sv[1].(float64)
-		if !ok1 || !ok2 || lo != math.Trunc(lo) || hi != math.Trunc(hi) {
-			return 0, 0, fmt.Errorf("workload.seq: want two integers, got %v", sv)
-		}
-		return int(lo), int(hi), nil
-	case map[string]any:
-		s, _ := asSection(v, "workload.seq")
-		s.expect("min", "max")
-		lo, err := s.integer("min")
-		if err != nil {
-			return 0, 0, err
-		}
-		hi, err := s.integer("max")
-		if err != nil {
-			return 0, 0, err
-		}
-		return lo, hi, s.finish()
-	default:
-		return 0, 0, fmt.Errorf("workload.seq: want [min, max], got %s", typeName(v))
-	}
-}
-
-func decodeKV(v any) (KVSpec, error) {
-	s, err := asSection(v, "kv")
-	if err != nil {
-		return KVSpec{}, err
-	}
-	s.expect("block", "watermark")
-	var k KVSpec
-	if k.Block, err = s.integer("block"); err != nil {
-		return k, err
-	}
-	if k.Watermark, err = s.number("watermark"); err != nil {
-		return k, err
-	}
-	return k, s.finish()
-}
-
-func decodePolicy(v any) (PolicySpec, error) {
-	s, err := asSection(v, "policy")
-	if err != nil {
-		return PolicySpec{}, err
-	}
-	s.expect("deadline", "retries", "backoff", "backoff_cap", "queue_limit", "hedge")
-	var p PolicySpec
-	if p.Deadline, err = s.timeSpec("deadline"); err != nil {
-		return p, err
-	}
-	if p.Retries, err = s.integer("retries"); err != nil {
-		return p, err
-	}
-	if p.Backoff, err = s.timeSpec("backoff"); err != nil {
-		return p, err
-	}
-	if p.BackoffCap, err = s.timeSpec("backoff_cap"); err != nil {
-		return p, err
-	}
-	if p.QueueLimit, err = s.integer("queue_limit"); err != nil {
-		return p, err
-	}
-	if p.Hedge, err = s.timeSpec("hedge"); err != nil {
-		return p, err
-	}
-	return p, s.finish()
-}
-
-func decodeChaos(v any) (Chaos, error) {
-	s, err := asSection(v, "chaos")
-	if err != nil {
-		return Chaos{}, err
-	}
-	s.expect("coll_timeout", "events", "random")
-	var c Chaos
-	if c.CollTimeout, err = s.timeSpec("coll_timeout"); err != nil {
-		return c, err
-	}
-	events, err := s.seq("events")
-	if err != nil {
-		return c, err
-	}
-	for i, ev := range events {
-		path := fmt.Sprintf("chaos.events[%d]", i)
-		es, err := asSection(ev, path)
-		if err != nil {
-			return c, err
-		}
-		es.expect("kind", "node", "device", "start", "duration", "factor")
-		var e ChaosEvent
-		if e.Kind, err = es.str("kind"); err != nil {
-			return c, err
-		}
-		if e.Node, err = es.integer("node"); err != nil {
-			return c, err
-		}
-		if e.Device, err = es.integer("device"); err != nil {
-			return c, err
-		}
-		if e.Start, err = es.timeSpec("start"); err != nil {
-			return c, err
-		}
-		if e.Duration, err = es.timeSpec("duration"); err != nil {
-			return c, err
-		}
-		if e.Factor, err = es.number("factor"); err != nil {
-			return c, err
-		}
-		if err := es.finish(); err != nil {
-			return c, err
-		}
-		c.Events = append(c.Events, e)
-	}
-	gens, err := s.seq("random")
-	if err != nil {
-		return c, err
-	}
-	for i, gv := range gens {
-		path := fmt.Sprintf("chaos.random[%d]", i)
-		gs, err := asSection(gv, path)
-		if err != nil {
-			return c, err
-		}
-		gs.expect("kind", "count", "window", "duration", "factor", "devices", "seed")
-		var g RandomChaos
-		if g.Kind, err = gs.str("kind"); err != nil {
-			return c, err
-		}
-		if g.Count, err = gs.integer("count"); err != nil {
-			return c, err
-		}
-		if wv, ok := gs.get("window"); ok && wv != nil {
-			wseq, ok := wv.([]any)
-			if !ok || len(wseq) != 2 {
-				return c, fmt.Errorf("%s.window: want [lo, hi]", path)
-			}
-			if g.Window[0], err = parseTimeSpec(wseq[0], path+".window[0]"); err != nil {
-				return c, err
-			}
-			if g.Window[1], err = parseTimeSpec(wseq[1], path+".window[1]"); err != nil {
-				return c, err
-			}
-		}
-		if g.Duration, err = gs.timeSpec("duration"); err != nil {
-			return c, err
-		}
-		if g.Factor, err = gs.number("factor"); err != nil {
-			return c, err
-		}
-		if devs, err := gs.seq("devices"); err != nil {
-			return c, err
-		} else {
-			for j, dv := range devs {
-				f, ok := dv.(float64)
-				if !ok || f != math.Trunc(f) {
-					return c, fmt.Errorf("%s.devices[%d]: want an integer, got %s", path, j, renderScalar(dv))
-				}
-				g.Devices = append(g.Devices, int(f))
-			}
-		}
-		seed, err := gs.integer("seed")
-		if err != nil {
-			return c, err
-		}
-		g.Seed = int64(seed)
-		if err := gs.finish(); err != nil {
-			return c, err
-		}
-		c.Random = append(c.Random, g)
-	}
-	return c, s.finish()
 }

@@ -20,51 +20,54 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"liger/internal/core"
+	"liger/internal/faults"
 )
 
 // Scenario is the typed form of one scenario file.
 type Scenario struct {
 	// Name identifies the scenario in reports; defaults to the file's
 	// base name without extension.
-	Name string
+	Name string `yaml:"name"`
 	// Description is free text echoed into reports.
-	Description string
+	Description string `yaml:"description"`
 	// Model names the transformer to serve (model.ByName); defaults to
 	// OPT-30B, the paper's common testbed model.
-	Model string
+	Model string `yaml:"model"`
 	// Runtimes lists the engines to run: liger, intra, inter, interth.
 	// Empty means the paper's three headline runtimes.
-	Runtimes []string
-	Node     NodeSpec
+	Runtimes []string `yaml:"runtimes" want:"a runtime name"`
+	Node     NodeSpec `yaml:"node"`
 	// Cluster, when present, lifts the scenario to a fleet: N replica
 	// nodes (each shaped by Node) plus spares behind an inter-node
 	// network, served through the health-aware request router. Enables
 	// the node-fail chaos kind and per-event node targets.
-	Cluster  *ClusterSpec
-	Workload Workload
+	Cluster  *ClusterSpec `yaml:"cluster"`
+	Workload Workload     `yaml:"workload,required"`
 	// KV, when present, arms KV-cache admission control for a
 	// continuous-mode workload over the paged allocator.
-	KV     *KVSpec
-	Policy PolicySpec
-	Chaos  Chaos
+	KV     *KVSpec    `yaml:"kv"`
+	Policy PolicySpec `yaml:"policy"`
+	Chaos  Chaos      `yaml:"chaos"`
 	// Assert holds the end-of-run assertions, one expression per line
 	// (see assert.go for the grammar).
-	Assert []string
+	Assert []string `yaml:"assert" want:"an expression string"`
 }
 
 // ClusterSpec describes the fleet topology.
 type ClusterSpec struct {
 	// Nodes is the number of model replicas (one per node).
-	Nodes int
+	Nodes int `yaml:"nodes"`
 	// Spares is the number of idle standby nodes available for replica
 	// re-placement after whole-node loss.
-	Spares int
+	Spares int `yaml:"spares"`
 	// Network names the inter-node network preset (ib, ethernet);
 	// defaults to ib.
-	Network string
+	Network string `yaml:"network"`
 	// Probe is the router's health-probe interval; it quantizes
 	// node-loss detection. Zero uses the cluster layer's default.
-	Probe TimeSpec
+	Probe TimeSpec `yaml:"probe_interval"`
 }
 
 func (c *ClusterSpec) validate() error {
@@ -85,23 +88,23 @@ func (c *ClusterSpec) validate() error {
 // NodeSpec selects and optionally degrades the simulated hardware.
 type NodeSpec struct {
 	// Preset is the hw preset name (v100, a100); defaults to v100.
-	Preset string
+	Preset string `yaml:"preset"`
 	// GPUs overrides the preset's device count when positive.
-	GPUs int
+	GPUs int `yaml:"gpus"`
 	// Devices holds static per-device overrides, applied as
 	// persist-to-end fault windows before any chaos event.
-	Devices []DeviceOverride
+	Devices []DeviceOverride `yaml:"devices"`
 }
 
 // DeviceOverride statically degrades one device for the whole run.
 type DeviceOverride struct {
-	Device int
+	Device int `yaml:"device"`
 	// Speed scales the device's overall progress rate in (0, 1]; 0
 	// means no speed override.
-	Speed float64
+	Speed float64 `yaml:"speed"`
 	// Link scales only the device's communication rate in (0, 1]; 0
 	// means no link override.
-	Link float64
+	Link float64 `yaml:"link"`
 }
 
 // Workload describes the request trace. It lowers onto
@@ -110,38 +113,38 @@ type DeviceOverride struct {
 type Workload struct {
 	// Batches is the number of batch arrivals. Exactly one of Batches
 	// and Duration must be set; Duration derives Batches from Rate.
-	Batches int
+	Batches int `yaml:"batches"`
 	// Duration is the nominal trace span (alternative to Batches).
-	Duration time.Duration
+	Duration time.Duration `yaml:"duration"`
 	// Batch is requests per batch (default 2, the paper's setting).
-	Batch int
+	Batch int `yaml:"batch"`
 	// Rate is the batch arrival rate: either absolute batches/second or
 	// relative to the node's analytic intra-op capacity ("0.8x").
-	Rate RateSpec
+	Rate RateSpec `yaml:"rate"`
 	// Process is the arrival process: constant, poisson, bursty,
 	// diurnal (default constant).
-	Process string
-	// MinSeq/MaxSeq bound the uniform per-batch sequence length
-	// (defaults 16–128, the paper's range).
-	MinSeq, MaxSeq int
+	Process string `yaml:"process"`
+	// Seq bounds the uniform per-batch sequence length (defaults
+	// 16–128, the paper's range).
+	Seq SeqRange `yaml:"seq"`
 	// Phase is context (default) or decode.
-	Phase string
+	Phase string `yaml:"phase"`
 	// CtxLen is the KV-cache length for decode traces.
-	CtxLen int
+	CtxLen int `yaml:"ctx"`
 	// Mode selects the serving discipline: "" (batch serving, the
 	// default) or "continuous" (iteration-level generative scheduling:
 	// Batches counts sequences, Rate is the sequence arrival rate, and
 	// Prompt/Gen/Pool shape the generation).
-	Mode string
+	Mode string `yaml:"mode"`
 	// Prompt/Gen are the per-sequence prefill and decode lengths
 	// (continuous mode; defaults 32/16).
-	Prompt int
-	Gen    int
+	Prompt int `yaml:"prompt"`
+	Gen    int `yaml:"gen"`
 	// Pool caps live sequences per decode iteration (continuous mode;
 	// default 8).
-	Pool int
+	Pool int `yaml:"pool"`
 	// Seed drives the trace and every seeded chaos generator.
-	Seed int64
+	Seed int64 `yaml:"seed"`
 }
 
 // KVSpec arms KV-cache admission control (continuous mode only) over
@@ -150,10 +153,10 @@ type Workload struct {
 // preempted when blocks run out.
 type KVSpec struct {
 	// Block is the paged allocator's tokens-per-block (default 16).
-	Block int
+	Block int `yaml:"block"`
 	// Watermark is the free-block fraction under which the scheduler
 	// preempts proactively (default 0.05).
-	Watermark float64
+	Watermark float64 `yaml:"watermark"`
 }
 
 func (k *KVSpec) validate() error {
@@ -174,15 +177,15 @@ func (w Workload) Continuous() bool { return w.Mode == "continuous" }
 // the solo-multiple form ("10x" = ten solo batch durations), so a
 // scenario stays meaningful when the cost model moves.
 type PolicySpec struct {
-	Deadline   TimeSpec
-	Retries    int
-	Backoff    TimeSpec
-	BackoffCap TimeSpec
-	QueueLimit int
+	Deadline   TimeSpec `yaml:"deadline"`
+	Retries    int      `yaml:"retries"`
+	Backoff    TimeSpec `yaml:"backoff"`
+	BackoffCap TimeSpec `yaml:"backoff_cap"`
+	QueueLimit int      `yaml:"queue_limit"`
 	// Hedge is the fleet router's hedging delay: a request with no
 	// completion after this span gets one duplicate dispatch to a
 	// different healthy replica. Cluster scenarios only.
-	Hedge TimeSpec
+	Hedge TimeSpec `yaml:"hedge"`
 }
 
 // Chaos is the fault plan: explicit timed events plus seeded
@@ -190,45 +193,45 @@ type PolicySpec struct {
 type Chaos struct {
 	// CollTimeout arms the collective watchdog (required by stall/drop
 	// shapes so hung rendezvous abort instead of waiting out windows).
-	CollTimeout TimeSpec
-	Events      []ChaosEvent
-	Random      []RandomChaos
+	CollTimeout TimeSpec      `yaml:"coll_timeout"`
+	Events      []ChaosEvent  `yaml:"events"`
+	Random      []RandomChaos `yaml:"random"`
 }
 
 // ChaosEvent is one explicit timed fault.
 type ChaosEvent struct {
 	// Kind is a faults.Kind name: slowdown, link-degrade, device-drop,
 	// coll-stall, device-fail, node-fail (cluster scenarios only).
-	Kind   string
-	Device int
+	Kind string `yaml:"kind"`
 	// Node is the cluster node the event targets (cluster scenarios
 	// only; node-fail's whole target, a device event's host node).
-	Node int
+	Node   int `yaml:"node"`
+	Device int `yaml:"device"`
 	// Start opens the window ("30%" of the horizon or "12ms").
-	Start TimeSpec
+	Start TimeSpec `yaml:"start"`
 	// Duration is the window length; omitted means persist-to-end.
 	// device-fail ignores it. An explicitly zero-length window is a
 	// validation error (the author almost certainly meant something).
-	Duration TimeSpec
+	Duration TimeSpec `yaml:"duration"`
 	// Factor is the rate multiplier for slowdown/link-degrade.
-	Factor float64
+	Factor float64 `yaml:"factor"`
 }
 
 // RandomChaos is a seeded generator expanding into Count events of one
 // kind with starts drawn uniformly from Window.
 type RandomChaos struct {
-	Kind  string
-	Count int
+	Kind  string `yaml:"kind"`
+	Count int    `yaml:"count"`
 	// Window bounds the generated start instants [lo, hi).
-	Window [2]TimeSpec
+	Window Window `yaml:"window"`
 	// Duration is each generated window's length.
-	Duration TimeSpec
-	Factor   float64
+	Duration TimeSpec `yaml:"duration"`
+	Factor   float64  `yaml:"factor"`
 	// Devices restricts the target devices; empty means any device.
-	Devices []int
+	Devices []int `yaml:"devices"`
 	// Seed offsets the workload seed for this generator; generators
 	// with equal seeds at different positions still draw independently.
-	Seed int64
+	Seed int64 `yaml:"seed"`
 }
 
 // Load reads and validates a scenario file (YAML or JSON).
@@ -265,29 +268,38 @@ func Parse(data []byte, defaultName string) (*Scenario, error) {
 	return sc, nil
 }
 
-// runtimeAliases maps scenario runtime names to result names.
-var runtimeAliases = map[string]string{
-	"liger":    "Liger",
-	"intra":    "Intra-Op",
-	"intra-op": "Intra-Op",
-	"inter":    "Inter-Op",
-	"inter-op": "Inter-Op",
-	"interth":  "Inter-Th",
-	"inter-th": "Inter-Th",
+// runtimeAliases maps scenario runtime names to engine kinds; a
+// kind's String is its result name.
+var runtimeAliases = map[string]core.RuntimeKind{
+	"liger":    core.KindLiger,
+	"intra":    core.KindIntraOp,
+	"intra-op": core.KindIntraOp,
+	"inter":    core.KindInterOp,
+	"inter-op": core.KindInterOp,
+	"interth":  core.KindInterTh,
+	"inter-th": core.KindInterTh,
 }
 
-// faultKinds maps scenario kind names to faults kinds; values are the
-// faults.Kind ints (kept as names here to avoid an import cycle in
-// docs; compile.go resolves them).
-var faultKindNames = []string{"slowdown", "link-degrade", "device-drop", "coll-stall", "device-fail", "node-fail"}
+// faultKinds lists the scenario fault kinds, spelled by their String,
+// in the order error messages name them.
+var faultKinds = []faults.Kind{faults.Slowdown, faults.LinkDegrade, faults.DeviceDrop, faults.CollStall, faults.DeviceFail, faults.NodeFail}
 
-func knownFaultKind(kind string) bool {
-	for _, k := range faultKindNames {
-		if k == kind {
-			return true
+func faultKindByName(name string) (faults.Kind, bool) {
+	for _, k := range faultKinds {
+		if k.String() == name {
+			return k, true
 		}
 	}
-	return false
+	return 0, false
+}
+
+// unknownKind reports an unrecognized fault kind at path.
+func unknownKind(path, kind string) error {
+	names := make([]string, len(faultKinds))
+	for i, k := range faultKinds {
+		names[i] = k.String()
+	}
+	return fmt.Errorf("%s: unknown kind %q (want %s)", path, kind, strings.Join(names, ", "))
 }
 
 // Validate checks everything that needs no resolved horizon; window
@@ -389,8 +401,8 @@ func (w Workload) validate() error {
 		return fmt.Errorf("workload.rate: required (absolute batches/s or capacity-relative like \"0.8x\")")
 	case w.Batch < 0:
 		return fmt.Errorf("workload.batch: negative batch size %d", w.Batch)
-	case w.MinSeq < 0 || w.MaxSeq < 0 || (w.MaxSeq > 0 && w.MaxSeq < w.MinSeq):
-		return fmt.Errorf("workload.seq: bad range [%d, %d]", w.MinSeq, w.MaxSeq)
+	case w.Seq.Min < 0 || w.Seq.Max < 0 || (w.Seq.Max > 0 && w.Seq.Max < w.Seq.Min):
+		return fmt.Errorf("workload.seq: bad range [%d, %d]", w.Seq.Min, w.Seq.Max)
 	case w.CtxLen < 0:
 		return fmt.Errorf("workload.ctx: negative context length %d", w.CtxLen)
 	}
@@ -418,7 +430,7 @@ func (w Workload) validate() error {
 			return fmt.Errorf("workload.phase/ctx: continuous mode schedules its own prefill and decode phases")
 		case w.Batch != 0:
 			return fmt.Errorf("workload.batch: continuous mode pools sequences per iteration; size the pool with workload.pool")
-		case w.MinSeq != 0 || w.MaxSeq != 0:
+		case w.Seq != (SeqRange{}):
 			return fmt.Errorf("workload.seq: continuous sequences are shaped by prompt/gen")
 		case w.Process != "" && w.Process != "poisson":
 			return fmt.Errorf("workload.process: continuous arrivals are poisson; drop the key or set poisson")
@@ -443,8 +455,8 @@ func (p PolicySpec) validate() error {
 
 func (c Chaos) validate(cluster bool) error {
 	for i, e := range c.Events {
-		if !knownFaultKind(e.Kind) {
-			return fmt.Errorf("chaos.events[%d]: unknown kind %q (want %s)", i, e.Kind, strings.Join(faultKindNames, ", "))
+		if _, ok := faultKindByName(e.Kind); !ok {
+			return unknownKind(fmt.Sprintf("chaos.events[%d]", i), e.Kind)
 		}
 		if e.Device < 0 {
 			return fmt.Errorf("chaos.events[%d] (%s): negative device index %d", i, e.Kind, e.Device)
@@ -497,8 +509,8 @@ func (c Chaos) validate(cluster bool) error {
 		}
 	}
 	for i, g := range c.Random {
-		if !knownFaultKind(g.Kind) {
-			return fmt.Errorf("chaos.random[%d]: unknown kind %q (want %s)", i, g.Kind, strings.Join(faultKindNames, ", "))
+		if _, ok := faultKindByName(g.Kind); !ok {
+			return unknownKind(fmt.Sprintf("chaos.random[%d]", i), g.Kind)
 		}
 		if g.Kind == "node-fail" {
 			return fmt.Errorf("chaos.random[%d]: node-fail is explicit-only — losing a whole node is a headline event, schedule it in chaos.events", i)
@@ -529,15 +541,26 @@ func (c Chaos) validate(cluster bool) error {
 	return nil
 }
 
+// runtimeKinds returns the resolved engine kinds in scenario order
+// (defaulting to the paper's three headline runtimes).
+func (s *Scenario) runtimeKinds() []core.RuntimeKind {
+	if len(s.Runtimes) == 0 {
+		return []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp}
+	}
+	out := make([]core.RuntimeKind, len(s.Runtimes))
+	for i, rt := range s.Runtimes {
+		out[i] = runtimeAliases[strings.ToLower(rt)]
+	}
+	return out
+}
+
 // ResultRuntimes returns the resolved runtime result names in scenario
 // order (defaulting to the paper's three headline runtimes).
 func (s *Scenario) ResultRuntimes() []string {
-	if len(s.Runtimes) == 0 {
-		return []string{"Liger", "Intra-Op", "Inter-Op"}
-	}
-	out := make([]string, len(s.Runtimes))
-	for i, rt := range s.Runtimes {
-		out[i] = runtimeAliases[strings.ToLower(rt)]
+	kinds := s.runtimeKinds()
+	out := make([]string, len(kinds))
+	for i, k := range kinds {
+		out[i] = k.String()
 	}
 	return out
 }

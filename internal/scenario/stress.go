@@ -54,8 +54,7 @@ func generateInstance(masterSeed int64, i int) *Scenario {
 			Batch:   1 + rng.Intn(4),
 			Rate:    RateSpec{relative: 0.5 + 0.4*rng.Float64()},
 			Process: []string{"constant", "poisson", "bursty", "diurnal"}[rng.Intn(4)],
-			MinSeq:  16,
-			MaxSeq:  128,
+			Seq:     SeqRange{Min: 16, Max: 128},
 			Seed:    masterSeed ^ int64(i)<<7,
 		},
 		Policy: PolicySpec{

@@ -68,6 +68,11 @@ func (t TimeSpec) String() string {
 	}
 }
 
+func (t *TimeSpec) decodeValue(v any, path string) (err error) {
+	*t, err = parseTimeSpec(v, path)
+	return err
+}
+
 // parseTimeSpec parses a scalar into a TimeSpec. Bare numbers are
 // rejected — a unitless time is almost always an author mistake.
 func parseTimeSpec(v any, path string) (TimeSpec, error) {
@@ -91,13 +96,13 @@ func parseTimeSpecString(s, path string) (TimeSpec, error) {
 		return TimeSpec{}, nil
 	case strings.HasSuffix(s, "%"):
 		f, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-		if err != nil || f < 0 {
+		if err != nil || f < 0 || !finite(f) {
 			return TimeSpec{}, fmt.Errorf("%s: bad horizon fraction %q", path, s)
 		}
 		return TimeSpec{kind: timeFrac, val: f / 100}, nil
 	case strings.HasSuffix(s, "x"):
 		f, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
-		if err != nil || f < 0 {
+		if err != nil || f < 0 || !finite(f) {
 			return TimeSpec{}, fmt.Errorf("%s: bad solo multiple %q", path, s)
 		}
 		return TimeSpec{kind: timeSolo, val: f}, nil
@@ -139,24 +144,32 @@ func (r RateSpec) String() string {
 	return fmt.Sprintf("%g", r.abs)
 }
 
+func (r *RateSpec) decodeValue(v any, path string) (err error) {
+	*r, err = parseRateSpec(v, path)
+	return err
+}
+
 func parseRateSpec(v any, path string) (RateSpec, error) {
 	switch s := v.(type) {
 	case float64:
-		if s <= 0 {
+		if !(s > 0) {
 			return RateSpec{}, fmt.Errorf("%s: rate must be positive, got %v", path, s)
+		}
+		if !finite(s) {
+			return RateSpec{}, fmt.Errorf("%s: rate must be finite, got %v", path, s)
 		}
 		return RateSpec{abs: s}, nil
 	case string:
 		t := strings.TrimSpace(s)
 		if strings.HasSuffix(t, "x") {
 			f, err := strconv.ParseFloat(strings.TrimSuffix(t, "x"), 64)
-			if err != nil || f <= 0 {
+			if err != nil || f <= 0 || !finite(f) {
 				return RateSpec{}, fmt.Errorf("%s: bad capacity-relative rate %q", path, s)
 			}
 			return RateSpec{relative: f}, nil
 		}
 		f, err := strconv.ParseFloat(t, 64)
-		if err != nil || f <= 0 {
+		if err != nil || f <= 0 || !finite(f) {
 			return RateSpec{}, fmt.Errorf("%s: bad rate %q (want batches/s or \"0.8x\")", path, s)
 		}
 		return RateSpec{abs: f}, nil
