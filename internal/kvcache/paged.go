@@ -55,6 +55,9 @@ type PagedManager struct {
 
 	free []int // free block ids, LIFO
 	seqs map[int]*pagedSeq
+	// spare recycles released sequences' records and block tables, so
+	// steady-state admission allocates nothing.
+	spare []*pagedSeq
 	// order is the admission order of live sequences, oldest first;
 	// Preempt evicts the newest (lowest priority).
 	order []int
@@ -189,7 +192,8 @@ func (m *PagedManager) Admit(seqID, promptTokens int) error {
 	if need > len(m.free) {
 		return fmt.Errorf("%w: sequence %d needs %d blocks, %d free", ErrNoFreeBlocks, seqID, need, len(m.free))
 	}
-	s := &pagedSeq{tokens: promptTokens}
+	s := m.newSeq()
+	s.tokens = promptTokens
 	for i := 0; i < need; i++ {
 		s.blocks = append(s.blocks, m.pop())
 	}
@@ -284,12 +288,25 @@ func (m *PagedManager) pop() int {
 	return id
 }
 
+// newSeq returns an empty sequence record, recycled when one is spare.
+func (m *PagedManager) newSeq() *pagedSeq {
+	if n := len(m.spare); n > 0 {
+		s := m.spare[n-1]
+		m.spare[n-1] = nil
+		m.spare = m.spare[:n-1]
+		return s
+	}
+	return &pagedSeq{}
+}
+
 func (m *PagedManager) reclaim(seqID int, s *pagedSeq) {
 	// Return blocks in reverse table order so a release-then-admit of
 	// the same shape reuses the same ids.
 	for i := len(s.blocks) - 1; i >= 0; i-- {
 		m.free = append(m.free, s.blocks[i])
 	}
+	s.tokens, s.blocks = 0, s.blocks[:0]
+	m.spare = append(m.spare, s)
 	delete(m.seqs, seqID)
 	for i, id := range m.order {
 		if id == seqID {

@@ -242,3 +242,46 @@ func TestPagedPropertyBlocksConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Released and preempted sequences hand their records and block tables
+// to the next admission, so a warmed-up allocator allocates nothing per
+// admit, extend, release or preempt.
+func TestPagedSteadyStateAllocatesNothing(t *testing.T) {
+	m := paged(t, PagedConfig{BlockTokens: 16})
+	next := 0
+	admit := func() int {
+		id := next
+		next++
+		if err := m.Admit(id, 40); err != nil {
+			t.Fatal(err)
+		}
+		for range 100 {
+			if err := m.Extend(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return id
+	}
+	cycles := []struct {
+		name string
+		run  func()
+	}{
+		{"admit, extend, release", func() { m.Release(admit()) }},
+		{"admit, extend, preempt", func() {
+			old := admit()
+			admit()
+			if id, _, ok := m.Preempt(); !ok || id == old {
+				t.Fatalf("preempted %d, want the newest", id)
+			}
+			m.Release(old)
+		}},
+	}
+	for _, tc := range cycles {
+		if a := testing.AllocsPerRun(100, tc.run); a != 0 {
+			t.Errorf("%s: %v allocations, want 0", tc.name, a)
+		}
+	}
+	if m.Live() != 0 || m.FreeBlocks() != m.TotalBlocks() || m.Violations() != 0 {
+		t.Fatalf("%d live, %d of %d blocks free, %d violations", m.Live(), m.FreeBlocks(), m.TotalBlocks(), m.Violations())
+	}
+}

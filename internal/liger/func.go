@@ -14,16 +14,19 @@ import (
 	"fmt"
 	"time"
 
-	"liger/internal/gpusim"
 	"liger/internal/model"
 	"liger/internal/parallel"
 	"liger/internal/simclock"
 )
 
 // Func is one kernel launch function wrapper (§3.2): the kernel
-// descriptor plus the batch bookkeeping the scheduler needs.
+// descriptor plus the batch bookkeeping the scheduler needs. Desc points
+// into the batch's shared plan, the batch's remainder or the scheduler's
+// round buffer, and must not be modified; a plan's layer descriptor
+// serves every layer, so Name, not Desc.Name, is the kernel's name.
 type Func struct {
-	Desc  parallel.KernelDesc
+	Desc  *parallel.KernelDesc
+	Name  string
 	batch *Batch
 }
 
@@ -74,7 +77,7 @@ type Batch struct {
 	// with every batch of the same shape (see Assembler); pos is the
 	// cursor into its expansion, the next unscheduled kernel. While split
 	// is set, rest stands in for kernel pos: the remainder runtime
-	// decomposition left of it.
+	// decomposition left of it, named rest.Name.
 	plan  *parallel.Plan
 	pos   int
 	rest  parallel.KernelDesc
@@ -164,20 +167,20 @@ func (b *Batch) ExecutionTime() time.Duration {
 }
 
 // head returns the next unscheduled func; callers must check
-// Exhausted first.
+// Exhausted first. A split head points at the batch's remainder, which
+// the next replaceHead overwrites.
 func (b *Batch) head() Func {
 	if b.split {
-		return Func{Desc: b.rest, batch: b}
+		return Func{Desc: &b.rest, Name: b.rest.Name, batch: b}
 	}
-	return Func{Desc: b.plan.Kernel(b.pos), batch: b}
+	d, name := b.plan.At(b.pos)
+	return Func{Desc: d, Name: name, batch: b}
 }
 
-// pop consumes and returns the head func.
-func (b *Batch) pop() Func {
-	f := b.head()
+// advance consumes the head func.
+func (b *Batch) advance() {
 	b.pos++
 	b.split = false
-	return f
 }
 
 // replaceHead swaps the head's kernel descriptor — used when runtime
@@ -185,12 +188,6 @@ func (b *Batch) pop() Func {
 // remainder in place (§3.6). The shared kernel sequence is untouched.
 func (b *Batch) replaceHead(desc parallel.KernelDesc) {
 	b.rest, b.split = desc, true
-}
-
-// nextSwitch reports whether the head kernel's type differs from typ —
-// the switch-point test of Algorithm 1.
-func (b *Batch) nextSwitch(typ gpusim.KernelClass) bool {
-	return b.Exhausted() || b.head().Desc.Class != typ
 }
 
 // kernelLaunched records n launched kernel instances.

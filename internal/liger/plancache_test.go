@@ -29,7 +29,10 @@ func describe(ks []parallel.KernelDesc) []string {
 func batchDescs(b *Batch) []parallel.KernelDesc {
 	var out []parallel.KernelDesc
 	for !b.Exhausted() {
-		out = append(out, b.pop().Desc)
+		f := b.pop()
+		k := *f.Desc
+		k.Name = f.Name
+		out = append(out, k)
 	}
 	return out
 }
@@ -62,14 +65,14 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	// Advance to the first decomposable all-reduce past layer 0, read out
 	// of the shared layer block under its own layer's name, and let a
 	// round whose compute window is half its length peel a prefix off it.
-	for !b1.head().Desc.Collective || !b1.head().Desc.CanSplit() || !strings.HasPrefix(b1.head().Desc.Name, "l1.") {
+	for !b1.head().Desc.Collective || !b1.head().Desc.CanSplit() || !strings.HasPrefix(b1.head().Name, "l1.") {
 		b1.pop()
 	}
-	head := b1.head().Desc
+	head := b1.head()
 	cfg := testCfg()
 	cfg.ContentionFactor, cfg.DivisionFactor, cfg.MinOverlapWindow = 1, 8, 0
 	s := &Scheduler{cfg: cfg}
-	primary := syntheticBatch(99, 1, 1, head.Duration/2, head.Duration)
+	primary := syntheticBatch(99, 1, 1, head.Desc.Duration/2, head.Desc.Duration)
 	s.processing = []*Batch{primary, b1}
 	_, window, typ := s.collectPrimary(primary)
 	sub := s.collectSecondary(typ, window)

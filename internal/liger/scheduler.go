@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"liger/internal/gpusim"
+	"liger/internal/parallel"
 	"liger/internal/simclock"
 )
 
@@ -92,10 +93,12 @@ type Scheduler struct {
 	journalCap int
 
 	// Round buffers, owned by the scheduler and reused by every
-	// launchRound: the two subsets, their collectives, and the per-device
-	// end events. A round launches synchronously and retains none of
-	// them, so the next round may overwrite them.
+	// launchRound: the two subsets, their collectives, the per-device end
+	// events, and split's pieces and held remainders. A round launches
+	// synchronously and retains none of them, so the next round may
+	// overwrite them.
 	sub0, sub1     []Func
+	split          parallel.Splitter
 	colls0, colls1 []*gpusim.Collective
 	endPrim        []*gpusim.Event
 	endSec         []*gpusim.Event
@@ -271,13 +274,27 @@ func (s *Scheduler) maybeStartRound(now simclock.Time) {
 func (s *Scheduler) collectPrimary(primary *Batch) (subset []Func, window time.Duration, typ gpusim.KernelClass) {
 	typ = primary.head().Desc.Class
 	subset = s.sub0[:0]
-	for !primary.Exhausted() && primary.head().Desc.Class == typ {
-		f := primary.pop()
+	for !primary.Exhausted() {
+		f := primary.head()
+		if f.Desc.Class != typ {
+			break
+		}
 		window += f.Desc.Duration
-		subset = append(subset, f)
+		subset = append(subset, s.take(f))
 	}
 	s.sub0 = subset
 	return subset, window, typ
+}
+
+// take consumes the head func f of its batch for this round. A split
+// head points at the batch's remainder, which a later split of the same
+// batch in this round would overwrite, so it moves to the round buffer.
+func (s *Scheduler) take(f Func) Func {
+	if f.batch.split {
+		f.Desc = s.split.Hold(f.Desc)
+	}
+	f.batch.advance()
+	return f
 }
 
 // collectSecondary implements the second half of Algorithm 1 plus the
@@ -303,9 +320,8 @@ func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duratio
 				break
 			}
 			if head.Desc.Duration <= budget {
-				f := v.pop()
-				budget -= f.Desc.Duration
-				subset = append(subset, f)
+				budget -= head.Desc.Duration
+				subset = append(subset, s.take(head))
 				continue
 			}
 			// Lengthy kernel: runtime decomposition (§3.6). Find how many
@@ -314,14 +330,15 @@ func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duratio
 			if take == 0 {
 				break
 			}
-			headPieces, rest, ok := head.Desc.SplitPrefix(s.cfg.DivisionFactor, take)
+			pieces, rest, ok := s.split.SplitPrefix(head.Desc, head.Name, s.cfg.DivisionFactor, take)
 			if !ok {
 				break
 			}
 			s.stats.Decompositions++
-			for _, p := range headPieces {
+			for i := range pieces {
+				p := &pieces[i]
 				budget -= p.Duration
-				subset = append(subset, Func{Desc: p, batch: v})
+				subset = append(subset, Func{Desc: p, Name: p.Name, batch: v})
 			}
 			v.replaceHead(rest)
 			break // remainder is the new head; budget is largely spent
@@ -480,6 +497,7 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 	clear(sub1)
 	clear(colls0)
 	clear(colls1)
+	s.split.Reset()
 
 	if s.nextRound == nil {
 		s.nextRound = func(t simclock.Time) {
@@ -729,7 +747,7 @@ func (s *Scheduler) launchFunc(st *gpusim.Stream, f Func, coll *gpusim.Collectiv
 		b.kernelDoneFn = func(now simclock.Time) { b.kernelDone(now) }
 	}
 	st.Launch(gpusim.KernelSpec{
-		Name:          f.Desc.Name,
+		Name:          f.Name,
 		Class:         f.Desc.Class,
 		Duration:      f.Desc.Duration,
 		ComputeDemand: f.Desc.ComputeDemand,

@@ -1,6 +1,7 @@
 package liger
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -30,6 +31,13 @@ func testRig(t testing.TB, cfg Config) (*simclock.Engine, *gpusim.Node, *Schedul
 func testCfg() Config {
 	c := DefaultConfig("v100")
 	return c
+}
+
+// pop consumes and returns the head func.
+func (b *Batch) pop() Func {
+	f := b.head()
+	b.advance()
+	return f
 }
 
 // syntheticBatch builds a batch alternating nComp compute kernels
@@ -456,6 +464,44 @@ func TestSteadyStateRoundAllocatesNothing(t *testing.T) {
 	if s.stats.SecondaryKernels == secondary || b0.Completed() {
 		t.Fatal("the measured rounds did not interleave two live batches")
 	}
+}
+
+// A warmed-up round that decomposes kernels allocates at most once per
+// split: the head pieces land in the scheduler's round buffer under
+// interned names, and only the remainder's piece closure is new. Split
+// rounds launch more kernels, so the warm-up is long enough for the
+// event queue's buckets to reach their working capacity.
+func TestSteadyStateDecomposingRoundAllocatesPerSplit(t *testing.T) {
+	eng, _, s := testRig(t, testCfg())
+	b0 := syntheticBatch(0, 2000, 3, 30*time.Microsecond, 100*time.Microsecond)
+	b1 := syntheticBatch(1, 2000, 3, 30*time.Microsecond, 100*time.Microsecond)
+	eng.After(0, func(simclock.Time) { s.Submit(b0); s.Submit(b1) })
+	round := func() {
+		for r := s.stats.Rounds; s.stats.Rounds == r; {
+			if !eng.Step() {
+				t.Fatal("the engine drained before the next round")
+			}
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		round()
+	}
+	splits := s.stats.Decompositions
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 200; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	splits = s.stats.Decompositions - splits
+	if splits == 0 || b0.Completed() {
+		t.Fatal("the measured rounds did not decompose kernels of two live batches")
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	if mallocs > uint64(splits) {
+		t.Fatalf("%d allocations over %d splits, want at most one per split", mallocs, splits)
+	}
+	t.Logf("%d allocations over %d splits", mallocs, splits)
 }
 
 func TestRealModelEndToEnd(t *testing.T) {

@@ -52,9 +52,11 @@ func BenchmarkSplitGEMM(b *testing.B) {
 			break
 		}
 	}
+	var sp Splitter
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := gemm.SplitPrefix(8, 3); !ok {
+		sp.Reset()
+		if _, _, ok := sp.SplitPrefix(&gemm, gemm.Name, 8, 3); !ok {
 			b.Fatal("split failed")
 		}
 	}

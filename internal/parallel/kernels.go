@@ -67,7 +67,7 @@ func (k KernelDesc) namedPiece(i, parts int) KernelDesc {
 // fit within budget together, at most parts-1 (a kernel that fits whole
 // needs no split); 0 when the kernel is indivisible, parts < 2 or not
 // even the first piece fits. It costs the pieces without building them.
-func (k KernelDesc) FittingPieces(parts int, budget time.Duration) int {
+func (k *KernelDesc) FittingPieces(parts int, budget time.Duration) int {
 	if k.piece == nil || parts < 2 {
 		return 0
 	}
@@ -80,18 +80,61 @@ func (k KernelDesc) FittingPieces(parts int, budget time.Duration) int {
 	return parts - 1
 }
 
-// SplitPrefix returns the first `take` of `parts` pieces and a
-// remainder kernel representing the rest, used when the scheduler only
-// needs a fraction of a lengthy kernel to fill an overlap window. Only
-// the head pieces and the remainder are built.
-func (k KernelDesc) SplitPrefix(parts, take int) (head []KernelDesc, rest KernelDesc, ok bool) {
+// Splitter performs runtime decomposition (§3.6) without allocating in
+// steady state. It owns the buffer SplitPrefix writes head pieces into,
+// which Reset recycles every scheduling round, and it interns the names
+// of pieces and remainders, filling lazily as kernels split, as a
+// compiler's per-layer names do. The zero value is ready to use; a
+// Splitter is not safe for concurrent use.
+type Splitter struct {
+	buf []KernelDesc
+	// names[{name, parts}] holds the names of a parts-way split of name:
+	// piece i at i, the remainder after take head pieces at parts+take.
+	names map[splitKey][]string
+}
+
+type splitKey struct {
+	name  string
+	parts int
+}
+
+// Reset empties the buffer for reuse: the descriptors SplitPrefix and
+// Hold returned before are overwritten by later calls.
+func (s *Splitter) Reset() {
+	clear(s.buf)
+	s.buf = s.buf[:0]
+}
+
+// Hold copies k into the buffer and returns the copy, which stays valid
+// until Reset. A scheduler holds a remainder it consumes, since a later
+// split of the same batch reuses the remainder's storage.
+func (s *Splitter) Hold(k *KernelDesc) *KernelDesc {
+	s.buf = append(s.buf, *k)
+	return &s.buf[len(s.buf)-1]
+}
+
+// SplitPrefix splits k, named name, into parts pieces. It returns the
+// first take pieces and a remainder kernel representing the rest, used
+// when the scheduler only needs a fraction of a lengthy kernel to fill
+// an overlap window. Only the head pieces and the remainder are built;
+// the head pieces live in the buffer until Reset. name, not k.Name,
+// names the pieces, because a plan's shared layer descriptor carries the
+// block's base name.
+func (s *Splitter) SplitPrefix(k *KernelDesc, name string, parts, take int) (head []KernelDesc, rest KernelDesc, ok bool) {
 	if k.piece == nil || parts < 2 || take <= 0 || take >= parts {
 		return nil, KernelDesc{}, false
 	}
-	head = make([]KernelDesc, take)
-	for i := range head {
-		head[i] = k.namedPiece(i, parts)
+	names := s.namesOf(name, parts)
+	start := len(s.buf)
+	for i := 0; i < take; i++ {
+		p := k.piece(i, parts)
+		if names[i] == "" {
+			names[i] = pieceName(name, i, parts)
+		}
+		p.Name = names[i]
+		s.buf = append(s.buf, p)
 	}
+	head = s.buf[start:len(s.buf):len(s.buf)]
 	// Merge the remaining pieces into one kernel to avoid needless
 	// launches; its duration is the sum of the tail pieces.
 	rest = k.piece(take, parts)
@@ -100,7 +143,10 @@ func (k KernelDesc) SplitPrefix(parts, take int) (head []KernelDesc, rest Kernel
 		rest.Duration += p.Duration
 		rest.Bytes += p.Bytes
 	}
-	rest.Name = fmt.Sprintf("%s[rest%d/%d]", k.Name, parts-take, parts)
+	if names[parts+take] == "" {
+		names[parts+take] = fmt.Sprintf("%s[rest%d/%d]", name, parts-take, parts)
+	}
+	rest.Name = names[parts+take]
 	// The merged remainder keeps the original split granularity: its
 	// pieces are the original's, scaled.
 	orig := k.piece
@@ -112,6 +158,20 @@ func (k KernelDesc) SplitPrefix(parts, take int) (head []KernelDesc, rest Kernel
 		return q
 	}
 	return head, rest, true
+}
+
+// namesOf returns the interned name slots of a parts-way split of name.
+func (s *Splitter) namesOf(name string, parts int) []string {
+	key := splitKey{name, parts}
+	names, ok := s.names[key]
+	if !ok {
+		if s.names == nil {
+			s.names = make(map[splitKey][]string)
+		}
+		names = make([]string, 2*parts)
+		s.names[key] = names
+	}
+	return names
 }
 
 // pieceName names piece i (from 0) of a parts-way split of name.

@@ -287,7 +287,8 @@ func TestSplitPrefix(t *testing.T) {
 			break
 		}
 	}
-	head, rest, ok := g.SplitPrefix(8, 3)
+	var sp Splitter
+	head, rest, ok := sp.SplitPrefix(&g, g.Name, 8, 3)
 	if !ok {
 		t.Fatal("SplitPrefix failed")
 	}
@@ -321,13 +322,14 @@ func TestSplitPrefixRejectsBadArgs(t *testing.T) {
 	c := compilerFor(hw.V100Node())
 	k, _ := c.IntraOp(model.OPT30B(), 4, ctxWorkload(2, 64))
 	g := k[1]
-	if _, _, ok := g.SplitPrefix(8, 0); ok {
+	var sp Splitter
+	if _, _, ok := sp.SplitPrefix(&g, g.Name, 8, 0); ok {
 		t.Fatal("take=0 accepted")
 	}
-	if _, _, ok := g.SplitPrefix(8, 8); ok {
+	if _, _, ok := sp.SplitPrefix(&g, g.Name, 8, 8); ok {
 		t.Fatal("take=parts accepted")
 	}
-	if _, _, ok := g.SplitPrefix(1, 1); ok {
+	if _, _, ok := sp.SplitPrefix(&g, g.Name, 1, 1); ok {
 		t.Fatal("parts=1 accepted")
 	}
 }
@@ -375,7 +377,8 @@ func TestFittingPiecesMatchesBuildAndCount(t *testing.T) {
 			continue
 		}
 		descs := []KernelDesc{k}
-		if _, rest, ok := k.SplitPrefix(8, 3); ok {
+		var sp Splitter
+		if _, rest, ok := sp.SplitPrefix(&k, k.Name, 8, 3); ok {
 			descs = append(descs, rest)
 		}
 		for _, d := range descs {

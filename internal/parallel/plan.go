@@ -27,29 +27,36 @@ func (p *Plan) Len() int { return len(p.Pre) + p.Layers*len(p.Layer) + len(p.Pos
 // once, not Layers times.
 func (p *Plan) Stored() int { return len(p.Pre) + len(p.Layer) + len(p.Post) }
 
-// Kernel returns kernel i of the expanded sequence, 0 <= i < Len().
-func (p *Plan) Kernel(i int) KernelDesc {
+// At returns kernel i of the expanded sequence, 0 <= i < Len(), and its
+// name, without copying it: the descriptor is the plan's own, shared by
+// every layer, so its Name is the layer block's base name and name is
+// kernel i's. Callers must not modify the descriptor.
+func (p *Plan) At(i int) (k *KernelDesc, name string) {
 	if i < len(p.Pre) {
-		return p.Pre[i]
+		k = &p.Pre[i]
+		return k, k.Name
 	}
 	i -= len(p.Pre)
 	n := p.Layers * len(p.Layer)
 	if i >= n {
-		return p.Post[i-n]
+		k = &p.Post[i-n]
+		return k, k.Name
 	}
 	l, j := i/len(p.Layer), i%len(p.Layer)
-	k := p.Layer[j]
+	k = &p.Layer[j]
 	if p.names != nil {
-		k.Name = p.names[j][l]
+		return k, p.names[j][l]
 	}
-	return k
+	return k, k.Name
 }
 
 // Kernels expands the plan into its flat kernel sequence.
 func (p *Plan) Kernels() []KernelDesc {
 	out := make([]KernelDesc, p.Len())
 	for i := range out {
-		out[i] = p.Kernel(i)
+		k, name := p.At(i)
+		out[i] = *k
+		out[i].Name = name
 	}
 	return out
 }

@@ -79,17 +79,21 @@ func TestPeriodicPlanMatchesPerLayerCompile(t *testing.T) {
 				for _, l := range []int{0, 1, spec.Layers - 1} {
 					for j := range plan.Layer {
 						i := len(plan.Pre) + l*len(plan.Layer) + j
-						g, w := plan.Kernel(i), want[i]
+						shared, gname := plan.At(i)
+						w := want[i]
 						if !w.CanSplit() {
 							continue
 						}
 						splits++
 						at := fmt.Sprintf("%s %s", name, w.Name)
+						g := *shared
+						g.Name = gname
 						gp, _ := g.Split(8)
 						wp, _ := w.Split(8)
 						sameKernels(t, at+" Split(8)", gp, wp)
-						gh, gr, gok := g.SplitPrefix(8, 3)
-						wh, wr, wok := w.SplitPrefix(8, 3)
+						var sp Splitter
+						gh, gr, gok := sp.SplitPrefix(shared, gname, 8, 3)
+						wh, wr, wok := sp.SplitPrefix(&w, w.Name, 8, 3)
 						if !gok || !wok {
 							t.Fatalf("%s: SplitPrefix(8, 3) refused", at)
 						}

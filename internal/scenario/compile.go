@@ -133,14 +133,10 @@ func Compile(sc *Scenario) (*Compiled, error) {
 	if c.Rate <= 0 || !finite(c.Rate) {
 		return nil, fmt.Errorf("workload.rate: resolves to %v batches/s", c.Rate)
 	}
-	batches := w.Batches
-	if batches == 0 {
-		batches = int(math.Ceil(w.Duration.Seconds() * c.Rate))
-		if batches == 0 {
-			return nil, fmt.Errorf("workload.duration %v at rate %.3g/s yields no arrivals", w.Duration, c.Rate)
-		}
+	batches, err := c.arrivals(w, "batches/s")
+	if err != nil {
+		return nil, err
 	}
-	c.Horizon = time.Duration(float64(batches) / c.Rate * float64(time.Second))
 
 	c.Trace = serve.TraceConfig{
 		Batches:    batches,
@@ -164,6 +160,32 @@ func Compile(sc *Scenario) (*Compiled, error) {
 		return nil, err
 	}
 	return c, c.compileTail(sc)
+}
+
+// arrivals returns how many arrivals the workload makes at c.Rate (its
+// Batches, or as many as its Duration holds) and sets c.Horizon to the
+// time they span; unit names the rate in errors. A horizon that does not
+// fit a positive time.Duration is rejected, since the run's clock could
+// not reach it.
+func (c *Compiled) arrivals(w Workload, unit string) (int, error) {
+	n := float64(w.Batches)
+	if n == 0 {
+		n = math.Ceil(w.Duration.Seconds() * c.Rate)
+		if n == 0 {
+			return 0, fmt.Errorf("workload.duration %v at rate %.3g/s yields no arrivals", w.Duration, c.Rate)
+		}
+		if !(n < math.MaxInt64) {
+			return 0, fmt.Errorf("workload.duration %v at rate %.3g/s yields %.3g arrivals, more than a run can count", w.Duration, c.Rate, n)
+		}
+	}
+	span := n / c.Rate
+	horizon := span * float64(time.Second)
+	if !(horizon >= 1 && horizon < math.MaxInt64) {
+		return 0, fmt.Errorf("workload.rate: resolves to %v %s, spreading %.3g arrivals over %.3g s, outside the 1ns to %v a run can span",
+			c.Rate, unit, n, span, time.Duration(math.MaxInt64))
+	}
+	c.Horizon = time.Duration(horizon)
+	return int(n), nil
 }
 
 // compileContinuous lowers a continuous-mode workload: sequence shape
@@ -190,14 +212,10 @@ func (c *Compiled) compileContinuous(sc *Scenario) error {
 	if c.Rate <= 0 || !finite(c.Rate) {
 		return fmt.Errorf("workload.rate: resolves to %v sequences/s", c.Rate)
 	}
-	seqs := w.Batches
-	if seqs == 0 {
-		seqs = int(math.Ceil(w.Duration.Seconds() * c.Rate))
-		if seqs == 0 {
-			return fmt.Errorf("workload.duration %v at rate %.3g/s yields no arrivals", w.Duration, c.Rate)
-		}
+	seqs, err := c.arrivals(w, "sequences/s")
+	if err != nil {
+		return err
 	}
-	c.Horizon = time.Duration(float64(seqs) / c.Rate * float64(time.Second))
 
 	plan := &ContinuousPlan{
 		Sequences: seqs,

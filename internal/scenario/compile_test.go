@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -208,5 +209,35 @@ func TestCompileDurationDerivesBatches(t *testing.T) {
 	}
 	if c.Trace.Batches <= 0 {
 		t.Errorf("batches = %d", c.Trace.Batches)
+	}
+}
+
+// A finite rate can still put the horizon, batches/rate, beyond what
+// time.Duration holds (or below a nanosecond); Compile rejects it
+// instead of handing the run a clock that overflows. The first case is
+// the corpus baseline at rate 1e-300, which used to compile and then
+// panic scheduling its first arrival.
+func TestCompileRejectsUnrepresentableHorizon(t *testing.T) {
+	base, err := Load(filepath.Join("..", "..", "scenarios", "healthy-baseline.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Workload.Batches, base.Workload.Rate = 4, RateSpec{abs: 1e-300}
+	if _, err := Compile(base); err == nil || !strings.HasPrefix(err.Error(), "workload.rate: resolves to 1e-300 batches/s") {
+		t.Errorf("healthy-baseline at rate 1e-300: err = %v", err)
+	}
+	for _, tc := range []struct{ workload, want string }{
+		{"  batches: 5\n  rate: 1e-300\n", "workload.rate: resolves to 1e-300 batches/s"},
+		{"  batches: 5\n  rate: 1e-300\n  mode: continuous\n", "workload.rate: resolves to 1e-300 sequences/s"},
+		{"  batches: 5\n  rate: 1e300\n", "workload.rate: resolves to 1e+300 batches/s"},
+		{"  duration: 1s\n  rate: 1e300\n", "workload.duration 1s at rate 1e+300/s yields 1e+300 arrivals"},
+	} {
+		sc, err := Parse([]byte("model: tiny\nworkload:\n"+tc.workload), "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Compile(sc); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%q: err = %v, want prefix %q", tc.workload, err, tc.want)
+		}
 	}
 }

@@ -24,7 +24,8 @@ var yamlErrPrefix = regexp.MustCompile(`^line [0-9]+: `)
 //  3. front-end parity: a YAML mapping re-encoded as JSON decodes to
 //     a DeepEqual scenario, or fails with the same error text;
 //  4. Compile of an accepted scenario does not panic, and on success
-//     the resolved rate is finite and positive.
+//     the resolved rate is finite and positive and so is the horizon,
+//     which fits time.Duration.
 func FuzzParse(f *testing.F) {
 	for _, pattern := range []string{"*.yaml", "fixtures/*.yaml"} {
 		files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", pattern))
@@ -40,7 +41,7 @@ func FuzzParse(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{"name": "js", "model": "tiny", "workload": {"batches": 5, "rate": "0.5x", "seq": {"min": 8, "max": 32}}}`))
-	for _, v := range []string{"rate: nan", "rate: inf", "rate: infinity", "rate: nanx", "rate: 1e308x", "seed: 1e19"} {
+	for _, v := range []string{"rate: nan", "rate: inf", "rate: infinity", "rate: nanx", "rate: 1e308x", "rate: 1e-300", "rate: 1e300", "seed: 1e19"} {
 		f.Add([]byte("model: tiny\nworkload:\n  batches: 5\n  " + v + "\n"))
 	}
 	f.Add([]byte(wl + "chaos:\n  events:\n    - kind: slowdown\n      factor: nan\n"))
@@ -70,6 +71,9 @@ func FuzzParse(f *testing.F) {
 		c, err := Compile(sc)
 		if err == nil && !(c.Rate > 0 && finite(c.Rate)) {
 			t.Fatalf("compiled rate %v", c.Rate)
+		}
+		if err == nil && c.Horizon <= 0 {
+			t.Fatalf("compiled horizon %v", c.Horizon)
 		}
 	})
 }

@@ -112,13 +112,21 @@ type ContinuousBatcher struct {
 
 	// waitQ holds arrivals and preempted sequences awaiting admission,
 	// priority-ordered (front admits first).
-	waitQ      []*genState
+	waitQ      seqQueue
 	prefilling []*genState
 	pool       []*genState
 	byID       map[int]*genState
 
+	// pending is the in-flight prefill's batch. The batcher owns its
+	// buffer: OnDone reads it, and only then may the next submission
+	// reuse it. prefilling and pending swap buffers at every prefill
+	// submission. A decode iteration runs over the pool itself, which
+	// does not change while it is in flight. snapshot is the extend
+	// loop's copy of the pool. So steady-state iterations allocate
+	// nothing.
 	inFlight  bool
 	pending   []*genState
+	snapshot  []*genState
 	pendingPF bool
 	// pendingRec is the in-flight submission's iteration record; its
 	// End/Retired fields are filled and it is emitted at completion.
@@ -193,7 +201,7 @@ func (b *ContinuousBatcher) beginIteration(prefill bool, batch, admitted int, no
 		Prefill:   prefill,
 		Start:     now,
 		Batch:     batch,
-		Waiting:   len(b.waitQ),
+		Waiting:   b.waitQ.len(),
 		Admitted:  admitted,
 		Preempted: b.stepPreempted,
 	}
@@ -236,7 +244,7 @@ func (b *ContinuousBatcher) Add(s GenSeq, now simclock.Time) {
 	}
 	st := &genState{GenSeq: s, resumeLen: s.Prompt, prefilled: s.Prefilled}
 	b.byID[s.ID] = st
-	b.waitQ = append(b.waitQ, st)
+	b.waitQ.pushBack(st)
 	b.seqEvent(SeqArrive, s.ID, s.Prompt, now)
 	b.step(now)
 }
@@ -246,7 +254,7 @@ func (b *ContinuousBatcher) Err() error { return b.err }
 
 // Idle reports no live, pending, or waiting work.
 func (b *ContinuousBatcher) Idle() bool {
-	return !b.inFlight && len(b.waitQ) == 0 && len(b.prefilling) == 0 && len(b.pool) == 0
+	return !b.inFlight && b.waitQ.len() == 0 && len(b.prefilling) == 0 && len(b.pool) == 0
 }
 
 // MeanPool is the average live-pool size over decode iterations.
@@ -275,8 +283,8 @@ func (b *ContinuousBatcher) step(now simclock.Time) {
 	// Admission is FIFO with head-of-line blocking: a waiting sequence
 	// that does not fit keeps everything behind it waiting, which keeps
 	// admission deterministic and starvation-free.
-	for len(b.waitQ) > 0 && len(b.pool)+len(b.prefilling) < b.maxPool {
-		s := b.waitQ[0]
+	for b.waitQ.len() > 0 && len(b.pool)+len(b.prefilling) < b.maxPool {
+		s := b.waitQ.front()
 		if b.kv != nil {
 			if !b.kv.CanAdmit(s.resumeLen) {
 				break
@@ -286,7 +294,7 @@ func (b *ContinuousBatcher) step(now simclock.Time) {
 				return
 			}
 		}
-		b.waitQ = b.waitQ[1:]
+		b.waitQ.popFront()
 		admitted++
 		if s.prefilled {
 			// Cache is already materialized: skip the Context submission
@@ -306,7 +314,7 @@ func (b *ContinuousBatcher) step(now simclock.Time) {
 	}
 	if len(b.prefilling) > 0 {
 		batch := b.prefilling
-		b.prefilling = nil
+		b.prefilling = b.pending[:0]
 		maxLen := 0
 		for _, s := range batch {
 			if s.resumeLen > maxLen {
@@ -341,8 +349,8 @@ func (b *ContinuousBatcher) step(now simclock.Time) {
 	// produce. An allocator failure is memory pressure: preempt the
 	// lowest-priority sequence and retry, rather than failing the run.
 	if b.kv != nil {
-		snapshot := append([]*genState(nil), b.pool...)
-		for _, s := range snapshot {
+		b.snapshot = append(b.snapshot[:0], b.pool...)
+		for _, s := range b.snapshot {
 			if s.ctx == 0 {
 				continue // evicted earlier in this loop
 			}
@@ -366,6 +374,7 @@ func (b *ContinuousBatcher) step(now simclock.Time) {
 				}
 			}
 		}
+		clear(b.snapshot)
 	}
 	maxCtx := 0
 	for _, s := range b.pool {
@@ -375,12 +384,11 @@ func (b *ContinuousBatcher) step(now simclock.Time) {
 		}
 	}
 	b.inFlight = true
-	b.pending = append([]*genState(nil), b.pool...)
 	b.pendingPF = false
 	b.Iterations++
 	b.PoolSum += len(b.pool)
 	b.beginIteration(false, len(b.pool), admitted, now)
-	if err := b.submit(model.Workload{Batch: len(b.pool), CtxLen: maxCtx, Phase: model.Decode}, b.pending); err != nil {
+	if err := b.submit(model.Workload{Batch: len(b.pool), CtxLen: maxCtx, Phase: model.Decode}, b.pool); err != nil {
 		b.fail(err)
 	}
 }
@@ -410,7 +418,7 @@ func (b *ContinuousBatcher) preemptOne(now simclock.Time) bool {
 	b.RecomputedTokens += s.resumeLen
 	b.Preemptions++
 	b.stepPreempted++
-	b.waitQ = append([]*genState{s}, b.waitQ...)
+	b.waitQ.pushFront(s)
 	b.seqEvent(SeqPreempt, id, s.resumeLen, now)
 	if b.hooks.Preempted != nil {
 		b.hooks.Preempted(id, now)
@@ -423,10 +431,8 @@ func (b *ContinuousBatcher) preemptOne(now simclock.Time) bool {
 func (b *ContinuousBatcher) OnDone(c runtimes.Completion) {
 	now := c.Done
 	b.inFlight = false
-	batch := b.pending
-	b.pending = nil
 	if b.pendingPF {
-		for _, s := range batch {
+		for _, s := range b.pending {
 			s.ctx = s.resumeLen
 			b.seqEvent(SeqPrefillEnd, s.ID, s.ctx, now)
 			if !s.started {
@@ -437,6 +443,8 @@ func (b *ContinuousBatcher) OnDone(c runtimes.Completion) {
 			}
 			b.pool = append(b.pool, s)
 		}
+		// The batch is consumed: step may reuse its buffer.
+		clear(b.pending)
 		b.endIteration(0, now)
 		b.step(now)
 		return
@@ -474,4 +482,52 @@ func (b *ContinuousBatcher) endIteration(retired int, now simclock.Time) {
 	rec.End = now
 	rec.Retired = retired
 	b.tr.Iteration(rec)
+}
+
+// seqQueue is the wait queue: a ring of sequences with pushes at either
+// end and pops at the front. It doubles when full and never shrinks, so
+// steady-state arrivals, admissions and preemptions allocate nothing.
+type seqQueue struct {
+	buf  []*genState // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *seqQueue) len() int { return q.n }
+
+// front returns the next sequence to admit; the queue must be non-empty.
+func (q *seqQueue) front() *genState { return q.buf[q.head] }
+
+func (q *seqQueue) pushBack(s *genState) {
+	q.grow()
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = s
+	q.n++
+}
+
+func (q *seqQueue) pushFront(s *genState) {
+	q.grow()
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = s
+	q.n++
+}
+
+func (q *seqQueue) popFront() *genState {
+	s := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return s
+}
+
+// grow makes room for one more sequence, unrolling the ring to the
+// front of a buffer twice the size.
+func (q *seqQueue) grow() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]*genState, max(8, 2*len(q.buf)))
+	for i := range q.n {
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	}
+	q.buf, q.head = buf, 0
 }

@@ -48,15 +48,20 @@ type Sharded struct {
 	// merged is the barrier's reused buffer of every outbox's posts.
 	merged []post
 
-	// horizon bounds the current window; window is the per-shard job
-	// that runs one shard up to it, built once so a window allocates
-	// nothing.
-	horizon Time
-	window  func(i int)
+	// next[i] is shard i's earliest pending event time, or never. Every
+	// runWindows reads it afresh from the shards, since callers may
+	// schedule on a shard between runs; after that, the window that runs
+	// shard i leaves it exact, and the barrier lowers it for shards that
+	// receive posts, so a window peeks no shard.
+	next []Time
+	// active lists the shards the current window runs: those with an
+	// event below the horizon.
+	active []int
 
-	// firedAtBarrier[i] snapshots shard i's Fired() before each window,
-	// for exact stall accounting after the barrier.
-	firedAtBarrier []uint64
+	// horizon bounds the current window; window is the job that runs
+	// active shard j up to it, built once so a window allocates nothing.
+	horizon Time
+	window  func(j int)
 
 	stats ShardStats
 }
@@ -98,16 +103,19 @@ func NewSharded(n int, lookahead Time, workers int) *Sharded {
 		workers = n
 	}
 	s := &Sharded{
-		shards:         make([]*Engine, n),
-		lookahead:      lookahead,
-		pool:           runner.NewPool(workers),
-		outbox:         make([][]post, n),
-		firedAtBarrier: make([]uint64, n),
+		shards:    make([]*Engine, n),
+		lookahead: lookahead,
+		pool:      runner.NewPool(workers),
+		outbox:    make([][]post, n),
+		next:      make([]Time, n),
 	}
 	for i := range s.shards {
 		s.shards[i] = New()
 	}
-	s.window = func(i int) { s.shards[i].RunBefore(s.horizon) }
+	s.window = func(j int) {
+		i := s.active[j]
+		s.next[i] = s.shards[i].runBefore(s.horizon)
+	}
 	return s
 }
 
@@ -151,7 +159,8 @@ func (s *Sharded) Post(src, dst int, at Time, fn Event) {
 }
 
 // deliver drains every outbox into the destination engines in the
-// deterministic (at, src, idx) order and returns the number delivered.
+// deterministic (at, src, idx) order, lowering each destination's next
+// event time to its earliest post, and returns the number delivered.
 func (s *Sharded) deliver() int {
 	total := 0
 	for _, ob := range s.outbox {
@@ -176,6 +185,7 @@ func (s *Sharded) deliver() int {
 			panic(fmt.Sprintf("simclock: cross-shard post at %v arrived in shard %d's past (now %v)", at, p.dst, dst.Now()))
 		}
 		dst.At(at, p.fn)
+		s.next[p.dst] = min(s.next[p.dst], at)
 	}
 	clear(all) // drop the delivered events' references
 	s.merged = all[:0]
@@ -194,18 +204,6 @@ func comparePosts(a, b post) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// minNext returns the earliest pending event time across shards.
-func (s *Sharded) minNext() (Time, bool) {
-	var best Time
-	found := false
-	for _, e := range s.shards {
-		if at, ok := e.NextEventAt(); ok && (!found || at < best) {
-			best, found = at, true
-		}
-	}
-	return best, found
-}
-
 // Run executes windows until no shard has pending events and no posts
 // are buffered.
 func (s *Sharded) Run() { s.runWindows(nil) }
@@ -222,10 +220,16 @@ func (s *Sharded) RunUntil(deadline Time) {
 // runWindows is the window loop. A nil deadline runs to exhaustion;
 // otherwise only events at or below *deadline fire.
 func (s *Sharded) runWindows(deadline *Time) {
+	for i, e := range s.shards {
+		s.next[i] = never
+		if at, ok := e.NextEventAt(); ok {
+			s.next[i] = at
+		}
+	}
 	for {
 		s.deliver()
-		next, ok := s.minNext()
-		if !ok {
+		next := slices.Min(s.next)
+		if next == never {
 			return
 		}
 		if deadline != nil && next > *deadline {
@@ -237,17 +241,16 @@ func (s *Sharded) runWindows(deadline *Time) {
 			// keeps the deadline itself inside (RunBefore is exclusive).
 			s.horizon = *deadline + 1
 		}
-		s.stats.Windows++
-		for i, e := range s.shards {
-			s.firedAtBarrier[i] = e.Fired()
-		}
-		s.pool.Run(len(s.shards), s.window)
-		// Stall accounting happens outside the window (single-threaded):
-		// racing increments from the workers would tear the counter.
-		for i, e := range s.shards {
-			if e.Fired() == s.firedAtBarrier[i] {
-				s.stats.Stalls++
+		// A shard with an event below the horizon fires it; every other
+		// shard stalls this window and is not run.
+		s.active = s.active[:0]
+		for i, at := range s.next {
+			if at < s.horizon {
+				s.active = append(s.active, i)
 			}
 		}
+		s.stats.Windows++
+		s.stats.Stalls += uint64(len(s.shards) - len(s.active))
+		s.pool.Run(len(s.active), s.window)
 	}
 }

@@ -241,6 +241,83 @@ func TestShardedWindowAllocatesNothing(t *testing.T) {
 	}
 }
 
+// peekAllWindows is the window loop without cached next-event times: it
+// peeks every shard for the horizon, runs every shard, and counts a stall
+// for each shard that fired nothing. A nil deadline runs to exhaustion.
+func peekAllWindows(s *Sharded, deadline *Time) {
+	for {
+		s.deliver()
+		var next Time
+		found := false
+		for _, e := range s.shards {
+			if at, ok := e.NextEventAt(); ok && (!found || at < next) {
+				next, found = at, true
+			}
+		}
+		if !found || deadline != nil && next > *deadline {
+			return
+		}
+		s.horizon = next + s.lookahead
+		if deadline != nil && s.horizon > *deadline+1 {
+			s.horizon = *deadline + 1
+		}
+		s.stats.Windows++
+		for _, e := range s.shards {
+			fired := e.Fired()
+			e.RunBefore(s.horizon)
+			if e.Fired() == fired {
+				s.stats.Stalls++
+			}
+		}
+	}
+}
+
+// The window loop runs only the shards whose cached next event lies
+// below the horizon. Against the loop that peeks and runs every shard it
+// fires the same events in the same order on every shard and counts the
+// same windows, posts and stalls, also when the caller schedules on
+// shards between RunUntil calls, ahead of their cached next events.
+func TestShardedCachedNextMatchesPeekAll(t *testing.T) {
+	var stalls uint64
+	for _, la := range []Time{time.Microsecond / 2, 2 * time.Microsecond, 7 * time.Microsecond} {
+		for _, workers := range []int{1, 3} {
+			drive := func(m *ringModel, runUntil func(Time), run func()) ShardStats {
+				for k := 1; k <= 8; k++ {
+					deadline := Time(k) * 5 * time.Microsecond
+					runUntil(deadline)
+					i := k % m.s.Shards()
+					m.s.Shard(i).At(deadline+Time(k)*100*time.Nanosecond, m.tokenFn(i, 1000+k, k))
+				}
+				run()
+				return m.s.Stats()
+			}
+			ref := newRingModel(4, 1, la)
+			refStats := drive(ref, func(d Time) {
+				peekAllWindows(ref.s, &d)
+				for _, e := range ref.s.shards {
+					e.RunUntil(d)
+				}
+			}, func() { peekAllWindows(ref.s, nil) })
+			got := newRingModel(4, workers, la)
+			gotStats := drive(got, got.s.RunUntil, got.s.Run)
+			got.s.Close()
+			ref.s.Close()
+			if gotStats != refStats {
+				t.Fatalf("lookahead %v, workers %d: stats %+v, want %+v", la, workers, gotStats, refStats)
+			}
+			for i := range ref.logs {
+				if fmt.Sprint(got.logs[i]) != fmt.Sprint(ref.logs[i]) {
+					t.Fatalf("lookahead %v, workers %d: shard %d fired\n%v\nwant\n%v", la, workers, i, got.logs[i], ref.logs[i])
+				}
+			}
+			stalls += refStats.Stalls
+		}
+	}
+	if stalls == 0 {
+		t.Fatal("no run stalled a shard")
+	}
+}
+
 // BenchmarkShardedRing measures windowed-execution throughput on the
 // synthetic ring at 1 and 4 workers. On multi-core hosts the parallel
 // variant demonstrates the scaling headroom the 1-CPU CI container

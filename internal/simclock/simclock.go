@@ -60,6 +60,9 @@ import (
 // microsecond-to-millisecond range, far from overflow.
 type Time = time.Duration
 
+// never is the largest Time, standing for "no pending event".
+const never = Time(1<<63 - 1)
+
 // Event is a callback scheduled to fire at a virtual instant.
 type Event func(now Time)
 
@@ -759,11 +762,18 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 // is the primitive the lookahead-sharded executor uses to advance a
 // shard through one conservative window: every event below the horizon
 // is safe to fire; the horizon itself is not.
-func (e *Engine) RunBefore(bound Time) {
+func (e *Engine) RunBefore(bound Time) { e.runBefore(bound) }
+
+// runBefore is RunBefore, returning the time of the next pending event
+// where it stopped, or never when none is left.
+func (e *Engine) runBefore(bound Time) Time {
 	for {
 		it := e.settle()
-		if it == nil || it.at >= bound {
-			return
+		if it == nil {
+			return never
+		}
+		if it.at >= bound {
+			return it.at
 		}
 		e.fire(it)
 	}
