@@ -14,7 +14,7 @@ func TestCollectiveSizeOne(t *testing.T) {
 	s := n.NewStream(0)
 	s.Launch(KernelSpec{Name: "self", Class: Comm, Duration: 10 * time.Microsecond,
 		ComputeDemand: 0.05, MemBWDemand: 0.1, Coll: coll,
-		OnDone: func(now simclock.Time) { done = now }})
+		OnDone: func(now simclock.Time, _ int) { done = now }})
 	eng.Run()
 	if done != 15*time.Microsecond {
 		t.Fatalf("size-1 collective finished at %v, want 15µs", done)
@@ -53,7 +53,7 @@ func TestCollectiveZeroDuration(t *testing.T) {
 	for d := 0; d < 2; d++ {
 		n.NewStream(d).Launch(KernelSpec{Name: "z", Class: Comm, Duration: 0,
 			ComputeDemand: 0.05, MemBWDemand: 0.1, Coll: coll,
-			OnDone: func(simclock.Time) { count++ }})
+			OnDone: func(_ simclock.Time, copies int) { count += copies }})
 	}
 	eng.Run()
 	if count != 2 {
@@ -72,7 +72,7 @@ func TestBackToBackCollectivesStayOrdered(t *testing.T) {
 			s := n.NewStream(d)
 			s.Launch(KernelSpec{Name: name, Class: Comm, Duration: 20 * time.Microsecond,
 				ComputeDemand: 0.05, MemBWDemand: 0.1, Coll: coll,
-				OnDone: func(simclock.Time) {
+				OnDone: func(simclock.Time, int) {
 					if d == 0 {
 						order = append(order, name)
 					}
@@ -99,11 +99,11 @@ func TestCommSensitivityAmplifiesCollectiveSlowdown(t *testing.T) {
 	n.NewStreamOnConnection(0, 0).Launch(KernelSpec{
 		Name: "gemm", Class: Compute, Duration: 300 * time.Microsecond,
 		ComputeDemand: 0.7, MemBWDemand: 0.6,
-		OnDone: func(now simclock.Time) { compDone = now }})
+		OnDone: func(now simclock.Time, _ int) { compDone = now }})
 	n.NewStreamOnConnection(0, 1).Launch(KernelSpec{
 		Name: "ar", Class: Comm, Duration: 300 * time.Microsecond,
 		ComputeDemand: 0.05, MemBWDemand: 0.6, Coll: coll,
-		OnDone: func(now simclock.Time) { commDone = now }})
+		OnDone: func(now simclock.Time, _ int) { commDone = now }})
 	eng.Run()
 	if commDone <= compDone {
 		t.Fatalf("comm (%v) should outlast equally-sized compute (%v) under contention", commDone, compDone)

@@ -104,6 +104,14 @@ type Device struct {
 	stats      DeviceStats
 	lastSample simclock.Time
 
+	// settled records that recompute ran at settledAt and nothing it
+	// reads (the running set, speed, link factor) changed since, so a
+	// pass at the same instant would change nothing. Every write to
+	// running, speed or linkFactor must clear it, or a later pass at the
+	// same instant keeps stale rates.
+	settled   bool
+	settledAt simclock.Time
+
 	// Folding (see Node.Fold). A representative's fold lists the devices
 	// it stands for in id order, itself last; it runs their identical
 	// work once, with their multiplicity. A device folded into a
@@ -252,6 +260,7 @@ func (d *Device) SetSpeed(f float64) {
 		return
 	}
 	d.speed = f
+	d.settled = false
 	now := d.node.eng.Now()
 	if ft := d.node.faultTracer; ft != nil {
 		ft.RateChange(d.id, d.speed, d.linkFactor, now)
@@ -276,6 +285,7 @@ func (d *Device) SetLinkFactor(f float64) {
 		return
 	}
 	d.linkFactor = f
+	d.settled = false
 	now := d.node.eng.Now()
 	if ft := d.node.faultTracer; ft != nil {
 		ft.RateChange(d.id, d.speed, d.linkFactor, now)
@@ -369,6 +379,7 @@ func (d *Device) tryAdmit(s *Stream, k *kernelInstance, now simclock.Time) bool 
 	d.sample(now)
 	d.computeInUse += k.spec.ComputeDemand
 	d.running = append(d.running, k)
+	d.settled = false
 	k.state = kRunning
 	k.admittedAt = now
 	k.lastUpdate = now
@@ -500,6 +511,7 @@ func (d *Device) finish(k *kernelInstance, now simclock.Time) {
 			break
 		}
 	}
+	d.settled = false
 	d.stats.KernelsRun++
 	d.lastFreed = k.ref()
 	d.emitSpan(k, now)
@@ -507,10 +519,7 @@ func (d *Device) finish(k *kernelInstance, now simclock.Time) {
 	d.admitPending(now)
 	d.recompute(now)
 	if k.spec.OnDone != nil {
-		// Once per copy: each device's kernel completes.
-		for range d.copies() {
-			k.spec.OnDone(now)
-		}
+		k.spec.OnDone(now, d.copies())
 	}
 	if k.spec.Coll == nil {
 		// Collective members stay listed in their group until its member
@@ -582,7 +591,16 @@ func (d *Device) drainFailed(now simclock.Time) {
 // factor raised to the node's CommBWSensitivity, since pipelined
 // collectives amplify memory stalls into interconnect bubbles (§2.3.2);
 // collectives take the slowest member device's rate.
+//
+// A second pass at the same instant with nothing changed returns at
+// once: it would fold zero elapsed time and find every rate unchanged.
+// The collectives it skips are current too, since a change on another
+// member device refreshes them through that device's own pass.
 func (d *Device) recompute(now simclock.Time) {
+	if d.settled && d.settledAt == now {
+		return
+	}
+	d.settled, d.settledAt = true, now
 	var bw float64
 	for _, k := range d.running {
 		bw += k.spec.MemBWDemand

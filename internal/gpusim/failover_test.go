@@ -50,7 +50,7 @@ func TestFailDeviceAbortsCollectiveMembership(t *testing.T) {
 		n.NewStream(d).Launch(KernelSpec{
 			Name: "ar", Class: Comm, Duration: 100 * time.Microsecond,
 			ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: coll,
-			OnDone: func(simclock.Time) { finished++ }})
+			OnDone: func(_ simclock.Time, copies int) { finished += copies }})
 	}
 	eng.At(30*time.Microsecond, func(simclock.Time) { n.FailDevice(2) })
 	eng.Run()
@@ -71,7 +71,7 @@ func TestLaunchOntoFailedDeviceFinishesImmediately(t *testing.T) {
 		n.NewStream(1).Launch(KernelSpec{
 			Name: "late", Class: Compute, Duration: 100 * time.Microsecond,
 			ComputeDemand: 0.5, MemBWDemand: 0.2,
-			OnDone: func(now simclock.Time) { fired, done = true, now }})
+			OnDone: func(now simclock.Time, _ int) { fired, done = true, now }})
 	})
 	eng.Run()
 	if !fired {

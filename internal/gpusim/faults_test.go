@@ -66,7 +66,7 @@ func TestLinkDegradeGatesCollective(t *testing.T) {
 		n.NewStream(d).Launch(KernelSpec{
 			Name: "ar", Class: Comm, Duration: 100 * time.Microsecond,
 			ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: coll,
-			OnDone: func(now simclock.Time) { done = now }})
+			OnDone: func(now simclock.Time, _ int) { done = now }})
 	}
 	eng.Run()
 	// Lockstep at the slowest member: quarter rate, 400µs + 5µs delivery.
@@ -91,7 +91,7 @@ func TestCollectiveTimeoutAbortsHungRendezvous(t *testing.T) {
 		s.Launch(KernelSpec{
 			Name: "ar", Class: Comm, Duration: 100 * time.Microsecond,
 			ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: coll,
-			OnDone: func(now simclock.Time) { memberDone = now }})
+			OnDone: func(now simclock.Time, _ int) { memberDone = now }})
 	}
 	// A kernel queued behind a member on the same stream must run once
 	// the abort unblocks it — the "proper cleanup" property.
@@ -122,14 +122,14 @@ func TestLateJoinerOfAbortedCollectiveCleansUp(t *testing.T) {
 	n.NewStream(0).Launch(KernelSpec{
 		Name: "ar", Class: Comm, Duration: 100 * time.Microsecond,
 		ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: coll,
-		OnDone: func(now simclock.Time) { d0 = now }})
+		OnDone: func(now simclock.Time, _ int) { d0 = now }})
 	// The peer launches long after the watchdog fired; joining the
 	// aborted group must finish it immediately, not panic or hang.
 	eng.At(200*time.Microsecond, func(simclock.Time) {
 		n.NewStream(1).Launch(KernelSpec{
 			Name: "ar", Class: Comm, Duration: 100 * time.Microsecond,
 			ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: coll,
-			OnDone: func(now simclock.Time) { d1 = now }})
+			OnDone: func(now simclock.Time, _ int) { d1 = now }})
 	})
 	eng.Run()
 	if want := 25 * time.Microsecond; d0 != want {
@@ -152,7 +152,7 @@ func TestCollectiveTimeoutOnStalledProgress(t *testing.T) {
 		n.NewStream(d).Launch(KernelSpec{
 			Name: "ar", Class: Comm, Duration: 100 * time.Microsecond,
 			ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: coll,
-			OnDone: func(now simclock.Time) { done = now }})
+			OnDone: func(now simclock.Time, _ int) { done = now }})
 	}
 	// The link dies mid-transfer; progress freezes, and the watchdog —
 	// armed at the first join (5µs) — aborts at 305µs.
@@ -177,7 +177,7 @@ func TestCollectiveCompletesBeforeTimeout(t *testing.T) {
 		n.NewStream(d).Launch(KernelSpec{
 			Name: "ar", Class: Comm, Duration: 100 * time.Microsecond,
 			ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: coll,
-			OnDone: func(now simclock.Time) { done = now }})
+			OnDone: func(now simclock.Time, _ int) { done = now }})
 	}
 	eng.Run()
 	if coll.Aborted() || aborts != 0 {

@@ -294,3 +294,66 @@ func TestFoldDivergencePanics(t *testing.T) {
 	// The lead is not folded: it may still change.
 	node.Device(0).SetSpeed(0.5)
 }
+
+// OnDone reports each kernel instance once, with the number of devices
+// it ran on, so summing copies per kernel counts the same completions
+// folded as unfolded: a folded representative's kernel reports the
+// group's size in one call, each unfolded device's kernel 1.
+func TestOnDoneCountsCopies(t *testing.T) {
+	run := func(fold bool) (copies map[string]int, calls int) {
+		eng := simclock.New()
+		node, err := gpusim.New(eng, hw.A100Node())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gpusim.SetFolding(node, fold)
+		group := []int{1, 2, 3}
+		streams := make([]*gpusim.Stream, node.NumDevices())
+		for d := range streams {
+			streams[d] = node.NewStream(d)
+		}
+		devs := group
+		if rep := node.Fold(group); rep >= 0 {
+			devs = []int{rep}
+		}
+		if gpusim.IsFolded(node) != fold {
+			t.Fatalf("folding %v, want %v", gpusim.IsFolded(node), fold)
+		}
+		copies = map[string]int{}
+		for round := range 3 {
+			coll := node.NewCollective(len(group))
+			for _, d := range devs {
+				if len(devs) == 1 {
+					node.Device(d).ReserveBlock(3)
+				}
+				for i, name := range []string{"gemm", "all_reduce", "gelu"} {
+					spec := gpusim.KernelSpec{Name: fmt.Sprintf("r%d.%s", round, name), Class: gpusim.Compute,
+						Duration: time.Duration(10+5*i) * time.Microsecond, ComputeDemand: 0.5, MemBWDemand: 0.6, Req: -1}
+					if name == "all_reduce" {
+						spec.Class, spec.Coll, spec.ComputeDemand = gpusim.Comm, coll, 0.1
+					}
+					spec.OnDone = func(_ simclock.Time, n int) {
+						copies[spec.Name] += n
+						calls++
+					}
+					streams[d].Launch(spec)
+				}
+			}
+		}
+		eng.Run()
+		return copies, calls
+	}
+	folded, foldedCalls := run(true)
+	unfolded, unfoldedCalls := run(false)
+	if !reflect.DeepEqual(folded, unfolded) {
+		t.Fatalf("copies per kernel folded %v, unfolded %v", folded, unfolded)
+	}
+	for name, n := range unfolded {
+		if n != 3 {
+			t.Fatalf("%s completed on %d devices, want 3", name, n)
+		}
+	}
+	if foldedCalls != 9 || unfoldedCalls != 27 {
+		t.Fatalf("OnDone ran %d times folded and %d unfolded, want 9 and 27", foldedCalls, unfoldedCalls)
+	}
+}

@@ -31,7 +31,7 @@ func launch(s *Stream, name string, class KernelClass, dur time.Duration, comput
 	s.Launch(KernelSpec{
 		Name: name, Class: class, Duration: dur,
 		ComputeDemand: compute, MemBWDemand: membw,
-		OnDone: func(now simclock.Time) {
+		OnDone: func(now simclock.Time, _ int) {
 			if done != nil {
 				*done = now
 			}
@@ -277,7 +277,7 @@ func TestCollectiveRendezvous(t *testing.T) {
 		s.Launch(KernelSpec{
 			Name: "allreduce", Class: Comm, Duration: 40 * time.Microsecond,
 			ComputeDemand: 0.08, MemBWDemand: 0.5, Coll: coll,
-			OnDone: func(now simclock.Time) { done[d] = now },
+			OnDone: func(now simclock.Time, _ int) { done[d] = now },
 		})
 	}
 	eng.Run()
@@ -300,7 +300,7 @@ func TestCollectiveSlowedByContentionOnOneDevice(t *testing.T) {
 		s.Launch(KernelSpec{
 			Name: "ar", Class: Comm, Duration: 100 * time.Microsecond,
 			ComputeDemand: 0.08, MemBWDemand: 0.6, Coll: coll,
-			OnDone: func(now simclock.Time) { commDone = now },
+			OnDone: func(now simclock.Time, _ int) { commDone = now },
 		})
 	}
 	// A bandwidth-hungry compute kernel on device 0 only.
@@ -450,7 +450,7 @@ func TestPropertyAllKernelsComplete(t *testing.T) {
 			s.Launch(KernelSpec{
 				Name: "k", Class: Compute, Duration: d,
 				ComputeDemand: dem, MemBWDemand: dem,
-				OnDone: func(simclock.Time) { completed++ },
+				OnDone: func(_ simclock.Time, copies int) { completed += copies },
 			})
 		}
 		eng.Run()
@@ -477,11 +477,11 @@ func TestPropertyDeterminism(t *testing.T) {
 				s.Launch(KernelSpec{Name: "c", Class: Compute,
 					Duration:      time.Duration(10+3*i) * time.Microsecond,
 					ComputeDemand: 0.7, MemBWDemand: 0.5,
-					OnDone: func(now simclock.Time) { times = append(times, now) }})
+					OnDone: func(now simclock.Time, _ int) { times = append(times, now) }})
 			}
 			s.Launch(KernelSpec{Name: "ar", Class: Comm, Duration: 25 * time.Microsecond,
 				ComputeDemand: 0.06, MemBWDemand: 0.5, Coll: coll,
-				OnDone: func(now simclock.Time) { times = append(times, now) }})
+				OnDone: func(now simclock.Time, _ int) { times = append(times, now) }})
 		}
 		eng.Run()
 		return times
@@ -566,4 +566,45 @@ func TestBadConnectionPanics(t *testing.T) {
 		}
 	}()
 	n.NewStreamOnConnection(0, 99)
+}
+
+// A contention pass returns at once only when it already ran at this
+// instant and nothing it reads changed since. A kernel leaving the
+// running set or a speed or link change at the same instant still
+// re-rates the kernels that stay.
+func TestRecomputeRepeatsOnlyWhenNothingChanged(t *testing.T) {
+	eng, n := testNode(t, 1)
+	n.spec.Contention.CommBWSensitivity = 2
+	d := n.Device(0)
+	launch(n.NewStream(0), "a", Compute, 100*time.Microsecond, 0.3, 0.6, nil)
+	launch(n.NewStream(0), "b", Compute, 100*time.Microsecond, 0.3, 0.6, nil)
+	launch(n.NewStream(0), "c", Comm, 100*time.Microsecond, 0.1, 0.3, nil)
+	checked := false
+	eng.At(simclock.Time(20*time.Microsecond), func(now simclock.Time) {
+		checked = true
+		if len(d.running) != 3 {
+			t.Fatalf("%d kernels running, want 3", len(d.running))
+		}
+		a, b, c := d.running[0], d.running[1], d.running[2]
+		rates := func(what string, wantA, wantC float64) {
+			t.Helper()
+			if a.rate != wantA || c.rate != wantC {
+				t.Fatalf("%s: rates %v (compute) and %v (comm), want %v and %v", what, a.rate, c.rate, wantA, wantC)
+			}
+		}
+		d.recompute(now)
+		rates("oversubscribed", 1/1.5, 1/(1.5*1.5))
+		d.recompute(now)
+		rates("repeated pass", 1/1.5, 1/(1.5*1.5))
+		d.finish(b, now)
+		rates("after a finish", 1, 1)
+		d.SetSpeed(0.5)
+		rates("after a slowdown", 0.5, 0.5)
+		d.SetLinkFactor(0.25)
+		rates("after a link degradation", 0.5, 0.125)
+	})
+	eng.Run()
+	if !checked {
+		t.Fatal("the check never ran")
+	}
 }

@@ -60,8 +60,10 @@ type KernelSpec struct {
 	// sites outside the serving path should leave it negative (-1);
 	// the runtimes tag it from the submission.
 	Req int
-	// OnDone, if set, runs when the kernel completes.
-	OnDone func(now simclock.Time)
+	// OnDone, if set, runs once when the kernel instance completes, with
+	// copies, the number of devices it ran on: the fold multiplicity of a
+	// folded device's launch (see Node.Fold), 1 elsewhere.
+	OnDone func(now simclock.Time, copies int)
 }
 
 type kernelState int

@@ -25,7 +25,7 @@ func TestSteadyStateLaunchAllocatesNothing(t *testing.T) {
 	eng, n := testNode(t, 2)
 	s0, s1 := n.NewStream(0), n.NewStream(1)
 	done := 0
-	onDone := func(simclock.Time) { done++ }
+	onDone := func(_ simclock.Time, copies int) { done += copies }
 	gemm := func(s *Stream) {
 		s.Launch(KernelSpec{Name: "gemm", Class: Compute, Duration: time.Microsecond,
 			ComputeDemand: 0.4, MemBWDemand: 0.7, Req: -1, OnDone: onDone})
@@ -202,7 +202,7 @@ func runPoolScenario(t *testing.T, pool bool, gpus, rounds int, perturb func(*si
 		r.colls.recycles++
 		return true
 	}
-	onDone := func(simclock.Time) { r.done++ }
+	onDone := func(_ simclock.Time, copies int) { r.done += copies }
 	compute := make([]*Stream, gpus)
 	comm := make([]*Stream, gpus)
 	for d := range compute {

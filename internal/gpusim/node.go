@@ -621,10 +621,10 @@ func (n *Node) KeepUnfolded() {
 // block, and must not launch onto the other devices.
 //
 // Each kernel of the representative counts once per device of the
-// group: in its collective's rendezvous size, its OnDone calls and the
-// DeviceStats of every device of the group. Tracers receive one record
-// per device, with the kernel, stream and predecessor ids the unfolded
-// run assigns.
+// group: in its collective's rendezvous size, the copies its OnDone
+// reports and the DeviceStats of every device of the group. Tracers
+// receive one record per device, with the kernel, stream and
+// predecessor ids the unfolded run assigns.
 //
 // Only the first call decides: a node folds at most one group, before
 // its devices ran anything, and only when nothing made its devices

@@ -62,7 +62,7 @@ func TestEventCountersClassifyScheduling(t *testing.T) {
 	done := false
 	s.Launch(KernelSpec{Name: "k", Class: Compute, Duration: time.Millisecond,
 		ComputeDemand: 0.5, MemBWDemand: 0.2, Req: -1,
-		OnDone: func(simclock.Time) { done = true }})
+		OnDone: func(simclock.Time, int) { done = true }})
 	ev := s.Record()
 	hostSeen := false
 	ev.OnHost(func(simclock.Time) { hostSeen = true })

@@ -31,7 +31,7 @@ func TestStragglerGatesCollectives(t *testing.T) {
 		n.NewStream(d).Launch(KernelSpec{
 			Name: "ar", Class: Comm, Duration: 100 * time.Microsecond,
 			ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: coll,
-			OnDone: func(now simclock.Time) { done = now }})
+			OnDone: func(now simclock.Time, _ int) { done = now }})
 	}
 	eng.Run()
 	if want := 205 * time.Microsecond; done != want {

@@ -417,7 +417,7 @@ func (s *Stream) advance(now simclock.Time) {
 						c.abort(now)
 					}
 					if k.spec.OnDone != nil {
-						k.spec.OnDone(now)
+						k.spec.OnDone(now, s.dev.copies())
 					}
 					s.node.recycleKernel(k)
 					continue

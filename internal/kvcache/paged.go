@@ -53,8 +53,12 @@ type PagedManager struct {
 	totalBlocks   int
 	watermark     int // free-block threshold for UnderPressure
 
-	free []int // free block ids, LIFO
-	seqs map[int]*pagedSeq
+	// Free blocks: the released ones in free, LIFO, on top of the
+	// never-used ids fresh..totalBlocks-1, handed out in ascending order
+	// once free is empty.
+	free  []int
+	fresh int
+	seqs  map[int]*pagedSeq
 	// spare recycles released sequences' records and block tables, so
 	// steady-state admission allocates nothing.
 	spare []*pagedSeq
@@ -116,12 +120,6 @@ func NewPaged(node hw.Node, spec model.Spec, maxBatch, maxSeq int, cfg PagedConf
 		watermark:     int(cfg.Watermark * float64(total)),
 		seqs:          map[int]*pagedSeq{},
 	}
-	// Stacked in descending id order so allocation hands out ascending
-	// ids — the block tables read naturally and stay deterministic.
-	m.free = make([]int, total)
-	for i := range m.free {
-		m.free[i] = total - 1 - i
-	}
 	return m, nil
 }
 
@@ -137,7 +135,7 @@ func (m *PagedManager) BlockTokens() int { return m.blockTokens }
 func (m *PagedManager) TotalBlocks() int { return m.totalBlocks }
 
 // FreeBlocks returns how many blocks are unallocated.
-func (m *PagedManager) FreeBlocks() int { return len(m.free) }
+func (m *PagedManager) FreeBlocks() int { return len(m.free) + m.totalBlocks - m.fresh }
 
 // Budget returns the per-device KV byte budget rounded to whole blocks.
 func (m *PagedManager) Budget() int64 { return int64(m.totalBlocks) * m.blockBytes }
@@ -148,7 +146,7 @@ func (m *PagedManager) BytesPerToken() int64 { return m.bytesPerToken }
 // UsedBytes returns the per-device bytes held by allocated blocks
 // (block-granular: a partially filled block counts whole).
 func (m *PagedManager) UsedBytes() int64 {
-	return int64(m.totalBlocks-len(m.free)) * m.blockBytes
+	return int64(m.totalBlocks-m.FreeBlocks()) * m.blockBytes
 }
 
 // Live returns the number of admitted sequences.
@@ -175,7 +173,7 @@ func (m *PagedManager) BlockTable(seqID int) []int {
 
 // CanAdmit reports whether a sequence needing tokens of cache fits now.
 func (m *PagedManager) CanAdmit(tokens int) bool {
-	return tokens > 0 && m.blocksFor(tokens) <= len(m.free)
+	return tokens > 0 && m.blocksFor(tokens) <= m.FreeBlocks()
 }
 
 // Admit allocates a new sequence's prompt blocks. Only the prompt is
@@ -189,8 +187,8 @@ func (m *PagedManager) Admit(seqID, promptTokens int) error {
 		return fmt.Errorf("kvcache: sequence %d already admitted", seqID)
 	}
 	need := m.blocksFor(promptTokens)
-	if need > len(m.free) {
-		return fmt.Errorf("%w: sequence %d needs %d blocks, %d free", ErrNoFreeBlocks, seqID, need, len(m.free))
+	if free := m.FreeBlocks(); need > free {
+		return fmt.Errorf("%w: sequence %d needs %d blocks, %d free", ErrNoFreeBlocks, seqID, need, free)
 	}
 	s := m.newSeq()
 	s.tokens = promptTokens
@@ -213,7 +211,7 @@ func (m *PagedManager) Extend(seqID int) error {
 	}
 	grew := false
 	if s.tokens+1 > len(s.blocks)*m.blockTokens {
-		if len(m.free) == 0 {
+		if m.FreeBlocks() == 0 {
 			return fmt.Errorf("%w: extending sequence %d at %d tokens", ErrNoFreeBlocks, seqID, s.tokens)
 		}
 		s.blocks = append(s.blocks, m.pop())
@@ -261,7 +259,7 @@ func (m *PagedManager) Preempt() (seqID, tokens int, ok bool) {
 
 // UnderPressure reports whether free blocks have fallen under the
 // watermark — the scheduler's cue to evict before Extend fails.
-func (m *PagedManager) UnderPressure() bool { return len(m.free) < m.watermark }
+func (m *PagedManager) UnderPressure() bool { return m.FreeBlocks() < m.watermark }
 
 // Preemptions counts sequences evicted by Preempt.
 func (m *PagedManager) Preemptions() int { return m.preemptions }
@@ -282,9 +280,17 @@ func (m *PagedManager) Violations() int { return m.violations.count }
 // InvariantErr returns the first recorded invariant violation.
 func (m *PagedManager) InvariantErr() error { return m.violations.first }
 
+// pop allocates a block: the last one released, else the lowest
+// never-used id — the order of a stack that starts with every id,
+// lowest on top, so block tables read naturally and stay deterministic.
 func (m *PagedManager) pop() int {
-	id := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
+	if n := len(m.free); n > 0 {
+		id := m.free[n-1]
+		m.free = m.free[:n-1]
+		return id
+	}
+	id := m.fresh
+	m.fresh++
 	return id
 }
 

@@ -2,6 +2,8 @@ package kvcache
 
 import (
 	"errors"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -283,5 +285,94 @@ func TestPagedSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if m.Live() != 0 || m.FreeBlocks() != m.TotalBlocks() || m.Violations() != 0 {
 		t.Fatalf("%d live, %d of %d blocks free, %d violations", m.Live(), m.FreeBlocks(), m.TotalBlocks(), m.Violations())
+	}
+}
+
+// eagerBlocks is the reference free list: a stack built with every
+// block id, lowest on top, that released blocks are pushed onto.
+type eagerBlocks struct {
+	stack  []int
+	tables map[int][]int
+}
+
+func newEagerBlocks(total int) *eagerBlocks {
+	e := &eagerBlocks{tables: map[int][]int{}}
+	for i := total - 1; i >= 0; i-- {
+		e.stack = append(e.stack, i)
+	}
+	return e
+}
+
+func (e *eagerBlocks) take(seq, n int) {
+	for range n {
+		e.tables[seq] = append(e.tables[seq], e.stack[len(e.stack)-1])
+		e.stack = e.stack[:len(e.stack)-1]
+	}
+}
+
+func (e *eagerBlocks) drop(seq int) {
+	t := e.tables[seq]
+	for i := len(t) - 1; i >= 0; i-- {
+		e.stack = append(e.stack, t[i])
+	}
+	delete(e.tables, seq)
+}
+
+// The lazily built free list hands out exactly the blocks of the eager
+// stack it replaces — released blocks first, newest release on top,
+// then never-used ids in ascending order — so every block table of a
+// mixed admit/extend/preempt/release sequence matches block for block.
+func TestPagedLazyFreeListMatchesEagerStack(t *testing.T) {
+	node, spec := smallPoolNode(t, 120)
+	m, err := NewPaged(node, spec, 8, 128, PagedConfig{BlockTokens: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newEagerBlocks(m.TotalBlocks())
+	blocks := func(tokens int) int { return (tokens + 7) / 8 }
+	rng := rand.New(rand.NewPCG(7, 19))
+	next, preempts := 0, 0
+	for op := range 3000 {
+		var live []int
+		for id := range ref.tables {
+			live = append(live, id)
+		}
+		slices.Sort(live)
+		switch r := rng.IntN(10); {
+		case r < 3 || len(live) == 0:
+			tokens := 1 + rng.IntN(160)
+			if m.Admit(next, tokens) == nil {
+				ref.take(next, blocks(tokens))
+			}
+			next++
+		case r < 8:
+			id := live[rng.IntN(len(live))]
+			before := m.Tokens(id)
+			if m.Extend(id) == nil && blocks(before+1) > blocks(before) {
+				ref.take(id, 1)
+			}
+		case r < 9:
+			id, _, ok := m.Preempt()
+			if !ok {
+				t.Fatalf("op %d: nothing to preempt with %d live", op, len(live))
+			}
+			ref.drop(id)
+			preempts++
+		default:
+			id := live[rng.IntN(len(live))]
+			m.Release(id)
+			ref.drop(id)
+		}
+		if m.FreeBlocks() != len(ref.stack) || m.Live() != len(ref.tables) {
+			t.Fatalf("op %d: %d free / %d live, eager stack %d / %d", op, m.FreeBlocks(), m.Live(), len(ref.stack), len(ref.tables))
+		}
+		for id, want := range ref.tables {
+			if got := m.BlockTable(id); !slices.Equal(got, want) {
+				t.Fatalf("op %d: sequence %d holds blocks %v, eager stack %v", op, id, got, want)
+			}
+		}
+	}
+	if preempts == 0 || m.Violations() != 0 {
+		t.Fatalf("%d preemptions, %d violations", preempts, m.Violations())
 	}
 }

@@ -59,7 +59,8 @@ func (m *PagedManager) PeakUsedBlocks() int { return m.peakUsed }
 // emit records one transition to the tracer, sampling pool state after
 // the transition, and maintains the allocation high-water mark.
 func (m *PagedManager) emit(kind KVEventKind, seq, delta, tokens int) {
-	if used := m.totalBlocks - len(m.free); used > m.peakUsed {
+	free := m.FreeBlocks()
+	if used := m.totalBlocks - free; used > m.peakUsed {
 		m.peakUsed = used
 	}
 	if m.tracer == nil {
@@ -73,10 +74,10 @@ func (m *PagedManager) emit(kind KVEventKind, seq, delta, tokens int) {
 		Kind:     kind,
 		Seq:      seq,
 		Delta:    delta,
-		Used:     m.totalBlocks - len(m.free),
-		Free:     len(m.free),
+		Used:     m.totalBlocks - free,
+		Free:     free,
 		Tokens:   tokens,
-		Pressure: len(m.free) < m.watermark,
+		Pressure: free < m.watermark,
 		At:       at,
 	})
 }

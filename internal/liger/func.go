@@ -101,11 +101,13 @@ type Batch struct {
 	// waiting queue during a failover quiesce never allocated).
 	workspaceHeld bool
 
-	onDone func(b *Batch, now simclock.Time)
+	// sched is the scheduler the batch was submitted to; it hears of the
+	// batch's completion.
+	sched *Scheduler
 	// kernelDoneFn is the reusable per-batch completion callback wired
 	// into every launched kernel's OnDone (one closure per batch instead
 	// of one per launch).
-	kernelDoneFn func(now simclock.Time)
+	kernelDoneFn func(now simclock.Time, copies int)
 	// failFn is the reusable abort callback registered on every
 	// collective the batch's kernels join (see abortFn).
 	failFn func(now simclock.Time)
@@ -193,19 +195,27 @@ func (b *Batch) replaceHead(desc parallel.KernelDesc) {
 // kernelLaunched records n launched kernel instances.
 func (b *Batch) kernelLaunched(n int) { b.pendingKernels += n }
 
-// kernelDone records a completion and fires the batch callback when the
-// last in-flight kernel of an exhausted batch lands.
-func (b *Batch) kernelDone(now simclock.Time) {
-	b.pendingKernels--
+// kernelDone records the completion of a kernel's copies instances and
+// completes the batch when the last in-flight kernel of an exhausted
+// batch lands.
+func (b *Batch) kernelDone(now simclock.Time, copies int) {
+	b.pendingKernels -= copies
 	if b.pendingKernels < 0 {
 		panic(fmt.Sprintf("liger: batch %d kernel completion underflow", b.ID))
 	}
 	if b.pendingKernels == 0 && b.Exhausted() && !b.completed {
-		b.completed = true
-		b.DoneAt = now
-		if b.onDone != nil {
-			b.onDone(b, now)
-		}
+		b.complete(now)
+	}
+}
+
+// complete marks the batch done and tells its scheduler, which drops it
+// and runs the completion callback; nothing touches b afterwards, so the
+// callback may hand it back to the Assembler.
+func (b *Batch) complete(now simclock.Time) {
+	b.completed = true
+	b.DoneAt = now
+	if b.sched != nil {
+		b.sched.batchDone(b, now)
 	}
 }
 
@@ -222,11 +232,7 @@ func (b *Batch) failRemaining(now simclock.Time) {
 	b.Failed = true
 	b.pos, b.split = b.plan.Len(), false
 	if b.pendingKernels == 0 {
-		b.completed = true
-		b.DoneAt = now
-		if b.onDone != nil {
-			b.onDone(b, now)
-		}
+		b.complete(now)
 	}
 }
 
@@ -247,6 +253,10 @@ type Assembler struct {
 	plans     map[model.Workload]*list.Element
 	lru       list.List // of *cachedPlan
 	planDescs int
+
+	// free holds released batches (Release) for Assemble to reuse, with
+	// their callbacks.
+	free []*Batch
 }
 
 // planBudget bounds the kernel descriptors the plan cache holds; past it
@@ -275,18 +285,47 @@ func NewAssembler(c *parallel.Compiler, spec model.Spec, tp int) (*Assembler, er
 	return &Assembler{compiler: c, spec: spec, tp: tp}, nil
 }
 
-// Assemble compiles one batch's inference into a schedulable Batch.
+// Assemble compiles one batch's inference into a schedulable Batch,
+// reusing a released one when there is one.
 func (a *Assembler) Assemble(w model.Workload) (*Batch, error) {
 	plan, err := a.plan(w)
 	if err != nil {
 		return nil, err
 	}
-	b := newBatch(a.nextID, w, plan)
+	var b *Batch
+	if n := len(a.free); n > 0 {
+		b = a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		*b = Batch{ID: a.nextID, Workload: w, Req: -1, plan: plan,
+			kernelDoneFn: b.kernelDoneFn, failFn: b.failFn}
+	} else {
+		b = newBatch(a.nextID, w, plan)
+	}
 	// Live activations at the widest point (FFN expansion), double
 	// buffered — consistent with parallel.PlanPlacement.
 	b.WorkspaceBytes = 3 * int64(w.Tokens()) * int64(a.spec.FFNHidden()) * 2
 	a.nextID++
 	return b, nil
+}
+
+// Release hands back a batch Assemble returned, for a later Assemble to
+// reuse; the caller must not touch b afterwards. A submitted batch may
+// be released once it completed: the scheduler has dropped it by the
+// time its completion callback runs. When a watchdog abort of one of
+// its collectives completed the batch, the abort marks it failed after
+// its last member's OnDone, so after the release; Assemble's reset
+// discards that mark. A kernel cancelled on a failed device aborts its
+// collective, and so marks the batch failed, before its own OnDone.
+func (a *Assembler) Release(b *Batch) {
+	if b.sched != nil && !b.completed {
+		panic(fmt.Sprintf("liger: release of batch %d, which is still running", b.ID))
+	}
+	if b.plan == nil {
+		panic(fmt.Sprintf("liger: batch %d released twice", b.ID))
+	}
+	b.plan = nil
+	a.free = append(a.free, b)
 }
 
 // Retarget repoints the assembler at a new compiler and tensor-parallel

@@ -1,6 +1,7 @@
 package liger
 
 import (
+	"slices"
 	"time"
 
 	"liger/internal/gpusim"
@@ -163,31 +164,40 @@ func (s *Scheduler) QueueLengths() (int, int) { return len(s.waiting), len(s.pro
 func (s *Scheduler) Submit(b *Batch) {
 	now := s.node.Engine().Now()
 	b.SubmittedAt = now
-	b.onDone = func(b *Batch, t simclock.Time) {
-		s.stats.BatchesDone++
-		delete(s.live, b)
-		if b.workspaceHeld {
-			b.workspaceHeld = false
-			s.node.FreeAll(b.WorkspaceBytes)
-			// Freed workspace may unblock memory-gated admissions even
-			// when no round notification is due.
-			s.maybeStartRound(t)
-		}
-		if s.drainSet != nil {
-			delete(s.drainSet, b)
-			if len(s.drainSet) == 0 && s.onDrained != nil {
-				fn := s.onDrained
-				s.onDrained = nil
-				fn(t)
-			}
-		}
-		if s.onBatchDone != nil {
-			s.onBatchDone(b, t)
-		}
-	}
+	b.sched = s
 	s.live[b] = struct{}{}
 	s.waiting = append(s.waiting, b)
 	s.maybeStartRound(now)
+}
+
+// batchDone retires a completed batch: it leaves the processing list,
+// the live registry and the drain set, its workspace frees, and only
+// then does the completion callback run, as the last use of b (the
+// callback may release it for reuse).
+func (s *Scheduler) batchDone(b *Batch, t simclock.Time) {
+	s.stats.BatchesDone++
+	if i := slices.Index(s.processing, b); i >= 0 {
+		s.processing = slices.Delete(s.processing, i, i+1)
+	}
+	delete(s.live, b)
+	if b.workspaceHeld {
+		b.workspaceHeld = false
+		s.node.FreeAll(b.WorkspaceBytes)
+		// Freed workspace may unblock memory-gated admissions even
+		// when no round notification is due.
+		s.maybeStartRound(t)
+	}
+	if s.drainSet != nil {
+		delete(s.drainSet, b)
+		if len(s.drainSet) == 0 && s.onDrained != nil {
+			fn := s.onDrained
+			s.onDrained = nil
+			fn(t)
+		}
+	}
+	if s.onBatchDone != nil {
+		s.onBatchDone(b, t)
+	}
 }
 
 // refill moves waiting batches into the processing list (arrival order,
@@ -202,6 +212,7 @@ func (s *Scheduler) refill() {
 			live = append(live, b)
 		}
 	}
+	clear(s.processing[len(live):])
 	s.processing = live
 	for len(s.processing) < s.cfg.MaxInflight && len(s.waiting) > 0 {
 		// Pull the first latency-critical waiter if any, else FIFO.
@@ -229,7 +240,7 @@ func (s *Scheduler) refill() {
 			b.workspaceHeld = true
 		}
 		s.processing = append(s.processing, b)
-		s.waiting = append(s.waiting[:pick], s.waiting[pick+1:]...)
+		s.waiting = slices.Delete(s.waiting, pick, pick+1)
 	}
 	// Stable partition by class; only a list holding both classes needs
 	// reordering.
@@ -744,7 +755,7 @@ func (s *Scheduler) launchFunc(st *gpusim.Stream, f Func, coll *gpusim.Collectiv
 	}
 	b.kernelLaunched(copies)
 	if b.kernelDoneFn == nil {
-		b.kernelDoneFn = func(now simclock.Time) { b.kernelDone(now) }
+		b.kernelDoneFn = b.kernelDone
 	}
 	st.Launch(gpusim.KernelSpec{
 		Name:          f.Name,

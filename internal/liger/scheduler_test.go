@@ -416,11 +416,11 @@ func TestBatchAccounting(t *testing.T) {
 	}
 	b.kernelLaunched(1)
 	b.kernelLaunched(1)
-	b.kernelDone(10)
+	b.kernelDone(10, 1)
 	if b.Completed() {
 		t.Fatal("completed with a kernel in flight")
 	}
-	b.kernelDone(20)
+	b.kernelDone(20, 1)
 	if !b.Completed() || b.DoneAt != 20 {
 		t.Fatalf("completion at %v", b.DoneAt)
 	}
@@ -433,7 +433,7 @@ func TestKernelDoneUnderflowPanics(t *testing.T) {
 			t.Fatal("underflow did not panic")
 		}
 	}()
-	b.kernelDone(0)
+	b.kernelDone(0, 1)
 }
 
 // A warmed-up scheduling round allocates nothing: its subsets,

@@ -32,7 +32,7 @@ func TestGQAShrinksKVCache(t *testing.T) {
 func TestGQAShrinksQKVProjection(t *testing.T) {
 	w := Workload{Batch: 2, SeqLen: 64, Phase: Context}
 	var qkvN int
-	for _, op := range LayerOps(LLaMA70B(), w) {
+	for _, op := range LayerOps(nil, LLaMA70B(), w) {
 		if op.Name == "qkv" {
 			qkvN = op.N
 		}
@@ -46,7 +46,7 @@ func TestGQAShrinksQKVProjection(t *testing.T) {
 func TestGatedFFNDoublesUpProjection(t *testing.T) {
 	w := Workload{Batch: 2, SeqLen: 64, Phase: Context}
 	var fc1N, fc2K int
-	for _, op := range LayerOps(LLaMA70B(), w) {
+	for _, op := range LayerOps(nil, LLaMA70B(), w) {
 		switch op.Name {
 		case "fc1":
 			fc1N = op.N
@@ -82,7 +82,7 @@ func TestTable1ModelsUnchangedByExtensions(t *testing.T) {
 		t.Fatal("OPT-30B attention dims changed")
 	}
 	w := Workload{Batch: 2, SeqLen: 64, Phase: Context}
-	for _, op := range LayerOps(s, w) {
+	for _, op := range LayerOps(nil, s, w) {
 		switch op.Name {
 		case "qkv":
 			if op.N != 3*s.Hidden {

@@ -116,7 +116,7 @@ func TestWorkloadValidate(t *testing.T) {
 func TestLayerOpsStructure(t *testing.T) {
 	s := OPT30B()
 	w := Workload{Batch: 2, SeqLen: 64, Phase: Context}
-	ops := LayerOps(s, w)
+	ops := LayerOps(nil, s, w)
 	var gemms, reduces int
 	for _, op := range ops {
 		if op.Kind == OpGEMM {
@@ -144,7 +144,7 @@ func TestLayerOpsGEMMShapes(t *testing.T) {
 	s := OPT30B()
 	w := Workload{Batch: 2, SeqLen: 64, Phase: Context}
 	tokens := w.Tokens()
-	for _, op := range LayerOps(s, w) {
+	for _, op := range LayerOps(nil, s, w) {
 		if op.Kind != OpGEMM {
 			continue
 		}
@@ -171,7 +171,7 @@ func TestLayerOpsGEMMShapes(t *testing.T) {
 func TestDecodeLayerOps(t *testing.T) {
 	s := GLM130B()
 	w := Workload{Batch: 32, CtxLen: 128, Phase: Decode}
-	for _, op := range LayerOps(s, w) {
+	for _, op := range LayerOps(nil, s, w) {
 		if op.Kind == OpAttention {
 			if op.Ctx != 128 || op.Seq != 1 {
 				t.Fatalf("decode attention ctx=%d seq=%d", op.Ctx, op.Seq)
@@ -185,13 +185,13 @@ func TestDecodeLayerOps(t *testing.T) {
 
 func TestPostOpsLMHeadOnlyInDecode(t *testing.T) {
 	s := OPT30B()
-	ctx := PostOps(s, Workload{Batch: 2, SeqLen: 16, Phase: Context})
+	ctx := PostOps(nil, s, Workload{Batch: 2, SeqLen: 16, Phase: Context})
 	for _, op := range ctx {
 		if op.Name == "lm_head" {
 			t.Fatal("context phase should not run lm_head in this harness")
 		}
 	}
-	dec := PostOps(s, Workload{Batch: 2, CtxLen: 16, Phase: Decode})
+	dec := PostOps(nil, s, Workload{Batch: 2, CtxLen: 16, Phase: Decode})
 	found := false
 	for _, op := range dec {
 		if op.Name == "lm_head" {

@@ -125,11 +125,13 @@ type Op struct {
 	ReduceAfter bool
 }
 
-// LayerOps returns the logical operators of one transformer layer for
-// the given workload, in execution order. The returned graph has the
-// kernel-type structure Liger schedules around: a run of computation
-// ops ending at each ReduceAfter switch point (§3.4).
-func LayerOps(s Spec, w Workload) []Op {
+// LayerOps appends the logical operators of one transformer layer for
+// the given workload to dst, in execution order, and returns the
+// extended slice. The graph has the kernel-type structure Liger
+// schedules around: a run of computation ops ending at each ReduceAfter
+// switch point (§3.4). A dst with room for the ten ops takes them
+// without allocating.
+func LayerOps(dst []Op, s Spec, w Workload) []Op {
 	tokens := w.Tokens()
 	h := s.Hidden
 	actBytes := int64(tokens) * int64(h) * 2
@@ -155,44 +157,40 @@ func LayerOps(s Spec, w Workload) []Op {
 	if s.GatedFFN {
 		fcCols = 2 * s.FFNHidden()
 	}
-	return []Op{
-		{Name: "ln1", Kind: OpLayerNorm, Bytes: actBytes, Partition: PartNone},
-		{Name: "qkv", Kind: OpGEMM, M: tokens, N: qkvCols, K: h, Partition: PartCols},
+	return append(dst,
+		Op{Name: "ln1", Kind: OpLayerNorm, Bytes: actBytes, Partition: PartNone},
+		Op{Name: "qkv", Kind: OpGEMM, M: tokens, N: qkvCols, K: h, Partition: PartCols},
 		attn,
-		{Name: "attn_out", Kind: OpGEMM, M: tokens, N: h, K: h, Partition: PartRows, ReduceAfter: true},
-		{Name: "res1", Kind: OpResidual, Bytes: actBytes, Partition: PartNone},
-		{Name: "ln2", Kind: OpLayerNorm, Bytes: actBytes, Partition: PartNone},
-		{Name: "fc1", Kind: OpGEMM, M: tokens, N: fcCols, K: h, Partition: PartCols},
-		{Name: "gelu", Kind: OpGeLU, Bytes: int64(tokens) * int64(fcCols) * 2, Partition: PartNone},
-		{Name: "fc2", Kind: OpGEMM, M: tokens, N: h, K: s.FFNHidden(), Partition: PartRows, ReduceAfter: true},
-		{Name: "res2", Kind: OpResidual, Bytes: actBytes, Partition: PartNone},
-	}
+		Op{Name: "attn_out", Kind: OpGEMM, M: tokens, N: h, K: h, Partition: PartRows, ReduceAfter: true},
+		Op{Name: "res1", Kind: OpResidual, Bytes: actBytes, Partition: PartNone},
+		Op{Name: "ln2", Kind: OpLayerNorm, Bytes: actBytes, Partition: PartNone},
+		Op{Name: "fc1", Kind: OpGEMM, M: tokens, N: fcCols, K: h, Partition: PartCols},
+		Op{Name: "gelu", Kind: OpGeLU, Bytes: int64(tokens) * int64(fcCols) * 2, Partition: PartNone},
+		Op{Name: "fc2", Kind: OpGEMM, M: tokens, N: h, K: s.FFNHidden(), Partition: PartRows, ReduceAfter: true},
+		Op{Name: "res2", Kind: OpResidual, Bytes: actBytes, Partition: PartNone},
+	)
 }
 
-// PreOps returns the operators before the transformer stack (embedding
-// lookup).
-func PreOps(s Spec, w Workload) []Op {
-	return []Op{
-		{Name: "embed", Kind: OpEmbedding, M: w.Tokens(), N: s.Hidden, Partition: PartNone,
-			Bytes: int64(w.Tokens()) * int64(s.Hidden) * 2},
-	}
+// PreOps appends the operators before the transformer stack (embedding
+// lookup) to dst and returns the extended slice.
+func PreOps(dst []Op, s Spec, w Workload) []Op {
+	return append(dst, Op{Name: "embed", Kind: OpEmbedding, M: w.Tokens(), N: s.Hidden, Partition: PartNone,
+		Bytes: int64(w.Tokens()) * int64(s.Hidden) * 2})
 }
 
-// PostOps returns the operators after the stack: the final layernorm,
-// and in decode mode the LM head projecting onto the vocabulary to
-// sample the next token.
-func PostOps(s Spec, w Workload) []Op {
+// PostOps appends the operators after the stack to dst and returns the
+// extended slice: the final layernorm, and in decode mode the LM head
+// projecting onto the vocabulary to sample the next token.
+func PostOps(dst []Op, s Spec, w Workload) []Op {
 	tokens := w.Tokens()
-	ops := []Op{
-		{Name: "ln_f", Kind: OpLayerNorm, Bytes: int64(tokens) * int64(s.Hidden) * 2, Partition: PartNone},
-	}
+	dst = append(dst, Op{Name: "ln_f", Kind: OpLayerNorm, Bytes: int64(tokens) * int64(s.Hidden) * 2, Partition: PartNone})
 	if w.Phase == Decode {
-		ops = append(ops, Op{
+		dst = append(dst, Op{
 			Name: "lm_head", Kind: OpGEMM, M: tokens, N: s.Vocab, K: s.Hidden,
 			Partition: PartCols,
 		})
 	}
-	return ops
+	return dst
 }
 
 // KVCacheBytes returns the per-request KV-cache footprint at context

@@ -291,15 +291,21 @@ func (c *Compiler) IntraOpPlan(spec model.Spec, tp int, w model.Workload) (*Plan
 	if tp < 1 {
 		return nil, fmt.Errorf("parallel: tensor-parallel degree %d", tp)
 	}
+	var ops [blockOps]model.Op
 	p := &Plan{
-		Pre:    c.compileBlock(model.PreOps(spec, w), tp, w),
-		Layer:  c.compileBlock(model.LayerOps(spec, w), tp, w),
-		Post:   c.compileBlock(model.PostOps(spec, w), tp, w),
+		Pre:    c.compileBlock(model.PreOps(ops[:0], spec, w), tp, w),
+		Layer:  c.compileBlock(model.LayerOps(ops[:0], spec, w), tp, w),
+		Post:   c.compileBlock(model.PostOps(ops[:0], spec, w), tp, w),
 		Layers: spec.Layers,
 	}
 	p.names = c.names.of(p.Layer, p.Layers)
 	return p, nil
 }
+
+// blockOps sizes the stack array the op builders fill during a compile:
+// room for every block of the model package (a layer has ten ops), so
+// building them allocates nothing.
+const blockOps = 16
 
 // Stage is one pipeline stage: the kernels one device runs for its
 // layer range, plus the boundary transfer to the next stage (empty for
@@ -344,6 +350,8 @@ func (c *Compiler) interOp(spec model.Spec, stages int, w model.Workload, tp int
 	extra := spec.Layers % stages
 	actBytes := int64(w.Tokens()) * int64(spec.Hidden) * 2
 
+	var layerBuf, edgeBuf [blockOps]model.Op
+	layerOps := model.LayerOps(layerBuf[:0], spec, w)
 	var out []Stage
 	layer := 0
 	for st := 0; st < stages; st++ {
@@ -353,19 +361,19 @@ func (c *Compiler) interOp(spec model.Spec, stages int, w model.Workload, tp int
 		}
 		stage := Stage{Device: st}
 		if st == 0 {
-			for _, op := range model.PreOps(spec, w) {
+			for _, op := range model.PreOps(edgeBuf[:0], spec, w) {
 				stage.Kernels = c.compilePieces(stage.Kernels, "", op, tp, w)
 			}
 		}
 		for i := 0; i < count; i++ {
 			prefix := fmt.Sprintf("l%d.", layer)
-			for _, op := range model.LayerOps(spec, w) {
+			for _, op := range layerOps {
 				stage.Kernels = c.compilePieces(stage.Kernels, prefix, op, tp, w)
 			}
 			layer++
 		}
 		if st == stages-1 {
-			for _, op := range model.PostOps(spec, w) {
+			for _, op := range model.PostOps(edgeBuf[:0], spec, w) {
 				stage.Kernels = c.compilePieces(stage.Kernels, "", op, tp, w)
 			}
 		} else {

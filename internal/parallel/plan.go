@@ -61,23 +61,41 @@ func (p *Plan) Kernels() []KernelDesc {
 	return out
 }
 
-// layerNames interns the per-layer kernel names of a compiler's plans:
-// byBase[base][l] is "l<l>." + base. It fills lazily, as compiles ask
-// for deeper models or new kernels, and every plan shares its strings.
+// layerNames interns the kernel names of a compiler's plans, so that a
+// compile allocates only what its plan keeps. byBase[base][l] is
+// "l<l>." + base; it fills lazily, as compiles ask for deeper models or
+// new kernels, and every table shares its strings. tables holds one
+// names table per distinct layer-name sequence and depth, shared by
+// every plan with that layer block; a compiler sees a handful (one per
+// phase and model depth), so a linear scan finds them.
 type layerNames struct {
 	mu     sync.Mutex
 	byBase map[string][]string
+	tables []namesTable
+}
+
+// namesTable is one interned table: names[j][l] names kernel bases[j]
+// of a layer block in layer l, for layers 0 to layers-1.
+type namesTable struct {
+	layers int
+	bases  []string
+	names  [][]string
 }
 
 // of returns, for each kernel of a layer block, its names in layers 0
 // to layers-1.
 func (t *layerNames) of(block []KernelDesc, layers int) [][]string {
-	out := make([][]string, len(block))
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for _, tab := range t.tables {
+		if tab.layers == layers && sameBases(tab.bases, block) {
+			return tab.names
+		}
+	}
 	if t.byBase == nil {
 		t.byBase = make(map[string][]string)
 	}
+	tab := namesTable{layers: layers, bases: make([]string, len(block)), names: make([][]string, len(block))}
 	for j, k := range block {
 		names := t.byBase[k.Name]
 		if len(names) < layers {
@@ -89,7 +107,23 @@ func (t *layerNames) of(block []KernelDesc, layers int) [][]string {
 			t.byBase[k.Name] = grown
 			names = grown
 		}
-		out[j] = names[:layers:layers]
+		tab.bases[j] = k.Name
+		tab.names[j] = names[:layers:layers]
 	}
-	return out
+	t.tables = append(t.tables, tab)
+	return tab.names
+}
+
+// sameBases reports whether bases are the names of block's kernels, in
+// order.
+func sameBases(bases []string, block []KernelDesc) bool {
+	if len(bases) != len(block) {
+		return false
+	}
+	for j, k := range block {
+		if bases[j] != k.Name {
+			return false
+		}
+	}
+	return true
 }

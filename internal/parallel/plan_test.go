@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,16 +15,16 @@ import (
 // must reproduce kernel for kernel.
 func intraOpPerLayer(c *Compiler, spec model.Spec, tp int, w model.Workload) []KernelDesc {
 	var out []KernelDesc
-	for _, op := range model.PreOps(spec, w) {
+	for _, op := range model.PreOps(nil, spec, w) {
 		out = c.compileOp(out, "", op, tp, w)
 	}
 	for l := 0; l < spec.Layers; l++ {
 		prefix := fmt.Sprintf("l%d.", l)
-		for _, op := range model.LayerOps(spec, w) {
+		for _, op := range model.LayerOps(nil, spec, w) {
 			out = c.compileOp(out, prefix, op, tp, w)
 		}
 	}
-	for _, op := range model.PostOps(spec, w) {
+	for _, op := range model.PostOps(nil, spec, w) {
 		out = c.compileOp(out, "", op, tp, w)
 	}
 	return out
@@ -140,5 +141,47 @@ func TestConcurrentPlansShareNames(t *testing.T) {
 	wg.Wait()
 	for i, spec := range specs {
 		sameKernels(t, spec.Name, got[i], intraOpPerLayer(c, spec, 4, w))
+	}
+}
+
+// A compile allocates only the plan it returns: the Plan, its three
+// descriptor blocks, the splitter of each decomposable kernel and the
+// name of each all-reduce. The op lists are built on the stack and the
+// names table is interned, so two shapes of one phase share one names
+// table.
+func TestIntraOpPlanAllocatesOnlyWhatItKeeps(t *testing.T) {
+	c := compilerFor(hw.A100Node())
+	spec := model.OPT30B()
+	for _, phase := range []model.Phase{model.Context, model.Decode} {
+		w1 := model.Workload{Batch: 2, SeqLen: 64, CtxLen: 64, Phase: phase}
+		w2 := model.Workload{Batch: 5, SeqLen: 96, CtxLen: 320, Phase: phase}
+		p1, err := c.IntraOpPlan(spec, 4, w1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p2 *Plan
+		allocs := testing.AllocsPerRun(20, func() {
+			if p2, err = c.IntraOpPlan(spec, 4, w2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		kept := 1 // the Plan
+		for _, block := range [][]KernelDesc{p2.Pre, p2.Layer, p2.Post} {
+			kept++
+			for _, k := range block {
+				if k.CanSplit() {
+					kept++
+				}
+				if strings.HasSuffix(k.Name, "_ar") {
+					kept++
+				}
+			}
+		}
+		if allocs > float64(kept) {
+			t.Errorf("%v: a compile allocates %v objects, but its plan keeps %d", phase, allocs, kept)
+		}
+		if &p1.names[0] != &p2.names[0] {
+			t.Errorf("%v: two shapes of one phase built separate names tables", phase)
+		}
 	}
 }

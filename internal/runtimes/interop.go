@@ -245,8 +245,10 @@ func (r *InterOp) runStage(job *pipeJob, s int) {
 			Batch:         job.id,
 			Req:           job.req,
 		}
+		// Stage devices never fold (gpusim.Node.Fold), so every kernel
+		// completes as one copy.
 		if i == last && !stage.HasSend {
-			spec.OnDone = func(now simclock.Time) { r.finishStage(job, s, dev, now) }
+			spec.OnDone = func(now simclock.Time, _ int) { r.finishStage(job, s, dev, now) }
 		}
 		st.Launch(spec)
 	}
@@ -263,13 +265,13 @@ func (r *InterOp) runStage(job *pipeJob, s int) {
 			Name: k.Name, Class: k.Class, Duration: k.Duration,
 			ComputeDemand: k.ComputeDemand, MemBWDemand: k.MemBWDemand,
 			Coll: coll, Batch: job.id, Req: job.req,
-			OnDone: func(now simclock.Time) { r.finishStage(job, s, dev, now) },
+			OnDone: func(now simclock.Time, _ int) { r.finishStage(job, s, dev, now) },
 		})
 		r.recv[recvDev].Launch(gpusim.KernelSpec{
 			Name: k.Name + "_recv", Class: k.Class, Duration: k.Duration,
 			ComputeDemand: k.ComputeDemand, MemBWDemand: k.MemBWDemand,
 			Coll: coll, Batch: job.id, Req: job.req,
-			OnDone: func(now simclock.Time) { r.advanceJob(job, next, now) },
+			OnDone: func(now simclock.Time, _ int) { r.advanceJob(job, next, now) },
 		})
 	}
 }

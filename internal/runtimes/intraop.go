@@ -31,6 +31,9 @@ type IntraOp struct {
 	running *intraJob
 	nextID  int
 	onDone  func(Completion)
+	// colls is run's buffer of one batch's collectives, one slot per
+	// kernel (nil for compute kernels).
+	colls []*gpusim.Collective
 }
 
 type intraJob struct {
@@ -38,7 +41,7 @@ type intraJob struct {
 	req       int
 	w         model.Workload
 	submitted simclock.Time
-	kernels   []parallel.KernelDesc
+	plan      *parallel.Plan
 	failed    bool
 }
 
@@ -77,11 +80,11 @@ func (r *IntraOp) SubmitReq(w model.Workload, req int) error {
 		r.complete(job, r.node.Engine().Now(), true)
 		return nil
 	}
-	kernels, err := r.compiler.IntraOp(r.spec, len(r.alive), w)
+	plan, err := r.compiler.IntraOpPlan(r.spec, len(r.alive), w)
 	if err != nil {
 		return err
 	}
-	job.kernels = kernels
+	job.plan = plan
 	r.queue = append(r.queue, job)
 	r.maybeStart()
 	return nil
@@ -157,9 +160,10 @@ func (r *IntraOp) run(job *intraJob) {
 		// accounting bug, not a load condition.
 		panic(err)
 	}
-	pending := len(job.kernels) * len(devs)
-	done := func(now simclock.Time) {
-		pending--
+	n := job.plan.Len()
+	pending := n * len(devs)
+	done := func(now simclock.Time, copies int) {
+		pending -= copies
 		if pending > 0 {
 			return
 		}
@@ -173,18 +177,22 @@ func (r *IntraOp) run(job *intraJob) {
 		}
 		r.maybeStart()
 	}
-	colls := make([]*gpusim.Collective, len(job.kernels))
-	for i, k := range job.kernels {
-		if k.Collective {
-			colls[i] = r.node.NewCollective(len(devs))
-			colls[i].OnAbort(func(simclock.Time) { job.failed = true })
+	abort := func(simclock.Time) { job.failed = true }
+	colls := r.colls[:0]
+	for i := range n {
+		var c *gpusim.Collective
+		if k, _ := job.plan.At(i); k.Collective {
+			c = r.node.NewCollective(len(devs))
+			c.OnAbort(abort)
 		}
+		colls = append(colls, c)
 	}
 	for _, d := range devs {
 		st := r.streams[d]
-		for i, k := range job.kernels {
+		for i := range n {
+			k, name := job.plan.At(i)
 			st.Launch(gpusim.KernelSpec{
-				Name:          k.Name,
+				Name:          name,
 				Class:         k.Class,
 				Duration:      k.Duration,
 				ComputeDemand: k.ComputeDemand,
@@ -196,4 +204,7 @@ func (r *IntraOp) run(job *intraJob) {
 			})
 		}
 	}
+	// The launches hold the collectives; drop the buffer's references.
+	clear(colls)
+	r.colls = colls
 }

@@ -43,10 +43,8 @@ func NewLiger(node *gpusim.Node, compiler *parallel.Compiler, spec model.Spec, c
 	r := &Liger{node: node, compiler: compiler, assembler: asm, scheduler: sched,
 		failover: newFailover(node, compiler.Comm(), spec)}
 	sched.SetOnBatchDone(func(b *liger.Batch, now simclock.Time) {
-		if r.onDone != nil {
-			r.onDone(Completion{ID: b.ID, Workload: b.Workload, Submitted: b.SubmittedAt,
-				Done: now, Failed: b.Failed, Req: b.Req})
-		}
+		r.complete(Completion{ID: b.ID, Workload: b.Workload, Submitted: b.SubmittedAt,
+			Done: now, Failed: b.Failed, Req: b.Req}, b)
 	})
 	node.OnFail(r.handleFail)
 	return r, nil
@@ -70,14 +68,26 @@ func (r *Liger) SubmitReq(w model.Workload, req int) error {
 	}
 	b.Req = req
 	if r.impossible {
-		if r.onDone != nil {
-			now := r.node.Engine().Now()
-			r.onDone(Completion{ID: b.ID, Workload: w, Submitted: now, Done: now, Failed: true, Req: req})
-		}
+		now := r.node.Engine().Now()
+		r.complete(Completion{ID: b.ID, Workload: w, Submitted: now, Done: now, Failed: true, Req: req}, b)
 		return nil
 	}
 	r.scheduler.Submit(b)
 	return nil
+}
+
+// complete reports a batch's completion c and then hands the batch back
+// to the assembler. The release follows the callback, which may submit
+// work that would reuse the batch. A collective of the batch that
+// aborts marks it failed: after a watchdog abort, once its last member
+// completed it, so the mark lands on the released batch (Assemble clears
+// it); after a kernel cancelled on a failed device, before that kernel's
+// completion, so the batch completes already failed.
+func (r *Liger) complete(c Completion, b *liger.Batch) {
+	if r.onDone != nil {
+		r.onDone(c)
+	}
+	r.assembler.Release(b)
 }
 
 // handleFail is the Node.OnFail observer: retarget the assembler at

@@ -251,3 +251,48 @@ func TestDecodeWorkloadAcrossRuntimes(t *testing.T) {
 		})
 	}
 }
+
+// An Intra-Op submit walks its compiled plan instead of expanding it:
+// a whole batch, launch to completion, allocates little beyond the
+// plan's own objects once the simulator's pools are warm, though it
+// launches 578 kernels per device for OPT-30B at tensor parallelism 4.
+func TestIntraOpSubmitAllocatesThePlan(t *testing.T) {
+	eng, node, comp := rig(t)
+	spec := model.OPT30B()
+	rt := buildRuntime(t, "Intra-Op", node, comp, spec)
+	done := 0
+	rt.SetOnDone(func(Completion) { done++ })
+	w := model.Workload{Batch: 4, SeqLen: 128, Phase: model.Context}
+	plan, err := comp.IntraOpPlan(spec, node.NumDevices(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := 1
+	for _, block := range [][]parallel.KernelDesc{plan.Pre, plan.Layer, plan.Post} {
+		kept++
+		for _, k := range block {
+			if k.CanSplit() {
+				kept++
+			}
+		}
+	}
+	submit := func() {
+		eng.After(0, func(simclock.Time) {
+			if err := rt.Submit(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		eng.Run()
+	}
+	submit()
+	allocs := testing.AllocsPerRun(5, submit)
+	if done != 7 {
+		t.Fatalf("%d batches completed, want 7", done)
+	}
+	// Beyond the plan: the job, its completion and abort callbacks, and
+	// the scheduling of the submit itself.
+	if limit := float64(kept + 8); allocs > limit {
+		t.Fatalf("a submit allocates %v objects, want at most %v (the plan keeps %d)", allocs, limit, kept)
+	}
+	t.Logf("%v allocations per submit of %d kernels per device; the plan keeps %d", allocs, plan.Len(), kept)
+}

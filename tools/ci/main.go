@@ -32,7 +32,8 @@
 //  8. a failover race pass: the permanent-device-failure paths across
 //     gpusim, runtimes, liger, and serve under -race, including the
 //     teardown paths of the kernel-instance, event and collective pools
-//     (KernelPool and EventPool tests)
+//     (KernelPool and EventPool tests) and of Liger batch reuse
+//     (ReleasedBatch)
 //  9. an observability race pass: the tracer hook, dependency-edge
 //     emission, per-request decomposition, trace-analysis, and
 //     metrics-export paths under -race
@@ -143,7 +144,7 @@ func main() {
 		{"chaos smoke", command(ligerbench(
 			"-exp", "chaos", "-quick", "-batches", "25", "-seed", "5")...)},
 		{"failover race", command("go", "test", "-race",
-			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce|KernelPool|EventPool",
+			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce|KernelPool|EventPool|ReleasedBatch",
 			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve")},
 		{"observability race", command("go", "test", "-race",
 			"-run", "Observability|ChromeTrace|Tracer|Truncated|Rendezvous|ReqBreakdown|RequestID|PerRequest|Percentiles|FromRun|WriteJSON|Dep|CriticalPath|Gap|Overlap|Window|Determinism|Timeline",
