@@ -1,6 +1,9 @@
 // Package cluster is the fleet layer: N simulated gpusim nodes behind
 // an explicit inter-node network, serving one model as replicated
-// tensor-parallel instances with whole-node failover.
+// tensor-parallel instances with whole-node failover (Fleet), or as
+// disaggregated prefill and decode pools (Disagg). Both drivers run on
+// one node table (topology.go) whose nodes take the replica, spare,
+// prefill or decode role.
 //
 // Topology and execution model. Each physical node keeps the PR-1
 // intra-node model untouched — TP within the node over NVLink/PCIe,
@@ -39,12 +42,10 @@ import (
 
 	"liger/internal/core"
 	"liger/internal/faults"
-	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/liger"
 	"liger/internal/model"
 	"liger/internal/nccl"
-	"liger/internal/runtimes"
 	"liger/internal/serve"
 	"liger/internal/simclock"
 )
@@ -78,45 +79,13 @@ type Config struct {
 	// Workers sets the sharded executor's worker count; <= 1 runs the
 	// windows serially. Results are byte-identical at any value.
 	Workers int
-	// IgnoreMemory skips the per-node placement check.
-	IgnoreMemory bool
-}
-
-// dispatchRec maps one node-runtime completion ID back to the routed
-// request and the replica the router charged it to.
-type dispatchRec struct {
-	req int
-	rep int
-}
-
-// nodeState is one physical node's simulation plus its fleet-side
-// wiring. All mutable fields are owned by the node's shard.
-type nodeState struct {
-	idx    int // physical node index; its shard is idx+1
-	eng    *simclock.Engine
-	core   *core.Engine
-	rt     runtimes.Runtime
-	tagged runtimes.Tagged
-	elast  runtimes.Elastic
-	// replica is the replica id this node hosts (-1 for an idle spare).
-	// Rebinding a spare onto an evicted replica's id happens through a
-	// posted event on this node's shard.
-	replica int
-	// dead marks whole-node loss: completions are dropped and
-	// deliveries bounce as lost.
-	dead      bool
-	subs      []dispatchRec
-	submitErr error
 }
 
 // Fleet is a runnable fleet simulation. It implements
 // serve.FleetRuntime; drive it with serve.RunFleet.
 type Fleet struct {
+	*topology
 	cfg     Config
-	sh      *simclock.Sharded
-	front   *simclock.Engine
-	nodes   []*nodeState
-	latency simclock.Time
 	probe   time.Duration
 	rebuild time.Duration
 	hooks   serve.RouterHooks
@@ -138,39 +107,30 @@ type Fleet struct {
 // placement, and the fault arming. Call serve.RunFleet to serve a
 // trace on it; a Fleet is single-shot.
 func New(cfg Config) (*Fleet, error) {
-	if err := cfg.Cluster.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Probe < 0 {
 		return nil, fmt.Errorf("cluster: negative probe interval %v", cfg.Probe)
 	}
+	topo, err := newTopology(cfg.Cluster, core.Options{
+		Model:    cfg.Model,
+		Runtime:  cfg.Runtime,
+		Liger:    cfg.Liger,
+		LigerSet: cfg.LigerSet,
+	}, cfg.Faults, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
 	total := cfg.Cluster.TotalNodes()
-	if cfg.Faults != nil {
-		if err := cfg.Faults.ValidateCluster(total, cfg.Cluster.Node.NumGPUs); err != nil {
-			return nil, err
-		}
-	}
-	plan := gpusim.PlanCluster(cfg.Cluster)
-	if !plan.Parallel() {
-		return nil, fmt.Errorf("cluster: network %q admits no lookahead window", cfg.Cluster.Network.Name)
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	f := &Fleet{
+		topology:    topo,
 		cfg:         cfg,
-		sh:          simclock.NewSharded(plan.Domains, plan.Lookahead, workers),
-		latency:     plan.Lookahead,
 		probe:       cfg.Probe,
 		replicaNode: make([]int, cfg.Cluster.Nodes),
 		nodeReplica: make([]int, total),
 		nodeDead:    make([]bool, total),
 	}
-	f.front = f.sh.Shard(0)
 	if f.probe == 0 {
 		f.probe = DefaultProbeFactor * time.Duration(f.latency)
 	}
@@ -180,34 +140,9 @@ func New(cfg Config) (*Fleet, error) {
 	f.rebuild = cfg.Cluster.Network.Transfer(cfg.Model.WeightBytes()) +
 		comm.RebuildCost(cfg.Cluster.Node.NumGPUs)
 
-	var perNode []faults.Schedule
-	if cfg.Faults != nil {
-		perNode = cfg.Faults.SplitByNode(total)
-	}
-	f.nodes = make([]*nodeState, total)
-	for i := 0; i < total; i++ {
-		opts := core.Options{
-			Node:         cfg.Cluster.Node,
-			Model:        cfg.Model,
-			Runtime:      cfg.Runtime,
-			Liger:        cfg.Liger,
-			LigerSet:     cfg.LigerSet,
-			IgnoreMemory: cfg.IgnoreMemory,
-			Clock:        f.sh.Shard(i + 1),
-		}
-		if perNode != nil && (len(perNode[i].Events) > 0 || perNode[i].CollTimeout > 0) {
-			sched := perNode[i]
-			opts.Faults = &sched
-		}
-		eng, err := core.NewEngine(opts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
-		}
-		n := &nodeState{idx: i, eng: f.sh.Shard(i + 1), core: eng, rt: eng.Runtime(), replica: -1}
-		n.tagged, _ = n.rt.(runtimes.Tagged)
-		n.elast, _ = n.rt.(runtimes.Elastic)
-		f.nodes[i] = n
+	for i, n := range f.nodes {
 		f.nodeReplica[i] = -1
+		f.wireDispatch(n)
 		f.wireNode(n)
 	}
 	for r := 0; r < cfg.Cluster.Nodes; r++ {
@@ -224,28 +159,10 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// wireNode connects one node's runtime events to the frontend: every
-// notice crosses the shard boundary through a Post at +latency.
-func (f *Fleet) wireNode(n *nodeState) {
+// wireNode connects a replica node's intra-node failover to the
+// router: the Down and Up notices cross to the frontend at +latency.
+func (f *Fleet) wireNode(n *node) {
 	shard := n.idx + 1
-	n.rt.SetOnDone(func(c runtimes.Completion) {
-		if n.dead {
-			// The node died with this batch in flight: the work is lost
-			// and no notice escapes. The router re-dispatches the request
-			// on eviction (or on a lost-bounce), so it is still counted
-			// exactly once.
-			return
-		}
-		rec := n.subs[c.ID]
-		status := serve.DispatchOK
-		if c.Failed {
-			status = serve.DispatchFailed
-		}
-		at := c.Done + f.latency
-		f.sh.Post(shard, 0, at, func(now simclock.Time) {
-			f.hooks.Done(rec.rep, rec.req, status, now)
-		})
-	})
 	if n.elast != nil {
 		// Intra-node device failover: the replica leaves the healthy set
 		// while the runtime re-plans, and rejoins at the resume instant.
@@ -275,10 +192,10 @@ func (f *Fleet) wireNode(n *nodeState) {
 // interval plus one network latency later.
 func (f *Fleet) armNodeFails(evs []faults.Event) {
 	for _, ev := range evs {
-		node := f.nodes[ev.Node]
+		n := f.nodes[ev.Node]
 		start := simclock.Time(ev.Start)
-		node.eng.At(start, func(simclock.Time) {
-			node.dead = true
+		n.eng.At(start, func(simclock.Time) {
+			n.dead = true
 		})
 		detect := start + simclock.Time(f.probe) + f.latency
 		idx := ev.Node
@@ -342,7 +259,10 @@ func (f *Fleet) Replicas() int { return f.cfg.Cluster.Nodes }
 func (f *Fleet) Frontend() *simclock.Engine { return f.front }
 
 // SetRouter implements serve.FleetRuntime.
-func (f *Fleet) SetRouter(h serve.RouterHooks) { f.hooks = h }
+func (f *Fleet) SetRouter(h serve.RouterHooks) {
+	f.hooks = h
+	f.done = h.Done
+}
 
 // Dispatch implements serve.FleetRuntime: route request req to replica
 // rep's node, paying one network latency for the delivery.
@@ -351,61 +271,12 @@ func (f *Fleet) Dispatch(rep, req int, w model.Workload) {
 	if idx < 0 {
 		panic(fmt.Sprintf("cluster: dispatch to evicted replica %d", rep))
 	}
-	node := f.nodes[idx]
-	at := f.front.Now() + f.latency
-	f.sh.Post(0, idx+1, at, func(now simclock.Time) {
-		f.deliver(node, rep, req, w, now)
-	})
-}
-
-// deliver runs on the node's shard: hand the request to the replica
-// runtime, or bounce it back to the router when the node cannot take
-// it (dead, or mid-reconfiguration).
-func (f *Fleet) deliver(n *nodeState, rep, req int, w model.Workload, now simclock.Time) {
-	shard := n.idx + 1
-	if n.dead {
-		f.sh.Post(shard, 0, now+f.latency, func(now simclock.Time) {
-			f.hooks.Done(rep, req, serve.DispatchLost, now)
-		})
-		return
-	}
-	if n.elast != nil && n.elast.Reconfiguring() {
-		f.sh.Post(shard, 0, now+f.latency, func(now simclock.Time) {
-			f.hooks.Done(rep, req, serve.DispatchBusy, now)
-		})
-		return
-	}
-	n.subs = append(n.subs, dispatchRec{req: req, rep: rep})
-	var err error
-	if n.tagged != nil {
-		err = n.tagged.SubmitReq(w, req)
-	} else {
-		err = n.rt.Submit(w)
-	}
-	if err != nil {
-		// Surface the first submit error from Run and bounce the request
-		// into the router's failure path so accounting stays closed.
-		if n.submitErr == nil {
-			n.submitErr = fmt.Errorf("cluster: node %d submit: %w", n.idx, err)
-		}
-		f.sh.Post(shard, 0, now+f.latency, func(now simclock.Time) {
-			f.hooks.Done(rep, req, serve.DispatchFailed, now)
-		})
-	}
+	f.dispatch(f.nodes[idx], rep, req, w)
 }
 
 // Run implements serve.FleetRuntime: execute the whole fleet to
 // completion and release the worker pool.
-func (f *Fleet) Run() error {
-	defer f.sh.Close()
-	f.sh.Run()
-	for _, n := range f.nodes {
-		if n.submitErr != nil {
-			return n.submitErr
-		}
-	}
-	return nil
-}
+func (f *Fleet) Run() error { return f.run() }
 
 // FleetStats implements serve.FleetRuntime: failovers count whole-node
 // evictions (re-placed or not) plus every intra-node device-failure
@@ -424,33 +295,3 @@ func (f *Fleet) FleetStats() (int, time.Duration) {
 	}
 	return failovers, recovery
 }
-
-// NodeStats is one fleet node's simulator counters: its shard engine's
-// counters, its node's per-subsystem event counts, and its devices'
-// utilization counters summed over the node.
-type NodeStats struct {
-	Engine  simclock.Stats
-	Events  gpusim.EventCounters
-	Devices gpusim.DeviceStats
-}
-
-// NodeStats returns every physical node's counters in node order, spares
-// included. Read it after Run: the node engines run on the executor's
-// workers until then.
-func (f *Fleet) NodeStats() []NodeStats {
-	out := make([]NodeStats, len(f.nodes))
-	for i, n := range f.nodes {
-		sim := n.core.SimNode()
-		out[i] = NodeStats{Engine: n.eng.Stats(), Events: sim.EventCounters()}
-		for _, d := range sim.Stats() {
-			out[i].Devices = out[i].Devices.Add(d)
-		}
-	}
-	return out
-}
-
-// ShardStats exposes the windowed-execution counters for diagnostics.
-func (f *Fleet) ShardStats() simclock.ShardStats { return f.sh.Stats() }
-
-// Plan returns the fleet's shard-partition analysis.
-func (f *Fleet) Plan() gpusim.ShardPlan { return gpusim.PlanCluster(f.cfg.Cluster) }

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,52 +83,99 @@ func TestFleetServesHealthy(t *testing.T) {
 	}
 }
 
-// NodeStats reads each node's engine and devices: a healthy Intra-Op
-// fleet runs every batch's kernel sequence once per device of the
-// replica it lands on, so the nodes' kernels sum to that count, and the
-// idle spare runs nothing.
+// NodeStats reads each node's engine and devices on both drivers of the
+// node table. On a healthy Intra-Op run every dispatched batch runs its
+// kernel sequence once per device of the node it lands on, so the
+// dispatch-role nodes (replicas, prefill nodes) sum to that count. The
+// decode nodes run their own iterations, and an idle spare runs nothing.
 func TestFleetNodeStatsCountKernels(t *testing.T) {
 	cl := testCluster(2, 1)
-	f, err := New(Config{Cluster: cl, Model: model.Tiny(), Runtime: core.KindIntraOp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals := testTrace(t, 30)
-	res, err := serve.RunFleet(f, arrivals, testPolicy(), serve.RouterPolicy{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != len(arrivals) || res.Retries != 0 {
-		t.Fatalf("healthy fleet: %d of %d completed, %d retries", res.Completed, len(arrivals), res.Retries)
-	}
 	comp := parallel.NewCompiler(cl.Node, nccl.Config{})
-	want := 0
-	for _, a := range arrivals {
-		ks, err := comp.IntraOp(model.Tiny(), cl.Node.NumGPUs, a.Workload)
+	kernels := func(t *testing.T, w model.Workload) int {
+		ks, err := comp.IntraOp(model.Tiny(), cl.Node.NumGPUs, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += len(ks) * cl.Node.NumGPUs
+		return len(ks) * cl.Node.NumGPUs
 	}
-	stats := f.NodeStats()
-	if len(stats) != cl.TotalNodes() {
-		t.Fatalf("%d node stats for %d nodes", len(stats), cl.TotalNodes())
+	// A case serves its workload and returns every node's stats, the
+	// number of dispatch-role nodes (the table's first nodes) and the
+	// kernels they must sum to, and the nodes that must have run work
+	// and the nodes that must have stayed idle.
+	type outcome struct {
+		stats      []NodeStats
+		dispatch   int
+		want       int
+		busy, idle []int
 	}
-	got := 0
-	var fired, completions uint64
-	for _, st := range stats {
-		got += st.Devices.KernelsRun
-		fired += st.Engine.Fired
-		completions += st.Events.Device
+	cases := []struct {
+		name string
+		run  func(t *testing.T) outcome
+	}{
+		{"fleet", func(t *testing.T) outcome {
+			f, err := New(Config{Cluster: cl, Model: model.Tiny(), Runtime: core.KindIntraOp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrivals := testTrace(t, 30)
+			res, err := serve.RunFleet(f, arrivals, testPolicy(), serve.RouterPolicy{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed != len(arrivals) || res.Retries != 0 {
+				t.Fatalf("healthy fleet: %d of %d completed, %d retries", res.Completed, len(arrivals), res.Retries)
+			}
+			want := 0
+			for _, a := range arrivals {
+				want += kernels(t, a.Workload)
+			}
+			return outcome{stats: f.NodeStats(), dispatch: cl.Nodes, want: want, idle: []int{cl.Nodes}}
+		}},
+		{"disagg", func(t *testing.T) outcome {
+			cfg := disaggCfg(1)
+			cfg.Runtime = core.KindIntraOp
+			d, err := NewDisagg(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Run(); err != nil {
+				t.Fatal(err)
+			}
+			prompt := model.Workload{Batch: 1, SeqLen: cfg.PromptLen, Phase: model.Context}
+			return outcome{
+				stats: d.NodeStats(), dispatch: cfg.PrefillNodes,
+				want: cfg.Sequences * kernels(t, prompt),
+				busy: []int{0, 1, 2, 3},
+			}
+		}},
 	}
-	if fired == 0 || completions == 0 {
-		t.Fatalf("node engines read idle: %+v", stats)
-	}
-	if got != want {
-		t.Fatalf("nodes ran %d kernels, the batches hold %d", got, want)
-	}
-	if spare := stats[cl.Nodes]; spare.Devices != (gpusim.DeviceStats{}) || spare.Events.Total() != 0 {
-		t.Fatalf("idle spare reads %+v", spare)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.run(t)
+			got := 0
+			var fired, completions uint64
+			for _, st := range o.stats[:o.dispatch] {
+				got += st.Devices.KernelsRun
+				fired += st.Engine.Fired
+				completions += st.Events.Device
+			}
+			if fired == 0 || completions == 0 {
+				t.Fatalf("dispatch node engines read idle: %+v", o.stats)
+			}
+			if got != o.want {
+				t.Fatalf("dispatch nodes ran %d kernels, the batches hold %d", got, o.want)
+			}
+			for _, i := range o.busy {
+				if st := o.stats[i]; st.Devices.KernelsRun == 0 || st.Engine.Fired == 0 || st.Events.Device == 0 {
+					t.Fatalf("node %d reads idle: %+v", i, st)
+				}
+			}
+			for _, i := range o.idle {
+				if st := o.stats[i]; st.Devices != (gpusim.DeviceStats{}) || st.Events.Total() != 0 {
+					t.Fatalf("idle node %d reads %+v", i, st)
+				}
+			}
+		})
 	}
 }
 
@@ -287,5 +337,33 @@ func TestFleetRejectsBadConfigs(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// A node engine that cannot be built (OPT-66B does not fit a 4×16 GB
+// V100 node) fails either constructor and stops the sharded executor's
+// worker goroutines.
+func TestTopologyBuildFailureStopsWorkers(t *testing.T) {
+	// Count the pool's workers by their stacks, not all goroutines: the
+	// runtime's finalizer goroutine counts as a user goroutine while it
+	// runs finalizers.
+	workers := func() int {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 2); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(buf.String(), "internal/runner.NewPool.func")
+	}
+	before := workers()
+	if _, err := New(Config{Cluster: testCluster(2, 1), Model: model.OPT66B(), Runtime: core.KindLiger, Workers: 4}); err == nil {
+		t.Fatal("fleet of nodes too small for the model accepted")
+	}
+	cfg := disaggCfg(4)
+	cfg.Model = model.OPT66B()
+	if _, err := NewDisagg(cfg); err == nil {
+		t.Fatal("disagg on nodes too small for the model accepted")
+	}
+	if after := workers(); after != before {
+		t.Fatalf("%d pool workers before the failed builds, %d after", before, after)
 	}
 }

@@ -7,12 +7,10 @@ import (
 
 	"liger/internal/core"
 	"liger/internal/generate"
-	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/kvcache"
 	"liger/internal/liger"
 	"liger/internal/model"
-	"liger/internal/runtimes"
 	"liger/internal/serve"
 	"liger/internal/simclock"
 	"liger/internal/trace"
@@ -28,11 +26,12 @@ import (
 // stall decode iterations, at the price of the transfer latency on
 // every handoff.
 //
-// Execution reuses the fleet topology: shard 0 is the frontend (arrival
-// process, routing, latency bookkeeping), shards 1..P the prefill
-// nodes, shards P+1..P+D the decode nodes. Every cross-shard
-// interaction is a Sharded.Post at +latency or more, so the simulation
-// is parallel across nodes and byte-identical at any worker count.
+// Execution runs on the fleet's node table (docs/FLEET.md § Topology):
+// nodes 0..P-1 are the prefill pool, nodes P..P+D-1 the decode pool.
+// The frontend runs the arrival process, routing and latency
+// bookkeeping. Prefill requests take the fleet's dispatch and notice
+// path; the KV handoff and the decode nodes' finish notices are posts
+// of their own, at +latency or more.
 
 // DisaggConfig configures a disaggregated prefill/decode run.
 type DisaggConfig struct {
@@ -64,8 +63,6 @@ type DisaggConfig struct {
 	// Workers sets the sharded executor's worker count; results are
 	// byte-identical at any value.
 	Workers int
-	// IgnoreMemory skips placement checks and KV admission control.
-	IgnoreMemory bool
 	// Trace arms serving-layer telemetry: one trace.ServingRecorder per
 	// shard (decode batcher iterations, sequence lifecycles, paged-KV
 	// transitions, frontend KV-handoff spans), merged deterministically
@@ -113,40 +110,18 @@ type DisaggResult struct {
 	KVTransfers     int
 	KVTransferBytes int64
 	// KVPeakBlocks is the highest per-node paged-allocator block
-	// high-water mark across the decode pool (0 with IgnoreMemory).
+	// high-water mark across the decode pool.
 	KVPeakBlocks int
-}
-
-// prefillNode is one prefill-pool node (shard idx+1).
-type prefillNode struct {
-	idx  int
-	eng  *simclock.Engine
-	rt   runtimes.Runtime
-	tag  runtimes.Tagged
-	subs []int // completion ID -> sequence id
-	err  error
-}
-
-// decodeNode is one decode-pool node (shard PrefillNodes+idx+1).
-type decodeNode struct {
-	idx   int
-	shard int
-	eng   *simclock.Engine
-	kv    *kvcache.PagedManager
-	cb    *serve.ContinuousBatcher
-	// rec is the node's shard-local serving recorder (nil untraced).
-	rec *trace.ServingRecorder
 }
 
 // Disagg is a runnable disaggregated simulation; single-shot.
 type Disagg struct {
-	cfg     DisaggConfig
-	sh      *simclock.Sharded
-	front   *simclock.Engine
-	latency simclock.Time
+	*topology
+	cfg DisaggConfig
 
-	prefills []*prefillNode
-	decodes  []*decodeNode
+	// decodes is the decode pool: the node table's last DecodeNodes
+	// nodes, indexed by pool position.
+	decodes []*node
 
 	// frontRec is the frontend shard's serving recorder (nil untraced):
 	// system arrival / first-token / finish lifecycle instants plus the
@@ -156,7 +131,6 @@ type Disagg struct {
 	// Frontend-owned routing and bookkeeping.
 	prefillLoad []int
 	decodeLoad  []int
-	seqDecode   []int
 	arrived     []simclock.Time
 	firstTok    []simclock.Time
 	finished    []simclock.Time
@@ -171,112 +145,76 @@ func NewDisagg(cfg DisaggConfig) (*Disagg, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	topo := hw.Cluster{
+	topo, err := newTopology(hw.Cluster{
 		Name:    "disagg",
 		Node:    cfg.Node,
 		Nodes:   cfg.PrefillNodes + cfg.DecodeNodes,
 		Network: cfg.Network,
-	}
-	plan := gpusim.PlanCluster(topo)
-	if !plan.Parallel() {
-		return nil, fmt.Errorf("cluster: network %q admits no lookahead window", cfg.Network.Name)
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
+	}, core.Options{
+		Model:    cfg.Model,
+		Runtime:  cfg.Runtime,
+		Liger:    cfg.Liger,
+		LigerSet: cfg.LigerSet,
+	}, nil, cfg.Workers)
+	if err != nil {
+		return nil, err
 	}
 	d := &Disagg{
+		topology:    topo,
 		cfg:         cfg,
-		sh:          simclock.NewSharded(plan.Domains, plan.Lookahead, workers),
-		latency:     plan.Lookahead,
+		decodes:     topo.nodes[cfg.PrefillNodes:],
 		prefillLoad: make([]int, cfg.PrefillNodes),
 		decodeLoad:  make([]int, cfg.DecodeNodes),
-		seqDecode:   make([]int, cfg.Sequences),
 		arrived:     make([]simclock.Time, cfg.Sequences),
 		firstTok:    make([]simclock.Time, cfg.Sequences),
 		finished:    make([]simclock.Time, cfg.Sequences),
 	}
-	d.front = d.sh.Shard(0)
+	d.done = d.prefillDone
 	if cfg.Trace {
 		d.frontRec = trace.NewServingRecorder()
 		d.frontRec.SetPool(-1)
 	}
-
-	newEngine := func(shard int) (*core.Engine, error) {
-		return core.NewEngine(core.Options{
-			Node:         cfg.Node,
-			Model:        cfg.Model,
-			Runtime:      cfg.Runtime,
-			Liger:        cfg.Liger,
-			LigerSet:     cfg.LigerSet,
-			IgnoreMemory: cfg.IgnoreMemory,
-			Clock:        d.sh.Shard(shard),
-		})
+	for _, p := range topo.nodes[:cfg.PrefillNodes] {
+		d.wireDispatch(p)
 	}
-	for i := 0; i < cfg.PrefillNodes; i++ {
-		eng, err := newEngine(i + 1)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: prefill node %d: %w", i, err)
-		}
-		p := &prefillNode{idx: i, eng: d.sh.Shard(i + 1), rt: eng.Runtime()}
-		p.tag, _ = p.rt.(runtimes.Tagged)
-		d.prefills = append(d.prefills, p)
-		d.wirePrefill(p)
-	}
-	for i := 0; i < cfg.DecodeNodes; i++ {
-		shard := cfg.PrefillNodes + i + 1
-		eng, err := newEngine(shard)
-		if err != nil {
+	for i, n := range d.decodes {
+		if err := d.wireDecode(i, n); err != nil {
+			d.sh.Close()
 			return nil, fmt.Errorf("cluster: decode node %d: %w", i, err)
 		}
-		n := &decodeNode{idx: i, shard: shard, eng: d.sh.Shard(shard)}
-		if !cfg.IgnoreMemory {
-			kv, err := kvcache.NewPaged(cfg.Node, cfg.Model, cfg.MaxPool, cfg.PromptLen+cfg.GenTokens, cfg.KV)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: decode node %d: %w", i, err)
-			}
-			n.kv = kv
-		}
-		var alloc serve.KVAllocator
-		if n.kv != nil {
-			alloc = n.kv
-		}
-		nodeIdx := i
-		cb, err := serve.NewContinuousBatcher(eng.Runtime(), alloc, cfg.MaxPool, serve.ContinuousHooks{
-			Finished: func(id int, now simclock.Time) {
-				d.sh.Post(shard, 0, now+d.latency, func(now simclock.Time) {
-					d.seqFinished(nodeIdx, id, now)
-				})
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: decode node %d: %w", i, err)
-		}
-		eng.Runtime().SetOnDone(cb.OnDone)
-		n.cb = cb
-		if cfg.Trace {
-			n.rec = trace.NewServingRecorder()
-			n.rec.SetPool(i)
-			cb.SetTracer(n.rec, i)
-			if n.kv != nil {
-				n.kv.SetTracer(n.rec, n.eng.Now)
-			}
-		}
-		d.decodes = append(d.decodes, n)
 	}
 	d.armArrivals()
 	return d, nil
 }
 
-// wirePrefill routes a prefill node's completions back to the frontend.
-func (d *Disagg) wirePrefill(p *prefillNode) {
-	shard := p.idx + 1
-	p.rt.SetOnDone(func(c runtimes.Completion) {
-		seq := p.subs[c.ID]
-		d.sh.Post(shard, 0, c.Done+d.latency, func(now simclock.Time) {
-			d.prefillDone(p.idx, seq, now)
-		})
+// wireDecode gives decode node n (pool position i) its paged KV cache
+// and iteration-level batcher, and sends each finished sequence to the
+// frontend.
+func (d *Disagg) wireDecode(i int, n *node) error {
+	kv, err := kvcache.NewPaged(d.cfg.Node, d.cfg.Model, d.cfg.MaxPool, d.cfg.PromptLen+d.cfg.GenTokens, d.cfg.KV)
+	if err != nil {
+		return err
+	}
+	shard := n.idx + 1
+	cb, err := serve.NewContinuousBatcher(n.rt, kv, d.cfg.MaxPool, serve.ContinuousHooks{
+		Finished: func(id int, now simclock.Time) {
+			d.sh.Post(shard, 0, now+d.latency, func(now simclock.Time) {
+				d.seqFinished(i, id, now)
+			})
+		},
 	})
+	if err != nil {
+		return err
+	}
+	n.rt.SetOnDone(cb.OnDone)
+	n.kv, n.cb = kv, cb
+	if d.cfg.Trace {
+		n.rec = trace.NewServingRecorder()
+		n.rec.SetPool(i)
+		cb.SetTracer(n.rec, i)
+		kv.SetTracer(n.rec, n.eng.Now)
+	}
+	return nil
 }
 
 // armArrivals schedules the Poisson arrival process on the frontend.
@@ -293,7 +231,7 @@ func (d *Disagg) armArrivals() {
 					Pool: -1, Seq: seq, Kind: serve.SeqArrive, At: now, Tokens: d.cfg.PromptLen,
 				})
 			}
-			d.routePrefill(seq, now)
+			d.routePrefill(seq)
 		})
 		at += time.Duration(rng.ExpFloat64() * float64(gap))
 	}
@@ -301,7 +239,7 @@ func (d *Disagg) armArrivals() {
 
 // routePrefill sends one sequence to the least-loaded prefill node
 // (lowest index on ties — deterministic).
-func (d *Disagg) routePrefill(seq int, now simclock.Time) {
+func (d *Disagg) routePrefill(seq int) {
 	best := 0
 	for i := 1; i < len(d.prefillLoad); i++ {
 		if d.prefillLoad[i] < d.prefillLoad[best] {
@@ -309,26 +247,18 @@ func (d *Disagg) routePrefill(seq int, now simclock.Time) {
 		}
 	}
 	d.prefillLoad[best]++
-	p := d.prefills[best]
-	w := model.Workload{Batch: 1, SeqLen: d.cfg.PromptLen, Phase: model.Context}
-	d.sh.Post(0, best+1, now+d.latency, func(simclock.Time) {
-		p.subs = append(p.subs, seq)
-		var err error
-		if p.tag != nil {
-			err = p.tag.SubmitReq(w, seq)
-		} else {
-			err = p.rt.Submit(w)
-		}
-		if err != nil && p.err == nil {
-			p.err = fmt.Errorf("cluster: prefill node %d submit: %w", p.idx, err)
-		}
-	})
+	d.dispatch(d.nodes[best], best, seq, model.Workload{Batch: 1, SeqLen: d.cfg.PromptLen, Phase: model.Context})
 }
 
-// prefillDone runs on the frontend: the prompt's first token exists;
-// hand the KV cache to the least-loaded decode node, paying the full
-// cache transfer over the inter-node network.
-func (d *Disagg) prefillDone(pIdx, seq int, now simclock.Time) {
+// prefillDone is the frontend's notice handler for prefill node pIdx:
+// the prompt's first token exists; hand the KV cache to the
+// least-loaded decode node, paying the full cache transfer over the
+// inter-node network. A failed prefill leaves its sequence unfinished,
+// which fails the run.
+func (d *Disagg) prefillDone(pIdx, seq int, status serve.DispatchStatus, now simclock.Time) {
+	if status != serve.DispatchOK {
+		return
+	}
 	d.prefillLoad[pIdx]--
 	d.firstTok[seq] = now
 	best := 0
@@ -338,7 +268,6 @@ func (d *Disagg) prefillDone(pIdx, seq int, now simclock.Time) {
 		}
 	}
 	d.decodeLoad[best]++
-	d.seqDecode[seq] = best
 	n := d.decodes[best]
 	bytes := d.cfg.Model.KVCacheBytes(d.cfg.PromptLen)
 	d.transfers++
@@ -357,7 +286,7 @@ func (d *Disagg) prefillDone(pIdx, seq int, now simclock.Time) {
 			Seq: seq, Req: seq, From: pIdx, To: best, Bytes: bytes, Start: now, End: at,
 		})
 	}
-	d.sh.Post(0, n.shard, at, func(now simclock.Time) {
+	d.sh.Post(0, n.idx+1, at, func(now simclock.Time) {
 		n.cb.Add(serve.GenSeq{
 			ID:        seq,
 			Prompt:    d.cfg.PromptLen,
@@ -383,25 +312,15 @@ func (d *Disagg) seqFinished(nodeIdx, seq int, now simclock.Time) {
 // Run executes the simulation to completion and aggregates the result.
 func (d *Disagg) Run() (DisaggResult, error) {
 	res := DisaggResult{}
-	func() {
-		defer d.sh.Close()
-		d.sh.Run()
-	}()
-	for _, p := range d.prefills {
-		if p.err != nil {
-			return res, p.err
-		}
+	if err := d.run(); err != nil {
+		return res, err
 	}
-	for _, n := range d.decodes {
+	for i, n := range d.decodes {
 		if err := n.cb.Err(); err != nil {
-			return res, fmt.Errorf("cluster: decode node %d: %w", n.idx, err)
+			return res, fmt.Errorf("cluster: decode node %d: %w", i, err)
 		}
-		// A corrupted KV ledger fails the run instead of passing as a
-		// success.
-		if n.kv != nil {
-			if err := n.kv.InvariantErr(); err != nil {
-				return res, fmt.Errorf("cluster: decode node %d: kv cache invariant violated: %w", n.idx, err)
-			}
+		if err := serve.AuditKV(n.kv); err != nil {
+			return res, fmt.Errorf("cluster: decode node %d: %w", i, err)
 		}
 	}
 	if d.completed != d.cfg.Sequences {
@@ -414,7 +333,7 @@ func (d *Disagg) Run() (DisaggResult, error) {
 		poolSum += float64(n.cb.PoolSum)
 		res.Preemptions += n.cb.Preemptions
 		res.RecomputedTokens += n.cb.RecomputedTokens
-		if n.kv != nil && n.kv.PeakUsedBlocks() > res.KVPeakBlocks {
+		if n.kv.PeakUsedBlocks() > res.KVPeakBlocks {
 			res.KVPeakBlocks = n.kv.PeakUsedBlocks()
 		}
 	}
@@ -425,9 +344,6 @@ func (d *Disagg) Run() (DisaggResult, error) {
 	res.KVTransferBytes = d.kvBytes
 	return res, nil
 }
-
-// Stats exposes the windowed-execution counters for diagnostics.
-func (d *Disagg) Stats() simclock.ShardStats { return d.sh.Stats() }
 
 // ServingTrace merges the per-shard recorders into one normalized
 // serving trace (nil unless DisaggConfig.Trace). Call after Run: the
@@ -441,9 +357,7 @@ func (d *Disagg) ServingTrace() *trace.ServingRecorder {
 	merged := trace.NewServingRecorder()
 	merged.Merge(d.frontRec)
 	for _, n := range d.decodes {
-		if n.rec != nil {
-			merged.Merge(n.rec)
-		}
+		merged.Merge(n.rec)
 	}
 	merged.Normalize()
 	return merged

@@ -141,6 +141,26 @@ func TestDisaggDoubleReleaseFailsRun(t *testing.T) {
 	}
 }
 
+// A sequence a decode pool never releases fails the run, naming the
+// node, like any other KV ledger violation.
+func TestDisaggLeakedSequenceFailsRun(t *testing.T) {
+	d, err := NewDisagg(disaggCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := d.decodes[1]
+	const seq = 1 << 20 // no workload sequence has this id
+	n.eng.At(0, func(simclock.Time) {
+		if err := n.kv.Admit(seq, 16); err != nil {
+			t.Error(err)
+		}
+	})
+	_, err = d.Run()
+	if err == nil || !strings.Contains(err.Error(), "decode node 1") || !strings.Contains(err.Error(), "kv cache still holds 1") {
+		t.Fatalf("run that leaked a sequence returned %v, want decode node 1's leak error", err)
+	}
+}
+
 func TestDisaggRejectsBadConfigs(t *testing.T) {
 	bad := []func(*DisaggConfig){
 		func(c *DisaggConfig) { c.PrefillNodes = 0 },

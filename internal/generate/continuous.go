@@ -80,9 +80,8 @@ type ContinuousResult struct {
 }
 
 // RunContinuous executes the workload on the runtime attached to eng.
-// It owns the runtime's completion callback for the duration. When the
-// KV allocator records invariant violations (InvariantErr, as
-// kvcache.PagedManager does), the first one is the run's error.
+// It owns the runtime's completion callback for the duration. A run
+// whose KV allocator fails the run-end audit (serve.AuditKV) fails.
 func RunContinuous(eng *simclock.Engine, rt runtimes.Runtime, cfg ContinuousConfig) (ContinuousResult, error) {
 	res := ContinuousResult{}
 	if err := cfg.Validate(); err != nil {
@@ -123,11 +122,8 @@ func RunContinuous(eng *simclock.Engine, rt runtimes.Runtime, cfg ContinuousConf
 	if err := cb.Err(); err != nil {
 		return res, err
 	}
-	// A corrupted KV ledger fails the run instead of passing as a success.
-	if a, ok := cfg.KV.(interface{ InvariantErr() error }); ok {
-		if err := a.InvariantErr(); err != nil {
-			return res, fmt.Errorf("generate: kv cache invariant violated: %w", err)
-		}
+	if err := serve.AuditKV(cfg.KV); err != nil {
+		return res, fmt.Errorf("generate: %w", err)
 	}
 	if completed != cfg.Sequences {
 		return res, fmt.Errorf("generate: %d of %d sequences finished", completed, cfg.Sequences)

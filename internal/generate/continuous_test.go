@@ -243,6 +243,20 @@ func TestContinuousDoubleReleaseFailsRun(t *testing.T) {
 	}
 }
 
+func TestContinuousLeakedSequenceFailsRun(t *testing.T) {
+	kv, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B(), 16, 512, kvcache.PagedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engineFor(t, core.KindLiger)
+	cfg := contCfg()
+	cfg.KV = leakyRelease{PagedManager: kv, seq: 3}
+	_, err = RunContinuous(eng.Clock(), eng.Runtime(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "kv cache still holds 1") {
+		t.Fatalf("run that leaked a sequence returned %v, want the leak error", err)
+	}
+}
+
 func TestContinuousValidation(t *testing.T) {
 	bad := []ContinuousConfig{
 		{},

@@ -105,9 +105,8 @@ type conversation struct {
 // runtime's completion callback for the duration of the run. Unlike
 // RunContinuous, every conversation carries its own batch through its
 // whole generation, so several conversations' iterations are in flight
-// at once — the concurrency Liger interleaves. When the KV allocator
-// records invariant violations (InvariantErr) or still holds sequences
-// at the end (Live), the run fails.
+// at once — the concurrency Liger interleaves. A run whose KV allocator
+// fails the run-end audit (serve.AuditKV) fails.
 func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -194,19 +193,13 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 	if runErr != nil {
 		return res, runErr
 	}
-	// A corrupted KV ledger fails the run instead of passing as a success.
-	if a, ok := cfg.KV.(interface{ InvariantErr() error }); ok {
-		if err := a.InvariantErr(); err != nil {
-			return res, fmt.Errorf("generate: kv cache invariant violated: %w", err)
-		}
+	if err := serve.AuditKV(cfg.KV); err != nil {
+		return res, fmt.Errorf("generate: %w", err)
 	}
 	for i, f := range finished {
 		if f == 0 {
 			return res, fmt.Errorf("generate: conversation %d never finished", i)
 		}
-	}
-	if a, ok := cfg.KV.(interface{ Live() int }); ok && a.Live() != 0 {
-		return res, fmt.Errorf("generate: kv cache still holds %d sequences after the run", a.Live())
 	}
 	res.Fold(arrived, firstTok, finished, cfg.GenTokens)
 	return res, nil

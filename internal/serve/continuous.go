@@ -43,6 +43,34 @@ type PreemptingAllocator interface {
 	Preempt() (seqID, tokens int, ok bool)
 }
 
+// auditedAllocator is the optional ledger extension: an allocator that
+// records invariant violations and counts the sequences it still holds
+// (kvcache.PagedManager).
+type auditedAllocator interface {
+	// InvariantErr returns the first recorded invariant violation.
+	InvariantErr() error
+	// Live counts the sequences still holding cache.
+	Live() int
+}
+
+// AuditKV is the run-end KV audit every generative driver shares. A run
+// fails when its allocator recorded an invariant violation or still
+// holds a sequence: a corrupted ledger or a leak must not pass as a
+// success. An allocator without a ledger passes.
+func AuditKV(kv KVAllocator) error {
+	a, ok := kv.(auditedAllocator)
+	if !ok {
+		return nil
+	}
+	if err := a.InvariantErr(); err != nil {
+		return fmt.Errorf("kv cache invariant violated: %w", err)
+	}
+	if n := a.Live(); n != 0 {
+		return fmt.Errorf("kv cache still holds %d sequences after the run", n)
+	}
+	return nil
+}
+
 // GenSeq is one generative sequence entering the continuous batcher.
 type GenSeq struct {
 	ID int

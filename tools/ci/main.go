@@ -62,14 +62,19 @@
 //     (at least 11); every serving_*.serving.json must carry the
 //     decomposition schema (requests, segment_ns, pools, imbalance,
 //     episodes, counters) and tile each request's latency exactly
-//  15. scenario acceptance: every scenarios/*.yaml must PASS its
+//  15. disagg: `ligersim -disagg -model tiny -batches 24 -rate 2000
+//     -prompt 32 -gen 8 -pool 8 -prefillnodes 2 -decodenodes 2
+//     -serving-report` (prefill and decode pools on the fleet's node
+//     table) at -shards 1 and -shards 4 — results and the serving
+//     decomposition
+//  16. scenario acceptance: every scenarios/*.yaml must PASS its
 //     assertions, the impossible-slo and no-spare-capacity negative
 //     fixtures must FAIL (exit 1) — a gate that cannot reject is not a
 //     gate — and `scenarios/cascading-failures.yaml`,
 //     `scenarios/fleet-node-loss.yaml`, and `scenarios/decode-heavy.yaml`
 //     (the continuous-batching corpus entry) must print byte-identical
 //     reports at -parallel 1 and -parallel 4 -shards 4
-//  16. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
+//  17. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
 //     must produce byte-identical aggregate survival reports, plus a
 //     small -race pass (`stress -n 3 -seed 7`) over the randomized fleet
 package main
@@ -195,6 +200,13 @@ func main() {
 				}
 				return nil
 			},
+		}.run},
+		{"disagg smoke", smoke{
+			what: "disaggregated serving report",
+			args: ligersim("-disagg", "-model", "tiny", "-batches", "24", "-rate", "2000",
+				"-prompt", "32", "-gen", "8", "-pool", "8", "-prefillnodes", "2", "-decodenodes", "2",
+				"-serving-report"),
+			runs: [2][]string{{"-shards", "1"}, {"-shards", "4"}},
 		}.run},
 		{"scenario acceptance", scenarioAcceptance},
 		{"stress smoke", stressSmoke},
