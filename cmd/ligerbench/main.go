@@ -13,7 +13,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"liger/internal/bench"
 	"liger/internal/runner"
@@ -90,12 +89,7 @@ func main() {
 		}
 		exps = []bench.Experiment{e}
 	}
-	for _, e := range exps {
-		fmt.Printf("==== %s: %s ====\n", e.ID, e.Title)
-		start := time.Now()
-		if err := e.Run(cfg, os.Stdout); err != nil {
-			log.Fatalf("%s: %v", e.ID, err)
-		}
-		fmt.Printf("---- %s done in %v ----\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	if err := bench.RunAll(exps, cfg, os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -108,6 +109,37 @@ func ByID(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
+}
+
+// RunAll runs exps in order and writes the ligerbench report: each
+// experiment's output under a "==== <id>: <title> ====" header and
+// followed by a "---- <id> done in <wall> ----" timing line.
+func RunAll(exps []Experiment, cfg RunConfig, w io.Writer) error {
+	for _, e := range exps {
+		fmt.Fprintf(w, "==== %s: %s ====\n", e.ID, e.Title)
+		start := time.Now()
+		if err := e.Run(cfg, w); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		fmt.Fprintf(w, "---- %s done in %v ----\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	return nil
+}
+
+// StripHostLines removes the only report output that legitimately
+// differs between two runs of the same command: the "---- <exp> done in
+// <wall> ----" lines, which depend on host speed, and the "traced: ..."
+// artifact-pointer lines, which embed the run's output directory.
+func StripHostLines(out []byte) []byte {
+	var kept [][]byte
+	for _, line := range bytes.Split(out, []byte("\n")) {
+		timing := bytes.HasPrefix(line, []byte("---- ")) && bytes.Contains(line, []byte(" done in "))
+		if timing || bytes.HasPrefix(bytes.TrimSpace(line), []byte("traced:")) {
+			continue
+		}
+		kept = append(kept, line)
+	}
+	return bytes.Join(kept, []byte("\n"))
 }
 
 // panel describes one sub-plot of Fig. 10/11: a model on a node at a

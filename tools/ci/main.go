@@ -89,6 +89,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"liger/internal/bench"
 )
 
 // gate is one named check of the sequence.
@@ -282,7 +284,7 @@ func (s smoke) run() error {
 		if err != nil {
 			return fmt.Errorf("%s: %v", s.label(i), err)
 		}
-		outs[i] = stripHostLines(out)
+		outs[i] = bench.StripHostLines(out)
 		if len(s.dirFlags) == 0 {
 			continue
 		}
@@ -326,22 +328,6 @@ func (s smoke) run() error {
 		}
 	}
 	return nil
-}
-
-// stripHostLines removes the only output that legitimately differs
-// between two runs of the same command: the "---- <exp> done in <wall>
-// ----" lines, which depend on host speed, and the "traced: ..."
-// artifact-pointer lines, which embed the run's output directory.
-func stripHostLines(out []byte) []byte {
-	var kept [][]byte
-	for _, line := range bytes.Split(out, []byte("\n")) {
-		timing := bytes.HasPrefix(line, []byte("---- ")) && bytes.Contains(line, []byte(" done in "))
-		if timing || bytes.HasPrefix(bytes.TrimSpace(line), []byte("traced:")) {
-			continue
-		}
-		kept = append(kept, line)
-	}
-	return bytes.Join(kept, []byte("\n"))
 }
 
 // checkServingSchema validates a serving_*.serving.json decomposition
