@@ -33,11 +33,14 @@ bench:
 
 # The stdlib fuzz targets, 15 s each (plain `go test` runs only their
 # seeds): the scenario loader, the paged KV allocator against a naive
-# model, and the calendar queue against the reference heap.
+# model, the calendar queue against the reference heap, and iteration
+# replay against the simulation. A replay input runs whole serving
+# simulations, so its minimization is capped at 10 runs per input.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 15s -parallel 1 ./internal/scenario
 	$(GO) test -run XXX -fuzz FuzzPagedOps -fuzztime 15s -parallel 1 ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzEngineVsRefheap -fuzztime 15s -parallel 1 ./internal/simclock
+	$(GO) test -run XXX -fuzz FuzzContinuousReplay -fuzztime 15s -fuzzminimizetime 10x -parallel 1 ./internal/runtimes
 
 # Full-fidelity chaos sweep: every fault scenario x runtime under the
 # deadline/retry policy (seeded, byte-reproducible).

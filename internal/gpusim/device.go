@@ -260,6 +260,7 @@ func (d *Device) SetSpeed(f float64) {
 		return
 	}
 	d.speed = f
+	d.node.healthChanges++
 	d.settled = false
 	now := d.node.eng.Now()
 	if ft := d.node.faultTracer; ft != nil {
@@ -285,6 +286,7 @@ func (d *Device) SetLinkFactor(f float64) {
 		return
 	}
 	d.linkFactor = f
+	d.node.healthChanges++
 	d.settled = false
 	now := d.node.eng.Now()
 	if ft := d.node.faultTracer; ft != nil {

@@ -243,6 +243,9 @@ type Node struct {
 	// state ahead of the cancellation cascade.
 	onFail      []func(dev int, now simclock.Time)
 	failedCount int
+	// healthChanges counts changes of a device's speed, link factor or
+	// liveness (see HealthChanges).
+	healthChanges uint64
 
 	// evCounts classifies every event scheduled on the engine by
 	// subsystem; see EventCounters in shards.go.
@@ -342,6 +345,7 @@ func (n *Node) FailDevice(i int) {
 	now := n.eng.Now()
 	d.failed = true
 	n.failedCount++
+	n.healthChanges++
 	if n.faultTracer != nil {
 		n.faultTracer.DeviceFailed(i, now)
 	}
@@ -562,6 +566,33 @@ func (n *Node) MinLinkHealth() float64 {
 		}
 	}
 	return h
+}
+
+// HealthChanges counts every change so far of a device's speed, link
+// factor or liveness: a reading that did not move over a span of virtual
+// time proves no fault window opened or closed in it.
+func (n *Node) HealthChanges() uint64 { return n.healthChanges }
+
+// Drained reports whether the node holds no work and no launch
+// backlog: nothing is queued on any stream, running, or waiting for
+// admission, so no kernel, command, event record, wait or collective is
+// live, and no launch connection still serializes — a command issued
+// now is delivered after the plain launch latency. Host callbacks that
+// event notifications or barriers scheduled are not the node's work;
+// their owners track them.
+func (n *Node) Drained() bool {
+	now, host := n.eng.Now(), n.spec.Host
+	for _, d := range n.devices {
+		if d.queueDepth != 0 || len(d.running) != 0 || len(d.pendingAdmission) != 0 {
+			return false
+		}
+		for _, c := range d.conns {
+			if c.lastDelivery+host.IssueGap > now+host.LaunchLatency {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // HostBarrier invokes fn once every event in events has fired, adding

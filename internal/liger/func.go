@@ -82,6 +82,9 @@ type Batch struct {
 	pos   int
 	rest  parallel.KernelDesc
 	split bool
+	// entry is the plan-cache entry plan came from (nil for a batch
+	// built by NewBatch); it carries the shape's replay record.
+	entry *cachedPlan
 
 	// SubmittedAt / DoneAt bound the batch's latency (pending + CUDA
 	// execution time, the paper's latency metric); FirstLaunchAt splits
@@ -267,10 +270,12 @@ type Assembler struct {
 // 578 or more kernels per rank. The budget keeps about 9,000 such shapes.
 const planBudget = 1 << 17
 
-// cachedPlan is one entry of the plan cache.
+// cachedPlan is one entry of the plan cache. replay is the shape's
+// recorded solo iteration, nil until one is recorded (see Replay).
 type cachedPlan struct {
-	w    model.Workload
-	plan *parallel.Plan
+	w      model.Workload
+	plan   *parallel.Plan
+	replay *Replay
 }
 
 // NewAssembler returns an assembler serving spec with tensor-parallel
@@ -288,10 +293,11 @@ func NewAssembler(c *parallel.Compiler, spec model.Spec, tp int) (*Assembler, er
 // Assemble compiles one batch's inference into a schedulable Batch,
 // reusing a released one when there is one.
 func (a *Assembler) Assemble(w model.Workload) (*Batch, error) {
-	plan, err := a.plan(w)
+	entry, err := a.plan(w)
 	if err != nil {
 		return nil, err
 	}
+	plan := entry.plan
 	var b *Batch
 	if n := len(a.free); n > 0 {
 		b = a.free[n-1]
@@ -302,6 +308,7 @@ func (a *Assembler) Assemble(w model.Workload) (*Batch, error) {
 	} else {
 		b = newBatch(a.nextID, w, plan)
 	}
+	b.entry = entry
 	// Live activations at the widest point (FFN expansion), double
 	// buffered — consistent with parallel.PlanPlacement.
 	b.WorkspaceBytes = 3 * int64(w.Tokens()) * int64(a.spec.FFNHidden()) * 2
@@ -324,14 +331,15 @@ func (a *Assembler) Release(b *Batch) {
 	if b.plan == nil {
 		panic(fmt.Sprintf("liger: batch %d released twice", b.ID))
 	}
-	b.plan = nil
+	b.plan, b.entry = nil, nil
 	a.free = append(a.free, b)
 }
 
 // Retarget repoints the assembler at a new compiler and tensor-parallel
 // degree — the reduced world after a permanent device failure. The
 // batch ID sequence is preserved so completion IDs stay in submission
-// order across the reconfiguration.
+// order across the reconfiguration. The cached plans go, and with them
+// their replay records.
 func (a *Assembler) Retarget(c *parallel.Compiler, tp int) error {
 	if tp < 1 {
 		return fmt.Errorf("liger: tensor-parallel degree %d", tp)
@@ -344,13 +352,13 @@ func (a *Assembler) Retarget(c *parallel.Compiler, tp int) error {
 	return nil
 }
 
-// plan returns the compiled plan for w, compiling it on the first
-// request for that shape. Compilation is a pure function of the
+// plan returns the plan-cache entry for w, compiling its plan on the
+// first request for that shape. Compilation is a pure function of the
 // compiler, model, degree and shape, so a cached plan is the plan.
-func (a *Assembler) plan(w model.Workload) (*parallel.Plan, error) {
+func (a *Assembler) plan(w model.Workload) (*cachedPlan, error) {
 	if e, ok := a.plans[w]; ok {
 		a.lru.MoveToFront(e)
-		return e.Value.(*cachedPlan).plan, nil
+		return e.Value.(*cachedPlan), nil
 	}
 	plan, err := a.compiler.IntraOpPlan(a.spec, a.tp, w)
 	if err != nil {
@@ -359,14 +367,15 @@ func (a *Assembler) plan(w model.Workload) (*parallel.Plan, error) {
 	if a.plans == nil {
 		a.plans = make(map[model.Workload]*list.Element)
 	}
-	a.plans[w] = a.lru.PushFront(&cachedPlan{w: w, plan: plan})
+	entry := &cachedPlan{w: w, plan: plan}
+	a.plans[w] = a.lru.PushFront(entry)
 	a.planDescs += plan.Stored()
 	for a.planDescs > planBudget && a.lru.Len() > 1 {
 		old := a.lru.Remove(a.lru.Back()).(*cachedPlan)
 		delete(a.plans, old.w)
 		a.planDescs -= old.plan.Stored()
 	}
-	return plan, nil
+	return entry, nil
 }
 
 // Spec returns the served model.

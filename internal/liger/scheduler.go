@@ -109,6 +109,12 @@ type Scheduler struct {
 	nextRound func(now simclock.Time)
 	// obsFree recycles overrun observers (see observeOverrun).
 	obsFree []*roundObserver
+
+	// replaying is the batch a Replay runs, with its record, until its
+	// completion event replayDone fires.
+	replaying  *Batch
+	replayRec  *Replay
+	replayDone func(now simclock.Time)
 }
 
 // NewScheduler builds a scheduler over the simulated node.
@@ -232,8 +238,9 @@ func (s *Scheduler) refill() {
 		// exhausted batches leave the processing list while their last
 		// kernels — and workspaces — are still in flight, so allocation
 		// can fail even with an empty list; completions free memory and
-		// re-kick the scheduler.
-		if b.WorkspaceBytes > 0 {
+		// re-kick the scheduler. A batch whose workspace HoldWorkspace
+		// reserved at submit is admitted on it.
+		if b.WorkspaceBytes > 0 && !b.workspaceHeld {
 			if err := s.node.AllocAll(b.WorkspaceBytes); err != nil {
 				break
 			}

@@ -18,12 +18,16 @@ import (
 // weight-re-shard delay — rounds resume on the survivors. Batches
 // arriving mid-reconfiguration queue in the scheduler and launch
 // against the new plan.
+//
+// Iterations a serving loop chains from completions are replayed from a
+// per-shape record when that is exact (see replayer).
 type Liger struct {
 	node      *gpusim.Node
 	compiler  *parallel.Compiler
 	assembler *liger.Assembler
 	scheduler *liger.Scheduler
 	*failover
+	replayer
 	onDone func(Completion)
 }
 
@@ -72,7 +76,7 @@ func (r *Liger) SubmitReq(w model.Workload, req int) error {
 		r.complete(Completion{ID: b.ID, Workload: w, Submitted: now, Done: now, Failed: true, Req: req}, b)
 		return nil
 	}
-	r.scheduler.Submit(b)
+	r.submit(b)
 	return nil
 }
 
@@ -82,11 +86,18 @@ func (r *Liger) SubmitReq(w model.Workload, req int) error {
 // aborts marks it failed: after a watchdog abort, once its last member
 // completed it, so the mark lands on the released batch (Assemble clears
 // it); after a kernel cancelled on a failed device, before that kernel's
-// completion, so the batch completes already failed.
+// completion, so the batch completes already failed. A batch the
+// callback submits may be held for replay until the callback returns.
 func (r *Liger) complete(c Completion, b *liger.Batch) {
+	if r.recording == b {
+		r.record(c, b)
+	}
+	r.depth++
 	if r.onDone != nil {
 		r.onDone(c)
 	}
+	r.depth--
+	r.settle()
 	r.assembler.Release(b)
 }
 
@@ -95,6 +106,8 @@ func (r *Liger) complete(c Completion, b *liger.Batch) {
 // quiesce the scheduler, and — once the old epoch drains — pay the
 // recovery delay, re-shard, and resume rounds on the survivors.
 func (r *Liger) handleFail(dev int, now simclock.Time) {
+	r.flush()
+	r.recording = nil
 	r.begin(now)
 	alive := r.node.AliveDevices()
 	r.compiler = r.compiler.ForWorldSize(len(alive))
@@ -114,5 +127,9 @@ func (r *Liger) handleFail(dev int, now simclock.Time) {
 	})
 }
 
-// Scheduler exposes the underlying scheduler for stats inspection.
-func (r *Liger) Scheduler() *liger.Scheduler { return r.scheduler }
+// Scheduler exposes the underlying scheduler for stats inspection. A
+// batch held for replay is submitted first, so its simulated work shows.
+func (r *Liger) Scheduler() *liger.Scheduler {
+	r.flush()
+	return r.scheduler
+}

@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -261,5 +262,51 @@ func TestAtSeqRejectsPassedOrUnreservedPositions(t *testing.T) {
 			}()
 			tc.arm()
 		}()
+	}
+}
+
+// TestInReservedSchedulesInTheReservedPlace: events scheduled through a
+// reserved block fire ahead of same-instant events scheduled after the
+// reservation, as if they had been scheduled when the block was taken;
+// a block overrun panics, and the engine's own numbering resumes after
+// the block.
+func TestInReservedSchedulesInTheReservedPlace(t *testing.T) {
+	e := New()
+	var order []string
+	at := func(name string) Event { return func(Time) { order = append(order, name) } }
+	e.At(0, func(Time) {
+		first := e.ReserveN(2)
+		e.At(time.Microsecond, at("later"))
+		e.InReserved(first, 2, func() {
+			e.At(time.Microsecond, at("reserved-a"))
+			e.At(time.Microsecond, at("reserved-b"))
+		})
+		e.At(time.Microsecond, at("last"))
+		defer func() {
+			if recover() == nil {
+				t.Error("a block overrun did not panic")
+			}
+		}()
+		e.InReserved(first, 1, func() {
+			e.Reserve()
+			e.Reserve()
+		})
+	})
+	e.Run()
+	if want := []string{"reserved-a", "reserved-b", "later", "last"}; !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+}
+
+// TestShardEnginesKnowTheyAreShards: only a Sharded executor's engines
+// report Shard.
+func TestShardEnginesKnowTheyAreShards(t *testing.T) {
+	if New().Shard() {
+		t.Fatal("a plain engine reports Shard")
+	}
+	s := NewSharded(2, time.Microsecond, 1)
+	defer s.Close()
+	if !s.Shard(0).Shard() || !s.Shard(1).Shard() {
+		t.Fatal("a shard engine does not report Shard")
 	}
 }

@@ -111,6 +111,7 @@ func NewSharded(n int, lookahead Time, workers int) *Sharded {
 	}
 	for i := range s.shards {
 		s.shards[i] = New()
+		s.shards[i].shard = true
 	}
 	s.window = func(j int) {
 		i := s.active[j]

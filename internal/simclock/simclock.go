@@ -204,6 +204,9 @@ type Engine struct {
 	maxBucket int
 
 	stats Stats
+
+	// shard marks a shard of a Sharded executor (see Shard).
+	shard bool
 }
 
 // New returns an engine with the clock at zero and no pending events.
@@ -302,6 +305,41 @@ func (e *Engine) Reserve() uint64 {
 	e.seq++
 	return s
 }
+
+// ReserveN takes the next n sequence numbers without scheduling anything
+// and returns the first: a block a later InReserved draws from.
+func (e *Engine) ReserveN(n int) uint64 {
+	s := e.seq
+	e.seq += uint64(n)
+	return s
+}
+
+// Seq returns the sequence number the next At or Reserve takes.
+func (e *Engine) Seq() uint64 { return e.seq }
+
+// InReserved runs fn with the sequence numbers fn schedules and reserves
+// drawn from the block of n that ReserveN returned first from. Every
+// event fn schedules then takes the place in the (time, seq) order it
+// would have taken had fn run when the block was reserved, ahead of
+// whatever was scheduled since. The clock must not have moved since the
+// reservation, and fn must take at most n sequence numbers.
+func (e *Engine) InReserved(first uint64, n int, fn func()) {
+	if e.Passed(e.now, first) {
+		panic(fmt.Sprintf("simclock: reserved block at seq %d, which the clock has passed", first))
+	}
+	next := e.seq
+	e.seq = first
+	fn()
+	if used := e.seq - first; used > uint64(n) {
+		panic(fmt.Sprintf("simclock: %d sequence numbers taken from a reserved block of %d", used, n))
+	}
+	e.seq = next
+}
+
+// Shard reports whether e is a shard of a Sharded executor. Other shards
+// post events onto a shard at window barriers, so its queue does not
+// hold every event that will fire before the next barrier.
+func (e *Engine) Shard() bool { return e.shard }
 
 // Passed reports whether the clock has moved beyond position (at, seq),
 // that is, whether an event scheduled there would already have fired.

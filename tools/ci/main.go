@@ -37,6 +37,12 @@
 //  9. an observability race pass: the tracer hook, dependency-edge
 //     emission, per-request decomposition, trace-analysis, and
 //     metrics-export paths under -race
+//  10. a replay race pass: iteration replay's start-instant proof, its
+//     differential against the simulation (the FuzzContinuousReplay
+//     seeds, TestContinuousReplayEngages and
+//     TestReplayHoldYieldsToWhatFollows), and the engine, node and
+//     scheduler primitives it rests on (reserved blocks, Drained, Work,
+//     the per-plan record, Settled) under -race
 //
 // Then the determinism smokes. Each runs one command at two settings
 // and fails unless stdout (host-dependent lines stripped) and every
@@ -44,37 +50,37 @@
 // warn-only benchdiff over the named sweep JSONs proves the regression
 // gate runs end to end. One table-driven helper (smoke.run) does all of
 // it:
-//  10. failover: `ligerbench -exp failover -quick -trace-dir` at
+//  11. failover: `ligerbench -exp failover -quick -trace-dir` at
 //     -parallel 1 and 4 — BENCH_failover.json plus per-runtime Chrome
 //     trace/metrics/analysis artifacts (at least 10); the byte-compare
 //     of failover_*.analysis.json doubles as the analyzer determinism
 //     smoke
-//  11. explain: `ligersim -explain` twice on the same seed must print
+//  12. explain: `ligersim -explain` twice on the same seed must print
 //     byte-identical critical-path/gap/overlap reports
-//  12. shards: `ligerbench -exp fig10 -quick` at -shards 0 and -shards 4
+//  13. shards: `ligerbench -exp fig10 -quick` at -shards 0 and -shards 4
 //     — the lookahead-sharded path may never change results, only speed
-//  13. fleet: `ligerbench -exp fleet -quick` at -parallel 1 -shards 1
+//  14. fleet: `ligerbench -exp fleet -quick` at -parallel 1 -shards 1
 //     and -parallel 4 -shards 4 — tables and BENCH_fleet.json
-//  14. serving: `ligerbench -exp serving -quick -trace-dir` (continuous
+//  15. serving: `ligerbench -exp serving -quick -trace-dir` (continuous
 //     batching over the paged KV allocator) at the same two settings —
 //     tables, BENCH_serving.json, BENCH_serving_analysis.json and the
 //     per-runtime serving Chrome-trace/metrics/decomposition artifacts
 //     (at least 11); every serving_*.serving.json must carry the
 //     decomposition schema (requests, segment_ns, pools, imbalance,
 //     episodes, counters) and tile each request's latency exactly
-//  15. disagg: `ligersim -disagg -model tiny -batches 24 -rate 2000
+//  16. disagg: `ligersim -disagg -model tiny -batches 24 -rate 2000
 //     -prompt 32 -gen 8 -pool 8 -prefillnodes 2 -decodenodes 2
 //     -serving-report` (prefill and decode pools on the fleet's node
 //     table) at -shards 1 and -shards 4 — results and the serving
 //     decomposition
-//  16. scenario acceptance: every scenarios/*.yaml must PASS its
+//  17. scenario acceptance: every scenarios/*.yaml must PASS its
 //     assertions, the impossible-slo and no-spare-capacity negative
 //     fixtures must FAIL (exit 1) — a gate that cannot reject is not a
 //     gate — and `scenarios/cascading-failures.yaml`,
 //     `scenarios/fleet-node-loss.yaml`, and `scenarios/decode-heavy.yaml`
 //     (the continuous-batching corpus entry) must print byte-identical
 //     reports at -parallel 1 and -parallel 4 -shards 4
-//  17. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
+//  18. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
 //     must produce byte-identical aggregate survival reports, plus a
 //     small -race pass (`stress -n 3 -seed 7`) over the randomized fleet
 package main
@@ -158,6 +164,9 @@ func main() {
 			"./internal/trace", "./internal/metrics", "./internal/gpusim",
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
 			"./internal/analyze")},
+		{"replay race", command("go", "test", "-race",
+			"-run", "SoloIteration|ContinuousReplay|ReplayHold|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled",
+			"./internal/runtimes", "./internal/simclock", "./internal/gpusim", "./internal/liger")},
 		{"failover smoke", smoke{
 			what: "failover sweep",
 			args: ligerbench("-exp", "failover", "-quick", "-batches", "25", "-seed", "5"),
