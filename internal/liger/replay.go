@@ -12,7 +12,8 @@ import (
 // every start instant: the simulation only ever reads time differences.
 // Once one such run of a shape is recorded, a later one can complete
 // from the record instead of being simulated. runtimes.Liger decides
-// when a replay is exact; the scheduler keeps the record and runs it.
+// when a replay is exact; the shape's plan-cache entry keeps the record
+// and the scheduler runs it.
 
 // Replay is the recorded outcome of one solo iteration of a shape. It
 // is kept small: a serving run records hundreds of shapes.
@@ -67,25 +68,14 @@ func (b *Batch) SetReplay(rec *Replay) {
 // Settled reports whether the scheduler is in the state a replay records
 // and reproduces: nothing waiting, running or replaying, no round
 // pending, not quiescing, no journal, a fixed contention factor, and
-// every device a round launches onto holding the end events of a
-// previous round. The first round waits on no event and so issues fewer
-// commands; it is never recorded.
+// warm. The first round waits on no event and so issues fewer commands;
+// it is never recorded. It asks the node to fold (foldAsked), and every
+// round sets both end events of each device it launches onto, a set
+// that only shrinks afterwards.
 func (s *Scheduler) Settled() bool {
-	if s.roundPending || s.quiescing || s.replaying != nil ||
-		len(s.waiting)+len(s.processing)+len(s.live) > 0 ||
-		s.journalCap > 0 || s.cfg.AdaptiveContention || !s.foldAsked {
-		return false
-	}
-	devs := s.alive
-	if s.rep >= 0 {
-		devs = s.folded
-	}
-	for _, d := range devs {
-		if s.lastComputeEnd[d] == nil || s.lastCommEnd[d] == nil {
-			return false
-		}
-	}
-	return true
+	return s.foldAsked && !s.roundPending && !s.quiescing && s.replaying == nil &&
+		len(s.waiting)+len(s.processing)+len(s.live) == 0 &&
+		s.journalCap == 0 && !s.cfg.AdaptiveContention
 }
 
 // HoldWorkspace reserves b's activation workspace now, before b is

@@ -21,11 +21,12 @@ import (
 //     drivers submit from arrival events and never replay.
 //  2. Recorded state: the node is drained and healthy (speed and link
 //     factors 1) under the recorded collective watchdog, no tracer is
-//     attached, the scheduler is settled (warm,
-//     no journal, no adaptive contention), the runtime is not
-//     reconfiguring, and the batch's workspace fits at submit.
+//     attached, the scheduler is settled (warm, no journal, no adaptive
+//     contention), the runtime is not reconfiguring, and the batch's
+//     workspace fits at submit.
 //  3. A known window: the engine's next event lies strictly after the
-//     replayed completion, and the engine is not a shard of a sharded
+//     replayed completion, the run in progress does not stop before it
+//     (Engine.QuietThrough), and the engine is not a shard of a sharded
 //     executor, which learns of posted events only at barriers.
 //  4. Nothing scheduled into the window later: the submit holds the
 //     batch and reserves the sequence numbers its simulated submit
@@ -37,20 +38,21 @@ import (
 //
 // A recording is taken from a simulated iteration that met conditions 1
 // and 2 at submit and again at completion, with no other submit, health
-// change or collective abort in between.
+// change, watchdog change or failed completion in between.
 type replayer struct {
 	// off disables replay (tests: the simulated oracle).
 	off bool
 	// depth counts the completion deliveries in progress.
 	depth int
 
-	// pending is a chained batch held for replay until the delivery at
-	// depth pendingDepth returns, with its record and the first of the
-	// sequence numbers reserved for it.
-	pending      *liger.Batch
-	pendingRec   *liger.Replay
-	pendingDepth int
-	pendingSeq   uint64
+	// pending is a chained batch held for replay until the delivery that
+	// submitted it returns, with its record and the first of the
+	// sequence numbers reserved for it. Whatever reaches the runtime
+	// meanwhile flushes it first, so no other delivery can end while it
+	// is held.
+	pending    *liger.Batch
+	pendingRec *liger.Replay
+	pendingSeq uint64
 
 	// recording is the simulated batch being recorded, with the readings
 	// taken at its submit: the sequence numbers the submit took, the
@@ -90,7 +92,7 @@ func (r *Liger) submit(b *liger.Batch) {
 	}
 	eng := r.node.Engine()
 	if rec := b.Replay(); rec != nil {
-		r.pending, r.pendingRec, r.pendingDepth = b, rec, r.depth
+		r.pending, r.pendingRec = b, rec
 		r.pendingSeq = eng.ReserveN(rec.Seqs)
 		return
 	}
@@ -108,18 +110,16 @@ func (r *Liger) submit(b *liger.Batch) {
 // up to its completion is clear, and submits it in its reserved place
 // otherwise.
 func (r *Liger) settle() {
-	if r.pending == nil || r.pendingDepth <= r.depth {
+	if r.pending == nil {
 		return
 	}
-	eng := r.node.Engine()
-	if r.replayable() && r.pendingRec.Timeout == r.node.CollectiveTimeout() {
-		if next, ok := eng.NextEventAt(); !ok || next > eng.Now()+r.pendingRec.Duration {
-			b, rec := r.pending, r.pendingRec
-			r.pending, r.pendingRec = nil, nil
-			r.replays++
-			r.scheduler.Replay(b, rec)
-			return
-		}
+	eng, rec := r.node.Engine(), r.pendingRec
+	if r.replayable() && rec.Timeout == r.node.CollectiveTimeout() && eng.QuietThrough(eng.Now()+rec.Duration) {
+		b := r.pending
+		r.pending, r.pendingRec = nil, nil
+		r.replays++
+		r.scheduler.Replay(b, rec)
+		return
 	}
 	r.flush()
 }

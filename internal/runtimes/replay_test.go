@@ -232,13 +232,16 @@ func (sc continuousRun) run(t *testing.T, replay bool) outcome {
 		node.KeepUnfolded()
 		for i, at := range sc.at {
 			dev := node.Device(i % node.NumDevices())
+			// Windows from 60 µs, inside one iteration, to 4 ms, across
+			// several of them.
+			long := simclock.Time(i%2) * 4 * simclock.Time(time.Millisecond)
 			switch i % 3 {
 			case 0:
 				eng.At(at+30*simclock.Time(time.Microsecond), func(simclock.Time) { dev.SetSpeed(0.6) })
-				eng.At(at+90*simclock.Time(time.Microsecond), func(simclock.Time) { dev.SetSpeed(1) })
+				eng.At(at+90*simclock.Time(time.Microsecond)+long, func(simclock.Time) { dev.SetSpeed(1) })
 			case 1:
 				eng.At(at+10*simclock.Time(time.Microsecond), func(simclock.Time) { dev.SetLinkFactor(0.5) })
-				eng.At(at+200*simclock.Time(time.Microsecond), func(simclock.Time) { dev.SetLinkFactor(1) })
+				eng.At(at+200*simclock.Time(time.Microsecond)+long, func(simclock.Time) { dev.SetLinkFactor(1) })
 			}
 		}
 	}
@@ -296,91 +299,170 @@ func replayDiffers(t *testing.T, sc continuousRun) outcome {
 	return on
 }
 
-// seedLens seeds the sequence lengths: 25 prompt and generation pairs.
+// seedLens seeds the sequence lengths, in prompt and generation pairs.
 const seedLens = "a seed of prompt and generation lengths, in pairs."
+
+// checkContinuous runs the scenario the fuzz input decodes to with
+// replay on and off and fails on any difference. With mode bit 4 set,
+// the last arrival first moves onto a completion instant of an
+// iteration the run replays without it. It returns the replaying run,
+// or nothing for an input with no sequence.
+func checkContinuous(t *testing.T, pool uint8, gaps, lens []byte, mode uint8) outcome {
+	sc := newContinuousRun(pool, gaps, lens, mode)
+	if len(sc.at) == 0 {
+		return outcome{}
+	}
+	if mode&4 != 0 && len(sc.at) > 1 {
+		last := len(sc.at) - 1
+		head := sc
+		head.at, head.prompt, head.gen = sc.at[:last], sc.prompt[:last], sc.gen[:last]
+		if at := head.run(t, true).replayedAt; len(at) > 0 {
+			sc.at = append(slices.Clone(sc.at[:last]), at[int(pool)%len(at)])
+		}
+	}
+	return replayDiffers(t, sc)
+}
 
 // FuzzContinuousReplay checks iteration replay against the simulation
 // it stands for: continuous batching over random pool caps, arrival
 // gaps and sequence lengths must report every completion, first-token
 // and finish time, batcher counter, DeviceStats and scheduler counter
-// identically with replay on and off. With mode bit 4 set, the last
-// arrival moves onto a completion instant of an iteration the run
-// replays without it.
+// identically with replay on and off (checkContinuous).
 func FuzzContinuousReplay(f *testing.F) {
-	lens := []byte(seedLens)
-	f.Add(uint8(3), []byte{2, 0, 9, 1, 40}, lens, uint8(0))
-	f.Add(uint8(7), []byte{30, 4}, lens, uint8(4))    // an arrival at a replayed completion instant
-	f.Add(uint8(2), []byte{1, 3, 0}, lens, uint8(1))  // readings scheduled into replay windows
-	f.Add(uint8(5), []byte{6, 2, 90}, lens, uint8(2)) // a fault schedule
-	f.Add(uint8(0), []byte{}, lens[:8], uint8(7))
+	for _, in := range continuousSeeds {
+		f.Add(in.pool, in.gaps, []byte(seedLens), in.mode)
+	}
+	f.Add(uint8(0), []byte{}, []byte(seedLens[:8]), uint8(7))
 	f.Fuzz(func(t *testing.T, pool uint8, gaps, lens []byte, mode uint8) {
-		sc := newContinuousRun(pool, gaps, lens, mode)
-		if len(sc.at) == 0 {
-			return
-		}
-		if mode&4 != 0 && len(sc.at) > 1 {
-			last := len(sc.at) - 1
-			head := sc
-			head.at, head.prompt, head.gen = sc.at[:last], sc.prompt[:last], sc.gen[:last]
-			if at := head.run(t, true).replayedAt; len(at) > 0 {
-				sc.at = append(slices.Clone(sc.at[:last]), at[int(pool)%len(at)])
-			}
-		}
-		replayDiffers(t, sc)
+		checkContinuous(t, pool, gaps, lens, mode)
 	})
 }
 
+// continuousSeeds are the fuzz seeds that must replay.
+var continuousSeeds = []struct {
+	name string
+	pool uint8
+	gaps []byte
+	mode uint8
+}{
+	{"plain", 3, []byte{2, 0, 9, 1, 40}, 0},
+	{"arrival at a replayed completion instant", 7, []byte{30, 4}, 4},
+	{"readings scheduled into replay windows", 2, []byte{1, 3, 0}, 1},
+	{"fault schedule", 2, []byte{6, 2, 90}, 2},
+}
+
 // TestContinuousReplayEngages pins that the differential above compares
-// something: the plain scenario replays iterations, and an arrival on a
-// replayed completion instant, readings scheduled into replay windows
-// and a fault schedule each still leave iterations to replay.
+// something: each seed scenario still replays iterations.
 func TestContinuousReplayEngages(t *testing.T) {
-	for mode := range uint8(3) {
-		sc := newContinuousRun(3, []byte{2, 0, 9, 1, 40}, []byte(seedLens), 1<<mode>>1)
-		if on := replayDiffers(t, sc); on.replays == 0 {
-			t.Fatalf("mode %d: no iteration replayed", mode)
+	for _, in := range continuousSeeds {
+		if on := checkContinuous(t, in.pool, in.gaps, []byte(seedLens), in.mode); on.replays == 0 {
+			t.Fatalf("%s: no iteration replayed", in.name)
 		}
 	}
 }
 
-// TestReplayHoldYieldsToWhatFollows drives the hold of rule 4 directly:
-// completion callbacks that, after a chained submit, submit a second
-// batch, read the scheduler, schedule an event into the window, or do
-// nothing more. Replay on and off must complete the same batches at the
-// same instants with the same counters, and the plain callbacks must
-// still replay.
-func TestReplayHoldYieldsToWhatFollows(t *testing.T) {
+// spanCount is a tracer counting kernel ends.
+type spanCount struct{ n int }
+
+func (c *spanCount) KernelStart(int, string, gpusim.KernelClass, simclock.Time) {}
+func (c *spanCount) KernelEnd(int, string, gpusim.KernelClass, simclock.Time, simclock.Time) {
+	c.n++
+}
+
+// TestReplayFollowsTheRules perturbs a chain of solo iterations, which
+// replay, in every way the rules guard against, at fixed iterations:
+//
+//   - a fault window opens and closes inside the first recorded
+//     iteration, and later a callback slows a device after it submits;
+//   - a second submit follows the chained one, including while a new
+//     shape is being recorded;
+//   - a callback reads the scheduler after it submits, or schedules
+//     readings of the node into the window, at the instants the first
+//     commands and the first kernel after the leading wait arrive;
+//   - the run stops eight times with RunUntil to read the node;
+//   - a callback fails a device after it submits (a failover);
+//   - a tracer is attached for a few iterations;
+//   - a collective watchdog short enough to abort every collective is
+//     set, and a new shape runs under it.
+//
+// Replay on and off must complete the same batches at the same instants
+// and read the same counters, running kernels, memory and spans.
+func TestReplayFollowsTheRules(t *testing.T) {
+	host := hw.A100Node().Host
+	offsets := []simclock.Time{simclock.Time(time.Microsecond), host.LaunchLatency, host.LaunchLatency + host.IssueGap}
+	ms := simclock.Time(time.Millisecond)
 	run := func(replay bool) (outcome, string) {
 		eng, node, rt := newLiger(t, model.Tiny(), liger.DefaultConfig("a100"))
 		runtimes.SetReplay(rt, replay)
+		node.KeepUnfolded()
 		var o outcome
 		var reads string
-		w := model.Workload{Batch: 4, CtxLen: 24, Phase: model.Decode}
+		read := func(now simclock.Time) {
+			reads += fmt.Sprintf("%d %v", now, node.Stats())
+			for d := range node.NumDevices() {
+				reads += fmt.Sprintf(" %d", node.Device(d).RunningKernels())
+			}
+			reads += "\n"
+		}
 		submit := func(w model.Workload) {
 			if err := rt.Submit(w); err != nil {
 				t.Fatal(err)
 			}
 		}
+		decode := func(ctx int) model.Workload { return model.Workload{Batch: 4, CtxLen: ctx, Phase: model.Decode} }
+		spans := &spanCount{}
+		iter := 0
 		rt.SetOnDone(func(c runtimes.Completion) {
 			o.done = append(o.done, c)
-			k := len(o.done)
-			if k >= 60 || c.Workload != w {
+			if c.Workload.Phase != model.Decode {
 				return
 			}
-			submit(w)
-			switch k % 5 {
-			case 1:
-				submit(model.Workload{Batch: 1, SeqLen: 8, Phase: model.Context})
-			case 2:
+			if iter++; iter > 90 {
+				return
+			}
+			switch {
+			case iter > 75:
+				submit(decode(26))
+				return
+			case iter%8 == 4:
+				submit(decode(25))
+			default:
+				submit(decode(24))
+			}
+			switch {
+			case iter == 1:
+				slow := node.Device(1)
+				eng.After(100*simclock.Time(time.Microsecond), func(simclock.Time) { slow.SetSpeed(0.5) })
+				eng.After(200*simclock.Time(time.Microsecond), func(simclock.Time) { slow.SetSpeed(1) })
+			case iter == 50:
+				node.FailDevice(3)
+			case iter == 70:
+				node.SetCollectiveTimeout(1)
+			case iter == 30:
+				node.SetTracer(spans)
+			case iter == 34:
+				node.SetTracer(nil)
+			case iter%8 == 2 || iter == 4:
+				submit(model.Workload{Batch: 1, SeqLen: 1 + iter%8, Phase: model.Context})
+			case iter%8 == 5:
 				reads += fmt.Sprintf("%+v\n", rt.Scheduler().Stats())
-			case 3:
-				eng.After(simclock.Time(time.Microsecond), func(now simclock.Time) {
-					reads += fmt.Sprintf("%d %v\n", now, node.Stats())
-				})
+			case iter%8 == 6:
+				slow := node.Device(0)
+				slow.SetSpeed(0.7)
+				eng.After(ms, func(simclock.Time) { slow.SetSpeed(1) })
+			case iter%8 == 7:
+				for _, d := range offsets {
+					eng.After(d, read)
+				}
 			}
 		})
-		eng.At(0, func(simclock.Time) { submit(w) })
+		eng.At(0, func(simclock.Time) { submit(decode(24)) })
+		for stop := range simclock.Time(8) {
+			eng.RunUntil((stop + 1) * 1_234_567)
+			read(eng.Now())
+		}
 		eng.Run()
+		reads += fmt.Sprintf("memory %d spans %d\n", node.Device(0).MemUsed(), spans.n)
 		o.dev, o.sched, o.end, o.replays = node.Stats(), rt.Scheduler().Stats(), eng.Now(), runtimes.Replays(rt)
 		return o, reads
 	}
@@ -394,5 +476,59 @@ func TestReplayHoldYieldsToWhatFollows(t *testing.T) {
 	}
 	if on.replays == 0 {
 		t.Fatal("no iteration replayed")
+	}
+	if !slices.ContainsFunc(on.done, func(c runtimes.Completion) bool { return c.Failed }) {
+		t.Fatal("no batch failed")
+	}
+}
+
+// TestReplayStaysOffOnShards: a shard of a sharded executor learns of
+// events other shards post to it only at window barriers, so replay
+// stays off there, and no record is kept. Another shard posts submits
+// into the chain under a lookahead longer than an iteration, where the
+// executor's window bound alone would not stop a replay; replay on and
+// off must agree and replay nothing.
+func TestReplayStaysOffOnShards(t *testing.T) {
+	run := func(replay bool) outcome {
+		ex := simclock.NewSharded(2, 5*simclock.Time(time.Millisecond), 1)
+		defer ex.Close()
+		eng := ex.Shard(0)
+		node := gpusim.MustNew(eng, hw.A100Node())
+		rt, err := runtimes.NewLiger(node, parallel.NewCompiler(hw.A100Node(), nccl.Config{}), model.Tiny(), liger.DefaultConfig("a100"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtimes.SetReplay(rt, replay)
+		w := model.Workload{Batch: 4, CtxLen: 24, Phase: model.Decode}
+		submit := func(w model.Workload) {
+			if err := rt.Submit(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var o outcome
+		rt.SetOnDone(func(c runtimes.Completion) {
+			if o.done = append(o.done, c); c.Workload == w && len(o.done) < 60 {
+				submit(w)
+			}
+		})
+		eng.At(0, func(simclock.Time) { submit(w) })
+		other := ex.Shard(1)
+		for i := range simclock.Time(8) {
+			other.At(2*simclock.Time(time.Millisecond)+i*1_777_777, func(now simclock.Time) {
+				ex.Post(1, 0, now+ex.Lookahead(), func(simclock.Time) {
+					submit(model.Workload{Batch: 1, SeqLen: 4, Phase: model.Context})
+				})
+			})
+		}
+		ex.Run()
+		o.dev, o.sched, o.end, o.replays = node.Stats(), rt.Scheduler().Stats(), eng.Now(), runtimes.Replays(rt)
+		return o
+	}
+	off, on := run(false), run(true)
+	if d := on.diff(off); d != "" {
+		t.Fatalf("replay on differs from replay off: %s", d)
+	}
+	if on.replays != 0 {
+		t.Fatalf("%d iterations replayed on a shard", on.replays)
 	}
 }

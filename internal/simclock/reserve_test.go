@@ -310,3 +310,33 @@ func TestShardEnginesKnowTheyAreShards(t *testing.T) {
 		t.Fatal("a shard engine does not report Shard")
 	}
 }
+
+// TestQuietThroughSeesQueueAndRunBound: an instant is quiet when no
+// event is queued at or before it and the run in progress does not stop
+// before it.
+func TestQuietThroughSeesQueueAndRunBound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine)
+		want bool
+	}{
+		{"run", func(e *Engine) { e.Run() }, true},
+		{"until past", func(e *Engine) { e.RunUntil(20 * time.Microsecond) }, true},
+		{"until inside", func(e *Engine) { e.RunUntil(10 * time.Microsecond) }, false},
+		{"before inside", func(e *Engine) { e.RunBefore(15 * time.Microsecond) }, false},
+	} {
+		e := New()
+		var got []bool
+		e.At(0, func(Time) {
+			got = append(got, e.QuietThrough(15*time.Microsecond), e.QuietThrough(30*time.Microsecond))
+		})
+		e.At(30*time.Microsecond, func(Time) {})
+		tc.run(e)
+		if got[0] != tc.want || got[1] {
+			t.Errorf("%s: quiet through 15 µs %v and 30 µs %v, want %v and false", tc.name, got[0], got[1], tc.want)
+		}
+		if e.stop != never {
+			t.Errorf("%s: the run bound outlived the run", tc.name)
+		}
+	}
+}

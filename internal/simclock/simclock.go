@@ -207,11 +207,15 @@ type Engine struct {
 
 	// shard marks a shard of a Sharded executor (see Shard).
 	shard bool
+	// stop is the last instant the run in progress fires events at:
+	// never under Run, the deadline under RunUntil, the bound less one
+	// under RunBefore.
+	stop Time
 }
 
 // New returns an engine with the clock at zero and no pending events.
 func New() *Engine {
-	return &Engine{buckets: make([]bucket, nb), shift: initShift}
+	return &Engine{buckets: make([]bucket, nb), shift: initShift, stop: never}
 }
 
 // Now returns the current virtual time.
@@ -334,6 +338,19 @@ func (e *Engine) InReserved(first uint64, n int, fn func()) {
 		panic(fmt.Sprintf("simclock: %d sequence numbers taken from a reserved block of %d", used, n))
 	}
 	e.seq = next
+}
+
+// QuietThrough reports whether nothing fires on the engine up to and
+// including instant t: no event is queued at or before t, and the run in
+// progress (RunUntil, RunBefore) does not stop before t. A caller that
+// steps the engine by hand (Step) may still stop anywhere, and a shard
+// (Shard) may yet receive posted events.
+func (e *Engine) QuietThrough(t Time) bool {
+	if t > e.stop {
+		return false
+	}
+	next, ok := e.peek()
+	return !ok || next > t
 }
 
 // Shard reports whether e is a shard of a Sharded executor. Other shards
@@ -777,6 +794,8 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps <= deadline, then advances the
 // clock to the deadline. Events scheduled at exactly the deadline fire.
 func (e *Engine) RunUntil(deadline Time) {
+	stop := e.stop
+	e.stop = min(stop, deadline)
 	for {
 		it := e.settle()
 		if it == nil || it.at > deadline {
@@ -784,6 +803,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.fire(it)
 	}
+	e.stop = stop
 	if e.now <= deadline {
 		// Everything due by the deadline has fired, so every position
 		// reserved so far at or before it has passed.
@@ -805,16 +825,22 @@ func (e *Engine) RunBefore(bound Time) { e.runBefore(bound) }
 // runBefore is RunBefore, returning the time of the next pending event
 // where it stopped, or never when none is left.
 func (e *Engine) runBefore(bound Time) Time {
+	stop := e.stop
+	e.stop = min(stop, bound-1)
+	next := never
 	for {
 		it := e.settle()
 		if it == nil {
-			return never
+			break
 		}
 		if it.at >= bound {
-			return it.at
+			next = it.at
+			break
 		}
 		e.fire(it)
 	}
+	e.stop = stop
+	return next
 }
 
 // peek returns the timestamp of the next live event.

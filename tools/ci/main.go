@@ -39,10 +39,10 @@
 //     metrics-export paths under -race
 //  10. a replay race pass: iteration replay's start-instant proof, its
 //     differential against the simulation (the FuzzContinuousReplay
-//     seeds, TestContinuousReplayEngages and
-//     TestReplayHoldYieldsToWhatFollows), and the engine, node and
-//     scheduler primitives it rests on (reserved blocks, Drained, Work,
-//     the per-plan record, Settled) under -race
+//     seeds, TestContinuousReplayEngages, TestReplayFollowsTheRules and
+//     TestReplayStaysOffOnShards), and the engine, node and scheduler
+//     primitives it rests on (reserved blocks, QuietThrough, Drained,
+//     Work, the per-plan record, Settled) under -race
 //
 // Then the determinism smokes. Each runs one command at two settings
 // and fails unless stdout (host-dependent lines stripped) and every
@@ -165,7 +165,7 @@ func main() {
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
 			"./internal/analyze")},
 		{"replay race", command("go", "test", "-race",
-			"-run", "SoloIteration|ContinuousReplay|ReplayHold|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled",
+			"-run", "SoloIteration|ContinuousReplay|ReplayFollows|ReplayStaysOff|InReserved|QuietThrough|ShardEngines|DrainedAndWork|ReplayRecord|Settled",
 			"./internal/runtimes", "./internal/simclock", "./internal/gpusim", "./internal/liger")},
 		{"failover smoke", smoke{
 			what: "failover sweep",
