@@ -128,3 +128,59 @@ func TestLigersimGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestLigersimRejects pins that a flag the selected mode does not read,
+// a stray argument and an out-of-range value each fail the invocation
+// before anything is written, with a message naming the culprit.
+func TestLigersimRejects(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary; skipped with -short")
+	}
+	bin := buildLigersim(t)
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-continuous", "-trace", "t.json"}, "-trace is not read in continuous mode"},
+		{[]string{"-batches", "5", "-rate", "20", "-serving-trace", "s.json"}, "-serving-trace is not read in batch mode"},
+		{[]string{"-nodes", "2", "-metrics", "m.json", "-serving-report", "-explain"}, "-explain is not read in fleet (-nodes) mode"},
+		{[]string{"-nodes", "2", "-metrics", "m.json"}, "-metrics is not read in fleet (-nodes) mode"},
+		{[]string{"-nodes", "2", "-serving-report"}, "-serving-report is not read in fleet (-nodes) mode"},
+		{[]string{"-continuous", "-tracein", "/nonexistent"}, "-tracein is not read in continuous mode"},
+		{[]string{"-disagg", "-nodes", "3"}, "-nodes is not read in disagg mode"},
+		{[]string{"-continuous", "-deadline", "50ms"}, "-deadline is not read in continuous mode"},
+		{[]string{"-prefillnodes", "2"}, "-prefillnodes is not read in batch mode"},
+		{[]string{"-batches", "5", "foo"}, `unexpected argument "foo"`},
+		{[]string{"-nodes", "-1"}, "cluster.nodes: need at least one replica node, got -1"},
+		{[]string{"-gpus", "-3"}, "node.gpus: negative GPU count -3"},
+		{[]string{"-deadline", "-1s"}, "serve: negative deadline -1s"},
+		{[]string{"-nodes", "2", "-hedge", "-1ms"}, "policy.hedge: resolves to -1ms"},
+		{[]string{"-nodes", "2", "-retries", "-1"}, "policy.retries: negative budget -1"},
+		{[]string{"-rate", "-5"}, "workload.rate: resolves to -5"},
+		{[]string{"-batch", "0"}, "-batch: 0 is out of range"},
+		{[]string{"-continuous", "-pool", "0"}, "-pool: 0 is out of range"},
+		{[]string{"-cfactor", "-1"}, "contention factor -1"},
+		{[]string{"-tracein", "empty.json"}, "serve: trace file has no arrivals"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "empty.json"), []byte(`{"version": 1, "arrivals": []}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(bin, tc.args...)
+			cmd.Dir = dir
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			if err := cmd.Run(); err == nil {
+				t.Fatalf("exit 0, want a failure naming %q", tc.want)
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("stderr %q, want it to contain %q", stderr.String(), tc.want)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) > 1 {
+				t.Fatalf("a failed invocation wrote files: %v", entries)
+			}
+		})
+	}
+}

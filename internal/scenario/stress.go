@@ -203,11 +203,12 @@ func runStressInstance(cfg StressConfig, i int) StressRow {
 	row.Runtimes = make(map[string]StressOutcome, len(c.Kinds))
 	names := sc.ResultRuntimes()
 	for k, kind := range c.Kinds {
-		res, err := runOne(c, kind, cfg.Shards)
+		run, err := RunOne(c, kind, RunOptions{Shards: cfg.Shards})
 		out := StressOutcome{}
 		if err != nil {
 			out.Err = err.Error()
 		} else {
+			res := run.Result
 			out = StressOutcome{
 				Survived:    res.Completed > 0 && res.SuccessRate() >= 0.5,
 				Goodput:     res.PolicyGoodput(),

@@ -36,6 +36,14 @@ type TimeSpec struct {
 	val  float64
 }
 
+// AbsTime is an absolute time value; zero is the omitted field.
+func AbsTime(d time.Duration) TimeSpec {
+	if d == 0 {
+		return TimeSpec{}
+	}
+	return TimeSpec{kind: timeAbs, abs: d}
+}
+
 // IsZero reports whether the field was omitted.
 func (t TimeSpec) IsZero() bool { return t.kind == timeUnset }
 
@@ -124,6 +132,9 @@ type RateSpec struct {
 	abs      float64
 	relative float64
 }
+
+// AbsRate is an absolute rate; zero is the omitted field.
+func AbsRate(r float64) RateSpec { return RateSpec{abs: r} }
 
 // IsZero reports whether the field was omitted.
 func (r RateSpec) IsZero() bool { return r.abs == 0 && r.relative == 0 }

@@ -73,14 +73,21 @@
 //     -serving-report` (prefill and decode pools on the fleet's node
 //     table) at -shards 1 and -shards 4 — results and the serving
 //     decomposition
-//  17. scenario acceptance: every scenarios/*.yaml must PASS its
+//  17. continuous: `ligersim -continuous -model tiny -batches 24 -rate
+//     2000 -prompt 32 -gen 8 -pool 8 -serving-report` (continuous
+//     batching over the paged KV cache, lowered onto the scenario
+//     runner) at -shards 1 and -shards 4
+//  18. fleet CLI: `ligersim -nodes 3 -spares 1` (replicas behind the
+//     router, lowered onto the scenario runner) at -shards 1 and
+//     -shards 4
+//  19. scenario acceptance: every scenarios/*.yaml must PASS its
 //     assertions, the impossible-slo and no-spare-capacity negative
 //     fixtures must FAIL (exit 1) — a gate that cannot reject is not a
 //     gate — and `scenarios/cascading-failures.yaml`,
 //     `scenarios/fleet-node-loss.yaml`, and `scenarios/decode-heavy.yaml`
 //     (the continuous-batching corpus entry) must print byte-identical
 //     reports at -parallel 1 and -parallel 4 -shards 4
-//  18. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
+//  20. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
 //     must produce byte-identical aggregate survival reports, plus a
 //     small -race pass (`stress -n 3 -seed 7`) over the randomized fleet
 package main
@@ -127,6 +134,9 @@ func ligersim(args ...string) []string {
 
 // parallelShards are the worker/shard settings of the sharded sweeps.
 var parallelShards = [2][]string{{"-parallel", "1", "-shards", "1"}, {"-parallel", "4", "-shards", "4"}}
+
+// shardsOneFour are the two settings of the ligersim determinism smokes.
+var shardsOneFour = [2][]string{{"-shards", "1"}, {"-shards", "4"}}
 
 func main() {
 	baseline := flag.Bool("perf-baseline", false, "run the perf harness once, write its readings to BENCH_perf.json and exit")
@@ -217,7 +227,18 @@ func main() {
 			args: ligersim("-disagg", "-model", "tiny", "-batches", "24", "-rate", "2000",
 				"-prompt", "32", "-gen", "8", "-pool", "8", "-prefillnodes", "2", "-decodenodes", "2",
 				"-serving-report"),
-			runs: [2][]string{{"-shards", "1"}, {"-shards", "4"}},
+			runs: shardsOneFour,
+		}.run},
+		{"continuous smoke", smoke{
+			what: "continuous serving report",
+			args: ligersim("-continuous", "-model", "tiny", "-batches", "24", "-rate", "2000",
+				"-prompt", "32", "-gen", "8", "-pool", "8", "-serving-report"),
+			runs: shardsOneFour,
+		}.run},
+		{"fleet CLI smoke", smoke{
+			what: "ligersim fleet report",
+			args: ligersim("-nodes", "3", "-spares", "1"),
+			runs: shardsOneFour,
 		}.run},
 		{"scenario acceptance", scenarioAcceptance},
 		{"stress smoke", stressSmoke},
