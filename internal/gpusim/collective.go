@@ -59,15 +59,22 @@ func (c *Collective) ID() int { return c.id }
 func (c *Collective) Size() int { return c.size }
 
 // Started reports whether all members have joined and progress began.
-func (c *Collective) Started() bool { return c.started }
+func (c *Collective) Started() bool {
+	c.node.touch()
+	return c.started
+}
 
 // Aborted reports whether the group was torn down by a timeout instead
 // of completing its transfer.
-func (c *Collective) Aborted() bool { return c.aborted }
+func (c *Collective) Aborted() bool {
+	c.node.touch()
+	return c.aborted
+}
 
 // SetTimeout overrides the node-wide collective timeout for this group
 // (zero disables). Must be set before any member is admitted.
 func (c *Collective) SetTimeout(d time.Duration) {
+	c.node.touch()
 	if d < 0 {
 		panic("gpusim: negative collective timeout")
 	}
@@ -81,6 +88,7 @@ func (c *Collective) SetTimeout(d time.Duration) {
 // member kernels were cleaned up. Runtimes use it to mark the owning
 // batch failed so the serving layer can retry.
 func (c *Collective) OnAbort(fn func(now simclock.Time)) {
+	c.node.touch()
 	c.onAbort = append(c.onAbort, fn)
 }
 

@@ -226,6 +226,7 @@ func (d *Device) sampleQueue(qt QueueTracer, now simclock.Time) {
 // launch j gets id base + r*n + j. Every launch onto a representative
 // must fall in a block, and a block must be used up before the next.
 func (d *Device) ReserveBlock(n int) {
+	d.node.touch()
 	if d.fold == nil {
 		panic(fmt.Sprintf("gpusim: ReserveBlock on device %d, which is not a representative", d.id))
 	}
@@ -250,6 +251,7 @@ func (d *Device) ID() int { return d.id }
 // resident kernel and to collectives with a member on this device, so
 // mid-run changes model transient throttling faithfully.
 func (d *Device) SetSpeed(f float64) {
+	d.node.touch()
 	if f <= 0 {
 		panic("gpusim: device speed must be positive")
 	}
@@ -270,7 +272,10 @@ func (d *Device) SetSpeed(f float64) {
 }
 
 // Speed returns the progress-rate multiplier.
-func (d *Device) Speed() float64 { return d.speed }
+func (d *Device) Speed() float64 {
+	d.node.touch()
+	return d.speed
+}
 
 // SetLinkFactor sets the communication-rate multiplier (1 is nominal;
 // 0.3 models a link running at 30% bandwidth). Like SetSpeed it must be
@@ -278,6 +283,7 @@ func (d *Device) Speed() float64 { return d.speed }
 // applies immediately — including to in-flight collectives, which take
 // the slowest member's rate.
 func (d *Device) SetLinkFactor(f float64) {
+	d.node.touch()
 	if f <= 0 || f > 1 {
 		panic("gpusim: link factor must be in (0, 1]")
 	}
@@ -296,12 +302,16 @@ func (d *Device) SetLinkFactor(f float64) {
 }
 
 // LinkFactor returns the communication-rate multiplier.
-func (d *Device) LinkFactor() float64 { return d.linkFactor }
+func (d *Device) LinkFactor() float64 {
+	d.node.touch()
+	return d.linkFactor
+}
 
 // HealthFactor is the modeled health-telemetry probe (what NVML/DCGM
 // clock-throttle and link counters expose on real nodes): the combined
 // progress multiplier a scheduler may observe to detect degradation.
 func (d *Device) HealthFactor() float64 {
+	d.node.touch()
 	if d.failed {
 		return 0
 	}
@@ -313,7 +323,10 @@ func (d *Device) HealthFactor() float64 {
 }
 
 // Failed reports whether the device has been permanently removed.
-func (d *Device) Failed() bool { return d.failed }
+func (d *Device) Failed() bool {
+	d.node.touch()
+	return d.failed
+}
 
 // nextConn returns the next connection index round-robin.
 func (d *Device) nextConn() int {
@@ -323,10 +336,16 @@ func (d *Device) nextConn() int {
 }
 
 // ComputeInUse reports the SM fraction currently allocated.
-func (d *Device) ComputeInUse() float64 { return d.live().computeInUse }
+func (d *Device) ComputeInUse() float64 {
+	d.node.touch()
+	return d.live().computeInUse
+}
 
 // RunningKernels reports how many kernels are resident.
-func (d *Device) RunningKernels() int { return len(d.live().running) }
+func (d *Device) RunningKernels() int {
+	d.node.touch()
+	return len(d.live().running)
+}
 
 // sample folds elapsed busy time into the counters. Must be called
 // before the running set changes.

@@ -14,15 +14,22 @@ import (
 func (d *Device) MemCapacity() int64 { return d.memCapacity }
 
 // MemUsed returns currently allocated bytes.
-func (d *Device) MemUsed() int64 { return d.memUsed }
+func (d *Device) MemUsed() int64 {
+	d.node.touch()
+	return d.memUsed
+}
 
 // MemFree returns unallocated bytes.
-func (d *Device) MemFree() int64 { return d.memCapacity - d.memUsed }
+func (d *Device) MemFree() int64 {
+	d.node.touch()
+	return d.memCapacity - d.memUsed
+}
 
 // Alloc reserves bytes of device memory. Like SetSpeed, it is a
 // per-device change: called before the run it keeps the node unfolded,
 // and it panics on a folded device (use Node.AllocAll).
 func (d *Device) Alloc(bytes int64) error {
+	d.node.touch()
 	d.diverge("Alloc")
 	return d.alloc(bytes)
 }
@@ -43,6 +50,7 @@ func (d *Device) alloc(bytes int64) error {
 // indicates a runtime accounting bug. Like Alloc, it is a per-device
 // change (use Node.FreeAll on a folded node).
 func (d *Device) Free(bytes int64) {
+	d.node.touch()
 	d.diverge("Free")
 	d.free(bytes)
 }
@@ -58,6 +66,7 @@ func (d *Device) free(bytes int64) {
 // node, rolling back on partial failure. Permanently failed devices
 // are skipped: their memory left the pool with them.
 func (n *Node) AllocAll(bytes int64) error {
+	n.touch()
 	for i, d := range n.devices {
 		if d.failed {
 			continue
@@ -78,6 +87,7 @@ func (n *Node) AllocAll(bytes int64) error {
 // allocated on a device before it failed are intentionally stranded —
 // the accounting died with the hardware.
 func (n *Node) FreeAll(bytes int64) {
+	n.touch()
 	for _, d := range n.devices {
 		if d.failed {
 			continue

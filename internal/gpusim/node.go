@@ -292,6 +292,14 @@ func MustNew(eng *simclock.Engine, spec hw.Node) *Node {
 	return n
 }
 
+// touch catches up a computation deferred on the node's engine
+// (simclock.Engine.Defer), such as a replayed iteration: every exported
+// method of the node and its devices, streams, events and collectives
+// calls it first, except the readers of fixed configuration (Engine,
+// Spec, NumDevices, Device, the ids and sizes, MemCapacity), so nothing
+// reads or changes the node behind a skipped simulation.
+func (n *Node) touch() { n.eng.Touch() }
+
 // Engine returns the simulation engine driving this node.
 func (n *Node) Engine() *simclock.Engine { return n.eng }
 
@@ -305,11 +313,15 @@ func (n *Node) NumDevices() int { return len(n.devices) }
 func (n *Node) Device(i int) *Device { return n.devices[i] }
 
 // NumAlive returns how many devices have not permanently failed.
-func (n *Node) NumAlive() int { return len(n.devices) - n.failedCount }
+func (n *Node) NumAlive() int {
+	n.touch()
+	return len(n.devices) - n.failedCount
+}
 
 // AliveDevices returns the indices of surviving devices in id order —
 // the world a runtime re-plans onto after a permanent failure.
 func (n *Node) AliveDevices() []int {
+	n.touch()
 	out := make([]int, 0, n.NumAlive())
 	for i, d := range n.devices {
 		if !d.failed {
@@ -324,6 +336,7 @@ func (n *Node) AliveDevices() []int {
 // so a runtime already reports "reconfiguring" by the time the abort
 // cascade delivers failed completions.
 func (n *Node) OnFail(fn func(dev int, now simclock.Time)) {
+	n.touch()
 	n.onFail = append(n.onFail, fn)
 }
 
@@ -333,6 +346,7 @@ func (n *Node) OnFail(fn func(dev int, now simclock.Time)) {
 // drains through the cancellation path. There is no restore — unlike a
 // DeviceDrop window, the device never comes back. Idempotent.
 func (n *Node) FailDevice(i int) {
+	n.touch()
 	d := n.devices[i]
 	if d.failed {
 		return
@@ -359,6 +373,7 @@ func (n *Node) FailDevice(i int) {
 // optional extension interfaces the tracer implements are detected
 // here.
 func (n *Node) SetTracer(t Tracer) {
+	n.touch()
 	n.tracer = t
 	n.spanTracer, _ = t.(SpanTracer)
 	n.collTracer, _ = t.(CollectiveTracer)
@@ -370,7 +385,10 @@ func (n *Node) SetTracer(t Tracer) {
 // Tracer returns the installed tracer (nil when tracing is disabled).
 // Runtimes use it to report recovery transitions to FaultTracer
 // implementations.
-func (n *Node) Tracer() Tracer { return n.tracer }
+func (n *Node) Tracer() Tracer {
+	n.touch()
+	return n.tracer
+}
 
 // newCommand takes a command from the free list (or allocates one) and
 // binds it to stream s. The delivery callback is allocated once per
@@ -470,6 +488,7 @@ func (n *Node) recycleKernel(k *kernelInstance) {
 // host→device connections round-robin, mirroring how CUDA maps streams
 // onto CUDA_DEVICE_MAX_CONNECTIONS hardware queues.
 func (n *Node) NewStream(dev int) *Stream {
+	n.touch()
 	return n.NewStreamOnConnection(dev, n.devices[dev].nextConn())
 }
 
@@ -478,6 +497,7 @@ func (n *Node) NewStream(dev int) *Stream {
 // connections so a burst of compute launches cannot delay a
 // communication kernel's delivery (§3.4).
 func (n *Node) NewStreamOnConnection(dev, conn int) *Stream {
+	n.touch()
 	d := n.devices[dev]
 	if conn < 0 || conn >= len(d.conns) {
 		panic(fmt.Sprintf("gpusim: connection %d out of range (device has %d)", conn, len(d.conns)))
@@ -498,6 +518,7 @@ func (n *Node) NewStreamOnConnection(dev, conn int) *Stream {
 // Collective.recycle), so callers must not hold a group past the next
 // NewCollective after its members have all finished.
 func (n *Node) NewCollective(size int) *Collective {
+	n.touch()
 	if size < 1 {
 		panic("gpusim: collective size must be >= 1")
 	}
@@ -525,6 +546,7 @@ func (n *Node) NewCollective(size int) *Collective {
 // created from now on (zero disables). Individual groups can override
 // with Collective.SetTimeout.
 func (n *Node) SetCollectiveTimeout(d time.Duration) {
+	n.touch()
 	if d < 0 {
 		panic("gpusim: negative collective timeout")
 	}
@@ -532,7 +554,10 @@ func (n *Node) SetCollectiveTimeout(d time.Duration) {
 }
 
 // CollectiveTimeout returns the node-wide collective watchdog.
-func (n *Node) CollectiveTimeout() time.Duration { return n.collTimeout }
+func (n *Node) CollectiveTimeout() time.Duration {
+	n.touch()
+	return n.collTimeout
+}
 
 // MinHealth returns the lowest device health factor on the node — the
 // aggregate health probe a degradation-aware scheduler polls.
@@ -540,6 +565,7 @@ func (n *Node) CollectiveTimeout() time.Duration { return n.collTimeout }
 // the serving world, so they should not trip degradation fallback on
 // the survivors after recovery.
 func (n *Node) MinHealth() float64 {
+	n.touch()
 	h := 1.0
 	for _, d := range n.devices {
 		if d.failed {
@@ -556,6 +582,7 @@ func (n *Node) MinHealth() float64 {
 // communication-specific half of the health probe, 1 when every link
 // is clean even if a device's compute is throttled.
 func (n *Node) MinLinkHealth() float64 {
+	n.touch()
 	h := 1.0
 	for _, d := range n.devices {
 		if d.failed {
@@ -571,7 +598,10 @@ func (n *Node) MinLinkHealth() float64 {
 // HealthChanges counts every change so far of a device's speed, link
 // factor or liveness: a reading that did not move over a span of virtual
 // time proves no fault window opened or closed in it.
-func (n *Node) HealthChanges() uint64 { return n.healthChanges }
+func (n *Node) HealthChanges() uint64 {
+	n.touch()
+	return n.healthChanges
+}
 
 // Drained reports whether the node holds no work and no launch
 // backlog: nothing is queued on any stream, running, or waiting for
@@ -581,6 +611,7 @@ func (n *Node) HealthChanges() uint64 { return n.healthChanges }
 // event notifications or barriers scheduled are not the node's work;
 // their owners track them.
 func (n *Node) Drained() bool {
+	n.touch()
 	now, host := n.eng.Now(), n.spec.Host
 	for _, d := range n.devices {
 		if d.queueDepth != 0 || len(d.running) != 0 || len(d.pendingAdmission) != 0 {
@@ -601,6 +632,7 @@ func (n *Node) Drained() bool {
 // null-kernel launch latency). This is the CPU-GPU synchronization
 // primitive used by the non-hybrid scheduler mode.
 func (n *Node) HostBarrier(events []*Event, fn func(now simclock.Time)) {
+	n.touch()
 	if len(events) == 0 {
 		n.evCounts.Host++
 		n.eng.After(0, fn)
@@ -625,6 +657,7 @@ func (n *Node) HostBarrier(events []*Event, fn func(now simclock.Time)) {
 // representative reports the representative's counters: it ran the
 // same kernels at the same instants.
 func (n *Node) Stats() []DeviceStats {
+	n.touch()
 	out := make([]DeviceStats, len(n.devices))
 	for i, d := range n.devices {
 		out[i] = d.live().statsAt(n.eng.Now())
@@ -636,6 +669,7 @@ func (n *Node) Stats() []DeviceStats {
 // be asked to diverge, as a fault schedule does. It must be called
 // before the run starts.
 func (n *Node) KeepUnfolded() {
+	n.touch()
 	if n.folded {
 		panic("gpusim: KeepUnfolded on a node that has already folded")
 	}
@@ -665,6 +699,7 @@ func (n *Node) KeepUnfolded() {
 // those calls panic on a folded device, and FailDevice panics on any
 // device of a folded node: a folded group cannot unfold mid-run.
 func (n *Node) Fold(devs []int) int {
+	n.touch()
 	if n.foldDecided {
 		return -1
 	}

@@ -156,4 +156,7 @@ func (c EventCounters) Total() uint64 {
 }
 
 // EventCounters returns the per-subsystem scheduling counters.
-func (n *Node) EventCounters() EventCounters { return n.evCounts }
+func (n *Node) EventCounters() EventCounters {
+	n.touch()
+	return n.evCounts
+}

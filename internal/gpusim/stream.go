@@ -69,15 +69,22 @@ type eventSub struct {
 }
 
 // Fired reports whether the event has completed.
-func (e *Event) Fired() bool { return e.fired }
+func (e *Event) Fired() bool {
+	e.node.touch()
+	return e.fired
+}
 
 // FiredAt returns the completion instant (zero if not fired).
-func (e *Event) FiredAt() simclock.Time { return e.firedAt }
+func (e *Event) FiredAt() simclock.Time {
+	e.node.touch()
+	return e.firedAt
+}
 
 // Release hands the event back to its node: the holder will not use it
 // again. Subscriptions and waits already registered are unaffected; the
 // node reuses the event once it has fired.
 func (e *Event) Release() {
+	e.node.touch()
 	if e.released {
 		panic("gpusim: event released twice")
 	}
@@ -128,12 +135,16 @@ func (e *Event) onFire(fn func(simclock.Time)) {
 // Observe registers an instrumentation callback invoked at the event's
 // completion instant with no host latency. For measurement only — work
 // launched from it would bypass the modeled CPU path.
-func (e *Event) Observe(fn func(now simclock.Time)) { e.onFire(fn) }
+func (e *Event) Observe(fn func(now simclock.Time)) {
+	e.node.touch()
+	e.onFire(fn)
+}
 
 // OnHost invokes fn on the "CPU" once the event completes, adding the
 // host notification latency. This is the mechanism behind hybrid
 // synchronization's pre-launch trigger (§3.4).
 func (e *Event) OnHost(fn func(now simclock.Time)) {
+	e.node.touch()
 	if e.fired {
 		e.node.notifyHost(fn)
 		return
@@ -185,6 +196,7 @@ func (s *Stream) copyID(r int) int {
 // the paper found priorities insufficient against the communication
 // launch lag (§2.3.1).
 func (s *Stream) SetPriority(p int) {
+	s.node.touch()
 	if s.dev.inFold() && p != s.priority {
 		panic(fmt.Sprintf("gpusim: SetPriority on stream %d of device %d, which is folded into device %d", s.id, s.dev.id, s.dev.live().id))
 	}
@@ -192,7 +204,10 @@ func (s *Stream) SetPriority(p int) {
 }
 
 // Priority returns the stream's scheduling priority.
-func (s *Stream) Priority() int { return s.priority }
+func (s *Stream) Priority() int {
+	s.node.touch()
+	return s.priority
+}
 
 // ID returns the stream's node-unique identifier.
 func (s *Stream) ID() int { return s.id }
@@ -201,10 +216,16 @@ func (s *Stream) ID() int { return s.id }
 func (s *Stream) DeviceID() int { return s.dev.id }
 
 // QueueLen reports commands not yet completed.
-func (s *Stream) QueueLen() int { return len(s.queue) - s.qhead }
+func (s *Stream) QueueLen() int {
+	s.node.touch()
+	return len(s.queue) - s.qhead
+}
 
 // Idle reports whether the stream has no outstanding work.
-func (s *Stream) Idle() bool { return s.QueueLen() == 0 }
+func (s *Stream) Idle() bool {
+	s.node.touch()
+	return s.QueueLen() == 0
+}
 
 // issue appends a command, computing its host→device delivery time from
 // the stream's launch connection and reserving the delivery's position
@@ -250,6 +271,7 @@ func (s *Stream) armHead() {
 // launch); execution follows stream order, delivery latency and the
 // device's admission policy.
 func (s *Stream) Launch(spec KernelSpec) {
+	s.node.touch()
 	if spec.ComputeDemand < 0 || spec.MemBWDemand < 0 || spec.Duration < 0 {
 		panic("gpusim: negative kernel demand or duration")
 	}
@@ -297,6 +319,7 @@ func (s *Stream) Launch(spec KernelSpec) {
 // Record enqueues an event-record command and returns the event, which
 // the caller should Release once done with it.
 func (s *Stream) Record() *Event {
+	s.node.touch()
 	ev := s.node.newEvent()
 	cmd := s.node.newCommand(s)
 	cmd.kind = cmdRecord
@@ -310,6 +333,7 @@ func (s *Stream) Record() *Event {
 // The wait is bound to the current recording of ev: it may be released
 // right after this call.
 func (s *Stream) Wait(ev *Event) {
+	s.node.touch()
 	cmd := s.node.newCommand(s)
 	cmd.kind = cmdWait
 	cmd.event, cmd.gen = ev, ev.gen

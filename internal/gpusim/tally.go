@@ -15,6 +15,7 @@ type Tally struct {
 // the counters as they stand: busy time since the last change of a
 // device's running set is not folded in, so read it on a drained node.
 func (n *Node) ReadTally(t *Tally) {
+	n.touch()
 	t.Kernels, t.Collectives = n.nextKernelID, n.nextCollID
 	t.Devices = t.Devices[:0]
 	for _, d := range n.devices {
@@ -60,6 +61,7 @@ func (t Tally) Since(earlier Tally) (Work, bool) {
 // replay calls it on a drained node in place of the simulation w was
 // read from.
 func (n *Node) AddWork(w Work) {
+	n.touch()
 	n.nextKernelID += w.Kernels
 	n.nextCollID += w.Collectives
 	j := 0

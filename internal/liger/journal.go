@@ -38,6 +38,7 @@ func (r RoundRecord) String() string {
 // EnableJournal starts recording round decisions, keeping at most cap
 // records (oldest dropped). Zero cap disables.
 func (s *Scheduler) EnableJournal(cap int) {
+	s.touch()
 	s.journalCap = cap
 	if cap <= 0 {
 		s.journal = nil
@@ -45,10 +46,14 @@ func (s *Scheduler) EnableJournal(cap int) {
 }
 
 // Journal returns the recorded rounds, oldest first.
-func (s *Scheduler) Journal() []RoundRecord { return s.journal }
+func (s *Scheduler) Journal() []RoundRecord {
+	s.touch()
+	return s.journal
+}
 
 // WriteJournal dumps the journal to w.
 func (s *Scheduler) WriteJournal(w io.Writer) error {
+	s.touch()
 	for _, r := range s.journal {
 		if _, err := fmt.Fprintln(w, r); err != nil {
 			return err
