@@ -1,5 +1,5 @@
 // Package analyze turns a trace.Recorder's raw events — kernel spans,
-// the causal dependency records of gpusim's DepTracer, rendezvous
+// the causal dependency records of gpusim's Tracer.KernelDep, rendezvous
 // waits and recovery windows — into explanations: the critical path of
 // a run decomposed into compute / comm / launch-overhead / rendezvous
 // / dependency-wait segments, an attribution of every device-idle

@@ -15,7 +15,6 @@ import (
 	"liger/internal/hw"
 	"liger/internal/liger"
 	"liger/internal/model"
-	"liger/internal/nccl"
 	"liger/internal/parallel"
 	"liger/internal/runner"
 	"liger/internal/serve"
@@ -157,27 +156,17 @@ type panel struct {
 // meanSeq is the midpoint of the paper's 16–128 sequence range.
 const meanSeq = 72
 
-// intraCapacity estimates the intra-operator runtime's saturated
-// throughput analytically (batches/s) — used to center the arrival-rate
-// sweep of each panel on its interesting region.
+// intraCapacity is the intra-operator runtime's analytic saturated
+// throughput on the panel's workload (batches/s) — used to center the
+// arrival-rate sweep of each panel on its interesting region.
 func intraCapacity(p panel) float64 {
-	comp := parallel.NewCompiler(p.node, nccl.Config{})
 	w := model.Workload{Batch: p.batch, Phase: p.phase}
 	if p.phase == model.Decode {
 		w.CtxLen = p.ctxLen
 	} else {
 		w.SeqLen = meanSeq
 	}
-	ks, err := comp.IntraOp(p.spec, p.node.NumGPUs, w)
-	if err != nil {
-		return 1
-	}
-	c, m := parallel.TotalDurations(ks)
-	total := c + m
-	if total <= 0 {
-		return 1
-	}
-	return float64(time.Second) / float64(total)
+	return parallel.IntraOpCapacity(p.node, p.spec, w)
 }
 
 // rateFractions spans from comfortably-below-intra-saturation to beyond

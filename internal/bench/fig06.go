@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"liger/internal/core"
+	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/model"
 	"liger/internal/serve"
@@ -68,7 +69,9 @@ func deviceOnly(rec *trace.Recorder, dev int) *trace.Recorder {
 	out := trace.NewRecorder()
 	for _, s := range rec.Spans() {
 		if s.Device == dev {
-			out.KernelEnd(0, s.Name, s.Class, s.Start, s.End)
+			sp := gpusim.KernelSpan(s)
+			sp.Device = 0
+			out.KernelSpan(sp)
 		}
 	}
 	return out

@@ -15,7 +15,6 @@ import (
 	"liger/internal/kvcache"
 	"liger/internal/liger"
 	"liger/internal/model"
-	"liger/internal/nccl"
 	"liger/internal/parallel"
 	"liger/internal/runner"
 	"liger/internal/stats"
@@ -68,25 +67,8 @@ func newServingSetup(cfg RunConfig) servingSetup {
 		pools:     pools,
 		fractions: fractions,
 		kinds:     []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp},
-		capacity:  prefillCapacity(node, spec, prompt),
+		capacity:  parallel.IntraOpCapacity(node, spec, model.Workload{Batch: 1, SeqLen: prompt, Phase: model.Context}),
 	}
-}
-
-// prefillCapacity is intraCapacity specialized to one prompt's context
-// phase: the analytic rate at which single-sequence prefills saturate
-// the intra-op runtime.
-func prefillCapacity(node hw.Node, spec model.Spec, prompt int) float64 {
-	comp := parallel.NewCompiler(node, nccl.Config{})
-	ks, err := comp.IntraOp(spec, node.NumGPUs, model.Workload{Batch: 1, SeqLen: prompt, Phase: model.Context})
-	if err != nil {
-		return 1
-	}
-	c, m := parallel.TotalDurations(ks)
-	total := c + m
-	if total <= 0 {
-		return 1
-	}
-	return float64(time.Second) / float64(total)
 }
 
 // servingPoint identifies one simulation of the sweep: Kind serving

@@ -100,7 +100,8 @@ type Options struct {
 	// paper's testbed assignment (§4.2: only OPT-30B fits the 16 GB
 	// V100 node).
 	IgnoreMemory bool
-	// Tracer, if non-nil, receives every kernel start/end.
+	// Tracer, if non-nil, receives the node's spans, dependency records
+	// and collective, fault and launch-queue events.
 	Tracer gpusim.Tracer
 	// Faults, if non-nil, is a deterministic fault schedule injected
 	// into the simulated node as timed events before serving starts

@@ -3,11 +3,9 @@ package core
 import (
 	"testing"
 
-	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/model"
 	"liger/internal/parallel"
-	"liger/internal/simclock"
 	"liger/internal/trace"
 )
 
@@ -88,13 +86,9 @@ func TestWorkspaceReturnedAfterServing(t *testing.T) {
 	}
 }
 
-type nopTracer struct{}
-
-func (nopTracer) KernelStart(int, string, gpusim.KernelClass, simclock.Time)              {}
-func (nopTracer) KernelEnd(int, string, gpusim.KernelClass, simclock.Time, simclock.Time) {}
-
 func TestStragglerThroughCoreAPI(t *testing.T) {
-	eng, err := NewEngine(Options{Node: hw.A100Node(), Model: model.OPT30B().WithLayers(4), Runtime: KindIntraOp, Tracer: nopTracer{}})
+	rec := trace.NewRecorder()
+	eng, err := NewEngine(Options{Node: hw.A100Node(), Model: model.OPT30B().WithLayers(4), Runtime: KindIntraOp, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,5 +107,11 @@ func TestStragglerThroughCoreAPI(t *testing.T) {
 	}
 	if slow.AvgLatency <= fast.AvgLatency {
 		t.Fatalf("straggler did not slow serving: %v vs %v", slow.AvgLatency, fast.AvgLatency)
+	}
+	if rs := rec.RateSamples(); len(rs) != 1 || rs[0].Device != 1 || rs[0].Speed != 0.5 {
+		t.Fatalf("tracer saw rate samples %+v, want device 1 at speed 0.5", rs)
+	}
+	if len(rec.Spans()) == 0 || len(rec.Deps()) == 0 {
+		t.Fatalf("tracer saw %d spans and %d deps", len(rec.Spans()), len(rec.Deps()))
 	}
 }

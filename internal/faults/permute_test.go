@@ -8,30 +8,17 @@ import (
 	"time"
 
 	"liger/internal/gpusim"
-	"liger/internal/simclock"
+	"liger/internal/trace"
 )
 
-// timelineTracer records every kernel lifecycle edge into a canonical
-// byte string — the full observable simulation timeline.
-type timelineTracer struct {
-	b strings.Builder
-}
-
-func (t *timelineTracer) KernelStart(dev int, name string, class gpusim.KernelClass, start simclock.Time) {
-	fmt.Fprintf(&t.b, "S %d %s %d %d\n", dev, name, class, start)
-}
-
-func (t *timelineTracer) KernelEnd(dev int, name string, class gpusim.KernelClass, start, end simclock.Time) {
-	fmt.Fprintf(&t.b, "E %d %s %d %d %d\n", dev, name, class, start, end)
-}
-
-// permutationWorkload runs a fixed kernel load under the schedule and
-// returns the traced timeline.
+// permutationTimeline runs a fixed kernel load under the schedule and
+// returns its recorded spans, deps, rate changes and failures as text:
+// the full observable simulation timeline.
 func permutationTimeline(t *testing.T, s Schedule) string {
 	t.Helper()
 	eng, n := testNode(t, 4)
-	tr := &timelineTracer{}
-	n.SetTracer(tr)
+	rec := trace.NewRecorder()
+	n.SetTracer(rec)
 	if err := Inject(n, s); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +39,20 @@ func permutationTimeline(t *testing.T, s Schedule) string {
 		})
 	}
 	eng.Run()
-	return tr.b.String()
+	var b strings.Builder
+	for _, sp := range rec.Spans() {
+		fmt.Fprintf(&b, "S %+v\n", sp)
+	}
+	for _, d := range rec.Deps() {
+		fmt.Fprintf(&b, "D %+v\n", d)
+	}
+	for _, r := range rec.RateSamples() {
+		fmt.Fprintf(&b, "R %+v\n", r)
+	}
+	for _, f := range rec.Fails() {
+		fmt.Fprintf(&b, "F %+v\n", f)
+	}
+	return b.String()
 }
 
 // TestInjectIsPermutationInvariant is the determinism property the

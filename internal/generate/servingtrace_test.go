@@ -8,8 +8,13 @@ import (
 	"liger/internal/core"
 	"liger/internal/kvcache"
 	"liger/internal/metrics"
+	"liger/internal/serve"
 	"liger/internal/trace"
 )
+
+// The serving recorder is the serve layer's tracer; trace sits below
+// serve, so the assertion lives here.
+var _ serve.ServingTracer = (*trace.ServingRecorder)(nil)
 
 // checkDecompositionTiles pins the serving report's defining invariant
 // against the driver's own measurements: every request's segments are

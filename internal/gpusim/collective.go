@@ -114,9 +114,9 @@ func (c *Collective) join(k *kernelInstance, now simclock.Time) {
 	if c.joined > c.size {
 		panic("gpusim: too many members joined collective")
 	}
-	if ct := c.node.collTracer; ct != nil {
+	if tr := c.node.tracer; tr != nil {
 		for r := range d.copies() {
-			ct.RendezvousBegin(c.id, d.copyID(r), k.spec.Batch, k.spec.Req, now)
+			tr.RendezvousBegin(c.id, d.copyID(r), k.spec.Batch, k.spec.Req, now)
 		}
 	}
 	if len(c.members) == 1 && c.timeout > 0 {
@@ -138,15 +138,9 @@ func (c *Collective) start(now simclock.Time) {
 			c.remainingNS = w
 		}
 		m.startedAt = now
-		if tr := c.node.tracer; tr != nil {
-			d := m.stream.dev
-			for r := range d.copies() {
-				tr.KernelStart(d.copyID(r), m.spec.Name, m.spec.Class, now)
-			}
-		}
 	}
-	if ct := c.node.collTracer; ct != nil {
-		ct.TransferStart(c.id, now)
+	if tr := c.node.tracer; tr != nil {
+		tr.TransferStart(c.id, now)
 	}
 	c.refreshRate(now)
 }
@@ -192,8 +186,8 @@ func (c *Collective) finish(now simclock.Time) {
 		m.stream.dev.finish(m, now)
 	}
 	c.release(c.members)
-	if ct := c.node.collTracer; ct != nil {
-		ct.CollectiveFinish(c.id, now)
+	if tr := c.node.tracer; tr != nil {
+		tr.CollectiveFinish(c.id, now)
 	}
 	c.recycle()
 }
@@ -235,8 +229,8 @@ func (c *Collective) abort(now simclock.Time) {
 		m.stream.dev.finish(m, now)
 	}
 	c.release(members)
-	if ct := c.node.collTracer; ct != nil {
-		ct.CollectiveAbort(c.id, now)
+	if tr := c.node.tracer; tr != nil {
+		tr.CollectiveAbort(c.id, now)
 	}
 	for _, fn := range c.onAbort {
 		fn(now)

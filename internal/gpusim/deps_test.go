@@ -8,17 +8,16 @@ import (
 	"liger/internal/simclock"
 )
 
-// depRecorder is a minimal Tracer + DepTracer + SpanTracer capturing
-// the causal launch records and spans for assertions.
+// depRecorder is a minimal Tracer capturing the causal launch records
+// and spans for assertions.
 type depRecorder struct {
+	nopTracer
 	deps  []KernelDep
 	spans []KernelSpan
 }
 
-func (r *depRecorder) KernelStart(int, string, KernelClass, simclock.Time)              {}
-func (r *depRecorder) KernelEnd(int, string, KernelClass, simclock.Time, simclock.Time) {}
-func (r *depRecorder) KernelSpan(sp KernelSpan)                                         { r.spans = append(r.spans, sp) }
-func (r *depRecorder) KernelDep(dep KernelDep)                                          { r.deps = append(r.deps, dep) }
+func (r *depRecorder) KernelSpan(sp KernelSpan) { r.spans = append(r.spans, sp) }
+func (r *depRecorder) KernelDep(dep KernelDep)  { r.deps = append(r.deps, dep) }
 
 func depNode(t *testing.T, gpus int) (*simclock.Engine, *Node, *depRecorder) {
 	t.Helper()

@@ -20,7 +20,7 @@ type connection struct {
 	lastDelivery simclock.Time
 	// lastKernel is the last kernel command delivered on this connection
 	// (noKernel if none): the launch-queue serialization edge reported to
-	// DepTracer.
+	// Tracer.KernelDep.
 	lastKernel kernelRef
 }
 
@@ -94,7 +94,7 @@ type Device struct {
 	failed bool
 
 	// queueDepth counts commands issued to this device's streams and not
-	// yet retired — the launch-queue backlog sampled to QueueTracer.
+	// yet retired — the launch-queue backlog sampled to Tracer.QueueDepth.
 	queueDepth int
 
 	// lastFreed is the last kernel to finish on this device: the
@@ -211,11 +211,11 @@ func (d *Device) sameLayout(o *Device) bool {
 	return true
 }
 
-// sampleQueue reports d's launch-queue depth to qt, once per device its
+// sampleQueue reports d's launch-queue depth to tr, once per device its
 // work stands for.
-func (d *Device) sampleQueue(qt QueueTracer, now simclock.Time) {
+func (d *Device) sampleQueue(tr Tracer, now simclock.Time) {
 	for r := range d.copies() {
-		qt.QueueDepth(d.copyID(r), d.queueDepth, now)
+		tr.QueueDepth(d.copyID(r), d.queueDepth, now)
 	}
 }
 
@@ -265,8 +265,8 @@ func (d *Device) SetSpeed(f float64) {
 	d.node.healthChanges++
 	d.settled = false
 	now := d.node.eng.Now()
-	if ft := d.node.faultTracer; ft != nil {
-		ft.RateChange(d.id, d.speed, d.linkFactor, now)
+	if tr := d.node.tracer; tr != nil {
+		tr.RateChange(d.id, d.speed, d.linkFactor, now)
 	}
 	d.recompute(now)
 }
@@ -295,8 +295,8 @@ func (d *Device) SetLinkFactor(f float64) {
 	d.node.healthChanges++
 	d.settled = false
 	now := d.node.eng.Now()
-	if ft := d.node.faultTracer; ft != nil {
-		ft.RateChange(d.id, d.speed, d.linkFactor, now)
+	if tr := d.node.tracer; tr != nil {
+		tr.RateChange(d.id, d.speed, d.linkFactor, now)
 	}
 	d.recompute(now)
 }
@@ -411,23 +411,18 @@ func (d *Device) tryAdmit(s *Stream, k *kernelInstance, now simclock.Time) bool 
 		k.spec.Coll.join(k, now)
 	} else {
 		k.startedAt = now
-		if tr := d.node.tracer; tr != nil {
-			for r := range d.copies() {
-				tr.KernelStart(d.copyID(r), k.spec.Name, k.spec.Class, now)
-			}
-		}
 	}
 	d.recompute(now)
 	return true
 }
 
 // emitDep reports the admitted kernel's causal launch record to the
-// DepTracer, once per device its copies run on. A kernel admitted later
+// tracer, once per device its copies run on. A kernel admitted later
 // than its first head attempt sat blocked on SM capacity; the last
 // finish on the device is what freed it.
 func (d *Device) emitDep(k *kernelInstance, now simclock.Time) {
-	dt := d.node.depTracer
-	if dt == nil {
+	tr := d.node.tracer
+	if tr == nil {
 		return
 	}
 	if !k.headStamped {
@@ -445,7 +440,7 @@ func (d *Device) emitDep(k *kernelInstance, now simclock.Time) {
 	m := d.copies()
 	for r := range m {
 		back := m - 1 - r
-		dt.KernelDep(KernelDep{
+		tr.KernelDep(KernelDep{
 			ID: k.ref().copyID(back), Device: d.copyID(r), Stream: k.stream.copyID(r), Coll: coll,
 			Issued: k.issuedAt, Delivered: k.deliveredAt,
 			Serialized: k.serialized, ConnPred: k.connPred.copyID(back),
@@ -549,32 +544,25 @@ func (d *Device) finish(k *kernelInstance, now simclock.Time) {
 	}
 }
 
-// emitSpan reports a finishing kernel to the tracer, once per device
-// its copies run on: SpanTracer implementations get the full span
-// (metadata plus the truncation flag); plain tracers get the legacy
-// KernelEnd callback.
+// emitSpan reports a finishing kernel's span (metadata plus the
+// truncation flag) to the tracer, once per device its copies run on.
 func (d *Device) emitSpan(k *kernelInstance, end simclock.Time) {
-	if d.node.tracer == nil {
+	tr := d.node.tracer
+	if tr == nil {
 		return
+	}
+	coll := -1
+	if k.spec.Coll != nil {
+		coll = k.spec.Coll.id
 	}
 	m := d.copies()
-	if st := d.node.spanTracer; st != nil {
-		coll := -1
-		if k.spec.Coll != nil {
-			coll = k.spec.Coll.id
-		}
-		for r := range m {
-			st.KernelSpan(KernelSpan{
-				ID: k.ref().copyID(m - 1 - r), Device: d.copyID(r), Name: k.spec.Name, Class: k.spec.Class,
-				Start: k.startedAt, End: end,
-				Batch: k.spec.Batch, Req: k.spec.Req, Coll: coll,
-				Cancelled: k.cancelled,
-			})
-		}
-		return
-	}
 	for r := range m {
-		d.node.tracer.KernelEnd(d.copyID(r), k.spec.Name, k.spec.Class, k.startedAt, end)
+		tr.KernelSpan(KernelSpan{
+			ID: k.ref().copyID(m - 1 - r), Device: d.copyID(r), Name: k.spec.Name, Class: k.spec.Class,
+			Start: k.startedAt, End: end,
+			Batch: k.spec.Batch, Req: k.spec.Req, Coll: coll,
+			Cancelled: k.cancelled,
+		})
 	}
 }
 

@@ -395,16 +395,13 @@ func TestNegativeDurationPanics(t *testing.T) {
 	s.Launch(KernelSpec{Duration: -time.Microsecond})
 }
 
+// recordingTracer keeps the spans it receives.
 type recordingTracer struct {
-	starts, ends int
-	lastEnd      simclock.Time
+	nopTracer
+	spans []KernelSpan
 }
 
-func (r *recordingTracer) KernelStart(int, string, KernelClass, simclock.Time) { r.starts++ }
-func (r *recordingTracer) KernelEnd(_ int, _ string, _ KernelClass, _ simclock.Time, end simclock.Time) {
-	r.ends++
-	r.lastEnd = end
-}
+func (r *recordingTracer) KernelSpan(sp KernelSpan) { r.spans = append(r.spans, sp) }
 
 func TestTracerSeesAllKernels(t *testing.T) {
 	eng, n := testNode(t, 2)
@@ -418,8 +415,20 @@ func TestTracerSeesAllKernels(t *testing.T) {
 			ComputeDemand: 0.05, MemBWDemand: 0.3, Coll: coll})
 	}
 	eng.Run()
-	if tr.starts != 4 || tr.ends != 4 {
-		t.Fatalf("tracer saw %d starts / %d ends, want 4/4", tr.starts, tr.ends)
+	if len(tr.spans) != 4 {
+		t.Fatalf("tracer saw %d spans, want 4", len(tr.spans))
+	}
+	var transfer []simclock.Time
+	for _, sp := range tr.spans {
+		if sp.Start <= 0 || sp.End <= sp.Start {
+			t.Fatalf("span %+v does not start before it ends", sp)
+		}
+		if sp.Coll >= 0 {
+			transfer = append(transfer, sp.Start)
+		}
+	}
+	if len(transfer) != 2 || transfer[0] != transfer[1] {
+		t.Fatalf("collective member spans start at %v, want one shared transfer start", transfer)
 	}
 }
 

@@ -94,7 +94,7 @@ type kernelInstance struct {
 	stream *Stream
 	state  kernelState
 
-	// Dependency-edge bookkeeping for DepTracer (see KernelDep):
+	// Dependency-edge bookkeeping for Tracer.KernelDep (see KernelDep):
 	// issue/serialization from the launch connection, the head stamp
 	// from the first admission attempt, and the capacity predecessor.
 	issuedAt    simclock.Time

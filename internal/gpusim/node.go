@@ -28,18 +28,46 @@ import (
 	"liger/internal/simclock"
 )
 
-// Tracer receives kernel lifecycle callbacks; used by the profiler and
-// the Chrome-trace exporter. Implementations must not mutate simulator
-// state.
-//
-// A Tracer may additionally implement any of the optional extension
-// interfaces below (SpanTracer, CollectiveTracer, FaultTracer,
-// QueueTracer); the node detects them once at SetTracer and emits the
-// richer event families only to implementations that ask for them, so
-// existing two-method tracers keep working unchanged.
+// Tracer receives the node's observability records: kernel spans and
+// dependency edges, the collective lifecycle, fault transitions and
+// launch-queue depth. trace.Recorder implements it. Implementations
+// must not mutate simulator state.
 type Tracer interface {
-	KernelStart(dev int, name string, class KernelClass, start simclock.Time)
-	KernelEnd(dev int, name string, class KernelClass, start, end simclock.Time)
+	// KernelSpan reports every kernel completion, including the
+	// cancellations of work torn down by a failure or an abort (kernels
+	// that never ran get a zero-length span).
+	KernelSpan(sp KernelSpan)
+	// KernelDep reports one KernelDep record per admitted kernel, at its
+	// admission instant. Kernels cancelled before admission (delivered
+	// to an already-failed device) emit only their truncated KernelSpan.
+	KernelDep(dep KernelDep)
+
+	// The collective lifecycle: member enqueue on a stream, per-member
+	// rendezvous wait (admitted, spinning for peers), the transfer start
+	// once every rank joined, and the group's completion or abort.
+	CollectiveEnqueue(coll, size, dev int, at simclock.Time)
+	// RendezvousBegin fires when a member is admitted and starts
+	// busy-waiting for its peers; the wait ends at the group's
+	// TransferStart (or CollectiveAbort). Batch/Req mirror the member
+	// kernel's scheduling metadata.
+	RendezvousBegin(coll, dev, batch, req int, at simclock.Time)
+	TransferStart(coll int, at simclock.Time)
+	CollectiveFinish(coll int, at simclock.Time)
+	CollectiveAbort(coll int, at simclock.Time)
+
+	// RateChange fires whenever a device's speed or link factor changes
+	// (a fault window opening or closing).
+	RateChange(dev int, speed, link float64, at simclock.Time)
+	// DeviceFailed fires when a device is permanently removed.
+	DeviceFailed(dev int, at simclock.Time)
+	// RecoveryBegin / RecoveryEnd bracket a runtime reconfiguration
+	// (failover epoch): emitted by the runtimes through Node.Tracer.
+	RecoveryBegin(at simclock.Time)
+	RecoveryEnd(at simclock.Time)
+
+	// QueueDepth samples a device's launch-queue depth (commands issued
+	// to its streams and not yet retired) on every change.
+	QueueDepth(dev, depth int, at simclock.Time)
 }
 
 // KernelSpan is the full record of one kernel execution, including the
@@ -47,8 +75,7 @@ type Tracer interface {
 // was truncated by a cancellation instead of completing its work.
 type KernelSpan struct {
 	// ID is the node-unique kernel id (assigned in launch order), the
-	// join key against KernelDep records. -1 on the legacy KernelEnd
-	// path only.
+	// join key against KernelDep records.
 	ID     int
 	Device int
 	Name   string
@@ -80,53 +107,6 @@ const (
 	// sense but the transfer never happened.
 	CancelCollectiveAbort = "collective-abort"
 )
-
-// SpanTracer is an optional Tracer extension. When implemented, the
-// node reports every kernel completion — including cancellations that
-// plain tracers would see as a bare KernelEnd or (for kernels that
-// never ran) not at all — as a KernelSpan, and suppresses the
-// corresponding KernelEnd callback so implementations do not record the
-// same span twice. KernelStart still fires as usual.
-type SpanTracer interface {
-	KernelSpan(sp KernelSpan)
-}
-
-// CollectiveTracer is an optional Tracer extension observing the
-// collective lifecycle: member enqueue on a stream, per-member
-// rendezvous wait (admitted, spinning for peers), the transfer start
-// once every rank joined, and the group's completion or abort.
-type CollectiveTracer interface {
-	CollectiveEnqueue(coll, size, dev int, at simclock.Time)
-	// RendezvousBegin fires when a member is admitted and starts
-	// busy-waiting for its peers; the wait ends at the group's
-	// TransferStart (or CollectiveAbort). Batch/Req mirror the member
-	// kernel's scheduling metadata.
-	RendezvousBegin(coll, dev, batch, req int, at simclock.Time)
-	TransferStart(coll int, at simclock.Time)
-	CollectiveFinish(coll int, at simclock.Time)
-	CollectiveAbort(coll int, at simclock.Time)
-}
-
-// FaultTracer is an optional Tracer extension observing fault-injection
-// and recovery transitions.
-type FaultTracer interface {
-	// RateChange fires whenever a device's speed or link factor changes
-	// (a fault window opening or closing).
-	RateChange(dev int, speed, link float64, at simclock.Time)
-	// DeviceFailed fires when a device is permanently removed.
-	DeviceFailed(dev int, at simclock.Time)
-	// RecoveryBegin / RecoveryEnd bracket a runtime reconfiguration
-	// (failover epoch): emitted by the runtimes through Node.Tracer.
-	RecoveryBegin(at simclock.Time)
-	RecoveryEnd(at simclock.Time)
-}
-
-// QueueTracer is an optional Tracer extension sampling per-device
-// launch-queue depth (commands issued to the device's streams and not
-// yet retired) on every change.
-type QueueTracer interface {
-	QueueDepth(dev, depth int, at simclock.Time)
-}
 
 // Admission causes reported in KernelDep.HeadCause: what made the
 // kernel eligible for admission (reach the head of its stream with all
@@ -191,14 +171,6 @@ type KernelDep struct {
 	AdmitPred int
 }
 
-// DepTracer is an optional Tracer extension receiving one KernelDep
-// record per admitted kernel, at its admission instant. Kernels
-// cancelled before admission (delivered to an already-failed device)
-// emit only their truncated KernelSpan, never a dep record.
-type DepTracer interface {
-	KernelDep(dep KernelDep)
-}
-
 // Node is a simulated multi-GPU server attached to a simclock engine.
 type Node struct {
 	eng     *simclock.Engine
@@ -261,13 +233,6 @@ type Node struct {
 	noFold      bool
 
 	tracer Tracer
-	// The optional tracer extensions, type-asserted once at SetTracer so
-	// the hot paths pay a nil check instead of an interface assertion.
-	spanTracer  SpanTracer
-	collTracer  CollectiveTracer
-	faultTracer FaultTracer
-	queueTracer QueueTracer
-	depTracer   DepTracer
 }
 
 // New builds a simulated node from a hardware description.
@@ -360,8 +325,8 @@ func (n *Node) FailDevice(i int) {
 	d.failed = true
 	n.failedCount++
 	n.healthChanges++
-	if n.faultTracer != nil {
-		n.faultTracer.DeviceFailed(i, now)
+	if n.tracer != nil {
+		n.tracer.DeviceFailed(i, now)
 	}
 	for _, fn := range n.onFail {
 		fn(i, now)
@@ -369,22 +334,14 @@ func (n *Node) FailDevice(i int) {
 	d.drainFailed(now)
 }
 
-// SetTracer installs a kernel lifecycle tracer (nil to disable). The
-// optional extension interfaces the tracer implements are detected
-// here.
+// SetTracer installs an observability tracer (nil to disable).
 func (n *Node) SetTracer(t Tracer) {
 	n.touch()
 	n.tracer = t
-	n.spanTracer, _ = t.(SpanTracer)
-	n.collTracer, _ = t.(CollectiveTracer)
-	n.faultTracer, _ = t.(FaultTracer)
-	n.queueTracer, _ = t.(QueueTracer)
-	n.depTracer, _ = t.(DepTracer)
 }
 
 // Tracer returns the installed tracer (nil when tracing is disabled).
-// Runtimes use it to report recovery transitions to FaultTracer
-// implementations.
+// Runtimes use it to report recovery transitions.
 func (n *Node) Tracer() Tracer {
 	n.touch()
 	return n.tracer

@@ -13,9 +13,9 @@ import (
 )
 
 // A traced Fig. 10 point — Liger interleaving two batches' kernels over
-// four devices, with a DepTracer + SpanTracer recorder attached — must
-// record the same spans, deps and kernel ids on a second identical run
-// on the same node type, and the same again with pooling turned off.
+// four devices, with a trace.Recorder attached — must record the same
+// spans, deps and kernel ids on a second identical run on the same node
+// type, and the same again with pooling turned off.
 func TestKernelPoolTracedFig10Point(t *testing.T) {
 	type pooled struct{ kernels, events, colls int }
 	run := func(pool bool) (*trace.Recorder, pooled) {

@@ -171,7 +171,7 @@ type Stream struct {
 	lastDone kernelRef
 	// advCause/advPred carry the reason the current advance pass runs
 	// (delivery, predecessor finish, event fire) so a kernel's first
-	// admission attempt can stamp its head cause for DepTracer.
+	// admission attempt can stamp its head cause for Tracer.KernelDep.
 	advCause string
 	advPred  kernelRef
 
@@ -247,8 +247,8 @@ func (s *Stream) issue(cmd *command) {
 	}
 	s.queue = append(s.queue, cmd)
 	s.dev.queueDepth++
-	if qt := s.node.queueTracer; qt != nil {
-		s.dev.sampleQueue(qt, now)
+	if tr := s.node.tracer; tr != nil {
+		s.dev.sampleQueue(tr, now)
 	}
 	if s.QueueLen() == 1 {
 		s.armHead()
@@ -294,10 +294,10 @@ func (s *Stream) Launch(spec KernelSpec) {
 	}
 	k.connPred, k.headPred, k.admitPred = s.conn.lastKernel, noKernel, noKernel
 	if c := spec.Coll; c != nil {
-		if ct := s.node.collTracer; ct != nil {
+		if tr := s.node.tracer; tr != nil {
 			now := s.node.eng.Now()
 			for r := range d.copies() {
-				ct.CollectiveEnqueue(c.id, c.size, d.copyID(r), now)
+				tr.CollectiveEnqueue(c.id, c.size, d.copyID(r), now)
 			}
 		}
 	}
@@ -305,9 +305,9 @@ func (s *Stream) Launch(spec KernelSpec) {
 	cmd.kind = cmdKernel
 	cmd.kernel = k
 	s.issue(cmd)
-	// Dependency bookkeeping for DepTracer: the issue instant, the part
-	// of the delivery delay the connection's issue gap added on top of
-	// the base launch latency, and the serialization predecessor.
+	// Dependency bookkeeping for Tracer.KernelDep: the issue instant,
+	// the part of the delivery delay the connection's issue gap added on
+	// top of the base launch latency, and the serialization predecessor.
 	k.issuedAt = s.node.eng.Now()
 	k.deliveredAt = cmd.deliveredAt
 	if ser := cmd.deliveredAt - (k.issuedAt + s.node.spec.Host.LaunchLatency); ser > 0 {
@@ -368,8 +368,8 @@ func (s *Stream) pop() {
 		s.armHead()
 	}
 	s.dev.queueDepth--
-	if qt := s.node.queueTracer; qt != nil {
-		s.dev.sampleQueue(qt, s.node.eng.Now())
+	if tr := s.node.tracer; tr != nil {
+		s.dev.sampleQueue(tr, s.node.eng.Now())
 	}
 	s.node.recycleCommand(cmd)
 }

@@ -1,7 +1,9 @@
 package liger
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"liger/internal/model"
 	"liger/internal/parallel"
 	"liger/internal/simclock"
+	"liger/internal/trace"
 )
 
 // randomBatch builds a batch with a random but well-formed kernel
@@ -90,55 +93,33 @@ func TestFuzzDeterminism(t *testing.T) {
 
 // TestFuzzNoSameClassConcurrency: by construction, two kernels of the
 // same class never run concurrently on one device (compute and comm
-// each own one in-order stream). Verify through a tracer.
+// each own one in-order stream). Verify on the recorded spans.
 func TestFuzzNoSameClassConcurrency(t *testing.T) {
-	type open struct{ comp, comm int }
-	var counts [4]open
-	bad := false
-	tr := classTracer{
-		start: func(dev int, class gpusim.KernelClass) {
-			if class == gpusim.Comm {
-				counts[dev].comm++
-				if counts[dev].comm > 1 {
-					bad = true
-				}
-			} else {
-				counts[dev].comp++
-				if counts[dev].comp > 1 {
-					bad = true
-				}
-			}
-		},
-		end: func(dev int, class gpusim.KernelClass) {
-			if class == gpusim.Comm {
-				counts[dev].comm--
-			} else {
-				counts[dev].comp--
-			}
-		},
-	}
+	rec := trace.NewRecorder()
 	rng := rand.New(rand.NewSource(99))
 	eng, node, s := testRig(t, testCfg())
-	node.SetTracer(tr)
+	node.SetTracer(rec)
 	for i := 0; i < 10; i++ {
 		b := randomBatch(rng, i)
 		at := simclock.Time(rng.Intn(2000)) * simclock.Time(time.Microsecond)
 		eng.At(at, func(simclock.Time) { s.Submit(b) })
 	}
 	eng.Run()
-	if bad {
-		t.Fatal("two kernels of the same class ran concurrently on one device")
+	spans := slices.Clone(rec.Spans())
+	if len(spans) == 0 {
+		t.Fatal("no spans recorded")
 	}
-}
-
-type classTracer struct {
-	start func(dev int, class gpusim.KernelClass)
-	end   func(dev int, class gpusim.KernelClass)
-}
-
-func (c classTracer) KernelStart(dev int, _ string, class gpusim.KernelClass, _ simclock.Time) {
-	c.start(dev, class)
-}
-func (c classTracer) KernelEnd(dev int, _ string, class gpusim.KernelClass, _, _ simclock.Time) {
-	c.end(dev, class)
+	slices.SortStableFunc(spans, func(a, b trace.Span) int { return cmp.Compare(a.Start, b.Start) })
+	type lane struct {
+		dev   int
+		class gpusim.KernelClass
+	}
+	busyUntil := map[lane]simclock.Time{}
+	for _, sp := range spans {
+		l := lane{sp.Device, sp.Class}
+		if sp.Start < busyUntil[l] {
+			t.Fatalf("two kernels of the same class ran concurrently on device %d: %s starts at %v, before %v", sp.Device, sp.Name, sp.Start, busyUntil[l])
+		}
+		busyUntil[l] = max(busyUntil[l], sp.End)
+	}
 }

@@ -470,7 +470,10 @@ func TestSteadyStateRoundAllocatesNothing(t *testing.T) {
 // split: the head pieces land in the scheduler's round buffer under
 // interned names, and only the remainder's piece closure is new. Split
 // rounds launch more kernels, so the warm-up is long enough for the
-// event queue's buckets to reach their working capacity.
+// event queue's buckets to reach their working capacity. The window is
+// measured three times and the fewest mallocs kept: the scheduler's
+// count is deterministic, but the runtime may allocate in the
+// background during any one window.
 func TestSteadyStateDecomposingRoundAllocatesPerSplit(t *testing.T) {
 	eng, _, s := testRig(t, testCfg())
 	b0 := syntheticBatch(0, 2000, 3, 30*time.Microsecond, 100*time.Microsecond)
@@ -486,19 +489,23 @@ func TestSteadyStateDecomposingRoundAllocatesPerSplit(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		round()
 	}
-	splits := s.stats.Decompositions
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 200; i++ {
-		round()
+	var mallocs, splits uint64
+	for try := 0; try < 3; try++ {
+		split0 := s.stats.Decompositions
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 200; i++ {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		if m := after.Mallocs - before.Mallocs; try == 0 || m < mallocs {
+			mallocs, splits = m, uint64(s.stats.Decompositions-split0)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	splits = s.stats.Decompositions - splits
 	if splits == 0 || b0.Completed() {
 		t.Fatal("the measured rounds did not decompose kernels of two live batches")
 	}
-	mallocs := after.Mallocs - before.Mallocs
-	if mallocs > uint64(splits) {
+	if mallocs > splits {
 		t.Fatalf("%d allocations over %d splits, want at most one per split", mallocs, splits)
 	}
 	t.Logf("%d allocations over %d splits", mallocs, splits)

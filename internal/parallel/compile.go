@@ -278,6 +278,24 @@ func (c *Compiler) IntraOp(spec model.Spec, tp int, w model.Workload) ([]KernelD
 	return p.Kernels(), nil
 }
 
+// IntraOpCapacity is the analytic saturated throughput (workloads/s) of
+// the intra-op baseline running w over every device of an idle node:
+// one second over the summed compute and communication time of its
+// kernels, or 1 when w does not compile or costs nothing. Sweeps and
+// scenarios center and normalize their arrival rates on it.
+func IntraOpCapacity(node hw.Node, spec model.Spec, w model.Workload) float64 {
+	ks, err := NewCompiler(node, nccl.Config{}).IntraOp(spec, node.NumGPUs, w)
+	if err != nil {
+		return 1
+	}
+	compute, comm := TotalDurations(ks)
+	total := compute + comm
+	if total <= 0 {
+		return 1
+	}
+	return float64(time.Second) / float64(total)
+}
+
 // IntraOpPlan compiles the forward pass of IntraOp in layer-periodic
 // form. Every transformer layer lowers to the same costed kernels, so
 // the layer block is compiled and costed once, whatever the depth.

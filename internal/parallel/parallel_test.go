@@ -108,6 +108,25 @@ func TestIntraOpKernelTypeAlternation(t *testing.T) {
 	}
 }
 
+// IntraOpCapacity is one second over the Intra-Op kernels' summed
+// compute and communication time, and 1 when the workload does not
+// compile.
+func TestIntraOpCapacity(t *testing.T) {
+	node, spec := hw.A100Node(), model.OPT30B()
+	w := model.Workload{Batch: 2, CtxLen: 64, Phase: model.Decode}
+	ks, err := NewCompiler(node, nccl.Config{}).IntraOp(spec, node.NumGPUs, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, m := TotalDurations(ks)
+	if got, want := IntraOpCapacity(node, spec, w), float64(time.Second)/float64(c+m); got != want {
+		t.Fatalf("capacity %v, want %v", got, want)
+	}
+	if got := IntraOpCapacity(node, spec, model.Workload{Phase: model.Context}); got != 1 {
+		t.Fatalf("capacity of an empty workload %v, want the fallback 1", got)
+	}
+}
+
 func TestIntraOpTP1HasNoComm(t *testing.T) {
 	c := compilerFor(hw.V100Node())
 	k, err := c.IntraOp(model.Tiny(), 1, ctxWorkload(2, 16))

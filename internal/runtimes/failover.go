@@ -58,8 +58,8 @@ func (f *failover) begin(now simclock.Time) {
 	if !f.reconfiguring {
 		f.reconfiguring = true
 		f.failedAt = now
-		if ft, ok := f.node.Tracer().(gpusim.FaultTracer); ok {
-			ft.RecoveryBegin(now)
+		if tr := f.node.Tracer(); tr != nil {
+			tr.RecoveryBegin(now)
 		}
 	}
 }
@@ -116,8 +116,8 @@ func (f *failover) reshard() error {
 func (f *failover) finishReconfig(now simclock.Time) {
 	f.reconfiguring = false
 	f.downtime += time.Duration(now - f.failedAt)
-	if ft, ok := f.node.Tracer().(gpusim.FaultTracer); ok {
-		ft.RecoveryEnd(now)
+	if tr := f.node.Tracer(); tr != nil {
+		tr.RecoveryEnd(now)
 	}
 	for _, fn := range f.onReconfigured {
 		fn(now)

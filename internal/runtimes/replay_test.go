@@ -16,6 +16,7 @@ import (
 	"liger/internal/runtimes"
 	"liger/internal/serve"
 	"liger/internal/simclock"
+	"liger/internal/trace"
 )
 
 // newLiger builds a Liger runtime over a fresh A100 node.
@@ -38,26 +39,23 @@ type iteration struct {
 	sched liger.Stats
 }
 
-// firstKernel is a DepTracer keeping the dependency record of the first
-// kernel launched at each submit instant.
-type firstKernel struct {
-	deps map[simclock.Time]gpusim.KernelDep
-}
-
-func (f *firstKernel) KernelStart(int, string, gpusim.KernelClass, simclock.Time)              {}
-func (f *firstKernel) KernelEnd(int, string, gpusim.KernelClass, simclock.Time, simclock.Time) {}
-func (f *firstKernel) KernelDep(d gpusim.KernelDep) {
-	if old, ok := f.deps[d.Issued]; !ok || d.ID < old.ID {
-		f.deps[d.Issued] = d
+// firstKernels maps each submit instant to the dependency record of the
+// first kernel launched at it.
+func firstKernels(rec *trace.Recorder) map[simclock.Time]trace.Dep {
+	first := map[simclock.Time]trace.Dep{}
+	for _, d := range rec.Deps() {
+		if old, ok := first[d.Issued]; !ok || d.ID < old.ID {
+			first[d.Issued] = d
+		}
 	}
+	return first
 }
 
 // chain runs n iterations of w on a fresh node with replay off, the
 // first submitted at start and each later one gap after the completion
 // of the one before (gap 0: from inside the completion). It returns each
-// iteration's record, the first kernel's dependency record of each when
-// tracer is set.
-func chain(t *testing.T, start, gap simclock.Time, w model.Workload, n int, tracer *firstKernel) []iteration {
+// iteration's record; tracer, when set, records the run.
+func chain(t *testing.T, start, gap simclock.Time, w model.Workload, n int, tracer *trace.Recorder) []iteration {
 	t.Helper()
 	eng, node, rt := newLiger(t, model.OPT30B(), liger.DefaultConfig("a100"))
 	runtimes.SetReplay(rt, false)
@@ -137,9 +135,10 @@ func TestSoloIterationIgnoresStartInstant(t *testing.T) {
 			// The cause of the cold difference: the warm iteration's first
 			// kernel is delivered one IssueGap later, behind the wait on the
 			// previous round's end event.
-			tr := &firstKernel{deps: map[simclock.Time]gpusim.KernelDep{}}
-			its := chain(t, 5, 0, w, 2, tr)
-			cold, warmDep := tr.deps[5], tr.deps[5+its[0].dur]
+			rec := trace.NewRecorder()
+			its := chain(t, 5, 0, w, 2, rec)
+			first := firstKernels(rec)
+			cold, warmDep := first[5], first[5+its[0].dur]
 			if cold.Serialized != 0 || warmDep.Serialized != gap {
 				t.Fatalf("first kernel serialized %v cold and %v warm, want 0 and %v", cold.Serialized, warmDep.Serialized, gap)
 			}
@@ -458,14 +457,6 @@ func TestContinuousReplayEngages(t *testing.T) {
 	}
 }
 
-// spanCount is a tracer counting kernel ends.
-type spanCount struct{ n int }
-
-func (c *spanCount) KernelStart(int, string, gpusim.KernelClass, simclock.Time) {}
-func (c *spanCount) KernelEnd(int, string, gpusim.KernelClass, simclock.Time, simclock.Time) {
-	c.n++
-}
-
 // TestReplayFollowsTheRules perturbs a chain of solo iterations, which
 // replay, in every way the rules guard against, at fixed iterations:
 //
@@ -507,7 +498,7 @@ func TestReplayFollowsTheRules(t *testing.T) {
 			}
 		}
 		decode := func(ctx int) model.Workload { return model.Workload{Batch: 4, CtxLen: ctx, Phase: model.Decode} }
-		spans := &spanCount{}
+		rec := trace.NewRecorder()
 		iter := 0
 		rt.SetOnDone(func(c runtimes.Completion) {
 			o.done = append(o.done, c)
@@ -536,7 +527,7 @@ func TestReplayFollowsTheRules(t *testing.T) {
 			case iter == 70:
 				node.SetCollectiveTimeout(1)
 			case iter == 30:
-				node.SetTracer(spans)
+				node.SetTracer(rec)
 			case iter == 34:
 				node.SetTracer(nil)
 			case iter%8 == 2 || iter == 4:
@@ -559,7 +550,7 @@ func TestReplayFollowsTheRules(t *testing.T) {
 			read(eng.Now())
 		}
 		eng.Run()
-		reads += fmt.Sprintf("memory %d spans %d\n", node.Device(0).MemUsed(), spans.n)
+		reads += fmt.Sprintf("memory %d spans %v deps %v\n", node.Device(0).MemUsed(), rec.Spans(), rec.Deps())
 		o.dev, o.sched, o.end, o.replays = node.Stats(), rt.Scheduler().Stats(), eng.Now(), runtimes.Replays(rt)
 		return o, reads
 	}

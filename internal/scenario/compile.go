@@ -10,7 +10,6 @@ import (
 	"liger/internal/faults"
 	"liger/internal/hw"
 	"liger/internal/model"
-	"liger/internal/nccl"
 	"liger/internal/parallel"
 	"liger/internal/serve"
 )
@@ -121,7 +120,16 @@ func Compile(sc *Scenario) (*Compiled, error) {
 		}
 	}
 
-	capacity := intraCapacity(node, spec, w.Batch, phase, w.CtxLen, (w.Seq.Min+w.Seq.Max)/2)
+	// The intra-op baseline's saturated throughput on an idle node is
+	// the normalizer behind capacity-relative rates and solo-multiple
+	// times.
+	solo := model.Workload{Batch: w.Batch, Phase: phase}
+	if phase == model.Decode {
+		solo.CtxLen = w.CtxLen
+	} else {
+		solo.SeqLen = (w.Seq.Min + w.Seq.Max) / 2
+	}
+	capacity := parallel.IntraOpCapacity(node, spec, solo)
 	c.Solo = time.Duration(float64(time.Second) / capacity)
 	// A fleet's capacity-relative rate scales with the replica count:
 	// "80%" means 80% of what the whole serving pool can absorb.
@@ -206,7 +214,7 @@ func (c *Compiled) compileContinuous(sc *Scenario) error {
 
 	// Capacity-relative rates normalize against one prompt's prefill —
 	// the unit of admission work — on the intra-op baseline.
-	capacity := intraCapacity(c.Node, c.Model, 1, model.Context, 0, w.Prompt)
+	capacity := parallel.IntraOpCapacity(c.Node, c.Model, model.Workload{Batch: 1, SeqLen: w.Prompt, Phase: model.Context})
 	c.Solo = time.Duration(float64(time.Second) / capacity)
 	c.Rate = w.Rate.Resolve(capacity)
 	if c.Rate <= 0 || !finite(c.Rate) {
@@ -510,28 +518,4 @@ func windowEnd(end time.Duration) string {
 func mixSeed(workload, gen int64, idx int) int64 {
 	h := uint64(workload)*0x9E3779B97F4A7C15 ^ uint64(gen)*0xBF58476D1CE4E5B9 ^ uint64(idx+1)*0x94D049BB133111EB
 	return int64(h >> 1)
-}
-
-// intraCapacity is the analytic saturated throughput (batches/s) of
-// the intra-op baseline on an idle node — the normalizer behind
-// capacity-relative rates and solo-multiple times (the Go chaos bench
-// computes the same quantity to center its sweeps).
-func intraCapacity(node hw.Node, spec model.Spec, batch int, phase model.Phase, ctxLen, meanSeq int) float64 {
-	comp := parallel.NewCompiler(node, nccl.Config{})
-	w := model.Workload{Batch: batch, Phase: phase}
-	if phase == model.Decode {
-		w.CtxLen = ctxLen
-	} else {
-		w.SeqLen = meanSeq
-	}
-	ks, err := comp.IntraOp(spec, node.NumGPUs, w)
-	if err != nil {
-		return 1
-	}
-	compute, comm := parallel.TotalDurations(ks)
-	total := compute + comm
-	if total <= 0 {
-		return 1
-	}
-	return float64(time.Second) / float64(total)
 }

@@ -130,11 +130,10 @@ type ContinuousBatcher struct {
 	maxPool int
 	hooks   ContinuousHooks
 
-	// tr/seqTr observe iterations and sequence lifecycles (SetTracer);
+	// tr observes iterations and sequence lifecycles (SetTracer);
 	// blocks is kv's gauge view when it exposes block accounting;
 	// poolIdx tags records with the batcher's pool index.
 	tr      ServingTracer
-	seqTr   SeqTracer
 	blocks  BlockStats
 	poolIdx int
 
@@ -198,23 +197,18 @@ func NewContinuousBatcher(rt runtimes.Runtime, kv KVAllocator, maxPool int, hook
 
 // SetTracer installs a serving tracer (nil disables tracing). pool tags
 // every record with the batcher's pool index — 0 for a single-node run,
-// the decode-pool index in a disaggregated cluster. When tr also
-// implements SeqTracer, per-sequence lifecycle events are emitted.
+// the decode-pool index in a disaggregated cluster.
 func (b *ContinuousBatcher) SetTracer(tr ServingTracer, pool int) {
 	b.tr = tr
 	b.poolIdx = pool
-	b.seqTr = nil
-	if tr != nil {
-		b.seqTr, _ = tr.(SeqTracer)
-	}
 }
 
-// seqEvent emits one lifecycle instant when a SeqTracer is installed.
+// seqEvent emits one lifecycle instant when a tracer is installed.
 func (b *ContinuousBatcher) seqEvent(kind SeqEventKind, id, tokens int, at simclock.Time) {
-	if b.seqTr == nil {
+	if b.tr == nil {
 		return
 	}
-	b.seqTr.SeqEvent(SeqEvent{Pool: b.poolIdx, Seq: id, Kind: kind, At: at, Tokens: tokens})
+	b.tr.SeqEvent(SeqEvent{Pool: b.poolIdx, Seq: id, Kind: kind, At: at, Tokens: tokens})
 }
 
 // beginIteration snapshots the submission being made as the in-flight

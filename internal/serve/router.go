@@ -106,7 +106,7 @@ type RouterPolicy struct {
 	// redispatch/shed/park/flush) with its probe state; nil disables
 	// decision tracing. Tracing never changes placement: the sampling
 	// stream and all accounting are byte-identical with or without it.
-	Tracer RouterTracer
+	Tracer ServingTracer
 }
 
 // fleetReq is the router's per-request state.

@@ -2,11 +2,10 @@ package serve
 
 import "liger/internal/trace"
 
-// Serving-layer tracing mirrors gpusim's tracer-extension pattern: a
-// small base interface plus optional extensions discovered by type
-// assertion, so emitters stay decoupled from the recorder and a tracer
-// only pays for the record kinds it wants. trace.ServingRecorder
-// implements every extension; a nil tracer costs one branch per event.
+// Serving-layer tracing mirrors gpusim's: one ServingTracer interface
+// carries every record kind the batcher and the router emit, so
+// emitters stay decoupled from the recorder. trace.ServingRecorder
+// implements it; a nil tracer costs one branch per event.
 //
 // The record types live in the trace package (which must sit below
 // serve in the import graph); these aliases keep serve's tracer API
@@ -41,26 +40,13 @@ type RouterDecision = trace.RouterDecision
 // cluster (see trace.KVHandoff).
 type KVHandoff = trace.KVHandoff
 
-// ServingTracer observes continuous-batcher iterations. Implementations
-// may also implement SeqTracer, RouterTracer, and HandoffTracer (and
-// kvcache.Tracer) to receive the other serving record kinds.
+// ServingTracer observes continuous-batcher iterations and sequence
+// lifecycles, and the fleet router's decisions. The paged KV allocator
+// below serve is traced on its own, through kvcache.Tracer.
 type ServingTracer interface {
 	Iteration(IterationRecord)
-}
-
-// SeqTracer is the optional per-sequence lifecycle extension.
-type SeqTracer interface {
 	SeqEvent(SeqEvent)
-}
-
-// RouterTracer is the optional fleet-router extension.
-type RouterTracer interface {
 	RouterDecision(RouterDecision)
-}
-
-// HandoffTracer is the optional disaggregation KV-transfer extension.
-type HandoffTracer interface {
-	KVHandoff(KVHandoff)
 }
 
 // BlockStats is the optional allocator view the batcher samples for

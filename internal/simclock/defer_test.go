@@ -125,9 +125,6 @@ func TestCatchUpIsExact(t *testing.T) {
 		"NextEventAt": func(e *Engine) { e.NextEventAt() },
 		"Pending":     func(e *Engine) { e.Pending() },
 		"PendingRaw":  func(e *Engine) { e.PendingRaw() },
-		"QuietThrough": func(e *Engine) {
-			e.QuietThrough(e.Now())
-		},
 		"InReserved": func(e *Engine) {
 			s := e.Reserve()
 			e.InReserved(s, 1, func() { e.At(e.Now(), func(Time) {}) })
@@ -244,6 +241,10 @@ func TestDeferRefusals(t *testing.T) {
 	e.RunUntil(e.Now() + 50)
 	if !caught {
 		t.Fatal("RunUntil stopped inside a deferred span without catching it up")
+	}
+	e.RunBefore(e.Now() + 10)
+	if !e.Defer(e.Now()+1000, func(Time) {}, func() {}) {
+		t.Fatal("Defer refused after RunBefore returned: the run bound outlived the run")
 	}
 }
 

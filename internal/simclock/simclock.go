@@ -387,28 +387,13 @@ func (e *Engine) InReserved(first uint64, n int, fn func()) {
 	e.seq = next
 }
 
-// QuietThrough reports whether nothing fires on the engine up to and
-// including instant t: no event is queued at or before t, and the run in
-// progress (RunUntil, RunBefore) does not stop before t. A deferred
-// computation is caught up first, so its events count. A shard (Shard)
-// may yet receive posted events.
-func (e *Engine) QuietThrough(t Time) bool {
-	e.Touch()
-	if t > e.stop {
-		return false
-	}
-	next, ok := e.peek()
-	return !ok || next > t
-}
-
 // Defer skips a computation that would start now and whose every event
 // would fire by instant end: it schedules done at end in its place and
 // reports true. Nothing may observe the computation before done fires
 // other than through a call that catches it up first: a Touch (every
 // entry point of the state the computation changes calls one), an At or
 // AtSeq at or before end, a Reserve or ReserveN, an InReserved, a query
-// of the queue
-// (NextEventAt, Pending, PendingRaw, QuietThrough), a run that stops
+// of the queue (NextEventAt, Pending, PendingRaw), a run that stops
 // before end, or another Defer. A catch-up cancels done, moves the
 // clock back to the position Defer was called at, runs catchUp there,
 // fires the computation's events that lie before the clock's position,

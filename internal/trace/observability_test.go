@@ -27,6 +27,13 @@ func obsNode(t testing.TB, gpus int) (*simclock.Engine, *gpusim.Node, *Recorder)
 
 func us(n int) simclock.Time { return simclock.Time(n) * simclock.Time(time.Microsecond) }
 
+// addSpan records a finished local kernel that carries no scheduling
+// metadata, with the next kernel id.
+func addSpan(rec *Recorder, dev int, name string, class gpusim.KernelClass, start, end simclock.Time) {
+	rec.KernelSpan(gpusim.KernelSpan{ID: len(rec.Spans()), Device: dev, Name: name, Class: class,
+		Start: start, End: end, Batch: -1, Req: -1, Coll: -1})
+}
+
 // Regression (bugfix): kernels in flight at a DeviceFail used to
 // vanish from the recorder — the running kernel's end was emitted
 // unflagged and the queued kernel behind it got no event at all. Both
@@ -173,8 +180,8 @@ func TestFaultRatesAndQueueDepth(t *testing.T) {
 func TestChromeTraceStableOrder(t *testing.T) {
 	rec := NewRecorder()
 	for dev := 3; dev >= 0; dev-- {
-		rec.KernelEnd(dev, "z", gpusim.Compute, us(10), us(20))
-		rec.KernelEnd(dev, "a", gpusim.Compute, us(10), us(20))
+		addSpan(rec, dev, "z", gpusim.Compute, us(10), us(20))
+		addSpan(rec, dev, "a", gpusim.Compute, us(10), us(20))
 	}
 	var first, second bytes.Buffer
 	if err := rec.WriteChromeTrace(&first); err != nil {
@@ -288,8 +295,8 @@ func TestReqBreakdown(t *testing.T) {
 	}
 }
 
-// The recorder captures DepTracer records and joins them to spans via
-// the kernel id; the KernelEnd fallback path carries id -1.
+// The recorder captures dependency records and joins them to spans via
+// the kernel id.
 func TestRecorderCapturesDeps(t *testing.T) {
 	eng, n, rec := obsNode(t, 1)
 	s := n.NewStream(0)
@@ -323,9 +330,5 @@ func TestRecorderCapturesDeps(t *testing.T) {
 	rec.Reset()
 	if len(rec.Deps()) != 0 {
 		t.Fatal("Reset did not clear deps")
-	}
-	rec.KernelEnd(0, "legacy", gpusim.Compute, 0, us(10))
-	if sp := rec.Spans()[0]; sp.ID != -1 {
-		t.Fatalf("KernelEnd path should carry id -1: %+v", sp)
 	}
 }

@@ -12,9 +12,10 @@ import (
 // ServingRecorder collects the serving-layer record streams — batcher
 // iterations, sequence lifecycles, paged-KV block transitions, router
 // decisions, and disaggregation KV handoffs — and renders them as
-// Chrome-trace lanes beside the device trace. It implements every
-// serve tracer extension plus kvcache.Tracer, so one recorder wires
-// the whole stack:
+// Chrome-trace lanes beside the device trace. It implements
+// serve.ServingTracer and kvcache.Tracer (cluster.Disagg records its
+// KV handoffs through KVHandoff directly), so one recorder wires the
+// whole stack:
 //
 //	rec := trace.NewServingRecorder()
 //	batcher.SetTracer(rec, 0)
@@ -52,22 +53,25 @@ func NewServingRecorder() *ServingRecorder { return &ServingRecorder{} }
 // SetPool sets the decode-pool index stamped on subsequent KV events.
 func (r *ServingRecorder) SetPool(pool int) { r.pool = pool }
 
+var _ kvcache.Tracer = (*ServingRecorder)(nil)
+
 // Iteration implements serve.ServingTracer.
 func (r *ServingRecorder) Iteration(rec IterationRecord) {
 	r.iterations = append(r.iterations, rec)
 }
 
-// SeqEvent implements serve.SeqTracer.
+// SeqEvent implements serve.ServingTracer.
 func (r *ServingRecorder) SeqEvent(e SeqEvent) {
 	r.seqEvents = append(r.seqEvents, e)
 }
 
-// RouterDecision implements serve.RouterTracer.
+// RouterDecision implements serve.ServingTracer.
 func (r *ServingRecorder) RouterDecision(d RouterDecision) {
 	r.decisions = append(r.decisions, d)
 }
 
-// KVHandoff implements serve.HandoffTracer.
+// KVHandoff records one prefill→decode cache transfer; cluster.Disagg
+// calls it on its frontend recorder.
 func (r *ServingRecorder) KVHandoff(h KVHandoff) {
 	r.handoffs = append(r.handoffs, h)
 }

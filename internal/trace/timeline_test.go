@@ -12,9 +12,9 @@ import (
 func TestTimelineRender(t *testing.T) {
 	rec := NewRecorder()
 	us := func(n int) simclock.Time { return simclock.Time(n) * simclock.Time(time.Microsecond) }
-	rec.KernelEnd(0, "g", gpusim.Compute, us(0), us(50))
-	rec.KernelEnd(0, "a", gpusim.Comm, us(50), us(100))
-	rec.KernelEnd(1, "g", gpusim.Compute, us(25), us(75))
+	addSpan(rec, 0, "g", gpusim.Compute, us(0), us(50))
+	addSpan(rec, 0, "a", gpusim.Comm, us(50), us(100))
+	addSpan(rec, 1, "g", gpusim.Compute, us(25), us(75))
 
 	var sb strings.Builder
 	tl := NewTimeline(rec, 20)
@@ -53,9 +53,9 @@ func TestTimelineEmpty(t *testing.T) {
 func TestTimelineWindowClipping(t *testing.T) {
 	rec := NewRecorder()
 	us := func(n int) simclock.Time { return simclock.Time(n) * simclock.Time(time.Microsecond) }
-	rec.KernelEnd(0, "before", gpusim.Compute, us(0), us(10))
-	rec.KernelEnd(0, "inside", gpusim.Comm, us(50), us(60))
-	rec.KernelEnd(0, "after", gpusim.Compute, us(200), us(210))
+	addSpan(rec, 0, "before", gpusim.Compute, us(0), us(10))
+	addSpan(rec, 0, "inside", gpusim.Comm, us(50), us(60))
+	addSpan(rec, 0, "after", gpusim.Compute, us(200), us(210))
 	var sb strings.Builder
 	if err := NewTimeline(rec, 10).Render(&sb, us(40), us(80)); err != nil {
 		t.Fatal(err)
@@ -80,8 +80,8 @@ func TestTimelineMinimumWidth(t *testing.T) {
 func TestTimelineGapLane(t *testing.T) {
 	rec := NewRecorder()
 	us := func(n int) simclock.Time { return simclock.Time(n) * simclock.Time(time.Microsecond) }
-	rec.KernelEnd(0, "g", gpusim.Compute, us(0), us(50))
-	rec.KernelEnd(0, "g2", gpusim.Compute, us(80), us(100))
+	addSpan(rec, 0, "g", gpusim.Compute, us(0), us(50))
+	addSpan(rec, 0, "g2", gpusim.Compute, us(80), us(100))
 
 	tl := NewTimeline(rec, 20)
 	tl.SetGaps([]GapMark{{Device: 0, Start: us(50), End: us(80), Glyph: 'l'}})

@@ -15,14 +15,13 @@ import (
 	"liger/internal/simclock"
 )
 
-// Span is one recorded kernel execution. Batch, Req and Coll are -1
-// when the launch carried no scheduling metadata (raw KernelEnd
-// callers, local kernels). Cancelled is non-empty when the kernel was
-// truncated by a teardown instead of completing (see
-// gpusim.CancelDeviceFail / gpusim.CancelCollectiveAbort).
+// Span is one recorded kernel execution. Req is -1 when the launch was
+// not tagged with a request, Coll -1 for a local kernel. Cancelled is
+// non-empty when the kernel was truncated by a teardown instead of
+// completing (see gpusim.CancelDeviceFail / gpusim.CancelCollectiveAbort).
 type Span struct {
 	// ID is the node-unique kernel id joining this span against its Dep
-	// record (-1 on the metadata-free KernelEnd path).
+	// record.
 	ID        int
 	Device    int
 	Name      string
@@ -131,10 +130,9 @@ type ReqLatency struct {
 	Cancelled int
 }
 
-// Recorder collects kernel spans and, when installed via
-// gpusim.SetTracer, the extended observability events: it implements
-// gpusim.Tracer, SpanTracer, CollectiveTracer, FaultTracer and
-// QueueTracer.
+// Recorder is the node's gpusim.Tracer: installed via
+// gpusim.Node.SetTracer, it collects kernel spans, dependency records
+// and the collective, fault and launch-queue events.
 type Recorder struct {
 	spans    []Span
 	deps     []Dep
@@ -158,26 +156,16 @@ func NewRecorder() *Recorder {
 	return &Recorder{openWaits: make(map[int][]WaitSpan), lastQ: make(map[int]int)}
 }
 
-// KernelStart implements gpusim.Tracer.
-func (r *Recorder) KernelStart(int, string, gpusim.KernelClass, simclock.Time) {}
+var _ gpusim.Tracer = (*Recorder)(nil)
 
-// KernelEnd implements gpusim.Tracer. It records a span with no
-// scheduling metadata; the node prefers the KernelSpan path, so this
-// only runs for direct callers.
-func (r *Recorder) KernelEnd(dev int, name string, class gpusim.KernelClass, start, end simclock.Time) {
-	r.spans = append(r.spans, Span{ID: -1, Device: dev, Name: name, Class: class,
-		Start: start, End: end, Batch: -1, Req: -1, Coll: -1})
-}
-
-// KernelSpan implements gpusim.SpanTracer — the metadata-rich path the
-// node uses instead of KernelEnd.
+// KernelSpan implements gpusim.Tracer.
 func (r *Recorder) KernelSpan(sp gpusim.KernelSpan) {
 	r.spans = append(r.spans, Span{ID: sp.ID, Device: sp.Device, Name: sp.Name,
 		Class: sp.Class, Start: sp.Start, End: sp.End, Batch: sp.Batch, Req: sp.Req,
 		Coll: sp.Coll, Cancelled: sp.Cancelled})
 }
 
-// KernelDep implements gpusim.DepTracer, recording the causal launch
+// KernelDep implements gpusim.Tracer, recording the causal launch
 // history each admitted kernel carries.
 func (r *Recorder) KernelDep(dep gpusim.KernelDep) {
 	r.deps = append(r.deps, Dep{
@@ -189,30 +177,30 @@ func (r *Recorder) KernelDep(dep gpusim.KernelDep) {
 	})
 }
 
-// CollectiveEnqueue implements gpusim.CollectiveTracer.
+// CollectiveEnqueue implements gpusim.Tracer.
 func (r *Recorder) CollectiveEnqueue(coll, size, dev int, at simclock.Time) {
 	r.enqueues = append(r.enqueues, EnqueueEvent{Coll: coll, Size: size, Device: dev, At: at})
 	r.counts.Enqueued++
 }
 
-// RendezvousBegin implements gpusim.CollectiveTracer: the member now
+// RendezvousBegin implements gpusim.Tracer: the member now
 // occupies its device while spinning on its peers.
 func (r *Recorder) RendezvousBegin(coll, dev, batch, req int, at simclock.Time) {
 	r.openWaits[coll] = append(r.openWaits[coll],
 		WaitSpan{Device: dev, Coll: coll, Batch: batch, Req: req, Start: at})
 }
 
-// TransferStart implements gpusim.CollectiveTracer: the rendezvous
+// TransferStart implements gpusim.Tracer: the rendezvous
 // completed, closing every member's wait span.
 func (r *Recorder) TransferStart(coll int, at simclock.Time) {
 	r.closeWaits(coll, at, false)
 	r.counts.Started++
 }
 
-// CollectiveFinish implements gpusim.CollectiveTracer.
+// CollectiveFinish implements gpusim.Tracer.
 func (r *Recorder) CollectiveFinish(int, simclock.Time) { r.counts.Finished++ }
 
-// CollectiveAbort implements gpusim.CollectiveTracer: pending waits
+// CollectiveAbort implements gpusim.Tracer: pending waits
 // close flagged, since the transfer never happened.
 func (r *Recorder) CollectiveAbort(coll int, at simclock.Time) {
 	r.closeWaits(coll, at, true)
@@ -228,17 +216,17 @@ func (r *Recorder) closeWaits(coll int, at simclock.Time, aborted bool) {
 	delete(r.openWaits, coll)
 }
 
-// RateChange implements gpusim.FaultTracer.
+// RateChange implements gpusim.Tracer.
 func (r *Recorder) RateChange(dev int, speed, link float64, at simclock.Time) {
 	r.rates = append(r.rates, RateSample{Device: dev, Speed: speed, Link: link, At: at})
 }
 
-// DeviceFailed implements gpusim.FaultTracer.
+// DeviceFailed implements gpusim.Tracer.
 func (r *Recorder) DeviceFailed(dev int, at simclock.Time) {
 	r.fails = append(r.fails, FailEvent{Device: dev, At: at})
 }
 
-// RecoveryBegin implements gpusim.FaultTracer.
+// RecoveryBegin implements gpusim.Tracer.
 func (r *Recorder) RecoveryBegin(at simclock.Time) {
 	if r.recovOpen {
 		return
@@ -247,7 +235,7 @@ func (r *Recorder) RecoveryBegin(at simclock.Time) {
 	r.recovery = append(r.recovery, RecoveryWindow{Start: at, End: -1})
 }
 
-// RecoveryEnd implements gpusim.FaultTracer.
+// RecoveryEnd implements gpusim.Tracer.
 func (r *Recorder) RecoveryEnd(at simclock.Time) {
 	if !r.recovOpen {
 		return
@@ -256,7 +244,7 @@ func (r *Recorder) RecoveryEnd(at simclock.Time) {
 	r.recovery[len(r.recovery)-1].End = at
 }
 
-// QueueDepth implements gpusim.QueueTracer. Same-instant samples for
+// QueueDepth implements gpusim.Tracer. Same-instant samples for
 // one device coalesce to the last value, so a burst of launches leaves
 // one data point instead of a staircase of intermediate depths.
 func (r *Recorder) QueueDepth(dev, depth int, at simclock.Time) {

@@ -43,8 +43,8 @@ func TestRecorderCollectsSpans(t *testing.T) {
 
 func TestChromeTraceExport(t *testing.T) {
 	rec := NewRecorder()
-	rec.KernelEnd(0, "gemm", gpusim.Compute, 0, simclock.Time(10*time.Microsecond))
-	rec.KernelEnd(1, "ar", gpusim.Comm, simclock.Time(5*time.Microsecond), simclock.Time(20*time.Microsecond))
+	addSpan(rec, 0, "gemm", gpusim.Compute, 0, simclock.Time(10*time.Microsecond))
+	addSpan(rec, 1, "ar", gpusim.Comm, simclock.Time(5*time.Microsecond), simclock.Time(20*time.Microsecond))
 	var buf bytes.Buffer
 	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -71,11 +71,11 @@ func TestOverlapTime(t *testing.T) {
 	rec := NewRecorder()
 	us := func(n int) simclock.Time { return simclock.Time(n) * simclock.Time(time.Microsecond) }
 	// compute [0,100], comm [40,80]: overlap 40µs on device 0.
-	rec.KernelEnd(0, "c", gpusim.Compute, us(0), us(100))
-	rec.KernelEnd(0, "m", gpusim.Comm, us(40), us(80))
+	addSpan(rec, 0, "c", gpusim.Compute, us(0), us(100))
+	addSpan(rec, 0, "m", gpusim.Comm, us(40), us(80))
 	// Device 1: disjoint.
-	rec.KernelEnd(1, "c", gpusim.Compute, us(0), us(50))
-	rec.KernelEnd(1, "m", gpusim.Comm, us(50), us(90))
+	addSpan(rec, 1, "c", gpusim.Compute, us(0), us(50))
+	addSpan(rec, 1, "m", gpusim.Comm, us(50), us(90))
 	if ov := rec.OverlapTime(0); ov != us(40) {
 		t.Fatalf("device 0 overlap %v, want 40µs", ov)
 	}

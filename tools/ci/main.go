@@ -44,8 +44,8 @@
 //     walk that finds every entry point catching a replay up
 //     (TestEveryEntryPointCatchesUp), and the engine, node and
 //     scheduler primitives it rests on (deferred computations and their
-//     catch-ups, reserved blocks, QuietThrough, Drained, Work, the
-//     per-plan record, Settled) under -race
+//     catch-ups, reserved blocks, Drained, Work, the per-plan record,
+//     Settled) under -race
 //
 // Then the determinism smokes. Each runs one command at two settings
 // and fails unless stdout (host-dependent lines stripped) and every
@@ -178,7 +178,7 @@ func main() {
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
 			"./internal/analyze")},
 		{"replay race", command("go", "test", "-race",
-			"-run", "SoloIteration|ContinuousReplay|ReplayFollows|ReplayStaysOff|CatchUp|EveryEntryPoint|Defer|InReserved|QuietThrough|ShardEngines|DrainedAndWork|ReplayRecord|Settled",
+			"-run", "SoloIteration|ContinuousReplay|ReplayFollows|ReplayStaysOff|CatchUp|EveryEntryPoint|Defer|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled",
 			"./internal/runtimes", "./internal/simclock", "./internal/gpusim", "./internal/liger")},
 		{"failover smoke", smoke{
 			what: "failover sweep",
