@@ -138,6 +138,10 @@ func (t *topology) deliver(n *node, owner, req int, w model.Workload, now simclo
 		t.notify(n, owner, req, serve.DispatchBusy, now)
 		return
 	}
+	// The record goes in before the submit, which may complete the batch
+	// at once (a runtime that cannot run anything fails it in place). A
+	// submit that errors took no batch ID, so its record comes out again:
+	// the node's later completions index the records by batch ID.
 	n.subs = append(n.subs, dispatchRec{req: req, owner: owner})
 	var err error
 	if n.tagged != nil {
@@ -146,6 +150,7 @@ func (t *topology) deliver(n *node, owner, req int, w model.Workload, now simclo
 		err = n.rt.Submit(w)
 	}
 	if err != nil {
+		n.subs = n.subs[:len(n.subs)-1]
 		// Surface the first submit error from run and bounce the request
 		// into the frontend's failure path so accounting stays closed.
 		if n.submitErr == nil {
@@ -166,21 +171,25 @@ func (t *topology) notify(n *node, owner, req int, status serve.DispatchStatus, 
 // wireDispatch sends every completion of a dispatch-role node's runtime
 // to the frontend as a notice.
 func (t *topology) wireDispatch(n *node) {
-	n.rt.SetOnDone(func(c runtimes.Completion) {
-		if n.dead {
-			// The node died with this batch in flight: the work is lost
-			// and no notice escapes. The router re-dispatches the request
-			// on eviction (or on a lost-bounce), so it is still counted
-			// exactly once.
-			return
-		}
-		rec := n.subs[c.ID]
-		status := serve.DispatchOK
-		if c.Failed {
-			status = serve.DispatchFailed
-		}
-		t.notify(n, rec.owner, rec.req, status, c.Done)
-	})
+	n.rt.SetOnDone(func(c runtimes.Completion) { t.completed(n, c) })
+}
+
+// completed sends the notice for completion c of dispatch-role node n
+// to the frontend, charged to the request the batch was dispatched for.
+func (t *topology) completed(n *node, c runtimes.Completion) {
+	if n.dead {
+		// The node died with this batch in flight: the work is lost and
+		// no notice escapes. The router re-dispatches the request on
+		// eviction (or on a lost-bounce), so it is still counted exactly
+		// once.
+		return
+	}
+	rec := n.subs[c.ID]
+	status := serve.DispatchOK
+	if c.Failed {
+		status = serve.DispatchFailed
+	}
+	t.notify(n, rec.owner, rec.req, status, c.Done)
 }
 
 // run executes the topology to completion, releases the worker pool,
@@ -216,6 +225,17 @@ func (t *topology) NodeStats() []NodeStats {
 		for _, d := range sim.Stats() {
 			out[i].Devices = out[i].Devices.Add(d)
 		}
+	}
+	return out
+}
+
+// Runtimes returns every physical node's runtime in node order, spares
+// included. They run on the executor's workers during Run: use them
+// before Run or after it.
+func (t *topology) Runtimes() []runtimes.Runtime {
+	out := make([]runtimes.Runtime, len(t.nodes))
+	for i, n := range t.nodes {
+		out[i] = n.rt
 	}
 	return out
 }

@@ -106,8 +106,8 @@ func (r *InterOp) Submit(w model.Workload) error { return r.SubmitReq(w, -1) }
 // kernel launches so traces can decompose per-request time.
 func (r *InterOp) SubmitReq(w model.Workload, req int) error {
 	job := &pipeJob{id: r.nextID, req: req, w: w, submitted: r.node.Engine().Now(), epoch: r.epoch}
-	r.nextID++
 	if r.impossible {
+		r.nextID++
 		job.failed = true
 		r.complete(job, r.node.Engine().Now())
 		return nil
@@ -122,6 +122,7 @@ func (r *InterOp) SubmitReq(w model.Workload, req int) error {
 	if err != nil {
 		return err
 	}
+	r.nextID++
 	job.stages = stages
 	r.jobs = append(r.jobs, job)
 	r.queues[0] = append(r.queues[0], job)

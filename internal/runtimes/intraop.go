@@ -75,8 +75,8 @@ func (r *IntraOp) Submit(w model.Workload) error { return r.SubmitReq(w, -1) }
 // kernel launches so traces can decompose per-request time.
 func (r *IntraOp) SubmitReq(w model.Workload, req int) error {
 	job := &intraJob{id: r.nextID, req: req, w: w, submitted: r.node.Engine().Now()}
-	r.nextID++
 	if r.impossible {
+		r.nextID++
 		r.complete(job, r.node.Engine().Now(), true)
 		return nil
 	}
@@ -84,6 +84,7 @@ func (r *IntraOp) SubmitReq(w model.Workload, req int) error {
 	if err != nil {
 		return err
 	}
+	r.nextID++
 	job.plan = plan
 	r.queue = append(r.queue, job)
 	r.maybeStart()

@@ -19,8 +19,9 @@ import (
 // arriving mid-reconfiguration queue in the scheduler and launch
 // against the new plan.
 //
-// Iterations a serving loop chains from completions are replayed from a
-// per-shape record when that is exact (see replayer).
+// Solo batches a serving loop chains from completions, or that reach a
+// node on a shard of a sharded executor, are replayed from a per-shape
+// record when that is exact (see replayer).
 type Liger struct {
 	node      *gpusim.Node
 	compiler  *parallel.Compiler

@@ -16,18 +16,23 @@ import (
 // condition below keeps the answer exact; when one fails the batch is
 // simulated as it always was.
 //
-//  1. Chained: the submit happens inside this runtime's own completion
-//     delivery, and no other batch is waiting or in flight. Batch-mode
-//     drivers submit from arrival events and never replay.
+//  1. Chained or sharded: the submit happens inside this runtime's own
+//     completion delivery, or the node's engine is a shard of a sharded
+//     executor (simclock.Engine.Shard), where a posted dispatch submits
+//     as well (Fleet replicas, Disagg prefill nodes). No other batch is
+//     waiting or in flight either way. Batch-mode drivers on one engine
+//     submit from arrival events and never replay.
 //  2. Recorded state: the node is drained and healthy (speed and link
 //     factors 1) under the recorded collective watchdog, no tracer is
 //     attached, the scheduler is settled (warm, no journal, no adaptive
 //     contention), the runtime is not reconfiguring, and the batch's
 //     workspace fits at submit.
 //  3. A bounded run: the run in progress does not stop before the
-//     replayed completion, and the engine is not a shard of a sharded
-//     executor, which learns of posted events only at barriers
-//     (simclock.Engine.Defer).
+//     replayed completion. On a shard that bound is the executor's
+//     deadline: its windows only pause the shard, and an event another
+//     shard posts into the replayed window is queued in a place that
+//     does not depend on the windows, so it catches the replay up when
+//     it fires like any other event (simclock.Engine.Defer).
 //  4. Caught up when touched: the submit reserves the sequence numbers
 //     its simulated submit takes, and the engine defers the simulation
 //     up to the replayed completion. Other events fire in the window
@@ -76,24 +81,23 @@ type replayer struct {
 }
 
 // replayable reports whether the node and scheduler are in the state a
-// replay records and reproduces (condition 2 without the workspace, and
-// the shard half of condition 3).
+// replay records and reproduces (condition 2 without the workspace).
 func (r *Liger) replayable() bool {
 	n := r.node
-	return !r.off && !r.reconfiguring && !r.impossible && n.Tracer() == nil && !n.Engine().Shard() &&
+	return !r.off && !r.reconfiguring && !r.impossible && n.Tracer() == nil &&
 		r.scheduler.Settled() && n.Drained() && n.MinHealth() == 1 && n.MinLinkHealth() == 1
 }
 
 // submit hands b to the scheduler: replayed when its shape has a record
-// and the submit is chained, recorded when it has none, and simulated in
-// any case but the first.
+// and the submit is chained or on a shard, recorded when it has none,
+// and simulated in any case but the first.
 func (r *Liger) submit(b *liger.Batch) {
 	r.recording = nil
-	if r.depth == 0 || !r.replayable() || !r.scheduler.HoldWorkspace(b) {
+	eng := r.node.Engine()
+	if r.depth == 0 && !eng.Shard() || !r.replayable() || !r.scheduler.HoldWorkspace(b) {
 		r.scheduler.Submit(b)
 		return
 	}
-	eng := r.node.Engine()
 	if rec := b.Replay(); rec != nil {
 		if rec.Timeout == r.node.CollectiveTimeout() {
 			first := eng.ReserveN(rec.Seqs)

@@ -1,11 +1,16 @@
 package runtimes_test
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"testing"
 	"time"
 
+	"liger/internal/cluster"
+	"liger/internal/core"
+	"liger/internal/faults"
 	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/kvcache"
@@ -570,55 +575,188 @@ func TestReplayFollowsTheRules(t *testing.T) {
 	}
 }
 
-// TestReplayStaysOffOnShards: a shard of a sharded executor learns of
-// events other shards post to it only at window barriers, so replay
-// stays off there, and no record is kept. Another shard posts submits
-// into the chain under a lookahead longer than an iteration, where the
-// executor's window bound alone would not stop a replay; replay on and
-// off must agree and replay nothing.
-func TestReplayStaysOffOnShards(t *testing.T) {
-	run := func(replay bool) outcome {
-		ex := simclock.NewSharded(2, 5*simclock.Time(time.Millisecond), 1)
-		defer ex.Close()
-		eng := ex.Shard(0)
-		node := gpusim.MustNew(eng, hw.A100Node())
-		rt, err := runtimes.NewLiger(node, parallel.NewCompiler(hw.A100Node(), nccl.Config{}), model.Tiny(), liger.DefaultConfig("a100"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtimes.SetReplay(rt, replay)
-		w := model.Workload{Batch: 4, CtxLen: 24, Phase: model.Decode}
-		submit := func(w model.Workload) {
-			if err := rt.Submit(w); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var o outcome
-		rt.SetOnDone(func(c runtimes.Completion) {
-			if o.done = append(o.done, c); c.Workload == w && len(o.done) < 60 {
-				submit(w)
+// fleetOutcome is what a fleet run of the shard replay differential
+// reports: the serving result with every request's outcome, the router's
+// decisions and each node's device counters, and the replay and
+// catch-up counts summed over the nodes.
+type fleetOutcome struct {
+	result                  serve.Result
+	res, decisions, devices string
+	replays, catchUps       int
+}
+
+// runShardFleet serves arrivals on a fleet of the tiny model, replicas
+// plus one spare, with node 0 failing whole at fail when positive and
+// replay on or off on every node.
+func runShardFleet(t *testing.T, arrivals []serve.Arrival, replicas int, fail simclock.Time, replay bool, workers int) fleetOutcome {
+	t.Helper()
+	cfg := cluster.Config{
+		Cluster: hw.Cluster{Name: "replay-fleet", Node: hw.V100Node(), Nodes: replicas, Spares: 1, Network: hw.IBNetwork()},
+		Model:   model.Tiny(), Runtime: core.KindLiger, Workers: workers,
+	}
+	if fail > 0 {
+		cfg.Faults = &faults.Schedule{Events: []faults.Event{{Kind: faults.NodeFail, Node: 0, Start: time.Duration(fail)}}}
+	}
+	f, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rts []*runtimes.Liger
+	for _, rt := range f.Runtimes() {
+		rts = append(rts, rt.(*runtimes.Liger))
+		runtimes.SetReplay(rts[len(rts)-1], replay)
+	}
+	rec := trace.NewServingRecorder()
+	pol := serve.Policy{Deadline: time.Second, MaxRetries: 3, Backoff: 50 * time.Microsecond, BackoffCap: time.Millisecond}
+	res, err := serve.RunFleet(f, arrivals, pol, serve.RouterPolicy{Seed: 1, Tracer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := fleetOutcome{result: res, res: fmt.Sprintf("%s\n%+v", js, res.PerRequest), decisions: fmt.Sprint(rec.RouterDecisions())}
+	for _, ns := range f.NodeStats() {
+		o.devices += fmt.Sprintf("%+v\n", ns.Devices)
+	}
+	for _, rt := range rts {
+		o.replays += runtimes.Replays(rt)
+		o.catchUps += runtimes.CatchUps(rt)
+	}
+	return o
+}
+
+// TestShardReplayMatchesSimulation: on the shards of a sharded executor
+// a Liger node replays solo batches, whether a posted dispatch submits
+// them (a Fleet replica) or its own completion chains them, and the
+// run matches the same run with replay off on every node, at 1 and 4
+// workers. The fleet seeds place a dispatch inside a replayed window, a
+// dispatch at exactly the replayed completion instant, and a whole-node
+// failure inside a window; the chained seed ends a first RunUntil inside
+// a window.
+func TestShardReplayMatchesSimulation(t *testing.T) {
+	w := model.Workload{Batch: 2, SeqLen: 32, Phase: model.Context}
+	at := func(d simclock.Time) serve.Arrival { return serve.Arrival{At: d, Workload: w} }
+	// A solo warm batch of w takes d: the second of two well-spaced
+	// requests is one, less the dispatch and the notice.
+	probe := runShardFleet(t, []serve.Arrival{at(0), at(simclock.Time(time.Millisecond))}, 1, 0, false, 1)
+	r := probe.result.PerRequest[1]
+	lat := simclock.Time(hw.IBNetwork().Latency)
+	d := simclock.Time(r.Done-r.Arrival) - 2*lat
+	// Requests 0 and 1 warm the node and record w; request 2 replays in
+	// the window [2g+latency, 2g+latency+d], and the next ones after it
+	// do too.
+	g := 4 * d
+	base := []serve.Arrival{at(0), at(g), at(2 * g)}
+	tail := []serve.Arrival{at(4 * g), at(5 * g), at(6 * g)}
+	small := model.Workload{Batch: 1, SeqLen: 16, Phase: model.Context}
+	// catchesUp marks the seeds that must catch a replay up; atDone the
+	// one whose request 3 lands at request 2's replayed completion.
+	seeds := []struct {
+		name              string
+		extra             []serve.Arrival
+		replicas          int
+		fail              simclock.Time
+		catchesUp, atDone bool
+	}{
+		{name: "dispatch inside a window", replicas: 1, catchesUp: true,
+			extra: []serve.Arrival{{At: 2*g + d/2, Workload: small}}},
+		{name: "dispatch at the replayed completion", replicas: 1, catchesUp: true, atDone: true,
+			extra: []serve.Arrival{{At: 2*g + d, Workload: small}}},
+		{name: "node failure inside a window", replicas: 1, fail: 2*g + d/2},
+		{name: "two replicas and a node failure", replicas: 2, fail: 5*g + d/3,
+			extra: []serve.Arrival{at(2*g + d/3), at(3 * g), at(3*g + d)}},
+	}
+	for _, sd := range seeds {
+		t.Run(sd.name, func(t *testing.T) {
+			arrivals := slices.Concat(base, sd.extra, tail)
+			slices.SortStableFunc(arrivals, func(a, b serve.Arrival) int { return cmp.Compare(a.At, b.At) })
+			off := runShardFleet(t, arrivals, sd.replicas, sd.fail, false, 1)
+			for _, workers := range []int{1, 4} {
+				on := runShardFleet(t, arrivals, sd.replicas, sd.fail, true, workers)
+				switch {
+				case on.res != off.res:
+					t.Fatalf("%d workers: results differ\n%s\n%s", workers, on.res, off.res)
+				case on.decisions != off.decisions:
+					t.Fatalf("%d workers: router decisions differ\n%s\n%s", workers, on.decisions, off.decisions)
+				case on.devices != off.devices:
+					t.Fatalf("%d workers: device counters differ\n%s\n%s", workers, on.devices, off.devices)
+				case on.replays == 0:
+					t.Fatalf("%d workers: nothing replayed", workers)
+				case sd.catchesUp && on.catchUps == 0:
+					t.Fatalf("%d workers: no replay caught up", workers)
+				}
+				if sd.atDone {
+					rs := on.result.PerRequest
+					if done, dispatch := simclock.Time(rs[2].Done)-lat, simclock.Time(rs[3].Arrival)+lat; done != dispatch {
+						t.Fatalf("request 3 lands at %v, request 2 completes at %v", dispatch, done)
+					}
+				}
 			}
 		})
-		eng.At(0, func(simclock.Time) { submit(w) })
-		other := ex.Shard(1)
-		for i := range simclock.Time(8) {
-			other.At(2*simclock.Time(time.Millisecond)+i*1_777_777, func(now simclock.Time) {
-				ex.Post(1, 0, now+ex.Lookahead(), func(simclock.Time) {
-					submit(model.Workload{Batch: 1, SeqLen: 4, Phase: model.Context})
-				})
-			})
+	}
+	t.Run("deadline inside a chained window", func(t *testing.T) {
+		// Iteration 12 of the chain replays from the completion of
+		// iteration 11 unless the run stops halfway through it.
+		off := runShardChain(t, 0, false, 1)
+		stop := (off.done[11].Done + off.done[12].Done) / 2
+		off = runShardChain(t, stop, false, 1)
+		for _, workers := range []int{1, 4} {
+			on := runShardChain(t, stop, true, workers)
+			if diff := on.diff(off); diff != "" {
+				t.Fatalf("%d workers: replay on differs from replay off: %s", workers, diff)
+			}
+			if on.replays == 0 {
+				t.Fatalf("%d workers: nothing replayed", workers)
+			}
 		}
-		ex.Run()
-		o.dev, o.sched, o.end, o.replays = node.Stats(), rt.Scheduler().Stats(), eng.Now(), runtimes.Replays(rt)
-		return o
+	})
+}
+
+// runShardChain runs a chain of iterations on a node on shard 0 of a
+// two-shard executor, while shard 1 posts submits into it under a
+// lookahead longer than an iteration, first to a RunUntil at stop when
+// positive and then to the end.
+func runShardChain(t *testing.T, stop simclock.Time, replay bool, workers int) outcome {
+	t.Helper()
+	ex := simclock.NewSharded(2, 5*simclock.Time(time.Millisecond), workers)
+	defer ex.Close()
+	eng := ex.Shard(0)
+	node := gpusim.MustNew(eng, hw.A100Node())
+	rt, err := runtimes.NewLiger(node, parallel.NewCompiler(hw.A100Node(), nccl.Config{}), model.Tiny(), liger.DefaultConfig("a100"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	off, on := run(false), run(true)
-	if d := on.diff(off); d != "" {
-		t.Fatalf("replay on differs from replay off: %s", d)
+	runtimes.SetReplay(rt, replay)
+	w := model.Workload{Batch: 4, CtxLen: 24, Phase: model.Decode}
+	submit := func(w model.Workload) {
+		if err := rt.Submit(w); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if on.replays != 0 {
-		t.Fatalf("%d iterations replayed on a shard", on.replays)
+	var o outcome
+	rt.SetOnDone(func(c runtimes.Completion) {
+		if o.done = append(o.done, c); c.Workload == w && len(o.done) < 60 {
+			submit(w)
+		}
+	})
+	eng.At(0, func(simclock.Time) { submit(w) })
+	other := ex.Shard(1)
+	for i := range simclock.Time(8) {
+		other.At(2*simclock.Time(time.Millisecond)+i*1_777_777, func(now simclock.Time) {
+			ex.Post(1, 0, now+ex.Lookahead(), func(simclock.Time) {
+				submit(model.Workload{Batch: 1, SeqLen: 4, Phase: model.Context})
+			})
+		})
 	}
+	if stop > 0 {
+		ex.RunUntil(stop)
+		o.readings = append(o.readings, fmt.Sprint(node.Stats()))
+	}
+	ex.Run()
+	o.dev, o.sched, o.end, o.replays = node.Stats(), rt.Scheduler().Stats(), eng.Now(), runtimes.Replays(rt)
+	return o
 }
 
 // touchPoint is where TestCatchUpAtEveryPosition touches a window: at

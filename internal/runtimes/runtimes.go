@@ -19,6 +19,8 @@ import (
 // sense but the result is garbage, and the serving layer decides
 // whether to retry.
 type Completion struct {
+	// ID numbers the runtime's batches in submit order from 0. A submit
+	// that returns an error takes no ID.
 	ID        int
 	Workload  model.Workload
 	Submitted simclock.Time

@@ -210,8 +210,9 @@ func TestCatchUpKeepsInReservedPanics(t *testing.T) {
 }
 
 // TestDeferRefusals: Defer schedules nothing when the run stops before
-// the end, on a shard, or inside a catch-up; a RunUntil that stops
-// inside an open span catches it up first.
+// the end, on a shard past the executor's deadline, or inside a
+// catch-up; a RunUntil that stops inside an open span catches it up
+// first.
 func TestDeferRefusals(t *testing.T) {
 	e := New()
 	ok := true
@@ -220,11 +221,7 @@ func TestDeferRefusals(t *testing.T) {
 	if ok || e.Pending() != 0 {
 		t.Fatalf("Defer past a RunUntil deadline: %v, %d pending", ok, e.Pending())
 	}
-	e.shard = true
-	if e.Defer(e.Now()+1, func(Time) {}, func() {}) {
-		t.Fatal("Defer on a shard")
-	}
-	e.shard = false
+	shardRefusals(t)
 	nested := true
 	if !e.Defer(e.Now()+100, func(Time) {}, func() { nested = e.Defer(e.Now()+1, func(Time) {}, func() {}) }) {
 		t.Fatal("Defer refused")
@@ -248,40 +245,102 @@ func TestDeferRefusals(t *testing.T) {
 	}
 }
 
+// shardRefusals: a shard's run bound is the executor's deadline, not a
+// window's horizon. A deferral past the deadline is refused; one past
+// the horizon is taken and outlasts its window uncaught; one taken
+// between runs is caught up by a RunUntil whose deadline falls inside
+// it.
+func shardRefusals(t *testing.T) {
+	t.Helper()
+	s := NewSharded(2, 10, 1)
+	defer s.Close()
+	e := s.Shard(1)
+	past, beyond, caught := true, false, false
+	e.At(10, func(now Time) { past = e.Defer(now+100, func(Time) {}, func() {}) })
+	s.RunUntil(50)
+	if past || e.Pending() != 0 {
+		t.Fatalf("Defer on a shard past the executor's deadline: %v, %d pending", past, e.Pending())
+	}
+	var ended Time
+	e.At(60, func(now Time) {
+		beyond = e.Defer(now+100, func(now Time) { ended = now }, func() { caught = true })
+	})
+	s.Shard(0).At(60, func(Time) {})
+	s.RunUntil(200)
+	if !beyond || caught || ended != 160 || s.Stats().Windows < 2 {
+		t.Fatalf("Defer on a shard past a window's horizon: taken %v, caught up %v, ended at %v, %d windows",
+			beyond, caught, ended, s.Stats().Windows)
+	}
+	caught = false
+	if !e.Defer(e.Now()+100, func(Time) {}, func() { caught = true }) {
+		t.Fatal("Defer refused between runs")
+	}
+	s.RunUntil(e.Now() + 50)
+	if !caught {
+		t.Fatal("Sharded.RunUntil stopped inside a deferred span without catching it up")
+	}
+}
+
 // TestDeferredSpansDoNotWidenTheCalendar: a chain of deferred
 // computations, each 900 µs long, leaves the ring sliding over long
 // empty stretches between far-band reloads. A plain stream that sparse
 // widens the buckets; the deferred one does not, since the events it
-// skipped would have filled them.
+// skipped would have filled them. With an idle gap after each
+// computation, as between the dispatches a node shard serves, the
+// deferred chain's windows hold the gaps' empty stretches with few pops
+// beside them. On a shard they must not count as sparse either, and the
+// deferred chain resizes exactly as the plain one that simulates every
+// event.
 func TestDeferredSpansDoNotWidenTheCalendar(t *testing.T) {
 	const hop = 900 * Time(time.Microsecond)
-	for _, deferred := range []bool{false, true} {
+	run := func(deferred, dense bool, gap Time) Stats {
 		e := New()
+		e.shard = gap > 0
 		for i := range Time(40) {
 			e.At(i*5*Time(time.Millisecond), func(Time) {})
 		}
 		n := 0
-		var next Event
-		next = func(now Time) {
-			if n++; n == 200 {
-				return
-			}
-			dense := func() {
+		var start, next Event
+		start = func(now Time) {
+			fill := func() {
 				for d := Time(0); d < hop; d += 4 * Time(time.Microsecond) {
 					e.At(now+d, func(Time) {})
 				}
 				e.At(now+hop, next)
 			}
-			if !deferred {
+			switch {
+			case deferred:
+				if !e.Defer(now+hop, next, fill) {
+					t.Fatal("Defer refused")
+				}
+			case dense:
+				fill()
+			default:
 				e.At(now+hop, next)
-			} else if !e.Defer(now+hop, next, dense) {
-				t.Fatal("Defer refused")
 			}
 		}
-		e.At(0, next)
+		next = func(now Time) {
+			if n++; n == 200 {
+				return
+			}
+			if gap == 0 {
+				start(now)
+			} else {
+				e.At(now+gap, start)
+			}
+		}
+		e.At(0, start)
 		e.Run()
-		if got := e.Stats().Resizes; deferred != (got == 0) {
+		return e.Stats()
+	}
+	for _, deferred := range []bool{false, true} {
+		if got := run(deferred, false, 0).Resizes; deferred != (got == 0) {
 			t.Fatalf("deferred %v: %d resizes", deferred, got)
 		}
+	}
+	gap := 3 * Time(time.Millisecond)
+	plain, deferred := run(false, true, gap), run(true, false, gap)
+	if deferred.Resizes != plain.Resizes {
+		t.Fatalf("idle gaps after deferred spans: %d resizes, the plain run %d", deferred.Resizes, plain.Resizes)
 	}
 }

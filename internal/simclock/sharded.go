@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -25,12 +24,20 @@ import (
 //     inside it), then a barrier delivers the buffered cross-posts and
 //     the next window begins.
 //
-// Determinism does not depend on the worker count: each shard is
-// single-goroutine deterministic within a window, and the barrier sorts
-// cross-posts by (timestamp, source shard, post index) before delivery,
-// so destination-engine sequence numbers — and therefore FIFO
-// tie-breaking — are a pure function of the model. The unit tests pin
-// per-shard firing logs byte-equal across worker counts.
+// Determinism does not depend on the worker count, nor on where the
+// window boundaries fall: each shard is single-goroutine deterministic
+// within a window, and a cross-post takes its place in the destination's
+// (time, seq) order from (timestamp, source shard, the source's running
+// post count) alone, ahead of every local event at its instant, however
+// late the barrier that delivers it. The unit tests pin per-shard firing
+// logs byte-equal across worker counts and lookaheads.
+//
+// A shard may defer a computation (Engine.Defer) across windows: its run
+// bound is the executor's deadline, not the window's horizon. A post
+// delivered into the deferred span leaves it deferred, and catches it up
+// when it fires if it touches it, exactly as in a run that never
+// deferred it (see docs/SIMULATOR.md). The computation's skipped events
+// post nothing, so a shard's next event time is its queue's.
 //
 // A lookahead of zero admits no safe window, so NewSharded rejects it:
 // partitions coupled at zero latency belong in the same shard (see
@@ -41,12 +48,11 @@ type Sharded struct {
 	pool      *runner.Pool
 
 	// outbox[src] buffers cross-posts made by shard src during the
-	// current window. Only shard src's goroutine appends to it, so the
-	// window needs no locking; the barrier drains all outboxes
-	// single-threaded.
+	// current window, and posted[src] counts every cross-post src made.
+	// Only shard src's goroutine touches them, so the window needs no
+	// locking; the barrier drains all outboxes single-threaded.
 	outbox [][]post
-	// merged is the barrier's reused buffer of every outbox's posts.
-	merged []post
+	posted []uint64
 
 	// next[i] is shard i's earliest pending event time, or never. Every
 	// runWindows reads it afresh from the shards, since callers may
@@ -58,22 +64,32 @@ type Sharded struct {
 	// event below the horizon.
 	active []int
 
-	// horizon bounds the current window; window is the job that runs
-	// active shard j up to it, built once so a window allocates nothing.
-	horizon Time
-	window  func(j int)
+	// horizon bounds the current window and stop is the run's deadline
+	// (never under Run); window is the job that runs active shard j up to
+	// the horizon, built once so a window allocates nothing.
+	horizon, stop Time
+	window        func(j int)
 
 	stats ShardStats
 }
 
-// post is one buffered cross-shard event.
+// post is one buffered cross-shard event; key is its place among the
+// destination's events at instant at (postKey).
 type post struct {
 	dst int
 	at  Time
+	key uint64
 	fn  Event
-	// src and idx complete the deterministic delivery order (at, src, idx).
-	src, idx int
 }
+
+// postBits is the width of a post key's running count; the source shard
+// takes the bits above it, below localKey's.
+const postBits = 40
+
+// postKey is the tie-break key of source src's n-th cross-post: at one
+// instant, posts order by source, then by post count, and all of them
+// ahead of the destination's local events.
+func postKey(src int, n uint64) uint64 { return uint64(src)<<postBits | n }
 
 // ShardStats instruments the windowed execution.
 type ShardStats struct {
@@ -99,6 +115,9 @@ func NewSharded(n int, lookahead Time, workers int) *Sharded {
 	if lookahead <= 0 {
 		panic("simclock: NewSharded needs a positive lookahead; zero-latency couplings belong in one shard")
 	}
+	if n > localKey>>postBits {
+		panic(fmt.Sprintf("simclock: NewSharded supports at most %d shards", localKey>>postBits))
+	}
 	if workers > n {
 		workers = n
 	}
@@ -107,6 +126,7 @@ func NewSharded(n int, lookahead Time, workers int) *Sharded {
 		lookahead: lookahead,
 		pool:      runner.NewPool(workers),
 		outbox:    make([][]post, n),
+		posted:    make([]uint64, n),
 		next:      make([]Time, n),
 	}
 	for i := range s.shards {
@@ -115,7 +135,7 @@ func NewSharded(n int, lookahead Time, workers int) *Sharded {
 	}
 	s.window = func(j int) {
 		i := s.active[j]
-		s.next[i] = s.shards[i].runBefore(s.horizon)
+		s.next[i] = s.shards[i].runBefore(s.horizon, s.stop)
 	}
 	return s
 }
@@ -143,9 +163,10 @@ func (s *Sharded) Close() { s.pool.Close() }
 // schedules with no lookahead requirement.
 //
 // Posts made while a window is executing are buffered and delivered at
-// the barrier in (at, src, index) order; posts made between windows
-// (before Run / RunUntil) are buffered the same way and delivered at the
-// next window's barrier-equivalent startup drain.
+// the barrier; posts made between windows (before Run / RunUntil) are
+// buffered the same way and delivered at the next window's
+// barrier-equivalent startup drain. Either way the post fires at
+// (at, src, src's post count), ahead of dst's local events at at.
 func (s *Sharded) Post(src, dst int, at Time, fn Event) {
 	if src == dst {
 		s.shards[dst].At(at, fn)
@@ -155,54 +176,23 @@ func (s *Sharded) Post(src, dst int, at Time, fn Event) {
 		panic(fmt.Sprintf("simclock: cross-shard post at %v violates lookahead (shard %d now %v + lookahead %v = %v)",
 			at, src, s.shards[src].Now(), s.lookahead, min))
 	}
-	ob := s.outbox[src]
-	s.outbox[src] = append(ob, post{dst: dst, at: at, fn: fn, src: src, idx: len(ob)})
+	s.outbox[src] = append(s.outbox[src], post{dst: dst, at: at, key: postKey(src, s.posted[src]), fn: fn})
+	s.posted[src]++
 }
 
-// deliver drains every outbox into the destination engines in the
-// deterministic (at, src, idx) order, lowering each destination's next
-// event time to its earliest post, and returns the number delivered.
-func (s *Sharded) deliver() int {
-	total := 0
-	for _, ob := range s.outbox {
-		total += len(ob)
-	}
-	if total == 0 {
-		return 0
-	}
-	all := s.merged[:0]
-	for i, ob := range s.outbox {
-		all = append(all, ob...)
-		s.outbox[i] = ob[:0]
-	}
-	slices.SortFunc(all, comparePosts)
-	for _, p := range all {
-		dst := s.shards[p.dst]
-		at := p.at
-		if at < dst.Now() {
-			// Unreachable under the lookahead contract (the destination
-			// fired only below the horizon, and at >= horizon); kept as a
-			// hard failure rather than a silent clamp.
-			panic(fmt.Sprintf("simclock: cross-shard post at %v arrived in shard %d's past (now %v)", at, p.dst, dst.Now()))
+// deliver drains every outbox into the destination engines, lowering
+// each destination's next event time to its earliest post. A post keys
+// its own place, so the delivery order does not matter.
+func (s *Sharded) deliver() {
+	for src, ob := range s.outbox {
+		for _, p := range ob {
+			s.shards[p.dst].post(p.at, p.key, p.fn)
+			s.next[p.dst] = min(s.next[p.dst], p.at)
 		}
-		dst.At(at, p.fn)
-		s.next[p.dst] = min(s.next[p.dst], at)
+		s.stats.Posts += uint64(len(ob))
+		clear(ob) // drop the delivered events' references
+		s.outbox[src] = ob[:0]
 	}
-	clear(all) // drop the delivered events' references
-	s.merged = all[:0]
-	s.stats.Posts += uint64(total)
-	return total
-}
-
-// comparePosts orders posts by (at, src, idx), a key unique to each post.
-func comparePosts(a, b post) int {
-	if a.at != b.at {
-		return cmp.Compare(a.at, b.at)
-	}
-	if a.src != b.src {
-		return cmp.Compare(a.src, b.src)
-	}
-	return cmp.Compare(a.idx, b.idx)
 }
 
 // Run executes windows until no shard has pending events and no posts
@@ -219,28 +209,30 @@ func (s *Sharded) RunUntil(deadline Time) {
 }
 
 // runWindows is the window loop. A nil deadline runs to exhaustion;
-// otherwise only events at or below *deadline fire.
+// otherwise only events at or below *deadline fire, and a shard's
+// deferred computation that would end beyond it is caught up first.
 func (s *Sharded) runWindows(deadline *Time) {
+	s.stop = never
+	if deadline != nil {
+		s.stop = *deadline
+	}
 	for i, e := range s.shards {
-		s.next[i] = never
-		if at, ok := e.NextEventAt(); ok {
-			s.next[i] = at
+		if s.stop < e.deferEnd {
+			e.catchUp()
 		}
+		s.next[i] = e.peek()
 	}
 	for {
 		s.deliver()
 		next := slices.Min(s.next)
-		if next == never {
-			return
-		}
-		if deadline != nil && next > *deadline {
+		if next == never || next > s.stop {
 			return
 		}
 		s.horizon = next + s.lookahead
-		if deadline != nil && s.horizon > *deadline+1 {
+		if s.stop != never && s.horizon > s.stop+1 {
 			// Cap the window so nothing beyond the deadline fires; +1
 			// keeps the deadline itself inside (RunBefore is exclusive).
-			s.horizon = *deadline + 1
+			s.horizon = s.stop + 1
 		}
 		// A shard with an event below the horizon fires it; every other
 		// shard stalls this window and is not run.

@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -147,9 +148,9 @@ func TestShardedRunUntil(t *testing.T) {
 	}
 }
 
-// TestShardedCrossPostTieOrder pins the deterministic delivery order of
-// same-instant cross-posts from different sources: (at, src, idx), which
-// fixes the destination's FIFO sequence numbers.
+// TestShardedCrossPostTieOrder pins the order of same-instant
+// cross-posts from different sources: (at, src, the source's post
+// count).
 func TestShardedCrossPostTieOrder(t *testing.T) {
 	s := NewSharded(3, time.Microsecond, 2)
 	defer s.Close()
@@ -171,6 +172,43 @@ func TestShardedCrossPostTieOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("same-instant cross-posts delivered as %v, want %v", got, want)
+		}
+	}
+}
+
+// TestShardedPostOrderIgnoresBarriers: where the window boundaries fall
+// does not decide the order of same-instant events on a shard. The same
+// model runs under a short lookahead, which delivers each post at the
+// barrier right after it, and a long one, which runs the posting and
+// scheduling events in one window and delivers every post at one
+// barrier. Both fire a post ahead of a local event at its instant,
+// though the local event was scheduled after the post under the short
+// lookahead and before it under the long one; and both fire two sources'
+// posts to one instant in source order, though the short lookahead
+// delivers the higher source's post first.
+func TestShardedPostOrderIgnoresBarriers(t *testing.T) {
+	us := Time(time.Microsecond)
+	run := func(lookahead Time, workers int) string {
+		s := NewSharded(3, lookahead, workers)
+		defer s.Close()
+		var log strings.Builder
+		fire := func(what string) Event {
+			return func(now Time) { fmt.Fprintf(&log, "%v %s\n", now, what) }
+		}
+		at := 100 * us
+		s.Shard(1).At(10*us, func(Time) { s.Post(1, 0, at, fire("post from 1")) })
+		s.Shard(0).At(20*us, func(Time) { s.Shard(0).At(at, fire("local")) })
+		s.Shard(2).At(30*us, func(Time) { s.Post(2, 0, at+1, fire("post from 2")) })
+		s.Shard(1).At(40*us, func(Time) { s.Post(1, 0, at+1, fire("second post from 1")) })
+		s.Run()
+		return log.String()
+	}
+	want := "100µs post from 1\n100µs local\n100.001µs second post from 1\n100.001µs post from 2\n"
+	for _, la := range []Time{5 * us, 50 * us} {
+		for _, workers := range []int{1, 3} {
+			if got := run(la, workers); got != want {
+				t.Errorf("lookahead %v, %d workers: shard 0 fired\n%swant\n%s", la, workers, got, want)
+			}
 		}
 	}
 }
@@ -207,8 +245,8 @@ func TestShardedZeroLookaheadRejected(t *testing.T) {
 }
 
 // TestShardedWindowAllocatesNothing pins the window loop's steady state
-// at zero allocations, serial and parallel: the window job, the post
-// merge buffer and the pool's round are all reused.
+// at zero allocations, serial and parallel: the window job, the
+// outboxes and the pool's round are all reused.
 func TestShardedWindowAllocatesNothing(t *testing.T) {
 	la := time.Microsecond
 	for _, workers := range []int{1, 2} {

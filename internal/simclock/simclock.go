@@ -72,15 +72,22 @@ type Time = time.Duration
 // never is the largest Time, standing for "no pending event".
 const never = Time(1<<63 - 1)
 
+// localKey marks the tie-break key of an event scheduled on the engine
+// itself: the key is the event's sequence number with this bit set. An
+// event another shard posts (Sharded.Post) keys with the bit clear, so
+// at any instant the posted events fire ahead of every local one, in an
+// order fixed by their sources alone.
+const localKey = 1 << 63
+
 // Event is a callback scheduled to fire at a virtual instant.
 type Event func(now Time)
 
-// item is a queue entry. seq breaks ties between events at the same
-// instant. gen is bumped every time the item returns to the free list so
-// stale Handles to a recycled item become no-ops.
+// item is a queue entry. key breaks ties between events at the same
+// instant (see localKey). gen is bumped every time the item returns to
+// the free list so stale Handles to a recycled item become no-ops.
 type item struct {
 	at  Time
-	seq uint64
+	key uint64
 	fn  Event
 	gen uint64
 	// cancelled events stay queued but are skipped when reached; this is
@@ -177,10 +184,10 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	fired uint64
-	// curSeq is one past the seq of the last fired event; with now it is
-	// the clock's position in the (time, seq) order that Passed compares
+	// curKey is one past the key of the last fired event; with now it is
+	// the clock's position in the (time, key) order that Passed compares
 	// against.
-	curSeq uint64
+	curKey uint64
 
 	// Near band: ring of nb buckets. buckets[cur] holds events in
 	// [winStart, winStart+width); every stored near event e satisfies
@@ -210,10 +217,16 @@ type Engine struct {
 	// Window-turnover counters driving width self-tuning. Slides over a
 	// deferred computation's span (Defer) do not count as advances: the
 	// plain run fires the skipped events there, so an empty stretch of
-	// the ring says nothing about the simulation's density.
+	// the ring says nothing about the simulation's density. On a shard,
+	// nor does a window that skipped one (skipped) count as sparse: its
+	// idle stretches outside the span, the gaps between the dispatches
+	// other shards post, are as long as the plain run's, but its pops
+	// are fewer. One engine keeps the test as it was, so its calendar
+	// and allocations stay exactly those of earlier releases.
 	advances  uint64
 	pops      uint64
 	maxBucket int
+	skipped   bool
 
 	stats Stats
 
@@ -221,7 +234,8 @@ type Engine struct {
 	shard bool
 	// stop is the last instant the run in progress fires events at:
 	// never under Run, the deadline under RunUntil, the bound less one
-	// under RunBefore.
+	// under RunBefore, and on a shard the executor's deadline (never
+	// under Sharded.Run).
 	stop Time
 
 	// deferEnd is the end of the span a deferred computation (Defer)
@@ -289,8 +303,8 @@ func (e *Engine) width() Time { return Time(1) << e.shift }
 func (e *Engine) winEnd() Time { return e.winStart + Time(1)<<(e.shift+nbBits) }
 
 // newItem takes an item from the free list (or allocates one) and arms it
-// at position (at, seq).
-func (e *Engine) newItem(at Time, seq uint64, fn Event) *item {
+// at position (at, key).
+func (e *Engine) newItem(at Time, key uint64, fn Event) *item {
 	var it *item
 	if n := len(e.free); n > 0 {
 		it = e.free[n-1]
@@ -300,7 +314,7 @@ func (e *Engine) newItem(at Time, seq uint64, fn Event) *item {
 		it = &item{}
 	}
 	it.at = at
-	it.seq = seq
+	it.key = key
 	it.fn = fn
 	it.cancelled = false
 	return it
@@ -314,14 +328,14 @@ func (e *Engine) recycle(it *item) {
 	e.free = append(e.free, it)
 }
 
-// itemAfter is the total order on queue entries: (at, seq) ascending.
-// seq is unique, so this is a strict total order — the firing sequence
+// itemAfter is the total order on queue entries: (at, key) ascending.
+// key is unique, so this is a strict total order — the firing sequence
 // is fully determined no matter which data structure holds the entries.
 func itemAfter(a, b *item) bool {
 	if a.at != b.at {
 		return a.at > b.at
 	}
-	return a.seq > b.seq
+	return a.key > b.key
 }
 
 // At schedules fn to run at the absolute virtual time at. Scheduling in
@@ -334,7 +348,7 @@ func (e *Engine) At(at Time, fn Event) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, e.now))
 	}
-	return e.push(e.newItem(at, e.Reserve(), fn))
+	return e.push(e.newItem(at, localKey|e.Reserve(), fn))
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -402,25 +416,32 @@ func (e *Engine) InReserved(first uint64, n int, fn func()) {
 // The catch-up is exact. An event queued before Defer orders before
 // every event catchUp queues at the same instant, as it would had
 // catchUp run at Defer; an event scheduled into the span later catches
-// up before it takes a sequence number; and every event before the
-// clock's position has fired, so the ones the catch-up fires are
-// exactly catchUp's. An event that fires inside the span without
-// catching up touched nothing the computation touches.
+// up before it takes a sequence number; an event another shard posts
+// into the span (Sharded.Post) takes no sequence number, and its place,
+// ahead of every local event at its instant, depends on its source
+// alone; and every event before the clock's position has fired, so the
+// ones the catch-up fires are exactly catchUp's. An event that fires
+// inside the span without catching up, posted or not, touched nothing
+// the computation touches.
+//
+// On a shard, the computation must post nothing to another shard before
+// end: its skipped events fire only in a catch-up, behind the clock,
+// where a post could land in the other shard's past.
 //
 // Defer reports false, scheduling nothing, when the run in progress
-// stops before end (RunUntil, RunBefore), on a shard (Shard), whose
-// queue learns of posted events only at barriers, and inside a
-// catch-up.
+// stops before end (RunUntil, RunBefore, or on a shard the executor's
+// deadline: a window only pauses a shard) and inside a catch-up.
 func (e *Engine) Defer(end Time, done Event, catchUp func()) bool {
 	e.Touch()
-	if end > e.stop || e.shard || e.catching {
+	if end > e.stop || e.catching {
 		return false
 	}
 	if e.endFn == nil {
 		e.endFn = e.endDeferred
 	}
-	e.deferred = deferral{end: e.At(end, e.endFn), done: done, catchUp: catchUp, at: e.now, cur: e.curSeq}
+	e.deferred = deferral{end: e.At(end, e.endFn), done: done, catchUp: catchUp, at: e.now, cur: e.curKey}
 	e.deferEnd = end
+	e.skipped = true
 	return true
 }
 
@@ -443,17 +464,17 @@ func (e *Engine) catchUp() {
 	d := e.deferred
 	e.deferred, e.deferEnd = deferral{}, -1
 	d.end.Cancel()
-	now, cur := e.now, e.curSeq
-	e.now, e.curSeq, e.catching = d.at, d.cur, true
+	now, cur := e.now, e.curKey
+	e.now, e.curKey, e.catching = d.at, d.cur, true
 	d.catchUp()
 	for {
 		it := e.settle()
-		if it == nil || it.at > now || it.at == now && it.seq >= cur {
+		if it == nil || it.at > now || it.at == now && it.key >= cur {
 			break
 		}
 		e.fire(it)
 	}
-	e.now, e.curSeq, e.catching = now, cur, false
+	e.now, e.curKey, e.catching = now, cur, false
 }
 
 // Shard reports whether e is a shard of a Sharded executor. Other shards
@@ -461,13 +482,29 @@ func (e *Engine) catchUp() {
 // hold every event that will fire before the next barrier.
 func (e *Engine) Shard() bool { return e.shard }
 
+// post queues fn at (at, key), the place of a post from another shard
+// (Sharded.Post). A deferred computation whose span holds at stays
+// deferred: the post catches it up when it fires, if it touches it.
+func (e *Engine) post(at Time, key uint64, fn Event) {
+	if e.passed(at, key) {
+		// Unreachable under the lookahead contract (the destination fired
+		// only below the horizon, and at >= horizon); kept as a hard
+		// failure rather than a silent clamp.
+		panic(fmt.Sprintf("simclock: cross-shard post at %v arrived in a shard's past (now %v)", at, e.now))
+	}
+	e.push(e.newItem(at, key, fn))
+}
+
 // Passed reports whether the clock has moved beyond position (at, seq),
 // that is, whether an event scheduled there would already have fired.
-func (e *Engine) Passed(at Time, seq uint64) bool {
+func (e *Engine) Passed(at Time, seq uint64) bool { return e.passed(at, localKey|seq) }
+
+// passed reports whether the clock has moved beyond position (at, key).
+func (e *Engine) passed(at Time, key uint64) bool {
 	if at != e.now {
 		return at < e.now
 	}
-	return seq < e.curSeq
+	return key < e.curKey
 }
 
 // AtSeq schedules fn at position (at, seq), where seq came from Reserve.
@@ -483,7 +520,7 @@ func (e *Engine) AtSeq(at Time, seq uint64, fn Event) Handle {
 	if e.Passed(at, seq) {
 		panic(fmt.Sprintf("simclock: schedule at (%v, seq %d), which the clock has passed (now %v)", at, seq, e.now))
 	}
-	return e.push(e.newItem(at, seq, fn))
+	return e.push(e.newItem(at, localKey|seq, fn))
 }
 
 // push queues an armed item and returns its handle.
@@ -739,7 +776,7 @@ func (e *Engine) take() *item {
 // window was mostly empty advances, narrow when a bucket went
 // pathological (narrowing is also triggered inline by insertNear).
 func (e *Engine) reload() {
-	if e.pops > 0 && e.advances > sparseWindow*e.pops && e.shift < maxShift {
+	if !(e.shard && e.skipped) && e.pops > 0 && e.advances > sparseWindow*e.pops && e.shift < maxShift {
 		e.shift += 2
 		if e.shift > maxShift {
 			e.shift = maxShift
@@ -747,6 +784,7 @@ func (e *Engine) reload() {
 		e.stats.Resizes++
 	}
 	e.advances, e.pops, e.maxBucket = 0, 0, 0
+	e.skipped = e.deferEnd >= 0
 	e.cur = 0
 	e.winStart = e.far[0].at
 	e.stats.Reloads++
@@ -888,7 +926,7 @@ func (e *Engine) Step() bool {
 // its position and runs it.
 func (e *Engine) fire(it *item) {
 	e.take()
-	e.now, e.curSeq = it.at, it.seq+1
+	e.now, e.curKey = it.at, it.key+1
 	e.fired++
 	fn := it.fn
 	e.recycle(it)
@@ -920,7 +958,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	if e.now <= deadline {
 		// Everything due by the deadline has fired, so every position
 		// reserved so far at or before it has passed.
-		e.now, e.curSeq = deadline, e.seq
+		e.now, e.curKey = deadline, localKey|e.seq
 	}
 }
 
@@ -929,20 +967,25 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 
 // RunBefore fires events with timestamps strictly below bound and stops,
 // leaving the clock at the last fired event (it does NOT advance the
-// idle clock to the bound — the caller owns the bound's meaning). This
-// is the primitive the lookahead-sharded executor uses to advance a
-// shard through one conservative window: every event below the horizon
-// is safe to fire; the horizon itself is not.
-func (e *Engine) RunBefore(bound Time) { e.runBefore(bound) }
+// idle clock to the bound — the caller owns the bound's meaning). A
+// deferred computation that would end at or beyond the bound is caught
+// up first.
+func (e *Engine) RunBefore(bound Time) { e.runBefore(bound, bound-1) }
 
-// runBefore is RunBefore, returning the time of the next pending event
-// where it stopped, or never when none is left.
-func (e *Engine) runBefore(bound Time) Time {
-	if bound <= e.deferEnd {
+// runBefore fires events with timestamps strictly below bound as part of
+// a run that stops after instant stop, and returns the time of the next
+// pending event where it stopped, or never when none is left. It is the
+// primitive the lookahead-sharded executor advances a shard through one
+// conservative window with: every event below the horizon is safe to
+// fire, the horizon itself is not. The window pauses the shard there,
+// it does not observe it, so only a stop before a deferred
+// computation's end catches it up.
+func (e *Engine) runBefore(bound, stop Time) Time {
+	if stop < e.deferEnd {
 		e.catchUp()
 	}
-	stop := e.stop
-	e.stop = min(stop, bound-1)
+	saved := e.stop
+	e.stop = min(saved, stop)
 	next := never
 	for {
 		it := e.settle()
@@ -955,22 +998,26 @@ func (e *Engine) runBefore(bound Time) Time {
 		}
 		e.fire(it)
 	}
-	e.stop = stop
+	e.stop = saved
 	return next
 }
 
-// peek returns the timestamp of the next live event.
-func (e *Engine) peek() (Time, bool) {
+// peek returns the timestamp of the next live event, or never when none
+// is left. A deferred computation stays deferred.
+func (e *Engine) peek() Time {
 	it := e.settle()
 	if it == nil {
-		return 0, false
+		return never
 	}
-	return it.at, true
+	return it.at
 }
 
 // NextEventAt reports the timestamp of the next pending event, if any.
 // A deferred computation is caught up first.
 func (e *Engine) NextEventAt() (Time, bool) {
 	e.Touch()
-	return e.peek()
+	if at := e.peek(); at != never {
+		return at, true
+	}
+	return 0, false
 }

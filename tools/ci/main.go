@@ -40,12 +40,14 @@
 //  10. a replay race pass: iteration replay's start-instant proof, its
 //     differential against the simulation (the FuzzContinuousReplay
 //     seeds, TestContinuousReplayEngages, TestReplayFollowsTheRules,
-//     TestReplayStaysOffOnShards and TestCatchUpAtEveryPosition), the
-//     walk that finds every entry point catching a replay up
-//     (TestEveryEntryPointCatchesUp), and the engine, node and
+//     TestShardReplayMatchesSimulation on fleet and chained shards at 1
+//     and 4 workers, and TestCatchUpAtEveryPosition), the walk that
+//     finds every entry point catching a replay up
+//     (TestEveryEntryPointCatchesUp), and the engine, executor, node and
 //     scheduler primitives it rests on (deferred computations and their
-//     catch-ups, reserved blocks, Drained, Work, the per-plan record,
-//     Settled) under -race
+//     catch-ups, the window-independent post order of
+//     TestShardedPostOrderIgnoresBarriers, reserved blocks, Drained,
+//     Work, the per-plan record, Settled) under -race
 //
 // Then the determinism smokes. Each runs one command at two settings
 // and fails unless stdout (host-dependent lines stripped) and every
@@ -178,7 +180,7 @@ func main() {
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
 			"./internal/analyze")},
 		{"replay race", command("go", "test", "-race",
-			"-run", "SoloIteration|ContinuousReplay|ReplayFollows|ReplayStaysOff|CatchUp|EveryEntryPoint|Defer|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled",
+			"-run", "SoloIteration|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled",
 			"./internal/runtimes", "./internal/simclock", "./internal/gpusim", "./internal/liger")},
 		{"failover smoke", smoke{
 			what: "failover sweep",
