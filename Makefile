@@ -29,7 +29,7 @@ fmt:
 	gofmt -w .
 
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/simclock ./internal/gpusim ./internal/bench
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/simclock ./internal/gpusim ./internal/parallel ./internal/bench
 
 # The stdlib fuzz targets, 15 s each (plain `go test` runs only their
 # seeds): the scenario loader, the paged KV allocator against a naive

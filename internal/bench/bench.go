@@ -6,8 +6,10 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -253,7 +255,12 @@ func runPoint(p panel, rate float64, kind core.RuntimeKind, cfg RunConfig, liger
 	if err != nil {
 		return serve.Result{}, err
 	}
-	return eng.Serve(trace)
+	// The label splits a -cpuprofile by runtime: go tool pprof -tags.
+	var res serve.Result
+	pprof.Do(context.Background(), pprof.Labels("runtime", kind.String()), func(context.Context) {
+		res, err = eng.Serve(trace)
+	})
+	return res, err
 }
 
 // genTrace builds the panel's standard random trace at an arrival rate.

@@ -9,12 +9,14 @@ import (
 	"liger/internal/nccl"
 )
 
-// stageTotal sums the kernel durations of every stage.
-func stageTotal(t *testing.T, stages []Stage) time.Duration {
-	t.Helper()
+// stageTotal sums the kernel durations of every stage span of an
+// n-stage pipeline over p.
+func stageTotal(p *Plan, n int) time.Duration {
 	var total time.Duration
-	for _, st := range stages {
-		for _, k := range st.Kernels {
+	for s := 0; s < n; s++ {
+		lo, hi := p.StageSpan(s, n)
+		for i := lo; i < hi; i++ {
+			k, _ := p.At(i)
 			total += k.Duration
 		}
 	}
@@ -31,15 +33,15 @@ func TestFig10jkStageAnomaly(t *testing.T) {
 	spec := model.OPT66B()
 	run := func(batch int) (interOp, interTh time.Duration) {
 		w := model.Workload{Batch: batch, SeqLen: 72, Phase: model.Context}
-		op, err := c.InterOp(spec, 4, w)
+		op, err := c.IntraOpPlan(spec, 1, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, err := c.InterTh(spec, 4, w)
+		th, err := c.InterThPlan(spec, 4, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stageTotal(t, op), stageTotal(t, th)
+		return stageTotal(op, 4), stageTotal(th, 4)
 	}
 	op8, th8 := run(8)
 	if th8 >= op8 {

@@ -36,6 +36,29 @@ func BenchmarkCompileIntraOpPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkCompilePipelinePlan measures the per-batch compile of the
+// pipeline baselines on a 4-stage node: Inter-Op's single-device plan
+// and Inter-Th's plan of 4-way partitioned pieces.
+func BenchmarkCompilePipelinePlan(b *testing.B) {
+	c := NewCompiler(hw.V100Node(), nccl.Config{ReducedChannels: true})
+	w := model.Workload{Batch: 2, SeqLen: 64, Phase: model.Context}
+	spec := model.OPT30B()
+	b.Run("Inter-Op", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := c.IntraOpPlan(spec, 1, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Inter-Th", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := c.InterThPlan(spec, 4, w); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkSplitGEMM measures runtime decomposition cost (fired inside
 // the scheduling loop).
 func BenchmarkSplitGEMM(b *testing.B) {

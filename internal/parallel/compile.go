@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"liger/internal/costmodel"
@@ -170,21 +171,6 @@ func (c *Compiler) allReduceDesc(name string, bytes int64) KernelDesc {
 	return d
 }
 
-// p2pDesc builds a pipeline-boundary transfer. P2P copies use the copy
-// engines, so their SM footprint is tiny and they co-run with the
-// receiving stage's compute.
-func (c *Compiler) p2pDesc(name string, bytes int64) KernelDesc {
-	return KernelDesc{
-		Name:          name,
-		Class:         gpusim.Comm,
-		Duration:      c.comm.P2P(bytes),
-		ComputeDemand: c.comm.P2PComputeDemand(),
-		MemBWDemand:   c.comm.MemBWDemand(),
-		Collective:    true, // rendezvous between the two stage devices
-		Bytes:         bytes,
-	}
-}
-
 // compileOp lowers one logical op at tensor-parallel degree tp into the
 // kernels one rank executes, appending them to out together with the
 // Megatron all-reduce at ReduceAfter points.
@@ -298,8 +284,27 @@ func IntraOpCapacity(node hw.Node, spec model.Spec, w model.Workload) float64 {
 
 // IntraOpPlan compiles the forward pass of IntraOp in layer-periodic
 // form. Every transformer layer lowers to the same costed kernels, so
-// the layer block is compiled and costed once, whatever the depth.
+// the layer block is compiled and costed once, whatever the depth. At
+// tp == 1 it is also the Inter-Op pipeline's plan: the single-device
+// pass its stages split by StageSpan.
 func (c *Compiler) IntraOpPlan(spec model.Spec, tp int, w model.Workload) (*Plan, error) {
+	return c.periodicPlan(spec, tp, w, false)
+}
+
+// InterThPlan compiles the theoretical inter-operator baseline (§4.1):
+// a pipeline of stages devices whose stages split the plan by StageSpan,
+// each executing the intra-operator approach's stages-way partitioned
+// kernels back to back on its one device. Fig. 10(j)(k) shows this can
+// beat Inter-Op when the sum of partitioned GEMMs is shorter than the
+// original kernel.
+func (c *Compiler) InterThPlan(spec model.Spec, stages int, w model.Workload) (*Plan, error) {
+	return c.periodicPlan(spec, stages, w, true)
+}
+
+// periodicPlan validates a compile and builds its plan, lowering the
+// Pre, layer and Post blocks at degree tp: with compileBlock, or with
+// compilePieces when pieces is set.
+func (c *Compiler) periodicPlan(spec model.Spec, tp int, w model.Workload, pieces bool) (*Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -309,11 +314,17 @@ func (c *Compiler) IntraOpPlan(spec model.Spec, tp int, w model.Workload) (*Plan
 	if tp < 1 {
 		return nil, fmt.Errorf("parallel: tensor-parallel degree %d", tp)
 	}
+	block := func(ops []model.Op) []KernelDesc {
+		if pieces {
+			return c.compilePieces(ops, tp, w)
+		}
+		return c.compileBlock(ops, tp, w)
+	}
 	var ops [blockOps]model.Op
 	p := &Plan{
-		Pre:    c.compileBlock(model.PreOps(ops[:0], spec, w), tp, w),
-		Layer:  c.compileBlock(model.LayerOps(ops[:0], spec, w), tp, w),
-		Post:   c.compileBlock(model.PostOps(ops[:0], spec, w), tp, w),
+		Pre:    block(model.PreOps(ops[:0], spec, w)),
+		Layer:  block(model.LayerOps(ops[:0], spec, w)),
+		Post:   block(model.PostOps(ops[:0], spec, w)),
 		Layers: spec.Layers,
 	}
 	p.names = c.names.of(p.Layer, p.Layers)
@@ -325,102 +336,40 @@ func (c *Compiler) IntraOpPlan(spec model.Spec, tp int, w model.Workload) (*Plan
 // building them allocates nothing.
 const blockOps = 16
 
-// Stage is one pipeline stage: the kernels one device runs for its
-// layer range, plus the boundary transfer to the next stage (empty for
-// the last stage).
-type Stage struct {
-	Device  int
-	Kernels []KernelDesc
-	// SendNext is the p2p transfer of activations to the next stage;
-	// zero-valued for the final stage.
-	SendNext KernelDesc
-	HasSend  bool
+// StageSend is the boundary transfer after stage s of a pipeline: the
+// activations of w's tokens, sent point to point to stage s+1. P2P
+// copies use the copy engines, so their SM footprint is tiny and they
+// co-run with the receiving stage's compute.
+func (c *Compiler) StageSend(spec model.Spec, s int, w model.Workload) KernelDesc {
+	bytes := int64(w.Tokens()) * int64(spec.Hidden) * 2
+	return KernelDesc{
+		Name:          "s" + strconv.Itoa(s) + "_send",
+		Class:         gpusim.Comm,
+		Duration:      c.comm.P2P(bytes),
+		ComputeDemand: c.comm.P2PComputeDemand(),
+		MemBWDemand:   c.comm.MemBWDemand(),
+		Collective:    true, // rendezvous between the two stage devices
+		Bytes:         bytes,
+	}
 }
 
-// InterOp compiles the pipeline-parallel execution: the model is split
-// into stages equal contiguous layer groups, each on its own device,
-// with a single point-to-point transfer between consecutive stages
-// (§2.2.2). Kernels inside a stage are the original full-size kernels.
-func (c *Compiler) InterOp(spec model.Spec, stages int, w model.Workload) ([]Stage, error) {
-	return c.interOp(spec, stages, w, 1)
-}
-
-// InterTh compiles the theoretical inter-operator baseline (§4.1): the
-// same pipeline, but each stage executes the *partitioned* kernels of
-// the intra-operator approach back to back (tp pieces sequentially on
-// one device). Fig. 10(j)(k) shows this can beat Inter-Op when the sum
-// of partitioned GEMMs is shorter than the original kernel.
-func (c *Compiler) InterTh(spec model.Spec, stages int, w model.Workload) ([]Stage, error) {
-	return c.interOp(spec, stages, w, stages)
-}
-
-func (c *Compiler) interOp(spec model.Spec, stages int, w model.Workload, tp int) ([]Stage, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	if stages < 1 || stages > spec.Layers {
-		return nil, fmt.Errorf("parallel: %d stages for %d layers", stages, spec.Layers)
-	}
-	perStage := spec.Layers / stages
-	extra := spec.Layers % stages
-	actBytes := int64(w.Tokens()) * int64(spec.Hidden) * 2
-
-	var layerBuf, edgeBuf [blockOps]model.Op
-	layerOps := model.LayerOps(layerBuf[:0], spec, w)
-	var out []Stage
-	layer := 0
-	for st := 0; st < stages; st++ {
-		count := perStage
-		if st < extra {
-			count++
+// compilePieces lowers a run of ops for one pipeline stage device. With
+// tp == 1 each op is its original kernel; with tp > 1 (Inter-Th) a
+// partitioned op becomes its tp pieces, executed sequentially and named
+// "p<i>." + op, with no all-reduce (a single device holds every piece).
+// Replicated ops run once per device in intra-op, so a stage device
+// runs them once.
+func (c *Compiler) compilePieces(ops []model.Op, tp int, w model.Workload) []KernelDesc {
+	out := make([]KernelDesc, 0, len(ops)*tp)
+	for _, op := range ops {
+		op.ReduceAfter = false
+		if tp == 1 || op.Partition == model.PartNone {
+			out = c.compileOp(out, "", op, 1, w)
+			continue
 		}
-		stage := Stage{Device: st}
-		if st == 0 {
-			for _, op := range model.PreOps(edgeBuf[:0], spec, w) {
-				stage.Kernels = c.compilePieces(stage.Kernels, "", op, tp, w)
-			}
-		}
-		for i := 0; i < count; i++ {
-			prefix := fmt.Sprintf("l%d.", layer)
-			for _, op := range layerOps {
-				stage.Kernels = c.compilePieces(stage.Kernels, prefix, op, tp, w)
-			}
-			layer++
-		}
-		if st == stages-1 {
-			for _, op := range model.PostOps(edgeBuf[:0], spec, w) {
-				stage.Kernels = c.compilePieces(stage.Kernels, "", op, tp, w)
-			}
-		} else {
-			stage.SendNext = c.p2pDesc(fmt.Sprintf("s%d_send", st), actBytes)
-			stage.HasSend = true
-		}
-		out = append(out, stage)
-	}
-	return out, nil
-}
-
-// compilePieces lowers an op for a pipeline stage, appending to out.
-// With tp == 1 it is the original kernel; with tp > 1 (Inter-Th) the op
-// becomes its tp partitioned pieces executed sequentially on the stage
-// device, with no all-reduce (a single device holds every piece).
-func (c *Compiler) compilePieces(out []KernelDesc, prefix string, op model.Op, tp int, w model.Workload) []KernelDesc {
-	op.ReduceAfter = false
-	if tp == 1 {
-		return c.compileOp(out, prefix, op, 1, w)
-	}
-	switch op.Partition {
-	case model.PartCols, model.PartRows, model.PartHeads:
 		for p := 0; p < tp; p++ {
-			out = c.compileOp(out, fmt.Sprintf("%sp%d.", prefix, p), op, tp, w)
+			out = c.compileOp(out, "p"+strconv.Itoa(p)+".", op, tp, w)
 		}
-		return out
-	default:
-		// Replicated ops run once per device in intra-op; a single stage
-		// device runs them once.
-		return c.compileOp(out, prefix, op, 1, w)
 	}
+	return out
 }

@@ -3,8 +3,10 @@
 // the paper compares (§4.1): Megatron-style intra-operator tensor
 // parallelism, inter-operator pipeline parallelism, and the theoretical
 // inter-operator variant built from partitioned kernels. The output is
-// a list of fully-costed kernel descriptors that the runtimes launch
-// onto the simulated node.
+// one Plan type for all three: a layer-periodic sequence of
+// fully-costed kernel descriptors that the runtimes launch onto the
+// simulated node. A tensor-parallel rank runs a plan whole; a pipeline
+// stage runs a contiguous span of it (Plan.StageSpan).
 package parallel
 
 import (

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -154,25 +155,43 @@ func TestIntraOpPartitioningReducesComputeTime(t *testing.T) {
 	}
 }
 
+// stageNames returns the kernel names of stage s of an n-stage
+// pipeline over p.
+func stageNames(p *Plan, s, n int) []string {
+	lo, hi := p.StageSpan(s, n)
+	names := make([]string, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		_, name := p.At(i)
+		names = append(names, name)
+	}
+	return names
+}
+
 func TestInterOpStageStructure(t *testing.T) {
 	c := compilerFor(hw.V100Node())
 	spec := model.OPT30B()
-	stages, err := c.InterOp(spec, 4, ctxWorkload(2, 32))
+	w := ctxWorkload(2, 32)
+	plan, err := c.IntraOpPlan(spec, 1, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stages) != 4 {
-		t.Fatalf("got %d stages, want 4", len(stages))
+	if err := plan.CheckStages(4); err != nil {
+		t.Fatal(err)
 	}
-	for i, st := range stages {
-		if st.Device != i {
-			t.Fatalf("stage %d on device %d", i, st.Device)
+	for s := 0; s < 4; s++ {
+		lo, hi := plan.StageSpan(s, 4)
+		if lo >= hi {
+			t.Fatalf("stage %d spans [%d, %d)", s, lo, hi)
 		}
-		if (i < 3) != st.HasSend {
-			t.Fatalf("stage %d HasSend=%v", i, st.HasSend)
+		for i := lo; i < hi; i++ {
+			if k, name := plan.At(i); k.Class == gpusim.Comm {
+				t.Fatalf("stage %d contains comm kernel %s; pipeline comm is only at boundaries", s, name)
+			}
 		}
-		if n := CountClass(st.Kernels, gpusim.Comm); n != 0 {
-			t.Fatalf("stage %d contains %d comm kernels; pipeline comm is only at boundaries", i, n)
+		send := c.StageSend(spec, s, w)
+		if send.Name != fmt.Sprintf("s%d_send", s) || send.Class != gpusim.Comm || !send.Collective ||
+			send.Bytes != int64(w.Tokens())*int64(spec.Hidden)*2 {
+			t.Fatalf("stage %d send is %s", s, describe(send))
 		}
 	}
 }
@@ -180,15 +199,15 @@ func TestInterOpStageStructure(t *testing.T) {
 func TestInterOpLayerDistribution(t *testing.T) {
 	c := compilerFor(hw.V100Node())
 	spec := model.Tiny().WithLayers(7) // 7 layers across 4 stages: 2,2,2,1
-	stages, err := c.InterOp(spec, 4, ctxWorkload(2, 16))
+	plan, err := c.IntraOpPlan(spec, 1, ctxWorkload(2, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, 4)
-	for i, st := range stages {
-		for _, k := range st.Kernels {
-			if strings.Contains(k.Name, ".qkv") {
-				counts[i]++
+	for s := range counts {
+		for _, name := range stageNames(plan, s, 4) {
+			if strings.Contains(name, ".qkv") {
+				counts[s]++
 			}
 		}
 	}
@@ -203,23 +222,23 @@ func TestInterOpLayerDistribution(t *testing.T) {
 func TestInterThUsesPartitionedPieces(t *testing.T) {
 	c := compilerFor(hw.V100Node())
 	spec := model.Tiny()
-	thStages, err := c.InterTh(spec, 4, ctxWorkload(2, 16))
+	th, err := c.InterThPlan(spec, 4, ctxWorkload(2, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opStages, err := c.InterOp(spec, 4, ctxWorkload(2, 16))
+	op, err := c.IntraOpPlan(spec, 1, ctxWorkload(2, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Inter-Th stages have ~4 GEMM pieces per original GEMM.
 	thGemms, opGemms := 0, 0
-	for _, k := range thStages[0].Kernels {
-		if strings.Contains(k.Name, "qkv") {
+	for _, name := range stageNames(th, 0, 4) {
+		if strings.Contains(name, "qkv") {
 			thGemms++
 		}
 	}
-	for _, k := range opStages[0].Kernels {
-		if strings.Contains(k.Name, "qkv") {
+	for _, name := range stageNames(op, 0, 4) {
+		if strings.Contains(name, "qkv") {
 			opGemms++
 		}
 	}
@@ -474,8 +493,18 @@ func TestInvalidConfigs(t *testing.T) {
 	if _, err := c.IntraOp(model.Tiny(), 4, model.Workload{Batch: 0, SeqLen: 4, Phase: model.Context}); err == nil {
 		t.Fatal("batch=0 accepted")
 	}
-	if _, err := c.InterOp(model.Tiny(), 9, ctxWorkload(2, 16)); err == nil {
+	plan, err := c.IntraOpPlan(model.Tiny(), 1, ctxWorkload(2, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.CheckStages(9); err == nil {
 		t.Fatal("more stages than layers accepted")
+	}
+	if err := plan.CheckStages(0); err == nil {
+		t.Fatal("zero stages accepted")
+	}
+	if _, err := c.InterThPlan(model.Tiny(), 0, ctxWorkload(2, 16)); err == nil {
+		t.Fatal("zero Inter-Th pieces accepted")
 	}
 	bad := model.Spec{Name: "bad", Layers: 2, Heads: 7, Hidden: 512, FFNMult: 4}
 	if _, err := c.IntraOp(bad, 4, ctxWorkload(2, 16)); err == nil {

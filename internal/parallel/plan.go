@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 )
@@ -59,6 +60,36 @@ func (p *Plan) Kernels() []KernelDesc {
 		out[i].Name = name
 	}
 	return out
+}
+
+// CheckStages reports an error unless the plan splits into an n-stage
+// pipeline: at least one stage, and at least one layer per stage.
+func (p *Plan) CheckStages(n int) error {
+	if n < 1 || n > p.Layers {
+		return fmt.Errorf("parallel: %d stages for %d layers", n, p.Layers)
+	}
+	return nil
+}
+
+// StageSpan returns the span [lo, hi) of the expanded sequence that
+// stage s of an n-stage pipeline runs on its device: a contiguous run of
+// layers, the Layers%n leftover layers going one each to the leading
+// stages, with Pre on stage 0 and Post on stage n-1. The spans of stages
+// 0 to n-1 tile [0, Len()) in order. n must pass CheckStages.
+func (p *Plan) StageSpan(s, n int) (lo, hi int) {
+	per, extra := p.Layers/n, p.Layers%n
+	lo = len(p.Pre) + (s*per+min(s, extra))*len(p.Layer)
+	hi = lo + per*len(p.Layer)
+	if s < extra {
+		hi += len(p.Layer)
+	}
+	if s == 0 {
+		lo = 0
+	}
+	if s == n-1 {
+		hi = p.Len()
+	}
+	return lo, hi
 }
 
 // layerNames interns the kernel names of a compiler's plans, so that a

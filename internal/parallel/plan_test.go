@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/model"
 )
@@ -28,6 +29,83 @@ func intraOpPerLayer(c *Compiler, spec model.Spec, tp int, w model.Workload) []K
 		out = c.compileOp(out, "", op, tp, w)
 	}
 	return out
+}
+
+// refStage is one stage of the per-layer pipeline compile: its kernels
+// and, for every stage but the last, the send to the next stage.
+type refStage struct {
+	kernels []KernelDesc
+	send    *KernelDesc
+}
+
+// pipelinePerLayer is the per-layer pipeline compile: the layers split
+// into stages contiguous groups, every layer's ops derived, costed and
+// named on their own, as tp pieces per partitioned op (Inter-Th) or as
+// the original kernels (tp == 1, Inter-Op). It is the reference the
+// stage spans of a pipeline plan must reproduce kernel for kernel.
+func pipelinePerLayer(c *Compiler, spec model.Spec, stages int, w model.Workload, tp int) []refStage {
+	pieces := func(out []KernelDesc, prefix string, op model.Op) []KernelDesc {
+		op.ReduceAfter = false
+		if tp == 1 {
+			return c.compileOp(out, prefix, op, 1, w)
+		}
+		switch op.Partition {
+		case model.PartCols, model.PartRows, model.PartHeads:
+			for p := 0; p < tp; p++ {
+				out = c.compileOp(out, fmt.Sprintf("%sp%d.", prefix, p), op, tp, w)
+			}
+			return out
+		default:
+			return c.compileOp(out, prefix, op, 1, w)
+		}
+	}
+	var out []refStage
+	layer := 0
+	for st := 0; st < stages; st++ {
+		count := spec.Layers / stages
+		if st < spec.Layers%stages {
+			count++
+		}
+		var stage refStage
+		if st == 0 {
+			for _, op := range model.PreOps(nil, spec, w) {
+				stage.kernels = pieces(stage.kernels, "", op)
+			}
+		}
+		for i := 0; i < count; i++ {
+			for _, op := range model.LayerOps(nil, spec, w) {
+				stage.kernels = pieces(stage.kernels, fmt.Sprintf("l%d.", layer), op)
+			}
+			layer++
+		}
+		if st == stages-1 {
+			for _, op := range model.PostOps(nil, spec, w) {
+				stage.kernels = pieces(stage.kernels, "", op)
+			}
+		} else {
+			bytes := int64(w.Tokens()) * int64(spec.Hidden) * 2
+			stage.send = &KernelDesc{
+				Name:          fmt.Sprintf("s%d_send", st),
+				Class:         gpusim.Comm,
+				Duration:      c.comm.P2P(bytes),
+				ComputeDemand: c.comm.P2PComputeDemand(),
+				MemBWDemand:   c.comm.MemBWDemand(),
+				Collective:    true,
+				Bytes:         bytes,
+			}
+		}
+		out = append(out, stage)
+	}
+	return out
+}
+
+// pipelinePlan compiles the plan an Inter-Op (theoretical false) or
+// Inter-Th pipeline of stages devices runs.
+func pipelinePlan(c *Compiler, spec model.Spec, stages int, w model.Workload, theoretical bool) (*Plan, error) {
+	if theoretical {
+		return c.InterThPlan(spec, stages, w)
+	}
+	return c.IntraOpPlan(spec, 1, w)
 }
 
 // describe renders every field of a kernel but its splitter.
@@ -117,17 +195,73 @@ func TestPeriodicPlanMatchesPerLayerCompile(t *testing.T) {
 	}
 }
 
-// Compilers are safe to share across goroutines: concurrent compiles of
-// models of different depths grow the shared name table under its lock
-// and still produce the per-layer compile.
+// Every stage span of a pipeline plan is the per-layer stage compile,
+// kernel for kernel, and so is every stage's send; the spans tile the
+// plan in order.
+func TestStageSpansMatchPerLayerCompile(t *testing.T) {
+	c := compilerFor(hw.A100Node())
+	workloads := []model.Workload{
+		{Batch: 2, SeqLen: 64, Phase: model.Context},
+		{Batch: 8, CtxLen: 512, Phase: model.Decode},
+	}
+	for _, spec := range []model.Spec{model.OPT30B(), model.OPT66B(), model.Tiny().WithLayers(7)} {
+		for stages := 1; stages <= 4; stages++ {
+			for _, theoretical := range []bool{false, true} {
+				for _, w := range workloads {
+					name := fmt.Sprintf("%s %d stages theoretical=%v %v", spec.Name, stages, theoretical, w.Phase)
+					plan, err := pipelinePlan(c, spec, stages, w, theoretical)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := plan.CheckStages(stages); err != nil {
+						t.Fatal(err)
+					}
+					tp := 1
+					if theoretical {
+						tp = stages
+					}
+					want := pipelinePerLayer(c, spec, stages, w, tp)
+					next := 0
+					for s, ref := range want {
+						at := fmt.Sprintf("%s stage %d", name, s)
+						lo, hi := plan.StageSpan(s, stages)
+						if lo != next {
+							t.Fatalf("%s: span [%d, %d) does not start at %d", at, lo, hi, next)
+						}
+						next = hi
+						got := make([]KernelDesc, 0, hi-lo)
+						for i := lo; i < hi; i++ {
+							k, kname := plan.At(i)
+							got = append(got, *k)
+							got[len(got)-1].Name = kname
+						}
+						sameKernels(t, at, got, ref.kernels)
+						if ref.send != nil {
+							sameKernels(t, at+" send", []KernelDesc{c.StageSend(spec, s, w)}, []KernelDesc{*ref.send})
+						}
+					}
+					if next != plan.Len() {
+						t.Fatalf("%s: spans end at %d of %d kernels", name, next, plan.Len())
+					}
+				}
+			}
+		}
+	}
+}
+
+// Compilers are safe to share across goroutines: concurrent Intra-Op
+// and Inter-Th compiles of models of different depths grow the shared
+// name table under its lock, Inter-Th with its "p<i>." piece names, and
+// still produce the per-layer compiles.
 func TestConcurrentPlansShareNames(t *testing.T) {
 	c := compilerFor(hw.A100Node())
 	w := model.Workload{Batch: 2, SeqLen: 64, Phase: model.Context}
 	specs := []model.Spec{model.Tiny(), model.OPT30B(), model.GPT175B(), model.GLM130B()}
-	got := make([][]KernelDesc, len(specs))
+	intra := make([][]KernelDesc, len(specs))
+	interTh := make([][]KernelDesc, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			p, err := c.IntraOpPlan(spec, 4, w)
@@ -135,12 +269,26 @@ func TestConcurrentPlansShareNames(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got[i] = p.Kernels()
+			intra[i] = p.Kernels()
+		}()
+		go func() {
+			defer wg.Done()
+			p, err := c.InterThPlan(spec, 4, w)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			interTh[i] = p.Kernels()
 		}()
 	}
 	wg.Wait()
 	for i, spec := range specs {
-		sameKernels(t, spec.Name, got[i], intraOpPerLayer(c, spec, 4, w))
+		sameKernels(t, spec.Name, intra[i], intraOpPerLayer(c, spec, 4, w))
+		var want []KernelDesc
+		for _, st := range pipelinePerLayer(c, spec, 4, w, 4) {
+			want = append(want, st.kernels...)
+		}
+		sameKernels(t, spec.Name+" Inter-Th", interTh[i], want)
 	}
 }
 

@@ -230,6 +230,18 @@ func TestInvalidModelRejected(t *testing.T) {
 	}
 }
 
+// A pipeline needs a layer per stage: on the 4-device node a 3-layer
+// model is built but every submit is refused, by both pipelines.
+func TestInterOpRejectsMoreStagesThanLayers(t *testing.T) {
+	for _, name := range []string{"Inter-Op", "Inter-Th"} {
+		_, node, comp := rig(t)
+		rt := buildRuntime(t, name, node, comp, model.Tiny().WithLayers(3))
+		if err := rt.Submit(model.Workload{Batch: 2, SeqLen: 16, Phase: model.Context}); err == nil {
+			t.Fatalf("%s: 4 stages for 3 layers accepted", name)
+		}
+	}
+}
+
 func TestDecodeWorkloadAcrossRuntimes(t *testing.T) {
 	for _, name := range allRuntimes {
 		t.Run(name, func(t *testing.T) {
