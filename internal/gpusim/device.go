@@ -262,7 +262,6 @@ func (d *Device) SetSpeed(f float64) {
 		return
 	}
 	d.speed = f
-	d.node.healthChanges++
 	d.settled = false
 	now := d.node.eng.Now()
 	if tr := d.node.tracer; tr != nil {
@@ -292,7 +291,6 @@ func (d *Device) SetLinkFactor(f float64) {
 		return
 	}
 	d.linkFactor = f
-	d.node.healthChanges++
 	d.settled = false
 	now := d.node.eng.Now()
 	if tr := d.node.tracer; tr != nil {

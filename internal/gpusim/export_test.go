@@ -22,6 +22,3 @@ func Pooled(n *Node) (kernels, events, colls int) {
 // device simulated on its own: the unfolded oracle a folded run must
 // match. It must be called before the first Fold.
 func SetFolding(n *Node, on bool) { n.noFold = !on }
-
-// IsFolded reports whether a group of n's devices folded.
-func IsFolded(n *Node) bool { return n.folded }

@@ -77,7 +77,7 @@ func fig10Fold(t *testing.T, cfg liger.Config, sched *faults.Schedule, fold bool
 	if len(done) != len(arrivals) {
 		t.Fatalf("%d of %d batches completed", len(done), len(arrivals))
 	}
-	return foldRun{rec: rec, stats: node.Stats(), done: done, events: node.EventCounters(), folded: gpusim.IsFolded(node)}
+	return foldRun{rec: rec, stats: node.Stats(), done: done, events: node.EventCounters(), folded: node.Folded()}
 }
 
 // serveDecodeFold runs a prefix of a decode-heavy serving workload:
@@ -122,7 +122,7 @@ func serveDecodeFold(t *testing.T, fold bool) foldRun {
 	if finished != seqs {
 		t.Fatalf("%d of %d sequences finished", finished, seqs)
 	}
-	return foldRun{rec: rec, stats: node.Stats(), done: done, events: node.EventCounters(), folded: gpusim.IsFolded(node)}
+	return foldRun{rec: rec, stats: node.Stats(), done: done, events: node.EventCounters(), folded: node.Folded()}
 }
 
 // byDevice splits records into per-device sequences, keeping their
@@ -258,7 +258,7 @@ func TestFoldKeptUnfoldedByDeviceChange(t *testing.T) {
 		"Alloc":         func(n *gpusim.Node) { _ = n.Device(3).Alloc(1) },
 		"KeepUnfolded":  func(n *gpusim.Node) { n.KeepUnfolded() },
 	} {
-		if got, want := gpusim.IsFolded(smallLiger(t, change)), change == nil; got != want {
+		if got, want := smallLiger(t, change).Folded(), change == nil; got != want {
 			t.Errorf("%s: folded %v, want %v", name, got, want)
 		}
 	}
@@ -269,7 +269,7 @@ func TestFoldKeptUnfoldedByDeviceChange(t *testing.T) {
 // the node.
 func TestFoldDivergencePanics(t *testing.T) {
 	node := smallLiger(t, nil)
-	if !gpusim.IsFolded(node) {
+	if !node.Folded() {
 		t.Fatal("the node did not fold")
 	}
 	for name, call := range map[string]struct {
@@ -316,8 +316,8 @@ func TestOnDoneCountsCopies(t *testing.T) {
 		if rep := node.Fold(group); rep >= 0 {
 			devs = []int{rep}
 		}
-		if gpusim.IsFolded(node) != fold {
-			t.Fatalf("folding %v, want %v", gpusim.IsFolded(node), fold)
+		if node.Folded() != fold {
+			t.Fatalf("folding %v, want %v", node.Folded(), fold)
 		}
 		copies = map[string]int{}
 		for round := range 3 {

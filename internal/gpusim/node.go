@@ -215,9 +215,6 @@ type Node struct {
 	// state ahead of the cancellation cascade.
 	onFail      []func(dev int, now simclock.Time)
 	failedCount int
-	// healthChanges counts changes of a device's speed, link factor or
-	// liveness (see HealthChanges).
-	healthChanges uint64
 
 	// evCounts classifies every event scheduled on the engine by
 	// subsystem; see EventCounters in shards.go.
@@ -324,7 +321,6 @@ func (n *Node) FailDevice(i int) {
 	now := n.eng.Now()
 	d.failed = true
 	n.failedCount++
-	n.healthChanges++
 	if n.tracer != nil {
 		n.tracer.DeviceFailed(i, now)
 	}
@@ -552,14 +548,6 @@ func (n *Node) MinLinkHealth() float64 {
 	return h
 }
 
-// HealthChanges counts every change so far of a device's speed, link
-// factor or liveness: a reading that did not move over a span of virtual
-// time proves no fault window opened or closed in it.
-func (n *Node) HealthChanges() uint64 {
-	n.touch()
-	return n.healthChanges
-}
-
 // Drained reports whether the node holds no work and no launch
 // backlog: nothing is queued on any stream, running, or waiting for
 // admission, so no kernel, command, event record, wait or collective is
@@ -631,6 +619,13 @@ func (n *Node) KeepUnfolded() {
 		panic("gpusim: KeepUnfolded on a node that has already folded")
 	}
 	n.asym = true
+}
+
+// Folded reports whether the node folded a group (see Fold). Once the
+// first Fold call decided, the answer holds for the rest of the run.
+func (n *Node) Folded() bool {
+	n.touch()
+	return n.folded
 }
 
 // Fold folds the SPMD group devs into one simulated device, if the node

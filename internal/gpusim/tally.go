@@ -1,7 +1,5 @@
 package gpusim
 
-import "math/bits"
-
 // Tally is a node's cumulative work: the kernel and collective ids it
 // has handed out and every device's own DeviceStats. A device folded
 // into a representative keeps zero stats of its own (Stats reports the
@@ -25,41 +23,17 @@ func (n *Node) ReadTally(t *Tally) {
 
 // Work is what a node did between two tallies, stored compactly: only
 // the devices whose stats moved, the set bits of Mask, keep an entry in
-// Devices, in id order.
+// Devices, in id order. It holds at most 64 devices.
 type Work struct {
 	Kernels, Collectives int
 	Mask                 uint64
 	Devices              []DeviceStats
 }
 
-// Since returns the work done between the tally earlier and t. It
-// reports false for a node of more than 64 devices, which Work cannot
-// hold.
-func (t Tally) Since(earlier Tally) (Work, bool) {
-	w := Work{Kernels: t.Kernels - earlier.Kernels, Collectives: t.Collectives - earlier.Collectives}
-	if len(t.Devices) > 64 {
-		return w, false
-	}
-	for i, d := range t.Devices {
-		if d != earlier.Devices[i] {
-			w.Mask |= 1 << i
-		}
-	}
-	w.Devices = make([]DeviceStats, 0, bits.OnesCount64(w.Mask))
-	for i, d := range t.Devices {
-		if e := earlier.Devices[i]; d != e {
-			w.Devices = append(w.Devices, DeviceStats{ComputeBusy: d.ComputeBusy - e.ComputeBusy,
-				CommBusy: d.CommBusy - e.CommBusy, OverlapBusy: d.OverlapBusy - e.OverlapBusy,
-				KernelsRun: d.KernelsRun - e.KernelsRun})
-		}
-	}
-	return w, true
-}
-
 // AddWork adds w to the node's counters as if the node had done it: the
 // kernel and collective ids it took and every device's stats. Iteration
-// replay calls it on a drained node in place of the simulation w was
-// read from.
+// replay calls it on a drained node in place of the simulation w stands
+// for.
 func (n *Node) AddWork(w Work) {
 	n.touch()
 	n.nextKernelID += w.Kernels

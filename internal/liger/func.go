@@ -271,7 +271,8 @@ type Assembler struct {
 const planBudget = 1 << 17
 
 // cachedPlan is one entry of the plan cache. replay is the shape's
-// recorded solo iteration, nil until one is recorded (see Replay).
+// recorded solo iteration, nil until one is synthesized (see Replay),
+// or nonlinear for a shape whose probes do not extend to one.
 type cachedPlan struct {
 	w      model.Workload
 	plan   *parallel.Plan

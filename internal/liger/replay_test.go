@@ -12,8 +12,10 @@ import (
 	"liger/internal/simclock"
 )
 
-// TestReplayRecordLivesOnThePlan: a shape's replay record is shared by
-// every batch of the shape and goes when Retarget drops the plans.
+// TestReplayRecordLivesOnThePlan: a shape's replay record and its
+// nonlinear mark are shared by every batch of the shape and go when
+// Retarget drops the plans. A cut batch runs the shape's plan with fewer
+// layers and has neither.
 func TestReplayRecordLivesOnThePlan(t *testing.T) {
 	comp := parallel.NewCompiler(hw.V100Node(), nccl.Config{ReducedChannels: true})
 	asm, err := NewAssembler(comp, model.Tiny(), 4)
@@ -30,11 +32,27 @@ func TestReplayRecordLivesOnThePlan(t *testing.T) {
 	if b2, _ := asm.Assemble(w); b2.Replay() != rec {
 		t.Fatal("a batch of the recorded shape does not see the record")
 	}
+	b.MarkNonlinear()
+	b2, _ := asm.Assemble(w)
+	if !b2.Nonlinear() {
+		t.Fatal("a batch of the marked shape does not see the mark")
+	}
+	cut := b2.Cut(2, nil)
+	if cut.Replay() != nil || cut.Nonlinear() || cut.Workload != w || cut.Layers() != 2 {
+		t.Fatalf("cut batch: record %v, marked %v, shape %v, %d layers", cut.Replay(), cut.Nonlinear(), cut.Workload, cut.Layers())
+	}
+	kernels := func(layers int) int { return b2.Cut(layers, nil).Remaining() }
+	if kernels(4) != b2.Remaining() || kernels(2) == kernels(1) || kernels(3)-kernels(2) != kernels(2)-kernels(1) {
+		t.Fatalf("cut batches of %d, %d, %d and %d kernels from a plan of %d", kernels(1), kernels(2), kernels(3), kernels(4), b2.Remaining())
+	}
+	if again := b2.Cut(1, cut); again != cut || again.Layers() != 1 || b2.Layers() != model.Tiny().Layers {
+		t.Fatal("a reused cut batch")
+	}
 	if err := asm.Retarget(comp.ForWorldSize(2), 2); err != nil {
 		t.Fatal(err)
 	}
-	if b3, _ := asm.Assemble(w); b3.Replay() != nil {
-		t.Fatal("the record survived Retarget")
+	if b3, _ := asm.Assemble(w); b3.Replay() != nil || b3.Nonlinear() {
+		t.Fatal("the record or the mark survived Retarget")
 	}
 	if NewBatch(9, w, nil).Replay() != nil {
 		t.Fatal("a hand-built batch has a record")

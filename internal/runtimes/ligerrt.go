@@ -47,7 +47,7 @@ func NewLiger(node *gpusim.Node, compiler *parallel.Compiler, spec model.Spec, c
 	}
 	r := &Liger{node: node, compiler: compiler, assembler: asm, scheduler: sched,
 		failover: newFailover(node, compiler.Comm(), spec)}
-	r.catchUpFn = r.catchUp
+	r.catchUpFn, r.cfg = r.catchUp, cfg
 	sched.SetOnBatchDone(func(b *liger.Batch, now simclock.Time) {
 		r.complete(Completion{ID: b.ID, Workload: b.Workload, Submitted: b.SubmittedAt,
 			Done: now, Failed: b.Failed, Req: b.Req}, b)
@@ -97,10 +97,7 @@ func (r *Liger) SubmitReq(w model.Workload, req int) error {
 // it); after a kernel cancelled on a failed device, before that kernel's
 // completion, so the batch completes already failed.
 func (r *Liger) complete(c Completion, b *liger.Batch) {
-	switch b {
-	case r.recording:
-		r.record(c, b)
-	case r.held:
+	if b == r.held {
 		r.held = nil
 		r.replays++
 	}
@@ -113,11 +110,12 @@ func (r *Liger) complete(c Completion, b *liger.Batch) {
 }
 
 // handleFail is the Node.OnFail observer: retarget the assembler at
-// the survivor world (batches assembled from here on compile for it),
+// the survivor world (batches assembled from here on compile for it,
+// and records are synthesized on a new probe node of the survivors),
 // quiesce the scheduler, and — once the old epoch drains — pay the
 // recovery delay, re-shard, and resume rounds on the survivors.
 func (r *Liger) handleFail(dev int, now simclock.Time) {
-	r.recording = nil
+	r.probe = nil
 	r.begin(now)
 	alive := r.node.AliveDevices()
 	r.compiler = r.compiler.ForWorldSize(len(alive))

@@ -1,20 +1,21 @@
 package runtimes
 
 import (
-	"time"
+	"slices"
 
 	"liger/internal/gpusim"
 	"liger/internal/liger"
+	"liger/internal/simclock"
 )
 
 // Iteration replay. A serving loop submits each iteration from the
 // completion of the one before, so the iteration starts on a drained
 // node with nothing else in flight. Such a solo iteration takes the same
-// time and does the same work at every start instant (liger.Replay), so
-// the runtime records the first one of each shape and answers later ones
-// from the record: one completion event instead of the simulation. Every
-// condition below keeps the answer exact; when one fails the batch is
-// simulated as it always was.
+// time and does the same work at every start instant, and every decoder
+// layer adds the same to it (liger.Replay), so the runtime answers it
+// from a per-shape record: one completion event instead of the
+// simulation. Every condition below keeps the answer exact; when one
+// fails the batch is simulated as it always was.
 //
 //  1. Chained or sharded: the submit happens inside this runtime's own
 //     completion delivery, or the node's engine is a shard of a sharded
@@ -22,11 +23,11 @@ import (
 //     as well (Fleet replicas, Disagg prefill nodes). No other batch is
 //     waiting or in flight either way. Batch-mode drivers on one engine
 //     submit from arrival events and never replay.
-//  2. Recorded state: the node is drained and healthy (speed and link
-//     factors 1) under the recorded collective watchdog, no tracer is
-//     attached, the scheduler is settled (warm, no journal, no adaptive
-//     contention), the runtime is not reconfiguring, and the batch's
-//     workspace fits at submit.
+//  2. Probed state: the node is drained and healthy (speed and link
+//     factors 1) under the collective watchdog the record was probed
+//     under, no tracer is attached, the scheduler is settled (warm, no
+//     journal, no adaptive contention), the runtime is not
+//     reconfiguring, and the batch's workspace fits at submit.
 //  3. A bounded run: the run in progress does not stop before the
 //     replayed completion. On a shard that bound is the executor's
 //     deadline: its windows only pause the shard, and an event another
@@ -46,9 +47,15 @@ import (
 //     serving loop's arrivals only join the batcher's wait queue, so the
 //     iterations they land in replay.
 //
-// A recording is taken from a simulated iteration that met conditions 1
-// and 2 at submit and again at completion, with no other submit, health
-// change, watchdog change or failed completion in between.
+// The record comes from a probe node, not from the run itself: a
+// private copy of the node, warm and drained, with an engine of its own
+// (probe). The first submit of a shape that meets conditions 1 and 2
+// runs the shape's plan cut to 1, 2 and 3 layers there (liger.Batch.Cut)
+// and extends the three outcomes linearly to the model's layer count
+// (liger.Extend); a model of at most 3 layers is probed at its own
+// depth. The record goes on the shape's plan-cache entry and the submit
+// replays at once. A shape whose probes do not take equal steps is
+// marked and simulated as always.
 type replayer struct {
 	// off disables replay (tests: the simulated oracle).
 	off bool
@@ -62,59 +69,158 @@ type replayer struct {
 	heldSeq   uint64
 	catchUpFn func(*liger.Batch, *liger.Replay)
 
-	// recording is the simulated batch being recorded, with the readings
-	// taken at its submit: the sequence numbers the submit took, the
-	// node's health-change count, collective watchdog and tally, and the
-	// scheduler's counters.
-	recording  *liger.Batch
-	recSeqs    int
-	recHealth  uint64
-	recTimeout time.Duration
-	recTally   gpusim.Tally
-	recStats   liger.Stats
-	// tally is scratch for the reading at completion.
-	tally gpusim.Tally
+	// cfg is the scheduler's configuration, which the probe node's
+	// scheduler copies. probe is built on the first synthesis and
+	// dropped when a device fails.
+	cfg   liger.Config
+	probe *probe
 
 	// replays counts the iterations answered from a record; catchUps
-	// the replays caught up and simulated after all.
-	replays, catchUps int
+	// the replays caught up and simulated after all; synthesized the
+	// records the probe made, fallbacks the shapes it marked.
+	replays, catchUps, synthesized, fallbacks int
 }
 
 // replayable reports whether the node and scheduler are in the state a
-// replay records and reproduces (condition 2 without the workspace).
+// replay reproduces (condition 2 without the workspace).
 func (r *Liger) replayable() bool {
 	n := r.node
 	return !r.off && !r.reconfiguring && !r.impossible && n.Tracer() == nil &&
 		r.scheduler.Settled() && n.Drained() && n.MinHealth() == 1 && n.MinLinkHealth() == 1
 }
 
-// submit hands b to the scheduler: replayed when its shape has a record
-// and the submit is chained or on a shard, recorded when it has none,
-// and simulated in any case but the first.
+// submit hands b to the scheduler: replayed when the submit is chained
+// or on a shard and its shape has a record or gets one synthesized, and
+// simulated otherwise.
 func (r *Liger) submit(b *liger.Batch) {
-	r.recording = nil
 	eng := r.node.Engine()
 	if r.depth == 0 && !eng.Shard() || !r.replayable() || !r.scheduler.HoldWorkspace(b) {
 		r.scheduler.Submit(b)
 		return
 	}
-	if rec := b.Replay(); rec != nil {
-		if rec.Timeout == r.node.CollectiveTimeout() {
-			first := eng.ReserveN(rec.Seqs)
-			if r.scheduler.Replay(b, rec, r.catchUpFn) {
-				r.held, r.heldSeq = b, first
-				return
-			}
-		}
-		r.scheduler.Submit(b)
-		return
+	rec := b.Replay()
+	if rec == nil && !b.Nonlinear() {
+		rec = r.synthesize(b)
 	}
-	r.recording, r.recHealth, r.recTimeout = b, r.node.HealthChanges(), r.node.CollectiveTimeout()
-	r.recStats = r.scheduler.Stats()
-	r.node.ReadTally(&r.recTally)
-	seq := eng.Seq()
+	if rec != nil && rec.Timeout == r.node.CollectiveTimeout() {
+		first := eng.ReserveN(rec.Seqs)
+		if r.scheduler.Replay(b, rec, r.catchUpFn) {
+			r.held, r.heldSeq = b, first
+			return
+		}
+	}
 	r.scheduler.Submit(b)
-	r.recSeqs = int(eng.Seq() - seq)
+}
+
+// synthesize probes b's shape and stores its record on the shape's
+// plan-cache entry, returning it. It marks the shape and returns nil
+// when the probes do not extend to a record.
+func (r *Liger) synthesize(b *liger.Batch) *liger.Replay {
+	if r.probe == nil {
+		r.probe = newProbe(r.node, r.cfg)
+	}
+	p, layers, timeout := r.probe, b.Layers(), r.node.CollectiveTimeout()
+	p.node.SetCollectiveTimeout(timeout)
+	lo, hi := 1, len(p.runs)
+	if layers <= hi {
+		lo, hi = layers, layers
+	}
+	ok := true
+	for k := lo; k <= hi && ok; k++ {
+		ok = p.run(b, k, &p.runs[k-1])
+	}
+	var rec *liger.Replay
+	if ok {
+		rec, ok = liger.Extend(&p.runs, layers, timeout)
+	}
+	if !ok {
+		b.MarkNonlinear()
+		r.fallbacks++
+		return nil
+	}
+	b.SetReplay(rec)
+	r.synthesized++
+	return rec
+}
+
+// probe is the private node records are synthesized on: a copy of the
+// runtime's node in everything condition 2 reads or a record depends on
+// — the hardware, the scheduler configuration, the surviving devices,
+// the fold decision and, set before each synthesis, the collective
+// watchdog — on an engine of its own. It stays warm and drained between
+// probes.
+type probe struct {
+	eng   *simclock.Engine
+	node  *gpusim.Node
+	sched *liger.Scheduler
+	// batch is the cut batch running (liger.Batch.Cut), reused from probe
+	// to probe; m is the measure it fills, nil once it completed.
+	batch    *liger.Batch
+	m        *liger.Probe
+	runs     [3]liger.Probe
+	submitFn func(simclock.Time)
+}
+
+// newProbe builds a probe node copying node and a scheduler of cfg.
+func newProbe(node *gpusim.Node, cfg liger.Config) *probe {
+	p := &probe{eng: simclock.New()}
+	p.node = gpusim.MustNew(p.eng, node.Spec())
+	if !node.Folded() {
+		p.node.KeepUnfolded()
+	}
+	alive := node.AliveDevices()
+	for d := range node.NumDevices() {
+		if !slices.Contains(alive, d) {
+			p.node.FailDevice(d)
+		}
+	}
+	sched, err := liger.NewScheduler(p.node, cfg)
+	if err != nil {
+		panic(err) // the runtime's own scheduler was built from cfg
+	}
+	p.sched, p.submitFn = sched, p.submit
+	sched.SetOnBatchDone(p.done)
+	return p
+}
+
+// run measures into m one solo iteration of b's plan cut to layers
+// layers, warming the node first with the plan cut to one layer when it
+// is cold. It reports false when the iteration did not start settled
+// and drained or did not complete.
+func (p *probe) run(b *liger.Batch, layers int, m *liger.Probe) bool {
+	if !p.sched.Settled() && !p.measure(b, 1, m) {
+		return false
+	}
+	return p.sched.Settled() && p.node.Drained() && p.measure(b, layers, m)
+}
+
+// measure runs b's plan cut to layers layers on the probe node into m.
+func (p *probe) measure(b *liger.Batch, layers int, m *liger.Probe) bool {
+	p.batch, p.m = b.Cut(layers, p.batch), m
+	p.eng.After(0, p.submitFn)
+	p.eng.Run()
+	m.Failed = p.batch.Failed
+	return p.m == nil
+}
+
+// submit submits the cut batch, reading the tally, counters and engine
+// sequence before it.
+func (p *probe) submit(simclock.Time) {
+	m := p.m
+	p.node.ReadTally(&m.Before)
+	m.Stats = p.sched.Stats()
+	seq := p.eng.Seq()
+	p.sched.Submit(p.batch)
+	m.Seqs = int(p.eng.Seq() - seq)
+}
+
+// done completes the measure of the cut batch b at its completion.
+func (p *probe) done(b *liger.Batch, now simclock.Time) {
+	m := p.m
+	m.Duration = now - b.SubmittedAt
+	p.node.ReadTally(&m.After)
+	m.Stats = p.sched.Stats().Since(m.Stats)
+	p.m = nil
 }
 
 // catchUp submits the held batch b, replayed as rec, to the scheduler
@@ -124,21 +230,4 @@ func (r *Liger) catchUp(b *liger.Batch, rec *liger.Replay) {
 	r.held = nil
 	r.catchUps++
 	r.node.Engine().InReserved(r.heldSeq, rec.Seqs, func() { r.scheduler.Submit(b) })
-}
-
-// record stores the outcome of the recorded batch b, which completed as
-// c, on its shape's plan-cache entry, unless the run strayed from the
-// recorded state on the way.
-func (r *Liger) record(c Completion, b *liger.Batch) {
-	r.recording = nil
-	if c.Failed || r.node.HealthChanges() != r.recHealth || r.node.CollectiveTimeout() != r.recTimeout ||
-		!r.replayable() {
-		return
-	}
-	r.node.ReadTally(&r.tally)
-	work, ok := r.tally.Since(r.recTally)
-	if !ok {
-		return
-	}
-	b.SetReplay(liger.NewReplay(c.Done-c.Submitted, r.recTimeout, r.recSeqs, work, r.scheduler.Stats().Since(r.recStats)))
 }

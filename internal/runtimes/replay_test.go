@@ -465,15 +465,16 @@ func TestContinuousReplayEngages(t *testing.T) {
 // TestReplayFollowsTheRules perturbs a chain of solo iterations, which
 // replay, in every way the rules guard against, at fixed iterations:
 //
-//   - a fault window opens and closes inside the first recorded
+//   - a fault window opens and closes inside the first replayed
 //     iteration, and later a callback slows a device after it submits;
-//   - a second submit follows the chained one, including while a new
-//     shape is being recorded;
+//   - a second submit follows the chained one, including right after a
+//     new shape's record was synthesized;
 //   - a callback reads the scheduler after it submits, or schedules
 //     readings of the node into the window, at the instants the first
 //     commands and the first kernel after the leading wait arrive;
 //   - the run stops eight times with RunUntil to read the node;
-//   - a callback fails a device after it submits (a failover);
+//   - a callback fails a device after it submits (a failover), after
+//     which new shapes are probed on the survivors;
 //   - a tracer is attached for a few iterations;
 //   - a collective watchdog short enough to abort every collective is
 //     set, and a new shape runs under it.
@@ -644,9 +645,9 @@ func TestShardReplayMatchesSimulation(t *testing.T) {
 	r := probe.result.PerRequest[1]
 	lat := simclock.Time(hw.IBNetwork().Latency)
 	d := simclock.Time(r.Done-r.Arrival) - 2*lat
-	// Requests 0 and 1 warm the node and record w; request 2 replays in
-	// the window [2g+latency, 2g+latency+d], and the next ones after it
-	// do too.
+	// Request 0 warms the node; request 1 replays w from a synthesized
+	// record, request 2 in the window [2g+latency, 2g+latency+d], and
+	// the next ones after it do too.
 	g := 4 * d
 	base := []serve.Arrival{at(0), at(g), at(2 * g)}
 	tail := []serve.Arrival{at(4 * g), at(5 * g), at(6 * g)}
@@ -848,7 +849,9 @@ func touchedChain(t *testing.T, w model.Workload, d simclock.Time, p touchPoint,
 // replaying run must catch the iteration up exactly once and agree with
 // the simulated one on every completion, the final DeviceStats,
 // scheduler counters and kernel and collective ids, and every foreign
-// event's firing instant and reading.
+// event's firing instant and reading. The second iteration, the first
+// of its shape on a warm node, replays untouched from a synthesized
+// record.
 func TestCatchUpAtEveryPosition(t *testing.T) {
 	for _, w := range []model.Workload{
 		{Batch: 4, CtxLen: 24, Phase: model.Decode},
@@ -891,8 +894,8 @@ func TestCatchUpAtEveryPosition(t *testing.T) {
 				if onLog != offLog {
 					t.Fatalf("touch %+v kind %d: firing logs differ:\n%s\n%s", p, i%6, onLog, offLog)
 				}
-				if on.catchUps != 1 || on.replays != 0 {
-					t.Fatalf("touch %+v kind %d: %d catch-ups and %d replays, want 1 and 0", p, i%6, on.catchUps, on.replays)
+				if on.catchUps != 1 || on.replays != 1 {
+					t.Fatalf("touch %+v kind %d: %d catch-ups and %d replays, want 1 and 1", p, i%6, on.catchUps, on.replays)
 				}
 			}
 		})

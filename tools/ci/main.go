@@ -37,9 +37,13 @@
 //  9. an observability race pass: the tracer hook, dependency-edge
 //     emission, per-request decomposition, trace-analysis, and
 //     metrics-export paths under -race
-//  10. a replay race pass: iteration replay's start-instant proof, its
-//     differential against the simulation (the FuzzContinuousReplay
-//     seeds, TestContinuousReplayEngages, TestReplayFollowsTheRules,
+//  10. a replay race pass: iteration replay's start-instant proof and
+//     its layer-count proof (TestSoloIterationIsLayerAffine), the
+//     differential of records synthesized from 1-, 2- and 3-layer
+//     probes against fully simulated ones
+//     (TestSynthesizedRecordsMatchSimulation), replay's differential
+//     against the simulation (the FuzzContinuousReplay seeds,
+//     TestContinuousReplayEngages, TestReplayFollowsTheRules,
 //     TestShardReplayMatchesSimulation on fleet and chained shards at 1
 //     and 4 workers, and TestCatchUpAtEveryPosition), the walk that
 //     finds every entry point catching a replay up
@@ -180,7 +184,7 @@ func main() {
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
 			"./internal/analyze")},
 		{"replay race", command("go", "test", "-race",
-			"-run", "SoloIteration|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled",
+			"-run", "SoloIteration|Synthesized|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled",
 			"./internal/runtimes", "./internal/simclock", "./internal/gpusim", "./internal/liger")},
 		{"failover smoke", smoke{
 			what: "failover sweep",
