@@ -38,7 +38,7 @@ func main() {
 		jsonDir  = flag.String("json", "", "also write machine-readable artifacts (BENCH_failover.json) into this directory")
 		traceDir = flag.String("trace-dir", "", "failover experiment: also write per-runtime Chrome traces and metrics snapshots of one traced failure point into this directory")
 		shards   = flag.Int("shards", 0,
-			"request lookahead-sharded execution inside each simulation point; single-node specs fall back to the sequential engine (see docs/PERF.md) and output is identical at any value")
+			"worker count of the fleet experiment's sharded executor; single-node experiments ignore it (a node is one shard, see docs/PERF.md) and output is identical at any value")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	)

@@ -68,12 +68,6 @@ type engineStats struct {
 	FarPushes   uint64 `json:"far_pushes"`
 	// BySubsystem decomposes scheduled events by origin.
 	BySubsystem gpusim.EventCounters `json:"by_subsystem"`
-	// ShardDomains/ShardLookaheadNS echo the partition analysis;
-	// ShardStalls stays 0 until a multi-domain plan exists (the
-	// single-node fallback never stalls — it never windows).
-	ShardDomains     int    `json:"shard_domains"`
-	ShardLookaheadNS int64  `json:"shard_lookahead_ns"`
-	ShardStalls      uint64 `json:"shard_stalls"`
 }
 
 func main() {
@@ -86,7 +80,7 @@ func main() {
 		seq       = flag.Int("seq", 64, "sequence length")
 		layersOne = flag.Bool("onelayer", true, "profile a single layer (models stack identical layers)")
 		engStats  = flag.Bool("engine-stats", false,
-			"also serve a short calibration trace and report DES-core counters: events/sec, queue occupancy, per-subsystem event mix, shard plan")
+			"also serve a short calibration trace and report DES-core counters: events/sec, queue occupancy, per-subsystem event mix")
 		engBatches = flag.Int("engine-batches", 50, "batch arrivals for the -engine-stats calibration run")
 	)
 	flag.Parse()
@@ -177,7 +171,6 @@ func measureEngine(node hw.Node, spec model.Spec, batch, batches int) (*engineSt
 	wall := time.Since(start)
 	clk := eng.Clock()
 	st := clk.Stats()
-	plan := eng.ShardPlan()
 	es := &engineStats{
 		EventsFired: clk.Fired(),
 		WallNS:      wall.Nanoseconds(),
@@ -189,9 +182,6 @@ func measureEngine(node hw.Node, spec model.Spec, batch, batches int) (*engineSt
 		Resizes:     st.Resizes,
 		FarPushes:   st.FarPushes,
 		BySubsystem: eng.SimNode().EventCounters(),
-
-		ShardDomains:     plan.Domains,
-		ShardLookaheadNS: plan.Lookahead.Nanoseconds(),
 	}
 	if wall > 0 {
 		es.EventsPerSec = float64(es.EventsFired) / wall.Seconds()

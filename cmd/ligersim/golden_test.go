@@ -23,21 +23,24 @@ var update = flag.Bool("update", false, "rewrite golden files")
 var goldenRuns = []struct {
 	name  string
 	steps [][]string
+	// sharded cases run on the cluster's sharded executor, so they run
+	// at -shards 1 and -shards 4 against the one golden.
+	sharded bool
 }{
-	{"journal", [][]string{{"-journal", "3", "-decode", "-process", "poisson", "-deadline", "50ms"}}},
-	{"explain", [][]string{{"-runtime", "Liger", "-batches", "20", "-rate", "20", "-explain"}}},
-	{"trace-metrics", [][]string{{"-model", "tiny", "-batches", "5", "-trace", "t.json", "-metrics", "m.json", "-window", "1ms"}}},
+	{"journal", [][]string{{"-journal", "3", "-decode", "-process", "poisson", "-deadline", "50ms"}}, false},
+	{"explain", [][]string{{"-runtime", "Liger", "-batches", "20", "-rate", "20", "-explain"}}, false},
+	{"trace-metrics", [][]string{{"-model", "tiny", "-batches", "5", "-trace", "t.json", "-metrics", "m.json", "-window", "1ms"}}, false},
 	{"tracein", [][]string{
 		{"-model", "tiny", "-batches", "20", "-rate", "50", "-process", "bursty", "-tracesave", "arrivals.json"},
 		{"-model", "tiny", "-tracein", "arrivals.json"},
-	}},
+	}, false},
 	{"continuous", [][]string{{"-continuous", "-model", "tiny", "-batches", "24", "-rate", "2000",
 		"-prompt", "32", "-gen", "8", "-pool", "8",
-		"-serving-report", "-serving-trace", "s.json", "-metrics", "m.json", "-window", "1ms"}}},
+		"-serving-report", "-serving-trace", "s.json", "-metrics", "m.json", "-window", "1ms"}}, false},
 	{"disagg", [][]string{{"-disagg", "-model", "tiny", "-batches", "24", "-rate", "2000",
 		"-prompt", "32", "-gen", "8", "-pool", "8", "-prefillnodes", "2", "-decodenodes", "2",
-		"-serving-report", "-serving-trace", "d.json"}}},
-	{"fleet", [][]string{{"-nodes", "3", "-spares", "1", "-deadline", "100ms", "-hedge", "20ms", "-serving-trace", "f.json"}}},
+		"-serving-report", "-serving-trace", "d.json"}}, true},
+	{"fleet", [][]string{{"-nodes", "3", "-spares", "1", "-deadline", "100ms", "-hedge", "20ms", "-serving-trace", "f.json"}}, true},
 }
 
 // buildLigersim compiles this command into a temporary directory.
@@ -89,10 +92,10 @@ func runCase(t *testing.T, bin string, steps [][]string, extra ...string) []byte
 	return buf.Bytes()
 }
 
-// TestLigersimGolden pins each flag mode's stdout and output files at
-// -shards 1 and -shards 4 against one golden per case; -update rewrites
-// the goldens from the -shards 1 run, only when an output is meant to
-// move.
+// TestLigersimGolden pins each flag mode's stdout and output files
+// against one golden per case, the sharded cases at -shards 1 and
+// -shards 4; -update rewrites the goldens from the first run, only when
+// an output is meant to move.
 func TestLigersimGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary; skipped with -short")
@@ -101,9 +104,13 @@ func TestLigersimGolden(t *testing.T) {
 	for _, tc := range goldenRuns {
 		t.Run(tc.name, func(t *testing.T) {
 			golden := filepath.Join("testdata", tc.name+".golden")
-			for _, shards := range []string{"1", "4"} {
-				got := runCase(t, bin, tc.steps, "-shards", shards)
-				if *update && shards == "1" {
+			runs := [][]string{nil}
+			if tc.sharded {
+				runs = [][]string{{"-shards", "1"}, {"-shards", "4"}}
+			}
+			for r, extra := range runs {
+				got := runCase(t, bin, tc.steps, extra...)
+				if *update && r == 0 {
 					if err := os.MkdirAll("testdata", 0o755); err != nil {
 						t.Fatal(err)
 					}
@@ -119,10 +126,10 @@ func TestLigersimGolden(t *testing.T) {
 					gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 					for i := 0; i < len(gl) && i < len(wl); i++ {
 						if !bytes.Equal(gl[i], wl[i]) {
-							t.Fatalf("-shards %s drifted from %s at line %d:\n got %s\nwant %s", shards, golden, i+1, gl[i], wl[i])
+							t.Fatalf("%q drifted from %s at line %d:\n got %s\nwant %s", extra, golden, i+1, gl[i], wl[i])
 						}
 					}
-					t.Fatalf("-shards %s drifted from %s: %d lines, want %d", shards, golden, len(gl), len(wl))
+					t.Fatalf("%q drifted from %s: %d lines, want %d", extra, golden, len(gl), len(wl))
 				}
 			}
 		})
@@ -150,6 +157,8 @@ func TestLigersimRejects(t *testing.T) {
 		{[]string{"-disagg", "-nodes", "3"}, "-nodes is not read in disagg mode"},
 		{[]string{"-continuous", "-deadline", "50ms"}, "-deadline is not read in continuous mode"},
 		{[]string{"-prefillnodes", "2"}, "-prefillnodes is not read in batch mode"},
+		{[]string{"-shards", "4"}, "-shards is not read in batch mode"},
+		{[]string{"-continuous", "-shards", "4"}, "-shards is not read in continuous mode"},
 		{[]string{"-batches", "5", "foo"}, `unexpected argument "foo"`},
 		{[]string{"-nodes", "-1"}, "cluster.nodes: need at least one replica node, got -1"},
 		{[]string{"-gpus", "-3"}, "node.gpus: negative GPU count -3"},

@@ -56,7 +56,7 @@ var (
 	topN       = flag.Int("top", 10, "top-N critical-path contributors for -explain")
 	routing    = flag.String("routing", "earliest", "collective routing for -explain: earliest (surface rendezvous stalls) or binding (follow the gating member)")
 	window     = flag.Duration("window", 0, "windowed time-series bucket width for -metrics (0 disables)")
-	shards     = flag.Int("shards", 0, "request lookahead-sharded execution; single-node specs fall back to the sequential engine (see docs/PERF.md) and output is identical at any value")
+	shards     = flag.Int("shards", 0, "worker count of the sharded executor that -nodes and -disagg runs use; output is identical at any value (see docs/PERF.md)")
 	nodes      = flag.Int("nodes", 0, "serve on a fleet of N replica nodes behind the health-aware router (0 = classic single-node path; see docs/FLEET.md)")
 	spares     = flag.Int("spares", 0, "spare nodes for whole-node failover (with -nodes)")
 	network    = flag.String("network", "ib", "inter-node network preset for -nodes/-disagg: ib or ethernet")
@@ -109,7 +109,7 @@ var readBy = map[string]mode{
 	"trace": batchMode, "journal": batchMode, "explain": batchMode, "top": batchMode, "routing": batchMode,
 	"metrics": batchMode | serving, "window": batchMode | serving,
 	"spares": fleetMode, "probe": fleetMode, "hedge": fleetMode, "retries": fleetMode,
-	"network": fleetMode | disaggMode, "serving-trace": fleetMode | serving,
+	"network": fleetMode | disaggMode, "shards": fleetMode | disaggMode, "serving-trace": fleetMode | serving,
 	"prompt": serving, "gen": serving, "pool": serving, "serving-report": serving,
 	"prefillnodes": disaggMode, "decodenodes": disaggMode,
 }
@@ -294,14 +294,6 @@ func printLatency(res serve.Result) {
 // -journal, -explain, -trace and -metrics.
 func renderBatch(c *scenario.Compiled, out *scenario.Outcome) {
 	eng, res := out.Engine, out.Result
-	if plan := eng.ShardPlan(); *shards > 1 && !plan.Parallel() {
-		// Diagnostics go to stderr: stdout is the determinism-pinned
-		// report surface and must not depend on the -shards setting.
-		log.Printf("note: -shards %d requested, but the partition analysis found %d domain(s); running on the sequential engine", *shards, plan.Domains)
-		for _, cp := range plan.Couplings {
-			log.Printf("note:   zero-latency coupling: %s", cp.Name)
-		}
-	}
 	fmt.Printf("node      : %s (%d GPUs, %s)\n", c.Node.Name, c.Node.NumGPUs, c.Node.Interconnect.Name)
 	printModel(c, res.Runtime)
 	fmt.Printf("trace     : %d batches x %d reqs, %s rate %.2f/s, phase %s\n",
@@ -371,7 +363,8 @@ func renderFleet(c *scenario.Compiled, out *scenario.Outcome) {
 
 // renderServing prints a continuous or disaggregated run's
 // decode-serving report, then -serving-report, -serving-trace and
-// -metrics. Output is byte-identical at any -shards setting.
+// -metrics. A disaggregated run's output is byte-identical at any
+// -shards setting.
 func renderServing(c *scenario.Compiled, out *scenario.Outcome, pools *scenario.DisaggPools) {
 	res, plan := out.Result, c.Continuous
 	if pools == nil {

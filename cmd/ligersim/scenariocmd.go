@@ -40,7 +40,7 @@ func dispatchScenario() bool {
 func runScenarioCmd(args []string) {
 	fs := flag.NewFlagSet("ligersim run", flag.ExitOnError)
 	parallel := fs.Int("parallel", 0, "worker count for the per-runtime fan-out (results are identical at any value)")
-	shards := fs.Int("shards", 0, "request lookahead-sharded simulation (results are identical at any value)")
+	shards := fs.Int("shards", 0, "worker count of the sharded executor of fleet (cluster:) scenarios; single-node scenarios ignore it (results are identical at any value)")
 	jsonOut := fs.String("json", "", "also write a machine-readable report to this file (one scenario only)")
 	quiet := fs.Bool("q", false, "print only the per-scenario verdict lines")
 	fs.Usage = func() {
@@ -136,7 +136,7 @@ func stressCmd(args []string) {
 	n := fs.Int("n", 25, "number of randomized scenario instances")
 	seed := fs.Int64("seed", 1, "master seed; same (n, seed) reproduces the report byte-for-byte")
 	parallel := fs.Int("parallel", 0, "worker count across instances (results are identical at any value)")
-	shards := fs.Int("shards", 0, "request lookahead-sharded simulation per instance (results are identical at any value)")
+	shards := fs.Int("shards", 0, "worker count of a fleet instance's sharded executor; the generated instances are single-node, so it changes nothing today (results are identical at any value)")
 	jsonOut := fs.String("json", "", "also write the machine-readable survival report to this file")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: ligersim stress [flags]")

@@ -58,11 +58,10 @@ type RunConfig struct {
 	// traced failure point per runtime and write a Chrome trace plus a
 	// metrics snapshot for each (see docs/OBSERVABILITY.md).
 	TraceDir string
-	// Shards requests lookahead-sharded execution inside each simulation
-	// point (core.Options.Shards). Single-node specs collapse to one
-	// shard (see gpusim.PlanShards), so today this is a determinism
-	// knob: output must stay byte-identical at any value, and the
-	// pinned tests + CI smoke enforce exactly that.
+	// Shards is the worker count of the fleet experiment's sharded
+	// executor (cluster.Config.Workers; <= 1 runs it serially). Output
+	// is byte-identical at any value. Single-node experiments ignore it:
+	// a node is one shard (docs/PERF.md).
 	Shards int
 }
 
@@ -242,7 +241,7 @@ func runPanel(p panel, rates []float64, kinds []core.RuntimeKind, cfg RunConfig)
 // runPoint serves one (panel, rate, runtime) configuration. ligerCfg
 // overrides the scheduler configuration when non-nil.
 func runPoint(p panel, rate float64, kind core.RuntimeKind, cfg RunConfig, ligerCfg *liger.Config) (serve.Result, error) {
-	opts := core.Options{Node: p.node, Model: p.spec, Runtime: kind, Shards: cfg.Shards}
+	opts := core.Options{Node: p.node, Model: p.spec, Runtime: kind}
 	if ligerCfg != nil {
 		opts.Liger = *ligerCfg
 		opts.LigerSet = true

@@ -64,7 +64,7 @@ func newChaosSetup(cfg RunConfig) chaosSetup {
 // policy. The Liger runtime serves with degradation-aware re-planning
 // enabled — the subsystem under test.
 func runChaosPoint(s chaosSetup, sc faults.Scenario, kind core.RuntimeKind, cfg RunConfig) (serve.Result, error) {
-	opts := core.Options{Node: s.p.node, Model: s.p.spec, Runtime: kind, Shards: cfg.Shards}
+	opts := core.Options{Node: s.p.node, Model: s.p.spec, Runtime: kind}
 	if kind == core.KindLiger {
 		lc := liger.DefaultConfig(s.p.node.Name)
 		lc.DegradationAware = true

@@ -99,7 +99,7 @@ func (s failoverSetup) points() []failoverPoint {
 // tracer, when non-nil, receives the point's full kernel/collective/
 // fault event stream (the sweep itself runs untraced).
 func runFailoverPoint(s failoverSetup, pt failoverPoint, cfg RunConfig, tracer gpusim.Tracer) (serve.Result, error) {
-	opts := core.Options{Node: s.p.node, Model: s.p.spec, Runtime: pt.kind, Tracer: tracer, Shards: cfg.Shards}
+	opts := core.Options{Node: s.p.node, Model: s.p.spec, Runtime: pt.kind, Tracer: tracer}
 	sched := faults.Schedule{CollTimeout: s.timeout}
 	if pt.dev >= 0 {
 		sched.Events = []faults.Event{{

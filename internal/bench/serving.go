@@ -97,7 +97,7 @@ func (s servingSetup) points() []servingPoint {
 // iterations, sequence lifecycles and KV block events (tracing never
 // changes results).
 func runServingPoint(s servingSetup, pt servingPoint, cfg RunConfig, rec *trace.ServingRecorder) (generate.ContinuousResult, error) {
-	opts := core.Options{Node: s.node, Model: s.spec, Runtime: pt.kind, Shards: cfg.Shards}
+	opts := core.Options{Node: s.node, Model: s.spec, Runtime: pt.kind}
 	if pt.kind == core.KindLiger {
 		lc := liger.DefaultConfig(s.nodeKey)
 		lc.DegradationAware = true

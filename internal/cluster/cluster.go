@@ -12,8 +12,9 @@
 // oversubscription). The composition runs on one simclock.Sharded
 // executor: shard 0 is the frontend (the serve.RunFleet router and the
 // fleet control plane), shard i+1 is physical node i, and the
-// conservative lookahead is the network's one-way latency — exactly
-// the gpusim.PlanCluster partition. Every cross-node interaction (a
+// conservative lookahead is the network's one-way latency. A node is
+// never split further: its devices are coupled at zero latency
+// (docs/PERF.md). Every cross-node interaction (a
 // routed request, a completion notice, a health/failure notification,
 // a replica rebind) crosses shards through Sharded.Post at +latency,
 // so the fleet simulation is parallel across nodes AND byte-identical

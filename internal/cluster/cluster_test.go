@@ -340,6 +340,32 @@ func TestFleetRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// A network latency is the sharded executor's lookahead, so both
+// constructors must reject a non-positive one through hw's validation
+// before simclock.NewSharded would panic on it.
+func TestNonPositiveNetworkLatencyRejected(t *testing.T) {
+	for _, lat := range []time.Duration{0, -time.Microsecond} {
+		net := hw.IBNetwork()
+		net.Latency = lat
+		cl := testCluster(2, 1)
+		cl.Network = net
+		dcfg := disaggCfg(1)
+		dcfg.Network = net
+		for name, build := range map[string]func() error{
+			"New": func() error {
+				_, err := New(Config{Cluster: cl, Model: model.Tiny(), Runtime: core.KindLiger})
+				return err
+			},
+			"NewDisagg": func() error { _, err := NewDisagg(dcfg); return err },
+		} {
+			err := build()
+			if err == nil || !strings.Contains(err.Error(), "needs a positive latency") {
+				t.Errorf("%s with latency %v: err = %v, want hw's positive-latency error", name, lat, err)
+			}
+		}
+	}
+}
+
 // A node engine that cannot be built (OPT-66B does not fit a 4×16 GB
 // V100 node) fails either constructor and stops the sharded executor's
 // worker goroutines.

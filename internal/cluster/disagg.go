@@ -237,15 +237,21 @@ func (d *Disagg) armArrivals() {
 	}
 }
 
-// routePrefill sends one sequence to the least-loaded prefill node
-// (lowest index on ties — deterministic).
-func (d *Disagg) routePrefill(seq int) {
+// leastLoaded returns the index of the smallest load, the lowest index
+// on ties — deterministic.
+func leastLoaded(load []int) int {
 	best := 0
-	for i := 1; i < len(d.prefillLoad); i++ {
-		if d.prefillLoad[i] < d.prefillLoad[best] {
+	for i := 1; i < len(load); i++ {
+		if load[i] < load[best] {
 			best = i
 		}
 	}
+	return best
+}
+
+// routePrefill sends one sequence to the least-loaded prefill node.
+func (d *Disagg) routePrefill(seq int) {
+	best := leastLoaded(d.prefillLoad)
 	d.prefillLoad[best]++
 	d.dispatch(d.nodes[best], best, seq, model.Workload{Batch: 1, SeqLen: d.cfg.PromptLen, Phase: model.Context})
 }
@@ -261,12 +267,7 @@ func (d *Disagg) prefillDone(pIdx, seq int, status serve.DispatchStatus, now sim
 	}
 	d.prefillLoad[pIdx]--
 	d.firstTok[seq] = now
-	best := 0
-	for i := 1; i < len(d.decodeLoad); i++ {
-		if d.decodeLoad[i] < d.decodeLoad[best] {
-			best = i
-		}
-	}
+	best := leastLoaded(d.decodeLoad)
 	d.decodeLoad[best]++
 	n := d.decodes[best]
 	bytes := d.cfg.Model.KVCacheBytes(d.cfg.PromptLen)

@@ -67,11 +67,12 @@ type topology struct {
 	done func(owner, req int, status serve.DispatchStatus, now simclock.Time)
 }
 
-// newTopology validates the cluster and its fault schedule, partitions
-// the cluster with gpusim.PlanCluster, and builds the sharded executor
-// and one core engine per physical node from the opts template (its
-// Node, Clock and Faults are set per node). Device-level faults are
-// split per node; whole-node failures are left to the caller.
+// newTopology validates the cluster and its fault schedule, and builds
+// the sharded executor (one shard per physical node plus the frontend,
+// the network's one-way latency as the lookahead; Validate guarantees it
+// is positive) and one core engine per physical node from the opts
+// template (its Node, Clock and Faults are set per node). Device-level
+// faults are split per node; whole-node failures are left to the caller.
 func newTopology(cl hw.Cluster, opts core.Options, fs *faults.Schedule, workers int) (*topology, error) {
 	if err := cl.Validate(); err != nil {
 		return nil, err
@@ -84,16 +85,13 @@ func newTopology(cl hw.Cluster, opts core.Options, fs *faults.Schedule, workers 
 		}
 		perNode = fs.SplitByNode(total)
 	}
-	plan := gpusim.PlanCluster(cl)
-	if !plan.Parallel() {
-		return nil, fmt.Errorf("cluster: network %q admits no lookahead window", cl.Network.Name)
-	}
 	if workers < 1 {
 		workers = 1
 	}
+	latency := simclock.Time(cl.Network.Latency)
 	t := &topology{
-		sh:      simclock.NewSharded(plan.Domains, plan.Lookahead, workers),
-		latency: plan.Lookahead,
+		sh:      simclock.NewSharded(total+1, latency, workers),
+		latency: latency,
 		nodes:   make([]*node, total),
 	}
 	t.front = t.sh.Shard(0)

@@ -112,15 +112,6 @@ type Options struct {
 	// CompilerOptions customize kernel compilation (e.g. the GEMM
 	// decomposition strategy ablation).
 	CompilerOptions []parallel.Option
-	// Shards, when > 1, requests lookahead-sharded parallel execution of
-	// this run's event set. The request is honored only if
-	// gpusim.PlanShards finds a sound partition with a positive
-	// lookahead; for today's single-node models the plan collapses to
-	// one domain (the intra-node couplings have zero latency — see
-	// internal/gpusim/shards.go) and the engine falls back to the plain
-	// sequential queue, so results are byte-identical at any Shards
-	// setting. ShardPlan() reports what the analysis decided.
-	Shards int
 	// Clock, when non-nil, is the simulation engine to build on instead
 	// of a fresh one. The fleet layer (internal/cluster) uses it to give
 	// each node of a cluster its own shard engine of one
@@ -136,8 +127,6 @@ type Engine struct {
 	compiler *parallel.Compiler
 	rt       runtimes.Runtime
 	kind     RuntimeKind
-	plan     gpusim.ShardPlan
-	shards   int
 }
 
 // NewEngine validates the options and builds the simulation.
@@ -198,7 +187,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{eng: eng, node: node, compiler: compiler, rt: rt,
-		kind: opts.Runtime, plan: gpusim.PlanShards(opts.Node), shards: opts.Shards}, nil
+		kind: opts.Runtime}, nil
 }
 
 // Serve runs the arrival trace to completion and returns the metrics.
@@ -230,15 +219,3 @@ func (e *Engine) Runtime() runtimes.Runtime { return e.rt }
 
 // Kind returns the configured runtime kind.
 func (e *Engine) Kind() RuntimeKind { return e.kind }
-
-// ShardPlan returns the lookahead-partition analysis for this engine's
-// hardware: how many conservatively-synchronized shards the model
-// admits and why. When the plan is not parallelizable (Domains == 1 —
-// the case for every single-node spec today), a Shards request in
-// Options falls back to the plain sequential engine and the plan's
-// Couplings name the zero-latency interactions responsible.
-func (e *Engine) ShardPlan() gpusim.ShardPlan { return e.plan }
-
-// ShardsRequested returns the Options.Shards value, for surfacing the
-// fallback decision in CLI diagnostics.
-func (e *Engine) ShardsRequested() int { return e.shards }

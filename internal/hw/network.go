@@ -10,9 +10,9 @@ import (
 // InterconnectSpec), while anything that crosses a node boundary — a
 // routed request, a health notice, a weight transfer during replica
 // re-placement — pays the network's latency and streams at its
-// (possibly oversubscribed) bandwidth. The minimum network latency is
-// also exactly the conservative lookahead a node-per-shard partition
-// of the fleet simulation can run with (gpusim.PlanCluster).
+// (possibly oversubscribed) bandwidth. The one-way latency is also the
+// conservative lookahead of the fleet's node-per-shard executor
+// (internal/cluster's topology).
 
 // NetworkSpec captures the inter-node fabric of a cluster.
 type NetworkSpec struct {

@@ -24,8 +24,9 @@ type RunOptions struct {
 	// Parallel is the worker count for the per-runtime fan-out
 	// (runner.Map semantics: <= 1 is serial).
 	Parallel int
-	// Shards requests lookahead-sharded simulation (honored only when
-	// the hardware admits a multi-domain plan; see docs/PERF.md).
+	// Shards is the worker count of the sharded executor that fleet and
+	// disaggregated runs use (<= 1 is serial). A single-node run is one
+	// shard and ignores it (docs/PERF.md).
 	Shards int
 	// Liger replaces the node's default Liger configuration.
 	Liger *liger.Config
@@ -106,7 +107,7 @@ func RunOne(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcome, erro
 // engineOptions is the one place a run's engine options and Liger
 // configuration are set up.
 func (c *Compiled) engineOptions(kind core.RuntimeKind, opts RunOptions) core.Options {
-	eo := core.Options{Node: c.Node, Model: c.Model, Runtime: kind, Shards: opts.Shards}
+	eo := core.Options{Node: c.Node, Model: c.Model, Runtime: kind}
 	if kind == core.KindLiger {
 		eo.Liger = liger.DefaultConfig(c.Node.Name)
 		if opts.Liger != nil {

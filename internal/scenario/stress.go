@@ -26,7 +26,10 @@ type StressConfig struct {
 	N int
 	// Seed is the master seed; every instance derives from it.
 	Seed int64
-	// Parallel/Shards tune execution only (never results).
+	// Parallel is the per-instance fan-out's worker count. Shards is
+	// each instance's RunOptions.Shards, the sharded executor's worker
+	// count of a fleet run; the generated instances are single-node, so
+	// it reaches no executor today. Neither changes a result.
 	Parallel int
 	Shards   int
 }

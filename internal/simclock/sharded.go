@@ -40,8 +40,10 @@ import (
 // post nothing, so a shard's next event time is its queue's.
 //
 // A lookahead of zero admits no safe window, so NewSharded rejects it:
-// partitions coupled at zero latency belong in the same shard (see
-// gpusim.PlanShards, which is exactly the analysis that decides this).
+// partitions coupled at zero latency belong in the same shard. That is
+// why each simulated node is one shard (docs/PERF.md), and why the
+// cluster's lookahead, the network latency, must be positive
+// (hw.NetworkSpec.Validate).
 type Sharded struct {
 	shards    []*Engine
 	lookahead Time

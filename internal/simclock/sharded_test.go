@@ -232,9 +232,9 @@ func TestShardedStats(t *testing.T) {
 	}
 }
 
-// TestShardedZeroLookaheadRejected pins the honest-degenerate-case
-// behaviour: zero lookahead cannot be windowed, and the caller (see
-// gpusim.PlanShards / core.NewEngine) must fall back to one engine.
+// TestShardedZeroLookaheadRejected pins the degenerate case: zero
+// lookahead cannot be windowed. Callers validate their lookahead first
+// (the cluster's is hw.NetworkSpec's positive latency).
 func TestShardedZeroLookaheadRejected(t *testing.T) {
 	defer func() {
 		if recover() == nil {

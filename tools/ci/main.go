@@ -66,37 +66,35 @@
 //     smoke
 //  12. explain: `ligersim -explain` twice on the same seed must print
 //     byte-identical critical-path/gap/overlap reports
-//  13. shards: `ligerbench -exp fig10 -quick` at -shards 0 and -shards 4
-//     — the lookahead-sharded path may never change results, only speed
-//  14. fleet: `ligerbench -exp fleet -quick` at -parallel 1 -shards 1
+//  13. fleet: `ligerbench -exp fleet -quick` at -parallel 1 -shards 1
 //     and -parallel 4 -shards 4 — tables and BENCH_fleet.json
-//  15. serving: `ligerbench -exp serving -quick -trace-dir` (continuous
+//  14. serving: `ligerbench -exp serving -quick -trace-dir` (continuous
 //     batching over the paged KV allocator) at the same two settings —
 //     tables, BENCH_serving.json, BENCH_serving_analysis.json and the
 //     per-runtime serving Chrome-trace/metrics/decomposition artifacts
 //     (at least 11); every serving_*.serving.json must carry the
 //     decomposition schema (requests, segment_ns, pools, imbalance,
 //     episodes, counters) and tile each request's latency exactly
-//  16. disagg: `ligersim -disagg -model tiny -batches 24 -rate 2000
+//  15. disagg: `ligersim -disagg -model tiny -batches 24 -rate 2000
 //     -prompt 32 -gen 8 -pool 8 -prefillnodes 2 -decodenodes 2
 //     -serving-report` (prefill and decode pools on the fleet's node
 //     table) at -shards 1 and -shards 4 — results and the serving
 //     decomposition
-//  17. continuous: `ligersim -continuous -model tiny -batches 24 -rate
+//  16. continuous: `ligersim -continuous -model tiny -batches 24 -rate
 //     2000 -prompt 32 -gen 8 -pool 8 -serving-report` (continuous
 //     batching over the paged KV cache, lowered onto the scenario
-//     runner) at -shards 1 and -shards 4
-//  18. fleet CLI: `ligersim -nodes 3 -spares 1` (replicas behind the
+//     runner) twice on the same seed
+//  17. fleet CLI: `ligersim -nodes 3 -spares 1` (replicas behind the
 //     router, lowered onto the scenario runner) at -shards 1 and
 //     -shards 4
-//  19. scenario acceptance: every scenarios/*.yaml must PASS its
+//  18. scenario acceptance: every scenarios/*.yaml must PASS its
 //     assertions, the impossible-slo and no-spare-capacity negative
 //     fixtures must FAIL (exit 1) — a gate that cannot reject is not a
 //     gate — and `scenarios/cascading-failures.yaml`,
 //     `scenarios/fleet-node-loss.yaml`, and `scenarios/decode-heavy.yaml`
 //     (the continuous-batching corpus entry) must print byte-identical
 //     reports at -parallel 1 and -parallel 4 -shards 4
-//  20. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
+//  19. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
 //     must produce byte-identical aggregate survival reports, plus a
 //     small -race pass (`stress -n 3 -seed 7`) over the randomized fleet
 package main
@@ -199,14 +197,6 @@ func main() {
 			what: "ligersim -explain output",
 			args: ligersim("-runtime", "Liger", "-batches", "20", "-rate", "20", "-explain"),
 		}.run},
-		// Today the single-node shard plan falls back to the sequential
-		// engine, so this pins the fallback; when a multi-domain plan
-		// lands, it pins the lookahead invariant.
-		{"shards smoke", smoke{
-			what: "fig10 output",
-			args: ligerbench("-exp", "fig10", "-quick", "-batches", "25", "-seed", "5"),
-			runs: [2][]string{{"-shards", "0"}, {"-shards", "4"}},
-		}.run},
 		{"fleet smoke", smoke{
 			what:         "fleet table",
 			args:         ligerbench("-exp", "fleet", "-quick", "-batches", "25", "-seed", "5"),
@@ -242,7 +232,6 @@ func main() {
 			what: "continuous serving report",
 			args: ligersim("-continuous", "-model", "tiny", "-batches", "24", "-rate", "2000",
 				"-prompt", "32", "-gen", "8", "-pool", "8", "-serving-report"),
-			runs: shardsOneFour,
 		}.run},
 		{"fleet CLI smoke", smoke{
 			what: "ligersim fleet report",
