@@ -159,6 +159,7 @@ func TestLigersimRejects(t *testing.T) {
 		{[]string{"-prefillnodes", "2"}, "-prefillnodes is not read in batch mode"},
 		{[]string{"-shards", "4"}, "-shards is not read in batch mode"},
 		{[]string{"-continuous", "-shards", "4"}, "-shards is not read in continuous mode"},
+		{[]string{"stress", "-n", "1", "-shards", "4"}, "flag provided but not defined: -shards"},
 		{[]string{"-batches", "5", "foo"}, `unexpected argument "foo"`},
 		{[]string{"-nodes", "-1"}, "cluster.nodes: need at least one replica node, got -1"},
 		{[]string{"-gpus", "-3"}, "node.gpus: negative GPU count -3"},

@@ -136,7 +136,6 @@ func stressCmd(args []string) {
 	n := fs.Int("n", 25, "number of randomized scenario instances")
 	seed := fs.Int64("seed", 1, "master seed; same (n, seed) reproduces the report byte-for-byte")
 	parallel := fs.Int("parallel", 0, "worker count across instances (results are identical at any value)")
-	shards := fs.Int("shards", 0, "worker count of a fleet instance's sharded executor; the generated instances are single-node, so it changes nothing today (results are identical at any value)")
 	jsonOut := fs.String("json", "", "also write the machine-readable survival report to this file")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: ligersim stress [flags]")
@@ -144,7 +143,7 @@ func stressCmd(args []string) {
 	}
 	fs.Parse(args)
 	rep, err := scenario.Stress(scenario.StressConfig{
-		N: *n, Seed: *seed, Parallel: *parallel, Shards: *shards,
+		N: *n, Seed: *seed, Parallel: *parallel,
 	})
 	if err != nil {
 		log.Fatal(err)

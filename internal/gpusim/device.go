@@ -18,6 +18,10 @@ const admitEpsilon = 1e-9
 type connection struct {
 	id           int
 	lastDelivery simclock.Time
+	// followerDelivery is the followers' chain on a representative that
+	// folds its lead (Node.FoldLed): lastDelivery is the lead's, and the
+	// followers' skips the lead-only commands (Stream.RecordLead).
+	followerDelivery simclock.Time
 	// lastKernel is the last kernel command delivered on this connection
 	// (noKernel if none): the launch-queue serialization edge reported to
 	// Tracer.KernelDep.
@@ -95,7 +99,9 @@ type Device struct {
 
 	// queueDepth counts commands issued to this device's streams and not
 	// yet retired — the launch-queue backlog sampled to Tracer.QueueDepth.
-	queueDepth int
+	// leadDepth counts the lead-only ones among them, which the followers
+	// of a representative that folds its lead do not hold.
+	queueDepth, leadDepth int
 
 	// lastFreed is the last kernel to finish on this device: the
 	// capacity predecessor a blocked admission inherits.
@@ -114,10 +120,13 @@ type Device struct {
 
 	// Folding (see Node.Fold). A representative's fold lists the devices
 	// it stands for in id order, itself last; it runs their identical
-	// work once, with their multiplicity. A device folded into a
-	// representative has rep set and runs nothing itself.
-	fold []*Device
-	rep  *Device
+	// work once, with their multiplicity. withLead marks a fold whose
+	// first device is the group's lead (Node.FoldLed): the representative
+	// runs the lead's timeline. A device folded into a representative has
+	// rep set and runs nothing itself.
+	fold     []*Device
+	withLead bool
+	rep      *Device
 	// The representative's current block of kernel ids (ReserveBlock):
 	// the next id its own copy takes, how many launches the block has
 	// left, and the id stride between the copies.
@@ -212,10 +221,18 @@ func (d *Device) sameLayout(o *Device) bool {
 }
 
 // sampleQueue reports d's launch-queue depth to tr, once per device its
-// work stands for.
-func (d *Device) sampleQueue(tr Tracer, now simclock.Time) {
-	for r := range d.copies() {
-		tr.QueueDepth(d.copyID(r), d.queueDepth, now)
+// work stands for; a change by a lead-only command, only to the lead.
+func (d *Device) sampleQueue(tr Tracer, now simclock.Time, leadOnly bool) {
+	m := d.copies()
+	if leadOnly {
+		m = 1
+	}
+	for r := range m {
+		depth := d.queueDepth
+		if r > 0 {
+			depth -= d.leadDepth
+		}
+		tr.QueueDepth(d.copyID(r), depth, now)
 	}
 }
 
@@ -377,14 +394,15 @@ func (d *Device) statsAt(now simclock.Time) DeviceStats {
 	return d.stats
 }
 
-// deliver computes the delivery time of a command issued now on conn.
-func (d *Device) deliver(conn *connection, now simclock.Time) simclock.Time {
+// deliver computes the delivery time of a command issued now on the
+// connection delivery chain that last delivered at *last.
+func (d *Device) deliver(last *simclock.Time, now simclock.Time) simclock.Time {
 	host := d.node.spec.Host
 	at := now + host.LaunchLatency
-	if min := conn.lastDelivery + host.IssueGap; at < min {
+	if min := *last + host.IssueGap; at < min {
 		at = min
 	}
-	conn.lastDelivery = at
+	*last = at
 	return at
 }
 
@@ -467,11 +485,18 @@ func admitBefore(a, b *Stream) bool {
 // queueForAdmission registers a stream whose head kernel is blocked on
 // capacity, keeping the pending list sorted (sorted insert replaces the
 // former full re-sort on every kernel finish).
+//
+// The order reads the lead's delivery times. Queueing a command the
+// followers of a representative that folds its lead got earlier (see
+// Stream.armHead) marks the node diverged.
 func (d *Device) queueForAdmission(s *Stream) {
 	for _, q := range d.pendingAdmission {
 		if q == s {
 			return
 		}
+	}
+	if cmd := s.head(); cmd.followerAt < cmd.deliveredAt {
+		d.node.diverged = true
 	}
 	i := sort.Search(len(d.pendingAdmission), func(i int) bool {
 		return admitBefore(s, d.pendingAdmission[i])

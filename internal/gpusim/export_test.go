@@ -22,3 +22,8 @@ func Pooled(n *Node) (kernels, events, colls int) {
 // device simulated on its own: the unfolded oracle a folded run must
 // match. It must be called before the first Fold.
 func SetFolding(n *Node, on bool) { n.noFold = !on }
+
+// TraceFoldedLead installs tr on n, a node that folds leads, past
+// SetTracer's refusal: a test compares every record of such a run but
+// the dependency records with the unfolded run's.
+func TraceFoldedLead(n *Node, tr Tracer) { n.tracer = tr }

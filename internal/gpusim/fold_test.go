@@ -21,13 +21,15 @@ import (
 )
 
 // foldRun is what one simulation reports: every recorder stream, the
-// device counters, the batch completions, and whether the node folded.
+// device counters, the batch completions, whether the node folded, and
+// whether it folded the lead with the followers (Node.FoldLed).
 type foldRun struct {
-	rec    *trace.Recorder
-	stats  []gpusim.DeviceStats
-	done   []runtimes.Completion
-	events gpusim.EventCounters
-	folded bool
+	rec        *trace.Recorder
+	stats      []gpusim.DeviceStats
+	done       []runtimes.Completion
+	events     gpusim.EventCounters
+	folded     bool
+	leadFolded bool
 }
 
 // recordCompletions wraps the runtime's completion callback so the run
@@ -140,7 +142,9 @@ func byDevice[T any](recs []T, dev func(T) int) map[int][]T {
 // collective enqueues must match device by device: a representative
 // reports a record's copies back to back, while unfolded devices each
 // handle their copy of an event or launch in turn, so such records of
-// different devices at one instant can interleave differently.
+// different devices at one instant can interleave differently. A run
+// that folded its lead is not compared on deps: its followers' carry the
+// lead's delivery times, which is why such a node refuses a tracer.
 func sameRun(t *testing.T, got, want foldRun) {
 	t.Helper()
 	if len(want.rec.Spans()) == 0 || len(want.rec.Deps()) != len(want.rec.Spans()) || len(want.rec.Waits()) == 0 ||
@@ -161,6 +165,9 @@ func sameRun(t *testing.T, got, want foldRun) {
 		{"device stats", got.stats, want.stats},
 		{"batch completions", got.done, want.done},
 	} {
+		if c.what == "deps" && got.leadFolded {
+			continue
+		}
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Errorf("%s differ from the unfolded run", c.what)
 		}
@@ -170,10 +177,43 @@ func sameRun(t *testing.T, got, want foldRun) {
 func depDevice(d trace.Dep) int          { return d.Device }
 func enqDevice(e trace.EnqueueEvent) int { return e.Device }
 
+// soloLeadFold runs one solo OPT-30B iteration under Hybrid sync on a
+// node that folds the lead with the followers, as a replay probe node
+// does, or on an unfolded node.
+func soloLeadFold(t *testing.T, fold bool) foldRun {
+	t.Helper()
+	eng, err := core.NewEngine(core.Options{Node: hw.A100Node(), Model: model.OPT30B(), Runtime: core.KindLiger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, rec := eng.SimNode(), trace.NewRecorder()
+	if fold {
+		node.FoldLeads()
+		gpusim.TraceFoldedLead(node, rec)
+	} else {
+		gpusim.SetFolding(node, false)
+		node.SetTracer(rec)
+	}
+	rt := eng.Runtime()
+	var done []runtimes.Completion
+	recordCompletions(rt, &done, nil)
+	eng.Clock().At(0, func(simclock.Time) {
+		if err := rt.Submit(model.Workload{Batch: 8, CtxLen: 40, Phase: model.Decode}); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Clock().Run()
+	if len(done) != 1 || node.Diverged() {
+		t.Fatalf("%d iterations completed, diverged %v; want 1, false", len(done), node.Diverged())
+	}
+	return foldRun{rec: rec, stats: node.Stats(), done: done, events: node.EventCounters(), folded: node.Folded(), leadFolded: fold}
+}
+
 // The fold is exact: folded runs record what the unfolded oracle
 // records — every span, dep, wait, enqueue, queue and rate sample with
 // the same ids, the same device counters and the same completions —
-// while the engine runs fewer device events.
+// while the engine runs fewer device events. So does a fold that takes
+// the lead too, deps aside, where it does not diverge.
 func TestFoldMatchesUnfolded(t *testing.T) {
 	sync := func(m liger.SyncMode) liger.Config {
 		cfg := liger.DefaultConfig(hw.A100Node().Name)
@@ -191,6 +231,7 @@ func TestFoldMatchesUnfolded(t *testing.T) {
 		{"fig10-cpugpu", fig10(liger.CPUGPU)},
 		{"fig10-interstream", fig10(liger.InterStreamOnly)},
 		{"serve-decode", serveDecodeFold},
+		{"solo-lead-folded", soloLeadFold},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -356,4 +397,115 @@ func TestOnDoneCountsCopies(t *testing.T) {
 	if foldedCalls != 9 || unfoldedCalls != 27 {
 		t.Fatalf("OnDone ran %d times folded and %d unfolded, want 9 and 27", foldedCalls, unfoldedCalls)
 	}
+}
+
+// leadGroup returns an engine and a node that folds leads, with two
+// streams on each device, on launch connections 0 and 1, and all four
+// devices folded led by device 0, and the representative's two streams.
+func leadGroup(t *testing.T) (*simclock.Engine, *gpusim.Node, [2]*gpusim.Stream) {
+	t.Helper()
+	eng := simclock.New()
+	node := gpusim.MustNew(eng, hw.A100Node())
+	node.FoldLeads()
+	var rep [2]*gpusim.Stream
+	for d := range node.NumDevices() {
+		rep = [2]*gpusim.Stream{node.NewStreamOnConnection(d, 0), node.NewStreamOnConnection(d, 1)}
+	}
+	if id, copies := node.FoldLed([]int{0, 1, 2, 3}); id != 3 || copies != 4 {
+		t.Fatalf("FoldLed: representative %d of %d devices, want 3 of 4", id, copies)
+	}
+	return eng, node, rep
+}
+
+// kernel is a compute kernel of the given SM demand and duration in µs.
+func kernel(name string, demand float64, us int) gpusim.KernelSpec {
+	return gpusim.KernelSpec{Name: name, Class: gpusim.Compute, Duration: time.Duration(us) * time.Microsecond,
+		ComputeDemand: demand, Req: -1}
+}
+
+// A lead-only record delays the lead's later launches on its connection
+// by an issue gap (1.5 µs after the 5 µs launch latency on an A100 node),
+// and the followers' not. The fold diverges exactly when that gap
+// binds: a command the followers got earlier reaches the head of its
+// stream before the lead's delivery, or is queued for admission, whose
+// order reads delivery times.
+func TestLeadFoldDiverges(t *testing.T) {
+	cases := []struct {
+		name string
+		// hog starts a 0.9-SM kernel on the second stream at 0.
+		hog bool
+		// first is a kernel issued before the lead-only record (none when
+		// its duration is 0); gap is when the kernel after the record is
+		// issued, in µs.
+		first, gap int
+		diverged   bool
+	}{
+		// The record is delivered at 5 µs and the kernel after it, issued
+		// with it, at 6.5 µs to the lead and 5 µs to the followers: at
+		// 5 µs it heads its stream, delivered only to the followers.
+		{"delivery wait", false, 0, 0, true},
+		// A 30 µs kernel ahead of the record holds the kernel after it
+		// until both deliveries passed, and the hog keeps it from
+		// starting: it is queued for admission.
+		{"admission order", true, 30, 0, true},
+		// The same kernel admitted at once: the gap bound, but nothing
+		// read it.
+		{"gap unread", false, 30, 0, false},
+		// Issued 50 µs after the record, the kernel is delivered at
+		// 55 µs to every device.
+		{"gap does not bind", true, 0, 50, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng, node, st := leadGroup(t)
+			rep := node.Device(3)
+			if c.hog {
+				rep.ReserveBlock(1)
+				st[1].Launch(kernel("hog", 0.9, 100))
+			}
+			if c.first > 0 {
+				rep.ReserveBlock(1)
+				st[0].Launch(kernel("first", 0.05, c.first))
+			}
+			st[0].RecordLead().Release()
+			eng.At(simclock.Time(c.gap)*simclock.Time(time.Microsecond), func(simclock.Time) {
+				rep.ReserveBlock(1)
+				st[0].Launch(kernel("after", 0.5, 10))
+			})
+			eng.Run()
+			if got := node.Diverged(); got != c.diverged {
+				t.Fatalf("diverged %v, want %v", got, c.diverged)
+			}
+		})
+	}
+}
+
+// A node that folds leads refuses a tracer, and a node with a tracer
+// cannot be made to fold leads; RecordLead panics on a representative
+// whose group has no lead.
+func TestLeadFoldRefusals(t *testing.T) {
+	panics := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	node := gpusim.MustNew(simclock.New(), hw.A100Node())
+	node.FoldLeads()
+	panics("SetTracer on a node that folds leads", func() { node.SetTracer(trace.NewRecorder()) })
+	node = gpusim.MustNew(simclock.New(), hw.A100Node())
+	node.SetTracer(trace.NewRecorder())
+	panics("FoldLeads on a node with a tracer", node.FoldLeads)
+	node = gpusim.MustNew(simclock.New(), hw.A100Node())
+	var last *gpusim.Stream
+	for d := range node.NumDevices() {
+		last = node.NewStream(d)
+	}
+	if rep, copies := node.FoldLed([]int{0, 1, 2, 3}); rep != 3 || copies != 3 {
+		t.Fatalf("FoldLed without FoldLeads: representative %d of %d devices, want 3 of 3", rep, copies)
+	}
+	panics("RecordLead on a representative without its lead", func() { last.RecordLead() })
 }

@@ -223,11 +223,15 @@ type Node struct {
 	// Folding (see Fold). foldDecided is set by the first Fold call;
 	// before it, asym records a per-device change that keeps the node
 	// unfolded. folded is set once a group has folded; noFold (tests
-	// only) forces every run unfolded.
+	// only) forces every run unfolded. foldLeads lets FoldLed fold a
+	// group's lead, and diverged records that such a fold's lead and
+	// followers parted (Diverged).
 	foldDecided bool
 	asym        bool
 	folded      bool
 	noFold      bool
+	foldLeads   bool
+	diverged    bool
 
 	tracer Tracer
 }
@@ -330,9 +334,14 @@ func (n *Node) FailDevice(i int) {
 	d.drainFailed(now)
 }
 
-// SetTracer installs an observability tracer (nil to disable).
+// SetTracer installs an observability tracer (nil to disable). A node
+// that folds leads (FoldLeads) refuses one: the followers' dependency
+// records would carry the lead's delivery times.
 func (n *Node) SetTracer(t Tracer) {
 	n.touch()
+	if t != nil && n.foldLeads {
+		panic("gpusim: SetTracer on a node that folds leads")
+	}
 	n.tracer = t
 }
 
@@ -652,21 +661,28 @@ func (n *Node) Folded() bool {
 // device of a folded node: a folded group cannot unfold mid-run.
 func (n *Node) Fold(devs []int) int {
 	n.touch()
+	if rep := n.fold(devs); rep != nil {
+		return rep.id
+	}
+	return -1
+}
+
+func (n *Node) fold(devs []int) *Device {
 	if n.foldDecided {
-		return -1
+		return nil
 	}
 	n.foldDecided = true
 	if n.noFold || n.asym || len(devs) < 2 {
-		return -1
+		return nil
 	}
 	group := make([]*Device, len(devs))
 	for i, id := range devs {
 		if id < 0 || id >= len(n.devices) || (i > 0 && id <= devs[i-1]) {
-			return -1
+			return nil
 		}
 		group[i] = n.devices[id]
 		if !group[i].pristine() || !group[i].sameLayout(group[0]) {
-			return -1
+			return nil
 		}
 	}
 	rep := group[len(group)-1]
@@ -681,5 +697,60 @@ func (n *Node) Fold(devs []int) int {
 		d.rep = rep
 	}
 	n.folded = true
-	return rep.id
+	return rep
+}
+
+// FoldLeads lets FoldLed fold a group's lead with its followers. It must
+// be called before the run starts, on a node without a tracer (see
+// SetTracer). A runtime's node never folds its lead: its followers may
+// leave the lead's timeline (Diverged), and a private probe node that
+// does fold it must check that.
+func (n *Node) FoldLeads() {
+	n.touch()
+	if n.tracer != nil {
+		panic("gpusim: FoldLeads on a node with a tracer")
+	}
+	n.foldLeads = true
+}
+
+// FoldLed folds the SPMD group devs whose first device is its lead: the
+// one device that also issues lead-only records (Stream.RecordLead). It
+// returns the representative's index and how many devices it stands for,
+// or -1 and 0 when nothing folded. Unless the node folds leads
+// (FoldLeads), the lead stays apart and FoldLed is Fold(devs[1:]).
+//
+// A representative that folds the lead runs the lead's timeline and
+// stands for the lead-apart layout: the lead's kernels take the first
+// block of each ReserveBlock, every command reserves the sequence
+// numbers the lead and the followers would, and the followers keep a
+// delivery chain of their own. The fold is exact as long as the lead's
+// lead-only commands delay nothing the followers run; when one does,
+// the node marks itself diverged, and its run from then on stands for
+// no layout (Diverged).
+func (n *Node) FoldLed(devs []int) (rep, copies int) {
+	n.touch()
+	if len(devs) == 0 {
+		return -1, 0
+	}
+	group := devs
+	if !n.foldLeads {
+		group = devs[1:]
+	}
+	d := n.fold(group)
+	if d == nil {
+		return -1, 0
+	}
+	d.withLead = n.foldLeads
+	return d.id, len(group)
+}
+
+// Diverged reports whether the followers of a representative that folds
+// its lead (FoldLed) would have run a command at another instant than the
+// lead does: a lead-only command's issue gap delayed the lead's delivery
+// of a later command that reached the head of its stream before that
+// delivery, or that was queued for admission, whose order reads delivery
+// times. Once set, it stays set.
+func (n *Node) Diverged() bool {
+	n.touch()
+	return n.diverged
 }

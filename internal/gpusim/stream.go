@@ -28,9 +28,15 @@ type command struct {
 	// deliveredAt and seq are the command's delivery position in the
 	// engine's (time, seq) order, reserved at issue; an event is armed
 	// there only while the command heads its stream (see Stream.issue).
+	// On a representative that folds its lead (Node.FoldLed) they are the
+	// lead's, and followerAt is the followers' delivery time, no later;
+	// elsewhere followerAt is deliveredAt. leadOnly marks a command only
+	// the lead issues (RecordLead).
 	deliveredAt    simclock.Time
+	followerAt     simclock.Time
 	seq            uint64
 	deliverFn      simclock.Event
+	leadOnly       bool
 	waitRegistered bool
 }
 
@@ -233,11 +239,24 @@ func (s *Stream) Idle() bool {
 // delivering a command behind the head changes nothing, so advance reads
 // such a delivery off the clock once the command reaches the head, and
 // arms an event there only if the delivery is still to come.
-func (s *Stream) issue(cmd *command) {
+//
+// On a representative that folds its lead, the command is the lead's
+// and, unless leadOnly, the followers' too: it takes its place in both
+// delivery chains and reserves both sequence numbers the lead-apart
+// layout reserves, the lead's first. The lead's is its delivery's.
+func (s *Stream) issue(cmd *command, leadOnly bool) {
 	eng := s.node.eng
 	now := eng.Now()
-	cmd.deliveredAt = s.dev.deliver(s.conn, now)
+	d := s.dev
+	cmd.deliveredAt = d.deliver(&s.conn.lastDelivery, now)
+	cmd.followerAt, cmd.leadOnly = cmd.deliveredAt, leadOnly
 	cmd.seq = eng.Reserve()
+	if leadOnly {
+		d.leadDepth++
+	} else if d.withLead {
+		cmd.followerAt = d.deliver(&s.conn.followerDelivery, now)
+		eng.Reserve()
+	}
 	if s.qhead > 0 && 2*s.qhead >= len(s.queue) && len(s.queue) == cap(s.queue) {
 		// Full, and at least half of it retired: slide the outstanding
 		// commands down instead of growing the slice.
@@ -246,22 +265,31 @@ func (s *Stream) issue(cmd *command) {
 		s.queue, s.qhead = s.queue[:n], 0
 	}
 	s.queue = append(s.queue, cmd)
-	s.dev.queueDepth++
+	d.queueDepth++
 	if tr := s.node.tracer; tr != nil {
-		s.dev.sampleQueue(tr, now)
+		d.sampleQueue(tr, now, leadOnly)
 	}
 	if s.QueueLen() == 1 {
 		s.armHead()
 	}
 }
 
-// armHead arms the head command's delivery event, unless the clock has
-// already passed the delivery.
+// armHead arms the delivery event of the command that just reached the
+// head of the stream, unless the clock has already passed the delivery.
+//
+// A command still to be delivered that the followers of a representative
+// that folds its lead got earlier than the lead, because a lead-only
+// command's issue gap delayed the lead's, would run earlier on them:
+// their timeline leaves the lead's, which the representative runs, and
+// the node is marked diverged (Node.Diverged).
 func (s *Stream) armHead() {
 	cmd := s.queue[s.qhead]
 	eng := s.node.eng
 	if eng.Passed(cmd.deliveredAt, cmd.seq) {
 		return
+	}
+	if cmd.followerAt < cmd.deliveredAt {
+		s.node.diverged = true
 	}
 	s.node.evCounts.Stream++
 	eng.AtSeq(cmd.deliveredAt, cmd.seq, cmd.deliverFn)
@@ -304,7 +332,7 @@ func (s *Stream) Launch(spec KernelSpec) {
 	cmd := s.node.newCommand(s)
 	cmd.kind = cmdKernel
 	cmd.kernel = k
-	s.issue(cmd)
+	s.issue(cmd, false)
 	// Dependency bookkeeping for Tracer.KernelDep: the issue instant,
 	// the part of the delivery delay the connection's issue gap added on
 	// top of the base launch latency, and the serialization predecessor.
@@ -320,11 +348,28 @@ func (s *Stream) Launch(spec KernelSpec) {
 // the caller should Release once done with it.
 func (s *Stream) Record() *Event {
 	s.node.touch()
+	return s.record(false)
+}
+
+// RecordLead is Record for the lead of an SPMD group alone, such as the
+// pre-launch trigger of hybrid synchronization (§3.4). On a
+// representative that folds its group's lead (Node.FoldLed), only the
+// lead's copy issues it: it takes a place in the lead's delivery chain
+// and not in the followers'. On a device of its own it is Record.
+func (s *Stream) RecordLead() *Event {
+	s.node.touch()
+	if d := s.dev; d.fold != nil && !d.withLead {
+		panic(fmt.Sprintf("gpusim: RecordLead on representative device %d, whose group has no lead", d.id))
+	}
+	return s.record(s.dev.withLead)
+}
+
+func (s *Stream) record(leadOnly bool) *Event {
 	ev := s.node.newEvent()
 	cmd := s.node.newCommand(s)
 	cmd.kind = cmdRecord
 	cmd.event = ev
-	s.issue(cmd)
+	s.issue(cmd, leadOnly)
 	return ev
 }
 
@@ -337,7 +382,7 @@ func (s *Stream) Wait(ev *Event) {
 	cmd := s.node.newCommand(s)
 	cmd.kind = cmdWait
 	cmd.event, cmd.gen = ev, ev.gen
-	s.issue(cmd)
+	s.issue(cmd, false)
 }
 
 // head returns the oldest incomplete command, or nil.
@@ -368,8 +413,11 @@ func (s *Stream) pop() {
 		s.armHead()
 	}
 	s.dev.queueDepth--
+	if cmd.leadOnly {
+		s.dev.leadDepth--
+	}
 	if tr := s.node.tracer; tr != nil {
-		s.dev.sampleQueue(tr, s.node.eng.Now())
+		s.dev.sampleQueue(tr, s.node.eng.Now(), cmd.leadOnly)
 	}
 	s.node.recycleCommand(cmd)
 }

@@ -492,8 +492,9 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 			if s.cfg.Sync == Hybrid && d == lead && i == len(sub0)-1 {
 				// The pre-launch trigger: recorded before the subset's last
 				// kernel so the CPU schedules the next round while it runs,
-				// hiding the launch overhead (Fig. 8, bottom).
-				notify = ps.Record()
+				// hiding the launch overhead (Fig. 8, bottom). Only the lead
+				// records it, also when the lead is folded.
+				notify = ps.RecordLead()
 			}
 			s.launchFunc(ps, f, colls0[i], copies)
 		}
@@ -566,20 +567,23 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 }
 
 // roundDevices returns the devices a round launches onto. On the first
-// round it asks the node to fold the SPMD group: every alive device but
-// the lead under Hybrid sync, where only the lead records the
-// pre-launch trigger, and every alive device otherwise. A folded round
-// launches onto the lead (Hybrid) and once onto the representative.
+// round it asks the node to fold the SPMD group: every alive device under
+// Hybrid sync, led by the lead, which alone records the pre-launch
+// trigger (gpusim.Node.FoldLed keeps it apart unless the node folds
+// leads), and every alive device otherwise. A folded round launches onto
+// a lead kept apart and once onto the representative.
 func (s *Scheduler) roundDevices() []int {
 	if !s.foldAsked {
 		s.foldAsked = true
-		group := s.alive
+		rep, copies := -1, len(s.alive)
 		if s.cfg.Sync == Hybrid {
-			group = s.alive[1:]
+			rep, copies = s.node.FoldLed(s.alive)
+		} else {
+			rep = s.node.Fold(s.alive)
 		}
-		if rep := s.node.Fold(group); rep >= 0 {
-			s.rep, s.repCopies = rep, len(group)
-			s.folded = append(append([]int(nil), s.alive[:len(s.alive)-len(group)]...), rep)
+		if rep >= 0 {
+			s.rep, s.repCopies = rep, copies
+			s.folded = append(append([]int(nil), s.alive[:len(s.alive)-copies]...), rep)
 		}
 	}
 	if s.rep >= 0 {

@@ -23,6 +23,10 @@ func Synthesized(r *Liger) int { return r.synthesized }
 // did not extend to a record.
 func ProbeFallbacks(r *Liger) int { return r.fallbacks }
 
+// Reprobes reports how many shapes r probed again with the lead apart,
+// because the probe node that folds the lead diverged.
+func Reprobes(r *Liger) int { return r.reprobes }
+
 // Record returns the record r holds for shape w, nil when it holds
 // none. It assembles a batch of w to read it, so it takes a batch id.
 func Record(r *Liger, w model.Workload) *liger.Replay {

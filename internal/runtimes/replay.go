@@ -2,6 +2,7 @@ package runtimes
 
 import (
 	"slices"
+	"time"
 
 	"liger/internal/gpusim"
 	"liger/internal/liger"
@@ -56,6 +57,17 @@ import (
 // depth. The record goes on the shape's plan-cache entry and the submit
 // replays at once. A shape whose probes do not take equal steps is
 // marked and simulated as always.
+//
+// Where the node folded its followers under Hybrid sync, the probe node
+// folds the lead with them (gpusim.Node.FoldLed), so a probe simulates
+// one device instead of two. The lead alone records the pre-launch
+// trigger, which delays its later launches by an issue gap; when that
+// would let the followers run something earlier than the lead, the probe
+// node reports it (gpusim.Node.Diverged). The runtime then discards the
+// shape's probes and that node, and probes the shape again, and every
+// later shape, on a probe node that keeps the lead apart, as the
+// runtime's node does: a model whose kernels are short enough for the
+// gap to bind once tends to meet it in every shape.
 type replayer struct {
 	// off disables replay (tests: the simulated oracle).
 	off bool
@@ -70,15 +82,18 @@ type replayer struct {
 	catchUpFn func(*liger.Batch, *liger.Replay)
 
 	// cfg is the scheduler's configuration, which the probe node's
-	// scheduler copies. probe is built on the first synthesis and
-	// dropped when a device fails.
+	// scheduler copies. probe is built on the first synthesis, folding
+	// the lead where it can until a fold diverged, replaced by one that
+	// keeps the lead apart when it diverges, and dropped when a device
+	// fails.
 	cfg   liger.Config
 	probe *probe
 
 	// replays counts the iterations answered from a record; catchUps
 	// the replays caught up and simulated after all; synthesized the
-	// records the probe made, fallbacks the shapes it marked.
-	replays, catchUps, synthesized, fallbacks int
+	// records the probe made, fallbacks the shapes it marked, reprobes
+	// the shapes probed again with the lead apart.
+	replays, catchUps, synthesized, fallbacks, reprobes int
 }
 
 // replayable reports whether the node and scheduler are in the state a
@@ -114,24 +129,24 @@ func (r *Liger) submit(b *liger.Batch) {
 
 // synthesize probes b's shape and stores its record on the shape's
 // plan-cache entry, returning it. It marks the shape and returns nil
-// when the probes do not extend to a record.
+// when the probes do not extend to a record. When the probe node that
+// folds the lead diverged, the shape is probed again with the lead
+// apart.
 func (r *Liger) synthesize(b *liger.Batch) *liger.Replay {
 	if r.probe == nil {
-		r.probe = newProbe(r.node, r.cfg)
+		r.probe = newProbe(r.node, r.cfg, r.reprobes == 0)
 	}
-	p, layers, timeout := r.probe, b.Layers(), r.node.CollectiveTimeout()
-	p.node.SetCollectiveTimeout(timeout)
-	lo, hi := 1, len(p.runs)
-	if layers <= hi {
-		lo, hi = layers, layers
-	}
-	ok := true
-	for k := lo; k <= hi && ok; k++ {
-		ok = p.run(b, k, &p.runs[k-1])
+	p, timeout := r.probe, r.node.CollectiveTimeout()
+	ok := p.shape(b, timeout)
+	if p.node.Diverged() {
+		r.reprobes++
+		p = newProbe(r.node, r.cfg, false)
+		r.probe = p
+		ok = p.shape(b, timeout)
 	}
 	var rec *liger.Replay
 	if ok {
-		rec, ok = liger.Extend(&p.runs, layers, timeout)
+		rec, ok = liger.Extend(&p.runs, b.Layers(), timeout)
 	}
 	if !ok {
 		b.MarkNonlinear()
@@ -148,11 +163,13 @@ func (r *Liger) synthesize(b *liger.Batch) *liger.Replay {
 // — the hardware, the scheduler configuration, the surviving devices,
 // the fold decision and, set before each synthesis, the collective
 // watchdog — on an engine of its own. It stays warm and drained between
-// probes.
+// probes. Its fold may also take the lead; lead and rep then name the
+// lead and the representative, -1 otherwise.
 type probe struct {
-	eng   *simclock.Engine
-	node  *gpusim.Node
-	sched *liger.Scheduler
+	eng       *simclock.Engine
+	node      *gpusim.Node
+	sched     *liger.Scheduler
+	lead, rep int
 	// batch is the cut batch running (liger.Batch.Cut), reused from probe
 	// to probe; m is the measure it fills, nil once it completed.
 	batch    *liger.Batch
@@ -161,14 +178,20 @@ type probe struct {
 	submitFn func(simclock.Time)
 }
 
-// newProbe builds a probe node copying node and a scheduler of cfg.
-func newProbe(node *gpusim.Node, cfg liger.Config) *probe {
-	p := &probe{eng: simclock.New()}
+// newProbe builds a probe node copying node and a scheduler of cfg. With
+// foldLead, where node folded under Hybrid sync, the probe node folds the
+// lead too.
+func newProbe(node *gpusim.Node, cfg liger.Config, foldLead bool) *probe {
+	p := &probe{eng: simclock.New(), lead: -1, rep: -1}
 	p.node = gpusim.MustNew(p.eng, node.Spec())
-	if !node.Folded() {
-		p.node.KeepUnfolded()
-	}
 	alive := node.AliveDevices()
+	switch {
+	case !node.Folded():
+		p.node.KeepUnfolded()
+	case foldLead && cfg.Sync == liger.Hybrid:
+		p.node.FoldLeads()
+		p.lead, p.rep = alive[0], alive[len(alive)-1]
+	}
 	for d := range node.NumDevices() {
 		if !slices.Contains(alive, d) {
 			p.node.FailDevice(d)
@@ -181,6 +204,25 @@ func newProbe(node *gpusim.Node, cfg liger.Config) *probe {
 	p.sched, p.submitFn = sched, p.submit
 	sched.SetOnBatchDone(p.done)
 	return p
+}
+
+// shape measures b's shape into p.runs under the collective watchdog
+// timeout: the plan cut to 1, 2 and 3 layers, or only at its own depth
+// when it has at most 3. It reports false when a run did not start
+// settled and drained or did not complete.
+func (p *probe) shape(b *liger.Batch, timeout time.Duration) bool {
+	p.node.SetCollectiveTimeout(timeout)
+	layers := b.Layers()
+	lo, hi := 1, len(p.runs)
+	if layers <= hi {
+		lo, hi = layers, layers
+	}
+	for k := lo; k <= hi; k++ {
+		if !p.run(b, k, &p.runs[k-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // run measures into m one solo iteration of b's plan cut to layers
@@ -207,7 +249,7 @@ func (p *probe) measure(b *liger.Batch, layers int, m *liger.Probe) bool {
 // sequence before it.
 func (p *probe) submit(simclock.Time) {
 	m := p.m
-	p.node.ReadTally(&m.Before)
+	p.readTally(&m.Before)
 	m.Stats = p.sched.Stats()
 	seq := p.eng.Seq()
 	p.sched.Submit(p.batch)
@@ -218,9 +260,19 @@ func (p *probe) submit(simclock.Time) {
 func (p *probe) done(b *liger.Batch, now simclock.Time) {
 	m := p.m
 	m.Duration = now - b.SubmittedAt
-	p.node.ReadTally(&m.After)
+	p.readTally(&m.After)
 	m.Stats = p.sched.Stats().Since(m.Stats)
 	p.m = nil
+}
+
+// readTally reads the probe node's tally into t in the layout of the
+// runtime's node: a folded lead's slot gets the representative's stats,
+// which it ran.
+func (p *probe) readTally(t *gpusim.Tally) {
+	p.node.ReadTally(t)
+	if p.lead >= 0 {
+		t.Devices[p.lead] = t.Devices[p.rep]
+	}
 }
 
 // catchUp submits the held batch b, replayed as rec, to the scheduler

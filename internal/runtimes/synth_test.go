@@ -8,6 +8,7 @@ import (
 
 	"liger/internal/cluster"
 	"liger/internal/core"
+	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/kvcache"
 	"liger/internal/liger"
@@ -18,13 +19,26 @@ import (
 )
 
 // rig is how a node under test is built: its hardware, model and
-// scheduler configuration, and whether it is kept unfolded.
+// scheduler configuration, and how it folds.
 type rig struct {
-	node     hw.Node
-	spec     model.Spec
-	cfg      liger.Config
-	unfolded bool
+	node   hw.Node
+	spec   model.Spec
+	cfg    liger.Config
+	layout layout
 }
+
+// layout is how a rig's node folds its devices.
+type layout int
+
+const (
+	// folded is the runtime's layout: the node folds its followers, and
+	// under Hybrid sync keeps the lead apart.
+	folded layout = iota
+	unfolded
+	// leadFolded is a probe node's under Hybrid sync: the lead folds with
+	// the followers (gpusim.Node.FoldLeads).
+	leadFolded
+)
 
 // build returns a Liger runtime over a fresh node of the rig, built as
 // every serving entry point builds one (core.NewEngine).
@@ -34,10 +48,23 @@ func (g rig) build(t testing.TB) (*simclock.Engine, *core.Engine, *runtimes.Lige
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.unfolded {
+	switch g.layout {
+	case unfolded:
 		e.SimNode().KeepUnfolded()
+	case leadFolded:
+		e.SimNode().FoldLeads()
 	}
 	return e.Clock(), e, e.Runtime().(*runtimes.Liger)
+}
+
+// readTally reads node's tally into t in the layout of the runtime's
+// node: on a rig whose node folds the lead, the lead's slot gets the
+// representative's stats, as a probe node's tally does.
+func (g rig) readTally(node *gpusim.Node, t *gpusim.Tally) {
+	node.ReadTally(t)
+	if g.layout == leadFolded {
+		t.Devices[0] = t.Devices[len(t.Devices)-1]
+	}
 }
 
 // simulated runs a cold iteration of ws[0] on a fresh node of the rig
@@ -52,7 +79,7 @@ func (g rig) simulated(t testing.TB, ws []model.Workload) []liger.Probe {
 	var out []liger.Probe
 	var m liger.Probe
 	submit := func(w model.Workload) {
-		node.ReadTally(&m.Before)
+		g.readTally(node, &m.Before)
 		m.Stats = rt.Scheduler().Stats()
 		seq := eng.Seq()
 		if err := rt.Submit(w); err != nil {
@@ -64,7 +91,7 @@ func (g rig) simulated(t testing.TB, ws []model.Workload) []liger.Probe {
 	rt.SetOnDone(func(c runtimes.Completion) {
 		if !cold {
 			m.Duration, m.Failed = c.Latency(), c.Failed
-			node.ReadTally(&m.After)
+			g.readTally(node, &m.After)
 			m.Stats = rt.Scheduler().Stats().Since(m.Stats)
 			out = append(out, m)
 			m = liger.Probe{}
@@ -77,6 +104,9 @@ func (g rig) simulated(t testing.TB, ws []model.Workload) []liger.Probe {
 	eng.Run()
 	if len(out) != len(ws) {
 		t.Fatalf("%d of %d iterations measured", len(out), len(ws))
+	}
+	if g.layout == leadFolded && node.Diverged() {
+		t.Fatal("the node that folds its lead diverged")
 	}
 	return out
 }
@@ -93,11 +123,12 @@ func recordOf(p liger.Probe, timeout time.Duration) *liger.Replay {
 // TestSoloIterationIsLayerAffine is the premise of synthesized records:
 // for OPT-30B, OPT-66B and the tiny model, a context and a decode shape,
 // Hybrid and InterStreamOnly sync, degradation-aware scheduling on and
-// off, folded and unfolded, the record of a warm solo iteration at 1 to
-// 12 layers is the 1-layer record plus the step from 1 to 2 layers once
-// per layer added (liger.Extend of the 1-, 2- and 3-layer records). CPU-
-// GPU sync submits each chained iteration with a round still pending,
-// so it never replays.
+// off, folded and unfolded, and for OPT-30B and OPT-66B under Hybrid
+// sync with the lead folded too, as a probe node folds it, the record of
+// a warm solo iteration at 1 to 12 layers is the 1-layer record plus the
+// step from 1 to 2 layers once per layer added (liger.Extend of the 1-,
+// 2- and 3-layer records). CPU-GPU sync submits each chained iteration
+// with a round still pending, so it never replays.
 func TestSoloIterationIsLayerAffine(t *testing.T) {
 	const depth = 12
 	shapes := []model.Workload{
@@ -107,16 +138,24 @@ func TestSoloIterationIsLayerAffine(t *testing.T) {
 	for _, spec := range []model.Spec{model.OPT30B(), model.OPT66B(), model.Tiny()} {
 		for _, sync := range []liger.SyncMode{liger.Hybrid, liger.InterStreamOnly} {
 			for _, aware := range []bool{false, true} {
-				for _, unfolded := range []bool{false, true} {
+				for _, l := range []layout{folded, unfolded, leadFolded} {
 					cfg := liger.DefaultConfig("a100")
 					cfg.Sync, cfg.DegradationAware = sync, aware
-					name := fmt.Sprintf("%s/%v/aware=%v/unfolded=%v", spec.Name, sync, aware, unfolded)
+					name := fmt.Sprintf("%s/%v/aware=%v/unfolded=%v", spec.Name, sync, aware, l == unfolded)
+					if l == leadFolded {
+						// The tiny model's kernels are short enough for the
+						// lead's issue gap to bind: its fold diverges.
+						if sync != liger.Hybrid || spec.Name == model.Tiny().Name {
+							continue
+						}
+						name = fmt.Sprintf("%s/%v/aware=%v/leadfolded", spec.Name, sync, aware)
+					}
 					t.Run(name, func(t *testing.T) {
 						byDepth := make([][]liger.Probe, depth+1)
 						for k := 1; k <= depth; k++ {
 							cut := spec
 							cut.Layers = k
-							byDepth[k] = rig{hw.A100Node(), cut, cfg, unfolded}.simulated(t, shapes)
+							byDepth[k] = rig{hw.A100Node(), cut, cfg, l}.simulated(t, shapes)
 						}
 						for i, w := range shapes {
 							probes := [3]liger.Probe{byDepth[1][i], byDepth[2][i], byDepth[3][i]}
@@ -135,7 +174,7 @@ func TestSoloIterationIsLayerAffine(t *testing.T) {
 	t.Run("CPUGPU", func(t *testing.T) {
 		cfg := liger.DefaultConfig("a100")
 		cfg.Sync = liger.CPUGPU
-		eng, _, rt := rig{hw.A100Node(), model.OPT30B(), cfg, false}.build(t)
+		eng, _, rt := rig{hw.A100Node(), model.OPT30B(), cfg, folded}.build(t)
 		n := 0
 		rt.SetOnDone(func(runtimes.Completion) {
 			if n++; n < 6 {
@@ -225,9 +264,12 @@ func servingChain(t *testing.T, g rig, seqs int, prompt, gen [2]int, pool int) (
 // runs are continuous-batching chains of OPT-30B on 80 GB and 40 GB
 // A100 nodes, the second with prompts of 384 to 640 tokens, and fleets
 // of OPT-30B replicas on the shards of a sharded executor at 1 and 4
-// workers, serving context and decode shapes. Extension must also
-// refuse probes whose third step differs from the second in any one
-// field.
+// workers, serving context and decode shapes. Their probe nodes fold
+// the lead with the followers and never diverge, so no shape is probed
+// again. A chain of the tiny model under the same Hybrid sync diverges,
+// and its records, probed again with the lead apart, must match too.
+// Extension must also refuse probes whose third step differs from the
+// second in any one field.
 func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 	cfg := liger.DefaultConfig("a100")
 	cfg.DegradationAware = true
@@ -237,18 +279,23 @@ func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 	for _, c := range []struct {
 		name        string
 		node        hw.Node
+		spec        model.Spec
 		seqs        int
 		prompt, gen [2]int
 		pool        int
 	}{
-		{"80GB", hw.A100Node(), 32, [2]int{16, 48}, [2]int{16, 48}, 16},
-		{"40GB", small, 32, [2]int{384, 640}, [2]int{24, 40}, 24},
+		{"80GB", hw.A100Node(), model.OPT30B(), 32, [2]int{16, 48}, [2]int{16, 48}, 16},
+		{"40GB", small, model.OPT30B(), 32, [2]int{384, 640}, [2]int{24, 40}, 24},
+		{"tiny", hw.A100Node(), model.Tiny(), 24, [2]int{16, 48}, [2]int{8, 24}, 12},
 	} {
 		t.Run("chain/"+c.name, func(t *testing.T) {
-			g := rig{c.node, model.OPT30B(), cfg, false}
+			g := rig{c.node, c.spec, cfg, folded}
 			rt, ws := servingChain(t, g, c.seqs, c.prompt, c.gen, c.pool)
 			shapes, recs := synthesizedRecords(t, rt, ws)
 			compared += matchSimulated(t, g, shapes, recs)
+			if n, tiny := runtimes.Reprobes(rt), c.spec.Name == model.Tiny().Name; tiny != (n > 0) {
+				t.Fatalf("%d shapes probed again with the lead apart", n)
+			}
 		})
 	}
 	for _, workers := range []int{1, 4} {
@@ -277,13 +324,17 @@ func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 				ws = append(ws, a.Workload)
 			}
 			for _, r := range f.Runtimes() {
-				shapes, recs := synthesizedRecords(t, r.(*runtimes.Liger), ws)
-				compared += matchSimulated(t, rig{hw.A100Node(), model.OPT30B(), cfg, false}, shapes, recs)
+				rt := r.(*runtimes.Liger)
+				shapes, recs := synthesizedRecords(t, rt, ws)
+				compared += matchSimulated(t, rig{hw.A100Node(), model.OPT30B(), cfg, folded}, shapes, recs)
+				if n := runtimes.Reprobes(rt); n != 0 {
+					t.Fatalf("%d shapes probed again with the lead apart", n)
+				}
 			}
 		})
 	}
 	t.Run("unequal steps", func(t *testing.T) {
-		g := rig{hw.A100Node(), model.OPT30B(), cfg, false}
+		g := rig{hw.A100Node(), model.OPT30B(), cfg, folded}
 		w := []model.Workload{{Batch: 4, CtxLen: 64, Phase: model.Decode}}
 		var probes [3]liger.Probe
 		for k := range probes {

@@ -141,10 +141,10 @@ func TestFleetParallelInvariant(t *testing.T) {
 
 // TestStressDeterministic pins the stress harness contract: same
 // (N, seed) yields byte-identical survival reports at any worker
-// count or shard setting.
+// count.
 func TestStressDeterministic(t *testing.T) {
-	render := func(parallel, shards int) string {
-		rep, err := Stress(StressConfig{N: 6, Seed: 42, Parallel: parallel, Shards: shards})
+	render := func(parallel int) string {
+		rep, err := Stress(StressConfig{N: 6, Seed: 42, Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,10 +157,10 @@ func TestStressDeterministic(t *testing.T) {
 		}
 		return text.String() + js.String()
 	}
-	base := render(1, 0)
-	for _, cfg := range []struct{ parallel, shards int }{{4, 0}, {8, 0}, {2, 4}} {
-		if got := render(cfg.parallel, cfg.shards); got != base {
-			t.Errorf("stress report differs at parallel=%d shards=%d", cfg.parallel, cfg.shards)
+	base := render(1)
+	for _, parallel := range []int{4, 8, 2} {
+		if got := render(parallel); got != base {
+			t.Errorf("stress report differs at parallel=%d", parallel)
 		}
 	}
 }

@@ -26,12 +26,10 @@ type StressConfig struct {
 	N int
 	// Seed is the master seed; every instance derives from it.
 	Seed int64
-	// Parallel is the per-instance fan-out's worker count. Shards is
-	// each instance's RunOptions.Shards, the sharded executor's worker
-	// count of a fleet run; the generated instances are single-node, so
-	// it reaches no executor today. Neither changes a result.
+	// Parallel is the per-instance fan-out's worker count; it changes no
+	// result. The generated instances are single-node, so none has a
+	// sharded executor to size.
 	Parallel int
-	Shards   int
 }
 
 // stressModel keeps instances fast: the tiny spec exercises every
@@ -206,7 +204,7 @@ func runStressInstance(cfg StressConfig, i int) StressRow {
 	row.Runtimes = make(map[string]StressOutcome, len(c.Kinds))
 	names := sc.ResultRuntimes()
 	for k, kind := range c.Kinds {
-		run, err := RunOne(c, kind, RunOptions{Shards: cfg.Shards})
+		run, err := RunOne(c, kind, RunOptions{})
 		out := StressOutcome{}
 		if err != nil {
 			out.Err = err.Error()

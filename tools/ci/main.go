@@ -41,7 +41,9 @@
 //     its layer-count proof (TestSoloIterationIsLayerAffine), the
 //     differential of records synthesized from 1-, 2- and 3-layer
 //     probes against fully simulated ones
-//     (TestSynthesizedRecordsMatchSimulation), replay's differential
+//     (TestSynthesizedRecordsMatchSimulation), the divergence check and
+//     refusals of probe nodes that fold the lead (TestLeadFoldDiverges,
+//     TestLeadFoldRefusals), replay's differential
 //     against the simulation (the FuzzContinuousReplay seeds,
 //     TestContinuousReplayEngages, TestReplayFollowsTheRules,
 //     TestShardReplayMatchesSimulation on fleet and chained shards at 1
@@ -182,7 +184,7 @@ func main() {
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
 			"./internal/analyze")},
 		{"replay race", command("go", "test", "-race",
-			"-run", "SoloIteration|Synthesized|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled",
+			"-run", "SoloIteration|Synthesized|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled|LeadFold",
 			"./internal/runtimes", "./internal/simclock", "./internal/gpusim", "./internal/liger")},
 		{"failover smoke", smoke{
 			what: "failover sweep",
