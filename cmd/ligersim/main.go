@@ -139,23 +139,6 @@ func main() {
 		}
 	})
 
-	lcfg := liger.DefaultConfig(*nodeName)
-	lcfg.DivisionFactor = *division
-	lcfg.MaxInflight = *inflight
-	if *cfactor != 0 {
-		lcfg.ContentionFactor = *cfactor
-	}
-	switch *syncMode {
-	case "hybrid":
-		lcfg.Sync = liger.Hybrid
-	case "cpu-gpu":
-		lcfg.Sync = liger.CPUGPU
-	case "inter-stream-only":
-		lcfg.Sync = liger.InterStreamOnly
-	default:
-		log.Fatalf("unknown sync mode %q", *syncMode)
-	}
-
 	sc := lower(m)
 	if err := sc.Validate(); err != nil {
 		log.Fatal(err)
@@ -164,21 +147,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *traceSave != "" {
+		saveArrivals(c)
+	}
 	opts := scenario.RunOptions{
 		Shards:  *shards,
-		Liger:   &lcfg,
 		Journal: *journalN,
 		Trace:   *traceOut != "" || *metricsOut != "" || *explain || *srvTrace != "" || *srvReport,
-	}
-	if m&batchLike != 0 {
-		opts.Arrivals = arrivals(c)
-	}
-	if m == disaggMode {
-		net, err := hw.NetworkPreset(*network)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Disagg = &scenario.DisaggPools{Prefill: *prefillN, Decode: *decodeN, Network: net}
 	}
 	out, err := scenario.RunOne(c, c.Kinds[0], opts)
 	if err != nil {
@@ -190,7 +165,7 @@ func main() {
 	case fleetMode:
 		renderFleet(c, out)
 	default:
-		renderServing(c, out, opts.Disagg)
+		renderServing(c, out)
 	}
 }
 
@@ -203,6 +178,12 @@ func lower(m mode) *scenario.Scenario {
 		Model:    *modelName,
 		Runtimes: []string{*rtName},
 		Node:     scenario.NodeSpec{Preset: *nodeName, GPUs: *gpus},
+		Liger: scenario.LigerSpec{
+			Sync:             *syncMode,
+			ContentionFactor: *cfactor,
+			DivisionFactor:   nonzero("division", *division),
+			Inflight:         nonzero("inflight", *inflight),
+		},
 		Workload: scenario.Workload{Batches: *batches, Rate: scenario.AbsRate(*rate), Seed: *seed},
 	}
 	w := &sc.Workload
@@ -210,8 +191,16 @@ func lower(m mode) *scenario.Scenario {
 		w.Mode = "continuous"
 		w.Prompt, w.Gen, w.Pool = nonzero("prompt", *promptLen), nonzero("gen", *genTokens), nonzero("pool", *pool)
 		sc.KV = &scenario.KVSpec{}
+		if m == disaggMode {
+			sc.Cluster = &scenario.ClusterSpec{
+				Prefill: nonzero("prefillnodes", *prefillN),
+				Decode:  nonzero("decodenodes", *decodeN),
+				Network: *network,
+			}
+		}
 		return sc
 	}
+	w.Arrivals = *traceIn
 	w.Batch = nonzero("batch", *batchSize)
 	w.Seq = scenario.SeqRange{Min: *minSeq, Max: *maxSeq}
 	w.Process = *process
@@ -242,28 +231,20 @@ func nonzero(name string, v int) int {
 	return v
 }
 
-// arrivals loads -tracein, or generates the workload's trace when
-// -tracesave needs it, and saves it; nil lets the runner generate.
-func arrivals(c *scenario.Compiled) []serve.Arrival {
-	var arr []serve.Arrival
+// saveArrivals writes the trace the run serves, the -tracein file's or
+// the generated one, to -tracesave.
+func saveArrivals(c *scenario.Compiled) {
+	arr := c.Arrivals
 	var err error
-	switch {
-	case *traceIn != "":
-		var f *os.File
-		if f, err = os.Open(*traceIn); err == nil {
-			arr, err = serve.LoadTrace(f)
-			f.Close()
-		}
-	case *traceSave != "":
+	if arr == nil {
 		arr, err = serve.Generate(c.Trace)
 	}
-	if err == nil && *traceSave != "" {
+	if err == nil {
 		err = writeJSONFile(*traceSave, func(w io.Writer) error { return serve.SaveTrace(w, arr) })
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	return arr
 }
 
 // writeOutput writes one output file and reports it on stdout.
@@ -365,17 +346,17 @@ func renderFleet(c *scenario.Compiled, out *scenario.Outcome) {
 // decode-serving report, then -serving-report, -serving-trace and
 // -metrics. A disaggregated run's output is byte-identical at any
 // -shards setting.
-func renderServing(c *scenario.Compiled, out *scenario.Outcome, pools *scenario.DisaggPools) {
+func renderServing(c *scenario.Compiled, out *scenario.Outcome) {
 	res, plan := out.Result, c.Continuous
-	if pools == nil {
+	if plan.Prefill == 0 {
 		fmt.Printf("node      : %s (%d GPUs, %s)\n", c.Node.Name, c.Node.NumGPUs, c.Node.Interconnect.Name)
 		printModel(c, res.Runtime)
 		fmt.Printf("serving   : continuous, %d sequences (prompt %d + gen %d), poisson rate %.2f/s, pool %d, kv paged\n",
 			plan.Sequences, plan.Prompt, plan.Gen, c.Rate, plan.Pool)
 	} else {
 		fmt.Printf("pools     : %d prefill + %d decode nodes of %s (%d GPUs each) over %s\n",
-			pools.Prefill, pools.Decode, c.Node.Name, c.Node.NumGPUs, pools.Network.Name)
-		printNetwork(pools.Network)
+			plan.Prefill, plan.Decode, c.Node.Name, c.Node.NumGPUs, plan.Network.Name)
+		printNetwork(plan.Network)
 		printModel(c, res.Runtime)
 		fmt.Printf("serving   : disaggregated, %d sequences (prompt %d + gen %d), poisson rate %.2f/s, pool %d per decode node\n",
 			plan.Sequences, plan.Prompt, plan.Gen, c.Rate, plan.Pool)
