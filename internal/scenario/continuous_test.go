@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"liger/internal/hw"
 )
 
 // continuousYAML is a small continuous-mode scenario; tests splice
@@ -195,5 +197,39 @@ func TestRunContinuousScenario(t *testing.T) {
 		if !strings.Contains(base, key) {
 			t.Errorf("report missing %s", key)
 		}
+	}
+}
+
+// TestCompileDisaggPools pins the lowered pools: sizes, network,
+// always-on paged KV on the decode nodes, and a capacity-relative rate
+// that scales with the prefill pool.
+func TestCompileDisaggPools(t *testing.T) {
+	const doc = "name: t\nmodel: tiny\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 0.5x\n"
+	compile := func(doc string) *Compiled {
+		t.Helper()
+		sc, err := Parse([]byte(doc), "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	single := compile(doc)
+	pooled := compile(doc + "cluster:\n  prefill: 3\n  decode: 2\n  network: ethernet\n")
+	cp := pooled.Continuous
+	if cp.Prefill != 3 || cp.Decode != 2 || cp.Network.Name != hw.EthernetNetwork().Name {
+		t.Errorf("pools = %d prefill / %d decode over %q", cp.Prefill, cp.Decode, cp.Network.Name)
+	}
+	if !cp.KV {
+		t.Error("decode pools run without paged KV")
+	}
+	if pooled.Cluster != nil {
+		t.Error("disaggregated pools compiled into a replica fleet")
+	}
+	if single.Continuous.Prefill != 0 || pooled.Rate != 3*single.Rate {
+		t.Errorf("rate %v with 3 prefill nodes, %v on one node", pooled.Rate, single.Rate)
 	}
 }

@@ -56,6 +56,12 @@ var decodeErrorCases = []struct{ name, in, want string }{
 	{"seq from string", wl + "  seq: wide\n", "workload.seq: want [min, max], got a string"},
 	{"workload seed fraction", wl + "  seed: 1.5\n", "workload.seed: want an integer, got 1.5 (a number)"},
 	{"workload unknown key", "workload:\n  batchs: 5\n  rate: 1\n", `unknown key "workload.batchs" (did you mean "batches"?)`},
+	{"liger not a mapping", wl + "liger: fast\n", "liger: want a mapping, got a string"},
+	{"liger sync from number", wl + "liger:\n  sync: 1\n", "liger.sync: want a string, got a number"},
+	{"liger integer from fraction", wl + "liger:\n  division_factor: 2.5\n", "liger.division_factor: want an integer, got 2.5 (a number)"},
+	{"liger unknown key", wl + "liger:\n  inflght: 2\n", `unknown key "liger.inflght" (did you mean "inflight"?)`},
+	{"cluster pool from string", "cluster:\n  prefill: two\n" + wl, `cluster.prefill: want an integer, got "two"`},
+	{"arrivals from number", wl + "  arrivals: 5\n", "workload.arrivals: want a string, got a number"},
 	{"kv not a mapping", wl + "kv: 1\n", "kv: want a mapping, got a number"},
 	{"kv number from string", wl + "kv:\n  watermark: high\n", `kv.watermark: want a number, got "high"`},
 	{"policy not a mapping", wl + "policy: x\n", "policy: want a mapping, got a string"},

@@ -45,6 +45,9 @@ func FuzzParse(f *testing.F) {
 		f.Add([]byte("model: tiny\nworkload:\n  batches: 5\n  " + v + "\n"))
 	}
 	f.Add([]byte(wl + "chaos:\n  events:\n    - kind: slowdown\n      factor: nan\n"))
+	f.Add([]byte(wl + "liger:\n  sync: cpu-gpu\n  contention_factor: 1.2\n  division_factor: 4\n  inflight: 2\n"))
+	f.Add([]byte("model: tiny\ncluster:\n  prefill: 2\n  decode: 1\n  network: ethernet\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 0.5x\n"))
+	f.Add([]byte(wl + "  arrivals: arrivals.json\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Parse(data, "fuzz")
@@ -88,9 +91,11 @@ func errText(err error) string {
 // cheapToCompile bounds the knobs Compile's work and memory grow with
 // (the device pool and each generator's event count): a scenario may set
 // them arbitrarily high, and the fuzzer should spend its time on
-// shapes, not on allocating.
+// shapes, not on allocating. An arrival file lies outside the fuzzed
+// bytes (its path may name any file, one that never ends included), so
+// a scenario naming one is not compiled.
 func cheapToCompile(sc *Scenario) bool {
-	if sc.Node.GPUs > 1<<10 {
+	if sc.Node.GPUs > 1<<10 || sc.Workload.Arrivals != "" {
 		return false
 	}
 	for _, g := range sc.Chaos.Random {

@@ -23,6 +23,8 @@ func TestCorpusGolden(t *testing.T) {
 		{"mid-run-device-loss.yaml", true},
 		{"fleet-node-loss.yaml", true},
 		{"decode-heavy.yaml", true},
+		{"disagg-pools.yaml", true},
+		{"liger-cpu-gpu-sync.yaml", true},
 		{"fixtures/impossible-slo.yaml", false},
 		{"fixtures/no-spare-capacity.yaml", false},
 	}

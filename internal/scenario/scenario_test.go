@@ -95,6 +95,36 @@ func TestParseErrors(t *testing.T) {
 			"assert[0]: no comparison operator",
 		},
 		{
+			"unknown liger sync mode",
+			"name: t\nworkload:\n  batches: 5\n  rate: 1\nliger:\n  sync: eager\n",
+			`liger.sync: unknown sync mode "eager" (want hybrid, cpu-gpu or inter-stream-only)`,
+		},
+		{
+			"pools combined with replicas",
+			"name: t\ncluster:\n  nodes: 2\n  prefill: 1\n  decode: 1\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 1\n",
+			"cluster.prefill/decode: disaggregated pools take no nodes, spares or probe_interval",
+		},
+		{
+			"pools combined with a probe interval",
+			"name: t\ncluster:\n  prefill: 1\n  decode: 1\n  probe_interval: 5ms\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 1\n",
+			"cluster.prefill/decode: disaggregated pools take no nodes, spares or probe_interval",
+		},
+		{
+			"one pool empty",
+			"name: t\ncluster:\n  prefill: 2\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 1\n",
+			"cluster.prefill/decode: need at least one node in each pool, got 2 prefill / 0 decode",
+		},
+		{
+			"pools without continuous mode",
+			"name: t\ncluster:\n  prefill: 1\n  decode: 1\nworkload:\n  batches: 5\n  rate: 1\n",
+			"cluster.prefill/decode: disaggregated pools serve workload.mode: continuous",
+		},
+		{
+			"arrivals in continuous mode",
+			"name: t\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 1\n  arrivals: a.json\n",
+			"workload.arrivals: continuous mode draws its own poisson arrivals",
+		},
+		{
 			"duplicate device override",
 			"name: t\nworkload:\n  batches: 5\n  rate: 1\nnode:\n  devices:\n    - device: 0\n      speed: 0.5\n    - device: 0\n      link: 0.5\n",
 			"node.devices[1]: device 0 already overridden by node.devices[0]",
