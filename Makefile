@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt bench fuzz chaos failover fleet serving serving-trace trace analyze scenarios stress perf
+.PHONY: check build test race vet fmt bench fuzz paper chaos failover fleet serving serving-trace trace analyze scenarios stress perf
 
 check: ## full gate: gofmt + vet + build + race pass + full tests
 	$(GO) run ./tools/ci
@@ -41,6 +41,13 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzPagedOps -fuzztime 15s -parallel 1 ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzEngineVsRefheap -fuzztime 15s -parallel 1 ./internal/simclock
 	$(GO) test -run XXX -fuzz FuzzContinuousReplay -fuzztime 15s -fuzzminimizetime 10x -parallel 1 ./internal/runtimes
+
+# Full-fidelity paper reproduction: rerun every experiment that
+# results_full.txt holds (table1 through straggler) at -batches 200 and
+# byte-compare the output with the file, timing lines stripped. The
+# same gate ends `make check`.
+paper:
+	$(GO) test ./internal/bench -run '^TestPaperFull$$' -count=1 -full
 
 # Full-fidelity chaos sweep: every fault scenario x runtime under the
 # deadline/retry policy (seeded, byte-reproducible).
