@@ -78,24 +78,6 @@ func (r Result) AvgTPOT() time.Duration { return stats.Mean(r.TPOT) }
 // AvgTotal returns the mean end-to-end generation time.
 func (r Result) AvgTotal() time.Duration { return stats.Mean(r.Total) }
 
-// Fold appends one latency sample per sequence — TTFT (arrival → first
-// token), TPOT (first token → finish, per generated token) and Total
-// (arrival → finish) — from index-aligned instants, sets Conversations,
-// and returns the makespan: the latest finish instant.
-func (r *Result) Fold(arrived, firstTok, finished []simclock.Time, genTokens int) time.Duration {
-	var makespan time.Duration
-	for i := range arrived {
-		r.TTFT = append(r.TTFT, time.Duration(firstTok[i]-arrived[i]))
-		r.TPOT = append(r.TPOT, time.Duration(finished[i]-firstTok[i])/time.Duration(genTokens))
-		r.Total = append(r.Total, time.Duration(finished[i]-arrived[i]))
-		if d := time.Duration(finished[i]); d > makespan {
-			makespan = d
-		}
-	}
-	r.Conversations = len(arrived)
-	return makespan
-}
-
 type conversation struct {
 	id   int
 	step int
@@ -201,6 +183,7 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 			return res, fmt.Errorf("generate: conversation %d never finished", i)
 		}
 	}
-	res.Fold(arrived, firstTok, finished, cfg.GenTokens)
+	res.Conversations = cfg.Conversations
+	res.TTFT, res.TPOT, res.Total = serve.FoldSequences(arrived, firstTok, finished, cfg.GenTokens)
 	return res, nil
 }
