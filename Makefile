@@ -50,9 +50,10 @@ paper:
 	$(GO) test ./internal/bench -run '^TestPaperFull$$' -count=1 -full
 
 # Full-fidelity chaos sweep: every fault scenario x runtime under the
-# deadline/retry policy (seeded, byte-reproducible).
+# deadline/retry policy (seeded, byte-reproducible); regenerates
+# BENCH_robustness.json at the repo root. See docs/FAULTS.md.
 chaos:
-	$(GO) run ./cmd/ligerbench -exp chaos
+	$(GO) run ./cmd/ligerbench -exp chaos -json .
 
 # Full-fidelity elastic-failover sweep: fail each device at several
 # instants x runtime; regenerates BENCH_failover.json at the repo root.

@@ -35,7 +35,7 @@ func main() {
 			"device index the straggler experiment slows (bounds-checked against the node)")
 		csvDir   = flag.String("csv", "", "also write per-panel CSV sweep data into this directory")
 		plotDir  = flag.String("plots", "", "also render per-panel SVG charts into this directory")
-		jsonDir  = flag.String("json", "", "also write machine-readable artifacts (BENCH_failover.json) into this directory")
+		jsonDir  = flag.String("json", "", "also write machine-readable artifacts (the chaos, failover, fleet and serving BENCH_*.json) into this directory")
 		traceDir = flag.String("trace-dir", "", "failover experiment: also write per-runtime Chrome traces and metrics snapshots of one traced failure point into this directory")
 		shards   = flag.Int("shards", 0,
 			"worker count of the fleet experiment's sharded executor; single-node experiments ignore it (a node is one shard, see docs/PERF.md) and output is identical at any value")

@@ -7,8 +7,11 @@ package bench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime/pprof"
 	"sort"
 	"time"
@@ -51,8 +54,8 @@ type RunConfig struct {
 	// PlotDir, when set, receives SVG latency/throughput charts of the
 	// Fig. 10/11/12 panels (the figures themselves).
 	PlotDir string
-	// JSONDir, when set, receives machine-readable artifacts (the
-	// failover sweep's BENCH_failover.json).
+	// JSONDir, when set, receives machine-readable artifacts: the
+	// chaos, failover, fleet and serving sweeps' BENCH_*.json.
 	JSONDir string
 	// TraceDir, when set, makes the failover experiment re-run one fully
 	// traced failure point per runtime and write a Chrome trace plus a
@@ -286,6 +289,23 @@ func saturatedThroughput(pts []point) float64 {
 		}
 	}
 	return best
+}
+
+// writeJSON writes v as the named machine-readable artifact into
+// cfg.JSONDir when it is set. encoding/json sorts map keys, so the bytes
+// are a pure function of v.
+func writeJSON(cfg RunConfig, name string, v any) error {
+	if cfg.JSONDir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(cfg.JSONDir, 0o755); err != nil {
+		return err
+	}
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(cfg.JSONDir, name), append(buf, '\n'), 0o644)
 }
 
 // fmtDur renders a duration at µs precision.

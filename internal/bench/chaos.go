@@ -15,6 +15,29 @@ import (
 	"liger/internal/serve"
 )
 
+// RobustnessJSONName is the machine-readable artifact of the chaos
+// sweep (written into RunConfig.JSONDir when set).
+const RobustnessJSONName = "BENCH_robustness.json"
+
+// chaosRow is one JSON record of the sweep: a (scenario, runtime) point.
+type chaosRow struct {
+	Scenario string `json:"scenario"`
+	Runtime  string `json:"runtime"`
+	// Goodput is within-deadline throughput (batches/s).
+	Goodput    float64 `json:"goodput"`
+	P99Ms      float64 `json:"p99_ms"`
+	Retries    int     `json:"retries"`
+	Failed     int     `json:"failed"`
+	SLOMissPct float64 `json:"slo_miss_pct"`
+}
+
+// chaosReport is the full artifact, one row per table line.
+type chaosReport struct {
+	Batches int        `json:"batches"`
+	Seed    int64      `json:"seed"`
+	Rows    []chaosRow `json:"rows"`
+}
+
 // chaosSetup fixes the chaos experiment's shared knobs so the
 // experiment driver and its determinism test agree on them.
 type chaosSetup struct {
@@ -100,6 +123,7 @@ func RunChaos(cfg RunConfig, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	rep := chaosReport{Batches: cfg.Batches, Seed: cfg.Seed}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scenario\truntime\tgoodput\tp99 lat\tretries\tfailed\tSLO-miss")
 	for si, sc := range s.scenarios {
@@ -108,11 +132,23 @@ func RunChaos(cfg RunConfig, w io.Writer) error {
 			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%s\t%d\t%d\t%.1f%%\n",
 				sc.Name, kind, res.PolicyGoodput(), fmtDur(res.P99),
 				res.Retries, res.Failed, 100*res.SLOMissRate())
+			rep.Rows = append(rep.Rows, chaosRow{
+				Scenario:   sc.Name,
+				Runtime:    res.Runtime,
+				Goodput:    res.PolicyGoodput(),
+				P99Ms:      float64(res.P99) / float64(time.Millisecond),
+				Retries:    res.Retries,
+				Failed:     res.Failed,
+				SLOMissPct: 100 * res.SLOMissRate(),
+			})
 		}
 	}
 	fmt.Fprintf(tw, "\npolicy: deadline %s, %d retries, backoff %s (cap %s); collective watchdog %s; seed %d\n",
 		fmtDur(s.pol.Deadline), s.pol.MaxRetries, fmtDur(s.pol.Backoff), fmtDur(s.pol.BackoffCap),
 		fmtDur(s.profile.CollTimeout), cfg.Seed)
 	fmt.Fprintln(tw, "extension: stall/drop scenarios surface as aborted collectives that the serving layer retries; degradation-aware re-planning sheds interleaving only while a device is effectively unusable and rides out uniform slowdowns by design")
-	return tw.Flush()
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	return writeJSON(cfg, RobustnessJSONName, rep)
 }

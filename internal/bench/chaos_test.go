@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -100,5 +103,37 @@ func TestStragglerDeviceParameterized(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "gpu1 speed") {
 		t.Fatalf("report does not name the straggler device:\n%s", buf.String())
+	}
+}
+
+// TestChaosCommittedArtifact pins the committed repo-root
+// BENCH_robustness.json: it must parse, hold a row per (scenario,
+// runtime) of the sweep, and show Liger's goodput at or above
+// Intra-Op's under transient-straggler.
+func TestChaosCommittedArtifact(t *testing.T) {
+	buf, err := os.ReadFile(filepath.Join("..", "..", RobustnessJSONName))
+	if err != nil {
+		t.Fatalf("committed artifact missing (regenerate with `make chaos`): %v", err)
+	}
+	var rep chaosReport
+	if err := json.Unmarshal(buf, &rep); err != nil {
+		t.Fatal(err)
+	}
+	s := newChaosSetup(RunConfig{Batches: rep.Batches, Seed: rep.Seed})
+	if want := len(s.scenarios) * len(s.kinds); len(rep.Rows) != want {
+		t.Fatalf("committed artifact has %d rows, want %d", len(rep.Rows), want)
+	}
+	goodput := make(map[string]float64)
+	for i, row := range rep.Rows {
+		if want := s.scenarios[i/len(s.kinds)].Name; row.Scenario != want {
+			t.Fatalf("row %d is scenario %q, want %q", i, row.Scenario, want)
+		}
+		if row.Scenario == "transient-straggler" {
+			goodput[row.Runtime] = row.Goodput
+		}
+	}
+	if goodput["Liger"] < goodput["Intra-Op"] {
+		t.Errorf("committed artifact: Liger goodput %.2f below Intra-Op's %.2f under transient-straggler",
+			goodput["Liger"], goodput["Intra-Op"])
 	}
 }

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"text/tabwriter"
 	"time"
 
@@ -246,7 +243,7 @@ func RunFailover(cfg RunConfig, w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if err := writeFailoverJSON(cfg, rep); err != nil {
+	if err := writeJSON(cfg, FailoverJSONName, rep); err != nil {
 		return err
 	}
 	return writeFailoverObservability(s, cfg, w)
@@ -260,22 +257,4 @@ func kindName(kind core.RuntimeKind, results []serve.Result, pts []failoverPoint
 		}
 	}
 	return fmt.Sprintf("kind(%d)", int(kind))
-}
-
-// writeFailoverJSON writes the machine-readable artifact when
-// RunConfig.JSONDir is set. encoding/json sorts map keys, so the bytes
-// are a pure function of the report value.
-func writeFailoverJSON(cfg RunConfig, rep failoverReport) error {
-	if cfg.JSONDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(cfg.JSONDir, 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	return os.WriteFile(filepath.Join(cfg.JSONDir, FailoverJSONName), buf, 0o644)
 }

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"text/tabwriter"
 	"time"
 
@@ -290,23 +287,5 @@ func RunFleet(cfg RunConfig, w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	return writeFleetJSON(cfg, rep)
-}
-
-// writeFleetJSON writes the machine-readable artifact when
-// RunConfig.JSONDir is set. encoding/json sorts map keys, so the bytes
-// are a pure function of the report value.
-func writeFleetJSON(cfg RunConfig, rep fleetReport) error {
-	if cfg.JSONDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(cfg.JSONDir, 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	return os.WriteFile(filepath.Join(cfg.JSONDir, FleetJSONName), buf, 0o644)
+	return writeJSON(cfg, FleetJSONName, rep)
 }

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"text/tabwriter"
 	"time"
 
@@ -234,26 +231,8 @@ func RunServing(cfg RunConfig, w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if err := writeServingJSON(cfg, rep); err != nil {
+	if err := writeJSON(cfg, ServingJSONName, rep); err != nil {
 		return err
 	}
 	return writeServingObservability(s, cfg, w)
-}
-
-// writeServingJSON writes the machine-readable artifact when
-// RunConfig.JSONDir is set. encoding/json sorts map keys, so the bytes
-// are a pure function of the report value.
-func writeServingJSON(cfg RunConfig, rep servingReport) error {
-	if cfg.JSONDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(cfg.JSONDir, 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	return os.WriteFile(filepath.Join(cfg.JSONDir, ServingJSONName), buf, 0o644)
 }

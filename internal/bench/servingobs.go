@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -138,12 +137,6 @@ func writeServingObservability(s servingSetup, cfg RunConfig, w io.Writer) error
 				filepath.Join(cfg.TraceDir, "serving_"+slug+".{trace,metrics,serving}.json"))
 		}
 	}
-	if cfg.JSONDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(cfg.JSONDir, 0o755); err != nil {
-		return err
-	}
 	agg := servingAnalysis{
 		Batches:  cfg.Batches,
 		Prompt:   s.prompt,
@@ -155,10 +148,5 @@ func writeServingObservability(s servingSetup, cfg RunConfig, w io.Writer) error
 	for _, a := range arts {
 		agg.Rows = append(agg.Rows, a.row)
 	}
-	buf, err := json.MarshalIndent(agg, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	return os.WriteFile(filepath.Join(cfg.JSONDir, ServingAnalysisJSONName), buf, 0o644)
+	return writeJSON(cfg, ServingAnalysisJSONName, agg)
 }

@@ -27,8 +27,10 @@
 //     modeled latency, TTFT and throughput unchanged to the printed
 //     digit; host timings and CPU shares only warn. `go run ./tools/ci
 //     -perf-baseline` re-records BENCH_perf.json
-//  7. a chaos smoke run: `ligerbench -exp chaos -quick` at a small
-//     batch count, proving the fault scenarios execute end to end
+//  7. a chaos smoke: `ligerbench -exp chaos -quick -json` at a small
+//     batch count, at -parallel 1 and 4 — the table and
+//     BENCH_robustness.json must be byte-identical (the smoke helper
+//     described below), proving the fault scenarios execute end to end
 //  8. a failover race pass: the permanent-device-failure paths across
 //     gpusim, runtimes, liger, and serve under -race, including the
 //     teardown paths of the kernel-instance, event and collective pools
@@ -176,8 +178,14 @@ func main() {
 		// does not reach its tests.
 		{"perf harness tests", command("go", "-C", "tools/perf", "test", "./...")},
 		{"benchmark readings", benchmarkReadings},
-		{"chaos smoke", command(ligerbench(
-			"-exp", "chaos", "-quick", "-batches", "25", "-seed", "5")...)},
+		{"chaos smoke", smoke{
+			what:         "chaos table",
+			args:         ligerbench("-exp", "chaos", "-quick", "-batches", "25", "-seed", "5"),
+			runs:         [2][]string{{"-parallel", "1"}, {"-parallel", "4"}},
+			dirFlags:     []string{"-json"},
+			minArtifacts: 1,
+			benchdiff:    []string{"BENCH_robustness.json"},
+		}.run},
 		{"failover race", command("go", "test", "-race",
 			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce|KernelPool|EventPool|ReleasedBatch",
 			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve")},
