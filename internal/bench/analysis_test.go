@@ -5,9 +5,9 @@ import (
 
 	"liger/internal/analyze"
 	"liger/internal/core"
+	"liger/internal/scenario"
 	"liger/internal/serve"
 	"liger/internal/simclock"
-	"liger/internal/trace"
 )
 
 // explainPoint serves the first Fig. 10 panel (OPT-30B on v100, batch
@@ -17,20 +17,11 @@ import (
 func explainPoint(t *testing.T, kind core.RuntimeKind, rate float64, cfg RunConfig) (serve.Result, *analyze.Report) {
 	t.Helper()
 	p := fig10Panels(false)[0]
-	rec := trace.NewRecorder()
-	eng, err := core.NewEngine(core.Options{Node: p.node, Model: p.spec, Runtime: kind, Tracer: rec})
-	if err != nil {
-		t.Fatalf("engine(%v): %v", kind, err)
-	}
-	tr, err := genTrace(p, rate, cfg)
-	if err != nil {
-		t.Fatalf("trace(%v): %v", kind, err)
-	}
-	res, err := eng.Serve(tr)
+	out, err := runScenario(p.scenario(scenario.AbsRate(rate), cfg), kind, scenario.RunOptions{Trace: true})
 	if err != nil {
 		t.Fatalf("serve(%v): %v", kind, err)
 	}
-	return res, analyze.Analyze(rec, analyze.Options{})
+	return out.Result, analyze.Analyze(out.Recorder, analyze.Options{})
 }
 
 // TestFig10CriticalPathTilesMakespan is the -explain acceptance check

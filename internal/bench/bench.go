@@ -6,22 +6,21 @@ package bench
 
 import (
 	"bytes"
-	"context"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"sort"
 	"time"
 
 	"liger/internal/core"
 	"liger/internal/hw"
-	"liger/internal/liger"
 	"liger/internal/model"
 	"liger/internal/parallel"
 	"liger/internal/runner"
+	"liger/internal/scenario"
 	"liger/internal/serve"
 )
 
@@ -182,6 +181,10 @@ func rateFractions(quick bool) []float64 {
 	return []float64{0.4, 0.7, 0.9, 1.05, 1.2, 1.4, 1.6}
 }
 
+// headlineKinds are the paper's three headline runtimes, the ones every
+// extension experiment compares.
+var headlineKinds = []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp}
+
 // point is one measured (runtime, rate) result.
 type point struct {
 	rate float64
@@ -217,7 +220,7 @@ func runSweeps(sweeps []panelSweep, cfg RunConfig) ([]map[core.RuntimeKind][]poi
 	}
 	results, err := runner.Map(cfg.Parallel, len(jobs), func(i int) (serve.Result, error) {
 		j := jobs[i]
-		return runPoint(sweeps[j.sweep].p, j.rate, j.kind, cfg, nil)
+		return runPoint(sweeps[j.sweep].p, j.rate, j.kind, cfg, scenario.LigerSpec{})
 	})
 	if err != nil {
 		return nil, err
@@ -241,42 +244,62 @@ func runPanel(p panel, rates []float64, kinds []core.RuntimeKind, cfg RunConfig)
 	return maps[0], nil
 }
 
-// runPoint serves one (panel, rate, runtime) configuration. ligerCfg
-// overrides the scheduler configuration when non-nil.
-func runPoint(p panel, rate float64, kind core.RuntimeKind, cfg RunConfig, ligerCfg *liger.Config) (serve.Result, error) {
-	opts := core.Options{Node: p.node, Model: p.spec, Runtime: kind}
-	if ligerCfg != nil {
-		opts.Liger = *ligerCfg
-		opts.LigerSet = true
-	}
-	eng, err := core.NewEngine(opts)
-	if err != nil {
-		return serve.Result{}, err
-	}
-	trace, err := genTrace(p, rate, cfg)
-	if err != nil {
-		return serve.Result{}, err
-	}
-	// The label splits a -cpuprofile by runtime: go tool pprof -tags.
-	var res serve.Result
-	pprof.Do(context.Background(), pprof.Labels("runtime", kind.String()), func(context.Context) {
-		res, err = eng.Serve(trace)
-	})
-	return res, err
+// runPoint serves one (panel, rate, runtime) configuration with the
+// liger: keys l set.
+func runPoint(p panel, rate float64, kind core.RuntimeKind, cfg RunConfig, l scenario.LigerSpec) (serve.Result, error) {
+	sc := p.scenario(scenario.AbsRate(rate), cfg)
+	sc.Liger = l
+	return serveScenario(sc, kind, cfg)
 }
 
-// genTrace builds the panel's standard random trace at an arrival rate.
-func genTrace(p panel, rate float64, cfg RunConfig) ([]serve.Arrival, error) {
-	return serve.Generate(serve.TraceConfig{
-		Batches:    cfg.Batches,
-		BatchSize:  p.batch,
-		RatePerSec: rate,
-		MinSeq:     16,
-		MaxSeq:     128,
-		Phase:      p.phase,
-		CtxLen:     p.ctxLen,
-		Seed:       cfg.Seed,
-	})
+// a100Panel is the extensions' testbed: OPT-30B on the 4xA100 node at
+// batch 2.
+func a100Panel() panel {
+	return panel{nodeKey: "a100", node: hw.A100Node(), spec: model.OPT30B(), batch: 2, phase: model.Context}
+}
+
+// scenario is the panel's serving point at rate: its node, model and
+// batch shape, cfg.Batches arrivals of 16–128 tokens drawn from
+// cfg.Seed.
+func (p panel) scenario(rate scenario.RateSpec, cfg RunConfig) *scenario.Scenario {
+	node := scenario.NodeSpec{Preset: p.nodeKey}
+	if preset, _ := hw.Preset(p.nodeKey); p.node.NumGPUs != preset.NumGPUs {
+		node.GPUs = p.node.NumGPUs
+	}
+	w := scenario.Workload{Batches: cfg.Batches, Batch: p.batch, Rate: rate, CtxLen: p.ctxLen, Seed: cfg.Seed}
+	if p.phase == model.Decode {
+		w.Phase = "decode"
+	}
+	return &scenario.Scenario{Name: cmp.Or(p.label, p.spec.Name), Model: p.spec.Name, Node: node, Workload: w}
+}
+
+// compile validates and compiles a scenario built in Go, with the checks
+// a scenario file gets.
+func compile(sc *scenario.Scenario) (*scenario.Compiled, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	return scenario.Compile(sc)
+}
+
+// runScenario serves sc on one runtime through the scenario run path,
+// the one way every serving point of this package runs.
+func runScenario(sc *scenario.Scenario, kind core.RuntimeKind, opts scenario.RunOptions) (*scenario.Outcome, error) {
+	c, err := compile(sc)
+	if err != nil {
+		return nil, err
+	}
+	return scenario.RunOne(c, kind, opts)
+}
+
+// serveScenario is runScenario's serving result, the fleet executor
+// sized by cfg.Shards.
+func serveScenario(sc *scenario.Scenario, kind core.RuntimeKind, cfg RunConfig) (serve.Result, error) {
+	out, err := runScenario(sc, kind, scenario.RunOptions{Shards: cfg.Shards})
+	if err != nil {
+		return serve.Result{}, err
+	}
+	return out.Result, nil
 }
 
 // saturatedThroughput returns the best throughput a runtime reached

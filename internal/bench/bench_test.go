@@ -10,6 +10,7 @@ import (
 	"liger/internal/core"
 	"liger/internal/hw"
 	"liger/internal/model"
+	"liger/internal/scenario"
 )
 
 func quickCfg() RunConfig { return RunConfig{Batches: 40, Quick: true, Seed: 1} }
@@ -154,7 +155,7 @@ func TestSanitize(t *testing.T) {
 
 func TestRunPointProducesResult(t *testing.T) {
 	p := panel{nodeKey: "v100", node: hw.V100Node(), spec: model.Tiny(), batch: 2, phase: model.Context}
-	res, err := runPoint(p, 500, core.KindLiger, quickCfg(), nil)
+	res, err := runPoint(p, 500, core.KindLiger, quickCfg(), scenario.LigerSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

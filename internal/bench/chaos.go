@@ -3,15 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"text/tabwriter"
 	"time"
 
-	"liger/internal/core"
-	"liger/internal/faults"
-	"liger/internal/hw"
-	"liger/internal/liger"
-	"liger/internal/model"
 	"liger/internal/runner"
+	"liger/internal/scenario"
 	"liger/internal/serve"
 )
 
@@ -38,87 +35,101 @@ type chaosReport struct {
 	Rows    []chaosRow `json:"rows"`
 }
 
-// chaosSetup fixes the chaos experiment's shared knobs so the
-// experiment driver and its determinism test agree on them.
-type chaosSetup struct {
-	p         panel
-	rate      float64
-	profile   faults.Profile
-	pol       serve.Policy
-	scenarios []faults.Scenario
-	kinds     []core.RuntimeKind
+// chaosWatchdog is the collective watchdog of the presets with hang
+// semantics: several solo batch durations, so merely-slow collectives
+// never trip it and hung ones always do.
+var chaosWatchdog = scenario.SoloTime(4)
+
+// chaosPreset is one named fault plan of the chaos experiment. Its
+// chaos section places every window at fractions of the horizon and
+// draws the faulty device of a node of the given size from the seed, so
+// one seed yields one plan.
+type chaosPreset struct {
+	name, description string
+	chaos             func(devices int, seed int64) scenario.Chaos
 }
 
-func newChaosSetup(cfg RunConfig) chaosSetup {
-	p := panel{nodeKey: "a100", node: hw.A100Node(), spec: model.OPT30B(), batch: 2, phase: model.Context}
-	rate := 0.85 * intraCapacity(p)
-	// solo is the analytic duration of one batch on an idle node — the
-	// natural unit for deadlines, backoffs, and the collective watchdog.
-	solo := time.Duration(float64(time.Second) / intraCapacity(p))
-	horizon := time.Duration(float64(cfg.Batches) / rate * float64(time.Second))
-	scenarios := append([]faults.Scenario{{
-		Name:        "none",
-		Description: "fault-free baseline",
-		Build:       func(faults.Profile) faults.Schedule { return faults.Schedule{} },
-	}}, faults.Scenarios()...)
-	return chaosSetup{
-		p:    p,
-		rate: rate,
-		profile: faults.Profile{
-			NumDevices: p.node.NumGPUs,
-			Horizon:    horizon,
-			// Several times the solo batch duration: merely-slow collectives
-			// never trip the watchdog, hung ones always do.
-			CollTimeout: 4 * solo,
-			Seed:        cfg.Seed,
-		},
-		pol: serve.Policy{
-			Deadline:   10 * solo,
-			MaxRetries: 3,
-			Backoff:    solo / 2,
-			BackoffCap: 4 * solo,
-		},
-		scenarios: scenarios,
-		kinds:     []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp},
+// chaosPresets returns the fault-free baseline and the fault presets in
+// presentation order.
+func chaosPresets() []chaosPreset {
+	return []chaosPreset{
+		{"none", "fault-free baseline", func(int, int64) scenario.Chaos { return scenario.Chaos{} }},
+		{"transient-straggler", "one GPU thermally throttles to 55% mid-run, then recovers",
+			func(devices int, seed int64) scenario.Chaos {
+				dev := rand.New(rand.NewSource(seed)).Intn(devices)
+				return scenario.Chaos{Events: []scenario.ChaosEvent{{Kind: "slowdown", Device: dev,
+					Start: scenario.FracTime(0.25), Duration: scenario.FracTime(0.40), Factor: 0.55}}}
+			}},
+		{"flaky-link", "one GPU's link flaps to 30% bandwidth in recurring jittered windows",
+			func(devices int, seed int64) scenario.Chaos {
+				rng := rand.New(rand.NewSource(seed))
+				dev := rng.Intn(devices)
+				// Four windows of 8% of the run each, spread across the
+				// middle 80% with per-window jitter.
+				var evs []scenario.ChaosEvent
+				for i := 0; i < 4; i++ {
+					base := 0.10 + 0.20*float64(i)
+					jitter := 0.04 * rng.Float64()
+					evs = append(evs, scenario.ChaosEvent{Kind: "link-degrade", Device: dev,
+						Start: scenario.FracTime(base + jitter), Duration: scenario.FracTime(0.08), Factor: 0.30})
+				}
+				return scenario.Chaos{Events: evs}
+			}},
+		{"coll-stall", "one GPU's collectives hang in a window; the watchdog aborts them for retry",
+			func(devices int, seed int64) scenario.Chaos {
+				dev := rand.New(rand.NewSource(seed)).Intn(devices)
+				return scenario.Chaos{CollTimeout: chaosWatchdog, Events: []scenario.ChaosEvent{{Kind: "coll-stall",
+					Device: dev, Start: scenario.FracTime(0.35), Duration: scenario.FracTime(0.15)}}}
+			}},
+		{"drop-restore", "one GPU falls off the bus for a window, then restores; collectives abort for retry",
+			func(devices int, seed int64) scenario.Chaos {
+				dev := rand.New(rand.NewSource(seed)).Intn(devices)
+				return scenario.Chaos{CollTimeout: chaosWatchdog, Events: []scenario.ChaosEvent{{Kind: "device-drop",
+					Device: dev, Start: scenario.FracTime(0.45), Duration: scenario.FracTime(0.12)}}}
+			}},
+		{"dead-device", "one GPU throttles, then fails permanently; the runtime re-plans onto the survivors",
+			func(devices int, seed int64) scenario.Chaos {
+				dev := rand.New(rand.NewSource(seed)).Intn(devices)
+				// A dying-hardware shape: thermal distress first, then the
+				// device falls off for good.
+				return scenario.Chaos{CollTimeout: chaosWatchdog, Events: []scenario.ChaosEvent{
+					{Kind: "slowdown", Device: dev, Start: scenario.FracTime(0.30), Duration: scenario.FracTime(0.15), Factor: 0.60},
+					{Kind: "device-fail", Device: dev, Start: scenario.FracTime(0.45)},
+				}}
+			}},
 	}
 }
 
-// runChaosPoint serves one (scenario, runtime) point under the chaos
-// policy. The Liger runtime serves with degradation-aware re-planning
-// enabled — the subsystem under test.
-func runChaosPoint(s chaosSetup, sc faults.Scenario, kind core.RuntimeKind, cfg RunConfig) (serve.Result, error) {
-	opts := core.Options{Node: s.p.node, Model: s.p.spec, Runtime: kind}
-	if kind == core.KindLiger {
-		lc := liger.DefaultConfig(s.p.node.Name)
-		lc.DegradationAware = true
-		opts.Liger = lc
-		opts.LigerSet = true
+// chaosScenario is the chaos experiment's serving point under one
+// preset: the A100 testbed at 85% of intra-op capacity, served under a
+// deadline/retry policy in solo batch durations.
+func chaosScenario(pr chaosPreset, cfg RunConfig) *scenario.Scenario {
+	p := a100Panel()
+	sc := p.scenario(scenario.RelRate(0.85), cfg)
+	sc.Name = pr.name
+	sc.Description = pr.description
+	sc.Policy = scenario.PolicySpec{
+		Deadline:   scenario.SoloTime(10),
+		Retries:    3,
+		Backoff:    scenario.SoloTime(0.5),
+		BackoffCap: scenario.SoloTime(4),
 	}
-	sched := sc.Build(s.profile)
-	if !sched.Empty() {
-		opts.Faults = &sched
-	}
-	eng, err := core.NewEngine(opts)
-	if err != nil {
-		return serve.Result{}, err
-	}
-	trace, err := genTrace(s.p, s.rate, cfg)
-	if err != nil {
-		return serve.Result{}, err
-	}
-	return eng.ServePolicy(trace, s.pol)
+	sc.Chaos = pr.chaos(p.node.NumGPUs, cfg.Seed)
+	return sc
 }
 
 // RunChaos is the robustness extension's headline experiment: every
 // runtime serves the same trace under each deterministic fault scenario
 // with a deadline/retry policy, and we report goodput (within-deadline
 // throughput), tail latency, retries, outright failures, and SLO-miss
-// rate. Liger serves with degradation-aware re-planning on, so the
-// scheduler backs off interleaving while a device is degraded.
+// rate. Liger serves faulted runs with degradation-aware re-planning
+// on, so the scheduler backs off interleaving while a device is
+// degraded.
 func RunChaos(cfg RunConfig, w io.Writer) error {
-	s := newChaosSetup(cfg)
-	results, err := runner.Map(cfg.Parallel, len(s.scenarios)*len(s.kinds), func(i int) (serve.Result, error) {
-		return runChaosPoint(s, s.scenarios[i/len(s.kinds)], s.kinds[i%len(s.kinds)], cfg)
+	presets := chaosPresets()
+	kinds := headlineKinds
+	results, err := runner.Map(cfg.Parallel, len(presets)*len(kinds), func(i int) (serve.Result, error) {
+		return serveScenario(chaosScenario(presets[i/len(kinds)], cfg), kinds[i%len(kinds)], cfg)
 	})
 	if err != nil {
 		return err
@@ -126,14 +137,14 @@ func RunChaos(cfg RunConfig, w io.Writer) error {
 	rep := chaosReport{Batches: cfg.Batches, Seed: cfg.Seed}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scenario\truntime\tgoodput\tp99 lat\tretries\tfailed\tSLO-miss")
-	for si, sc := range s.scenarios {
-		for ki, kind := range s.kinds {
-			res := results[si*len(s.kinds)+ki]
+	for pi, pr := range presets {
+		for ki, kind := range kinds {
+			res := results[pi*len(kinds)+ki]
 			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%s\t%d\t%d\t%.1f%%\n",
-				sc.Name, kind, res.PolicyGoodput(), fmtDur(res.P99),
+				pr.name, kind, res.PolicyGoodput(), fmtDur(res.P99),
 				res.Retries, res.Failed, 100*res.SLOMissRate())
 			rep.Rows = append(rep.Rows, chaosRow{
-				Scenario:   sc.Name,
+				Scenario:   pr.name,
 				Runtime:    res.Runtime,
 				Goodput:    res.PolicyGoodput(),
 				P99Ms:      float64(res.P99) / float64(time.Millisecond),
@@ -143,9 +154,14 @@ func RunChaos(cfg RunConfig, w io.Writer) error {
 			})
 		}
 	}
+	c, err := compile(chaosScenario(presets[0], cfg))
+	if err != nil {
+		return err
+	}
+	pol := c.Policy
 	fmt.Fprintf(tw, "\npolicy: deadline %s, %d retries, backoff %s (cap %s); collective watchdog %s; seed %d\n",
-		fmtDur(s.pol.Deadline), s.pol.MaxRetries, fmtDur(s.pol.Backoff), fmtDur(s.pol.BackoffCap),
-		fmtDur(s.profile.CollTimeout), cfg.Seed)
+		fmtDur(pol.Deadline), pol.MaxRetries, fmtDur(pol.Backoff), fmtDur(pol.BackoffCap),
+		fmtDur(chaosWatchdog.Resolve(c.Horizon, c.Solo)), cfg.Seed)
 	fmt.Fprintln(tw, "extension: stall/drop scenarios surface as aborted collectives that the serving layer retries; degradation-aware re-planning sheds interleaving only while a device is effectively unusable and rides out uniform slowdowns by design")
 	if err := tw.Flush(); err != nil {
 		return err

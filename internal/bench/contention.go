@@ -7,11 +7,11 @@ import (
 
 	"liger/internal/core"
 	"liger/internal/hw"
-	"liger/internal/liger"
 	"liger/internal/model"
 	"liger/internal/nccl"
 	"liger/internal/parallel"
 	"liger/internal/runner"
+	"liger/internal/scenario"
 	"liger/internal/serve"
 	"liger/internal/trace"
 )
@@ -69,9 +69,7 @@ func RunContention(cfg RunConfig, w io.Writer) error {
 	rate := 1.05 * intraCapacity(p)
 	factors := []float64{1.0, 1.1}
 	results, err := runner.Map(cfg.Parallel, len(factors), func(i int) (serve.Result, error) {
-		lcfg := liger.DefaultConfig(p.nodeKey)
-		lcfg.ContentionFactor = factors[i]
-		return runPoint(p, rate, core.KindLiger, cfg, &lcfg)
+		return runPoint(p, rate, core.KindLiger, cfg, scenario.LigerSpec{ContentionFactor: factors[i]})
 	})
 	if err != nil {
 		return err
@@ -90,22 +88,12 @@ func RunContention(cfg RunConfig, w io.Writer) error {
 // SMs to conflict with GEMMs, so overlap serializes and Liger's gain
 // vanishes; with reduced channels the kernels co-run.
 func RunChannels(cfg RunConfig, w io.Writer) error {
-	p := panel{nodeKey: "a100", node: hw.A100Node(), spec: model.OPT30B(), batch: 2, phase: model.Context}
-	rate := 1.2 * intraCapacity(p)
 	variants := []bool{false, true}
 	results, err := runner.Map(cfg.Parallel, len(variants), func(i int) (serve.Result, error) {
-		eng, err := core.NewEngine(core.Options{
-			Node: p.node, Model: p.spec, Runtime: core.KindLiger,
+		_, res, err := serveLigerEngine(a100Panel(), 1.2, cfg, core.Options{
 			NCCL: nccl.Config{ReducedChannels: variants[i]}, NCCLSet: true,
 		})
-		if err != nil {
-			return serve.Result{}, err
-		}
-		trace, err := genTrace(p, rate, cfg)
-		if err != nil {
-			return serve.Result{}, err
-		}
-		return eng.Serve(trace)
+		return res, err
 	})
 	if err != nil {
 		return err

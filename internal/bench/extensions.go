@@ -11,6 +11,7 @@ import (
 	"liger/internal/model"
 	"liger/internal/parallel"
 	"liger/internal/runner"
+	"liger/internal/scenario"
 	"liger/internal/serve"
 )
 
@@ -25,8 +26,6 @@ import (
 // activation are so inefficient that overlapping them costs more than
 // they fill.
 func RunSplitStrategy(cfg RunConfig, w io.Writer) error {
-	p := panel{nodeKey: "a100", node: hw.A100Node(), spec: model.OPT30B(), batch: 2, phase: model.Context}
-	rate := 1.3 * intraCapacity(p)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "GEMM decomposition\tavg lat\tp99 lat\tthroughput")
 	for _, strat := range []struct {
@@ -36,7 +35,9 @@ func RunSplitStrategy(cfg RunConfig, w io.Writer) error {
 		{"vertical (Fig. 9 choice)", parallel.SplitVertical},
 		{"horizontal", parallel.SplitHorizontal},
 	} {
-		res, err := servePanelWithCompiler(p, rate, cfg, parallel.WithGEMMSplit(strat.s))
+		_, res, err := serveLigerEngine(a100Panel(), 1.3, cfg, core.Options{
+			CompilerOptions: []parallel.Option{parallel.WithGEMMSplit(strat.s)},
+		})
 		if err != nil {
 			return err
 		}
@@ -46,19 +47,28 @@ func RunSplitStrategy(cfg RunConfig, w io.Writer) error {
 	return tw.Flush()
 }
 
-// servePanelWithCompiler serves a panel with a custom-compiled Liger
-// runtime (bypassing core so compiler options can be injected).
-func servePanelWithCompiler(p panel, rate float64, cfg RunConfig, opts ...parallel.Option) (serve.Result, error) {
-	eng, err := core.NewEngine(core.Options{Node: p.node, Model: p.spec, Runtime: core.KindLiger,
-		CompilerOptions: opts})
+// serveLigerEngine serves the panel's trace at relRate times its
+// intra-op capacity on a Liger engine built outside the scenario run
+// path, for the ablations of engine knobs a scenario does not carry
+// (compiler options, NCCL channels, adaptive contention). The node,
+// model and trace still come from the compiled scenario; opts supplies
+// the rest.
+func serveLigerEngine(p panel, relRate float64, cfg RunConfig, opts core.Options) (*core.Engine, serve.Result, error) {
+	c, err := compile(p.scenario(scenario.RelRate(relRate), cfg))
 	if err != nil {
-		return serve.Result{}, err
+		return nil, serve.Result{}, err
 	}
-	trace, err := genTrace(p, rate, cfg)
+	opts.Node, opts.Model, opts.Runtime = c.Node, c.Model, core.KindLiger
+	eng, err := core.NewEngine(opts)
 	if err != nil {
-		return serve.Result{}, err
+		return nil, serve.Result{}, err
 	}
-	return eng.Serve(trace)
+	trace, err := serve.Generate(c.Trace)
+	if err != nil {
+		return nil, serve.Result{}, err
+	}
+	res, err := eng.Serve(trace)
+	return eng, res, err
 }
 
 // RunRobustness compares the runtimes under the three arrival processes
@@ -66,24 +76,11 @@ func servePanelWithCompiler(p panel, rate float64, cfg RunConfig, opts ...parall
 // its advantage window would widen under fluctuating arrivals; bursty
 // arrivals reward runtimes that can absorb several batches at once.
 func RunRobustness(cfg RunConfig, w io.Writer) error {
-	p := panel{nodeKey: "a100", node: hw.A100Node(), spec: model.OPT30B(), batch: 2, phase: model.Context}
-	rate := 0.95 * intraCapacity(p)
-	kinds := []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp}
-	procs := []serve.ArrivalProcess{serve.ConstantRate, serve.Poisson, serve.Bursty}
-	results, err := runner.Map(cfg.Parallel, len(procs)*len(kinds), func(i int) (serve.Result, error) {
-		proc, kind := procs[i/len(kinds)], kinds[i%len(kinds)]
-		eng, err := core.NewEngine(core.Options{Node: p.node, Model: p.spec, Runtime: kind})
-		if err != nil {
-			return serve.Result{}, err
-		}
-		trace, err := serve.Generate(serve.TraceConfig{
-			Batches: cfg.Batches, BatchSize: p.batch, RatePerSec: rate,
-			MinSeq: 16, MaxSeq: 128, Process: proc, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return serve.Result{}, err
-		}
-		return eng.Serve(trace)
+	procs := []string{"constant", "poisson", "bursty"}
+	results, err := runner.Map(cfg.Parallel, len(procs)*len(headlineKinds), func(i int) (serve.Result, error) {
+		sc := a100Panel().scenario(scenario.RelRate(0.95), cfg)
+		sc.Workload.Process = procs[i/len(headlineKinds)]
+		return serveScenario(sc, headlineKinds[i%len(headlineKinds)], cfg)
 	})
 	if err != nil {
 		return err
@@ -91,8 +88,8 @@ func RunRobustness(cfg RunConfig, w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "arrival process\truntime\tavg lat\tp99 lat\tthroughput")
 	for pi, proc := range procs {
-		for ki, kind := range kinds {
-			res := results[pi*len(kinds)+ki]
+		for ki, kind := range headlineKinds {
+			res := results[pi*len(headlineKinds)+ki]
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%.2f\n",
 				proc, kind, fmtDur(res.AvgLatency), fmtDur(res.P99), res.ThroughputBatches())
 		}
@@ -119,19 +116,9 @@ func RunAdaptive(cfg RunConfig, w io.Writer) error {
 			return adaptiveCell{}, err
 		}
 		p := panel{nodeKey: nodeKey, node: node, spec: model.OPT30B(), batch: 2, phase: model.Context}
-		rate := 1.2 * intraCapacity(p)
 		lcfg := liger.DefaultConfig(nodeKey)
 		lcfg.AdaptiveContention = adaptive
-		eng, err := core.NewEngine(core.Options{Node: node, Model: p.spec, Runtime: core.KindLiger,
-			Liger: lcfg, LigerSet: true})
-		if err != nil {
-			return adaptiveCell{}, err
-		}
-		trace, err := genTrace(p, rate, cfg)
-		if err != nil {
-			return adaptiveCell{}, err
-		}
-		res, err := eng.Serve(trace)
+		eng, res, err := serveLigerEngine(p, 1.2, cfg, core.Options{Liger: lcfg, LigerSet: true})
 		if err != nil {
 			return adaptiveCell{}, err
 		}

@@ -7,11 +7,8 @@ import (
 	"time"
 
 	"liger/internal/core"
-	"liger/internal/faults"
-	"liger/internal/gpusim"
-	"liger/internal/hw"
-	"liger/internal/model"
 	"liger/internal/runner"
+	"liger/internal/scenario"
 	"liger/internal/serve"
 )
 
@@ -19,70 +16,32 @@ import (
 // sweep (written into RunConfig.JSONDir when set).
 const FailoverJSONName = "BENCH_failover.json"
 
-// failoverSetup fixes the failover experiment's shared knobs so the
-// experiment driver, its determinism test, and the CI smoke agree.
-type failoverSetup struct {
-	p        panel
-	rate     float64
-	horizon  time.Duration
-	timeout  time.Duration
-	pol      serve.Policy
-	instants []float64
-	kinds    []core.RuntimeKind
-}
-
-func newFailoverSetup(cfg RunConfig) failoverSetup {
-	// Same testbed as chaos: OPT-30B on the 4×A100 node. The 60 GB of
-	// weights re-shard from 15 GB/device to 20 GB/device after one
-	// failure, so three A100-40GB survivors can host the model — the
-	// sweep measures recovery, not OOM.
-	p := panel{nodeKey: "a100", node: hw.A100Node(), spec: model.OPT30B(), batch: 2, phase: model.Context}
-	// Below intra-op saturation so the fault-free baselines are healthy;
-	// the 3-survivor world serves the same rate with less headroom, which
-	// is exactly the overload-during-recovery regime under test.
-	rate := 0.75 * intraCapacity(p)
-	solo := time.Duration(float64(time.Second) / intraCapacity(p))
-	horizon := time.Duration(float64(cfg.Batches) / rate * float64(time.Second))
-	instants := []float64{0.3, 0.6}
+// failoverInstants are the horizon fractions at which the sweep fails
+// each device.
+func failoverInstants(cfg RunConfig) []float64 {
 	if cfg.Quick {
-		instants = []float64{0.45}
+		return []float64{0.45}
 	}
-	return failoverSetup{
-		p:       p,
-		rate:    rate,
-		horizon: horizon,
-		timeout: 4 * solo,
-		pol: serve.Policy{
-			Deadline:   10 * solo,
-			MaxRetries: 3,
-			Backoff:    solo / 2,
-			BackoffCap: 4 * solo,
-			// Bounded admission: the post-failover backlog sheds past 16
-			// unresolved batches instead of compounding into the retry loop.
-			QueueLimit: 16,
-		},
-		instants: instants,
-		kinds:    []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp},
-	}
+	return []float64{0.3, 0.6}
 }
 
 // failoverPoint identifies one simulation point of the sweep: fail
-// device Dev at AtFrac of the horizon (Dev < 0 is the fault-free
-// baseline) and serve with Kind.
+// device dev at atFrac of the horizon (dev < 0 is the fault-free
+// baseline) and serve with kind.
 type failoverPoint struct {
 	kind   core.RuntimeKind
 	dev    int
 	atFrac float64
 }
 
-func (s failoverSetup) points() []failoverPoint {
+func failoverPoints(cfg RunConfig) []failoverPoint {
 	var pts []failoverPoint
-	for _, kind := range s.kinds {
+	for _, kind := range headlineKinds {
 		pts = append(pts, failoverPoint{kind: kind, dev: -1})
 	}
-	for _, at := range s.instants {
-		for dev := 0; dev < s.p.node.NumGPUs; dev++ {
-			for _, kind := range s.kinds {
+	for _, at := range failoverInstants(cfg) {
+		for dev := 0; dev < a100Panel().node.NumGPUs; dev++ {
+			for _, kind := range headlineKinds {
 				pts = append(pts, failoverPoint{kind: kind, dev: dev, atFrac: at})
 			}
 		}
@@ -90,31 +49,33 @@ func (s failoverSetup) points() []failoverPoint {
 	return pts
 }
 
-// runFailoverPoint serves one point. A non-baseline point injects a
-// permanent DeviceFail at the instant plus the collective watchdog (so
-// the dying device's in-flight rendezvous abort instead of hanging).
-// tracer, when non-nil, receives the point's full kernel/collective/
-// fault event stream (the sweep itself runs untraced).
-func runFailoverPoint(s failoverSetup, pt failoverPoint, cfg RunConfig, tracer gpusim.Tracer) (serve.Result, error) {
-	opts := core.Options{Node: s.p.node, Model: s.p.spec, Runtime: pt.kind, Tracer: tracer}
-	sched := faults.Schedule{CollTimeout: s.timeout}
+// failoverScenario is one point's serving run. Same testbed as chaos:
+// OPT-30B on the 4xA100 node, whose 60 GB of weights re-shard from
+// 15 GB/device to 20 GB/device after one failure, so three A100-40GB
+// survivors can host the model: the sweep measures recovery, not OOM.
+// The rate sits below intra-op saturation so the fault-free baselines
+// are healthy; the 3-survivor world serves it with less headroom, the
+// overload-during-recovery regime under test. A non-baseline point
+// injects a permanent device-fail at the instant. Every point arms the
+// collective watchdog, so the dying device's in-flight rendezvous abort
+// instead of hanging.
+func failoverScenario(pt failoverPoint, cfg RunConfig) *scenario.Scenario {
+	sc := a100Panel().scenario(scenario.RelRate(0.75), cfg)
+	sc.Name = "failover"
+	sc.Policy = scenario.PolicySpec{
+		Deadline:   scenario.SoloTime(10),
+		Retries:    3,
+		Backoff:    scenario.SoloTime(0.5),
+		BackoffCap: scenario.SoloTime(4),
+		// Bounded admission: the post-failover backlog sheds past 16
+		// unresolved batches instead of compounding into the retry loop.
+		QueueLimit: 16,
+	}
+	sc.Chaos.CollTimeout = chaosWatchdog
 	if pt.dev >= 0 {
-		sched.Events = []faults.Event{{
-			Kind:   faults.DeviceFail,
-			Device: pt.dev,
-			Start:  time.Duration(pt.atFrac * float64(s.horizon)),
-		}}
+		sc.Chaos.Events = []scenario.ChaosEvent{{Kind: "device-fail", Device: pt.dev, Start: scenario.FracTime(pt.atFrac)}}
 	}
-	opts.Faults = &sched
-	eng, err := core.NewEngine(opts)
-	if err != nil {
-		return serve.Result{}, err
-	}
-	trace, err := genTrace(s.p, s.rate, cfg)
-	if err != nil {
-		return serve.Result{}, err
-	}
-	return eng.ServePolicy(trace, s.pol)
+	return sc
 }
 
 // failoverRow is one JSON record of the sweep.
@@ -162,18 +123,17 @@ type failoverReport struct {
 // an independent simulation, so the sweep is parallel and its output —
 // table and JSON artifact — is byte-identical at any -parallel value.
 func RunFailover(cfg RunConfig, w io.Writer) error {
-	s := newFailoverSetup(cfg)
-	pts := s.points()
+	pts := failoverPoints(cfg)
 	results, err := runner.Map(cfg.Parallel, len(pts), func(i int) (serve.Result, error) {
-		return runFailoverPoint(s, pts[i], cfg, nil)
+		return serveScenario(failoverScenario(pts[i], cfg), pts[i].kind, cfg)
 	})
 	if err != nil {
 		return err
 	}
-	// Fault-free baselines (the first len(kinds) points) anchor the
-	// goodput-retained ratios.
+	// Fault-free baselines (the first len(headlineKinds) points) anchor
+	// the goodput-retained ratios.
 	baseline := make(map[core.RuntimeKind]float64)
-	for i, kind := range s.kinds {
+	for i, kind := range headlineKinds {
 		baseline[kind] = results[i].PolicyGoodput()
 	}
 	rep := failoverReport{Batches: cfg.Batches, Seed: cfg.Seed}
@@ -203,15 +163,15 @@ func RunFailover(cfg RunConfig, w io.Writer) error {
 		if pt.dev >= 0 {
 			sumRetained[pt.kind] += row.GoodputRetained
 			sumRecovery[pt.kind] += row.RecoveryMs
-			if pt.kind == s.kinds[0] {
+			if pt.kind == headlineKinds[0] {
 				failPoints++
 			}
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	if failPoints > 0 {
-		for _, kind := range s.kinds {
-			name := kindName(kind, results, pts)
+		for _, kind := range headlineKinds {
+			name := kind.String()
 			rep.Headline.GoodputRetained[name] = sumRetained[kind] / float64(failPoints)
 			rep.Headline.RecoveryMs[name] = sumRecovery[kind] / float64(failPoints)
 		}
@@ -231,9 +191,14 @@ func RunFailover(cfg RunConfig, w io.Writer) error {
 			label, row.Runtime, row.Goodput, 100*row.GoodputRetained,
 			fmtDur(results[i].RecoveryTime), row.Shed, row.Deferred, row.Retries, row.Failed)
 	}
+	c, err := compile(failoverScenario(pts[0], cfg))
+	if err != nil {
+		return err
+	}
+	pol := c.Policy
 	fmt.Fprintf(tw, "\npolicy: deadline %s, %d retries, backoff %s (cap %s), queue limit %d; watchdog %s; seed %d\n",
-		fmtDur(s.pol.Deadline), s.pol.MaxRetries, fmtDur(s.pol.Backoff), fmtDur(s.pol.BackoffCap),
-		s.pol.QueueLimit, fmtDur(s.timeout), cfg.Seed)
+		fmtDur(pol.Deadline), pol.MaxRetries, fmtDur(pol.Backoff), fmtDur(pol.BackoffCap),
+		pol.QueueLimit, fmtDur(c.Schedule.CollTimeout), cfg.Seed)
 	if failPoints > 0 {
 		fmt.Fprintf(tw, "headline: mean goodput retained across failures — Liger %.0f%%, Intra-Op %.0f%%, Inter-Op %.0f%% (Liger−Intra %+.0fpp)\n",
 			100*rep.Headline.GoodputRetained["Liger"], 100*rep.Headline.GoodputRetained["Intra-Op"],
@@ -246,15 +211,5 @@ func RunFailover(cfg RunConfig, w io.Writer) error {
 	if err := writeJSON(cfg, FailoverJSONName, rep); err != nil {
 		return err
 	}
-	return writeFailoverObservability(s, cfg, w)
-}
-
-// kindName resolves a RuntimeKind to the name its results report.
-func kindName(kind core.RuntimeKind, results []serve.Result, pts []failoverPoint) string {
-	for i, pt := range pts {
-		if pt.kind == kind {
-			return results[i].Runtime
-		}
-	}
-	return fmt.Sprintf("kind(%d)", int(kind))
+	return writeFailoverObservability(cfg, w)
 }

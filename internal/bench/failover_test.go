@@ -61,14 +61,13 @@ func TestFailoverOutputSerialParallelIdentical(t *testing.T) {
 // restarts into interleaved rounds on the survivors.
 func TestFailoverLigerRetainsMoreGoodputThanIntraOp(t *testing.T) {
 	cfg := RunConfig{Batches: 40, Seed: 1}
-	s := newFailoverSetup(cfg)
 	retained := func(kind core.RuntimeKind) float64 {
 		t.Helper()
-		base, err := runFailoverPoint(s, failoverPoint{kind: kind, dev: -1}, cfg, nil)
+		base, err := serveScenario(failoverScenario(failoverPoint{kind: kind, dev: -1}, cfg), kind, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		failed, err := runFailoverPoint(s, failoverPoint{kind: kind, dev: 1, atFrac: 0.45}, cfg, nil)
+		failed, err := serveScenario(failoverScenario(failoverPoint{kind: kind, dev: 1, atFrac: 0.45}, cfg), kind, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,9 +7,9 @@ import (
 
 	"liger/internal/core"
 	"liger/internal/hw"
-	"liger/internal/liger"
 	"liger/internal/model"
 	"liger/internal/runner"
+	"liger/internal/scenario"
 	"liger/internal/serve"
 )
 
@@ -31,13 +31,10 @@ func RunFig13(cfg RunConfig, w io.Writer) error {
 		phase:   model.Context,
 	}
 	cap := intraCapacity(p)
-	modes := []struct {
-		name string
-		sync liger.SyncMode
-	}{
-		{"hybrid", liger.Hybrid},
-		{"cpu-gpu", liger.CPUGPU},
-		{"inter-stream", liger.InterStreamOnly},
+	modes := []struct{ name, sync string }{
+		{"hybrid", "hybrid"},
+		{"cpu-gpu", "cpu-gpu"},
+		{"inter-stream", "inter-stream-only"},
 	}
 	var rates []float64
 	for _, f := range rateFractions(cfg.Quick) {
@@ -50,9 +47,8 @@ func RunFig13(cfg RunConfig, w io.Writer) error {
 	// One independent simulation per (sync mode, rate), fanned across the
 	// sweep executor.
 	results, err := runner.Map(cfg.Parallel, len(modes)*len(rates), func(i int) (serve.Result, error) {
-		lcfg := liger.DefaultConfig(p.nodeKey)
-		lcfg.Sync = modes[i/len(rates)].sync
-		return runPoint(p, rates[i%len(rates)], core.KindLiger, cfg, &lcfg)
+		l := scenario.LigerSpec{Sync: modes[i/len(rates)].sync}
+		return runPoint(p, rates[i%len(rates)], core.KindLiger, cfg, l)
 	})
 	if err != nil {
 		return err

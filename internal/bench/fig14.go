@@ -7,9 +7,9 @@ import (
 
 	"liger/internal/core"
 	"liger/internal/hw"
-	"liger/internal/liger"
 	"liger/internal/model"
 	"liger/internal/runner"
+	"liger/internal/scenario"
 	"liger/internal/serve"
 )
 
@@ -35,9 +35,8 @@ func RunFig14(cfg RunConfig, w io.Writer) error {
 	// Operate near Liger's saturation, where matching quality matters.
 	rates := []float64{0.95 * cap, 1.15 * cap}
 	results, err := runner.Map(cfg.Parallel, len(factors)*len(rates), func(i int) (serve.Result, error) {
-		lcfg := liger.DefaultConfig(p.nodeKey)
-		lcfg.DivisionFactor = factors[i/len(rates)]
-		return runPoint(p, rates[i%len(rates)], core.KindLiger, cfg, &lcfg)
+		l := scenario.LigerSpec{DivisionFactor: factors[i/len(rates)]}
+		return runPoint(p, rates[i%len(rates)], core.KindLiger, cfg, l)
 	})
 	if err != nil {
 		return err

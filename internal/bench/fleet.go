@@ -6,13 +6,9 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"liger/internal/cluster"
 	"liger/internal/core"
-	"liger/internal/faults"
-	"liger/internal/hw"
-	"liger/internal/liger"
-	"liger/internal/model"
 	"liger/internal/runner"
+	"liger/internal/scenario"
 	"liger/internal/serve"
 )
 
@@ -20,15 +16,11 @@ import (
 // sweep (written into RunConfig.JSONDir when set).
 const FleetJSONName = "BENCH_fleet.json"
 
-// fleetSetup fixes the fleet experiment's shared knobs so the
-// experiment driver, its determinism test, and the CI smoke agree.
+// fleetSetup fixes the fleet experiment's sweep so the experiment
+// driver, its determinism test, and the CI smoke agree.
 type fleetSetup struct {
-	p        panel
-	network  hw.NetworkSpec
 	replicas []int
 	instants []float64
-	kinds    []core.RuntimeKind
-	solo     time.Duration
 	// capacity is one node's intra-op saturated throughput; a fleet of
 	// R replicas serves rate(R) = utilization * R * capacity.
 	capacity    float64
@@ -43,8 +35,6 @@ func newFleetSetup(cfg RunConfig) fleetSetup {
 	// the runtimes' capacities: under Liger's interleaved throughput,
 	// beyond intra-op's — the sweep separates them instead of drowning
 	// everyone.
-	p := panel{nodeKey: "a100", node: hw.A100Node(), spec: model.OPT30B(), batch: 2, phase: model.Context}
-	capacity := intraCapacity(p)
 	replicas := []int{2, 3}
 	instants := []float64{0.3, 0.6}
 	if cfg.Quick {
@@ -52,40 +42,16 @@ func newFleetSetup(cfg RunConfig) fleetSetup {
 		instants = []float64{0.45}
 	}
 	return fleetSetup{
-		p:           p,
-		network:     hw.IBNetwork(),
 		replicas:    replicas,
 		instants:    instants,
-		kinds:       []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp},
-		solo:        time.Duration(float64(time.Second) / capacity),
-		capacity:    capacity,
+		capacity:    intraCapacity(a100Panel()),
 		utilization: 0.6,
 	}
 }
 
-func (s fleetSetup) rate(replicas int) float64 {
-	return s.utilization * float64(replicas) * s.capacity
-}
-
-func (s fleetSetup) policy() serve.Policy {
-	return serve.Policy{
-		// Interactive-serving SLO: two solo batch durations. Tight on
-		// purpose — inter-op pipelining has the raw throughput to absorb
-		// a node loss, but its per-batch latency (~1.5x intra) blows this
-		// deadline, which is exactly the regime where interleaving wins.
-		Deadline:   2 * s.solo,
-		MaxRetries: 3,
-		Backoff:    s.solo / 2,
-		BackoffCap: 4 * s.solo,
-		// Bounded admission fleet-wide: the post-loss backlog sheds past
-		// 24 unresolved batches instead of compounding into retries.
-		QueueLimit: 24,
-	}
-}
-
 // fleetPoint identifies one simulation of the sweep: a fleet of
-// Replicas nodes (plus one spare) serving with Kind, losing node 0 at
-// AtFrac of the horizon (AtFrac < 0 is the loss-free baseline).
+// replicas nodes (plus one spare) serving with kind, losing node 0 at
+// atFrac of the horizon (atFrac < 0 is the loss-free baseline).
 type fleetPoint struct {
 	kind     core.RuntimeKind
 	replicas int
@@ -95,13 +61,13 @@ type fleetPoint struct {
 func (s fleetSetup) points() []fleetPoint {
 	var pts []fleetPoint
 	for _, r := range s.replicas {
-		for _, kind := range s.kinds {
+		for _, kind := range headlineKinds {
 			pts = append(pts, fleetPoint{kind: kind, replicas: r, atFrac: -1})
 		}
 	}
 	for _, r := range s.replicas {
 		for _, at := range s.instants {
-			for _, kind := range s.kinds {
+			for _, kind := range headlineKinds {
 				pts = append(pts, fleetPoint{kind: kind, replicas: r, atFrac: at})
 			}
 		}
@@ -109,45 +75,31 @@ func (s fleetSetup) points() []fleetPoint {
 	return pts
 }
 
-// runFleetPoint serves one point: replicas + 1 spare behind the
-// health-aware router, whole-node loss injected at the instant.
-func runFleetPoint(s fleetSetup, pt fleetPoint, cfg RunConfig) (serve.Result, error) {
-	rate := s.rate(pt.replicas)
-	horizon := time.Duration(float64(cfg.Batches) / rate * float64(time.Second))
-	ccfg := cluster.Config{
-		Cluster: hw.Cluster{
-			Name:    fmt.Sprintf("%s-x%d", s.p.nodeKey, pt.replicas),
-			Node:    s.p.node,
-			Nodes:   pt.replicas,
-			Spares:  1,
-			Network: s.network,
-		},
-		Model:   s.p.spec,
-		Runtime: pt.kind,
-		Workers: cfg.Shards,
-	}
-	if pt.kind == core.KindLiger {
-		lc := liger.DefaultConfig(s.p.nodeKey)
-		lc.DegradationAware = true
-		ccfg.Liger = lc
-		ccfg.LigerSet = true
+// scenario is one point's serving run: replicas + 1 spare behind the
+// health-aware router on the default InfiniBand fabric, whole-node loss
+// injected at the instant. The rate is absolute, utilization x replicas
+// x one node's capacity, the sweep's own arithmetic.
+func (s fleetSetup) scenario(pt fleetPoint, cfg RunConfig) *scenario.Scenario {
+	sc := a100Panel().scenario(scenario.AbsRate(s.utilization*float64(pt.replicas)*s.capacity), cfg)
+	sc.Name = fmt.Sprintf("a100-x%d", pt.replicas)
+	sc.Cluster = &scenario.ClusterSpec{Nodes: pt.replicas, Spares: 1}
+	sc.Policy = scenario.PolicySpec{
+		// Interactive-serving SLO: two solo batch durations. Tight on
+		// purpose — inter-op pipelining has the raw throughput to absorb
+		// a node loss, but its per-batch latency (~1.5x intra) blows this
+		// deadline, which is exactly the regime where interleaving wins.
+		Deadline:   scenario.SoloTime(2),
+		Retries:    3,
+		Backoff:    scenario.SoloTime(0.5),
+		BackoffCap: scenario.SoloTime(4),
+		// Bounded admission fleet-wide: the post-loss backlog sheds past
+		// 24 unresolved batches instead of compounding into retries.
+		QueueLimit: 24,
 	}
 	if pt.atFrac >= 0 {
-		ccfg.Faults = &faults.Schedule{Events: []faults.Event{{
-			Kind:  faults.NodeFail,
-			Node:  0,
-			Start: time.Duration(pt.atFrac * float64(horizon)),
-		}}}
+		sc.Chaos.Events = []scenario.ChaosEvent{{Kind: "node-fail", Start: scenario.FracTime(pt.atFrac)}}
 	}
-	f, err := cluster.New(ccfg)
-	if err != nil {
-		return serve.Result{}, err
-	}
-	trace, err := genTrace(s.p, rate, cfg)
-	if err != nil {
-		return serve.Result{}, err
-	}
-	return serve.RunFleet(f, trace, s.policy(), serve.RouterPolicy{Seed: cfg.Seed})
+	return sc
 }
 
 // fleetRow is one JSON record of the sweep.
@@ -192,7 +144,7 @@ type fleetReport struct {
 func buildFleetReport(s fleetSetup, cfg RunConfig) (fleetReport, []fleetPoint, []serve.Result, error) {
 	pts := s.points()
 	results, err := runner.Map(cfg.Parallel, len(pts), func(i int) (serve.Result, error) {
-		return runFleetPoint(s, pts[i], cfg)
+		return serveScenario(s.scenario(pts[i], cfg), pts[i].kind, cfg)
 	})
 	if err != nil {
 		return fleetReport{}, nil, nil, err
@@ -231,14 +183,14 @@ func buildFleetReport(s fleetSetup, cfg RunConfig) (fleetReport, []fleetPoint, [
 		if pt.atFrac >= 0 {
 			sumRetained[pt.kind] += row.GoodputRetained
 			sumRecovery[pt.kind] += row.RecoveryMs
-			if pt.kind == s.kinds[0] {
+			if pt.kind == headlineKinds[0] {
 				lossPoints++
 			}
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	if lossPoints > 0 {
-		for _, kind := range s.kinds {
+		for _, kind := range headlineKinds {
 			name := kind.String()
 			rep.Headline.GoodputRetained[name] = sumRetained[kind] / float64(lossPoints)
 			rep.Headline.RecoveryMs[name] = sumRecovery[kind] / float64(lossPoints)
@@ -274,9 +226,13 @@ func RunFleet(cfg RunConfig, w io.Writer) error {
 			pt.replicas, label, row.Runtime, row.Goodput, 100*row.GoodputRetained,
 			fmtDur(results[i].RecoveryTime), row.Failovers, row.Shed, row.Retries, row.Failed)
 	}
-	pol := s.policy()
+	c, err := compile(s.scenario(pts[0], cfg))
+	if err != nil {
+		return err
+	}
+	net, pol := c.Cluster.Network, c.Policy
 	fmt.Fprintf(tw, "\nfabric: %s, %.0f GB/s effective, %s one-way; policy: deadline %s, %d retries, queue limit %d; seed %d\n",
-		s.network.Name, s.network.EffectiveBWGBs(), s.network.Latency,
+		net.Name, net.EffectiveBWGBs(), net.Latency,
 		fmtDur(pol.Deadline), pol.MaxRetries, pol.QueueLimit, cfg.Seed)
 	if len(rep.Headline.GoodputRetained) > 0 {
 		fmt.Fprintf(tw, "headline: mean goodput retained across node losses — Liger %.0f%%, Intra-Op %.0f%%, Inter-Op %.0f%% (Liger−Intra %+.1fpp)\n",

@@ -11,7 +11,7 @@ import (
 	"liger/internal/analyze"
 	"liger/internal/metrics"
 	"liger/internal/runner"
-	"liger/internal/trace"
+	"liger/internal/scenario"
 )
 
 // writeFailoverObservability re-runs one fully traced failure point per
@@ -23,7 +23,7 @@ import (
 // independent simulations, so they fan across the sweep executor;
 // artifacts are rendered to memory per point and written in fixed kind
 // order, so the files are byte-identical at any -parallel value.
-func writeFailoverObservability(s failoverSetup, cfg RunConfig, w io.Writer) error {
+func writeFailoverObservability(cfg RunConfig, w io.Writer) error {
 	if cfg.TraceDir == "" {
 		return nil
 	}
@@ -34,16 +34,16 @@ func writeFailoverObservability(s failoverSetup, cfg RunConfig, w io.Writer) err
 		runtime                  string
 		trace, metrics, analysis []byte
 	}
-	pts := make([]failoverPoint, len(s.kinds))
-	for i, kind := range s.kinds {
-		pts[i] = failoverPoint{kind: kind, dev: 0, atFrac: s.instants[0]}
+	pts := make([]failoverPoint, len(headlineKinds))
+	for i, kind := range headlineKinds {
+		pts[i] = failoverPoint{kind: kind, dev: 0, atFrac: failoverInstants(cfg)[0]}
 	}
 	arts, err := runner.Map(cfg.Parallel, len(pts), func(i int) (artifact, error) {
-		rec := trace.NewRecorder()
-		res, err := runFailoverPoint(s, pts[i], cfg, rec)
+		out, err := runScenario(failoverScenario(pts[i], cfg), pts[i].kind, scenario.RunOptions{Trace: true})
 		if err != nil {
 			return artifact{}, err
 		}
+		res, rec := out.Result, out.Recorder
 		var tb, mb, ab bytes.Buffer
 		if err := rec.WriteChromeTrace(&tb); err != nil {
 			return artifact{}, err

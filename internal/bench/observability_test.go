@@ -16,8 +16,7 @@ func readObservabilityDir(t *testing.T, parallel int) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := RunConfig{Batches: 25, Quick: true, Seed: 5, Parallel: parallel, TraceDir: dir}
-	s := newFailoverSetup(cfg)
-	if err := writeFailoverObservability(s, cfg, io.Discard); err != nil {
+	if err := writeFailoverObservability(cfg, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)

@@ -9,6 +9,7 @@ import (
 	"liger/internal/core"
 	"liger/internal/hw"
 	"liger/internal/model"
+	"liger/internal/scenario"
 )
 
 // TestSweepSerialParallelIdentical is the determinism regression test
@@ -89,7 +90,7 @@ func TestBatchesPropagates(t *testing.T) {
 	}
 	// And the point runner really serves exactly cfg.Batches batches.
 	p := panel{nodeKey: "v100", node: hw.V100Node(), spec: model.Tiny(), batch: 2, phase: model.Context}
-	res, err := runPoint(p, 500, core.KindLiger, cfg, nil)
+	res, err := runPoint(p, 500, core.KindLiger, cfg, scenario.LigerSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,8 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"liger/internal/core"
-	"liger/internal/faults"
-	"liger/internal/hw"
-	"liger/internal/model"
 	"liger/internal/runner"
+	"liger/internal/scenario"
 	"liger/internal/serve"
 )
 
@@ -18,35 +15,18 @@ import (
 // throttling, a flaky link) and we measure how each runtime degrades.
 // Tensor-parallel execution (Intra-Op, Liger) is gated by the slowest
 // rank at every collective; the pipeline only slows in proportion to
-// the straggler's stage. The slowdown is expressed as a degenerate
-// fault schedule — a single persistent Slowdown event — so the
-// straggler is just the static corner of the chaos experiment.
+// the straggler's stage. The slowdown is a static node.devices speed
+// override, a persist-to-end slowdown window, so the straggler is
+// just the static corner of the chaos experiment.
 func RunStraggler(cfg RunConfig, w io.Writer) error {
-	p := panel{nodeKey: "a100", node: hw.A100Node(), spec: model.OPT30B(), batch: 2, phase: model.Context}
 	dev := cfg.StragglerDevice
-	if dev < 0 || dev >= p.node.NumGPUs {
-		return fmt.Errorf("bench: straggler device %d outside node devices [0, %d)", dev, p.node.NumGPUs)
-	}
-	rate := 0.85 * intraCapacity(p)
-	kinds := []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp}
 	speeds := []float64{1.0, 0.8, 0.6}
-
-	results, err := runner.Map(cfg.Parallel, len(speeds)*len(kinds), func(i int) (serve.Result, error) {
-		speed, kind := speeds[i/len(kinds)], kinds[i%len(kinds)]
-		opts := core.Options{Node: p.node, Model: p.spec, Runtime: kind}
-		if speed < 1 {
-			sched := faults.Static(dev, speed)
-			opts.Faults = &sched
+	results, err := runner.Map(cfg.Parallel, len(speeds)*len(headlineKinds), func(i int) (serve.Result, error) {
+		sc := a100Panel().scenario(scenario.RelRate(0.85), cfg)
+		if speed := speeds[i/len(headlineKinds)]; speed < 1 {
+			sc.Node.Devices = []scenario.DeviceOverride{{Device: dev, Speed: speed}}
 		}
-		eng, err := core.NewEngine(opts)
-		if err != nil {
-			return serve.Result{}, err
-		}
-		trace, err := genTrace(p, rate, cfg)
-		if err != nil {
-			return serve.Result{}, err
-		}
-		return eng.Serve(trace)
+		return serveScenario(sc, headlineKinds[i%len(headlineKinds)], cfg)
 	})
 	if err != nil {
 		return err
@@ -54,8 +34,8 @@ func RunStraggler(cfg RunConfig, w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "gpu%d speed\truntime\tavg lat\tp99 lat\tthroughput\n", dev)
 	for si, speed := range speeds {
-		for ki, kind := range kinds {
-			res := results[si*len(kinds)+ki]
+		for ki, kind := range headlineKinds {
+			res := results[si*len(headlineKinds)+ki]
 			fmt.Fprintf(tw, "%.0f%%\t%s\t%s\t%s\t%.2f\n",
 				100*speed, kind, fmtDur(res.AvgLatency), fmtDur(res.P99), res.ThroughputBatches())
 		}

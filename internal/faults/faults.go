@@ -4,11 +4,11 @@
 // with restore — as a seeded schedule of timed events injected into the
 // simulation, rather than as pre-run mutations.
 //
-// A Schedule is a plain value (buildable by hand, from a scenario
-// preset, or from a seeded generator) and Inject arms it on a gpusim
-// node as simclock events: every fault applies and reverts at its sim
-// time, so in-flight kernels and collectives re-time mid-run exactly as
-// a real GPU re-clocks. Simulators like Frontier and LLMServingSim
+// A Schedule is a plain value (built by hand, or compiled from a
+// scenario's chaos section by package scenario) and Inject arms it on a
+// gpusim node as simclock events: every fault applies and reverts at
+// its sim time, so in-flight kernels and collectives re-time mid-run
+// exactly as a real GPU re-clocks. Simulators like Frontier and LLMServingSim
 // treat time-varying failure and recovery as first-class inputs; this
 // package gives the Liger reproduction the same testbed so the
 // robustness question the paper leaves open — how gracefully does
@@ -255,12 +255,6 @@ func (s Schedule) NodeFails() []Event {
 		return out[i].Node < out[j].Node
 	})
 	return out
-}
-
-// Static returns the degenerate schedule of the former SetSpeed-style
-// injection: one device pinned to a speed for the whole run.
-func Static(device int, speed float64) Schedule {
-	return Schedule{Events: []Event{{Kind: Slowdown, Device: device, Factor: speed}}}
 }
 
 // Inject validates the schedule against the node and arms every fault

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -125,7 +124,7 @@ func TestInjectChannelsAreIndependent(t *testing.T) {
 
 func TestStaticIsDegenerate(t *testing.T) {
 	eng, n := testNode(t, 4)
-	if err := Inject(n, Static(2, 0.6)); err != nil {
+	if err := Inject(n, Schedule{Events: []Event{{Kind: Slowdown, Device: 2, Factor: 0.6}}}); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(time.Second)
@@ -146,57 +145,7 @@ func TestInjectArmsCollTimeout(t *testing.T) {
 
 func TestInjectRejectsOutOfRange(t *testing.T) {
 	_, n := testNode(t, 2)
-	if err := Inject(n, Static(5, 0.5)); err == nil {
+	if err := Inject(n, Schedule{Events: []Event{{Kind: Slowdown, Device: 5, Factor: 0.5}}}); err == nil {
 		t.Fatal("out-of-range device accepted")
-	}
-}
-
-func TestScenariosDeterministic(t *testing.T) {
-	p := Profile{NumDevices: 4, Horizon: time.Second, CollTimeout: 5 * time.Millisecond, Seed: 7}
-	for _, sc := range Scenarios() {
-		a, b := sc.Build(p), sc.Build(p)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: same profile produced different schedules:\n%+v\n%+v", sc.Name, a, b)
-		}
-		if err := a.Validate(p.NumDevices); err != nil {
-			t.Errorf("%s: invalid schedule: %v", sc.Name, err)
-		}
-		if len(a.Events) == 0 {
-			t.Errorf("%s: empty schedule", sc.Name)
-		}
-		for _, e := range a.Events {
-			if e.Kind == DeviceFail {
-				// Permanent by design: no window to restore.
-				if e.Start > p.Horizon {
-					t.Errorf("%s: failure %v past horizon", sc.Name, e)
-				}
-				continue
-			}
-			if e.Duration <= 0 {
-				t.Errorf("%s: unbounded window %v (chaos scenarios must restore)", sc.Name, e)
-			}
-			if e.Start+e.Duration > p.Horizon {
-				t.Errorf("%s: window %v exceeds horizon", sc.Name, e)
-			}
-		}
-	}
-	// Different seeds must be able to pick different devices.
-	sc := Scenarios()[0]
-	devs := map[int]bool{}
-	for seed := int64(0); seed < 16; seed++ {
-		p.Seed = seed
-		devs[sc.Build(p).Events[0].Device] = true
-	}
-	if len(devs) < 2 {
-		t.Error("seed does not vary the faulty device")
-	}
-}
-
-func TestScenarioByName(t *testing.T) {
-	if _, err := ScenarioByName("transient-straggler"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ScenarioByName("nope"); err == nil {
-		t.Fatal("unknown scenario accepted")
 	}
 }

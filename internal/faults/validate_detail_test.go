@@ -44,9 +44,10 @@ func TestValidateDuplicateDeviceFailDetail(t *testing.T) {
 }
 
 func TestValidatePersistToEndStillAccepted(t *testing.T) {
-	// Duration 0 is the documented persist-to-end shape (what Static
-	// builds); tightening the negative-duration check must not break it.
-	s := Static(1, 0.5)
+	// Duration 0 is the documented persist-to-end shape (what a static
+	// node.devices override compiles to); tightening the negative-duration
+	// check must not break it.
+	s := Schedule{Events: []Event{{Kind: Slowdown, Device: 1, Factor: 0.5}}}
 	if err := s.Validate(4); err != nil {
 		t.Errorf("persist-to-end rejected: %v", err)
 	}

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"cmp"
+	"context"
 	"fmt"
+	"runtime/pprof"
 
 	"liger/internal/cluster"
 	"liger/internal/core"
@@ -67,9 +69,8 @@ func Run(c *Compiled, opts RunOptions) (*Report, error) {
 }
 
 // RunOne serves the scenario on one runtime with the runner its mode
-// selects. Liger runs with degradation-aware re-planning enabled — the
-// robustness subsystem the corpus exists to exercise; on a healthy node
-// it changes nothing.
+// selects. The run carries a pprof "runtime" label, so a CPU profile
+// splits by runtime (go tool pprof -tags).
 func RunOne(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcome, error) {
 	run := runBatch
 	switch {
@@ -80,7 +81,11 @@ func RunOne(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcome, erro
 	case c.Continuous != nil:
 		run = runContinuous
 	}
-	out, err := run(c, kind, opts)
+	var out *Outcome
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("runtime", kind.String()), func(context.Context) {
+		out, err = run(c, kind, opts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +95,10 @@ func RunOne(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcome, erro
 
 // engineOptions is the one place a run's engine options and Liger
 // configuration are set up: the node's Liger defaults, then each
-// liger: key the scenario sets.
+// liger: key the scenario sets. A run with a fault plan serves Liger
+// with degradation-aware re-planning, the robustness subsystem the
+// corpus exercises; a fault-free run skips its health polling, which
+// would change nothing on a healthy node.
 func (c *Compiled) engineOptions(kind core.RuntimeKind) core.Options {
 	eo := core.Options{Node: c.Node, Model: c.Model, Runtime: kind}
 	if kind == core.KindLiger {
@@ -101,7 +109,7 @@ func (c *Compiled) engineOptions(kind core.RuntimeKind) core.Options {
 		cfg.ContentionFactor = cmp.Or(l.ContentionFactor, cfg.ContentionFactor)
 		cfg.DivisionFactor = cmp.Or(l.DivisionFactor, cfg.DivisionFactor)
 		cfg.MaxInflight = cmp.Or(l.Inflight, cfg.MaxInflight)
-		cfg.DegradationAware = true
+		cfg.DegradationAware = !c.Schedule.Empty()
 		eo.Liger, eo.LigerSet = cfg, true
 	}
 	return eo

@@ -44,6 +44,12 @@ func AbsTime(d time.Duration) TimeSpec {
 	return TimeSpec{kind: timeAbs, abs: d}
 }
 
+// FracTime is a fraction of the horizon, the "30%" spelling as 0.3.
+func FracTime(f float64) TimeSpec { return TimeSpec{kind: timeFrac, val: f} }
+
+// SoloTime is a multiple of the solo batch duration, the "4x" spelling.
+func SoloTime(x float64) TimeSpec { return TimeSpec{kind: timeSolo, val: x} }
+
 // IsZero reports whether the field was omitted.
 func (t TimeSpec) IsZero() bool { return t.kind == timeUnset }
 
@@ -135,6 +141,10 @@ type RateSpec struct {
 
 // AbsRate is an absolute rate; zero is the omitted field.
 func AbsRate(r float64) RateSpec { return RateSpec{abs: r} }
+
+// RelRate is a rate relative to the node's intra-op capacity, the
+// "0.8x" spelling.
+func RelRate(x float64) RateSpec { return RateSpec{relative: x} }
 
 // IsZero reports whether the field was omitted.
 func (r RateSpec) IsZero() bool { return r.abs == 0 && r.relative == 0 }
