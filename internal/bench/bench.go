@@ -235,6 +235,39 @@ func runSweeps(sweeps []panelSweep, cfg RunConfig) ([]map[core.RuntimeKind][]poi
 	return out, nil
 }
 
+// panelRates spans the panel's arrival-rate sweep: rateFractions of
+// its intra-op capacity.
+func panelRates(p panel, quick bool) []float64 {
+	capacity := intraCapacity(p)
+	var rates []float64
+	for _, f := range rateFractions(quick) {
+		rates = append(rates, f*capacity)
+	}
+	return rates
+}
+
+// runFigure serves every point of every sweep, then prints each panel
+// and writes its CSV and SVG under expID. Printing happens after
+// collection, so output order is independent of worker count.
+func runFigure(expID string, sweeps []panelSweep, cfg RunConfig, w io.Writer) error {
+	maps, err := runSweeps(sweeps, cfg)
+	if err != nil {
+		return err
+	}
+	for i, sw := range sweeps {
+		if err := printPanel(w, sw.p, sw.rates, maps[i]); err != nil {
+			return err
+		}
+		if err := writePanelCSV(cfg, expID, sw.p, sw.rates, maps[i]); err != nil {
+			return err
+		}
+		if err := writePanelSVG(cfg, expID, sw.p, sw.rates, maps[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runPanel serves the panel's trace at each rate with each runtime.
 func runPanel(p panel, rates []float64, kinds []core.RuntimeKind, cfg RunConfig) (map[core.RuntimeKind][]point, error) {
 	maps, err := runSweeps([]panelSweep{{p: p, rates: rates, kinds: kinds}}, cfg)

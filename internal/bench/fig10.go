@@ -10,19 +10,27 @@ import (
 	"liger/internal/model"
 )
 
-// fig10Panels returns the Fig. 10 grid: four model/node columns by
-// three batch-size rows (the paper's (a)–(l)).
-func fig10Panels(quick bool) []panel {
-	columns := []struct {
-		nodeKey string
-		node    hw.Node
-		spec    model.Spec
-	}{
+// column is one model/node column of Fig. 10 and Fig. 11.
+type column struct {
+	nodeKey string
+	node    hw.Node
+	spec    model.Spec
+}
+
+// paperColumns are the four model/node columns of Fig. 10 and Fig. 11.
+func paperColumns() []column {
+	return []column{
 		{"v100", hw.V100Node(), model.OPT30B()},
 		{"a100", hw.A100Node(), model.OPT30B()},
 		{"a100", hw.A100Node(), model.OPT66B()},
 		{"a100", hw.A100Node(), model.GLM130B()},
 	}
+}
+
+// fig10Panels returns the Fig. 10 grid: four model/node columns by
+// three batch-size rows (the paper's (a)–(l)).
+func fig10Panels(quick bool) []panel {
+	columns := paperColumns()
 	batches := []int{2, 4, 8}
 	if quick {
 		columns = columns[:2]
@@ -52,33 +60,13 @@ func fig10Panels(quick bool) []panel {
 // interesting region. A '*' marks rates beyond Liger's measured
 // saturated throughput (the paper's red line).
 func RunFig10(cfg RunConfig, w io.Writer) error {
-	kinds := core.Kinds()
 	var sweeps []panelSweep
 	for _, p := range fig10Panels(cfg.Quick) {
-		cap := intraCapacity(p)
-		var rates []float64
-		for _, f := range rateFractions(cfg.Quick) {
-			rates = append(rates, f*cap)
-		}
-		sweeps = append(sweeps, panelSweep{p: p, rates: rates, kinds: kinds})
+		sweeps = append(sweeps, panelSweep{p: p, rates: panelRates(p, cfg.Quick), kinds: core.Kinds()})
 	}
-	// Every point of every panel fans out together; printing happens
-	// after collection, so output order is independent of worker count.
-	maps, err := runSweeps(sweeps, cfg)
-	if err != nil {
+	// Every point of every panel fans out together.
+	if err := runFigure("fig10", sweeps, cfg, w); err != nil {
 		return err
-	}
-	for i, sw := range sweeps {
-		results := maps[i]
-		if err := printPanel(w, sw.p, sw.rates, results); err != nil {
-			return err
-		}
-		if err := writePanelCSV(cfg, "fig10", sw.p, sw.rates, results); err != nil {
-			return err
-		}
-		if err := writePanelSVG(cfg, "fig10", sw.p, sw.rates, results); err != nil {
-			return err
-		}
 	}
 	fmt.Fprintln(w, "paper: throughput +1.15x avg (V100) and +1.52x avg (A100) vs Intra-Op;")
 	fmt.Fprintln(w, "       latency -45.4%/-59.1% (V100) and -35.8%/-42.2% (A100) vs Inter-Op/Inter-Th before the red line")

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"liger/internal/core"
-	"liger/internal/hw"
 	"liger/internal/model"
 )
 
@@ -17,20 +16,10 @@ import (
 // because decode is memory-bound and relatively lighter on
 // communication.
 func RunFig11(cfg RunConfig, w io.Writer) error {
-	columns := []struct {
-		nodeKey string
-		node    hw.Node
-		spec    model.Spec
-	}{
-		{"v100", hw.V100Node(), model.OPT30B()},
-		{"a100", hw.A100Node(), model.OPT30B()},
-		{"a100", hw.A100Node(), model.OPT66B()},
-		{"a100", hw.A100Node(), model.GLM130B()},
-	}
+	columns := paperColumns()
 	if cfg.Quick {
 		columns = columns[:1]
 	}
-	kinds := core.Kinds()
 	var sweeps []panelSweep
 	for _, c := range columns {
 		p := panel{
@@ -42,28 +31,10 @@ func RunFig11(cfg RunConfig, w io.Writer) error {
 			phase:   model.Decode,
 			ctxLen:  16,
 		}
-		cap := intraCapacity(p)
-		var rates []float64
-		for _, f := range rateFractions(cfg.Quick) {
-			rates = append(rates, f*cap)
-		}
-		sweeps = append(sweeps, panelSweep{p: p, rates: rates, kinds: kinds})
+		sweeps = append(sweeps, panelSweep{p: p, rates: panelRates(p, cfg.Quick), kinds: core.Kinds()})
 	}
-	maps, err := runSweeps(sweeps, cfg)
-	if err != nil {
+	if err := runFigure("fig11", sweeps, cfg, w); err != nil {
 		return err
-	}
-	for i, sw := range sweeps {
-		results := maps[i]
-		if err := printPanel(w, sw.p, sw.rates, results); err != nil {
-			return err
-		}
-		if err := writePanelCSV(cfg, "fig11", sw.p, sw.rates, results); err != nil {
-			return err
-		}
-		if err := writePanelSVG(cfg, "fig11", sw.p, sw.rates, results); err != nil {
-			return err
-		}
 	}
 	fmt.Fprintln(w, "paper: throughput up to 1.08x/1.29x/1.23x/1.13x vs Intra-Op; better latency than Inter-Op/Inter-Th pre-saturation")
 	return nil

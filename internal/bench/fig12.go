@@ -14,7 +14,6 @@ import (
 // Liger beats Intra-Op on throughput and Inter-Op on latency, with the
 // 2-GPU gain less pronounced because the communication ratio is lower.
 func RunFig12(cfg RunConfig, w io.Writer) error {
-	kinds := core.Kinds()
 	devCounts := []int{1, 2, 4}
 	if cfg.Quick {
 		devCounts = []int{1, 4}
@@ -25,11 +24,11 @@ func RunFig12(cfg RunConfig, w io.Writer) error {
 		if devs != node.NumGPUs {
 			node = node.WithGPUs(devs)
 		}
-		useKinds := kinds
+		kinds := core.Kinds()
 		if devs == 1 {
 			// With one device every runtime degenerates to sequential
 			// single-GPU execution; Inter-Th is meaningless.
-			useKinds = []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp}
+			kinds = headlineKinds
 		}
 		p := panel{
 			label:   fmt.Sprintf("OPT-30B on %d x A100, batch 2", devs),
@@ -39,28 +38,10 @@ func RunFig12(cfg RunConfig, w io.Writer) error {
 			batch:   2,
 			phase:   model.Context,
 		}
-		cap := intraCapacity(p)
-		var rates []float64
-		for _, f := range rateFractions(cfg.Quick) {
-			rates = append(rates, f*cap)
-		}
-		sweeps = append(sweeps, panelSweep{p: p, rates: rates, kinds: useKinds})
+		sweeps = append(sweeps, panelSweep{p: p, rates: panelRates(p, cfg.Quick), kinds: kinds})
 	}
-	maps, err := runSweeps(sweeps, cfg)
-	if err != nil {
+	if err := runFigure("fig12", sweeps, cfg, w); err != nil {
 		return err
-	}
-	for i, sw := range sweeps {
-		results := maps[i]
-		if err := printPanel(w, sw.p, sw.rates, results); err != nil {
-			return err
-		}
-		if err := writePanelCSV(cfg, "fig12", sw.p, sw.rates, results); err != nil {
-			return err
-		}
-		if err := writePanelSVG(cfg, "fig12", sw.p, sw.rates, results); err != nil {
-			return err
-		}
 	}
 	fmt.Fprintln(w, "paper: Liger improves latency and throughput as GPUs increase; the 2-GPU effect is less pronounced (lower communication ratio)")
 	return nil

@@ -30,16 +30,12 @@ func RunFig13(cfg RunConfig, w io.Writer) error {
 		batch:   2,
 		phase:   model.Context,
 	}
-	cap := intraCapacity(p)
 	modes := []struct{ name, sync string }{
 		{"hybrid", "hybrid"},
 		{"cpu-gpu", "cpu-gpu"},
 		{"inter-stream", "inter-stream-only"},
 	}
-	var rates []float64
-	for _, f := range rateFractions(cfg.Quick) {
-		rates = append(rates, f*cap)
-	}
+	rates := panelRates(p, cfg.Quick)
 	type cell struct {
 		lat string
 		thr float64
