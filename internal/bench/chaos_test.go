@@ -80,6 +80,34 @@ func TestChaosLigerDegradesNoWorseThanIntraOp(t *testing.T) {
 	}
 }
 
+// TestStragglerDeviceBoundsChecked pins the parameterized straggler
+// index: out-of-range devices are rejected, not silently clamped.
+func TestStragglerDeviceBoundsChecked(t *testing.T) {
+	for _, dev := range []int{-1, 4, 99} {
+		cfg := RunConfig{Batches: 5, Quick: true, Seed: 1, StragglerDevice: dev}
+		var buf bytes.Buffer
+		if err := RunStraggler(cfg, &buf); err == nil {
+			t.Errorf("straggler device %d accepted on a 4-GPU node", dev)
+		}
+	}
+}
+
+// TestStragglerDeviceParameterized runs the experiment on a
+// non-default device and checks the report names it.
+func TestStragglerDeviceParameterized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full straggler sweep; skipped with -short")
+	}
+	cfg := RunConfig{Batches: 10, Quick: true, Seed: 1, StragglerDevice: 1}
+	var buf bytes.Buffer
+	if err := RunStraggler(cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "gpu1 speed") {
+		t.Fatalf("report does not name the straggler device:\n%s", buf.String())
+	}
+}
+
 // chaosPresetByName finds a chaos preset.
 func chaosPresetByName(name string) (chaosPreset, error) {
 	for _, pr := range chaosPresets() {
