@@ -40,6 +40,12 @@ var goldenRuns = []struct {
 	{"disagg", [][]string{{"-disagg", "-model", "tiny", "-batches", "24", "-rate", "2000",
 		"-prompt", "32", "-gen", "8", "-pool", "8", "-prefillnodes", "2", "-decodenodes", "2",
 		"-serving-report", "-serving-trace", "d.json"}}, true},
+	{"continuous-pressure", [][]string{{"-continuous", "-node", "a100", "-model", "OPT-30B", "-batches", "40",
+		"-prompt", "4096", "-gen", "16", "-pool", "40", "-rate", "50",
+		"-serving-report", "-serving-trace", "s.json", "-metrics", "m.json", "-window", "1s"}}, false},
+	{"disagg-metrics", [][]string{{"-disagg", "-model", "tiny", "-batches", "24", "-rate", "2000",
+		"-prompt", "32", "-gen", "8", "-pool", "8", "-prefillnodes", "2", "-decodenodes", "2",
+		"-serving-report", "-serving-trace", "d.json", "-metrics", "m.json", "-window", "1ms"}}, true},
 	{"fleet", [][]string{{"-nodes", "3", "-spares", "1", "-deadline", "100ms", "-hedge", "20ms", "-serving-trace", "f.json"}}, true},
 }
 
