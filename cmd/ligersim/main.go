@@ -315,7 +315,7 @@ func renderBatch(c *scenario.Compiled, out *scenario.Outcome) {
 		writeOutput("trace", *traceOut, out.Recorder.WriteChromeTrace)
 	}
 	if *metricsOut != "" {
-		writeOutput("metrics", *metricsOut, metrics.FromRunOpts(res, out.Recorder, metrics.Options{Window: *window}).WriteJSON)
+		writeOutput("metrics", *metricsOut, metrics.FromRun(res, out.Recorder, metrics.Options{Window: *window}).WriteJSON)
 	}
 }
 

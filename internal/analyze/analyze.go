@@ -61,14 +61,14 @@ func Analyze(rec *trace.Recorder, opts Options) *Report {
 
 // recoveryIvs returns the normalized failover reconfiguration windows;
 // a window still open at the end of the run extends to the makespan.
-func recoveryIvs(rec *trace.Recorder, makespan simclock.Time) []iv {
-	var ivs []iv
+func recoveryIvs(rec *trace.Recorder, makespan simclock.Time) []trace.Interval {
+	var ivs []trace.Interval
 	for _, rw := range rec.RecoveryWindows() {
 		end := rw.End
 		if end < rw.Start {
 			end = makespan
 		}
-		ivs = append(ivs, iv{rw.Start, end})
+		ivs = append(ivs, trace.Interval{Start: rw.Start, End: end})
 	}
-	return normalize(ivs)
+	return trace.Union(ivs)
 }

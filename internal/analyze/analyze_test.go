@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"liger/internal/analyze"
+	"liger/internal/core"
 	"liger/internal/gpusim"
 	"liger/internal/hw"
+	"liger/internal/scenario"
 	"liger/internal/simclock"
 	"liger/internal/trace"
 )
@@ -241,6 +243,37 @@ func TestOverlapReport(t *testing.T) {
 	}
 	if o.ExposedShare != 0.5 {
 		t.Fatalf("exposed share %v, want 0.5", o.ExposedShare)
+	}
+}
+
+// Recorder.OverlapTime and the overlap report's Hidden are the same
+// interval intersection: they agree on every device of a traced Liger
+// run that loses a device mid-run.
+func TestIntervalOverlapTimeMatchesHidden(t *testing.T) {
+	sc, err := scenario.Load("../../scenarios/mid-run-device-loss.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := scenario.Compile(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := scenario.RunOne(c, core.KindLiger, scenario.RunOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := out.Recorder
+	if len(rec.Fails()) == 0 {
+		t.Fatal("the run lost no device")
+	}
+	o := analyze.Analyze(rec, analyze.Options{}).Overlap
+	if o.Hidden == 0 {
+		t.Fatal("no comm ran hidden: the comparison is vacuous")
+	}
+	for _, d := range o.Devices {
+		if got := rec.OverlapTime(d.Device); got != d.Hidden {
+			t.Fatalf("gpu%d: OverlapTime %v, overlap report hidden %v", d.Device, got, d.Hidden)
+		}
 	}
 }
 

@@ -104,21 +104,21 @@ func criticalPath(rec *trace.Recorder, makespan simclock.Time, opts Options) Cri
 		if hi <= lo {
 			return
 		}
-		whole := []iv{{lo, hi}}
+		whole := []trace.Interval{{Start: lo, End: hi}}
 		type piece struct {
-			v    iv
+			v    trace.Interval
 			kind string
 		}
 		var ps []piece
-		for _, v := range intersect(whole, recovery) {
+		for _, v := range trace.Intersect(whole, recovery) {
 			ps = append(ps, piece{v, SegRecovery})
 		}
-		for _, v := range subtract(whole, recovery) {
+		for _, v := range trace.Subtract(whole, recovery) {
 			ps = append(ps, piece{v, SegDepWait})
 		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i].v.s > ps[j].v.s })
+		sort.Slice(ps, func(i, j int) bool { return ps[i].v.Start > ps[j].v.Start })
 		for _, p := range ps {
-			emit(p.kind, p.v.s, p.v.e, -1, "", -1)
+			emit(p.kind, p.v.Start, p.v.End, -1, "", -1)
 		}
 	}
 

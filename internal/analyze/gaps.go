@@ -59,22 +59,22 @@ func attributeGaps(rec *trace.Recorder, makespan simclock.Time) GapReport {
 			devices = d + 1
 		}
 	}
-	busy := map[int][]iv{}
+	busy := map[int][]trace.Interval{}
 	for _, sp := range rec.Spans() {
 		note(sp.Device)
-		busy[sp.Device] = append(busy[sp.Device], iv{sp.Start, sp.End})
+		busy[sp.Device] = append(busy[sp.Device], sp.Interval())
 	}
-	waits := map[int][]iv{}
+	waits := map[int][]trace.Interval{}
 	for _, w := range rec.Waits() {
 		note(w.Device)
-		waits[w.Device] = append(waits[w.Device], iv{w.Start, w.End})
+		waits[w.Device] = append(waits[w.Device], w.Interval())
 	}
-	delivered := map[int][]iv{} // delivered, not yet admitted
-	inQueue := map[int][]iv{}   // issued, not yet delivered
+	delivered := map[int][]trace.Interval{} // delivered, not yet admitted
+	inQueue := map[int][]trace.Interval{}   // issued, not yet delivered
 	for _, d := range rec.Deps() {
 		note(d.Device)
-		delivered[d.Device] = append(delivered[d.Device], iv{d.Delivered, d.Admitted})
-		inQueue[d.Device] = append(inQueue[d.Device], iv{d.Issued, d.Delivered})
+		delivered[d.Device] = append(delivered[d.Device], trace.Interval{Start: d.Delivered, End: d.Admitted})
+		inQueue[d.Device] = append(inQueue[d.Device], trace.Interval{Start: d.Issued, End: d.Delivered})
 	}
 	failedAt := map[int]simclock.Time{}
 	for _, f := range rec.Fails() {
@@ -86,26 +86,26 @@ func attributeGaps(rec *trace.Recorder, makespan simclock.Time) GapReport {
 	recovery := recoveryIvs(rec, makespan)
 
 	for dev := 0; dev < devices; dev++ {
-		remaining := subtract([]iv{{0, makespan}}, normalize(busy[dev]))
-		gr.Idle += total(remaining)
+		remaining := trace.Subtract([]trace.Interval{{End: makespan}}, trace.Union(busy[dev]))
+		gr.Idle += trace.Total(remaining)
 		layers := []struct {
 			cause string
-			ivs   []iv
+			ivs   []trace.Interval
 		}{
 			{GapFailed, failedLayer(failedAt, dev, makespan)},
 			{GapRecovery, recovery},
-			{GapRendezvous, normalize(waits[dev])},
-			{GapDependency, normalize(delivered[dev])},
-			{GapLaunch, normalize(inQueue[dev])},
+			{GapRendezvous, trace.Union(waits[dev])},
+			{GapDependency, trace.Union(delivered[dev])},
+			{GapLaunch, trace.Union(inQueue[dev])},
 		}
 		for _, layer := range layers {
-			for _, v := range intersect(remaining, layer.ivs) {
-				gr.Gaps = append(gr.Gaps, Gap{Device: dev, Start: v.s, End: v.e, Cause: layer.cause})
+			for _, v := range trace.Intersect(remaining, layer.ivs) {
+				gr.Gaps = append(gr.Gaps, Gap{Device: dev, Start: v.Start, End: v.End, Cause: layer.cause})
 			}
-			remaining = subtract(remaining, layer.ivs)
+			remaining = trace.Subtract(remaining, layer.ivs)
 		}
 		for _, v := range remaining {
-			gr.Gaps = append(gr.Gaps, Gap{Device: dev, Start: v.s, End: v.e, Cause: GapNoWork})
+			gr.Gaps = append(gr.Gaps, Gap{Device: dev, Start: v.Start, End: v.End, Cause: GapNoWork})
 		}
 	}
 	sort.Slice(gr.Gaps, func(i, j int) bool {
@@ -120,12 +120,12 @@ func attributeGaps(rec *trace.Recorder, makespan simclock.Time) GapReport {
 	return gr
 }
 
-func failedLayer(failedAt map[int]simclock.Time, dev int, makespan simclock.Time) []iv {
+func failedLayer(failedAt map[int]simclock.Time, dev int, makespan simclock.Time) []trace.Interval {
 	at, ok := failedAt[dev]
 	if !ok {
 		return nil
 	}
-	return normalize([]iv{{at, makespan}})
+	return trace.Union([]trace.Interval{{Start: at, End: makespan}})
 }
 
 // GapGlyphs maps gap causes to the single-character glyphs the ASCII

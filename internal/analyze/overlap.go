@@ -38,9 +38,9 @@ type OverlapReport struct {
 }
 
 func overlapReport(rec *trace.Recorder) OverlapReport {
-	compute := map[int][]iv{}
-	comm := map[int][]iv{}
-	stall := map[int][]iv{}
+	compute := map[int][]trace.Interval{}
+	comm := map[int][]trace.Interval{}
+	stall := map[int][]trace.Interval{}
 	devices := 0
 	note := func(d int) {
 		if d >= devices {
@@ -50,25 +50,25 @@ func overlapReport(rec *trace.Recorder) OverlapReport {
 	for _, sp := range rec.Spans() {
 		note(sp.Device)
 		if sp.Class == gpusim.Comm {
-			comm[sp.Device] = append(comm[sp.Device], iv{sp.Start, sp.End})
+			comm[sp.Device] = append(comm[sp.Device], sp.Interval())
 		} else {
-			compute[sp.Device] = append(compute[sp.Device], iv{sp.Start, sp.End})
+			compute[sp.Device] = append(compute[sp.Device], sp.Interval())
 		}
 	}
 	for _, w := range rec.Waits() {
 		note(w.Device)
-		stall[w.Device] = append(stall[w.Device], iv{w.Start, w.End})
+		stall[w.Device] = append(stall[w.Device], w.Interval())
 	}
 	var or OverlapReport
 	for dev := 0; dev < devices; dev++ {
-		cp := normalize(compute[dev])
-		cm := normalize(comm[dev])
+		cp := trace.Union(compute[dev])
+		cm := trace.Union(comm[dev])
 		d := DeviceOverlap{
 			Device:  dev,
-			Compute: total(cp),
-			Comm:    total(cm),
-			Hidden:  total(intersect(cm, cp)),
-			Stall:   total(normalize(stall[dev])),
+			Compute: trace.Total(cp),
+			Comm:    trace.Total(cm),
+			Hidden:  trace.Total(trace.Intersect(cm, cp)),
+			Stall:   trace.Total(trace.Union(stall[dev])),
 		}
 		d.Exposed = d.Comm - d.Hidden
 		or.Devices = append(or.Devices, d)

@@ -22,13 +22,15 @@ type Report struct {
 // WriteJSON writes the report as indented JSON. Identical recorder
 // contents produce identical bytes, which CI relies on to diff
 // analysis artifacts across parallel worker counts.
-func (r *Report) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r, "", "  ")
+func (r *Report) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
+
+// writeJSON writes v as indented JSON with a trailing newline.
+func writeJSON(w io.Writer, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	_, err = w.Write(append(b, '\n'))
 	return err
 }
 

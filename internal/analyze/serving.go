@@ -1,7 +1,6 @@
 package analyze
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -351,15 +350,7 @@ func pressureEpisodes(events []trace.PoolKVEvent) []PressureEpisode {
 
 // WriteJSON writes the report as indented JSON; identical recorder
 // contents produce identical bytes at any -parallel/-shards value.
-func (r *ServingReport) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
+func (r *ServingReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteText renders the human-readable serving report ligersim
 // -serving-report prints: segment totals, the mean TTFT/TPOT

@@ -48,7 +48,7 @@ func writeFailoverObservability(cfg RunConfig, w io.Writer) error {
 		if err := rec.WriteChromeTrace(&tb); err != nil {
 			return artifact{}, err
 		}
-		if err := metrics.FromRun(res, rec).WriteJSON(&mb); err != nil {
+		if err := metrics.FromRun(res, rec, metrics.Options{}).WriteJSON(&mb); err != nil {
 			return artifact{}, err
 		}
 		if err := analyze.Analyze(rec, analyze.Options{}).WriteJSON(&ab); err != nil {

@@ -56,7 +56,7 @@ type Snapshot struct {
 	Histograms map[string]Histogram `json:"histograms"`
 	Requests   []Request            `json:"requests,omitempty"`
 	// WindowNS / Windows carry the fixed-window time-series when
-	// FromRunOpts is called with Options.Window set.
+	// FromRun is called with Options.Window set.
 	WindowNS int64    `json:"window_ns,omitempty"`
 	Windows  []Window `json:"windows,omitempty"`
 }
@@ -78,8 +78,9 @@ func summarize(ds []time.Duration) Histogram {
 
 // FromRun builds a snapshot from a serving result and the recorder
 // that traced the run. rec may be nil, dropping the device-side
-// decomposition and collective/fault counters.
-func FromRun(res serve.Result, rec *trace.Recorder) *Snapshot {
+// decomposition and collective/fault counters. When opts.Window is set
+// the windowed time-series is appended.
+func FromRun(res serve.Result, rec *trace.Recorder, opts Options) *Snapshot {
 	s := &Snapshot{
 		Runtime: res.Runtime,
 		Counters: map[string]int64{
@@ -157,17 +158,24 @@ func FromRun(res serve.Result, rec *trace.Recorder) *Snapshot {
 		s.Histograms["comm"] = summarize(comms)
 		s.Histograms["stall"] = summarize(stalls)
 	}
+	if opts.Window > 0 {
+		s.WindowNS = opts.Window.Nanoseconds()
+		s.Windows = windows(res, rec, opts.Window)
+	}
 	return s
 }
 
 // WriteJSON serializes the snapshot as indented JSON with a trailing
 // newline. Output is byte-deterministic for identical snapshots.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(s, "", "  ")
+func (s *Snapshot) WriteJSON(w io.Writer) error { return writeJSON(w, s) }
+
+// writeJSON writes v as indented JSON with a trailing newline; maps
+// marshal with sorted keys, so identical values give identical bytes.
+func writeJSON(w io.Writer, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	_, err = w.Write(append(b, '\n'))
 	return err
 }

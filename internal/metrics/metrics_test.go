@@ -41,7 +41,7 @@ func sampleRun() (serve.Result, *trace.Recorder) {
 
 func TestFromRunDecomposesRequests(t *testing.T) {
 	res, rec := sampleRun()
-	s := FromRun(res, rec)
+	s := FromRun(res, rec, Options{})
 	if len(s.Requests) != 2 {
 		t.Fatalf("%d request rows, want 2", len(s.Requests))
 	}
@@ -66,7 +66,7 @@ func TestFromRunDecomposesRequests(t *testing.T) {
 
 func TestFromRunWithoutRecorder(t *testing.T) {
 	res, _ := sampleRun()
-	s := FromRun(res, nil)
+	s := FromRun(res, nil, Options{})
 	if _, ok := s.Counters["kernel_spans"]; ok {
 		t.Fatal("trace counters present without a recorder")
 	}
@@ -78,10 +78,10 @@ func TestFromRunWithoutRecorder(t *testing.T) {
 func TestWriteJSONDeterministicAndValid(t *testing.T) {
 	res, rec := sampleRun()
 	var a, b bytes.Buffer
-	if err := FromRun(res, rec).WriteJSON(&a); err != nil {
+	if err := FromRun(res, rec, Options{}).WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := FromRun(res, rec).WriteJSON(&b); err != nil {
+	if err := FromRun(res, rec, Options{}).WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -99,7 +99,7 @@ func TestWriteJSONDeterministicAndValid(t *testing.T) {
 func TestWindowedTimeSeries(t *testing.T) {
 	res, rec := sampleRun()
 	res.Deadline = 200 * time.Microsecond
-	s := FromRunOpts(res, rec, Options{Window: 250 * time.Microsecond})
+	s := FromRun(res, rec, Options{Window: 250 * time.Microsecond})
 	if s.WindowNS != 250_000 {
 		t.Fatalf("window_ns %d, want 250000", s.WindowNS)
 	}
@@ -129,16 +129,13 @@ func TestWindowedTimeSeries(t *testing.T) {
 
 func TestWindowsDisabledByDefault(t *testing.T) {
 	res, rec := sampleRun()
-	if s := FromRun(res, rec); s.Windows != nil || s.WindowNS != 0 {
-		t.Fatal("FromRun must not emit windows")
-	}
-	if s := FromRunOpts(res, rec, Options{}); s.Windows != nil {
+	if s := FromRun(res, rec, Options{}); s.Windows != nil || s.WindowNS != 0 {
 		t.Fatal("zero window width must disable the series")
 	}
 	// Failed requests count as resolved misses in their window.
 	res.PerRequest = append(res.PerRequest, serve.RequestLat{
 		Req: 2, Arrival: 0, Done: 900 * time.Microsecond, Failed: true})
-	s := FromRunOpts(res, rec, Options{Window: 500 * time.Microsecond})
+	s := FromRun(res, rec, Options{Window: 500 * time.Microsecond})
 	if len(s.Windows) != 2 || s.Windows[1].SLOMissRate != 1 || s.Windows[1].Completed != 0 {
 		t.Fatalf("failed request not accounted: %+v", s.Windows)
 	}

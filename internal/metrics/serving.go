@@ -1,13 +1,12 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
-	"liger/internal/kvcache"
+	"liger/internal/analyze"
 	"liger/internal/serve"
 	"liger/internal/trace"
 )
@@ -53,9 +52,14 @@ type ServingSnapshot struct {
 }
 
 // FromServing distills a serving recorder into a snapshot. The
-// recorder is normalized first, so the result is byte-deterministic
-// regardless of how many workers or shards produced the events. When
-// opts.Window is set the windowed time-series is appended.
+// request histograms and the KV, handoff and router counters come from
+// the serving analyzer's per-request walk (analyze.AnalyzeServing), so
+// the two reports cannot disagree. Every driver fails a run that
+// leaves a sequence unfinished, so the walk's requests are the
+// finished ones. The recorder is normalized first, so the result is
+// byte-deterministic regardless of how many workers or shards produced
+// the events. When opts.Window is set the windowed time-series is
+// appended.
 func FromServing(runtime string, rec *trace.ServingRecorder, opts Options) *ServingSnapshot {
 	s := &ServingSnapshot{
 		Runtime:    runtime,
@@ -66,9 +70,9 @@ func FromServing(runtime string, rec *trace.ServingRecorder, opts Options) *Serv
 	if rec == nil {
 		return s
 	}
-	rec.Normalize()
+	rep := analyze.AnalyzeServing(rec)
 
-	// Iteration stream: counts, pool-size gauge, per-pool busy time.
+	// Iteration stream: counts and the pool-size gauge.
 	poolSum, decodes := 0, 0
 	for _, it := range rec.Iterations() {
 		if it.Prefill {
@@ -85,20 +89,11 @@ func FromServing(runtime string, rec *trace.ServingRecorder, opts Options) *Serv
 		s.Gauges["mean_pool"] = float64(poolSum) / float64(decodes)
 	}
 
-	// KV stream: block accounting and recompute obligations.
+	// KV stream: block gauges. The analyzer's "preemptions" counts KV
+	// evictions; here that is kv_preemptions, and preemptions counts
+	// the sequences' preempt instants.
 	peak, total := 0, 0
 	for _, e := range rec.KVEvents() {
-		switch e.Kind {
-		case kvcache.KVAdmit:
-			s.Counters["kv_admits"]++
-		case kvcache.KVExtend:
-			s.Counters["kv_extends"]++
-		case kvcache.KVRelease:
-			s.Counters["kv_releases"]++
-		case kvcache.KVPreempt:
-			s.Counters["kv_preemptions"]++
-			s.Counters["recomputed_tokens"] += int64(e.Tokens)
-		}
 		if e.Used > peak {
 			peak = e.Used
 		}
@@ -112,78 +107,31 @@ func FromServing(runtime string, rec *trace.ServingRecorder, opts Options) *Serv
 	if total > 0 {
 		s.Gauges["kv_total_blocks"] = float64(total)
 	}
+	for k, v := range rep.Counters {
+		if k == "preemptions" {
+			k = "kv_preemptions"
+		}
+		s.Counters[k] = v
+	}
 
-	// Lifecycle stream: preemption count plus per-request latency
-	// histograms (arrival -> first prefill completion -> last finish).
-	type seqTimes struct {
-		arrive, firstTok, finish time.Duration
-		gen                      int
-		sawArrive, sawTok, done  bool
-	}
-	seqs := map[int]*seqTimes{}
-	at := func(id int) *seqTimes {
-		st := seqs[id]
-		if st == nil {
-			st = &seqTimes{}
-			seqs[id] = st
-		}
-		return st
-	}
-	for _, ev := range rec.SeqEvents() {
-		st := at(ev.Seq)
-		switch ev.Kind {
-		case serve.SeqArrive:
-			if !st.sawArrive {
-				st.arrive, st.sawArrive = time.Duration(ev.At), true
-			}
-		case serve.SeqPrefillEnd:
-			if !st.sawTok {
-				st.firstTok, st.sawTok = time.Duration(ev.At), true
-			}
-		case serve.SeqPreempt:
-			s.Counters["preemptions"]++
-		case serve.SeqFinish:
-			st.finish, st.gen, st.done = time.Duration(ev.At), ev.Tokens, true
-		}
-	}
-	ids := make([]int, 0, len(seqs))
-	for id, st := range seqs {
-		if st.done {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
+	// Per-request latency histograms: arrival -> first prefill
+	// completion -> last finish.
 	var ttfts, tpots, totals []time.Duration
-	for _, id := range ids {
-		st := seqs[id]
-		s.Counters["requests"]++
-		if st.sawArrive && st.sawTok {
-			ttfts = append(ttfts, st.firstTok-st.arrive)
-			if st.gen > 0 {
-				tpots = append(tpots, (st.finish-st.firstTok)/time.Duration(st.gen))
-			}
-		}
-		if st.sawArrive {
-			totals = append(totals, st.finish-st.arrive)
-		}
+	preemptions := 0
+	for _, r := range rep.Requests {
+		ttfts = append(ttfts, time.Duration(r.TTFTNS))
+		tpots = append(tpots, time.Duration(r.TPOTNS))
+		totals = append(totals, time.Duration(r.TotalNS))
+		preemptions += r.Preemptions
 	}
-	if len(ttfts) > 0 {
-		s.Histograms["ttft"] = summarize(ttfts)
-	}
-	if len(tpots) > 0 {
-		s.Histograms["tpot"] = summarize(tpots)
+	if preemptions > 0 {
+		s.Counters["preemptions"] = int64(preemptions)
 	}
 	if len(totals) > 0 {
+		s.Counters["requests"] = int64(len(totals))
+		s.Histograms["ttft"] = summarize(ttfts)
+		s.Histograms["tpot"] = summarize(tpots)
 		s.Histograms["total"] = summarize(totals)
-	}
-
-	// Router and handoff streams.
-	for _, d := range rec.RouterDecisions() {
-		s.Counters["router_"+d.Kind]++
-	}
-	for _, h := range rec.KVHandoffs() {
-		s.Counters["handoffs"]++
-		s.Counters["handoff_bytes"] += h.Bytes
 	}
 
 	if opts.Window > 0 {
@@ -213,57 +161,33 @@ func servingWindows(rec *trace.ServingRecorder, width time.Duration) []ServingWi
 	for _, h := range rec.KVHandoffs() {
 		grow(time.Duration(h.End))
 	}
-	if span <= 0 {
+	g := newGrid(span, width)
+	if g.n == 0 {
 		return nil
 	}
-	n := int((span + width - 1) / width)
-	ws := make([]ServingWindow, n)
+	ws := make([]ServingWindow, g.n)
 	for i := range ws {
-		ws[i].StartNS = int64(i) * width.Nanoseconds()
-		ws[i].EndNS = int64(i+1) * width.Nanoseconds()
-	}
-	clamp := func(at time.Duration) int {
-		i := int(at / width)
-		if i >= n {
-			i = n - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		return i
+		ws[i].StartNS, ws[i].EndNS = g.bounds(i)
 	}
 
 	// Iterations bucket by completion; pool sizes average per window.
-	poolSum := make([]int, n)
+	poolSum := make([]int, g.n)
 	pools := map[int]bool{}
 	busy := map[int][]time.Duration{} // pool -> busy ns per window
 	for _, it := range rec.Iterations() {
 		pools[it.Pool] = true
 		if !it.Prefill {
-			i := clamp(time.Duration(it.End))
+			i := g.at(it.End)
 			ws[i].Iterations++
 			poolSum[i] += it.Batch
 		}
-		// Busy time: spread the span over the windows it crosses
-		// (iterations never overlap within a pool, so no merge needed).
+		// Iterations never overlap within a pool, so no union is needed.
 		b := busy[it.Pool]
 		if b == nil {
-			b = make([]time.Duration, n)
+			b = make([]time.Duration, g.n)
 			busy[it.Pool] = b
 		}
-		st, en := time.Duration(it.Start), time.Duration(it.End)
-		for i := int(st / width); i < n && time.Duration(i)*width < en; i++ {
-			lo, hi := time.Duration(i)*width, time.Duration(i+1)*width
-			if st > lo {
-				lo = st
-			}
-			if en < hi {
-				hi = en
-			}
-			if hi > lo {
-				b[i] += hi - lo
-			}
-		}
+		g.spread(b, trace.Interval{Start: it.Start, End: it.End})
 	}
 	for i := range ws {
 		if ws[i].Iterations > 0 {
@@ -288,15 +212,15 @@ func servingWindows(rec *trace.ServingRecorder, width time.Duration) []ServingWi
 
 	for _, ev := range rec.SeqEvents() {
 		if ev.Kind == serve.SeqPreempt {
-			ws[clamp(time.Duration(ev.At))].Preemptions++
+			ws[g.at(ev.At)].Preemptions++
 		}
 	}
 	for _, d := range rec.RouterDecisions() {
 		switch d.Kind {
 		case "shed":
-			ws[clamp(time.Duration(d.At))].Sheds++
+			ws[g.at(d.At)].Sheds++
 		case "hedge":
-			ws[clamp(time.Duration(d.At))].Hedges++
+			ws[g.at(d.At)].Hedges++
 		}
 	}
 
@@ -320,11 +244,4 @@ func servingWindows(rec *trace.ServingRecorder, width time.Duration) []ServingWi
 }
 
 // WriteJSON writes the snapshot as deterministic indented JSON.
-func (s *ServingSnapshot) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
-}
+func (s *ServingSnapshot) WriteJSON(w io.Writer) error { return writeJSON(w, s) }

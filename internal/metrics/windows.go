@@ -1,10 +1,10 @@
 package metrics
 
 import (
-	"sort"
 	"time"
 
 	"liger/internal/serve"
+	"liger/internal/stats"
 	"liger/internal/trace"
 )
 
@@ -38,15 +38,55 @@ type Window struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// FromRunOpts builds a snapshot like FromRun and, when opts.Window is
-// set, appends the windowed time-series.
-func FromRunOpts(res serve.Result, rec *trace.Recorder, opts Options) *Snapshot {
-	s := FromRun(res, rec)
-	if opts.Window > 0 {
-		s.WindowNS = opts.Window.Nanoseconds()
-		s.Windows = windows(res, rec, opts.Window)
+// grid cuts [0, span) into n fixed-width windows; it is the one
+// bucketing both time-series use.
+type grid struct {
+	width time.Duration
+	n     int
+}
+
+// newGrid returns the grid covering span; it has no windows when span
+// is not positive.
+func newGrid(span, width time.Duration) grid {
+	g := grid{width: width}
+	if span > 0 {
+		g.n = int((span + width - 1) / width)
 	}
-	return s
+	return g
+}
+
+// bounds returns window i's [start, end) in nanoseconds.
+func (g grid) bounds(i int) (int64, int64) {
+	return int64(i) * g.width.Nanoseconds(), int64(i+1) * g.width.Nanoseconds()
+}
+
+// at returns the window holding instant t, clamped to the grid.
+func (g grid) at(t time.Duration) int {
+	i := int(t / g.width)
+	if i >= g.n {
+		i = g.n - 1
+	}
+	if i < 0 {
+		i = 0
+	}
+	return i
+}
+
+// spread adds to busy[i] the part of v inside window i, for every
+// window v crosses.
+func (g grid) spread(busy []time.Duration, v trace.Interval) {
+	for i := int(v.Start / g.width); i < g.n && time.Duration(i)*g.width < v.End; i++ {
+		lo, hi := time.Duration(i)*g.width, time.Duration(i+1)*g.width
+		if v.Start > lo {
+			lo = v.Start
+		}
+		if v.End < hi {
+			hi = v.End
+		}
+		if hi > lo {
+			busy[i] += hi - lo
+		}
+	}
 }
 
 func windows(res serve.Result, rec *trace.Recorder, width time.Duration) []Window {
@@ -58,34 +98,23 @@ func windows(res serve.Result, rec *trace.Recorder, width time.Duration) []Windo
 			}
 		}
 	}
-	if span <= 0 {
+	g := newGrid(span, width)
+	if g.n == 0 {
 		return nil
 	}
-	n := int((span + width - 1) / width)
-	ws := make([]Window, n)
+	ws := make([]Window, g.n)
 	for i := range ws {
-		ws[i].StartNS = int64(i) * width.Nanoseconds()
-		ws[i].EndNS = int64(i+1) * width.Nanoseconds()
-	}
-	clamp := func(at time.Duration) int {
-		i := int(at / width)
-		if i >= n {
-			i = n - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		return i
+		ws[i].StartNS, ws[i].EndNS = g.bounds(i)
 	}
 
-	lats := make([][]time.Duration, n)
-	resolved := make([]int, n)
-	missed := make([]int, n)
+	lats := make([][]time.Duration, g.n)
+	resolved := make([]int, g.n)
+	missed := make([]int, g.n)
 	for _, pr := range res.PerRequest {
 		if pr.Shed {
 			continue
 		}
-		i := clamp(pr.Done)
+		i := g.at(pr.Done)
 		resolved[i]++
 		total := pr.Done - pr.Arrival
 		if pr.Failed {
@@ -100,38 +129,29 @@ func windows(res serve.Result, rec *trace.Recorder, width time.Duration) []Windo
 	}
 	for i := range ws {
 		ws[i].Throughput = float64(ws[i].Completed) / width.Seconds()
-		if len(lats[i]) > 0 {
-			sort.Slice(lats[i], func(a, b int) bool { return lats[i][a] < lats[i][b] })
-			// Nearest-rank p99, clamped to the max for small samples.
-			r := (99*len(lats[i]) + 99) / 100
-			if r > len(lats[i]) {
-				r = len(lats[i])
-			}
-			ws[i].P99NS = lats[i][r-1].Nanoseconds()
-		}
+		ws[i].P99NS = stats.Percentiles(lats[i], 99)[0].Nanoseconds()
 		if resolved[i] > 0 {
 			ws[i].SLOMissRate = float64(missed[i]) / float64(resolved[i])
 		}
 	}
 
 	if rec != nil {
-		addUtilization(ws, rec, width)
+		addUtilization(ws, g, rec)
 	}
 	return ws
 }
 
 // addUtilization fills each window's mean busy fraction: per device,
-// the union of kernel-execution intervals clipped to the window,
+// the union of kernel-execution intervals spread over the windows,
 // averaged over the devices seen in the trace.
-func addUtilization(ws []Window, rec *trace.Recorder, width time.Duration) {
-	type span struct{ s, e time.Duration }
-	perDev := map[int][]span{}
+func addUtilization(ws []Window, g grid, rec *trace.Recorder) {
+	perDev := map[int][]trace.Interval{}
 	devices := 0
 	for _, sp := range rec.Spans() {
 		if sp.End <= sp.Start {
 			continue
 		}
-		perDev[sp.Device] = append(perDev[sp.Device], span{time.Duration(sp.Start), time.Duration(sp.End)})
+		perDev[sp.Device] = append(perDev[sp.Device], sp.Interval())
 		if sp.Device >= devices {
 			devices = sp.Device + 1
 		}
@@ -141,37 +161,11 @@ func addUtilization(ws []Window, rec *trace.Recorder, width time.Duration) {
 	}
 	busy := make([]time.Duration, len(ws))
 	for _, spans := range perDev {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].s < spans[j].s })
-		// Merge overlaps, then spread each merged interval over the
-		// windows it crosses.
-		cur := spans[0]
-		flush := func(v span) {
-			for i := int(v.s / width); i < len(ws) && time.Duration(i)*width < v.e; i++ {
-				lo, hi := time.Duration(i)*width, time.Duration(i+1)*width
-				if v.s > lo {
-					lo = v.s
-				}
-				if v.e < hi {
-					hi = v.e
-				}
-				if hi > lo {
-					busy[i] += hi - lo
-				}
-			}
+		for _, v := range trace.Union(spans) {
+			g.spread(busy, v)
 		}
-		for _, v := range spans[1:] {
-			if v.s <= cur.e {
-				if v.e > cur.e {
-					cur.e = v.e
-				}
-				continue
-			}
-			flush(cur)
-			cur = v
-		}
-		flush(cur)
 	}
 	for i := range ws {
-		ws[i].Utilization = float64(busy[i]) / (float64(width.Nanoseconds()) * float64(devices))
+		ws[i].Utilization = float64(busy[i]) / (float64(g.width.Nanoseconds()) * float64(devices))
 	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
 	"strconv"
@@ -260,21 +259,7 @@ func (r *ServingRecorder) WriteChromeTrace(w io.Writer) error {
 		)
 	}
 	events = append(events, r.servingMetadata()...)
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		if a.TID != b.TID {
-			return a.TID < b.TID
-		}
-		return a.Name < b.Name
-	})
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
+	return writeEvents(w, events)
 }
 
 // servingMetadata names the pool/router/handoff processes and their

@@ -75,6 +75,23 @@ func (tl *Timeline) Render(w io.Writer, from, until simclock.Time) error {
 			devices = g.Device + 1
 		}
 	}
+	// fill marks the columns [start, end) covers, clipped to the window.
+	fill := func(lane []byte, start, end simclock.Time, glyph byte) {
+		if end <= from || start >= until {
+			return
+		}
+		lo := int(int64(start-from) * int64(tl.width) / int64(span))
+		hi := int(int64(end-from) * int64(tl.width) / int64(span))
+		if lo < 0 {
+			lo = 0
+		}
+		if hi >= tl.width {
+			hi = tl.width - 1
+		}
+		for i := lo; i <= hi; i++ {
+			lane[i] = glyph
+		}
+	}
 	for d := 0; d < devices; d++ {
 		comp := make([]byte, tl.width)
 		comm := make([]byte, tl.width)
@@ -82,23 +99,13 @@ func (tl *Timeline) Render(w io.Writer, from, until simclock.Time) error {
 			comp[i], comm[i] = '.', '.'
 		}
 		for _, s := range tl.rec.Spans() {
-			if s.Device != d || s.End <= from || s.Start >= until {
+			if s.Device != d {
 				continue
 			}
-			lo := int(int64(s.Start-from) * int64(tl.width) / int64(span))
-			hi := int(int64(s.End-from) * int64(tl.width) / int64(span))
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= tl.width {
-				hi = tl.width - 1
-			}
-			for i := lo; i <= hi; i++ {
-				if s.Class == gpusim.Comm {
-					comm[i] = '='
-				} else {
-					comp[i] = '#'
-				}
+			if s.Class == gpusim.Comm {
+				fill(comm, s.Start, s.End, '=')
+			} else {
+				fill(comp, s.Start, s.End, '#')
 			}
 		}
 		if _, err := fmt.Fprintf(w, "gpu%d comp |%s|\n", d, comp); err != nil {
@@ -115,19 +122,8 @@ func (tl *Timeline) Render(w io.Writer, from, until simclock.Time) error {
 			lane[i] = ' '
 		}
 		for _, g := range tl.gaps {
-			if g.Device != d || g.End <= from || g.Start >= until {
-				continue
-			}
-			lo := int(int64(g.Start-from) * int64(tl.width) / int64(span))
-			hi := int(int64(g.End-from) * int64(tl.width) / int64(span))
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= tl.width {
-				hi = tl.width - 1
-			}
-			for i := lo; i <= hi; i++ {
-				lane[i] = g.Glyph
+			if g.Device == d {
+				fill(lane, g.Start, g.End, g.Glyph)
 			}
 		}
 		if _, err := fmt.Fprintf(w, "gpu%d gaps |%s|\n", d, lane); err != nil {

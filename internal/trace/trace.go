@@ -296,7 +296,7 @@ func (r *Recorder) Reset() {
 // spans or waits.
 func (r *Recorder) ReqBreakdown() map[int]ReqLatency {
 	type acc struct {
-		compute, comm, all []interval
+		compute, comm, all []Interval
 		kernels, cancelled int
 	}
 	byReq := make(map[int]*acc)
@@ -313,7 +313,7 @@ func (r *Recorder) ReqBreakdown() map[int]ReqLatency {
 			continue
 		}
 		a := get(s.Req)
-		iv := interval{s.Start, s.End}
+		iv := s.Interval()
 		a.all = append(a.all, iv)
 		if s.Class == gpusim.Comm {
 			a.comm = append(a.comm, iv)
@@ -330,7 +330,7 @@ func (r *Recorder) ReqBreakdown() map[int]ReqLatency {
 			continue
 		}
 		a := get(w.Req)
-		iv := interval{w.Start, w.End}
+		iv := w.Interval()
 		a.all = append(a.all, iv)
 		a.comm = append(a.comm, iv)
 	}
@@ -338,47 +338,22 @@ func (r *Recorder) ReqBreakdown() map[int]ReqLatency {
 	for req, a := range byReq {
 		var lo, hi simclock.Time
 		for i, iv := range a.all {
-			if i == 0 || iv.start < lo {
-				lo = iv.start
+			if i == 0 || iv.Start < lo {
+				lo = iv.Start
 			}
-			if iv.end > hi {
-				hi = iv.end
+			if iv.End > hi {
+				hi = iv.End
 			}
 		}
 		out[req] = ReqLatency{
-			Compute:   unionTime(a.compute),
-			Comm:      unionTime(a.comm),
-			Stall:     (hi - lo) - unionTime(a.all),
+			Compute:   Total(Union(a.compute)),
+			Comm:      Total(Union(a.comm)),
+			Stall:     (hi - lo) - Total(Union(a.all)),
 			Kernels:   a.kernels,
 			Cancelled: a.cancelled,
 		}
 	}
 	return out
-}
-
-type interval struct{ start, end simclock.Time }
-
-// unionTime returns the total length covered by the intervals,
-// counting overlaps once. Mutates ivs' order.
-func unionTime(ivs []interval) simclock.Time {
-	if len(ivs) == 0 {
-		return 0
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
-	var total simclock.Time
-	cur := ivs[0]
-	for _, iv := range ivs[1:] {
-		if iv.start > cur.end {
-			total += cur.end - cur.start
-			cur = iv
-			continue
-		}
-		if iv.end > cur.end {
-			cur.end = iv.end
-		}
-	}
-	total += cur.end - cur.start
-	return total
 }
 
 // chromeEvent is one entry of the Chrome tracing JSON array format
@@ -504,6 +479,13 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	events = append(events, r.runningCounters()...)
 	events = append(events, r.metadata()...)
+	return writeEvents(w, events)
+}
+
+// writeEvents sorts events stably by (TS, PID, TID, Name) and encodes
+// them as one JSON array, so the bytes are a pure function of the
+// recorded streams.
+func writeEvents(w io.Writer, events []chromeEvent) error {
 	sort.SliceStable(events, func(i, j int) bool {
 		a, b := events[i], events[j]
 		if a.TS != b.TS {
@@ -517,8 +499,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		}
 		return a.Name < b.Name
 	})
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
+	return json.NewEncoder(w).Encode(events)
 }
 
 // runningCounters derives per-device "running kernels" counter samples
@@ -618,37 +599,16 @@ func (r *Recorder) metadata() []chromeEvent {
 // compute span and a comm span overlap — a direct measure of the
 // interleaving Liger creates.
 func (r *Recorder) OverlapTime(dev int) simclock.Time {
-	type edge struct {
-		at    simclock.Time
-		class gpusim.KernelClass
-		delta int
-	}
-	var edges []edge
+	var compute, comm []Interval
 	for _, s := range r.spans {
 		if s.Device != dev {
 			continue
 		}
-		edges = append(edges, edge{s.Start, s.Class, +1}, edge{s.End, s.Class, -1})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].at != edges[j].at {
-			return edges[i].at < edges[j].at
-		}
-		return edges[i].delta < edges[j].delta // ends before starts at ties
-	})
-	var comp, comm int
-	var last simclock.Time
-	var total simclock.Time
-	for _, e := range edges {
-		if comp > 0 && comm > 0 {
-			total += e.at - last
-		}
-		last = e.at
-		if e.class == gpusim.Comm {
-			comm += e.delta
+		if s.Class == gpusim.Comm {
+			comm = append(comm, s.Interval())
 		} else {
-			comp += e.delta
+			compute = append(compute, s.Interval())
 		}
 	}
-	return total
+	return Total(Intersect(Union(comm), Union(compute)))
 }

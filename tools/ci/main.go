@@ -37,8 +37,8 @@
 //     (KernelPool and EventPool tests) and of Liger batch reuse
 //     (ReleasedBatch)
 //  9. an observability race pass: the tracer hook, dependency-edge
-//     emission, per-request decomposition, trace-analysis, and
-//     metrics-export paths under -race
+//     emission, per-request decomposition, the interval algebra,
+//     trace-analysis, and metrics-export paths under -race
 //  10. a replay race pass: iteration replay's start-instant proof and
 //     its layer-count proof (TestSoloIterationIsLayerAffine), the
 //     differential of records synthesized from 1-, 2- and 3-layer
@@ -190,7 +190,7 @@ func main() {
 			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce|KernelPool|EventPool|ReleasedBatch",
 			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve")},
 		{"observability race", command("go", "test", "-race",
-			"-run", "Observability|ChromeTrace|Tracer|Truncated|Rendezvous|ReqBreakdown|RequestID|PerRequest|Percentiles|FromRun|WriteJSON|Dep|CriticalPath|Gap|Overlap|Window|Determinism|Timeline",
+			"-run", "Observability|ChromeTrace|Tracer|Truncated|Rendezvous|ReqBreakdown|RequestID|PerRequest|Percentiles|FromRun|WriteJSON|Dep|CriticalPath|Gap|Overlap|Window|Determinism|Timeline|Interval",
 			"./internal/trace", "./internal/metrics", "./internal/gpusim",
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
 			"./internal/analyze")},
