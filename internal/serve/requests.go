@@ -11,6 +11,14 @@ import (
 	"liger/internal/stats"
 )
 
+// Request is one inference request arriving at the serving frontend,
+// before batching. The paper's workflow (Fig. 5) receives requests,
+// packs them into a batch, and hands the batch to the runtime.
+type Request struct {
+	ID     int
+	SeqLen int
+}
+
 // RequestTraceConfig describes a per-request trace (before batching).
 type RequestTraceConfig struct {
 	Requests       int
@@ -68,70 +76,79 @@ type RequestResult struct {
 	AvgBatchingDelay time.Duration
 }
 
+// pack is the batching frontend, a pure function of the request trace
+// (in arrival order). A batch closes at its maxBatch-th request, or
+// maxWait after its oldest request, whichever comes first; a request
+// arriving exactly at that deadline still joins. Requests in a batch are
+// padded to the longest sequence among them, as batched transformer
+// inference requires. pack returns the batch trace, each batch arriving
+// at the instant it closes, and the batch each request joined.
+func pack(reqs []RequestArrival, maxBatch int, maxWait time.Duration) ([]Arrival, []int, error) {
+	if maxBatch < 1 {
+		return nil, nil, fmt.Errorf("serve: batcher max batch %d", maxBatch)
+	}
+	if maxWait <= 0 {
+		return nil, nil, fmt.Errorf("serve: batcher max wait %v", maxWait)
+	}
+	var batches []Arrival
+	batchOf := make([]int, len(reqs))
+	open := 0 // the oldest request of the open batch
+	closeBatch := func(end int, at simclock.Time) {
+		w := model.Workload{Batch: end - open, Phase: model.Context}
+		for i := open; i < end; i++ {
+			w.SeqLen = max(w.SeqLen, reqs[i].Request.SeqLen)
+			batchOf[i] = len(batches)
+		}
+		batches = append(batches, Arrival{At: at, Workload: w})
+		open = end
+	}
+	for i, r := range reqs {
+		if i > 0 && r.At < reqs[i-1].At {
+			return nil, nil, fmt.Errorf("serve: request %d arrives at %v, before request %d", i, r.At, i-1)
+		}
+		if deadline := reqs[open].At + simclock.Time(maxWait); r.At > deadline {
+			closeBatch(i, deadline)
+		}
+		if i+1-open == maxBatch {
+			closeBatch(i+1, r.At)
+		}
+	}
+	if open < len(reqs) {
+		closeBatch(len(reqs), reqs[open].At+simclock.Time(maxWait))
+	}
+	return batches, batchOf, nil
+}
+
 // RunRequests drives a runtime through the batching frontend: requests
-// arrive individually, the batcher packs them (up to maxBatch, waiting
-// at most maxWait), and per-request latencies are recorded when each
-// batch completes.
+// arrive individually, pack groups them (up to maxBatch, waiting at most
+// maxWait), Run serves the batch trace, and each request's latency is
+// its batch's completion less its own arrival.
 func RunRequests(eng *simclock.Engine, rt runtimes.Runtime, arrivals []RequestArrival, maxBatch int, maxWait time.Duration) (RequestResult, error) {
 	res := RequestResult{Runtime: rt.Name()}
 	if len(arrivals) == 0 {
 		return res, fmt.Errorf("serve: empty request trace")
 	}
-
-	// Batches are completed by the runtimes in submission order per
-	// runtime contract for identical pipelines; map completions back to
-	// request groups by submission sequence.
-	type group struct{ reqs []Request }
-	var groups []group
-	var latencies, waits []time.Duration
-	var lastDone simclock.Time
-	var submitErr error
-
-	rt.SetOnDone(func(c runtimes.Completion) {
-		g := groups[c.ID]
-		for _, r := range g.reqs {
-			latencies = append(latencies, time.Duration(c.Done-r.ArrivedAt))
-		}
-		res.Completed += len(g.reqs)
-		if c.Done > lastDone {
-			lastDone = c.Done
-		}
-	})
-
-	batcher, err := NewBatcher(eng, maxBatch, maxWait, func(w model.Workload, reqs []Request) {
-		now := eng.Now()
-		for _, r := range reqs {
-			waits = append(waits, time.Duration(now-r.ArrivedAt))
-		}
-		groups = append(groups, group{reqs: reqs})
-		if err := rt.Submit(w); err != nil && submitErr == nil {
-			submitErr = err
-		}
-	})
+	batches, batchOf, err := pack(arrivals, maxBatch, maxWait)
 	if err != nil {
 		return res, err
 	}
-	for _, a := range arrivals {
-		r := a.Request
-		eng.At(a.At, func(simclock.Time) { batcher.Add(r) })
+	served, err := Run(eng, rt, batches)
+	if err != nil {
+		return res, err
 	}
-	// Flush stragglers once the last arrival is in.
-	eng.At(arrivals[len(arrivals)-1].At, func(simclock.Time) {})
-	eng.Run()
-	batcher.Flush()
-	eng.Run()
-
-	if submitErr != nil {
-		return res, submitErr
+	latencies := make([]time.Duration, len(arrivals))
+	waits := make([]time.Duration, len(arrivals))
+	for i, a := range arrivals {
+		b := served.PerRequest[batchOf[i]]
+		latencies[i] = b.Done - time.Duration(a.At)
+		waits[i] = b.Arrival - time.Duration(a.At)
 	}
-	if res.Completed != len(arrivals) {
-		return res, fmt.Errorf("serve: %d of %d requests completed", res.Completed, len(arrivals))
-	}
-	res.Batches = batcher.BatchesEmitted
+	res.Completed = served.Requests
+	res.Batches = len(batches)
 	res.AvgLatency = stats.Mean(latencies)
 	pcts := stats.Percentiles(latencies, 50, 95, 99)
 	res.P50, res.P95, res.P99 = pcts[0], pcts[1], pcts[2]
 	res.AvgBatchingDelay = stats.Mean(waits)
-	res.Makespan = time.Duration(lastDone - arrivals[0].At)
+	res.Makespan = served.Makespan + time.Duration(batches[0].At-arrivals[0].At)
 	return res, nil
 }
