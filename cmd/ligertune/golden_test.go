@@ -84,7 +84,8 @@ func TestLigertuneRejects(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-batch", "0"}, ""},
+		{[]string{"-batch", "0"}, "-batch: 0 is out of range"},
+		{[]string{"-batch", "-1"}, "workload.batch: negative batch size -1"},
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

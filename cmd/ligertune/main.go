@@ -15,8 +15,7 @@ import (
 	"time"
 
 	"liger/internal/core"
-	"liger/internal/hw"
-	"liger/internal/model"
+	"liger/internal/scenario"
 	"liger/internal/tune"
 )
 
@@ -27,29 +26,38 @@ func main() {
 		nodeName  = flag.String("node", "v100", "node preset: v100 or a100")
 		modelName = flag.String("model", "OPT-30B", "model to serve")
 		batch     = flag.Int("batch", 2, "requests per batch")
-		batches   = flag.Int("batches", 100, "batches per probe point")
-		points    = flag.Int("points", 9, "rate sweep resolution")
+		batches   = flag.Int("batches", 100, "batches per probe point (at least 10)")
+		points    = flag.Int("points", 9, "rate sweep resolution (at least 3)")
 	)
 	flag.Parse()
 
-	node, err := hw.Preset(*nodeName)
+	// The flags lower to a single-node batch scenario, as ligersim's do.
+	// Its rate is nominal (the node's intra-op capacity): every probe
+	// replaces it. A zero batch would read as the scenario default.
+	if *batch == 0 {
+		log.Fatal("-batch: 0 is out of range")
+	}
+	sc := &scenario.Scenario{
+		Name:  "ligertune",
+		Model: *modelName,
+		Node:  scenario.NodeSpec{Preset: *nodeName},
+		Workload: scenario.Workload{
+			Batches: max(*batches, 10), Batch: *batch, Rate: scenario.RelRate(1), Seed: 1,
+		},
+	}
+	if err := sc.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	c, err := scenario.Compile(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec, err := model.ByName(*modelName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := tune.DefaultConfig(node, spec)
-	cfg.BatchSize = *batch
-	cfg.Batches = *batches
-	cfg.Points = *points
 
-	rep, err := tune.Run(cfg)
+	rep, err := tune.Run(tune.Config{Scenario: c, Points: *points})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s serving %s (batch %d)\n", node.Name, spec.Name, *batch)
+	fmt.Printf("%s serving %s (batch %d)\n", c.Node.Name, c.Model.Name, *batch)
 	fmt.Println(rep)
 	fmt.Println()
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

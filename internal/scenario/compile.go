@@ -215,6 +215,31 @@ func (c *Compiled) arrivals(w Workload, unit string) (int, error) {
 	return int(n), nil
 }
 
+// AtRate returns a copy of c that serves rate arrivals per second. The
+// rate is the one compiled input it replaces: it feeds the trace (or the
+// continuous plan's sequence rate), the arrival count of a
+// duration-bounded workload, the horizon, and every time the scenario
+// resolves against the horizon. Node, model and trace shape stay as
+// compiled, and a workload.arrivals file keeps its own instants.
+func (c *Compiled) AtRate(rate float64) (*Compiled, error) {
+	if !(rate > 0) || !finite(rate) {
+		return nil, fmt.Errorf("workload.rate: resolves to %v arrivals/s", rate)
+	}
+	at := *c
+	at.Rate, at.assertions = rate, nil
+	n, err := at.arrivals(c.Scenario.Workload, "arrivals/s")
+	if err != nil {
+		return nil, err
+	}
+	at.Trace.RatePerSec, at.Trace.Batches = rate, n
+	if c.Continuous != nil {
+		plan := *c.Continuous
+		plan.Sequences = n
+		at.Continuous = &plan
+	}
+	return &at, at.compileTail(c.Scenario)
+}
+
 // compileContinuous lowers a continuous-mode workload: sequence shape
 // defaults, a prompt-sized capacity normalizer for relative rates, and
 // the KV admission knobs. Trace is filled just enough for reporting —

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"cmp"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // testScenario returns a compilable baseline on the tiny model (fast).
@@ -239,5 +241,58 @@ func TestCompileRejectsUnrepresentableHorizon(t *testing.T) {
 		if _, err := Compile(sc); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 			t.Errorf("%q: err = %v, want prefix %q", tc.workload, err, tc.want)
 		}
+	}
+}
+
+// TestAtRateMatchesRecompile checks that AtRate replaces exactly what a
+// rate feeds: on every corpus scenario and on duration-bounded batch and
+// continuous workloads, the compile at one rate moved to another equals
+// a compile of the scenario written at the other rate.
+func TestAtRateMatchesRecompile(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("corpus glob: %v (%d files)", err, len(files))
+	}
+	scenarios := map[string]*Scenario{}
+	for _, file := range files {
+		if scenarios[filepath.Base(file)], err = Load(file); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mode := range []string{"", "continuous"} {
+		sc := testScenario()
+		sc.Workload.Batches, sc.Workload.Duration, sc.Workload.Mode = 0, time.Second, mode
+		scenarios["duration-bounded "+cmp.Or(mode, "batch")] = sc
+	}
+	for name, sc := range scenarios {
+		t.Run(name, func(t *testing.T) {
+			c, err := Compile(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rate := range []float64{c.Rate / 2, 2 * c.Rate} {
+				moved := *sc
+				moved.Workload.Rate = AbsRate(rate)
+				want, err := Compile(&moved)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.AtRate(rate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.Scenario = want.Scenario
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("AtRate(%v) = %+v, want %+v", rate, got, want)
+				}
+			}
+		})
+	}
+	c, err := Compile(testScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AtRate(0); err == nil || !strings.Contains(err.Error(), "workload.rate") {
+		t.Fatalf("AtRate(0): err %v, want a workload.rate error", err)
 	}
 }

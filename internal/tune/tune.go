@@ -13,32 +13,17 @@ import (
 	"time"
 
 	"liger/internal/core"
-	"liger/internal/hw"
-	"liger/internal/model"
-	"liger/internal/serve"
+	"liger/internal/scenario"
 )
 
 // Config bounds the search.
 type Config struct {
-	Node  hw.Node
-	Model model.Spec
-	// BatchSize and sequence range shape the trace (paper defaults).
-	BatchSize      int
-	MinSeq, MaxSeq int
-	// Batches per probe point; more is slower but steadier.
-	Batches int
-	// Points is the resolution of the rate sweep.
+	// Scenario is the compiled single-node batch scenario every probe
+	// serves: node, model, trace shape, batches per probe and seed.
+	// Each probe replaces only its arrival rate.
+	Scenario *scenario.Compiled
+	// Points is the resolution of the rate sweep (at least 3).
 	Points int
-	Seed   int64
-}
-
-// DefaultConfig returns a reasonable search setup.
-func DefaultConfig(node hw.Node, spec model.Spec) Config {
-	return Config{
-		Node: node, Model: spec,
-		BatchSize: 2, MinSeq: 16, MaxSeq: 128,
-		Batches: 100, Points: 9, Seed: 1,
-	}
 }
 
 // Probe is one measured operating point.
@@ -75,71 +60,56 @@ func (r Report) String() string {
 	return s
 }
 
-// measure serves one probe point.
-func measure(cfg Config, kind core.RuntimeKind, rate float64) (Probe, error) {
-	eng, err := core.NewEngine(core.Options{Node: cfg.Node, Model: cfg.Model, Runtime: kind})
+// measure serves one probe point: the scenario at rate on one runtime.
+func measure(c *scenario.Compiled, kind core.RuntimeKind, rate float64) (Probe, error) {
+	at, err := c.AtRate(rate)
 	if err != nil {
 		return Probe{}, err
 	}
-	tr, err := serve.Generate(serve.TraceConfig{
-		Batches: cfg.Batches, BatchSize: cfg.BatchSize, RatePerSec: rate,
-		MinSeq: cfg.MinSeq, MaxSeq: cfg.MaxSeq, Seed: cfg.Seed,
-	})
+	out, err := scenario.RunOne(at, kind, scenario.RunOptions{})
 	if err != nil {
 		return Probe{}, err
 	}
-	res, err := eng.Serve(tr)
-	if err != nil {
-		return Probe{}, err
-	}
-	return Probe{Rate: rate, Latency: res.AvgLatency, Throughput: res.ThroughputBatches()}, nil
-}
-
-// saturation probes a runtime at a rate far beyond capacity.
-func saturation(cfg Config, kind core.RuntimeKind, overload float64) (float64, error) {
-	p, err := measure(cfg, kind, overload)
-	if err != nil {
-		return 0, err
-	}
-	return p.Throughput, nil
+	return Probe{Rate: rate, Latency: out.Result.AvgLatency, Throughput: out.Result.ThroughputBatches()}, nil
 }
 
 // Run executes the search.
 func Run(cfg Config) (Report, error) {
-	if cfg.Points < 3 {
-		cfg.Points = 3
+	c := cfg.Scenario
+	if c.Cluster != nil || c.Continuous != nil {
+		return Report{}, fmt.Errorf("tune: scenario %q is not a single-node batch scenario", c.Scenario.Name)
 	}
-	if cfg.Batches < 10 {
-		cfg.Batches = 10
-	}
+	points := max(cfg.Points, 3)
 	rep := Report{Sweep: map[core.RuntimeKind][]Probe{}}
 
 	// Rough capacity estimate to size the overload probe: serve a burst
 	// and take the throughput.
-	warm, err := measure(cfg, core.KindIntraOp, 1e6)
+	warm, err := measure(c, core.KindIntraOp, 1e6)
 	if err != nil {
 		return rep, err
 	}
+	// Saturation throughput: each runtime's throughput at a rate far
+	// beyond capacity.
 	overload := 3 * warm.Throughput
-
-	if rep.IntraSat, err = saturation(cfg, core.KindIntraOp, overload); err != nil {
-		return rep, err
-	}
-	if rep.LigerSat, err = saturation(cfg, core.KindLiger, overload); err != nil {
-		return rep, err
-	}
-	if rep.InterSat, err = saturation(cfg, core.KindInterOp, overload); err != nil {
-		return rep, err
+	for _, sat := range []struct {
+		kind core.RuntimeKind
+		dst  *float64
+	}{{core.KindIntraOp, &rep.IntraSat}, {core.KindLiger, &rep.LigerSat}, {core.KindInterOp, &rep.InterSat}} {
+		p, err := measure(c, sat.kind, overload)
+		if err != nil {
+			return rep, err
+		}
+		*sat.dst = p.Throughput
 	}
 
 	// Sweep from well below intra saturation to just past Liger's.
 	lo := 0.3 * rep.IntraSat
 	hi := 1.05 * rep.LigerSat
 	kinds := []core.RuntimeKind{core.KindLiger, core.KindIntraOp, core.KindInterOp}
-	for i := 0; i < cfg.Points; i++ {
-		rate := lo + (hi-lo)*float64(i)/float64(cfg.Points-1)
+	for i := 0; i < points; i++ {
+		rate := lo + (hi-lo)*float64(i)/float64(points-1)
 		for _, k := range kinds {
-			p, err := measure(cfg, k, rate)
+			p, err := measure(c, k, rate)
 			if err != nil {
 				return rep, err
 			}
@@ -162,7 +132,7 @@ func Run(cfg Config) (Report, error) {
 		}
 		return true
 	}
-	for i := 0; i < cfg.Points; i++ {
+	for i := 0; i < points; i++ {
 		if inWindow(i) {
 			if rep.AdvantageLo == 0 {
 				rep.AdvantageLo = rep.Sweep[core.KindLiger][i].Rate

@@ -5,19 +5,37 @@ import (
 	"testing"
 
 	"liger/internal/core"
-	"liger/internal/hw"
 	"liger/internal/model"
+	"liger/internal/scenario"
 )
 
-func fastCfg() Config {
-	cfg := DefaultConfig(hw.A100Node(), model.OPT30B().WithLayers(8))
-	cfg.Batches = 40
-	cfg.Points = 5
-	return cfg
+// compileBatch compiles a single-node batch scenario on the A100 node
+// at batches arrivals per probe, its model trimmed to 8 layers of
+// OPT-30B to keep the search fast.
+func compileBatch(t *testing.T, batches int) *scenario.Compiled {
+	t.Helper()
+	sc := &scenario.Scenario{
+		Name:     "tune",
+		Node:     scenario.NodeSpec{Preset: "a100"},
+		Workload: scenario.Workload{Batches: batches, Rate: scenario.RelRate(1), Seed: 1},
+	}
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := scenario.Compile(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Model = model.OPT30B().WithLayers(8)
+	return c
+}
+
+func fastCfg(t *testing.T) Config {
+	return Config{Scenario: compileBatch(t, 40), Points: 5}
 }
 
 func TestRunFindsSaturations(t *testing.T) {
-	rep, err := Run(fastCfg())
+	rep, err := Run(fastCfg(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +53,7 @@ func TestRunFindsSaturations(t *testing.T) {
 }
 
 func TestRunFindsAdvantageWindow(t *testing.T) {
-	rep, err := Run(fastCfg())
+	rep, err := Run(fastCfg(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +71,7 @@ func TestRunFindsAdvantageWindow(t *testing.T) {
 }
 
 func TestSweepShapes(t *testing.T) {
-	cfg := fastCfg()
+	cfg := fastCfg(t)
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,14 +105,27 @@ func TestReportString(t *testing.T) {
 }
 
 func TestConfigClamps(t *testing.T) {
-	cfg := fastCfg()
+	cfg := fastCfg(t)
 	cfg.Points = 1
-	cfg.Batches = 1
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Sweep[core.KindLiger]) < 3 {
 		t.Fatal("Points not clamped to a usable minimum")
+	}
+}
+
+func TestRunRejectsServingScenario(t *testing.T) {
+	sc := &scenario.Scenario{
+		Name:     "continuous",
+		Workload: scenario.Workload{Mode: "continuous", Batches: 10, Rate: scenario.AbsRate(10), Seed: 1},
+	}
+	c, err := scenario.Compile(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Config{Scenario: c}); err == nil || !strings.Contains(err.Error(), "not a single-node batch scenario") {
+		t.Fatalf("err %v, want a single-node batch rejection", err)
 	}
 }
