@@ -43,6 +43,9 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		log.Fatalf("unexpected argument %q", flag.Arg(0))
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

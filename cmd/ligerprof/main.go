@@ -84,6 +84,9 @@ func main() {
 		engBatches = flag.Int("engine-batches", 50, "batch arrivals for the -engine-stats calibration run")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		log.Fatalf("unexpected argument %q", flag.Arg(0))
+	}
 
 	node, err := hw.Preset(*nodeName)
 	if err != nil {

@@ -86,6 +86,7 @@ func TestLigertuneRejects(t *testing.T) {
 	}{
 		{[]string{"-batch", "0"}, "-batch: 0 is out of range"},
 		{[]string{"-batch", "-1"}, "workload.batch: negative batch size -1"},
+		{[]string{"-points", "5", "foo"}, `unexpected argument "foo"`},
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

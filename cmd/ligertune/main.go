@@ -30,6 +30,9 @@ func main() {
 		points    = flag.Int("points", 9, "rate sweep resolution (at least 3)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		log.Fatalf("unexpected argument %q", flag.Arg(0))
+	}
 
 	// The flags lower to a single-node batch scenario, as ligersim's do.
 	// Its rate is nominal (the node's intra-op capacity): every probe
