@@ -18,7 +18,8 @@ test:
 # The concurrency-bearing packages (parallel sweep executor, event
 # engine, the compiler's shared layer-name table) plus the
 # fault-injection, deadline/retry, serving-telemetry, and observability
-# layers get a dedicated -race pass.
+# layers get a dedicated -race pass, over the same list as the race
+# gate of tools/ci.
 race:
 	$(GO) test -race ./internal/runner ./internal/simclock ./internal/parallel ./internal/faults ./internal/serve ./internal/cluster ./internal/trace ./internal/metrics ./internal/analyze ./internal/kvcache ./internal/generate
 

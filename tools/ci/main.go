@@ -10,11 +10,13 @@
 //  3. go build ./...
 //  4. go test -race ./internal/runner ./internal/simclock
 //     ./internal/parallel ./internal/faults ./internal/serve
-//     ./internal/cluster ./internal/kvcache ./internal/generate
+//     ./internal/cluster ./internal/trace ./internal/metrics
+//     ./internal/analyze ./internal/kvcache ./internal/generate
 //     (the concurrency-bearing packages, including the compiler's
 //     shared layer-name table, plus the fault-injection,
-//     deadline/retry, fleet, and serving-telemetry layers get a
-//     dedicated race pass)
+//     deadline/retry, fleet, serving-telemetry and observability
+//     layers get a dedicated race pass; the Makefile's race target
+//     runs the same list)
 //  5. go test ./... (full suite), then `go test ./...` inside
 //     tools/perf, the benchmark harness's own module
 //  6. the benchmark's readings gate: `bash tools/perf/run.sh
@@ -170,9 +172,10 @@ func main() {
 		{"gofmt", gofmtCheck},
 		{"go vet", command("go", "vet", "./...")},
 		{"go build", command("go", "build", "./...")},
-		{"race (runner, simclock, parallel, faults, serve, cluster, kvcache, generate)", command("go", "test", "-race",
+		{"race (runner, simclock, parallel, faults, serve, cluster, trace, metrics, analyze, kvcache, generate)", command("go", "test", "-race",
 			"./internal/runner", "./internal/simclock", "./internal/parallel", "./internal/faults", "./internal/serve",
-			"./internal/cluster", "./internal/kvcache", "./internal/generate")},
+			"./internal/cluster", "./internal/trace", "./internal/metrics", "./internal/analyze",
+			"./internal/kvcache", "./internal/generate")},
 		{"go test", command("go", "test", "./...")},
 		// tools/perf is a module of its own, so the root test run above
 		// does not reach its tests.
