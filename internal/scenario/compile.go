@@ -226,6 +226,7 @@ func (c *Compiled) AtRate(rate float64) (*Compiled, error) {
 		return nil, fmt.Errorf("workload.rate: resolves to %v arrivals/s", rate)
 	}
 	at := *c
+	// compileTail appends the assertions again.
 	at.Rate, at.assertions = rate, nil
 	n, err := at.arrivals(c.Scenario.Workload, "arrivals/s")
 	if err != nil {
