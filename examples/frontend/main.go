@@ -32,9 +32,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		reqs, err := serve.GenerateRequests(serve.RequestTraceConfig{
-			Requests:   600,
-			RatePerSec: 32, // individual requests; ~12 batches/s after packing
+		reqs, err := serve.Generate(serve.TraceConfig{
+			Batches:    600,
+			BatchSize:  1,  // individual requests, packed by the frontend
+			RatePerSec: 32, // ~12 batches/s after packing
 			MinSeq:     16,
 			MaxSeq:     128,
 			Process:    serve.Poisson,

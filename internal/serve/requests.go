@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"liger/internal/model"
@@ -10,57 +9,6 @@ import (
 	"liger/internal/simclock"
 	"liger/internal/stats"
 )
-
-// Request is one inference request arriving at the serving frontend,
-// before batching. The paper's workflow (Fig. 5) receives requests,
-// packs them into a batch, and hands the batch to the runtime.
-type Request struct {
-	ID     int
-	SeqLen int
-}
-
-// RequestTraceConfig describes a per-request trace (before batching).
-type RequestTraceConfig struct {
-	Requests       int
-	RatePerSec     float64
-	MinSeq, MaxSeq int
-	Process        ArrivalProcess
-	Seed           int64
-}
-
-// RequestArrival is one request arriving at the frontend.
-type RequestArrival struct {
-	At      simclock.Time
-	Request Request
-}
-
-// GenerateRequests produces a deterministic per-request arrival trace.
-func GenerateRequests(c RequestTraceConfig) ([]RequestArrival, error) {
-	if c.Requests <= 0 || c.RatePerSec <= 0 || c.MinSeq <= 0 || c.MaxSeq < c.MinSeq {
-		return nil, fmt.Errorf("serve: bad request trace config %+v", c)
-	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	gap := time.Duration(float64(time.Second) / c.RatePerSec)
-	out := make([]RequestArrival, 0, c.Requests)
-	var at simclock.Time
-	for i := 0; i < c.Requests; i++ {
-		out = append(out, RequestArrival{
-			At:      at,
-			Request: Request{ID: i, SeqLen: c.MinSeq + rng.Intn(c.MaxSeq-c.MinSeq+1)},
-		})
-		switch c.Process {
-		case Poisson:
-			at += time.Duration(rng.ExpFloat64() * float64(gap))
-		case Bursty:
-			if (i+1)%4 == 0 {
-				at += 4 * gap
-			}
-		default:
-			at += gap
-		}
-	}
-	return out, nil
-}
 
 // RequestResult summarizes a request-level run: latency here is per
 // *request* — frontend arrival to batch completion — so it includes the
@@ -76,14 +24,15 @@ type RequestResult struct {
 	AvgBatchingDelay time.Duration
 }
 
-// pack is the batching frontend, a pure function of the request trace
-// (in arrival order). A batch closes at its maxBatch-th request, or
-// maxWait after its oldest request, whichever comes first; a request
-// arriving exactly at that deadline still joins. Requests in a batch are
+// pack is the batching frontend, a pure function of the request trace:
+// one-request context arrivals (Generate with BatchSize 1), in arrival
+// order. A batch closes at its maxBatch-th request, or maxWait after its
+// oldest request, whichever comes first; a request arriving exactly at
+// that deadline still joins. Requests in a batch are
 // padded to the longest sequence among them, as batched transformer
 // inference requires. pack returns the batch trace, each batch arriving
 // at the instant it closes, and the batch each request joined.
-func pack(reqs []RequestArrival, maxBatch int, maxWait time.Duration) ([]Arrival, []int, error) {
+func pack(reqs []Arrival, maxBatch int, maxWait time.Duration) ([]Arrival, []int, error) {
 	if maxBatch < 1 {
 		return nil, nil, fmt.Errorf("serve: batcher max batch %d", maxBatch)
 	}
@@ -96,13 +45,17 @@ func pack(reqs []RequestArrival, maxBatch int, maxWait time.Duration) ([]Arrival
 	closeBatch := func(end int, at simclock.Time) {
 		w := model.Workload{Batch: end - open, Phase: model.Context}
 		for i := open; i < end; i++ {
-			w.SeqLen = max(w.SeqLen, reqs[i].Request.SeqLen)
+			w.SeqLen = max(w.SeqLen, reqs[i].Workload.SeqLen)
 			batchOf[i] = len(batches)
 		}
 		batches = append(batches, Arrival{At: at, Workload: w})
 		open = end
 	}
 	for i, r := range reqs {
+		if r.Workload.Batch != 1 || r.Workload.Phase != model.Context {
+			return nil, nil, fmt.Errorf("serve: request %d is a %d-request %s arrival, want one context request",
+				i, r.Workload.Batch, r.Workload.Phase)
+		}
 		if i > 0 && r.At < reqs[i-1].At {
 			return nil, nil, fmt.Errorf("serve: request %d arrives at %v, before request %d", i, r.At, i-1)
 		}
@@ -120,10 +73,11 @@ func pack(reqs []RequestArrival, maxBatch int, maxWait time.Duration) ([]Arrival
 }
 
 // RunRequests drives a runtime through the batching frontend: requests
-// arrive individually, pack groups them (up to maxBatch, waiting at most
-// maxWait), Run serves the batch trace, and each request's latency is
-// its batch's completion less its own arrival.
-func RunRequests(eng *simclock.Engine, rt runtimes.Runtime, arrivals []RequestArrival, maxBatch int, maxWait time.Duration) (RequestResult, error) {
+// arrive individually, as one-request context arrivals; pack groups them
+// (up to maxBatch, waiting at most maxWait), Run serves the batch trace,
+// and each request's latency is its batch's completion less its own
+// arrival.
+func RunRequests(eng *simclock.Engine, rt runtimes.Runtime, arrivals []Arrival, maxBatch int, maxWait time.Duration) (RequestResult, error) {
 	res := RequestResult{Runtime: rt.Name()}
 	if len(arrivals) == 0 {
 		return res, fmt.Errorf("serve: empty request trace")

@@ -10,37 +10,11 @@ import (
 	"liger/internal/simclock"
 )
 
-func TestGenerateRequestsShape(t *testing.T) {
-	reqs, err := GenerateRequests(RequestTraceConfig{
-		Requests: 40, RatePerSec: 100, MinSeq: 16, MaxSeq: 128, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 40 {
-		t.Fatalf("%d requests", len(reqs))
-	}
-	for i, r := range reqs {
-		if r.Request.ID != i {
-			t.Fatalf("request %d has ID %d", i, r.Request.ID)
-		}
-		if r.Request.SeqLen < 16 || r.Request.SeqLen > 128 {
-			t.Fatalf("seq %d", r.Request.SeqLen)
-		}
-	}
-}
-
-func TestGenerateRequestsValidation(t *testing.T) {
-	if _, err := GenerateRequests(RequestTraceConfig{}); err == nil {
-		t.Fatal("empty config accepted")
-	}
-}
-
 func TestRunRequestsEndToEnd(t *testing.T) {
 	eng := simclock.New()
 	rt := &fakeRuntime{eng: eng, service: 5 * time.Millisecond}
-	reqs, err := GenerateRequests(RequestTraceConfig{
-		Requests: 20, RatePerSec: 1000, MinSeq: 16, MaxSeq: 64, Seed: 1,
+	reqs, err := Generate(TraceConfig{
+		Batches: 20, BatchSize: 1, RatePerSec: 1000, MinSeq: 16, MaxSeq: 64, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +42,8 @@ func TestRunRequestsEndToEnd(t *testing.T) {
 func TestRunRequestsPartialFinalBatch(t *testing.T) {
 	eng := simclock.New()
 	rt := &fakeRuntime{eng: eng, service: time.Millisecond}
-	reqs, err := GenerateRequests(RequestTraceConfig{
-		Requests: 7, RatePerSec: 1000, MinSeq: 16, MaxSeq: 16, Seed: 1,
+	reqs, err := Generate(TraceConfig{
+		Batches: 7, BatchSize: 1, RatePerSec: 1000, MinSeq: 16, MaxSeq: 16, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +80,7 @@ func TestPack(t *testing.T) {
 		name     string
 		at       []simclock.Time // arrival instants
 		seq      []int           // sequence lengths; 16 where omitted
+		batch    int             // requests per arrival; 1 where omitted
 		maxBatch int
 		maxWait  time.Duration
 		want     []Arrival
@@ -127,14 +102,16 @@ func TestPack(t *testing.T) {
 		{name: "max-batch-0", at: []simclock.Time{0}, maxBatch: 0, maxWait: time.Millisecond, err: "max batch 0"},
 		{name: "max-wait-0", at: []simclock.Time{0}, maxBatch: 4, maxWait: 0, err: "max wait 0s"},
 		{name: "out-of-order", at: []simclock.Time{ms, 0}, maxBatch: 4, maxWait: time.Millisecond, err: "before request 0"},
+		{name: "not-one-request", at: []simclock.Time{0}, batch: 2, maxBatch: 4, maxWait: time.Millisecond,
+			err: "request 0 is a 2-request context arrival"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			reqs := make([]RequestArrival, len(tc.at))
+			reqs := make([]Arrival, len(tc.at))
 			for i, at := range tc.at {
-				reqs[i] = RequestArrival{At: at, Request: Request{ID: i, SeqLen: 16}}
+				reqs[i] = ctx(max(tc.batch, 1), 16, at)
 				if i < len(tc.seq) {
-					reqs[i].Request.SeqLen = tc.seq[i]
+					reqs[i].Workload.SeqLen = tc.seq[i]
 				}
 			}
 			got, batchOf, err := pack(reqs, tc.maxBatch, tc.maxWait)
