@@ -36,7 +36,7 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write per-panel CSV sweep data into this directory")
 		plotDir  = flag.String("plots", "", "also render per-panel SVG charts into this directory")
 		jsonDir  = flag.String("json", "", "also write machine-readable artifacts (the chaos, failover, fleet and serving BENCH_*.json) into this directory")
-		traceDir = flag.String("trace-dir", "", "failover experiment: also write per-runtime Chrome traces and metrics snapshots of one traced failure point into this directory")
+		traceDir = flag.String("trace-dir", "", "failover and serving experiments: also write per-runtime Chrome traces, metrics snapshots and analyses of one traced point (a failure point, a serving point) into this directory")
 		shards   = flag.Int("shards", 0,
 			"worker count of the fleet experiment's sharded executor; single-node experiments ignore it (a node is one shard, see docs/PERF.md) and output is identical at any value")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")

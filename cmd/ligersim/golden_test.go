@@ -36,17 +36,17 @@ var goldenRuns = []struct {
 	}, false},
 	{"continuous", [][]string{{"-continuous", "-model", "tiny", "-batches", "24", "-rate", "2000",
 		"-prompt", "32", "-gen", "8", "-pool", "8",
-		"-serving-report", "-serving-trace", "s.json", "-metrics", "m.json", "-window", "1ms"}}, false},
+		"-explain", "-trace", "s.json", "-metrics", "m.json", "-window", "1ms"}}, false},
 	{"disagg", [][]string{{"-disagg", "-model", "tiny", "-batches", "24", "-rate", "2000",
 		"-prompt", "32", "-gen", "8", "-pool", "8", "-prefillnodes", "2", "-decodenodes", "2",
-		"-serving-report", "-serving-trace", "d.json"}}, true},
+		"-explain", "-trace", "d.json"}}, true},
 	{"continuous-pressure", [][]string{{"-continuous", "-node", "a100", "-model", "OPT-30B", "-batches", "40",
 		"-prompt", "4096", "-gen", "16", "-pool", "40", "-rate", "50",
-		"-serving-report", "-serving-trace", "s.json", "-metrics", "m.json", "-window", "1s"}}, false},
+		"-explain", "-trace", "s.json", "-metrics", "m.json", "-window", "1s"}}, false},
 	{"disagg-metrics", [][]string{{"-disagg", "-model", "tiny", "-batches", "24", "-rate", "2000",
 		"-prompt", "32", "-gen", "8", "-pool", "8", "-prefillnodes", "2", "-decodenodes", "2",
-		"-serving-report", "-serving-trace", "d.json", "-metrics", "m.json", "-window", "1ms"}}, true},
-	{"fleet", [][]string{{"-nodes", "3", "-spares", "1", "-deadline", "100ms", "-hedge", "20ms", "-serving-trace", "f.json"}}, true},
+		"-explain", "-trace", "d.json", "-metrics", "m.json", "-window", "1ms"}}, true},
+	{"fleet", [][]string{{"-nodes", "3", "-spares", "1", "-deadline", "100ms", "-hedge", "20ms", "-trace", "f.json"}}, true},
 }
 
 // buildLigersim compiles this command into a temporary directory.
@@ -154,11 +154,14 @@ func TestLigersimRejects(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-continuous", "-trace", "t.json"}, "-trace is not read in continuous mode"},
-		{[]string{"-batches", "5", "-rate", "20", "-serving-trace", "s.json"}, "-serving-trace is not read in batch mode"},
-		{[]string{"-nodes", "2", "-metrics", "m.json", "-serving-report", "-explain"}, "-explain is not read in fleet (-nodes) mode"},
+		{[]string{"-continuous", "-journal", "3"}, "-journal is not read in continuous mode"},
+		{[]string{"-batches", "5", "-rate", "20", "-serving-trace", "s.json"}, "flag provided but not defined: -serving-trace"},
+		{[]string{"-nodes", "2", "-metrics", "m.json", "-explain"}, "-explain is not read in fleet (-nodes) mode"},
 		{[]string{"-nodes", "2", "-metrics", "m.json"}, "-metrics is not read in fleet (-nodes) mode"},
-		{[]string{"-nodes", "2", "-serving-report"}, "-serving-report is not read in fleet (-nodes) mode"},
+		{[]string{"-nodes", "2", "-serving-report"}, "flag provided but not defined: -serving-report"},
+		{[]string{"-model", "tiny", "-batches", "5", "-window", "1ms"}, "-window is read only with -metrics"},
+		{[]string{"-model", "tiny", "-batches", "5", "-top", "3"}, "-top is read only with -explain"},
+		{[]string{"-model", "tiny", "-batches", "5", "-routing", "binding"}, "-routing is read only with -explain"},
 		{[]string{"-continuous", "-tracein", "/nonexistent"}, "-tracein is not read in continuous mode"},
 		{[]string{"-disagg", "-nodes", "3"}, "-nodes is not read in disagg mode"},
 		{[]string{"-continuous", "-deadline", "50ms"}, "-deadline is not read in continuous mode"},

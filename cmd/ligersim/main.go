@@ -46,13 +46,13 @@ var (
 	cfactor    = flag.Float64("cfactor", 0, "Liger contention factor; 0 = node default (§3.5)")
 	inflight   = flag.Int("inflight", 4, "Liger processing-list size")
 	syncMode   = flag.String("sync", "hybrid", "Liger sync mode: hybrid, cpu-gpu or inter-stream-only (§3.4)")
-	traceOut   = flag.String("trace", "", "write a Chrome trace JSON of kernel execution to this file")
+	traceOut   = flag.String("trace", "", "write a Chrome trace JSON of the run to this file: kernel execution in batch mode, serving activity (iteration lanes per pool, KV-pressure counters, router decisions, KV-handoff flows) with -continuous/-disagg/-nodes")
 	metricsOut = flag.String("metrics", "", "write a metrics JSON snapshot to this file: in batch mode counters, histograms and per-request latency decomposition; with -continuous/-disagg serving counters, TTFT/TPOT histograms and windowed KV/pool series (not read with -nodes)")
 	journalN   = flag.Int("journal", 0, "print the last N Liger scheduling rounds")
 	traceIn    = flag.String("tracein", "", "replay a JSON trace file instead of generating one")
 	traceSave  = flag.String("tracesave", "", "save the generated trace as JSON before serving")
 	deadline   = flag.Duration("deadline", 0, "also report goodput/miss rate against this latency SLO")
-	explain    = flag.Bool("explain", false, "print the run's critical path, idle-gap attribution, overlap efficiency and an annotated timeline")
+	explain    = flag.Bool("explain", false, "print the run's analysis: in batch mode its critical path, idle-gap attribution, overlap efficiency and an annotated timeline; with -continuous/-disagg its TTFT/TPOT decomposition, per-pool load and KV-pressure episodes")
 	topN       = flag.Int("top", 10, "top-N critical-path contributors for -explain")
 	routing    = flag.String("routing", "earliest", "collective routing for -explain: earliest (surface rendezvous stalls) or binding (follow the gating member)")
 	window     = flag.Duration("window", 0, "windowed time-series bucket width for -metrics (0 disables)")
@@ -70,8 +70,6 @@ var (
 	disagg     = flag.Bool("disagg", false, "disaggregate prefill and decode onto separate node pools over -network (implies -continuous)")
 	prefillN   = flag.Int("prefillnodes", 1, "prefill pool size for -disagg")
 	decodeN    = flag.Int("decodenodes", 1, "decode pool size for -disagg")
-	srvTrace   = flag.String("serving-trace", "", "write a Chrome trace JSON of serving activity (iteration lanes per pool, KV-pressure counters, router decisions, KV-handoff flows) to this file (with -continuous/-disagg/-nodes)")
-	srvReport  = flag.Bool("serving-report", false, "print the serving analysis: TTFT/TPOT decomposition, per-pool load, KV-pressure episodes (with -continuous/-disagg)")
 )
 
 // mode is the serving mode a flag invocation selects.
@@ -106,13 +104,17 @@ func (m mode) String() string {
 var readBy = map[string]mode{
 	"batch": batchLike, "minseq": batchLike, "maxseq": batchLike, "decode": batchLike, "ctx": batchLike,
 	"process": batchLike, "tracein": batchLike, "tracesave": batchLike, "deadline": batchLike, "nodes": batchLike,
-	"trace": batchMode, "journal": batchMode, "explain": batchMode, "top": batchMode, "routing": batchMode,
-	"metrics": batchMode | serving, "window": batchMode | serving,
+	"journal": batchMode, "top": batchMode, "routing": batchMode,
+	"explain": batchMode | serving, "metrics": batchMode | serving, "window": batchMode | serving,
 	"spares": fleetMode, "probe": fleetMode, "hedge": fleetMode, "retries": fleetMode,
-	"network": fleetMode | disaggMode, "shards": fleetMode | disaggMode, "serving-trace": fleetMode | serving,
-	"prompt": serving, "gen": serving, "pool": serving, "serving-report": serving,
+	"network": fleetMode | disaggMode, "shards": fleetMode | disaggMode,
+	"prompt": serving, "gen": serving, "pool": serving,
 	"prefillnodes": disaggMode, "decodenodes": disaggMode,
 }
+
+// shapes names the output each of these flags shapes; the flag is read
+// only when that output is asked for.
+var shapes = map[string]string{"window": "metrics", "top": "explain", "routing": "explain"}
 
 func main() {
 	log.SetFlags(0)
@@ -133,9 +135,13 @@ func main() {
 	case *nodes != 0:
 		m = fleetMode
 	}
+	outputs := map[string]bool{"metrics": *metricsOut != "", "explain": *explain}
 	flag.Visit(func(f *flag.Flag) {
 		if r, ok := readBy[f.Name]; ok && r&m == 0 {
 			log.Fatalf("-%s is not read in %s mode", f.Name, m)
+		}
+		if out, ok := shapes[f.Name]; ok && !outputs[out] {
+			log.Fatalf("-%s is read only with -%s", f.Name, out)
 		}
 	})
 
@@ -153,7 +159,7 @@ func main() {
 	opts := scenario.RunOptions{
 		Shards:  *shards,
 		Journal: *journalN,
-		Trace:   *traceOut != "" || *metricsOut != "" || *explain || *srvTrace != "" || *srvReport,
+		Trace:   *traceOut != "" || *metricsOut != "" || *explain,
 	}
 	out, err := scenario.RunOne(c, c.Kinds[0], opts)
 	if err != nil {
@@ -166,6 +172,17 @@ func main() {
 		renderFleet(c, out)
 	default:
 		renderServing(c, out)
+	}
+	if *traceOut != "" {
+		writeOutput("trace", *traceOut, out.Recorder.WriteChromeTrace)
+	}
+	if *metricsOut != "" {
+		mo := metrics.Options{Window: *window}
+		if m == batchMode {
+			writeOutput("metrics", *metricsOut, metrics.FromRun(out.Result, out.Recorder, mo).WriteJSON)
+		} else {
+			writeOutput("metrics", *metricsOut, metrics.FromServing(out.Result.Runtime, out.Recorder, mo).WriteJSON)
+		}
 	}
 }
 
@@ -272,7 +289,7 @@ func printLatency(res serve.Result) {
 }
 
 // renderBatch prints a single-node batch run: the text report, then
-// -journal, -explain, -trace and -metrics.
+// -journal and -explain.
 func renderBatch(c *scenario.Compiled, out *scenario.Outcome) {
 	eng, res := out.Engine, out.Result
 	fmt.Printf("node      : %s (%d GPUs, %s)\n", c.Node.Name, c.Node.NumGPUs, c.Node.Interconnect.Name)
@@ -311,16 +328,9 @@ func renderBatch(c *scenario.Compiled, out *scenario.Outcome) {
 			log.Fatal(err)
 		}
 	}
-	if *traceOut != "" {
-		writeOutput("trace", *traceOut, out.Recorder.WriteChromeTrace)
-	}
-	if *metricsOut != "" {
-		writeOutput("metrics", *metricsOut, metrics.FromRun(res, out.Recorder, metrics.Options{Window: *window}).WriteJSON)
-	}
 }
 
-// renderFleet prints a fleet run's router-level report and
-// -serving-trace.
+// renderFleet prints a fleet run's router-level report.
 func renderFleet(c *scenario.Compiled, out *scenario.Outcome) {
 	cl, res := c.Cluster, out.Result
 	fmt.Printf("fleet     : %d replicas + %d spares of %s (%d GPUs each) over %s\n",
@@ -336,16 +346,11 @@ func renderFleet(c *scenario.Compiled, out *scenario.Outcome) {
 	if d := c.Policy.Deadline; d > 0 {
 		fmt.Printf("SLO %v    : %.1f%% missed, goodput %.3f batches/s\n", d, 100*res.SLOMissRate(), res.PolicyGoodput())
 	}
-	if out.Serving != nil {
-		out.Serving.Normalize()
-		writeOutput("trace", *srvTrace, out.Serving.WriteChromeTrace)
-	}
 }
 
 // renderServing prints a continuous or disaggregated run's
-// decode-serving report, then -serving-report, -serving-trace and
-// -metrics. A disaggregated run's output is byte-identical at any
-// -shards setting.
+// decode-serving report, then -explain. A disaggregated run's output
+// is byte-identical at any -shards setting.
 func renderServing(c *scenario.Compiled, out *scenario.Outcome) {
 	res, plan := out.Result, c.Continuous
 	if plan.Prefill == 0 {
@@ -370,21 +375,10 @@ func renderServing(c *scenario.Compiled, out *scenario.Outcome) {
 	if res.Preemptions > 0 {
 		fmt.Printf("preempted : %d sequences, %d tokens recomputed\n", res.Preemptions, res.RecomputedTokens)
 	}
-	rec := out.Serving
-	if rec == nil {
-		return
-	}
-	rec.Normalize()
-	if *srvReport {
+	if *explain {
 		fmt.Println()
-		if err := analyze.AnalyzeServing(rec).WriteText(os.Stdout); err != nil {
+		if err := analyze.AnalyzeServing(out.Recorder).WriteText(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-	}
-	if *srvTrace != "" {
-		writeOutput("trace", *srvTrace, rec.WriteChromeTrace)
-	}
-	if *metricsOut != "" {
-		writeOutput("metrics", *metricsOut, metrics.FromServing(res.Runtime, rec, metrics.Options{Window: *window}).WriteJSON)
 	}
 }

@@ -115,7 +115,7 @@ type ServingReport struct {
 // AnalyzeServing builds the serving report from a recorder. The
 // recorder is normalized first, so the report is a pure function of
 // the simulation regardless of shard merge interleaving.
-func AnalyzeServing(rec *trace.ServingRecorder) *ServingReport {
+func AnalyzeServing(rec *trace.Recorder) *ServingReport {
 	rec.Normalize()
 	rep := &ServingReport{
 		SegmentNS: map[string]int64{},
@@ -164,7 +164,7 @@ func AnalyzeServing(rec *trace.ServingRecorder) *ServingReport {
 //
 // Boundaries are the recorded instants themselves, so the segments of
 // a request tile [arrival, finish] exactly by construction.
-func servingRequests(rec *trace.ServingRecorder) []ServingRequest {
+func servingRequests(rec *trace.Recorder) []ServingRequest {
 	bySeq := map[int][]serve.SeqEvent{}
 	ids := []int{}
 	for _, e := range rec.SeqEvents() {
@@ -353,7 +353,7 @@ func pressureEpisodes(events []trace.PoolKVEvent) []PressureEpisode {
 func (r *ServingReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteText renders the human-readable serving report ligersim
-// -serving-report prints: segment totals, the mean TTFT/TPOT
+// -explain prints in its serving modes: segment totals, the mean TTFT/TPOT
 // decomposition, pool balance, and pressure episodes.
 func (r *ServingReport) WriteText(w io.Writer) error {
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }

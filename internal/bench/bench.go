@@ -56,9 +56,10 @@ type RunConfig struct {
 	// JSONDir, when set, receives machine-readable artifacts: the
 	// chaos, failover, fleet and serving sweeps' BENCH_*.json.
 	JSONDir string
-	// TraceDir, when set, makes the failover experiment re-run one fully
-	// traced failure point per runtime and write a Chrome trace plus a
-	// metrics snapshot for each (see docs/OBSERVABILITY.md).
+	// TraceDir, when set, makes the failover and serving experiments
+	// re-run one fully traced point per runtime and write a Chrome trace,
+	// a metrics snapshot and an analysis for each (see
+	// docs/OBSERVABILITY.md).
 	TraceDir string
 	// Shards is the worker count of the fleet experiment's sharded
 	// executor (cluster.Config.Workers; <= 1 runs it serially). Output

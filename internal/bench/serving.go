@@ -86,7 +86,7 @@ func (s servingSetup) points() []servingPoint {
 
 // runServingPoint serves one point through the scenario runner:
 // continuous batching over the paged KV allocator on a single node.
-// trace arms the run's serving recorder, which observes the batcher's
+// trace arms the run's recorder, which observes the batcher's
 // iterations, sequence lifecycles and KV block events (tracing never
 // changes results).
 func runServingPoint(s servingSetup, pt servingPoint, cfg RunConfig, trace bool) (*scenario.Outcome, error) {

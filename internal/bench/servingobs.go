@@ -79,7 +79,7 @@ func writeServingObservability(s servingSetup, cfg RunConfig, w io.Writer) error
 		if err != nil {
 			return artifact{}, err
 		}
-		res, rec := out.Result, out.Serving
+		res, rec := out.Result, out.Recorder
 		rep := analyze.AnalyzeServing(rec)
 		snap := metrics.FromServing(p.kind.String(), rec, metrics.Options{})
 		var tb, mb, sb bytes.Buffer

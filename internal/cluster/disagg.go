@@ -53,7 +53,7 @@ type DisaggConfig struct {
 	// Workers sets the sharded executor's worker count; results are
 	// byte-identical at any value.
 	Workers int
-	// Trace arms serving-layer telemetry: one trace.ServingRecorder per
+	// Trace arms serving-layer telemetry: one trace.Recorder per
 	// shard (decode batcher iterations, sequence lifecycles, paged-KV
 	// transitions, frontend KV-handoff spans), merged deterministically
 	// after Run and exposed via ServingTrace. Recording never perturbs
@@ -87,7 +87,7 @@ type Disagg struct {
 	// frontRec is the frontend shard's serving recorder (nil untraced):
 	// system arrival / first-token / finish lifecycle instants plus the
 	// KV-handoff spans the frontend prices.
-	frontRec *trace.ServingRecorder
+	frontRec *trace.Recorder
 
 	// Frontend-owned routing and bookkeeping.
 	prefillLoad []int
@@ -132,7 +132,7 @@ func NewDisagg(cfg DisaggConfig) (*Disagg, error) {
 	}
 	d.done = d.prefillDone
 	if cfg.Trace {
-		d.frontRec = trace.NewServingRecorder()
+		d.frontRec = trace.NewRecorder()
 		d.frontRec.SetPool(-1)
 	}
 	for _, p := range topo.nodes[:cfg.PrefillNodes] {
@@ -178,7 +178,7 @@ func (d *Disagg) wireDecode(i int, n *node) error {
 	n.rt.SetOnDone(cb.OnDone)
 	n.kv, n.cb = kv, cb
 	if d.cfg.Trace {
-		n.rec = trace.NewServingRecorder()
+		n.rec = trace.NewRecorder()
 		n.rec.SetPool(i)
 		cb.SetTracer(n.rec, i)
 		kv.SetTracer(n.rec, n.eng.Now)
@@ -300,11 +300,11 @@ func (d *Disagg) Handoffs() (transfers int, bytes int64) {
 // merge order is fixed (frontend, then decode pools by index) and
 // every stream is stably time-sorted, so the result is byte-
 // deterministic at any Workers value.
-func (d *Disagg) ServingTrace() *trace.ServingRecorder {
+func (d *Disagg) ServingTrace() *trace.Recorder {
 	if d.frontRec == nil {
 		return nil
 	}
-	merged := trace.NewServingRecorder()
+	merged := trace.NewRecorder()
 	merged.Merge(d.frontRec)
 	for _, n := range d.decodes {
 		merged.Merge(n.rec)

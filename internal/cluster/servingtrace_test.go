@@ -96,7 +96,7 @@ func TestDisaggTraceDoesNotPerturb(t *testing.T) {
 			pres.Makespan, pres.TTFT, pres.TPOT, tres.Makespan, tres.TTFT, tres.TPOT)
 	}
 	// Per-request trace latencies must match the cluster's measurements.
-	rec := func() *trace.ServingRecorder {
+	rec := func() *trace.Recorder {
 		cfg := disaggCfg(1)
 		cfg.Trace = true
 		d, err := NewDisagg(cfg)

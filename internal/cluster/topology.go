@@ -51,7 +51,7 @@ type node struct {
 	// cache, and its shard-local serving recorder (nil untraced).
 	kv  *kvcache.PagedManager
 	cb  *serve.ContinuousBatcher
-	rec *trace.ServingRecorder
+	rec *trace.Recorder
 }
 
 // topology is the node table both drivers run on: one simclock.Sharded

@@ -28,8 +28,8 @@ type ContinuousConfig struct {
 	// would — at the price of mid-decode preemption when blocks run out.
 	KV serve.KVAllocator
 	// Tracer, if non-nil, observes the batcher's iterations and sequence
-	// lifecycles (trace.ServingRecorder implements it along with the
-	// other serving extensions). The caller wires the allocator's own
+	// lifecycles (trace.Recorder implements it along with the other
+	// serving extensions). The caller wires the allocator's own
 	// tracer separately (kvcache.PagedManager.SetTracer) since KV may be
 	// any KVAllocator, including a test fake or a measuring decorator.
 	// Tracing never perturbs the simulation.

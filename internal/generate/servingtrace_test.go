@@ -13,9 +13,9 @@ import (
 	"liger/internal/trace"
 )
 
-// The serving recorder is the serve layer's tracer; trace sits below
+// The recorder is the serve layer's tracer too; trace sits below
 // serve, so the assertion lives here.
-var _ serve.ServingTracer = (*trace.ServingRecorder)(nil)
+var _ serve.ServingTracer = (*trace.Recorder)(nil)
 
 // checkDecompositionTiles pins the serving report's defining invariant
 // against the driver's own measurements: every request's segments are
@@ -87,7 +87,7 @@ func TestServingTraceDecompositionTilesLatency(t *testing.T) {
 	for _, kind := range []core.RuntimeKind{core.KindLiger, core.KindIntraOp} {
 		t.Run(kind.String(), func(t *testing.T) {
 			eng := engineFor(t, kind)
-			rec := trace.NewServingRecorder()
+			rec := trace.NewRecorder()
 			cfg := contCfg()
 			cfg.Tracer = rec
 			res, ttft, err := runContinuous(eng.Clock(), eng.Runtime(), cfg)
@@ -117,7 +117,7 @@ func TestServingTraceDecompositionTilesLatency(t *testing.T) {
 func TestServingTraceKVPressureEpisodes(t *testing.T) {
 	kv := tightPagedKV(t, 5000)
 	eng := engineFor(t, core.KindLiger)
-	rec := trace.NewServingRecorder()
+	rec := trace.NewRecorder()
 	kv.SetTracer(rec, eng.Clock().Now)
 	res, ttft, err := runContinuous(eng.Clock(), eng.Runtime(), ContinuousConfig{
 		SequenceWorkload: serve.SequenceWorkload{
@@ -195,7 +195,7 @@ func TestServingTraceRepeatRunByteIdentical(t *testing.T) {
 	render := func() (string, string, string) {
 		kv := tightPagedKV(t, 5000)
 		eng := engineFor(t, core.KindLiger)
-		rec := trace.NewServingRecorder()
+		rec := trace.NewRecorder()
 		kv.SetTracer(rec, eng.Clock().Now)
 		_, err := RunContinuous(eng.Clock(), eng.Runtime(), ContinuousConfig{
 			SequenceWorkload: serve.SequenceWorkload{

@@ -37,7 +37,7 @@ type KVEvent struct {
 	At       simclock.Time
 }
 
-// Tracer observes paged-allocator transitions. trace.ServingRecorder
+// Tracer observes paged-allocator transitions. trace.Recorder
 // implements it; wire with PagedManager.SetTracer.
 type Tracer interface {
 	KVEvent(KVEvent)

@@ -11,9 +11,9 @@ import (
 	"liger/internal/trace"
 )
 
-// Serving-layer metrics: a snapshot distilled from a
-// trace.ServingRecorder rather than from a device trace. The recorder
-// holds the batcher's iteration records, per-sequence lifecycle events,
+// Serving-layer metrics: a snapshot distilled from a trace.Recorder's
+// serving streams rather than from its device trace. Those streams
+// hold the batcher's iteration records, per-sequence lifecycle events,
 // KV block events, router decisions and KV handoffs; this file folds
 // them into the same Counters/Gauges/Histograms shape as Snapshot plus
 // a serving-specific windowed time-series (per-pool utilization, KV
@@ -51,7 +51,7 @@ type ServingSnapshot struct {
 	Windows    []ServingWindow      `json:"windows,omitempty"`
 }
 
-// FromServing distills a serving recorder into a snapshot. The
+// FromServing distills a recorder's serving streams into a snapshot. The
 // request histograms and the KV, handoff and router counters come from
 // the serving analyzer's per-request walk (analyze.AnalyzeServing), so
 // the two reports cannot disagree. Every driver fails a run that
@@ -60,7 +60,7 @@ type ServingSnapshot struct {
 // byte-deterministic regardless of how many workers or shards produced
 // the events. When opts.Window is set the windowed time-series is
 // appended.
-func FromServing(runtime string, rec *trace.ServingRecorder, opts Options) *ServingSnapshot {
+func FromServing(runtime string, rec *trace.Recorder, opts Options) *ServingSnapshot {
 	s := &ServingSnapshot{
 		Runtime:    runtime,
 		Counters:   map[string]int64{},
@@ -142,7 +142,7 @@ func FromServing(runtime string, rec *trace.ServingRecorder, opts Options) *Serv
 }
 
 // servingWindows cuts the recorded streams into fixed-width buckets.
-func servingWindows(rec *trace.ServingRecorder, width time.Duration) []ServingWindow {
+func servingWindows(rec *trace.Recorder, width time.Duration) []ServingWindow {
 	var span time.Duration
 	grow := func(t time.Duration) {
 		if t > span {

@@ -607,7 +607,7 @@ func runShardFleet(t *testing.T, arrivals []serve.Arrival, replicas int, fail si
 		rts = append(rts, rt.(*runtimes.Liger))
 		runtimes.SetReplay(rts[len(rts)-1], replay)
 	}
-	rec := trace.NewServingRecorder()
+	rec := trace.NewRecorder()
 	pol := serve.Policy{Deadline: time.Second, MaxRetries: 3, Backoff: 50 * time.Microsecond, BackoffCap: time.Millisecond}
 	res, err := serve.RunFleet(f, arrivals, pol, serve.RouterPolicy{Seed: 1, Tracer: rec})
 	if err != nil {

@@ -28,8 +28,8 @@ type RunOptions struct {
 	// disaggregated runs use (<= 1 is serial). A single-node run is one
 	// shard and ignores it (docs/PERF.md).
 	Shards int
-	// Trace arms the run's recorder: a trace.Recorder on a single-node
-	// batch run, a trace.ServingRecorder in every other mode.
+	// Trace arms the run's trace.Recorder in every mode: node streams on
+	// a single-node batch run, serving streams in every other mode.
 	Trace bool
 	// Journal keeps the last Journal Liger scheduling rounds of a
 	// single-node batch run.
@@ -42,9 +42,9 @@ type Outcome struct {
 	Result serve.Result
 	// Engine is a batch run's single node.
 	Engine *core.Engine
-	// Recorder and Serving hold the run's telemetry (RunOptions.Trace).
+	// Recorder holds the run's telemetry (RunOptions.Trace), its
+	// serving streams normalized.
 	Recorder *trace.Recorder
-	Serving  *trace.ServingRecorder
 	// KVTransfers and KVTransferBytes total a disaggregated run's
 	// prefill-to-decode handoffs.
 	KVTransfers     int
@@ -173,16 +173,16 @@ func runContinuous(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcom
 	plan := c.Continuous
 	ccfg := generate.ContinuousConfig{SequenceWorkload: c.sequenceWorkload()}
 	if opts.Trace {
-		out.Serving = trace.NewServingRecorder()
-		ccfg.Tracer = out.Serving
+		out.Recorder = trace.NewRecorder()
+		ccfg.Tracer = out.Recorder
 	}
 	var paged *kvcache.PagedManager
 	if plan.KV {
 		if paged, err = kvcache.NewPaged(c.Node, c.Model, plan.Pool, plan.Prompt+plan.Gen, plan.pagedConfig()); err != nil {
 			return nil, fmt.Errorf("kv: %w", err)
 		}
-		if out.Serving != nil {
-			paged.SetTracer(out.Serving, eng.Clock().Now)
+		if out.Recorder != nil {
+			paged.SetTracer(out.Recorder, eng.Clock().Now)
 		}
 		ccfg.KV = paged
 	}
@@ -191,6 +191,9 @@ func runContinuous(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcom
 	}
 	if paged != nil {
 		out.Result.KVPeakBlocks = paged.PeakUsedBlocks()
+	}
+	if out.Recorder != nil {
+		out.Recorder.Normalize()
 	}
 	return out, nil
 }
@@ -221,7 +224,7 @@ func runDisagg(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcome, e
 	if out.Result, err = d.Run(); err != nil {
 		return nil, err
 	}
-	out.Serving = d.ServingTrace()
+	out.Recorder = d.ServingTrace()
 	out.KVTransfers, out.KVTransferBytes = d.Handoffs()
 	return out, nil
 }
@@ -266,11 +269,14 @@ func runFleet(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcome, er
 	out := &Outcome{}
 	rp := serve.RouterPolicy{Hedge: c.Hedge, Seed: c.Scenario.Workload.Seed}
 	if opts.Trace {
-		out.Serving = trace.NewServingRecorder()
-		rp.Tracer = out.Serving
+		out.Recorder = trace.NewRecorder()
+		rp.Tracer = out.Recorder
 	}
 	if out.Result, err = serve.RunFleet(f, arrivals, c.Policy, rp); err != nil {
 		return nil, err
+	}
+	if out.Recorder != nil {
+		out.Recorder.Normalize()
 	}
 	return out, nil
 }

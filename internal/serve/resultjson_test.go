@@ -68,7 +68,7 @@ func TestResultJSONBatchOmitsZeroServingBlock(t *testing.T) {
 // the full lifecycle event stream, all tagged with the configured pool.
 func TestContinuousBatcherEmitsServingTrace(t *testing.T) {
 	h := newContinuousHarness(t, nil, 4)
-	rec := trace.NewServingRecorder()
+	rec := trace.NewRecorder()
 	h.cb.SetTracer(rec, 3)
 	h.eng.After(0, func(now simclock.Time) {
 		h.cb.Add(GenSeq{ID: 1, Prompt: 8, Gen: 4}, now)

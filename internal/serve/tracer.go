@@ -4,8 +4,8 @@ import "liger/internal/trace"
 
 // Serving-layer tracing mirrors gpusim's: one ServingTracer interface
 // carries every record kind the batcher and the router emit, so
-// emitters stay decoupled from the recorder. trace.ServingRecorder
-// implements it; a nil tracer costs one branch per event.
+// emitters stay decoupled from the recorder. trace.Recorder implements
+// it; a nil tracer costs one branch per event.
 //
 // The record types live in the trace package (which must sit below
 // serve in the import graph); these aliases keep serve's tracer API

@@ -1,22 +1,20 @@
 package trace
 
 import (
-	"io"
 	"sort"
 	"strconv"
 
 	"liger/internal/kvcache"
 )
 
-// ServingRecorder collects the serving-layer record streams — batcher
-// iterations, sequence lifecycles, paged-KV block transitions, router
-// decisions, and disaggregation KV handoffs — and renders them as
-// Chrome-trace lanes beside the device trace. It implements
-// serve.ServingTracer and kvcache.Tracer (cluster.Disagg records its
-// KV handoffs through KVHandoff directly), so one recorder wires the
-// whole stack:
+// The serving half of Recorder: batcher iterations, sequence
+// lifecycles, paged-KV block transitions, router decisions and
+// disaggregation KV handoffs, rendered as Chrome-trace lanes beside the
+// device trace. Recorder implements serve.ServingTracer and
+// kvcache.Tracer (cluster.Disagg records its KV handoffs through
+// KVHandoff directly), so one recorder wires the whole stack:
 //
-//	rec := trace.NewServingRecorder()
+//	rec := trace.NewRecorder()
 //	batcher.SetTracer(rec, 0)
 //	paged.SetTracer(rec, eng.Now)
 //	routerPolicy.Tracer = rec
@@ -26,17 +24,16 @@ import (
 // after the run, which keeps recording race-free and — with the fixed
 // merge order plus the stable time sort — byte-deterministic at any
 // worker count.
-type ServingRecorder struct {
-	// pool stamps incoming kvcache events (which carry no pool of their
-	// own) with the owning decode pool.
-	pool int
 
-	iterations []IterationRecord
-	seqEvents  []SeqEvent
-	kvEvents   []PoolKVEvent
-	decisions  []RouterDecision
-	handoffs   []KVHandoff
-}
+// ServingRecorder is an alias of Recorder.
+//
+// Deprecated: use Recorder.
+type ServingRecorder = Recorder
+
+// NewServingRecorder returns NewRecorder().
+//
+// Deprecated: use NewRecorder.
+func NewServingRecorder() *Recorder { return NewRecorder() }
 
 // PoolKVEvent is one paged-allocator transition attributed to its
 // decode pool (the allocator itself doesn't know which pool owns it).
@@ -45,45 +42,43 @@ type PoolKVEvent struct {
 	kvcache.KVEvent
 }
 
-// NewServingRecorder returns an empty recorder attributing KV events
-// to pool 0; SetPool changes the attribution for per-node recorders.
-func NewServingRecorder() *ServingRecorder { return &ServingRecorder{} }
+// SetPool sets the decode-pool index stamped on subsequent KV events
+// (0 in a new recorder), for per-node recorders.
+func (r *Recorder) SetPool(pool int) { r.pool = pool }
 
-// SetPool sets the decode-pool index stamped on subsequent KV events.
-func (r *ServingRecorder) SetPool(pool int) { r.pool = pool }
-
-var _ kvcache.Tracer = (*ServingRecorder)(nil)
+var _ kvcache.Tracer = (*Recorder)(nil)
 
 // Iteration implements serve.ServingTracer.
-func (r *ServingRecorder) Iteration(rec IterationRecord) {
+func (r *Recorder) Iteration(rec IterationRecord) {
 	r.iterations = append(r.iterations, rec)
 }
 
 // SeqEvent implements serve.ServingTracer.
-func (r *ServingRecorder) SeqEvent(e SeqEvent) {
+func (r *Recorder) SeqEvent(e SeqEvent) {
 	r.seqEvents = append(r.seqEvents, e)
 }
 
 // RouterDecision implements serve.ServingTracer.
-func (r *ServingRecorder) RouterDecision(d RouterDecision) {
+func (r *Recorder) RouterDecision(d RouterDecision) {
 	r.decisions = append(r.decisions, d)
 }
 
 // KVHandoff records one prefill→decode cache transfer; cluster.Disagg
 // calls it on its frontend recorder.
-func (r *ServingRecorder) KVHandoff(h KVHandoff) {
+func (r *Recorder) KVHandoff(h KVHandoff) {
 	r.handoffs = append(r.handoffs, h)
 }
 
 // KVEvent implements kvcache.Tracer.
-func (r *ServingRecorder) KVEvent(e kvcache.KVEvent) {
+func (r *Recorder) KVEvent(e kvcache.KVEvent) {
 	r.kvEvents = append(r.kvEvents, PoolKVEvent{Pool: r.pool, KVEvent: e})
 }
 
-// Merge appends every record of o. The caller merges shards in a fixed
-// order and then calls Normalize once, so the combined streams are a
-// pure function of the simulation.
-func (r *ServingRecorder) Merge(o *ServingRecorder) {
+// Merge appends every serving record of o. The caller merges shards in
+// a fixed order and then calls Normalize once, so the combined streams
+// are a pure function of the simulation. A node's streams come from
+// one shard and are never merged.
+func (r *Recorder) Merge(o *Recorder) {
 	r.iterations = append(r.iterations, o.iterations...)
 	r.seqEvents = append(r.seqEvents, o.seqEvents...)
 	r.kvEvents = append(r.kvEvents, o.kvEvents...)
@@ -91,10 +86,10 @@ func (r *ServingRecorder) Merge(o *ServingRecorder) {
 	r.handoffs = append(r.handoffs, o.handoffs...)
 }
 
-// Normalize stably sorts every stream by (time, pool), preserving each
-// shard's in-order semantics while making merged output independent of
-// which streams saw events first.
-func (r *ServingRecorder) Normalize() {
+// Normalize stably sorts every serving stream by (time, pool),
+// preserving each shard's in-order semantics while making merged output
+// independent of which streams saw events first.
+func (r *Recorder) Normalize() {
 	sort.SliceStable(r.iterations, func(i, j int) bool {
 		a, b := r.iterations[i], r.iterations[j]
 		if a.Start != b.Start {
@@ -133,25 +128,25 @@ func (r *ServingRecorder) Normalize() {
 }
 
 // Iterations returns the recorded batcher submissions.
-func (r *ServingRecorder) Iterations() []IterationRecord { return r.iterations }
+func (r *Recorder) Iterations() []IterationRecord { return r.iterations }
 
 // SeqEvents returns the recorded sequence lifecycle instants.
-func (r *ServingRecorder) SeqEvents() []SeqEvent { return r.seqEvents }
+func (r *Recorder) SeqEvents() []SeqEvent { return r.seqEvents }
 
 // KVEvents returns the recorded paged-allocator transitions.
-func (r *ServingRecorder) KVEvents() []PoolKVEvent { return r.kvEvents }
+func (r *Recorder) KVEvents() []PoolKVEvent { return r.kvEvents }
 
 // RouterDecisions returns the recorded routing outcomes.
-func (r *ServingRecorder) RouterDecisions() []RouterDecision { return r.decisions }
+func (r *Recorder) RouterDecisions() []RouterDecision { return r.decisions }
 
 // KVHandoffs returns the recorded prefill→decode cache transfers.
-func (r *ServingRecorder) KVHandoffs() []KVHandoff { return r.handoffs }
+func (r *Recorder) KVHandoffs() []KVHandoff { return r.handoffs }
 
 // Serving-trace track layout: each decode pool is a process with an
 // iteration lane, a KV-pressure counter track, and a lifecycle lane;
 // the router and the handoff fabric get processes of their own. PIDs
-// sit above globalPID so a serving trace can be concatenated with a
-// device trace without id collisions.
+// sit above globalPID, so the serving and device events share one
+// trace without id collisions.
 const (
 	servingPIDBase = 1<<20 + 1<<10 // pool p => servingPIDBase + p
 	routerPID      = 1<<20 + 1<<16
@@ -162,15 +157,15 @@ const (
 	tidLifecycle  = 2
 )
 
-// WriteChromeTrace serializes the serving record streams as a Chrome
-// trace: one iteration lane per pool ("prefill"/"decode" spans with
-// occupancy and KV gauges), a per-pool kv_blocks counter track with a
+// servingEvents renders the serving half of WriteChromeTrace: one
+// iteration lane per pool ("prefill"/"decode" spans with occupancy and
+// KV gauges), a per-pool kv_blocks counter track with a
 // watermark-pressure instant at every pressured transition, lifecycle
 // instants (arrive/prefill/join/preempt/finish), router-decision
 // instants, and KV-handoff spans with flow arrows into the receiving
-// pool. Events sort stably by (TS, PID, TID, Name), so the bytes are a
+// pool, then the names of those processes. Its bytes in the trace are a
 // pure function of the normalized record streams.
-func (r *ServingRecorder) WriteChromeTrace(w io.Writer) error {
+func (r *Recorder) servingEvents() []chromeEvent {
 	events := make([]chromeEvent, 0,
 		len(r.iterations)+len(r.seqEvents)+2*len(r.kvEvents)+len(r.decisions)+3*len(r.handoffs))
 	for _, it := range r.iterations {
@@ -258,13 +253,6 @@ func (r *ServingRecorder) WriteChromeTrace(w io.Writer) error {
 			},
 		)
 	}
-	events = append(events, r.servingMetadata()...)
-	return writeEvents(w, events)
-}
-
-// servingMetadata names the pool/router/handoff processes and their
-// tracks.
-func (r *ServingRecorder) servingMetadata() []chromeEvent {
 	pools := map[int]bool{}
 	for _, it := range r.iterations {
 		pools[it.Pool] = true
@@ -275,44 +263,18 @@ func (r *ServingRecorder) servingMetadata() []chromeEvent {
 	for _, e := range r.kvEvents {
 		pools[e.Pool] = true
 	}
-	ids := make([]int, 0, len(pools))
-	for p := range pools {
-		ids = append(ids, p)
-	}
-	sort.Ints(ids)
-	var out []chromeEvent
-	for _, p := range ids {
-		pid := servingPIDBase + p
+	for _, p := range sortedIDs(pools) {
 		name := "pool " + strconv.Itoa(p)
 		if p < 0 {
 			name = "frontend"
 		}
-		out = append(out,
-			chromeEvent{Name: "process_name", Phase: "M", PID: pid,
-				Args: map[string]any{"name": name}},
-			chromeEvent{Name: "thread_name", Phase: "M", PID: pid, TID: tidIterations,
-				Args: map[string]any{"name": "iterations"}},
-			chromeEvent{Name: "thread_name", Phase: "M", PID: pid, TID: tidKV,
-				Args: map[string]any{"name": "kv blocks"}},
-			chromeEvent{Name: "thread_name", Phase: "M", PID: pid, TID: tidLifecycle,
-				Args: map[string]any{"name": "lifecycle"}},
-		)
+		events = append(events, process(servingPIDBase+p, name, "iterations", "kv blocks", "lifecycle")...)
 	}
 	if len(r.decisions) > 0 {
-		out = append(out,
-			chromeEvent{Name: "process_name", Phase: "M", PID: routerPID,
-				Args: map[string]any{"name": "router"}},
-			chromeEvent{Name: "thread_name", Phase: "M", PID: routerPID, TID: 0,
-				Args: map[string]any{"name": "decisions"}},
-		)
+		events = append(events, process(routerPID, "router", "decisions")...)
 	}
 	if len(r.handoffs) > 0 {
-		out = append(out,
-			chromeEvent{Name: "process_name", Phase: "M", PID: handoffPID,
-				Args: map[string]any{"name": "kv handoff"}},
-			chromeEvent{Name: "thread_name", Phase: "M", PID: handoffPID, TID: 0,
-				Args: map[string]any{"name": "transfers"}},
-		)
+		events = append(events, process(handoffPID, "kv handoff", "transfers")...)
 	}
-	return out
+	return events
 }

@@ -5,7 +5,7 @@ import "liger/internal/simclock"
 // Serving-layer record types. They live here — not in serve — so the
 // trace package stays below serve in the import graph (serve aliases
 // them for its tracer interfaces); the serving layers emit these
-// records and ServingRecorder collects them.
+// records and Recorder collects them.
 
 // IterationRecord is one scheduler submission of the continuous
 // batcher: either a prefill batch over newly admitted sequences or a

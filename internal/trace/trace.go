@@ -130,9 +130,12 @@ type ReqLatency struct {
 	Cancelled int
 }
 
-// Recorder is the node's gpusim.Tracer: installed via
-// gpusim.Node.SetTracer, it collects kernel spans, dependency records
-// and the collective, fault and launch-queue events.
+// Recorder is the one recorder of every layer. As the node's
+// gpusim.Tracer (gpusim.Node.SetTracer) it collects kernel spans,
+// dependency records and the collective, fault and launch-queue events;
+// as serve.ServingTracer and kvcache.Tracer it collects the serving
+// streams (serving.go). A run that records one layer leaves the other
+// half empty, and WriteChromeTrace renders both halves into one trace.
 type Recorder struct {
 	spans    []Span
 	deps     []Dep
@@ -149,6 +152,15 @@ type Recorder struct {
 	openWaits map[int][]WaitSpan
 	lastQ     map[int]int
 	recovOpen bool
+
+	// pool stamps incoming kvcache events (which carry no pool of their
+	// own) with the owning decode pool.
+	pool       int
+	iterations []IterationRecord
+	seqEvents  []SeqEvent
+	kvEvents   []PoolKVEvent
+	decisions  []RouterDecision
+	handoffs   []KVHandoff
 }
 
 // NewRecorder returns an empty recorder.
@@ -386,13 +398,16 @@ const (
 
 func usec(t simclock.Time) float64 { return float64(t) / 1e3 }
 
-// WriteChromeTrace serializes every recorded event as a Chrome trace.
-// Devices map to processes; kernel spans land on the compute/comm
-// tracks, rendezvous waits on their own track, fault-model rates and
-// launch-queue depths become counter tracks, device failures instant
-// events, and recovery windows spans on a node-wide process. Output is
-// byte-deterministic: events sort stably by (TS, PID, TID, Name) and
-// args serialize with sorted keys.
+// WriteChromeTrace serializes every recorded event as one Chrome
+// trace, the node events first and the serving events (servingEvents)
+// after them. Devices map to processes; kernel spans land on the
+// compute/comm tracks, rendezvous waits on their own track, fault-model
+// rates and launch-queue depths become counter tracks, device failures
+// instant events, and recovery windows spans on a node-wide process.
+// The two halves use disjoint PIDs, so a recorder holding one layer
+// writes exactly that layer's trace. Output is byte-deterministic:
+// events sort stably by (TS, PID, TID, Name) and args serialize with
+// sorted keys.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	events := make([]chromeEvent, 0,
 		2*len(r.spans)+len(r.waits)+len(r.rates)+len(r.queue)+len(r.fails)+len(r.enqueues))
@@ -479,13 +494,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	events = append(events, r.runningCounters()...)
 	events = append(events, r.metadata()...)
-	return writeEvents(w, events)
-}
-
-// writeEvents sorts events stably by (TS, PID, TID, Name) and encodes
-// them as one JSON array, so the bytes are a pure function of the
-// recorded streams.
-func writeEvents(w io.Writer, events []chromeEvent) error {
+	events = append(events, r.servingEvents()...)
 	sort.SliceStable(events, func(i, j int) bool {
 		a, b := events[i], events[j]
 		if a.TS != b.TS {
@@ -551,8 +560,8 @@ func (r *Recorder) runningCounters() []chromeEvent {
 	return out
 }
 
-// metadata names the processes and threads so Perfetto shows devices
-// and track roles instead of bare ids.
+// metadata names the device and node processes and their tracks so
+// Perfetto shows devices and track roles instead of bare ids.
 func (r *Recorder) metadata() []chromeEvent {
 	devs := map[int]bool{}
 	for _, s := range r.spans {
@@ -570,29 +579,35 @@ func (r *Recorder) metadata() []chromeEvent {
 	for _, f := range r.fails {
 		devs[f.Device] = true
 	}
-	ids := make([]int, 0, len(devs))
-	for d := range devs {
-		ids = append(ids, d)
-	}
-	sort.Ints(ids)
 	var out []chromeEvent
-	for _, d := range ids {
-		out = append(out,
-			chromeEvent{Name: "process_name", Phase: "M", PID: d,
-				Args: map[string]any{"name": "GPU " + strconv.Itoa(d)}},
-			chromeEvent{Name: "thread_name", Phase: "M", PID: d, TID: tidCompute,
-				Args: map[string]any{"name": "compute"}},
-			chromeEvent{Name: "thread_name", Phase: "M", PID: d, TID: tidComm,
-				Args: map[string]any{"name": "comm"}},
-			chromeEvent{Name: "thread_name", Phase: "M", PID: d, TID: tidWait,
-				Args: map[string]any{"name": "rendezvous"}},
-		)
+	for _, d := range sortedIDs(devs) {
+		out = append(out, process(d, "GPU "+strconv.Itoa(d), "compute", "comm", "rendezvous")...)
 	}
 	if len(r.recovery) > 0 {
-		out = append(out, chromeEvent{Name: "process_name", Phase: "M", PID: globalPID,
-			Args: map[string]any{"name": "node"}})
+		out = append(out, process(globalPID, "node")...)
 	}
 	return out
+}
+
+// process names one Chrome-trace process and its threads, the i-th
+// thread name going to TID i.
+func process(pid int, name string, threads ...string) []chromeEvent {
+	out := []chromeEvent{{Name: "process_name", Phase: "M", PID: pid, Args: map[string]any{"name": name}}}
+	for tid, t := range threads {
+		out = append(out, chromeEvent{Name: "thread_name", Phase: "M", PID: pid, TID: tid,
+			Args: map[string]any{"name": t}})
+	}
+	return out
+}
+
+// sortedIDs returns the keys of an id set in increasing order.
+func sortedIDs(set map[int]bool) []int {
+	ids := make([]int, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
 }
 
 // OverlapTime returns, per device, the total time during which a

@@ -83,11 +83,11 @@
 //     episodes, counters) and tile each request's latency exactly
 //  15. disagg: `ligersim -disagg -model tiny -batches 24 -rate 2000
 //     -prompt 32 -gen 8 -pool 8 -prefillnodes 2 -decodenodes 2
-//     -serving-report` (prefill and decode pools on the fleet's node
+//     -explain` (prefill and decode pools on the fleet's node
 //     table) at -shards 1 and -shards 4 — results and the serving
 //     decomposition
 //  16. continuous: `ligersim -continuous -model tiny -batches 24 -rate
-//     2000 -prompt 32 -gen 8 -pool 8 -serving-report` (continuous
+//     2000 -prompt 32 -gen 8 -pool 8 -explain` (continuous
 //     batching over the paged KV cache, lowered onto the scenario
 //     runner) twice on the same seed
 //  17. fleet CLI: `ligersim -nodes 3 -spares 1` (replicas behind the
@@ -241,13 +241,13 @@ func main() {
 			what: "disaggregated serving report",
 			args: ligersim("-disagg", "-model", "tiny", "-batches", "24", "-rate", "2000",
 				"-prompt", "32", "-gen", "8", "-pool", "8", "-prefillnodes", "2", "-decodenodes", "2",
-				"-serving-report"),
+				"-explain"),
 			runs: shardsOneFour,
 		}.run},
 		{"continuous smoke", smoke{
 			what: "continuous serving report",
 			args: ligersim("-continuous", "-model", "tiny", "-batches", "24", "-rate", "2000",
-				"-prompt", "32", "-gen", "8", "-pool", "8", "-serving-report"),
+				"-prompt", "32", "-gen", "8", "-pool", "8", "-explain"),
 		}.run},
 		{"fleet CLI smoke", smoke{
 			what: "ligersim fleet report",
