@@ -235,6 +235,33 @@ func TestRunFleetPolicyRetriesAndExhaustion(t *testing.T) {
 	}
 }
 
+// TestRunFleetRetryWaitsForUp: a request that fails while no replica
+// is healthy parks with its retry pending and pays its backoff from the
+// next Up, not from the failure.
+func TestRunFleetRetryWaitsForUp(t *testing.T) {
+	f := newStubFleet(1)
+	f.failLeft[0] = 1
+	// Dispatched at 0, delivered at 1ms, failure notice at 12ms: the
+	// replica is already down by then and comes back at 30ms.
+	f.eng.At(simclock.Time(5*time.Millisecond), func(now simclock.Time) { f.hooks.Down(0, now) })
+	f.eng.At(simclock.Time(30*time.Millisecond), func(now simclock.Time) { f.hooks.Up(0, now) })
+	pol := Policy{MaxRetries: 1, Backoff: 4 * time.Millisecond}
+	res, err := RunFleet(f, stubArrivals(1, 0), pol, RouterPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 1 || res.Retries != 1 || res.Deferred != 0 {
+		t.Fatalf("%d ok / %d retries / %d deferred, want 1/1/0", res.Completed, res.Retries, res.Deferred)
+	}
+	// Up at 30ms, backoff to 34ms, then 1ms + 10ms + 1ms back.
+	if want := 46 * time.Millisecond; res.Latencies[0] != want {
+		t.Fatalf("latency %v, want %v (the backoff must start at the Up)", res.Latencies[0], want)
+	}
+	if want := 18 * time.Millisecond; res.PerRequest[0].Deferral != want {
+		t.Fatalf("deferral %v, want %v (parked from the 12ms failure to the 30ms Up)", res.PerRequest[0].Deferral, want)
+	}
+}
+
 func TestRunFleetFailsParkedBacklogAtDrain(t *testing.T) {
 	f := newStubFleet(1)
 	// Evict the only replica before anything arrives: every request
