@@ -119,6 +119,31 @@ func TestRetrySuppressedDuringReconfiguration(t *testing.T) {
 	}
 }
 
+// TestRetryDueDuringReconfigurationWaitsForResume: a retry whose
+// backoff ends while the runtime reconfigures is parked, not submitted
+// into the reconfiguring runtime, and its wait shows in Deferral.
+func TestRetryDueDuringReconfigurationWaitsForResume(t *testing.T) {
+	eng := simclock.New()
+	rt := &elasticStub{fakeRuntime: fakeRuntime{eng: eng, service: 5 * time.Millisecond}, failNext: 1}
+	rt.window(eng, 6*time.Millisecond, 30*time.Millisecond)
+	pol := Policy{MaxRetries: 1, Backoff: 2 * time.Millisecond}
+	res, err := RunPolicy(eng, rt, ctxArrivals(0), pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 1 || res.Retries != 1 {
+		t.Fatalf("completed %d retries %d, want 1/1", res.Completed, res.Retries)
+	}
+	// Failure at 5ms, before the window → the retry comes due at 7ms,
+	// inside it → parked until the 30ms resume → success at 35ms.
+	if want := 35 * time.Millisecond; res.Latencies[0] != want {
+		t.Fatalf("latency %v, want %v (the retry must wait for the resume)", res.Latencies[0], want)
+	}
+	if want := 23 * time.Millisecond; res.PerRequest[0].Deferral != want {
+		t.Fatalf("deferral %v, want %v", res.PerRequest[0].Deferral, want)
+	}
+}
+
 // TestQueueLimitSheds: arrivals past the admission bound are dropped,
 // counted in Shed, and never reach the runtime.
 func TestQueueLimitSheds(t *testing.T) {

@@ -5,9 +5,9 @@ import (
 	"math"
 	"time"
 
+	"liger/internal/model"
 	"liger/internal/runtimes"
 	"liger/internal/simclock"
-	"liger/internal/stats"
 )
 
 // Policy is the deadline/retry serving policy. The zero value is the
@@ -126,8 +126,8 @@ type Result struct {
 	// whole-node evictions.
 	Failovers int
 	// Hedges counts duplicate dispatches the fleet router sent after the
-	// hedging delay elapsed without a completion (RunFleet only; zero in
-	// single-node runs).
+	// hedging delay elapsed without a completion (zero in single-node
+	// runs, which never hedge).
 	Hedges int
 	// RecoveryTime is the total sim time the runtime reported
 	// "reconfiguring" (time-to-recover, summed over failovers).
@@ -159,7 +159,7 @@ type Result struct {
 	KVPeakBlocks     int
 
 	// PerRequest holds the serving-side latency decomposition, one entry
-	// per arrival in arrival order (RunPolicy only).
+	// per arrival in arrival order (batch runs: RunPolicy and RunFleet).
 	PerRequest []RequestLat
 }
 
@@ -228,155 +228,104 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, arrivals []Arrival) (Result,
 }
 
 // RunPolicy drives a runtime with the arrival trace under a
-// deadline/retry policy. A batch whose completion reports Failed (a
-// collective abort under fault injection) is resubmitted after a capped
-// exponential backoff until it succeeds or the retry budget is spent;
-// successful-batch latency spans original arrival to final success, so
-// goodput and deadline misses price in the recovery time.
+// deadline/retry policy. It is RunFleet over a one-replica view of the
+// runtime (node), so one node and a fleet serve under one
+// implementation of every policy rule. A batch whose completion reports
+// Failed (a collective abort under fault injection) is resubmitted
+// after a capped exponential backoff until it succeeds or the retry
+// budget is spent; successful-batch latency spans original arrival to
+// final success, so goodput and deadline misses price in the recovery
+// time.
 //
 // Recovery-aware overload protection: when the runtime is Elastic and
-// reports "reconfiguring" after a permanent device failure, arrivals
-// are deferred (parked, submitted at the resume instant) and retries
-// are suppressed until resume — the retry budget is spent against the
-// new world, not the dead one. Independently, QueueLimit sheds
-// arrivals past the admission bound so the post-failure backlog drains
-// instead of compounding.
+// reports "reconfiguring" after a permanent device failure, the replica
+// is down until the resume instant. Arrivals and retries that come due
+// meanwhile are parked and submitted at the resume, and a batch that
+// fails mid-recovery pays its backoff from the resume — the retry
+// budget is spent against the new world, not the dead one.
+// Independently, QueueLimit sheds arrivals past the admission bound so
+// the post-failure backlog drains instead of compounding.
 func RunPolicy(eng *simclock.Engine, rt runtimes.Runtime, arrivals []Arrival, pol Policy) (Result, error) {
-	res := Result{Runtime: rt.Name(), Deadline: pol.Deadline}
-	if len(arrivals) == 0 {
-		return res, fmt.Errorf("serve: empty trace")
-	}
-	if err := pol.Validate(); err != nil {
-		return res, err
-	}
-	elastic, _ := rt.(runtimes.Elastic)
-	tagged, _ := rt.(runtimes.Tagged)
-	// PerRequest tracks every arrival's serving-side decomposition; the
-	// request id is the arrival index, threaded to tagged runtimes.
-	res.PerRequest = make([]RequestLat, len(arrivals))
-	for i := range res.PerRequest {
-		res.PerRequest[i] = RequestLat{Req: i, Arrival: time.Duration(arrivals[i].At)}
-	}
-	// Runtimes complete batches with IDs assigned in submission order;
-	// subs maps completion ID back to the originating arrival + attempt.
-	type submission struct {
-		arrival int
-		attempt int
-		// parkedAt is when the entry was parked during a reconfiguration
-		// (valid for entries in the parked list only).
-		parkedAt simclock.Time
-	}
-	var subs []submission
-	var submitErr error
-	var lastDone simclock.Time
-	// inflight counts admitted arrivals not yet terminally resolved —
-	// the bounded admission queue's occupancy. Deferred arrivals and
-	// parked retries stay in it.
-	inflight := 0
-	// parked holds work suppressed during a reconfiguration: attempt 0
-	// entries are deferred arrivals, attempt > 0 entries are retries of
-	// batches that failed while the runtime was already reconfiguring.
-	var parked []submission
-	submit := func(arrival, attempt int) {
-		subs = append(subs, submission{arrival: arrival, attempt: attempt})
-		if attempt == 0 {
-			res.PerRequest[arrival].QueueWait =
-				time.Duration(eng.Now()) - res.PerRequest[arrival].Arrival
-		}
-		var err error
-		if tagged != nil {
-			err = tagged.SubmitReq(arrivals[arrival].Workload, arrival)
-		} else {
-			err = rt.Submit(arrivals[arrival].Workload)
-		}
-		if err != nil && submitErr == nil {
-			submitErr = err
-		}
-	}
-	retryAfterBackoff := func(arrival, attempt int) {
-		res.Retries++
-		res.PerRequest[arrival].Retries++
-		eng.After(pol.backoffFor(attempt), func(simclock.Time) {
-			submit(arrival, attempt)
-		})
-	}
-	rt.SetOnDone(func(c runtimes.Completion) {
-		sub := subs[c.ID]
-		if c.Done > lastDone {
-			lastDone = c.Done
-		}
+	n := &node{eng: eng, rt: rt}
+	n.tagged, _ = rt.(runtimes.Tagged)
+	n.elastic, _ = rt.(runtimes.Elastic)
+	return RunFleet(n, arrivals, pol, RouterPolicy{})
+}
+
+// node is the one-replica FleetRuntime RunPolicy routes through: the
+// runtime is replica 0 and its engine is the frontend. It reads
+// Reconfiguring only when a dispatch or a failed completion finds the
+// runtime, reports the replica Down when it is, and Up at the resume.
+type node struct {
+	eng     *simclock.Engine
+	rt      runtimes.Runtime
+	tagged  runtimes.Tagged
+	elastic runtimes.Elastic
+	hooks   RouterHooks
+	// reqs maps the runtime's batch IDs, assigned in submission order,
+	// to request ids.
+	reqs []int
+	// err is the first submit error.
+	err error
+}
+
+func (n *node) RuntimeName() string        { return n.rt.Name() }
+func (n *node) Replicas() int              { return 1 }
+func (n *node) Frontend() *simclock.Engine { return n.eng }
+func (n *node) Run() error                 { n.eng.Run(); return n.err }
+
+func (n *node) SetRouter(h RouterHooks) {
+	n.hooks = h
+	n.rt.SetOnDone(func(c runtimes.Completion) {
+		status := DispatchOK
 		if c.Failed {
-			if sub.attempt < pol.MaxRetries {
-				if elastic != nil && elastic.Reconfiguring() {
-					parked = append(parked, submission{arrival: sub.arrival,
-						attempt: sub.attempt + 1, parkedAt: c.Done})
-					return
-				}
-				retryAfterBackoff(sub.arrival, sub.attempt+1)
-			} else {
-				res.Failed++
-				inflight--
-				res.PerRequest[sub.arrival].Failed = true
-				res.PerRequest[sub.arrival].Done = time.Duration(c.Done)
-			}
-			return
+			status = DispatchFailed
+			n.down(c.Done)
 		}
-		res.Completed++
-		inflight--
-		res.Requests += c.Workload.Batch
-		lat := time.Duration(c.Done - arrivals[sub.arrival].At)
-		res.Latencies = append(res.Latencies, lat)
-		res.PerRequest[sub.arrival].Done = time.Duration(c.Done)
-		if pol.Deadline > 0 && lat > pol.Deadline {
-			res.DeadlineMisses++
-		}
+		h.Done(0, n.reqs[c.ID], status, c.Done)
 	})
-	if elastic != nil {
-		elastic.OnReconfigured(func(now simclock.Time) {
-			flush := parked
-			parked = nil
-			for _, p := range flush {
-				res.PerRequest[p.arrival].Deferral += time.Duration(now - p.parkedAt)
-				if p.attempt > 0 {
-					retryAfterBackoff(p.arrival, p.attempt)
-				} else {
-					submit(p.arrival, 0)
-				}
-			}
-		})
+	if n.elastic != nil {
+		n.elastic.OnReconfigured(func(now simclock.Time) { h.Up(0, now) })
 	}
-	for i, a := range arrivals {
-		arrival := i
-		eng.At(a.At, func(now simclock.Time) {
-			if pol.QueueLimit > 0 && inflight >= pol.QueueLimit {
-				res.Shed++
-				res.PerRequest[arrival].Shed = true
-				res.PerRequest[arrival].Done = time.Duration(now)
-				return
-			}
-			inflight++
-			if elastic != nil && elastic.Reconfiguring() {
-				res.Deferred++
-				parked = append(parked, submission{arrival: arrival, parkedAt: now})
-				return
-			}
-			submit(arrival, 0)
-		})
+}
+
+// down reports the replica Down when the runtime is reconfiguring.
+func (n *node) down(now simclock.Time) bool {
+	if n.elastic == nil || !n.elastic.Reconfiguring() {
+		return false
 	}
-	eng.Run()
-	if submitErr != nil {
-		return res, submitErr
+	n.hooks.Down(0, now)
+	return true
+}
+
+// Dispatch submits req at once, tagged when the runtime takes tags, or
+// bounces it DispatchBusy when the runtime is reconfiguring. A submit
+// that errors took no batch ID, so its record comes out again: later
+// completions index the records by batch ID.
+func (n *node) Dispatch(_, req int, w model.Workload) {
+	now := n.eng.Now()
+	if n.down(now) {
+		n.hooks.Done(0, req, DispatchBusy, now)
+		return
 	}
-	if elastic != nil {
-		res.Failovers, res.RecoveryTime = elastic.FailoverStats()
+	n.reqs = append(n.reqs, req)
+	var err error
+	if n.tagged != nil {
+		err = n.tagged.SubmitReq(w, req)
+	} else {
+		err = n.rt.Submit(w)
 	}
-	if res.Completed+res.Failed+res.Shed != len(arrivals) {
-		return res, fmt.Errorf("serve: %d of %d batches accounted for (%d ok, %d failed, %d shed)",
-			res.Completed+res.Failed+res.Shed, len(arrivals), res.Completed, res.Failed, res.Shed)
+	if err != nil {
+		n.reqs = n.reqs[:len(n.reqs)-1]
+		if n.err == nil {
+			n.err = err
+		}
 	}
-	res.AvgLatency = stats.Mean(res.Latencies)
-	pcts := stats.Percentiles(res.Latencies, 50, 95, 99)
-	res.P50, res.P95, res.P99 = pcts[0], pcts[1], pcts[2]
-	res.Makespan = time.Duration(lastDone - arrivals[0].At)
-	return res, nil
+}
+
+func (n *node) FleetStats() (int, time.Duration) {
+	if n.elastic == nil {
+		return 0, 0
+	}
+	return n.elastic.FailoverStats()
 }
