@@ -94,12 +94,6 @@ type Options struct {
 	// defaults.
 	NCCL    nccl.Config
 	NCCLSet bool
-	// IgnoreMemory skips the placement check. By default NewEngine
-	// refuses configurations whose per-device weight + workspace
-	// footprint exceeds device memory — the constraint behind the
-	// paper's testbed assignment (§4.2: only OPT-30B fits the 16 GB
-	// V100 node).
-	IgnoreMemory bool
 	// Tracer, if non-nil, receives the node's spans, dependency records
 	// and collective, fault and launch-queue events.
 	Tracer gpusim.Tracer
@@ -137,12 +131,13 @@ func NewEngine(opts Options) (*Engine, error) {
 	if err := opts.Model.Validate(); err != nil {
 		return nil, err
 	}
-	if !opts.IgnoreMemory {
-		// Bound the workspace by the paper's largest general-task batch
-		// shape (batch 8, seq 128) or the generative batch (32 tokens).
-		if err := parallel.CheckPlacement(opts.Node, opts.Model, 8, 128, 0, 0); err != nil {
-			return nil, err
-		}
+	// Refuse configurations whose per-device weight + workspace
+	// footprint exceeds device memory — the constraint behind the
+	// paper's testbed assignment (§4.2: only OPT-30B fits the 16 GB V100
+	// node). Bound the workspace by the paper's largest general-task
+	// batch shape (batch 8, seq 128) or the generative batch (32 tokens).
+	if err := parallel.CheckPlacement(opts.Node, opts.Model, 8, 128, 0, 0); err != nil {
+		return nil, err
 	}
 	ncclCfg := opts.NCCL
 	if !opts.NCCLSet {

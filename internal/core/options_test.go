@@ -47,16 +47,6 @@ func TestMemoryCheckRejectsOversizedModels(t *testing.T) {
 	if _, err := NewEngine(Options{Node: hw.V100Node(), Model: edge, Runtime: KindIntraOp}); err == nil {
 		t.Fatal("marginal model accepted by the static check")
 	}
-	// IgnoreMemory bypasses the static check; the device pools still
-	// enforce physical capacity at allocation time.
-	if _, err := NewEngine(Options{Node: hw.V100Node(), Model: edge, Runtime: KindIntraOp, IgnoreMemory: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Physics is never bypassed: weights that exceed device memory fail
-	// even with IgnoreMemory.
-	if _, err := NewEngine(Options{Node: hw.V100Node(), Model: model.GLM130B(), Runtime: KindIntraOp, IgnoreMemory: true}); err == nil {
-		t.Fatal("physically impossible placement accepted")
-	}
 }
 
 func TestWeightsAllocatedOnDevices(t *testing.T) {

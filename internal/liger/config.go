@@ -72,16 +72,15 @@ type Config struct {
 	// telemetry (the NVML/DCGM analogue exposed by the simulator) each
 	// round and re-plan: with a degraded device the secondary budget
 	// shrinks proportionally to the worst device health, and below
-	// FallbackHealth the scheduler skips the secondary subset entirely —
+	// fallbackHealth the scheduler skips the secondary subset entirely —
 	// falling back to non-interleaved execution so a crippled device is
 	// not handed overlap work it cannot retire in the window.
 	DegradationAware bool
-	// FallbackHealth is the worst-device health factor below which the
-	// degradation-aware scheduler abandons interleaving for the round.
-	// Zero selects the default (0.5). Only meaningful with
-	// DegradationAware set.
-	FallbackHealth float64
 }
+
+// fallbackHealth is the worst-device health factor below which the
+// degradation-aware scheduler abandons interleaving for the round.
+const fallbackHealth = 0.5
 
 // DefaultConfig returns the paper's evaluation settings for a node type
 // (the V100 testbed uses contention factor 1.1, anything else 1.15, per
@@ -113,16 +112,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("liger: processing list size %d", c.MaxInflight)
 	case c.MinOverlapWindow < 0:
 		return fmt.Errorf("liger: negative overlap window")
-	case c.FallbackHealth < 0 || c.FallbackHealth > 1:
-		return fmt.Errorf("liger: fallback health %v outside [0, 1]", c.FallbackHealth)
 	}
 	return nil
-}
-
-// fallbackHealth returns the effective fallback threshold.
-func (c Config) fallbackHealth() float64 {
-	if c.FallbackHealth > 0 {
-		return c.FallbackHealth
-	}
-	return 0.5
 }

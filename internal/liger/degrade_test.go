@@ -110,29 +110,16 @@ func TestDegradationAwareOffIgnoresHealth(t *testing.T) {
 	}
 }
 
-func TestFallbackHealthConfig(t *testing.T) {
-	for _, h := range []float64{-0.1, 1.5} {
-		c := testCfg()
-		c.FallbackHealth = h
-		if c.Validate() == nil {
-			t.Errorf("fallback health %v accepted", h)
-		}
-	}
-	c := testCfg()
-	if got := c.fallbackHealth(); got != 0.5 {
-		t.Errorf("default fallback health %v, want 0.5", got)
-	}
-	c.FallbackHealth = 0.8
-	if got := c.fallbackHealth(); got != 0.8 {
-		t.Errorf("fallback health %v, want 0.8", got)
-	}
-	// A custom threshold changes the fallback decision: speed 0.7 is
-	// above the default threshold but below 0.8.
+// TestFallbackHealthThreshold pins the fixed 0.5 threshold: a device
+// just below it makes a degradation-aware run fall back, one at 0.7
+// keeps it interleaving.
+func TestFallbackHealthThreshold(t *testing.T) {
 	cfg := testCfg()
 	cfg.DegradationAware = true
-	cfg.FallbackHealth = 0.8
-	st := degradedRun(t, cfg, slowDevice(0.7))
-	if st.SecondaryKernels != 0 || st.DegradedFallbacks == 0 {
-		t.Fatalf("raised threshold did not force fallback: %+v", st)
+	if st := degradedRun(t, cfg, slowDevice(0.49)); st.SecondaryKernels != 0 || st.DegradedFallbacks == 0 {
+		t.Fatalf("no fallback just below the threshold: %+v", st)
+	}
+	if st := degradedRun(t, cfg, slowDevice(0.7)); st.SecondaryKernels == 0 || st.DegradedFallbacks != 0 {
+		t.Fatalf("fell back above the threshold: %+v", st)
 	}
 }

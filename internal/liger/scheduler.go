@@ -407,7 +407,7 @@ func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duratio
 //     scheduler sheds interleaving here.
 func (s *Scheduler) planSecondary(typ gpusim.KernelClass, window time.Duration) []Func {
 	if s.cfg.DegradationAware {
-		if health := s.node.MinHealth(); health < s.cfg.fallbackHealth() {
+		if health := s.node.MinHealth(); health < fallbackHealth {
 			s.stats.DegradedFallbacks++
 			return nil
 		}

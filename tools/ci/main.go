@@ -6,7 +6,10 @@
 //
 // Steps, in order (the run stops at the first failure):
 //  1. gofmt -l on tracked Go files (fails if any file needs formatting)
-//  2. go vet ./...
+//  2. go vet ./..., then `go -C tools/perf vet ./...` (the benchmark
+//     harness's own module, so a change that breaks the harness's use
+//     of serve, runtimes or core fails here, early and
+//     deterministically)
 //  3. go build ./...
 //  4. go test -race ./internal/runner ./internal/simclock
 //     ./internal/parallel ./internal/faults ./internal/serve
@@ -171,6 +174,7 @@ func main() {
 	gates := []gate{
 		{"gofmt", gofmtCheck},
 		{"go vet", command("go", "vet", "./...")},
+		{"perf harness vet", command("go", "-C", "tools/perf", "vet", "./...")},
 		{"go build", command("go", "build", "./...")},
 		{"race (runner, simclock, parallel, faults, serve, cluster, trace, metrics, analyze, kvcache, generate)", command("go", "test", "-race",
 			"./internal/runner", "./internal/simclock", "./internal/parallel", "./internal/faults", "./internal/serve",
