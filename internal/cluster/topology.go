@@ -62,6 +62,9 @@ type topology struct {
 	front   *simclock.Engine
 	latency simclock.Time
 	nodes   []*node
+	// records is the record store every Liger node shares: its plan
+	// cache, replay records and probe nodes (runtimes.Records).
+	records *runtimes.Records
 	// done is the frontend's handler for a dispatched request's notice:
 	// completed, failed or bounced. It runs on shard 0.
 	done func(owner, req int, status serve.DispatchStatus, now simclock.Time)
@@ -71,8 +74,9 @@ type topology struct {
 // the sharded executor (one shard per physical node plus the frontend,
 // the network's one-way latency as the lookahead; Validate guarantees it
 // is positive) and one core engine per physical node from the opts
-// template (its Node, Clock and Faults are set per node). Device-level
-// faults are split per node; whole-node failures are left to the caller.
+// template (its Node, Clock and Faults are set per node), joined to one
+// record store. Device-level faults are split per node; whole-node
+// failures are left to the caller.
 func newTopology(cl hw.Cluster, opts core.Options, fs *faults.Schedule, workers int) (*topology, error) {
 	if err := cl.Validate(); err != nil {
 		return nil, err
@@ -111,6 +115,11 @@ func newTopology(cl hw.Cluster, opts core.Options, fs *faults.Schedule, workers 
 		n.tagged, _ = n.rt.(runtimes.Tagged)
 		n.elast, _ = n.rt.(runtimes.Elastic)
 		t.nodes[i] = n
+	}
+	var err error
+	if t.records, err = runtimes.ShareRecords(t.Runtimes()); err != nil {
+		t.sh.Close()
+		return nil, err
 	}
 	return t, nil
 }
@@ -237,6 +246,10 @@ func (t *topology) Runtimes() []runtimes.Runtime {
 	}
 	return out
 }
+
+// RecordStats counts the records of the store the nodes share. Read it
+// after Run.
+func (t *topology) RecordStats() runtimes.RecordStats { return t.records.Stats() }
 
 // ShardStats exposes the windowed-execution counters for diagnostics.
 func (t *topology) ShardStats() simclock.ShardStats { return t.sh.Stats() }

@@ -12,6 +12,7 @@ package liger
 import (
 	"container/list"
 	"fmt"
+	"sync"
 	"time"
 
 	"liger/internal/model"
@@ -248,31 +249,71 @@ type Assembler struct {
 	tp       int
 	nextID   int
 
-	// plans caches compiled plans by workload shape, most recently used
-	// first in lru; it fills lazily, holds at most planBudget
-	// descriptors, and Retarget drops it. A cached plan is shared
-	// read-only by every batch of that shape: runtime decomposition
-	// writes only the batch's own head override (Batch.replaceHead).
-	plans     map[model.Workload]*list.Element
-	lru       list.List // of *cachedPlan
-	planDescs int
+	// plans is the plan cache the assembler reads and compiles into: one
+	// of its own, made on first use, or one it shares (Share). cache is
+	// its part for degree tp.
+	plans *Plans
+	cache *planCache
 
 	// free holds released batches (Release) for Assemble to reuse, with
 	// their callbacks.
 	free []*Batch
 }
 
-// planBudget bounds the kernel descriptors the plan cache holds; past it
-// the least recently used plans are dropped. Plans are layer-periodic
-// (parallel.Plan), so a shape holds one layer's descriptors, not every
-// layer's: OPT-30B at four-way tensor parallelism stores 14 descriptors
-// per context shape and 15 per decode shape, though either expands to
-// 578 or more kernels per rank. The budget keeps about 9,000 such shapes.
+// Plans is a plan cache: compiled plans by tensor-parallel degree and
+// workload shape. Assemblers that serve the same model with compilers
+// configured alike may share one (Share), the nodes of one cluster:
+// compilation is a pure function of the configuration, the model, the
+// degree and the shape, so the plan one of them compiled is the plan of
+// every other. A cached plan is shared read-only by every batch of that
+// shape: runtime decomposition writes only the batch's own head override
+// (Batch.replaceHead).
+//
+// A shape's records (Replay) go with its plan, one per World. Plans is
+// safe for concurrent use.
+type Plans struct {
+	mu sync.Mutex
+	// first is the cache of the first degree asked for, more those of
+	// later ones: a degree changes only when a device fails.
+	first planCache
+	more  []*planCache
+	// world, once worldSet, is the first world to store a record. Its
+	// records live on the entries, so a cache whose nodes all share a
+	// world, as most do, keeps nothing else; others holds the records of
+	// every other world.
+	world    World
+	worldSet bool
+	others   map[worldShape]*Replay
+}
+
+// planCache is the cache of one degree, most recently used first. It
+// fills lazily and holds at most planBudget descriptors.
+type planCache struct {
+	tp    int
+	plans map[model.Workload]*list.Element
+	lru   list.List // of *cachedPlan
+	descs int
+}
+
+// worldShape names a record outside its entry: the entry and the world.
+type worldShape struct {
+	entry *cachedPlan
+	world World
+}
+
+// planBudget bounds the kernel descriptors a degree's plan cache holds;
+// past it the least recently used plans are dropped. Plans are
+// layer-periodic (parallel.Plan), so a shape holds one layer's
+// descriptors, not every layer's: OPT-30B at four-way tensor parallelism
+// stores 14 descriptors per context shape and 15 per decode shape,
+// though either expands to 578 or more kernels per rank. The budget
+// keeps about 9,000 such shapes.
 const planBudget = 1 << 17
 
 // cachedPlan is one entry of the plan cache. replay is the shape's
-// recorded solo iteration, nil until one is synthesized (see Replay),
-// or nonlinear for a shape whose probes do not extend to one.
+// recorded solo iteration in the cache's first world (Plans), nil until
+// one is synthesized (see Replay), or nonlinear for a shape whose probes
+// do not extend to one. The cache's lock guards it.
 type cachedPlan struct {
 	w      model.Workload
 	plan   *parallel.Plan
@@ -280,7 +321,8 @@ type cachedPlan struct {
 }
 
 // NewAssembler returns an assembler serving spec with tensor-parallel
-// degree tp (the intra-operator partitioning Liger reuses, §3.1).
+// degree tp (the intra-operator partitioning Liger reuses, §3.1), over a
+// plan cache of its own.
 func NewAssembler(c *parallel.Compiler, spec model.Spec, tp int) (*Assembler, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -290,6 +332,11 @@ func NewAssembler(c *parallel.Compiler, spec model.Spec, tp int) (*Assembler, er
 	}
 	return &Assembler{compiler: c, spec: spec, tp: tp}, nil
 }
+
+// Share makes the assembler read and compile plans in p from here on,
+// instead of the cache it held. Every assembler sharing p must serve the
+// same model with a compiler configured alike.
+func (a *Assembler) Share(p *Plans) { a.plans, a.cache = p, nil }
 
 // Assemble compiles one batch's inference into a schedulable Batch,
 // reusing a released one when there is one.
@@ -339,44 +386,101 @@ func (a *Assembler) Release(b *Batch) {
 // Retarget repoints the assembler at a new compiler and tensor-parallel
 // degree — the reduced world after a permanent device failure. The
 // batch ID sequence is preserved so completion IDs stay in submission
-// order across the reconfiguration. The cached plans go, and with them
-// their replay records.
+// order across the reconfiguration. From here on the assembler reads
+// and compiles the plans of the new degree; those of the old one, and
+// their records, stay cached for the assemblers sharing the cache until
+// they age out.
 func (a *Assembler) Retarget(c *parallel.Compiler, tp int) error {
 	if tp < 1 {
 		return fmt.Errorf("liger: tensor-parallel degree %d", tp)
 	}
 	a.compiler = c
 	a.tp = tp
-	a.plans = nil
-	a.lru.Init()
-	a.planDescs = 0
+	a.cache = nil
 	return nil
 }
 
-// plan returns the plan-cache entry for w, compiling its plan on the
-// first request for that shape. Compilation is a pure function of the
-// compiler, model, degree and shape, so a cached plan is the plan.
+// plan returns the plan-cache entry for w at the assembler's degree,
+// compiling its plan on the first request for that shape.
 func (a *Assembler) plan(w model.Workload) (*cachedPlan, error) {
-	if e, ok := a.plans[w]; ok {
-		a.lru.MoveToFront(e)
+	if a.plans == nil {
+		a.plans = new(Plans)
+	}
+	p := a.plans
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := a.cache
+	if c == nil {
+		c = p.cacheFor(a.tp)
+		a.cache = c
+	}
+	if e, ok := c.plans[w]; ok {
+		c.lru.MoveToFront(e)
 		return e.Value.(*cachedPlan), nil
 	}
 	plan, err := a.compiler.IntraOpPlan(a.spec, a.tp, w)
 	if err != nil {
 		return nil, err
 	}
-	if a.plans == nil {
-		a.plans = make(map[model.Workload]*list.Element)
+	if c.plans == nil {
+		c.plans = make(map[model.Workload]*list.Element)
 	}
 	entry := &cachedPlan{w: w, plan: plan}
-	a.plans[w] = a.lru.PushFront(entry)
-	a.planDescs += plan.Stored()
-	for a.planDescs > planBudget && a.lru.Len() > 1 {
-		old := a.lru.Remove(a.lru.Back()).(*cachedPlan)
-		delete(a.plans, old.w)
-		a.planDescs -= old.plan.Stored()
+	c.plans[w] = c.lru.PushFront(entry)
+	c.descs += plan.Stored()
+	for c.descs > planBudget && c.lru.Len() > 1 {
+		old := c.lru.Remove(c.lru.Back()).(*cachedPlan)
+		delete(c.plans, old.w)
+		c.descs -= old.plan.Stored()
+		for k := range p.others {
+			if k.entry == old {
+				delete(p.others, k)
+			}
+		}
 	}
 	return entry, nil
+}
+
+// cacheFor returns the cache of degree tp, adding it on first use. The
+// caller holds p.mu.
+func (p *Plans) cacheFor(tp int) *planCache {
+	if p.first.tp == 0 || p.first.tp == tp {
+		p.first.tp = tp
+		return &p.first
+	}
+	for _, c := range p.more {
+		if c.tp == tp {
+			return c
+		}
+	}
+	c := &planCache{tp: tp}
+	p.more = append(p.more, c)
+	return c
+}
+
+// Records counts the records the cache holds and the shapes it marks
+// (MarkNonlinear), over every entry and world.
+func (p *Plans) Records() (held, marked int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	count := func(rec *Replay) {
+		switch rec {
+		case nil:
+		case nonlinear:
+			marked++
+		default:
+			held++
+		}
+	}
+	for _, c := range append([]*planCache{&p.first}, p.more...) {
+		for e := c.lru.Front(); e != nil; e = e.Next() {
+			count(e.Value.(*cachedPlan).replay)
+		}
+	}
+	for _, rec := range p.others {
+		count(rec)
+	}
+	return held, marked
 }
 
 // Spec returns the served model.

@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/model"
 	"liger/internal/nccl"
@@ -47,15 +49,23 @@ func compiled(t *testing.T, c *parallel.Compiler, tp int, w model.Workload) []st
 }
 
 // A runtime decomposition rewrites only the decomposed batch: the cached
-// plan and the next batch of the same shape keep the compiled kernels,
-// and Retarget drops the cache so the next batch compiles for the new
-// world.
+// plan and the next batch of the same shape keep the compiled kernels.
+// Retarget drops the old plans from the assembler's view, so its next
+// batch compiles for the new world, while an assembler sharing the cache
+// at the old degree keeps them.
 func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	comp := parallel.NewCompiler(hw.V100Node(), nccl.Config{ReducedChannels: true})
 	asm, err := NewAssembler(comp, model.Tiny(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	peer, err := NewAssembler(comp, model.Tiny(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := new(Plans)
+	asm.Share(shared)
+	peer.Share(shared)
 	w := model.Workload{Batch: 2, SeqLen: 32, Phase: model.Context}
 	want := compiled(t, comp, 4, w)
 	b1, err := asm.Assemble(w)
@@ -86,10 +96,10 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 		t.Fatalf("decomposed batch holds %s, want the remainder of %s", got, head.Name)
 	}
 
-	if got := describe(asm.plans[w].Value.(*cachedPlan).plan.Kernels()); !reflect.DeepEqual(got, want) {
+	if got := describe(asm.cache.plans[w].Value.(*cachedPlan).plan.Kernels()); !reflect.DeepEqual(got, want) {
 		t.Fatal("decomposition changed the cached plan")
 	}
-	b2, err := asm.Assemble(w)
+	b2, err := peer.Assemble(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +114,14 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	if err := asm.Retarget(comp2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(asm.plans) != 0 || asm.lru.Len() != 0 || asm.planDescs != 0 {
-		t.Fatalf("Retarget kept %d plans (%d descriptors)", len(asm.plans), asm.planDescs)
+	if len(shared.more) != 0 {
+		t.Fatalf("Retarget made %d caches before a two-way plan was asked for", len(shared.more))
+	}
+	if c := &shared.first; c.tp != 4 || len(c.plans) != 1 || c.lru.Len() != 1 || c.descs != b1.plan.Stored() {
+		t.Fatalf("after Retarget the four-way cache holds %d plans (%d listed, %d descriptors), want one", len(c.plans), c.lru.Len(), c.descs)
+	}
+	if b4, err := peer.Assemble(w); err != nil || b4.plan != b1.plan {
+		t.Fatalf("a peer's Retarget dropped the four-way plan (%v)", err)
 	}
 	b3, err := asm.Assemble(w)
 	if err != nil {
@@ -118,12 +134,16 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	if got := describe(batchDescs(b3)); !reflect.DeepEqual(got, want2) {
 		t.Fatal("after Retarget the batch was not compiled for the new world")
 	}
+	if len(shared.more) != 1 || asm.cache != shared.more[0] || peer.cache != &shared.first {
+		t.Fatal("the two degrees do not have a cache each")
+	}
 }
 
 // The cache holds at most planBudget descriptors, dropping the least
 // recently used plans first; an evicted shape compiles again on demand.
 // A plan counts the descriptors it stores, one layer's worth, not the
-// kernels it expands to.
+// kernels it expands to. Two assemblers fill the cache they share, so a
+// use by either counts.
 func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	spec := model.OPT30B()
 	comp := parallel.NewCompiler(hw.A100Node(), nccl.Config{ReducedChannels: true})
@@ -131,12 +151,23 @@ func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	peer, err := NewAssembler(comp, spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := new(Plans)
+	asm.Share(shared)
+	peer.Share(shared)
 	shape := func(i int) model.Workload { return model.Workload{Batch: 1, SeqLen: 16 + i, Phase: model.Context} }
 	first, err := asm.Assemble(shape(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := asm.plans[shape(0)].Value.(*cachedPlan).plan
+	plan := asm.cache.plans[shape(0)].Value.(*cachedPlan).plan
+	// Shape 0's records, on its entry and beside it, go with its plan.
+	rec := NewReplay(time.Millisecond, 0, 3, gpusim.Work{}, Stats{})
+	asm.SetReplay(first, World{Folded: true}, rec)
+	asm.SetReplay(first, World{}, rec)
 	perPlan := plan.Stored()
 	if want := first.Remaining() - (spec.Layers-1)*len(plan.Layer); perPlan != want {
 		t.Fatalf("a %d-kernel plan stores %d descriptors, want %d: one layer's", first.Remaining(), perPlan, want)
@@ -144,22 +175,26 @@ func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	n := planBudget/perPlan + 2
 	for i := 1; i < n; i++ {
 		if i == n/2 {
-			// Touch shape 1 so it becomes recently used and survives.
-			if _, err := asm.Assemble(shape(1)); err != nil {
+			// The peer touches shape 1 so it becomes recently used and
+			// survives.
+			if _, err := peer.Assemble(shape(1)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := asm.Assemble(shape(i)); err != nil {
+		if _, err := [2]*Assembler{asm, peer}[i%2].Assemble(shape(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if asm.planDescs > planBudget || asm.planDescs != perPlan*len(asm.plans) || asm.lru.Len() != len(asm.plans) {
-		t.Fatalf("cache holds %d descriptors in %d plans (%d listed), budget %d", asm.planDescs, len(asm.plans), asm.lru.Len(), planBudget)
+	if c := asm.cache; c != peer.cache || c.descs > planBudget || c.descs != perPlan*len(c.plans) || c.lru.Len() != len(c.plans) {
+		t.Fatalf("cache holds %d descriptors in %d plans (%d listed), budget %d", c.descs, len(c.plans), c.lru.Len(), planBudget)
 	}
-	if _, ok := asm.plans[shape(0)]; ok {
+	if _, ok := asm.cache.plans[shape(0)]; ok {
 		t.Fatal("the least recently used plan was kept")
 	}
-	if _, ok := asm.plans[shape(1)]; !ok {
+	if held, marked := shared.Records(); held != 0 || marked != 0 || len(shared.others) != 0 {
+		t.Fatalf("the evicted plan's records stayed: %d held, %d marked", held, marked)
+	}
+	if _, ok := asm.cache.plans[shape(1)]; !ok {
 		t.Fatal("a recently used plan was evicted")
 	}
 	again, err := asm.Assemble(shape(0))
@@ -186,9 +221,7 @@ func TestPlanMissCostIndependentOfDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 		miss := func() {
-			if err := asm.Retarget(comp, 4); err != nil {
-				t.Fatal(err)
-			}
+			asm.Share(new(Plans))
 			if _, err := asm.Assemble(w); err != nil {
 				t.Fatal(err)
 			}

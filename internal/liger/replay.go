@@ -16,7 +16,7 @@ import (
 // affine in the layer count. runtimes.Liger decides when a replay is
 // exact and synthesizes a shape's record from probes of its plan cut to
 // 1, 2 and 3 layers (Batch.Cut, Extend); the shape's plan-cache entry
-// keeps the record and the scheduler runs it.
+// keeps the record, one per World, and the scheduler runs it.
 
 // Replay is the recorded outcome of one solo iteration of a shape. It
 // is kept small: a serving run records hundreds of shapes.
@@ -52,34 +52,75 @@ func NewReplay(d, timeout time.Duration, seqs int, w gpusim.Work, sched Stats) *
 		rebalances: int32(sched.DegradedRebalances)}}
 }
 
-// Replay returns the record of b's shape, nil when there is none.
-func (b *Batch) Replay() *Replay {
-	if b.entry == nil || b.entry.replay == nonlinear {
-		return nil
-	}
-	return b.entry.replay
+// World is what a record depends on besides its plan and what every
+// node sharing a plan cache has in common (the hardware, the scheduler
+// configuration, the model): the devices that survive, whether the node
+// folded its devices (gpusim.Node.Fold) and its collective watchdog. A
+// node replays only records of its own world: its own probe would have
+// produced exactly those. Alive has bit d set for each surviving device
+// d; a node of more than 64 devices has no records (Extend).
+type World struct {
+	Alive   uint64
+	Folded  bool
+	Timeout time.Duration
 }
 
-// SetReplay records rec as the outcome of b's shape. It lives on the
-// shape's plan-cache entry, so it goes when the plan does.
-func (b *Batch) SetReplay(rec *Replay) {
-	if b.entry != nil {
-		b.entry.replay = rec
+// Replay returns the record of b's shape in world w, nil when there is
+// none, and reports whether the shape is marked in w as one whose probes
+// do not extend to a record (MarkNonlinear). b is a batch a assembled.
+func (a *Assembler) Replay(b *Batch, w World) (rec *Replay, marked bool) {
+	e := b.entry
+	if e == nil {
+		return nil, false
 	}
+	p := a.plans
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.worldSet && p.world == w {
+		rec = e.replay
+	} else {
+		rec = p.others[worldShape{e, w}]
+	}
+	if rec == nonlinear {
+		return nil, true
+	}
+	return rec, false
+}
+
+// SetReplay records rec as the outcome of b's shape in world w. It lives
+// with the shape's plan-cache entry, so it goes when the plan does, and
+// every batch of the shape assembled from that cache sees it. b is a
+// batch a assembled.
+func (a *Assembler) SetReplay(b *Batch, w World, rec *Replay) {
+	e := b.entry
+	if e == nil {
+		return
+	}
+	p := a.plans
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.worldSet {
+		p.world, p.worldSet = w, true
+	}
+	if p.world == w {
+		e.replay = rec
+		return
+	}
+	if p.others == nil {
+		p.others = make(map[worldShape]*Replay)
+	}
+	p.others[worldShape{e, w}] = rec
 }
 
 // nonlinear stands in a plan-cache entry's record for a shape marked by
 // MarkNonlinear.
 var nonlinear = new(Replay)
 
-// Nonlinear reports whether b's shape is marked as one whose probes do
-// not extend to a record (MarkNonlinear).
-func (b *Batch) Nonlinear() bool { return b.entry != nil && b.entry.replay == nonlinear }
-
-// MarkNonlinear marks b's shape as one whose probes do not extend to a
-// record (Extend refused them), so none is synthesized again. Like a
-// record, the mark lives on the shape's plan-cache entry.
-func (b *Batch) MarkNonlinear() { b.SetReplay(nonlinear) }
+// MarkNonlinear marks b's shape in world w as one whose probes do not
+// extend to a record (Extend refused them), so none is synthesized
+// again. Like a record, the mark lives with the shape's plan-cache
+// entry. b is a batch a assembled.
+func (a *Assembler) MarkNonlinear(b *Batch, w World) { a.SetReplay(b, w, nonlinear) }
 
 // Layers returns how many times b's plan repeats its layer block.
 func (b *Batch) Layers() int { return b.plan.Layers }

@@ -13,8 +13,10 @@ import (
 )
 
 // TestReplayRecordLivesOnThePlan: a shape's replay record and its
-// nonlinear mark are shared by every batch of the shape and go when
-// Retarget drops the plans. A cut batch runs the shape's plan with fewer
+// nonlinear mark are shared by every batch of the shape, also one an
+// assembler sharing the plan cache assembled, one of each per world.
+// After Retarget the assembler sees neither, while an assembler still at
+// the old degree keeps both. A cut batch runs the shape's plan with fewer
 // layers and has neither.
 func TestReplayRecordLivesOnThePlan(t *testing.T) {
 	comp := parallel.NewCompiler(hw.V100Node(), nccl.Config{ReducedChannels: true})
@@ -22,24 +24,43 @@ func TestReplayRecordLivesOnThePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	peer, err := NewAssembler(comp, model.Tiny(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := new(Plans)
+	asm.Share(shared)
+	peer.Share(shared)
 	w := model.Workload{Batch: 2, SeqLen: 32, Phase: model.Context}
+	folded, other := World{Alive: 0b1111, Folded: true}, World{Alive: 0b1111, Timeout: time.Second}
 	b, _ := asm.Assemble(w)
-	if b.Replay() != nil {
+	if rec, marked := asm.Replay(b, folded); rec != nil || marked {
 		t.Fatal("a fresh shape has a record")
 	}
 	rec := NewReplay(time.Millisecond, 0, 3, gpusim.Work{Kernels: 4}, Stats{Rounds: 2})
-	b.SetReplay(rec)
-	if b2, _ := asm.Assemble(w); b2.Replay() != rec {
+	asm.SetReplay(b, folded, rec)
+	if b2, _ := peer.Assemble(w); b2.plan != b.plan {
+		t.Fatal("assemblers sharing a plan cache do not share the plan")
+	} else if got, _ := peer.Replay(b2, folded); got != rec {
 		t.Fatal("a batch of the recorded shape does not see the record")
 	}
-	b.MarkNonlinear()
-	b2, _ := asm.Assemble(w)
-	if !b2.Nonlinear() {
+	if got, marked := asm.Replay(b, other); got != nil || marked {
+		t.Fatal("another world sees the record")
+	}
+	asm.MarkNonlinear(b, other)
+	b2, _ := peer.Assemble(w)
+	if got, marked := peer.Replay(b2, other); got != nil || !marked {
 		t.Fatal("a batch of the marked shape does not see the mark")
 	}
+	if got, marked := peer.Replay(b2, folded); got != rec || marked {
+		t.Fatal("marking one world changed another's record")
+	}
+	if held, marked := shared.Records(); held != 1 || marked != 1 {
+		t.Fatalf("the cache holds %d records and %d marks, want 1 and 1", held, marked)
+	}
 	cut := b2.Cut(2, nil)
-	if cut.Replay() != nil || cut.Nonlinear() || cut.Workload != w || cut.Layers() != 2 {
-		t.Fatalf("cut batch: record %v, marked %v, shape %v, %d layers", cut.Replay(), cut.Nonlinear(), cut.Workload, cut.Layers())
+	if got, marked := peer.Replay(cut, folded); got != nil || marked || cut.Workload != w || cut.Layers() != 2 {
+		t.Fatalf("cut batch: record %v, marked %v, shape %v, %d layers", got, marked, cut.Workload, cut.Layers())
 	}
 	kernels := func(layers int) int { return b2.Cut(layers, nil).Remaining() }
 	if kernels(4) != b2.Remaining() || kernels(2) == kernels(1) || kernels(3)-kernels(2) != kernels(2)-kernels(1) {
@@ -51,10 +72,19 @@ func TestReplayRecordLivesOnThePlan(t *testing.T) {
 	if err := asm.Retarget(comp.ForWorldSize(2), 2); err != nil {
 		t.Fatal(err)
 	}
-	if b3, _ := asm.Assemble(w); b3.Replay() != nil || b3.Nonlinear() {
-		t.Fatal("the record or the mark survived Retarget")
+	if b3, _ := asm.Assemble(w); b3.plan == b.plan {
+		t.Fatal("after Retarget the assembler reads the old degree's plan")
+	} else if got, marked := asm.Replay(b3, folded); got != nil || marked {
+		t.Fatal("the record survived Retarget")
+	} else if got, marked := asm.Replay(b3, other); got != nil || marked {
+		t.Fatal("the mark survived Retarget")
 	}
-	if NewBatch(9, w, nil).Replay() != nil {
+	if b4, _ := peer.Assemble(w); b4.plan != b.plan {
+		t.Fatal("a peer's Retarget dropped the plan")
+	} else if got, _ := peer.Replay(b4, folded); got != rec {
+		t.Fatal("a peer's Retarget dropped the record")
+	}
+	if got, marked := asm.Replay(NewBatch(9, w, nil), folded); got != nil || marked {
 		t.Fatal("a hand-built batch has a record")
 	}
 }

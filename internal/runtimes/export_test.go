@@ -1,6 +1,7 @@
 package runtimes
 
 import (
+	"liger/internal/gpusim"
 	"liger/internal/liger"
 	"liger/internal/model"
 )
@@ -16,24 +17,21 @@ func Replays(r *Liger) int { return r.replays }
 // after all.
 func CatchUps(r *Liger) int { return r.catchUps }
 
-// Synthesized reports how many records r synthesized on its probe node.
-func Synthesized(r *Liger) int { return r.synthesized }
+// Node returns r's node.
+func Node(r *Liger) *gpusim.Node { return r.node }
 
-// ProbeFallbacks reports how many shapes r marked because their probes
-// did not extend to a record.
-func ProbeFallbacks(r *Liger) int { return r.fallbacks }
+// Store returns the record store r shares.
+func Store(r *Liger) *Records { return r.records }
 
-// Reprobes reports how many shapes r probed again with the lead apart,
-// because the probe node that folds the lead diverged.
-func Reprobes(r *Liger) int { return r.reprobes }
-
-// Record returns the record r holds for shape w, nil when it holds
-// none. It assembles a batch of w to read it, so it takes a batch id.
+// Record returns the record r's store holds for shape w in r's world,
+// nil when it holds none. It assembles a batch of w to read it, so it
+// takes a batch id.
 func Record(r *Liger, w model.Workload) *liger.Replay {
 	b, err := r.assembler.Assemble(w)
 	if err != nil {
 		return nil
 	}
 	defer r.assembler.Release(b)
-	return b.Replay()
+	rec, _ := r.assembler.Replay(b, r.currentWorld())
+	return rec
 }

@@ -21,7 +21,9 @@ import (
 //
 // Solo batches a serving loop chains from completions, or that reach a
 // node on a shard of a sharded executor, are replayed from a per-shape
-// record when that is exact (see replayer).
+// record when that is exact (see replayer). The plan cache and the
+// records live in a record store the runtimes of a cluster share
+// (ShareRecords).
 type Liger struct {
 	node      *gpusim.Node
 	compiler  *parallel.Compiler
@@ -47,7 +49,8 @@ func NewLiger(node *gpusim.Node, compiler *parallel.Compiler, spec model.Spec, c
 	}
 	r := &Liger{node: node, compiler: compiler, assembler: asm, scheduler: sched,
 		failover: newFailover(node, compiler.Comm(), spec)}
-	r.catchUpFn, r.cfg = r.catchUp, cfg
+	r.catchUpFn, r.cfg, r.records, r.alive = r.catchUp, cfg, new(Records), mask(node.AliveDevices())
+	asm.Share(&r.records.plans)
 	sched.SetOnBatchDone(func(b *liger.Batch, now simclock.Time) {
 		r.complete(Completion{ID: b.ID, Workload: b.Workload, Submitted: b.SubmittedAt,
 			Done: now, Failed: b.Failed, Req: b.Req}, b)
@@ -111,13 +114,14 @@ func (r *Liger) complete(c Completion, b *liger.Batch) {
 
 // handleFail is the Node.OnFail observer: retarget the assembler at
 // the survivor world (batches assembled from here on compile for it,
-// and records are synthesized on a new probe node of the survivors),
-// quiesce the scheduler, and — once the old epoch drains — pay the
-// recovery delay, re-shard, and resume rounds on the survivors.
+// and records are those of the survivors' world, synthesized on a probe
+// node of the survivors), quiesce the scheduler, and — once the old
+// epoch drains — pay the recovery delay, re-shard, and resume rounds on
+// the survivors.
 func (r *Liger) handleFail(dev int, now simclock.Time) {
-	r.probe = nil
 	r.begin(now)
 	alive := r.node.AliveDevices()
+	r.alive = mask(alive)
 	r.compiler = r.compiler.ForWorldSize(len(alive))
 	if err := r.assembler.Retarget(r.compiler, len(alive)); err != nil {
 		r.impossible = true
@@ -133,6 +137,15 @@ func (r *Liger) handleFail(dev int, now simclock.Time) {
 			r.finishReconfig(t)
 		})
 	})
+}
+
+// mask returns the bit mask of devs.
+func mask(devs []int) uint64 {
+	var m uint64
+	for _, d := range devs {
+		m |= 1 << d
+	}
+	return m
 }
 
 // Scheduler exposes the underlying scheduler for stats inspection. A

@@ -1,7 +1,9 @@
 package runtimes
 
 import (
+	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"liger/internal/gpusim"
@@ -25,9 +27,8 @@ import (
 //     waiting or in flight either way. Batch-mode drivers on one engine
 //     submit from arrival events and never replay.
 //  2. Probed state: the node is drained and healthy (speed and link
-//     factors 1) under the collective watchdog the record was probed
-//     under, no tracer is attached, the scheduler is settled (warm, no
-//     journal, no adaptive contention), the runtime is not
+//     factors 1), no tracer is attached, the scheduler is settled (warm,
+//     no journal, no adaptive contention), the runtime is not
 //     reconfiguring, and the batch's workspace fits at submit.
 //  3. A bounded run: the run in progress does not stop before the
 //     replayed completion. On a shard that bound is the executor's
@@ -54,9 +55,16 @@ import (
 // runs the shape's plan cut to 1, 2 and 3 layers there (liger.Batch.Cut)
 // and extends the three outcomes linearly to the model's layer count
 // (liger.Extend); a model of at most 3 layers is probed at its own
-// depth. The record goes on the shape's plan-cache entry and the submit
-// replays at once. A shape whose probes do not take equal steps is
-// marked and simulated as always.
+// depth. The record goes on the shape's plan-cache entry, under the
+// node's world (liger.World), and the submit replays at once. A shape
+// whose probes do not take equal steps is marked and simulated as
+// always.
+//
+// A record is a pure function of its plan and its world, so the runtimes
+// of a cluster share one record store (Records): the plan cache, with
+// the records on its entries, and a probe node per world. A node replays
+// a record another node synthesized in its world, and each shape is
+// synthesized once per world.
 //
 // Where the node folded its followers under Hybrid sync, the probe node
 // folds the lead with them (gpusim.Node.FoldLed), so a probe simulates
@@ -65,9 +73,9 @@ import (
 // would let the followers run something earlier than the lead, the probe
 // node reports it (gpusim.Node.Diverged). The runtime then discards the
 // shape's probes and that node, and probes the shape again, and every
-// later shape, on a probe node that keeps the lead apart, as the
-// runtime's node does: a model whose kernels are short enough for the
-// gap to bind once tends to meet it in every shape.
+// later shape of its world, on a probe node that keeps the lead apart,
+// as the runtime's node does: a model whose kernels are short enough
+// for the gap to bind once tends to meet it in every shape.
 type replayer struct {
 	// off disables replay (tests: the simulated oracle).
 	off bool
@@ -82,18 +90,118 @@ type replayer struct {
 	catchUpFn func(*liger.Batch, *liger.Replay)
 
 	// cfg is the scheduler's configuration, which the probe node's
-	// scheduler copies. probe is built on the first synthesis, folding
-	// the lead where it can until a fold diverged, replaced by one that
-	// keeps the lead apart when it diverges, and dropped when a device
-	// fails.
-	cfg   liger.Config
-	probe *probe
+	// scheduler copies. records is the store the runtime shares, alive
+	// the mask of the node's surviving devices, and slot the store's
+	// entry for the world the runtime last synthesized in.
+	cfg     liger.Config
+	records *Records
+	alive   uint64
+	slot    *world
 
 	// replays counts the iterations answered from a record; catchUps
-	// the replays caught up and simulated after all; synthesized the
-	// records the probe made, fallbacks the shapes it marked, reprobes
-	// the shapes probed again with the lead apart.
-	replays, catchUps, synthesized, fallbacks, reprobes int
+	// the replays caught up and simulated after all.
+	replays, catchUps int
+}
+
+// Records is a record store: the plan cache, with the records on its
+// entries, and a probe node per world, shared by the Liger runtimes
+// joined to it (ShareRecords). A runtime has a store of its own until
+// then. The store is safe for concurrent use: the runtimes of a cluster
+// run on the shards of a sharded executor, and each world's lock
+// serializes its syntheses, so the first runtime to meet a shape
+// synthesizes it and the others replay its record.
+type Records struct {
+	plans liger.Plans
+	mu    sync.Mutex
+	// home, once homeSet, is the first world to synthesize, worlds every
+	// later one. A one-node store rarely sees a second, and keeping the
+	// first in the store spares its runs an allocation.
+	home    world
+	homeSet bool
+	worlds  []*world
+}
+
+// world is the store's entry for one world: its probe node, built on the
+// world's first synthesis, folding the lead where it can, and replaced
+// by one that keeps the lead apart when that fold diverges, and its
+// counters: the records synthesized, the shapes marked and the shapes
+// probed again with the lead apart. Its lock guards it all.
+type world struct {
+	key                              liger.World
+	mu                               sync.Mutex
+	probe                            *probe
+	synthesized, fallbacks, reprobes int
+}
+
+// ShareRecords joins the Liger runtimes among rts to one new record
+// store, which replaces the store each held, and returns it. They must
+// run on the same hardware with the same scheduler configuration and
+// serve the same model with compilers configured alike, as the nodes of
+// a cluster built from one set of options do; it refuses runtimes that
+// differ. Call it before any of them runs.
+func ShareRecords(rts []Runtime) (*Records, error) {
+	s := new(Records)
+	var first *Liger
+	for _, rt := range rts {
+		r, ok := rt.(*Liger)
+		if !ok {
+			continue
+		}
+		if first == nil {
+			first = r
+		} else if r.node.Spec() != first.node.Spec() || r.cfg != first.cfg || r.assembler.Spec() != first.assembler.Spec() {
+			return nil, fmt.Errorf("runtimes: a record store joins Liger runtimes of one hardware, configuration and model")
+		}
+		r.records, r.slot = s, nil
+		r.assembler.Share(&s.plans)
+	}
+	return s, nil
+}
+
+// RecordStats counts a record store's records: those its plan cache
+// holds and the shapes it marks, the records its probe nodes synthesized
+// and the shapes they marked, and the shapes probed again with the lead
+// apart. With no plan evicted, Held equals Synthesized and Marked equals
+// Fallbacks: each shape was synthesized once per world.
+type RecordStats struct {
+	Held, Marked, Synthesized, Fallbacks, Reprobes int
+}
+
+// Stats returns the store's counters. Read them after the runtimes ran.
+func (s *Records) Stats() RecordStats {
+	var st RecordStats
+	st.Held, st.Marked = s.plans.Records()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, w := range append([]*world{&s.home}, s.worlds...) {
+		w.mu.Lock()
+		st.Synthesized += w.synthesized
+		st.Fallbacks += w.fallbacks
+		st.Reprobes += w.reprobes
+		w.mu.Unlock()
+	}
+	return st
+}
+
+// worldOf returns the store's entry for world k, adding it on first use.
+// A store sees a handful of worlds.
+func (s *Records) worldOf(k liger.World) *world {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.homeSet {
+		s.home.key, s.homeSet = k, true
+	}
+	if s.home.key == k {
+		return &s.home
+	}
+	for _, w := range s.worlds {
+		if w.key == k {
+			return w
+		}
+	}
+	w := &world{key: k}
+	s.worlds = append(s.worlds, w)
+	return w
 }
 
 // replayable reports whether the node and scheduler are in the state a
@@ -113,11 +221,12 @@ func (r *Liger) submit(b *liger.Batch) {
 		r.scheduler.Submit(b)
 		return
 	}
-	rec := b.Replay()
-	if rec == nil && !b.Nonlinear() {
-		rec = r.synthesize(b)
+	w := r.currentWorld()
+	rec, marked := r.assembler.Replay(b, w)
+	if rec == nil && !marked {
+		rec = r.synthesize(b, w)
 	}
-	if rec != nil && rec.Timeout == r.node.CollectiveTimeout() {
+	if rec != nil {
 		first := eng.ReserveN(rec.Seqs)
 		if r.scheduler.Replay(b, rec, r.catchUpFn) {
 			r.held, r.heldSeq = b, first
@@ -127,34 +236,50 @@ func (r *Liger) submit(b *liger.Batch) {
 	r.scheduler.Submit(b)
 }
 
-// synthesize probes b's shape and stores its record on the shape's
-// plan-cache entry, returning it. It marks the shape and returns nil
-// when the probes do not extend to a record. When the probe node that
-// folds the lead diverged, the shape is probed again with the lead
-// apart.
-func (r *Liger) synthesize(b *liger.Batch) *liger.Replay {
-	if r.probe == nil {
-		r.probe = newProbe(r.node, r.cfg, r.reprobes == 0)
+// currentWorld returns the node's world: the records it may replay.
+func (r *Liger) currentWorld() liger.World {
+	return liger.World{Alive: r.alive, Folded: r.node.Folded(), Timeout: r.node.CollectiveTimeout()}
+}
+
+// synthesize probes b's shape in world k, the node's, and stores its
+// record on the shape's plan-cache entry, returning it. It marks the
+// shape and returns nil when the probes do not extend to a record. When
+// the probe node that folds the lead diverged, the shape is probed again
+// with the lead apart. A runtime sharing the store that synthesized or
+// marked the shape in k meanwhile leaves nothing to probe.
+func (r *Liger) synthesize(b *liger.Batch, k liger.World) *liger.Replay {
+	w := r.slot
+	if w == nil || w.key != k {
+		w = r.records.worldOf(k)
+		r.slot = w
 	}
-	p, timeout := r.probe, r.node.CollectiveTimeout()
-	ok := p.shape(b, timeout)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if rec, marked := r.assembler.Replay(b, k); rec != nil || marked {
+		return rec
+	}
+	if w.probe == nil {
+		w.probe = newProbe(r.node, r.cfg, true)
+	}
+	p := w.probe
+	ok := p.shape(b, k.Timeout)
 	if p.node.Diverged() {
-		r.reprobes++
+		w.reprobes++
 		p = newProbe(r.node, r.cfg, false)
-		r.probe = p
-		ok = p.shape(b, timeout)
+		w.probe = p
+		ok = p.shape(b, k.Timeout)
 	}
 	var rec *liger.Replay
 	if ok {
-		rec, ok = liger.Extend(&p.runs, b.Layers(), timeout)
+		rec, ok = liger.Extend(&p.runs, b.Layers(), k.Timeout)
 	}
 	if !ok {
-		b.MarkNonlinear()
-		r.fallbacks++
+		r.assembler.MarkNonlinear(b, k)
+		w.fallbacks++
 		return nil
 	}
-	b.SetReplay(rec)
-	r.synthesized++
+	r.assembler.SetReplay(b, k, rec)
+	w.synthesized++
 	return rec
 }
 
@@ -162,7 +287,8 @@ func (r *Liger) synthesize(b *liger.Batch) *liger.Replay {
 // runtime's node in everything condition 2 reads or a record depends on
 // — the hardware, the scheduler configuration, the surviving devices,
 // the fold decision and, set before each synthesis, the collective
-// watchdog — on an engine of its own. It stays warm and drained between
+// watchdog — on an engine of its own. Every node of its world would
+// build the same one. It stays warm and drained between
 // probes. Its fold may also take the lead; lead and rep then name the
 // lead and the representative, -1 otherwise.
 type probe struct {

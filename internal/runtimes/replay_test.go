@@ -578,34 +578,55 @@ func TestReplayFollowsTheRules(t *testing.T) {
 
 // fleetOutcome is what a fleet run of the shard replay differential
 // reports: the serving result with every request's outcome, the router's
-// decisions and each node's device counters, and the replay and
-// catch-up counts summed over the nodes.
+// decisions and each node's device counters, the replay and catch-up
+// counts summed over the nodes, each node's replays, the counters of the
+// record store the nodes share and the nodes' runtimes.
 type fleetOutcome struct {
 	result                  serve.Result
 	res, decisions, devices string
 	replays, catchUps       int
+	replaysBy               []int
+	records                 runtimes.RecordStats
+	rts                     []*runtimes.Liger
 }
 
-// runShardFleet serves arrivals on a fleet of the tiny model, replicas
-// plus one spare, with node 0 failing whole at fail when positive and
-// replay on or off on every node.
-func runShardFleet(t *testing.T, arrivals []serve.Arrival, replicas int, fail simclock.Time, replay bool, workers int) fleetOutcome {
+// fleetRig is the fleet a shard replay seed serves on: replicas of the
+// tiny model plus one spare, node 0 failing whole at fail when positive,
+// the device-level faults events, and the collective watchdogs timeouts
+// sets on some nodes.
+type fleetRig struct {
+	replicas int
+	fail     simclock.Time
+	events   []faults.Event
+	timeouts map[int]time.Duration
+}
+
+// runShardFleet serves arrivals on the fleet g with replay on or off on
+// every node.
+func runShardFleet(t *testing.T, arrivals []serve.Arrival, g fleetRig, replay bool, workers int) fleetOutcome {
 	t.Helper()
 	cfg := cluster.Config{
-		Cluster: hw.Cluster{Name: "replay-fleet", Node: hw.V100Node(), Nodes: replicas, Spares: 1, Network: hw.IBNetwork()},
+		Cluster: hw.Cluster{Name: "replay-fleet", Node: hw.V100Node(), Nodes: g.replicas, Spares: 1, Network: hw.IBNetwork()},
 		Model:   model.Tiny(), Runtime: core.KindLiger, Workers: workers,
 	}
-	if fail > 0 {
-		cfg.Faults = &faults.Schedule{Events: []faults.Event{{Kind: faults.NodeFail, Node: 0, Start: time.Duration(fail)}}}
+	events := slices.Clone(g.events)
+	if g.fail > 0 {
+		events = append(events, faults.Event{Kind: faults.NodeFail, Node: 0, Start: time.Duration(g.fail)})
+	}
+	if len(events) > 0 {
+		cfg.Faults = &faults.Schedule{Events: events}
 	}
 	f, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rts []*runtimes.Liger
-	for _, rt := range f.Runtimes() {
-		rts = append(rts, rt.(*runtimes.Liger))
-		runtimes.SetReplay(rts[len(rts)-1], replay)
+	var o fleetOutcome
+	for i, rt := range f.Runtimes() {
+		o.rts = append(o.rts, rt.(*runtimes.Liger))
+		runtimes.SetReplay(o.rts[i], replay)
+		if d, ok := g.timeouts[i]; ok {
+			runtimes.Node(o.rts[i]).SetCollectiveTimeout(d)
+		}
 	}
 	rec := trace.NewRecorder()
 	pol := serve.Policy{Deadline: time.Second, MaxRetries: 3, Backoff: 50 * time.Microsecond, BackoffCap: time.Millisecond}
@@ -617,14 +638,16 @@ func runShardFleet(t *testing.T, arrivals []serve.Arrival, replicas int, fail si
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := fleetOutcome{result: res, res: fmt.Sprintf("%s\n%+v", js, res.PerRequest), decisions: fmt.Sprint(rec.RouterDecisions())}
+	o.result, o.res, o.decisions = res, fmt.Sprintf("%s\n%+v", js, res.PerRequest), fmt.Sprint(rec.RouterDecisions())
 	for _, ns := range f.NodeStats() {
 		o.devices += fmt.Sprintf("%+v\n", ns.Devices)
 	}
-	for _, rt := range rts {
+	for _, rt := range o.rts {
+		o.replaysBy = append(o.replaysBy, runtimes.Replays(rt))
 		o.replays += runtimes.Replays(rt)
 		o.catchUps += runtimes.CatchUps(rt)
 	}
+	o.records = f.RecordStats()
 	return o
 }
 
@@ -635,13 +658,18 @@ func runShardFleet(t *testing.T, arrivals []serve.Arrival, replicas int, fail si
 // workers. The fleet seeds place a dispatch inside a replayed window, a
 // dispatch at exactly the replayed completion instant, and a whole-node
 // failure inside a window; the chained seed ends a first RunUntil inside
-// a window.
+// a window. The nodes of a fleet share one record store, and the fleet
+// seeds that check it have the spare replay a record only the dead
+// replica synthesized, two replicas synthesize an unseen shape in the
+// same window, at 4 workers concurrently, and replicas that lost
+// different devices or run under their own collective watchdog keep
+// records of their own world.
 func TestShardReplayMatchesSimulation(t *testing.T) {
 	w := model.Workload{Batch: 2, SeqLen: 32, Phase: model.Context}
 	at := func(d simclock.Time) serve.Arrival { return serve.Arrival{At: d, Workload: w} }
 	// A solo warm batch of w takes d: the second of two well-spaced
 	// requests is one, less the dispatch and the notice.
-	probe := runShardFleet(t, []serve.Arrival{at(0), at(simclock.Time(time.Millisecond))}, 1, 0, false, 1)
+	probe := runShardFleet(t, []serve.Arrival{at(0), at(simclock.Time(time.Millisecond))}, fleetRig{replicas: 1}, false, 1)
 	r := probe.result.PerRequest[1]
 	lat := simclock.Time(hw.IBNetwork().Latency)
 	d := simclock.Time(r.Done-r.Arrival) - 2*lat
@@ -652,30 +680,84 @@ func TestShardReplayMatchesSimulation(t *testing.T) {
 	base := []serve.Arrival{at(0), at(g), at(2 * g)}
 	tail := []serve.Arrival{at(4 * g), at(5 * g), at(6 * g)}
 	small := model.Workload{Batch: 1, SeqLen: 16, Phase: model.Context}
+	// oneEach checks that the store synthesized each of its records once
+	// and holds want of them.
+	oneEach := func(want int) func(*testing.T, fleetOutcome) {
+		return func(t *testing.T, o fleetOutcome) {
+			if st := o.records; st.Held != want || st.Synthesized != want || st.Marked != 0 || st.Fallbacks != 0 {
+				t.Fatalf("the store counts %+v, want %d records synthesized once each", st, want)
+			}
+		}
+	}
+	// ownRecords checks that replicas 0 and 1 hold a record of w each, in
+	// worlds of their own: different records, each under its node's
+	// watchdog.
+	ownRecords := func(t *testing.T, o fleetOutcome) {
+		r0, r1 := runtimes.Record(o.rts[0], w), runtimes.Record(o.rts[1], w)
+		switch {
+		case r0 == nil || r1 == nil:
+			t.Fatalf("records %v and %v", r0, r1)
+		case r0 == r1:
+			t.Fatal("two worlds share a record")
+		case r0.Timeout != runtimes.Node(o.rts[0]).CollectiveTimeout() || r1.Timeout != runtimes.Node(o.rts[1]).CollectiveTimeout():
+			t.Fatalf("records under watchdogs %v and %v", r0.Timeout, r1.Timeout)
+		}
+	}
 	// catchesUp marks the seeds that must catch a replay up; atDone the
 	// one whose request 3 lands at request 2's replayed completion.
 	seeds := []struct {
 		name              string
 		extra             []serve.Arrival
-		replicas          int
-		fail              simclock.Time
+		rig               fleetRig
 		catchesUp, atDone bool
+		check             func(*testing.T, fleetOutcome)
 	}{
-		{name: "dispatch inside a window", replicas: 1, catchesUp: true,
+		{name: "dispatch inside a window", rig: fleetRig{replicas: 1}, catchesUp: true,
 			extra: []serve.Arrival{{At: 2*g + d/2, Workload: small}}},
-		{name: "dispatch at the replayed completion", replicas: 1, catchesUp: true, atDone: true,
+		{name: "dispatch at the replayed completion", rig: fleetRig{replicas: 1}, catchesUp: true, atDone: true,
 			extra: []serve.Arrival{{At: 2*g + d, Workload: small}}},
-		{name: "node failure inside a window", replicas: 1, fail: 2*g + d/2},
-		{name: "two replicas and a node failure", replicas: 2, fail: 5*g + d/3,
+		{name: "node failure inside a window", rig: fleetRig{replicas: 1, fail: 2*g + d/2}},
+		{name: "two replicas and a node failure", rig: fleetRig{replicas: 2, fail: 5*g + d/3},
 			extra: []serve.Arrival{at(2*g + d/3), at(3 * g), at(3*g + d)}},
+		// Replica 0 synthesizes w and dies between two requests; the spare
+		// takes its place, some 13g later, and replays w from replica 0's
+		// record.
+		{name: "spare replays the dead replica's record", rig: fleetRig{replicas: 1, fail: 3 * g},
+			extra: []serve.Arrival{at(16 * g), at(17 * g), at(18 * g)},
+			check: func(t *testing.T, o fleetOutcome) {
+				oneEach(1)(t, o)
+				if o.replaysBy[1] == 0 {
+					t.Fatal("the spare replayed nothing")
+				}
+			}},
+		// Both replicas are warm when two requests of an unseen shape
+		// reach them in the same window.
+		{name: "two replicas synthesize one shape", rig: fleetRig{replicas: 2},
+			extra: []serve.Arrival{at(0), at(g), {At: 3 * g, Workload: small}, {At: 3 * g, Workload: small}},
+			check: func(t *testing.T, o fleetOutcome) {
+				oneEach(2)(t, o)
+				if o.replaysBy[0] == 0 || o.replaysBy[1] == 0 {
+					t.Fatalf("replays by node: %v", o.replaysBy)
+				}
+			}},
+		// Replicas 0 and 1 lose different devices, so their survivors
+		// share a plan but not a world. Their reconfigurations end by 8g;
+		// the router breaks a tie between idle replicas towards replica 0,
+		// so the requests come in pairs to reach both.
+		{name: "replicas that lost different devices", rig: fleetRig{replicas: 2, events: []faults.Event{
+			{Kind: faults.DeviceFail, Node: 0, Device: 1, Start: time.Duration(g / 2)},
+			{Kind: faults.DeviceFail, Node: 1, Device: 3, Start: time.Duration(g / 2)}}},
+			extra: []serve.Arrival{at(10 * g), at(10 * g), at(12 * g), at(12 * g), at(14 * g), at(14 * g)}, check: ownRecords},
+		{name: "a replica under its own watchdog", rig: fleetRig{replicas: 2, timeouts: map[int]time.Duration{1: time.Second}},
+			extra: []serve.Arrival{at(0), at(g), at(3 * g), at(3 * g)}, check: ownRecords},
 	}
 	for _, sd := range seeds {
 		t.Run(sd.name, func(t *testing.T) {
 			arrivals := slices.Concat(base, sd.extra, tail)
 			slices.SortStableFunc(arrivals, func(a, b serve.Arrival) int { return cmp.Compare(a.At, b.At) })
-			off := runShardFleet(t, arrivals, sd.replicas, sd.fail, false, 1)
+			off := runShardFleet(t, arrivals, sd.rig, false, 1)
 			for _, workers := range []int{1, 4} {
-				on := runShardFleet(t, arrivals, sd.replicas, sd.fail, true, workers)
+				on := runShardFleet(t, arrivals, sd.rig, true, workers)
 				switch {
 				case on.res != off.res:
 					t.Fatalf("%d workers: results differ\n%s\n%s", workers, on.res, off.res)
@@ -687,6 +769,9 @@ func TestShardReplayMatchesSimulation(t *testing.T) {
 					t.Fatalf("%d workers: nothing replayed", workers)
 				case sd.catchesUp && on.catchUps == 0:
 					t.Fatalf("%d workers: no replay caught up", workers)
+				}
+				if sd.check != nil {
+					sd.check(t, on)
 				}
 				if sd.atDone {
 					rs := on.result.PerRequest

@@ -183,15 +183,17 @@ func TestSoloIterationIsLayerAffine(t *testing.T) {
 		})
 		eng.At(0, func(simclock.Time) { rt.Submit(shapes[0]) })
 		eng.Run()
-		if n != 6 || runtimes.Replays(rt) != 0 || runtimes.Synthesized(rt) != 0 {
-			t.Fatalf("%d iterations, %d replayed, %d records synthesized; want 6, 0, 0", n, runtimes.Replays(rt), runtimes.Synthesized(rt))
+		if synth := runtimes.Store(rt).Stats().Synthesized; n != 6 || runtimes.Replays(rt) != 0 || synth != 0 {
+			t.Fatalf("%d iterations, %d replayed, %d records synthesized; want 6, 0, 0", n, runtimes.Replays(rt), synth)
 		}
 	})
 }
 
 // synthesizedRecords returns the shapes of ws, in order and without
-// repeats, that rt holds a record for, with the records, and checks
-// that rt synthesized all of them and marked none.
+// repeats, that rt's record store holds a record for in rt's world, with
+// the records, and checks that the store holds no other record, that
+// its probe nodes synthesized each of them once and that they marked
+// none.
 func synthesizedRecords(t *testing.T, rt *runtimes.Liger, ws []model.Workload) ([]model.Workload, []*liger.Replay) {
 	t.Helper()
 	var shapes []model.Workload
@@ -204,8 +206,8 @@ func synthesizedRecords(t *testing.T, rt *runtimes.Liger, ws []model.Workload) (
 			shapes, recs = append(shapes, w), append(recs, rec)
 		}
 	}
-	if n := runtimes.Synthesized(rt); n != len(recs) || runtimes.ProbeFallbacks(rt) != 0 {
-		t.Fatalf("%d records held, %d synthesized, %d shapes marked", len(recs), n, runtimes.ProbeFallbacks(rt))
+	if st := runtimes.Store(rt).Stats(); st.Held != len(recs) || st.Synthesized != len(recs) || st.Marked != 0 || st.Fallbacks != 0 {
+		t.Fatalf("%d records found, %+v", len(recs), st)
 	}
 	return shapes, recs
 }
@@ -264,7 +266,9 @@ func servingChain(t *testing.T, g rig, seqs int, prompt, gen [2]int, pool int) (
 // runs are continuous-batching chains of OPT-30B on 80 GB and 40 GB
 // A100 nodes, the second with prompts of 384 to 640 tokens, and fleets
 // of OPT-30B replicas on the shards of a sharded executor at 1 and 4
-// workers, serving context and decode shapes. Their probe nodes fold
+// workers, serving context and decode shapes. A fleet's nodes share one
+// record store, so each of its records is compared once, and every
+// node must see it. Their probe nodes fold
 // the lead with the followers and never diverge, so no shape is probed
 // again. A chain of the tiny model under the same Hybrid sync diverges,
 // and its records, probed again with the lead apart, must match too.
@@ -293,7 +297,7 @@ func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 			rt, ws := servingChain(t, g, c.seqs, c.prompt, c.gen, c.pool)
 			shapes, recs := synthesizedRecords(t, rt, ws)
 			compared += matchSimulated(t, g, shapes, recs)
-			if n, tiny := runtimes.Reprobes(rt), c.spec.Name == model.Tiny().Name; tiny != (n > 0) {
+			if n, tiny := runtimes.Store(rt).Stats().Reprobes, c.spec.Name == model.Tiny().Name; tiny != (n > 0) {
 				t.Fatalf("%d shapes probed again with the lead apart", n)
 			}
 		})
@@ -308,10 +312,13 @@ func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 			var arrivals []serve.Arrival
-			for i := range 120 {
-				w := model.Workload{Batch: 1 + i%7, CtxLen: 20 + i, Phase: model.Decode}
-				if i%3 == 0 {
-					w = model.Workload{Batch: 1 + i%3, SeqLen: 16 + 2*i, Phase: model.Context}
+			// 200 shapes, each arriving twice, so that a record one
+			// replica synthesized meets the other too.
+			for i := range 400 {
+				k := i % 200
+				w := model.Workload{Batch: 1 + k%7, CtxLen: 20 + k, Phase: model.Decode}
+				if k%3 == 0 {
+					w = model.Workload{Batch: 1 + k%3, SeqLen: 16 + 2*k, Phase: model.Context}
 				}
 				arrivals = append(arrivals, serve.Arrival{At: simclock.Time(i) * 40 * simclock.Time(time.Millisecond), Workload: w})
 			}
@@ -323,13 +330,32 @@ func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 			for _, a := range arrivals {
 				ws = append(ws, a.Workload)
 			}
-			for _, r := range f.Runtimes() {
+			rts := f.Runtimes()
+			first := rts[0].(*runtimes.Liger)
+			shapes, recs := synthesizedRecords(t, first, ws)
+			compared += matchSimulated(t, rig{hw.A100Node(), model.OPT30B(), cfg, folded}, shapes, recs)
+			if n := runtimes.Store(first).Stats().Reprobes; n != 0 {
+				t.Fatalf("%d shapes probed again with the lead apart", n)
+			}
+			// The spare never serves, so its world is still undecided.
+			served := 0
+			for _, r := range rts[1:] {
 				rt := r.(*runtimes.Liger)
-				shapes, recs := synthesizedRecords(t, rt, ws)
-				compared += matchSimulated(t, rig{hw.A100Node(), model.OPT30B(), cfg, folded}, shapes, recs)
-				if n := runtimes.Reprobes(rt); n != 0 {
-					t.Fatalf("%d shapes probed again with the lead apart", n)
+				if runtimes.Store(rt) != runtimes.Store(first) {
+					t.Fatal("the nodes of a fleet do not share a record store")
 				}
+				if runtimes.Replays(rt) == 0 {
+					continue
+				}
+				served++
+				for i, w := range shapes {
+					if runtimes.Record(rt, w) != recs[i] {
+						t.Fatalf("%v: a node does not see the shared record", w)
+					}
+				}
+			}
+			if served == 0 {
+				t.Fatal("one node replayed")
 			}
 		})
 	}

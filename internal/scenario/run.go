@@ -13,6 +13,7 @@ import (
 	"liger/internal/kvcache"
 	"liger/internal/liger"
 	"liger/internal/runner"
+	"liger/internal/runtimes"
 	"liger/internal/serve"
 	"liger/internal/trace"
 )
@@ -49,6 +50,9 @@ type Outcome struct {
 	// prefill-to-decode handoffs.
 	KVTransfers     int
 	KVTransferBytes int64
+	// records counts the record store a fleet or disaggregated run's
+	// nodes share.
+	records runtimes.RecordStats
 }
 
 // Run serves the compiled scenario on every requested runtime and
@@ -226,6 +230,7 @@ func runDisagg(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcome, e
 	}
 	out.Recorder = d.ServingTrace()
 	out.KVTransfers, out.KVTransferBytes = d.Handoffs()
+	out.records = d.RecordStats()
 	return out, nil
 }
 
@@ -275,6 +280,7 @@ func runFleet(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcome, er
 	if out.Result, err = serve.RunFleet(f, arrivals, c.Policy, rp); err != nil {
 		return nil, err
 	}
+	out.records = f.RecordStats()
 	if out.Recorder != nil {
 		out.Recorder.Normalize()
 	}

@@ -54,7 +54,9 @@
 //     against the simulation (the FuzzContinuousReplay seeds,
 //     TestContinuousReplayEngages, TestReplayFollowsTheRules,
 //     TestShardReplayMatchesSimulation on fleet and chained shards at 1
-//     and 4 workers, and TestCatchUpAtEveryPosition), the walk that
+//     and 4 workers, whose "two replicas synthesize one shape" seed
+//     races two replicas' syntheses of one shape on the record store
+//     they share, and TestCatchUpAtEveryPosition), the walk that
 //     finds every entry point catching a replay up
 //     (TestEveryEntryPointCatchesUp), and the engine, executor, node and
 //     scheduler primitives it rests on (deferred computations and their
