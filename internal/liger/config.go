@@ -59,9 +59,6 @@ type Config struct {
 	// MaxInflight is the processing-list size: the primary batch plus
 	// how many subsequent batches the scheduler interleaves.
 	MaxInflight int
-	// MinOverlapWindow skips secondary-subset collection when the
-	// primary window is too small to be worth the launch traffic.
-	MinOverlapWindow time.Duration
 	// AdaptiveContention makes the scheduler learn the contention
 	// factor online instead of using the profiled constant: whenever the
 	// secondary subset outlasts the primary subset, the factor grows;
@@ -82,6 +79,11 @@ type Config struct {
 // degradation-aware scheduler abandons interleaving for the round.
 const fallbackHealth = 0.5
 
+// minOverlapWindow is the primary window below which the scheduler
+// collects no secondary subset: too small to be worth the launch
+// traffic.
+const minOverlapWindow = 10 * time.Microsecond
+
 // DefaultConfig returns the paper's evaluation settings for a node type
 // (the V100 testbed uses contention factor 1.1, anything else 1.15, per
 // §4.2). nodeName is a preset key ("v100") or a node's hw name, which
@@ -97,7 +99,6 @@ func DefaultConfig(nodeName string) Config {
 		ContentionFactor: cf,
 		DivisionFactor:   8,
 		MaxInflight:      4,
-		MinOverlapWindow: 10 * time.Microsecond,
 	}
 }
 
@@ -110,8 +111,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("liger: division factor %d", c.DivisionFactor)
 	case c.MaxInflight < 1:
 		return fmt.Errorf("liger: processing list size %d", c.MaxInflight)
-	case c.MinOverlapWindow < 0:
-		return fmt.Errorf("liger: negative overlap window")
 	}
 	return nil
 }

@@ -31,27 +31,6 @@ type Func struct {
 	batch *Batch
 }
 
-// BatchClass distinguishes service classes, an extension beyond the
-// paper's FIFO ordering: latency-critical batches always outrank
-// best-effort ones for the primary slot, so best-effort work fills
-// overlap windows without ever delaying critical batches.
-type BatchClass int
-
-const (
-	// LatencyCritical is the default class (the paper's Principle 1
-	// treats every batch this way, FIFO).
-	LatencyCritical BatchClass = iota
-	// BestEffort batches yield the primary slot to critical batches.
-	BestEffort
-)
-
-func (c BatchClass) String() string {
-	if c == BestEffort {
-		return "best-effort"
-	}
-	return "latency-critical"
-}
-
 // Batch is an assembled inference: the FuncVec of one batched request
 // plus execution status. It is created by the Assembler and consumed by
 // the Scheduler.
@@ -59,8 +38,6 @@ type Batch struct {
 	ID int
 	// Workload records the input shape (batch size, sequence length).
 	Workload model.Workload
-	// Class selects the service class; zero value is LatencyCritical.
-	Class BatchClass
 	// WorkspaceBytes is the per-device activation footprint reserved
 	// while the batch is in the processing list (set by the Assembler;
 	// zero disables memory accounting for hand-built batches).
@@ -84,7 +61,7 @@ type Batch struct {
 	rest  parallel.KernelDesc
 	split bool
 	// entry is the plan-cache entry plan came from (nil for a batch
-	// built by NewBatch); it carries the shape's replay record.
+	// built by NewBatch); it carries the shape's replay records.
 	entry *cachedPlan
 
 	// SubmittedAt / DoneAt bound the batch's latency (pending + CUDA
@@ -250,10 +227,8 @@ type Assembler struct {
 	nextID   int
 
 	// plans is the plan cache the assembler reads and compiles into: one
-	// of its own, made on first use, or one it shares (Share). cache is
-	// its part for degree tp.
+	// of its own, made on first use, or one it shares (Share).
 	plans *Plans
-	cache *planCache
 
 	// free holds released batches (Release) for Assemble to reuse, with
 	// their callbacks.
@@ -273,17 +248,9 @@ type Assembler struct {
 // safe for concurrent use.
 type Plans struct {
 	mu sync.Mutex
-	// first is the cache of the first degree asked for, more those of
-	// later ones: a degree changes only when a device fails.
-	first planCache
-	more  []*planCache
-	// world, once worldSet, is the first world to store a record. Its
-	// records live on the entries, so a cache whose nodes all share a
-	// world, as most do, keeps nothing else; others holds the records of
-	// every other world.
-	world    World
-	worldSet bool
-	others   map[worldShape]*Replay
+	// caches holds a cache per degree asked for: a degree changes only
+	// when a device fails.
+	caches []*planCache
 }
 
 // planCache is the cache of one degree, most recently used first. It
@@ -295,12 +262,6 @@ type planCache struct {
 	descs int
 }
 
-// worldShape names a record outside its entry: the entry and the world.
-type worldShape struct {
-	entry *cachedPlan
-	world World
-}
-
 // planBudget bounds the kernel descriptors a degree's plan cache holds;
 // past it the least recently used plans are dropped. Plans are
 // layer-periodic (parallel.Plan), so a shape holds one layer's
@@ -310,14 +271,20 @@ type worldShape struct {
 // keeps about 9,000 such shapes.
 const planBudget = 1 << 17
 
-// cachedPlan is one entry of the plan cache. replay is the shape's
-// recorded solo iteration in the cache's first world (Plans), nil until
-// one is synthesized (see Replay), or nonlinear for a shape whose probes
-// do not extend to one. The cache's lock guards it.
+// cachedPlan is one entry of the plan cache. records holds the shape's
+// recorded solo iteration in each world that has one (see Replay), or
+// nonlinear for a world whose probes do not extend to one. The cache's
+// lock guards it.
 type cachedPlan struct {
-	w      model.Workload
-	plan   *parallel.Plan
-	replay *Replay
+	w       model.Workload
+	plan    *parallel.Plan
+	records []worldRecord
+}
+
+// worldRecord is a shape's record in one world.
+type worldRecord struct {
+	world World
+	rec   *Replay
 }
 
 // NewAssembler returns an assembler serving spec with tensor-parallel
@@ -336,7 +303,7 @@ func NewAssembler(c *parallel.Compiler, spec model.Spec, tp int) (*Assembler, er
 // Share makes the assembler read and compile plans in p from here on,
 // instead of the cache it held. Every assembler sharing p must serve the
 // same model with a compiler configured alike.
-func (a *Assembler) Share(p *Plans) { a.plans, a.cache = p, nil }
+func (a *Assembler) Share(p *Plans) { a.plans = p }
 
 // Assemble compiles one batch's inference into a schedulable Batch,
 // reusing a released one when there is one.
@@ -396,7 +363,6 @@ func (a *Assembler) Retarget(c *parallel.Compiler, tp int) error {
 	}
 	a.compiler = c
 	a.tp = tp
-	a.cache = nil
 	return nil
 }
 
@@ -409,11 +375,7 @@ func (a *Assembler) plan(w model.Workload) (*cachedPlan, error) {
 	p := a.plans
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c := a.cache
-	if c == nil {
-		c = p.cacheFor(a.tp)
-		a.cache = c
-	}
+	c := p.cacheFor(a.tp)
 	if e, ok := c.plans[w]; ok {
 		c.lru.MoveToFront(e)
 		return e.Value.(*cachedPlan), nil
@@ -432,11 +394,6 @@ func (a *Assembler) plan(w model.Workload) (*cachedPlan, error) {
 		old := c.lru.Remove(c.lru.Back()).(*cachedPlan)
 		delete(c.plans, old.w)
 		c.descs -= old.plan.Stored()
-		for k := range p.others {
-			if k.entry == old {
-				delete(p.others, k)
-			}
-		}
 	}
 	return entry, nil
 }
@@ -444,17 +401,13 @@ func (a *Assembler) plan(w model.Workload) (*cachedPlan, error) {
 // cacheFor returns the cache of degree tp, adding it on first use. The
 // caller holds p.mu.
 func (p *Plans) cacheFor(tp int) *planCache {
-	if p.first.tp == 0 || p.first.tp == tp {
-		p.first.tp = tp
-		return &p.first
-	}
-	for _, c := range p.more {
+	for _, c := range p.caches {
 		if c.tp == tp {
 			return c
 		}
 	}
 	c := &planCache{tp: tp}
-	p.more = append(p.more, c)
+	p.caches = append(p.caches, c)
 	return c
 }
 
@@ -463,22 +416,16 @@ func (p *Plans) cacheFor(tp int) *planCache {
 func (p *Plans) Records() (held, marked int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	count := func(rec *Replay) {
-		switch rec {
-		case nil:
-		case nonlinear:
-			marked++
-		default:
-			held++
-		}
-	}
-	for _, c := range append([]*planCache{&p.first}, p.more...) {
+	for _, c := range p.caches {
 		for e := c.lru.Front(); e != nil; e = e.Next() {
-			count(e.Value.(*cachedPlan).replay)
+			for _, r := range e.Value.(*cachedPlan).records {
+				if r.rec == nonlinear {
+					marked++
+				} else {
+					held++
+				}
+			}
 		}
-	}
-	for _, rec := range p.others {
-		count(rec)
 	}
 	return held, marked
 }

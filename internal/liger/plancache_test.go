@@ -39,6 +39,10 @@ func batchDescs(b *Batch) []parallel.KernelDesc {
 	return out
 }
 
+// cacheOf returns the cache of a's plan cache that a reads: that of its
+// degree.
+func cacheOf(a *Assembler) *planCache { return a.plans.cacheFor(a.tp) }
+
 func compiled(t *testing.T, c *parallel.Compiler, tp int, w model.Workload) []string {
 	t.Helper()
 	ks, err := c.IntraOp(model.Tiny(), tp, w)
@@ -80,7 +84,7 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	}
 	head := b1.head()
 	cfg := testCfg()
-	cfg.ContentionFactor, cfg.DivisionFactor, cfg.MinOverlapWindow = 1, 8, 0
+	cfg.ContentionFactor, cfg.DivisionFactor = 1, 8
 	s := &Scheduler{cfg: cfg}
 	primary := syntheticBatch(99, 1, 1, head.Desc.Duration/2, head.Desc.Duration)
 	s.processing = []*Batch{primary, b1}
@@ -96,7 +100,7 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 		t.Fatalf("decomposed batch holds %s, want the remainder of %s", got, head.Name)
 	}
 
-	if got := describe(asm.cache.plans[w].Value.(*cachedPlan).plan.Kernels()); !reflect.DeepEqual(got, want) {
+	if got := describe(cacheOf(asm).plans[w].Value.(*cachedPlan).plan.Kernels()); !reflect.DeepEqual(got, want) {
 		t.Fatal("decomposition changed the cached plan")
 	}
 	b2, err := peer.Assemble(w)
@@ -114,10 +118,10 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	if err := asm.Retarget(comp2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(shared.more) != 0 {
-		t.Fatalf("Retarget made %d caches before a two-way plan was asked for", len(shared.more))
+	if len(shared.caches) != 1 {
+		t.Fatalf("Retarget made %d caches before a two-way plan was asked for", len(shared.caches)-1)
 	}
-	if c := &shared.first; c.tp != 4 || len(c.plans) != 1 || c.lru.Len() != 1 || c.descs != b1.plan.Stored() {
+	if c := shared.caches[0]; c.tp != 4 || len(c.plans) != 1 || c.lru.Len() != 1 || c.descs != b1.plan.Stored() {
 		t.Fatalf("after Retarget the four-way cache holds %d plans (%d listed, %d descriptors), want one", len(c.plans), c.lru.Len(), c.descs)
 	}
 	if b4, err := peer.Assemble(w); err != nil || b4.plan != b1.plan {
@@ -134,7 +138,8 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	if got := describe(batchDescs(b3)); !reflect.DeepEqual(got, want2) {
 		t.Fatal("after Retarget the batch was not compiled for the new world")
 	}
-	if len(shared.more) != 1 || asm.cache != shared.more[0] || peer.cache != &shared.first {
+	if len(shared.caches) != 2 || cacheOf(asm) != shared.caches[1] || cacheOf(peer) != shared.caches[0] ||
+		shared.caches[1].plans[w].Value != b3.entry {
 		t.Fatal("the two degrees do not have a cache each")
 	}
 }
@@ -163,9 +168,9 @@ func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := asm.cache.plans[shape(0)].Value.(*cachedPlan).plan
-	// Shape 0's records, on its entry and beside it, go with its plan.
-	rec := NewReplay(time.Millisecond, 0, 3, gpusim.Work{}, Stats{})
+	plan := cacheOf(asm).plans[shape(0)].Value.(*cachedPlan).plan
+	// Shape 0's records, one per world, go with its plan.
+	rec := NewReplay(time.Millisecond, 3, gpusim.Work{}, Stats{})
 	asm.SetReplay(first, World{Folded: true}, rec)
 	asm.SetReplay(first, World{}, rec)
 	perPlan := plan.Stored()
@@ -185,16 +190,16 @@ func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c := asm.cache; c != peer.cache || c.descs > planBudget || c.descs != perPlan*len(c.plans) || c.lru.Len() != len(c.plans) {
+	if c := cacheOf(asm); len(shared.caches) != 1 || c.descs > planBudget || c.descs != perPlan*len(c.plans) || c.lru.Len() != len(c.plans) {
 		t.Fatalf("cache holds %d descriptors in %d plans (%d listed), budget %d", c.descs, len(c.plans), c.lru.Len(), planBudget)
 	}
-	if _, ok := asm.cache.plans[shape(0)]; ok {
+	if _, ok := cacheOf(asm).plans[shape(0)]; ok {
 		t.Fatal("the least recently used plan was kept")
 	}
-	if held, marked := shared.Records(); held != 0 || marked != 0 || len(shared.others) != 0 {
+	if held, marked := shared.Records(); held != 0 || marked != 0 {
 		t.Fatalf("the evicted plan's records stayed: %d held, %d marked", held, marked)
 	}
-	if _, ok := asm.cache.plans[shape(1)]; !ok {
+	if _, ok := cacheOf(asm).plans[shape(1)]; !ok {
 		t.Fatal("a recently used plan was evicted")
 	}
 	again, err := asm.Assemble(shape(0))

@@ -25,9 +25,6 @@ type Replay struct {
 	Duration time.Duration
 	// Seqs counts the engine sequence numbers the submit took.
 	Seqs int
-	// Timeout is the node's collective watchdog the iteration ran under:
-	// a shorter one could abort a collective that completed.
-	Timeout time.Duration
 	// node is the work the iteration did on the node; sched what it
 	// added to the scheduler's counters.
 	node  gpusim.Work
@@ -40,12 +37,11 @@ type counts struct {
 	rounds, primary, secondary, decompositions, emptySecondary, overruns, fallbacks, rebalances int32
 }
 
-// NewReplay returns the record of an iteration that took d under the
-// collective watchdog timeout, whose submit took seqs engine sequence
-// numbers, that did node work w and added the counters sched
-// (Stats.Since) to its scheduler.
-func NewReplay(d, timeout time.Duration, seqs int, w gpusim.Work, sched Stats) *Replay {
-	return &Replay{Duration: d, Seqs: seqs, Timeout: timeout, node: w, sched: counts{
+// NewReplay returns the record of an iteration that took d, whose
+// submit took seqs engine sequence numbers, that did node work w and
+// added the counters sched (Stats.Since) to its scheduler.
+func NewReplay(d time.Duration, seqs int, w gpusim.Work, sched Stats) *Replay {
+	return &Replay{Duration: d, Seqs: seqs, node: w, sched: counts{
 		rounds: int32(sched.Rounds), primary: int32(sched.PrimaryKernels), secondary: int32(sched.SecondaryKernels),
 		decompositions: int32(sched.Decompositions), emptySecondary: int32(sched.EmptySecondary),
 		overruns: int32(sched.SecondaryOverruns), fallbacks: int32(sched.DegradedFallbacks),
@@ -55,10 +51,12 @@ func NewReplay(d, timeout time.Duration, seqs int, w gpusim.Work, sched Stats) *
 // World is what a record depends on besides its plan and what every
 // node sharing a plan cache has in common (the hardware, the scheduler
 // configuration, the model): the devices that survive, whether the node
-// folded its devices (gpusim.Node.Fold) and its collective watchdog. A
-// node replays only records of its own world: its own probe would have
-// produced exactly those. Alive has bit d set for each surviving device
-// d; a node of more than 64 devices has no records (Extend).
+// folded its devices (gpusim.Node.Fold) and its collective watchdog, the
+// one the iteration ran under: a shorter one could abort a collective
+// that completed. A node replays only records of its own world: its own
+// probe would have produced exactly those. Alive has bit d set for each
+// surviving device d; a node of more than 64 devices has no records
+// (Extend).
 type World struct {
 	Alive   uint64
 	Folded  bool
@@ -73,18 +71,17 @@ func (a *Assembler) Replay(b *Batch, w World) (rec *Replay, marked bool) {
 	if e == nil {
 		return nil, false
 	}
-	p := a.plans
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.worldSet && p.world == w {
-		rec = e.replay
-	} else {
-		rec = p.others[worldShape{e, w}]
+	a.plans.mu.Lock()
+	defer a.plans.mu.Unlock()
+	for _, r := range e.records {
+		if r.world == w {
+			if r.rec == nonlinear {
+				return nil, true
+			}
+			return r.rec, false
+		}
 	}
-	if rec == nonlinear {
-		return nil, true
-	}
-	return rec, false
+	return nil, false
 }
 
 // SetReplay records rec as the outcome of b's shape in world w. It lives
@@ -96,24 +93,19 @@ func (a *Assembler) SetReplay(b *Batch, w World, rec *Replay) {
 	if e == nil {
 		return
 	}
-	p := a.plans
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.worldSet {
-		p.world, p.worldSet = w, true
+	a.plans.mu.Lock()
+	defer a.plans.mu.Unlock()
+	for i, r := range e.records {
+		if r.world == w {
+			e.records[i].rec = rec
+			return
+		}
 	}
-	if p.world == w {
-		e.replay = rec
-		return
-	}
-	if p.others == nil {
-		p.others = make(map[worldShape]*Replay)
-	}
-	p.others[worldShape{e, w}] = rec
+	e.records = append(e.records, worldRecord{w, rec})
 }
 
-// nonlinear stands in a plan-cache entry's record for a shape marked by
-// MarkNonlinear.
+// nonlinear stands in a plan-cache entry's record of a world for a
+// shape marked by MarkNonlinear.
 var nonlinear = new(Replay)
 
 // MarkNonlinear marks b's shape in world w as one whose probes do not
@@ -141,7 +133,7 @@ func (b *Batch) Cut(layers int, reuse *Batch) *Batch {
 	view := p.plan
 	*view = *b.plan
 	view.Layers = layers
-	*p = Batch{ID: b.ID, Workload: b.Workload, Class: b.Class, Req: -1, plan: view,
+	*p = Batch{ID: b.ID, Workload: b.Workload, Req: -1, plan: view,
 		kernelDoneFn: p.kernelDoneFn, failFn: p.failFn}
 	return p
 }
@@ -192,8 +184,7 @@ func (q *Probe) fields(f []int64) []int64 {
 const probeFields = 12
 
 // Extend returns the record of a solo iteration of a plan of layers
-// layers from probes p of that plan cut to 1, 2 and 3 layers, run under
-// the collective watchdog timeout. Every field of the record is p[0]'s
+// layers from probes p of that plan cut to 1, 2 and 3 layers. Every field of the record is p[0]'s
 // plus layers-1 times its step from p[0] to p[1]. Extend reports false,
 // returning no record, when a probe failed, the probes' devices did not
 // all move alike, or a field does not take the same step from p[1] to
@@ -202,7 +193,7 @@ const probeFields = 12
 // and kernel count. A plan of at most 3 layers needs no extension:
 // p[layers-1], probed at the plan's own depth, is its record, and the
 // other probes are not read.
-func Extend(p *[3]Probe, layers int, timeout time.Duration) (*Replay, bool) {
+func Extend(p *[3]Probe, layers int) (*Replay, bool) {
 	base, check := &p[0], layers > len(p)
 	if !check {
 		base = &p[layers-1]
@@ -237,7 +228,7 @@ func Extend(p *[3]Probe, layers int, timeout time.Duration) (*Replay, bool) {
 	sched := Stats{Rounds: int(f[4]), PrimaryKernels: int(f[5]), SecondaryKernels: int(f[6]),
 		Decompositions: int(f[7]), EmptySecondary: int(f[8]), SecondaryOverruns: int(f[9]),
 		DegradedFallbacks: int(f[10]), DegradedRebalances: int(f[11])}
-	return NewReplay(time.Duration(f[0]), timeout, int(f[1]), w, sched), true
+	return NewReplay(time.Duration(f[0]), int(f[1]), w, sched), true
 }
 
 // Settled reports whether the scheduler is in the state a replay probes

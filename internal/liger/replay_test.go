@@ -37,7 +37,7 @@ func TestReplayRecordLivesOnThePlan(t *testing.T) {
 	if rec, marked := asm.Replay(b, folded); rec != nil || marked {
 		t.Fatal("a fresh shape has a record")
 	}
-	rec := NewReplay(time.Millisecond, 0, 3, gpusim.Work{Kernels: 4}, Stats{Rounds: 2})
+	rec := NewReplay(time.Millisecond, 3, gpusim.Work{Kernels: 4}, Stats{Rounds: 2})
 	asm.SetReplay(b, folded, rec)
 	if b2, _ := peer.Assemble(w); b2.plan != b.plan {
 		t.Fatal("assemblers sharing a plan cache do not share the plan")

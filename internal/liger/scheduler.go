@@ -222,11 +222,8 @@ func (s *Scheduler) batchDone(b *Batch, t simclock.Time) {
 	}
 }
 
-// refill moves waiting batches into the processing list (arrival order,
-// Principle 1), drops exhausted ones, and orders service classes:
-// latency-critical batches precede best-effort ones, each class keeping
-// arrival order (a stable partition, so FIFO semantics are unchanged
-// when only one class is in use).
+// refill moves waiting batches into the processing list in arrival
+// order (Principle 1, FIFO) and drops exhausted ones.
 func (s *Scheduler) refill() {
 	live := s.processing[:0]
 	for _, b := range s.processing {
@@ -237,17 +234,7 @@ func (s *Scheduler) refill() {
 	clear(s.processing[len(live):])
 	s.processing = live
 	for len(s.processing) < s.cfg.MaxInflight && len(s.waiting) > 0 {
-		// Pull the first latency-critical waiter if any, else FIFO.
-		pick := 0
-		if s.waiting[pick].Class == BestEffort {
-			for i, b := range s.waiting {
-				if b.Class != BestEffort {
-					pick = i
-					break
-				}
-			}
-		}
-		b := s.waiting[pick]
+		b := s.waiting[0]
 		// Reserve the batch's activation workspace on every device; when
 		// memory is tight the processing list shrinks below MaxInflight
 		// (real backpressure, not silent over-admission). Note that
@@ -263,28 +250,8 @@ func (s *Scheduler) refill() {
 			b.workspaceHeld = true
 		}
 		s.processing = append(s.processing, b)
-		s.waiting = slices.Delete(s.waiting, pick, pick+1)
+		s.waiting = slices.Delete(s.waiting, 0, 1)
 	}
-	// Stable partition by class; only a list holding both classes needs
-	// reordering.
-	var efforts int
-	for _, b := range s.processing {
-		if b.Class == BestEffort {
-			efforts++
-		}
-	}
-	if efforts == 0 || efforts == len(s.processing) {
-		return
-	}
-	var critical, effort []*Batch
-	for _, b := range s.processing {
-		if b.Class == BestEffort {
-			effort = append(effort, b)
-		} else {
-			critical = append(critical, b)
-		}
-	}
-	s.processing = append(critical, effort...)
 }
 
 // maybeStartRound launches the next scheduling round unless one is
@@ -338,7 +305,7 @@ func (s *Scheduler) take(f Func) Func {
 // fits. The subset lives in the scheduler's sub1 buffer until the next
 // round.
 func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duration) []Func {
-	if window < s.cfg.MinOverlapWindow {
+	if window < minOverlapWindow {
 		return nil
 	}
 	// Budget in un-scaled duration: scaled total = sum(dur)·cf ≤ window.

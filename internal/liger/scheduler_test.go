@@ -241,17 +241,18 @@ func TestDecompositionDisabledByFactorOne(t *testing.T) {
 	}
 }
 
+// A primary window of two 4 µs compute kernels is below
+// minOverlapWindow: the donor's all-reduce, which one eighth of would
+// fit, is left alone.
 func TestMinOverlapWindowSkipsTinyWindows(t *testing.T) {
-	cfg := testCfg()
-	cfg.MinOverlapWindow = time.Millisecond
-	s := &Scheduler{cfg: cfg}
-	primary := syntheticBatch(0, 1, 2, 50*time.Microsecond, 30*time.Microsecond)
+	s := &Scheduler{cfg: testCfg()}
+	primary := syntheticBatch(0, 1, 2, 4*time.Microsecond, 30*time.Microsecond)
 	donor := syntheticBatch(1, 1, 1, 10*time.Microsecond, 40*time.Microsecond)
 	donor.pop()
 	s.processing = []*Batch{primary, donor}
 	_, window, typ := s.collectPrimary(primary)
 	if sub1 := s.collectSecondary(typ, window); sub1 != nil {
-		t.Fatalf("collected %d kernels below MinOverlapWindow", len(sub1))
+		t.Fatalf("collected %d kernels below minOverlapWindow", len(sub1))
 	}
 }
 
@@ -347,12 +348,33 @@ func TestProcessingListBounded(t *testing.T) {
 	}
 }
 
+// Batches that arrive together are interleaved, yet complete in arrival
+// order (Principle 1).
+func TestSimultaneousArrivalsKeepFIFO(t *testing.T) {
+	eng, _, s := testRig(t, testCfg())
+	var order []int
+	s.SetOnBatchDone(func(b *Batch, now simclock.Time) { order = append(order, b.ID) })
+	eng.After(0, func(simclock.Time) {
+		for i := 0; i < 4; i++ {
+			s.Submit(syntheticBatch(i, 4, 2, 50*time.Microsecond, 30*time.Microsecond))
+		}
+	})
+	eng.Run()
+	if len(order) != 4 {
+		t.Fatalf("%d of 4 batches completed", len(order))
+	}
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("order %v", order)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Sync: Hybrid, ContentionFactor: 0.9, DivisionFactor: 8, MaxInflight: 4},
 		{Sync: Hybrid, ContentionFactor: 1.1, DivisionFactor: 0, MaxInflight: 4},
 		{Sync: Hybrid, ContentionFactor: 1.1, DivisionFactor: 8, MaxInflight: 0},
-		{Sync: Hybrid, ContentionFactor: 1.1, DivisionFactor: 8, MaxInflight: 4, MinOverlapWindow: -1},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

@@ -24,14 +24,19 @@ func Node(r *Liger) *gpusim.Node { return r.node }
 func Store(r *Liger) *Records { return r.records }
 
 // Record returns the record r's store holds for shape w in r's world,
-// nil when it holds none. It assembles a batch of w to read it, so it
-// takes a batch id.
-func Record(r *Liger, w model.Workload) *liger.Replay {
+// nil when it holds none, and the world of the store it is filed under.
+// It assembles a batch of w to read it, so it takes a batch id.
+func Record(r *Liger, w model.Workload) (*liger.Replay, liger.World) {
 	b, err := r.assembler.Assemble(w)
 	if err != nil {
-		return nil
+		return nil, liger.World{}
 	}
 	defer r.assembler.Release(b)
 	rec, _ := r.assembler.Replay(b, r.currentWorld())
-	return rec
+	for _, k := range r.records.worlds {
+		if got, _ := r.assembler.Replay(b, k.key); rec != nil && got == rec {
+			return rec, k.key
+		}
+	}
+	return rec, liger.World{}
 }

@@ -90,13 +90,11 @@ type replayer struct {
 	catchUpFn func(*liger.Batch, *liger.Replay)
 
 	// cfg is the scheduler's configuration, which the probe node's
-	// scheduler copies. records is the store the runtime shares, alive
-	// the mask of the node's surviving devices, and slot the store's
-	// entry for the world the runtime last synthesized in.
+	// scheduler copies. records is the store the runtime shares and alive
+	// the mask of the node's surviving devices.
 	cfg     liger.Config
 	records *Records
 	alive   uint64
-	slot    *world
 
 	// replays counts the iterations answered from a record; catchUps
 	// the replays caught up and simulated after all.
@@ -113,12 +111,8 @@ type replayer struct {
 type Records struct {
 	plans liger.Plans
 	mu    sync.Mutex
-	// home, once homeSet, is the first world to synthesize, worlds every
-	// later one. A one-node store rarely sees a second, and keeping the
-	// first in the store spares its runs an allocation.
-	home    world
-	homeSet bool
-	worlds  []*world
+	// worlds holds an entry per world that synthesized.
+	worlds []*world
 }
 
 // world is the store's entry for one world: its probe node, built on the
@@ -152,7 +146,7 @@ func ShareRecords(rts []Runtime) (*Records, error) {
 		} else if r.node.Spec() != first.node.Spec() || r.cfg != first.cfg || r.assembler.Spec() != first.assembler.Spec() {
 			return nil, fmt.Errorf("runtimes: a record store joins Liger runtimes of one hardware, configuration and model")
 		}
-		r.records, r.slot = s, nil
+		r.records = s
 		r.assembler.Share(&s.plans)
 	}
 	return s, nil
@@ -173,7 +167,7 @@ func (s *Records) Stats() RecordStats {
 	st.Held, st.Marked = s.plans.Records()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, w := range append([]*world{&s.home}, s.worlds...) {
+	for _, w := range s.worlds {
 		w.mu.Lock()
 		st.Synthesized += w.synthesized
 		st.Fallbacks += w.fallbacks
@@ -188,12 +182,6 @@ func (s *Records) Stats() RecordStats {
 func (s *Records) worldOf(k liger.World) *world {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.homeSet {
-		s.home.key, s.homeSet = k, true
-	}
-	if s.home.key == k {
-		return &s.home
-	}
 	for _, w := range s.worlds {
 		if w.key == k {
 			return w
@@ -248,11 +236,7 @@ func (r *Liger) currentWorld() liger.World {
 // with the lead apart. A runtime sharing the store that synthesized or
 // marked the shape in k meanwhile leaves nothing to probe.
 func (r *Liger) synthesize(b *liger.Batch, k liger.World) *liger.Replay {
-	w := r.slot
-	if w == nil || w.key != k {
-		w = r.records.worldOf(k)
-		r.slot = w
-	}
+	w := r.records.worldOf(k)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if rec, marked := r.assembler.Replay(b, k); rec != nil || marked {
@@ -271,7 +255,7 @@ func (r *Liger) synthesize(b *liger.Batch, k liger.World) *liger.Replay {
 	}
 	var rec *liger.Replay
 	if ok {
-		rec, ok = liger.Extend(&p.runs, b.Layers(), k.Timeout)
+		rec, ok = liger.Extend(&p.runs, b.Layers())
 	}
 	if !ok {
 		r.assembler.MarkNonlinear(b, k)

@@ -690,17 +690,18 @@ func TestShardReplayMatchesSimulation(t *testing.T) {
 		}
 	}
 	// ownRecords checks that replicas 0 and 1 hold a record of w each, in
-	// worlds of their own: different records, each under its node's
+	// worlds of their own: different records, each filed under its node's
 	// watchdog.
 	ownRecords := func(t *testing.T, o fleetOutcome) {
-		r0, r1 := runtimes.Record(o.rts[0], w), runtimes.Record(o.rts[1], w)
+		r0, k0 := runtimes.Record(o.rts[0], w)
+		r1, k1 := runtimes.Record(o.rts[1], w)
 		switch {
 		case r0 == nil || r1 == nil:
 			t.Fatalf("records %v and %v", r0, r1)
 		case r0 == r1:
 			t.Fatal("two worlds share a record")
-		case r0.Timeout != runtimes.Node(o.rts[0]).CollectiveTimeout() || r1.Timeout != runtimes.Node(o.rts[1]).CollectiveTimeout():
-			t.Fatalf("records under watchdogs %v and %v", r0.Timeout, r1.Timeout)
+		case k0.Timeout != runtimes.Node(o.rts[0]).CollectiveTimeout() || k1.Timeout != runtimes.Node(o.rts[1]).CollectiveTimeout():
+			t.Fatalf("records under watchdogs %v and %v", k0.Timeout, k1.Timeout)
 		}
 	}
 	// catchesUp marks the seeds that must catch a replay up; atDone the

@@ -112,8 +112,8 @@ func (g rig) simulated(t testing.TB, ws []model.Workload) []liger.Probe {
 }
 
 // recordOf returns the record of the iteration p measured.
-func recordOf(p liger.Probe, timeout time.Duration) *liger.Replay {
-	rec, ok := liger.Extend(&[3]liger.Probe{p}, 1, timeout)
+func recordOf(p liger.Probe) *liger.Replay {
+	rec, ok := liger.Extend(&[3]liger.Probe{p}, 1)
 	if !ok {
 		panic("the record of a failed iteration")
 	}
@@ -160,8 +160,8 @@ func TestSoloIterationIsLayerAffine(t *testing.T) {
 						for i, w := range shapes {
 							probes := [3]liger.Probe{byDepth[1][i], byDepth[2][i], byDepth[3][i]}
 							for k := 1; k <= depth; k++ {
-								got, ok := liger.Extend(&probes, k, 0)
-								if want := recordOf(byDepth[k][i], 0); !ok || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+								got, ok := liger.Extend(&probes, k)
+								if want := recordOf(byDepth[k][i]); !ok || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
 									t.Fatalf("%v at %d layers: extended %+v (%v), simulated %+v", w, k, got, ok, want)
 								}
 							}
@@ -202,7 +202,7 @@ func synthesizedRecords(t *testing.T, rt *runtimes.Liger, ws []model.Workload) (
 		if slices.Contains(shapes, w) {
 			continue
 		}
-		if rec := runtimes.Record(rt, w); rec != nil {
+		if rec, _ := runtimes.Record(rt, w); rec != nil {
 			shapes, recs = append(shapes, w), append(recs, rec)
 		}
 	}
@@ -221,7 +221,7 @@ func matchSimulated(t *testing.T, g rig, shapes []model.Workload, recs []*liger.
 		return 0
 	}
 	for i, p := range g.simulated(t, shapes) {
-		got, want := fmt.Sprintf("%+v", recs[i]), fmt.Sprintf("%+v", recordOf(p, 0))
+		got, want := fmt.Sprintf("%+v", recs[i]), fmt.Sprintf("%+v", recordOf(p))
 		if got != want {
 			t.Fatalf("%v: synthesized %s, simulated %s", shapes[i], got, want)
 		}
@@ -349,7 +349,7 @@ func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 				}
 				served++
 				for i, w := range shapes {
-					if runtimes.Record(rt, w) != recs[i] {
+					if rec, _ := runtimes.Record(rt, w); rec != recs[i] {
 						t.Fatalf("%v: a node does not see the shared record", w)
 					}
 				}
@@ -368,7 +368,7 @@ func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 			cut.spec.Layers = k + 1
 			probes[k] = cut.simulated(t, w)[0]
 		}
-		if got, ok := liger.Extend(&probes, g.spec.Layers, 0); !ok || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", recordOf(g.simulated(t, w)[0], 0)) {
+		if got, ok := liger.Extend(&probes, g.spec.Layers); !ok || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", recordOf(g.simulated(t, w)[0])) {
 			t.Fatalf("extended %+v (%v), not the simulated record", got, ok)
 		}
 		// Each perturbation moves one field of the third probe.
@@ -398,7 +398,7 @@ func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 			moved := probes
 			moved[2].After.Devices = slices.Clone(probes[2].After.Devices)
 			f(&moved[2])
-			if rec, ok := liger.Extend(&moved, g.spec.Layers, 0); ok {
+			if rec, ok := liger.Extend(&moved, g.spec.Layers); ok {
 				t.Fatalf("perturbation %d extended to %+v", i, rec)
 			}
 		}

@@ -58,9 +58,15 @@
 //     races two replicas' syntheses of one shape on the record store
 //     they share, and TestCatchUpAtEveryPosition), the walk that
 //     finds every entry point catching a replay up
-//     (TestEveryEntryPointCatchesUp), and the engine, executor, node and
-//     scheduler primitives it rests on (deferred computations and their
-//     catch-ups, the window-independent post order of
+//     (TestEveryEntryPointCatchesUp), the record store the nodes of a
+//     cluster share: its plan cache shared by two assemblers
+//     (TestPlanCacheIsolatedFromDecomposition,
+//     TestPlanCacheEvictsLeastRecentlyUsed) and the corpus fleets'
+//     concurrent use of it at 4 shards, which synthesizes each shape
+//     once (TestClusterSynthesizesEachShapeOnce in ./internal/scenario),
+//     and the engine, executor, node and scheduler primitives it rests
+//     on (deferred computations and their catch-ups, the
+//     window-independent post order of
 //     TestShardedPostOrderIgnoresBarriers, reserved blocks, Drained,
 //     Work, the per-plan record, Settled) under -race
 //
@@ -204,8 +210,8 @@ func main() {
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
 			"./internal/analyze")},
 		{"replay race", command("go", "test", "-race",
-			"-run", "SoloIteration|Synthesized|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled|LeadFold",
-			"./internal/runtimes", "./internal/simclock", "./internal/gpusim", "./internal/liger")},
+			"-run", "SoloIteration|Synthesized|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled|LeadFold|PlanCache|SynthesizesEachShapeOnce",
+			"./internal/runtimes", "./internal/simclock", "./internal/gpusim", "./internal/liger", "./internal/scenario")},
 		{"failover smoke", smoke{
 			what: "failover sweep",
 			args: ligerbench("-exp", "failover", "-quick", "-batches", "25", "-seed", "5"),
