@@ -178,6 +178,9 @@ func TestLigersimRejects(t *testing.T) {
 		{[]string{"-rate", "-5"}, "workload.rate: resolves to -5"},
 		{[]string{"-batch", "0"}, "-batch: 0 is out of range"},
 		{[]string{"-continuous", "-pool", "0"}, "-pool: 0 is out of range"},
+		{[]string{"-model", "tiny", "-batches", "5", "-journal", "-1"}, "-journal: -1 is out of range"},
+		{[]string{"-model", "tiny", "-batches", "5", "-explain", "-top", "0"}, "-top: 0 is out of range"},
+		{[]string{"-model", "tiny", "-batches", "5", "-metrics", "m.json", "-window", "-1ms"}, "-window: -1ms is out of range"},
 		{[]string{"-cfactor", "-1"}, "contention factor -1"},
 		{[]string{"-tracein", "empty.json"}, "serve: trace file has no arrivals"},
 	}

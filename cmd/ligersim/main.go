@@ -144,6 +144,17 @@ func main() {
 			log.Fatalf("-%s is read only with -%s", f.Name, out)
 		}
 	})
+	// The output flags lower to no scenario key, so their ranges are
+	// checked here.
+	if *journalN < 0 {
+		outOfRange("journal", *journalN)
+	}
+	if *topN < 1 {
+		outOfRange("top", *topN)
+	}
+	if *window < 0 {
+		outOfRange("window", *window)
+	}
 
 	sc := lower(m)
 	if err := sc.Validate(); err != nil {
@@ -243,9 +254,14 @@ func lower(m mode) *scenario.Scenario {
 // default"; the flags carry their defaults themselves.
 func nonzero(name string, v int) int {
 	if v == 0 {
-		log.Fatalf("-%s: 0 is out of range", name)
+		outOfRange(name, v)
 	}
 	return v
+}
+
+// outOfRange fails the invocation on a flag value outside its range.
+func outOfRange(name string, v any) {
+	log.Fatalf("-%s: %v is out of range", name, v)
 }
 
 // saveArrivals writes the trace the run serves, the -tracein file's or

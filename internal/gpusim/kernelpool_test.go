@@ -108,6 +108,97 @@ func TestEventPoolWaitKeepsGeneration(t *testing.T) {
 	}
 }
 
+// A callback that runs inside a stream's advance and launches onto that
+// same stream moves the stream's value queue under the advance: the
+// launches first slide the outstanding commands down, then grow the
+// slice. The two callbacks that run there are an Observe callback on an
+// event recorded on the stream and the OnDone of a kernel cancelled on a
+// failed device. Every kernel must still complete once, in launch order,
+// and no retired kernel may stay reachable from any queue slot.
+func TestIssueDuringAdvanceKeepsQueue(t *testing.T) {
+	// pre kernels, the trigger and a tail fill a 16-slot queue; the
+	// trigger leaves it with only the tail outstanding.
+	const pre, more = 14, 40
+	for _, tc := range []struct {
+		name string
+		fail bool
+	}{{"observe", false}, {"cancel", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, n := testNode(t, 1)
+			s := n.NewStream(0)
+			if tc.fail {
+				n.FailDevice(0)
+			}
+			recycled := 0
+			n.kernelHook = func(k *kernelInstance) bool {
+				recycled++
+				for _, cmd := range s.queue[:cap(s.queue)] {
+					if cmd.kernel == k {
+						t.Errorf("kernel %d pooled while a queue slot holds it", k.id)
+					}
+				}
+				return true
+			}
+			var order []int
+			launched := 0
+			gemm := func(onDone func()) {
+				i := launched
+				launched++
+				s.Launch(KernelSpec{Name: "gemm", Class: Compute, Duration: time.Microsecond,
+					ComputeDemand: 0.3, Req: -1, OnDone: func(simclock.Time, int) {
+						order = append(order, i)
+						if onDone != nil {
+							onDone()
+						}
+					}})
+			}
+			var slid, grew bool
+			launchMore := func() {
+				if s.qhead == 0 {
+					t.Fatal("the callback runs with no retired prefix to slide over")
+				}
+				before := cap(s.queue)
+				for range more {
+					gemm(nil)
+				}
+				// Nothing pops while the callback launches, so qhead returns
+				// to 0 only by a slide.
+				slid, grew = s.qhead == 0, cap(s.queue) > before
+			}
+			for range pre {
+				gemm(nil)
+			}
+			if tc.fail {
+				gemm(launchMore)
+			} else {
+				ev := s.Record()
+				ev.Observe(func(simclock.Time) { launchMore() })
+				ev.Release()
+			}
+			gemm(nil)
+			eng.Run()
+			if !slid || !grew {
+				t.Fatalf("the launches inside advance slid the queue: %v, grew it: %v; want both", slid, grew)
+			}
+			want := pre + 1 + more // and the trigger, when it is a kernel
+			if tc.fail {
+				want++
+			}
+			if len(order) != launched || launched != want || recycled != want {
+				t.Fatalf("%d completions and %d recycles of %d launches, want %d", len(order), recycled, launched, want)
+			}
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("completion %d is kernel %d: not in launch order", i, got)
+				}
+			}
+			if q := s.QueueLen(); q != 0 {
+				t.Fatalf("stream holds %d commands after the run, want 0", q)
+			}
+		})
+	}
+}
+
 // poolRun is what one pool scenario observed.
 type poolRun struct {
 	spans                  []KernelSpan

@@ -191,9 +191,6 @@ type Node struct {
 	// stamp it to dedup membership scans in O(1).
 	collEpoch uint64
 
-	// cmdFree recycles stream commands (and their delivery closures);
-	// see Stream.pop.
-	cmdFree []*command
 	// kernFree recycles kernel instances (and their completion
 	// closures); see the lifetime rule on kernelInstance.
 	kernFree []*kernelInstance
@@ -352,38 +349,6 @@ func (n *Node) Tracer() Tracer {
 	return n.tracer
 }
 
-// newCommand takes a command from the free list (or allocates one) and
-// binds it to stream s. The delivery callback is allocated once per
-// pooled object: it survives recycling, so steady-state issuing does not
-// allocate.
-func (n *Node) newCommand(s *Stream) *command {
-	if l := len(n.cmdFree); l > 0 {
-		cmd := n.cmdFree[l-1]
-		n.cmdFree[l-1] = nil
-		n.cmdFree = n.cmdFree[:l-1]
-		cmd.stream = s
-		return cmd
-	}
-	cmd := &command{stream: s}
-	cmd.deliverFn = func(t simclock.Time) {
-		cmd.stream.advCause, cmd.stream.advPred = CauseDelivery, noKernel
-		cmd.stream.advance(t)
-	}
-	return cmd
-}
-
-// recycleCommand resets a popped command and returns it to the free
-// list. Must only be called once no queue references the command.
-func (n *Node) recycleCommand(cmd *command) {
-	cmd.kind = 0
-	cmd.kernel = nil
-	cmd.event = nil
-	cmd.stream = nil
-	cmd.deliveredAt = 0
-	cmd.waitRegistered = false
-	n.cmdFree = append(n.cmdFree, cmd)
-}
-
 // newEvent takes an event from the free list (or allocates one) for a
 // new recording. The subscriber slice keeps its backing array.
 func (n *Node) newEvent() *Event {
@@ -415,9 +380,8 @@ func (n *Node) notifyHost(fn func(simclock.Time)) {
 }
 
 // newKernel takes a kernel instance from the free list (or allocates
-// one). Like a command's delivery callback, the completion callback is
-// allocated once per pooled object, so steady-state launching does not
-// allocate.
+// one). The completion callback is allocated once per pooled object,
+// so steady-state launching does not allocate.
 func (n *Node) newKernel() *kernelInstance {
 	if l := len(n.kernFree); l > 0 {
 		k := n.kernFree[l-1]
@@ -469,6 +433,10 @@ func (n *Node) NewStreamOnConnection(dev, conn int) *Stream {
 	}
 	s := &Stream{node: n, dev: d, id: n.nextStreamID, conn: d.conns[conn],
 		lastDone: noKernel, advCause: CauseDelivery, advPred: noKernel}
+	s.deliverFn = func(t simclock.Time) {
+		s.advCause, s.advPred = CauseDelivery, noKernel
+		s.advance(t)
+	}
 	n.nextStreamID++
 	d.streams = append(d.streams, s)
 	return s

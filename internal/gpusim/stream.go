@@ -14,17 +14,15 @@ const (
 	cmdWait
 )
 
-// command is one entry in a stream's FIFO. Commands are recycled through
-// a node-level free list once popped; deliverFn is allocated once per
-// pooled object and reused for every delivery, so issuing a command does
-// not allocate a fresh closure.
+// command is one entry in a stream's FIFO, held by value in the queue.
+// Only the head has a delivery event armed, and it runs the stream's
+// deliverFn, so a command carries no callback of its own.
 type command struct {
 	kind   cmdKind
 	kernel *kernelInstance
 	event  *Event
 	// gen is the event generation a wait command captured.
-	gen    uint64
-	stream *Stream
+	gen uint64
 	// deliveredAt and seq are the command's delivery position in the
 	// engine's (time, seq) order, reserved at issue; an event is armed
 	// there only while the command heads its stream (see Stream.issue).
@@ -35,7 +33,6 @@ type command struct {
 	deliveredAt    simclock.Time
 	followerAt     simclock.Time
 	seq            uint64
-	deliverFn      simclock.Event
 	leadOnly       bool
 	waitRegistered bool
 }
@@ -165,11 +162,16 @@ type Stream struct {
 	id   int
 	conn *connection
 	// queue[qhead:] are the outstanding commands, oldest first. Popping
-	// advances qhead; the slice resets when it drains and reuses the
-	// retired prefix before it would grow.
-	queue    []*command
+	// zeroes the slot and advances qhead; the slice resets when it drains
+	// and reuses the retired prefix before it would grow. A *command from
+	// head points into it, so it must not be held across anything that
+	// can issue onto the stream.
+	queue    []command
 	qhead    int
 	priority int
+	// deliverFn is the delivery callback armHead schedules for whichever
+	// command heads the stream.
+	deliverFn simclock.Event
 
 	// lastDone is the last kernel completed on this stream (noKernel if
 	// none); events recorded on the stream inherit it as their firing
@@ -209,12 +211,6 @@ func (s *Stream) SetPriority(p int) {
 	s.priority = p
 }
 
-// Priority returns the stream's scheduling priority.
-func (s *Stream) Priority() int {
-	s.node.touch()
-	return s.priority
-}
-
 // ID returns the stream's node-unique identifier.
 func (s *Stream) ID() int { return s.id }
 
@@ -244,14 +240,15 @@ func (s *Stream) Idle() bool {
 // and, unless leadOnly, the followers' too: it takes its place in both
 // delivery chains and reserves both sequence numbers the lead-apart
 // layout reserves, the lead's first. The lead's is its delivery's.
-func (s *Stream) issue(cmd *command, leadOnly bool) {
+// issue returns the command's delivery time.
+func (s *Stream) issue(cmd command) simclock.Time {
 	eng := s.node.eng
 	now := eng.Now()
 	d := s.dev
 	cmd.deliveredAt = d.deliver(&s.conn.lastDelivery, now)
-	cmd.followerAt, cmd.leadOnly = cmd.deliveredAt, leadOnly
+	cmd.followerAt = cmd.deliveredAt
 	cmd.seq = eng.Reserve()
-	if leadOnly {
+	if cmd.leadOnly {
 		d.leadDepth++
 	} else if d.withLead {
 		cmd.followerAt = d.deliver(&s.conn.followerDelivery, now)
@@ -267,11 +264,12 @@ func (s *Stream) issue(cmd *command, leadOnly bool) {
 	s.queue = append(s.queue, cmd)
 	d.queueDepth++
 	if tr := s.node.tracer; tr != nil {
-		d.sampleQueue(tr, now, leadOnly)
+		d.sampleQueue(tr, now, cmd.leadOnly)
 	}
 	if s.QueueLen() == 1 {
 		s.armHead()
 	}
+	return cmd.deliveredAt
 }
 
 // armHead arms the delivery event of the command that just reached the
@@ -283,7 +281,7 @@ func (s *Stream) issue(cmd *command, leadOnly bool) {
 // their timeline leaves the lead's, which the representative runs, and
 // the node is marked diverged (Node.Diverged).
 func (s *Stream) armHead() {
-	cmd := s.queue[s.qhead]
+	cmd := &s.queue[s.qhead]
 	eng := s.node.eng
 	if eng.Passed(cmd.deliveredAt, cmd.seq) {
 		return
@@ -292,7 +290,7 @@ func (s *Stream) armHead() {
 		s.node.diverged = true
 	}
 	s.node.evCounts.Stream++
-	eng.AtSeq(cmd.deliveredAt, cmd.seq, cmd.deliverFn)
+	eng.AtSeq(cmd.deliveredAt, cmd.seq, s.deliverFn)
 }
 
 // Launch enqueues a kernel. The call returns immediately (asynchronous
@@ -329,16 +327,12 @@ func (s *Stream) Launch(spec KernelSpec) {
 			}
 		}
 	}
-	cmd := s.node.newCommand(s)
-	cmd.kind = cmdKernel
-	cmd.kernel = k
-	s.issue(cmd, false)
 	// Dependency bookkeeping for Tracer.KernelDep: the issue instant,
 	// the part of the delivery delay the connection's issue gap added on
 	// top of the base launch latency, and the serialization predecessor.
+	k.deliveredAt = s.issue(command{kind: cmdKernel, kernel: k})
 	k.issuedAt = s.node.eng.Now()
-	k.deliveredAt = cmd.deliveredAt
-	if ser := cmd.deliveredAt - (k.issuedAt + s.node.spec.Host.LaunchLatency); ser > 0 {
+	if ser := k.deliveredAt - (k.issuedAt + s.node.spec.Host.LaunchLatency); ser > 0 {
 		k.serialized = ser
 	}
 	s.conn.lastKernel = k.ref()
@@ -366,10 +360,7 @@ func (s *Stream) RecordLead() *Event {
 
 func (s *Stream) record(leadOnly bool) *Event {
 	ev := s.node.newEvent()
-	cmd := s.node.newCommand(s)
-	cmd.kind = cmdRecord
-	cmd.event = ev
-	s.issue(cmd, leadOnly)
+	s.issue(command{kind: cmdRecord, event: ev, leadOnly: leadOnly})
 	return ev
 }
 
@@ -379,18 +370,17 @@ func (s *Stream) record(leadOnly bool) *Event {
 // right after this call.
 func (s *Stream) Wait(ev *Event) {
 	s.node.touch()
-	cmd := s.node.newCommand(s)
-	cmd.kind = cmdWait
-	cmd.event, cmd.gen = ev, ev.gen
-	s.issue(cmd, false)
+	s.issue(command{kind: cmdWait, event: ev, gen: ev.gen})
 }
 
-// head returns the oldest incomplete command, or nil.
+// head returns the oldest incomplete command, or nil. The pointer is
+// into the queue: copy what is needed before anything that can issue
+// onto the stream.
 func (s *Stream) head() *command {
 	if s.qhead == len(s.queue) {
 		return nil
 	}
-	return s.queue[s.qhead]
+	return &s.queue[s.qhead]
 }
 
 // headKernelDelivery is used for deterministic admission ordering.
@@ -401,11 +391,12 @@ func (s *Stream) headKernelDelivery() simclock.Time {
 	return 0
 }
 
-// pop removes the head command and recycles it. Callers must copy any
-// command fields they still need (e.g. the record event) before popping.
+// pop removes the head command, zeroing its slot so the queue keeps no
+// kernel or event reachable. Callers must copy any command fields they
+// still need (e.g. the record event) before popping.
 func (s *Stream) pop() {
-	cmd := s.queue[s.qhead]
-	s.queue[s.qhead] = nil
+	leadOnly := s.queue[s.qhead].leadOnly
+	s.queue[s.qhead] = command{}
 	s.qhead++
 	if s.qhead == len(s.queue) {
 		s.queue, s.qhead = s.queue[:0], 0
@@ -413,13 +404,12 @@ func (s *Stream) pop() {
 		s.armHead()
 	}
 	s.dev.queueDepth--
-	if cmd.leadOnly {
+	if leadOnly {
 		s.dev.leadDepth--
 	}
 	if tr := s.node.tracer; tr != nil {
-		s.dev.sampleQueue(tr, s.node.eng.Now(), cmd.leadOnly)
+		s.dev.sampleQueue(tr, s.node.eng.Now(), leadOnly)
 	}
-	s.node.recycleCommand(cmd)
 }
 
 // completeHead is called by the device when the head kernel finishes.
@@ -443,6 +433,7 @@ func (s *Stream) advance(now simclock.Time) {
 		}
 		switch cmd.kind {
 		case cmdRecord:
+			// Firing can issue onto s, moving cmd.
 			ev := cmd.event
 			ev.firedBy = s.lastDone
 			s.pop()
@@ -460,12 +451,14 @@ func (s *Stream) advance(now simclock.Time) {
 			}
 			return
 		case cmdKernel:
-			switch cmd.kernel.state {
+			// The abort and OnDone below can issue onto s, moving cmd.
+			k := cmd.kernel
+			switch k.state {
 			case kQueued:
 				// First admission attempt: the kernel just reached the head
 				// of its stream with all prior work retired. Stamp what got
 				// it here — the head cause of its KernelDep record.
-				if k := cmd.kernel; !k.headStamped {
+				if !k.headStamped {
 					k.headStamped = true
 					k.headAt = now
 					k.headCause = s.advCause
@@ -476,7 +469,6 @@ func (s *Stream) advance(now simclock.Time) {
 					// executing, and a collective it would have joined can
 					// never complete its rendezvous — abort it now so members
 					// on surviving devices release instead of hanging.
-					k := cmd.kernel
 					k.state = kDone
 					k.startedAt = now
 					k.finishedAt = now
@@ -494,14 +486,14 @@ func (s *Stream) advance(now simclock.Time) {
 					s.node.recycleKernel(k)
 					continue
 				}
-				if !s.dev.tryAdmit(s, cmd.kernel, now) {
+				if !s.dev.tryAdmit(s, k, now) {
 					s.dev.queueForAdmission(s)
 				}
 				return
 			case kRunning:
 				return
 			case kDone:
-				s.lastDone = cmd.kernel.ref()
+				s.lastDone = k.ref()
 				s.pop()
 			}
 		}

@@ -432,6 +432,3 @@ func (p *Plans) Records() (held, marked int) {
 
 // Spec returns the served model.
 func (a *Assembler) Spec() model.Spec { return a.spec }
-
-// TP returns the tensor-parallel degree.
-func (a *Assembler) TP() int { return a.tp }

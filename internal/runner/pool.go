@@ -60,14 +60,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the number of worker goroutines (1 for a serial pool).
-func (p *Pool) Workers() int {
-	if len(p.cmds) == 0 {
-		return 1
-	}
-	return len(p.cmds)
-}
-
 // Run executes fn(i) for every i in [0, n) and blocks until all jobs
 // finish. On a serial pool jobs run in index order on the caller. Rounds
 // do not overlap: Run must not be called again before it returns.

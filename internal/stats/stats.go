@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -82,20 +81,6 @@ func Max(ds []time.Duration) time.Duration {
 	return m
 }
 
-// Min returns the minimum (0 for empty input).
-func Min(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	m := ds[0]
-	for _, d := range ds[1:] {
-		if d < m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Normalize maps durations onto [0, 1] relative to the maximum — the
 // presentation of Fig. 4's kernel-duration distributions.
 func Normalize(ds []time.Duration) []float64 {
@@ -127,50 +112,4 @@ func CoefficientOfVariation(ds []time.Duration) float64 {
 		ss += diff * diff
 	}
 	return math.Sqrt(ss/float64(len(ds))) / mean
-}
-
-// Histogram buckets values into n equal-width bins over [0, max].
-type Histogram struct {
-	BinWidth time.Duration
-	Counts   []int
-}
-
-// NewHistogram builds an n-bin histogram of the durations.
-func NewHistogram(ds []time.Duration, n int) Histogram {
-	if n < 1 {
-		n = 1
-	}
-	h := Histogram{Counts: make([]int, n)}
-	max := Max(ds)
-	if max == 0 {
-		return h
-	}
-	h.BinWidth = max/time.Duration(n) + 1
-	for _, d := range ds {
-		idx := int(d / h.BinWidth)
-		if idx >= n {
-			idx = n - 1
-		}
-		h.Counts[idx]++
-	}
-	return h
-}
-
-// String renders the histogram as an ASCII bar chart.
-func (h Histogram) String() string {
-	out := ""
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	for i, c := range h.Counts {
-		bar := ""
-		if total > 0 {
-			for j := 0; j < 40*c/total; j++ {
-				bar += "#"
-			}
-		}
-		out += fmt.Sprintf("%12v %5d %s\n", time.Duration(i)*h.BinWidth, c, bar)
-	}
-	return out
 }

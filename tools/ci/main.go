@@ -39,8 +39,9 @@
 //  8. a failover race pass: the permanent-device-failure paths across
 //     gpusim, runtimes, liger, and serve under -race, including the
 //     teardown paths of the kernel-instance, event and collective pools
-//     (KernelPool and EventPool tests) and of Liger batch reuse
-//     (ReleasedBatch)
+//     (KernelPool and EventPool tests), a launch onto a stream from a
+//     callback inside its advance (TestIssueDuringAdvanceKeepsQueue)
+//     and Liger batch reuse (ReleasedBatch)
 //  9. an observability race pass: the tracer hook, dependency-edge
 //     emission, per-request decomposition, the interval algebra,
 //     trace-analysis, and metrics-export paths under -race
@@ -202,7 +203,7 @@ func main() {
 			benchdiff:    []string{"BENCH_robustness.json"},
 		}.run},
 		{"failover race", command("go", "test", "-race",
-			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce|KernelPool|EventPool|ReleasedBatch",
+			"-run", "Failover|FailDevice|Drain|Backoff|Quiesce|KernelPool|EventPool|IssueDuringAdvanceKeepsQueue|ReleasedBatch",
 			"./internal/gpusim", "./internal/runtimes", "./internal/liger", "./internal/serve")},
 		{"observability race", command("go", "test", "-race",
 			"-run", "Observability|ChromeTrace|Tracer|Truncated|Rendezvous|ReqBreakdown|RequestID|PerRequest|Percentiles|FromRun|WriteJSON|Dep|CriticalPath|Gap|Overlap|Window|Determinism|Timeline|Interval",
