@@ -34,14 +34,17 @@ bench:
 
 # The stdlib fuzz targets, 15 s each (plain `go test` runs only their
 # seeds): the scenario loader, the paged KV allocator against a naive
-# model, the calendar queue against the reference heap, and iteration
-# replay against the simulation. A replay input runs whole serving
-# simulations, so its minimization is capped at 10 runs per input.
+# model, the calendar queue against the reference heap, iteration
+# replay against the simulation, and runtime decomposition's chains of
+# remainders against the closures they replaced. A replay input runs
+# whole serving simulations, so its minimization is capped at 10 runs
+# per input.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 15s -parallel 1 ./internal/scenario
 	$(GO) test -run XXX -fuzz FuzzPagedOps -fuzztime 15s -parallel 1 ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzEngineVsRefheap -fuzztime 15s -parallel 1 ./internal/simclock
 	$(GO) test -run XXX -fuzz FuzzContinuousReplay -fuzztime 15s -fuzzminimizetime 10x -parallel 1 ./internal/runtimes
+	$(GO) test -run XXX -fuzz FuzzSplitChain -fuzztime 15s -parallel 1 ./internal/parallel
 
 # Full-fidelity paper reproduction: rerun every experiment that
 # results_full.txt holds (table1 through straggler) at -batches 200 and

@@ -53,13 +53,16 @@ type Batch struct {
 
 	// plan is the batch's compiled kernel sequence, shared read-only
 	// with every batch of the same shape (see Assembler); pos is the
-	// cursor into its expansion, the next unscheduled kernel. While split
-	// is set, rest stands in for kernel pos: the remainder runtime
-	// decomposition left of it, named rest.Name.
-	plan  *parallel.Plan
-	pos   int
-	rest  parallel.KernelDesc
-	split bool
+	// cursor into its expansion, the next unscheduled kernel. While
+	// scales is not empty, rest stands in for kernel pos: the remainder
+	// runtime decomposition left of it, named rest.Name. scales holds
+	// the share of kernel pos each split left, in split order, so rest's
+	// pieces are kernel pos's scaled by each in turn; it keeps its
+	// storage when Assemble recycles the batch.
+	plan   *parallel.Plan
+	pos    int
+	rest   parallel.KernelDesc
+	scales []float64
 	// entry is the plan-cache entry plan came from (nil for a batch
 	// built by NewBatch); it carries the shape's replay records.
 	entry *cachedPlan
@@ -153,24 +156,35 @@ func (b *Batch) ExecutionTime() time.Duration {
 // Exhausted first. A split head points at the batch's remainder, which
 // the next replaceHead overwrites.
 func (b *Batch) head() Func {
-	if b.split {
+	if b.splitHead() {
 		return Func{Desc: &b.rest, Name: b.rest.Name, batch: b}
 	}
 	d, name := b.plan.At(b.pos)
 	return Func{Desc: d, Name: name, batch: b}
 }
 
+// splitHead reports whether the head is a remainder of a split.
+func (b *Batch) splitHead() bool { return len(b.scales) > 0 }
+
+// remainder returns the head kernel as runtime decomposition sees it:
+// the plan's descriptor and the scales of the splits that cut it.
+func (b *Batch) remainder() parallel.Remainder {
+	d, _ := b.plan.At(b.pos)
+	return parallel.Remainder{Root: d, Scales: b.scales}
+}
+
 // advance consumes the head func.
 func (b *Batch) advance() {
 	b.pos++
-	b.split = false
+	b.scales = b.scales[:0]
 }
 
-// replaceHead swaps the head's kernel descriptor — used when runtime
-// decomposition peels a prefix off a lengthy kernel and leaves the
-// remainder in place (§3.6). The shared kernel sequence is untouched.
-func (b *Batch) replaceHead(desc parallel.KernelDesc) {
-	b.rest, b.split = desc, true
+// replaceHead leaves rest in place of the head — used when runtime
+// decomposition peels a prefix off a lengthy kernel and scales what is
+// left of it by scale (§3.6). The shared kernel sequence is untouched.
+func (b *Batch) replaceHead(rest parallel.KernelDesc, scale float64) {
+	b.rest = rest
+	b.scales = append(b.scales, scale)
 }
 
 // kernelLaunched records n launched kernel instances.
@@ -211,7 +225,7 @@ func (b *Batch) failRemaining(now simclock.Time) {
 		return
 	}
 	b.Failed = true
-	b.pos, b.split = b.plan.Len(), false
+	b.pos, b.scales = b.plan.Len(), b.scales[:0]
 	if b.pendingKernels == 0 {
 		b.complete(now)
 	}
@@ -319,7 +333,7 @@ func (a *Assembler) Assemble(w model.Workload) (*Batch, error) {
 		a.free[n-1] = nil
 		a.free = a.free[:n-1]
 		*b = Batch{ID: a.nextID, Workload: w, Req: -1, plan: plan,
-			kernelDoneFn: b.kernelDoneFn, failFn: b.failFn}
+			kernelDoneFn: b.kernelDoneFn, failFn: b.failFn, scales: b.scales[:0]}
 	} else {
 		b = newBatch(a.nextID, w, plan)
 	}

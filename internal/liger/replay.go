@@ -295,7 +295,7 @@ func (s *Scheduler) finishReplay(now simclock.Time) {
 	b, rec := s.replaying, s.replayRec
 	s.replaying, s.replayRec, s.catchUp = nil, nil, nil
 	b.SubmittedAt, b.FirstLaunchAt, b.sched = now-rec.Duration, now-rec.Duration, s
-	b.pos, b.split = b.plan.Len(), false
+	b.pos, b.scales = b.plan.Len(), b.scales[:0]
 	s.node.AddWork(rec.node)
 	c, st := rec.sched, &s.stats
 	st.Rounds += int(c.rounds)

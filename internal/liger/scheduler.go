@@ -291,7 +291,7 @@ func (s *Scheduler) collectPrimary(primary *Batch) (subset []Func, window time.D
 // head points at the batch's remainder, which a later split of the same
 // batch in this round would overwrite, so it moves to the round buffer.
 func (s *Scheduler) take(f Func) Func {
-	if f.batch.split {
+	if f.batch.splitHead() {
 		f.Desc = s.split.Hold(f.Desc)
 	}
 	f.batch.advance()
@@ -327,11 +327,12 @@ func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duratio
 			}
 			// Lengthy kernel: runtime decomposition (§3.6). Find how many
 			// 1/D pieces fit in the remaining budget.
-			take := head.Desc.FittingPieces(s.cfg.DivisionFactor, budget)
+			r := v.remainder()
+			take := r.FittingPieces(s.cfg.DivisionFactor, budget)
 			if take == 0 {
 				break
 			}
-			pieces, rest, ok := s.split.SplitPrefix(head.Desc, head.Name, s.cfg.DivisionFactor, take)
+			pieces, rest, scale, ok := s.split.SplitPrefix(r, head.Name, s.cfg.DivisionFactor, take)
 			if !ok {
 				break
 			}
@@ -341,7 +342,7 @@ func (s *Scheduler) collectSecondary(typ gpusim.KernelClass, window time.Duratio
 				budget -= p.Duration
 				subset = append(subset, Func{Desc: p, Name: p.Name, batch: v})
 			}
-			v.replaceHead(rest)
+			v.replaceHead(rest, scale)
 			break // remainder is the new head; budget is largely spent
 		}
 		if budget <= 0 {

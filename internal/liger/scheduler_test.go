@@ -1,7 +1,7 @@
 package liger
 
 import (
-	"runtime"
+	"fmt"
 	"testing"
 	"time"
 
@@ -480,79 +480,71 @@ func TestKernelDoneUnderflowPanics(t *testing.T) {
 	b.kernelDone(0, 1)
 }
 
-// A warmed-up scheduling round allocates nothing: its subsets,
-// collectives, end events, overrun observer and round trigger all come
-// from buffers and pools that earlier rounds filled. Decomposition is
-// off because splitting a kernel builds its pieces in package parallel.
+// A warmed-up scheduling round allocates nothing, without runtime
+// decomposition (D = 1) and with it (D = 8): its subsets, collectives,
+// end events, overrun observer and round trigger come from buffers and
+// pools that earlier rounds filled. A split writes its head pieces into
+// the splitter's buffer under interned names, and its remainder is a
+// value whose scales the batch keeps. The warm-up is long enough for
+// the event queue's buckets to reach their working capacity. Each case
+// fails unless the measured rounds interleave kernels of two live
+// batches; at D = 8 the all-reduces outlast the compute windows, and
+// the rounds must split them and split their remainders again.
 func TestSteadyStateRoundAllocatesNothing(t *testing.T) {
-	cfg := testCfg()
-	cfg.DivisionFactor = 1
-	eng, _, s := testRig(t, cfg)
-	b0 := syntheticBatch(0, 400, 3, 40*time.Microsecond, 100*time.Microsecond)
-	b1 := syntheticBatch(1, 400, 3, 40*time.Microsecond, 100*time.Microsecond)
-	eng.After(0, func(simclock.Time) { s.Submit(b0); s.Submit(b1) })
-	round := func() {
-		for r := s.stats.Rounds; s.stats.Rounds == r; {
-			if !eng.Step() {
-				t.Fatal("the engine drained before the next round")
+	for _, tc := range []struct {
+		division int
+		commDur  time.Duration
+	}{
+		{1, 100 * time.Microsecond},
+		{8, 400 * time.Microsecond},
+	} {
+		t.Run(fmt.Sprintf("D=%d", tc.division), func(t *testing.T) {
+			cfg := testCfg()
+			cfg.DivisionFactor = tc.division
+			eng, _, s := testRig(t, cfg)
+			b0 := syntheticBatch(0, 2000, 3, 40*time.Microsecond, tc.commDur)
+			b1 := syntheticBatch(1, 2000, 3, 40*time.Microsecond, tc.commDur)
+			eng.After(0, func(simclock.Time) { s.Submit(b0); s.Submit(b1) })
+			// deepest is the most splits one remainder of b1 took.
+			deepest := 0
+			round := func() {
+				for r := s.stats.Rounds; s.stats.Rounds == r; {
+					if !eng.Step() {
+						t.Fatal("the engine drained before the next round")
+					}
+				}
+				deepest = max(deepest, len(b1.scales))
 			}
-		}
-	}
-	for i := 0; i < 300; i++ {
-		round()
-	}
-	secondary := s.stats.SecondaryKernels
-	if a := testing.AllocsPerRun(100, round); a != 0 {
-		t.Fatalf("%v allocations per round, want 0", a)
-	}
-	if s.stats.SecondaryKernels == secondary || b0.Completed() {
-		t.Fatal("the measured rounds did not interleave two live batches")
-	}
-}
-
-// A warmed-up round that decomposes kernels allocates at most once per
-// split: the head pieces land in the scheduler's round buffer under
-// interned names, and only the remainder's piece closure is new. Split
-// rounds launch more kernels, so the warm-up is long enough for the
-// event queue's buckets to reach their working capacity. The window is
-// measured three times and the fewest mallocs kept: the scheduler's
-// count is deterministic, but the runtime may allocate in the
-// background during any one window.
-func TestSteadyStateDecomposingRoundAllocatesPerSplit(t *testing.T) {
-	eng, _, s := testRig(t, testCfg())
-	b0 := syntheticBatch(0, 2000, 3, 30*time.Microsecond, 100*time.Microsecond)
-	b1 := syntheticBatch(1, 2000, 3, 30*time.Microsecond, 100*time.Microsecond)
-	eng.After(0, func(simclock.Time) { s.Submit(b0); s.Submit(b1) })
-	round := func() {
-		for r := s.stats.Rounds; s.stats.Rounds == r; {
-			if !eng.Step() {
-				t.Fatal("the engine drained before the next round")
+			for i := 0; i < 2000; i++ {
+				round()
 			}
-		}
+			secondary, splits := s.stats.SecondaryKernels, s.stats.Decompositions
+			deepest = 0
+			rounds := func() {
+				for i := 0; i < 100; i++ {
+					round()
+				}
+			}
+			// AllocsPerRun divides by its runs, so one run of 100 rounds
+			// counts every allocation. The runtime may allocate in the
+			// background during any one window: keep the fewest of three.
+			allocs := testing.AllocsPerRun(1, rounds)
+			for try := 1; try < 3 && allocs > 0; try++ {
+				allocs = min(allocs, testing.AllocsPerRun(1, rounds))
+			}
+			if allocs != 0 {
+				t.Fatalf("%v allocations over 100 rounds, want 0", allocs)
+			}
+			if s.stats.SecondaryKernels == secondary || b0.Completed() || b1.Completed() {
+				t.Fatal("the measured rounds did not interleave two live batches")
+			}
+			if tc.division > 1 && (s.stats.Decompositions == splits || deepest < 2) {
+				t.Fatalf("the measured rounds made %d splits, at most %d of one kernel; want remainders split again",
+					s.stats.Decompositions-splits, deepest)
+			}
+			t.Logf("%d splits in the measured rounds, at most %d of one kernel", s.stats.Decompositions-splits, deepest)
+		})
 	}
-	for i := 0; i < 2000; i++ {
-		round()
-	}
-	var mallocs, splits uint64
-	for try := 0; try < 3; try++ {
-		split0 := s.stats.Decompositions
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 200; i++ {
-			round()
-		}
-		runtime.ReadMemStats(&after)
-		if m := after.Mallocs - before.Mallocs; try == 0 || m < mallocs {
-			mallocs, splits = m, uint64(s.stats.Decompositions-split0)
-		}
-	}
-	if splits == 0 || b0.Completed() {
-		t.Fatal("the measured rounds did not decompose kernels of two live batches")
-	}
-	if mallocs > splits {
-		t.Fatalf("%d allocations over %d splits, want at most one per split", mallocs, splits)
-	}
-	t.Logf("%d allocations over %d splits", mallocs, splits)
 }
 
 func TestRealModelEndToEnd(t *testing.T) {

@@ -79,7 +79,7 @@ func BenchmarkSplitGEMM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp.Reset()
-		if _, _, ok := sp.SplitPrefix(&gemm, gemm.Name, 8, 3); !ok {
+		if _, _, _, ok := sp.SplitPrefix(Remainder{Root: &gemm}, gemm.Name, 8, 3); !ok {
 			b.Fatal("split failed")
 		}
 	}

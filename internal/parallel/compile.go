@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -36,9 +37,11 @@ func WithGEMMSplit(s SplitStrategy) Option {
 // Compiler turns logical operators into costed kernels for a specific
 // node and NCCL configuration.
 type Compiler struct {
-	node      hw.Node
-	cm        *costmodel.Model
-	comm      *nccl.Comm
+	node hw.Node
+	// costModels holds the kernel (cm) and collective (comm) cost
+	// models; the compiler's decomposable kernels point at it to cost
+	// their pieces.
+	*costModels
 	ncclCfg   nccl.Config
 	gemmSplit SplitStrategy
 	// names holds the per-layer kernel names every Plan of this compiler
@@ -51,10 +54,9 @@ type Compiler struct {
 // may keep NCCL defaults).
 func NewCompiler(node hw.Node, ncclCfg nccl.Config, opts ...Option) *Compiler {
 	c := &Compiler{
-		node:    node,
-		cm:      costmodel.New(node.GPU),
-		comm:    nccl.New(node, ncclCfg),
-		ncclCfg: ncclCfg,
+		node:       node,
+		costModels: &costModels{cm: costmodel.New(node.GPU), comm: nccl.New(node, ncclCfg)},
+		ncclCfg:    ncclCfg,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -92,36 +94,21 @@ func (c *Compiler) Node() hw.Node { return c.node }
 // splits the output columns (the vertical strategy of Fig. 9): each
 // piece is GEMM(m, n/parts, k), an equal-capability division whose
 // pieces are only mildly less efficient. The horizontal (row) strategy
-// is available separately for the ablation.
+// is available separately for the ablation. A GEMM with a dimension
+// past int32, far beyond any simulated shape, stays whole.
 func (c *Compiler) gemmDesc(name string, m, n, k int) KernelDesc {
-	cm := c.cm
 	cs := c.node.Contention
-	strategy := c.gemmSplit
 	d := KernelDesc{
 		Name:          name,
 		Class:         gpusim.Compute,
-		Duration:      cm.GEMM(m, n, k),
+		Duration:      c.cm.GEMM(m, n, k),
 		ComputeDemand: cs.GEMMCompute,
 		MemBWDemand:   cs.GEMMMemBW,
 	}
-	d.piece = func(i, parts int) KernelDesc {
-		splitDim := n
-		if strategy == SplitHorizontal {
-			splitDim = m
-		}
-		size := splitDim / parts
-		if i < splitDim%parts {
-			size++
-		}
-		rows, cols := m, size
-		if strategy == SplitHorizontal {
-			rows, cols = size, n
-		}
-		return KernelDesc{
-			Class:         gpusim.Compute,
-			Duration:      cm.GEMM(rows, cols, k),
-			ComputeDemand: cs.GEMMCompute,
-			MemBWDemand:   cs.GEMMMemBW,
+	if max(m, n, k) <= math.MaxInt32 {
+		d.split, d.gemm, d.costs = splitColumns, [3]int32{int32(m), int32(n), int32(k)}, c.costModels
+		if c.gemmSplit == SplitHorizontal {
+			d.split = splitRows
 		}
 	}
 	return d
@@ -144,31 +131,17 @@ func (c *Compiler) auxDesc(name string, dur time.Duration) KernelDesc {
 // splits the payload into equal chunks, each paying the collective
 // latency again (§3.6's equal-division strategy).
 func (c *Compiler) allReduceDesc(name string, bytes int64) KernelDesc {
-	comm := c.comm
-	d := KernelDesc{
+	return KernelDesc{
 		Name:          name,
 		Class:         gpusim.Comm,
-		Duration:      comm.AllReduce(bytes),
-		ComputeDemand: comm.ComputeDemand(),
-		MemBWDemand:   comm.MemBWDemand(),
+		Duration:      c.comm.AllReduce(bytes),
+		ComputeDemand: c.comm.ComputeDemand(),
+		MemBWDemand:   c.comm.MemBWDemand(),
 		Collective:    true,
 		Bytes:         bytes,
+		split:         splitChunks,
+		costs:         c.costModels,
 	}
-	d.piece = func(i, parts int) KernelDesc {
-		b := bytes / int64(parts)
-		if int64(i) < bytes%int64(parts) {
-			b++
-		}
-		return KernelDesc{
-			Class:         gpusim.Comm,
-			Duration:      comm.AllReduceChunk(bytes, b),
-			ComputeDemand: comm.ComputeDemand(),
-			MemBWDemand:   comm.MemBWDemand(),
-			Collective:    true,
-			Bytes:         b,
-		}
-	}
-	return d
 }
 
 // compileOp lowers one logical op at tensor-parallel degree tp into the

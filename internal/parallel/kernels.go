@@ -13,12 +13,15 @@ import (
 	"fmt"
 	"time"
 
+	"liger/internal/costmodel"
 	"liger/internal/gpusim"
+	"liger/internal/nccl"
 )
 
 // KernelDesc is one kernel launch: its class, solo duration, resource
-// demands for the contention engine, and (for decomposable kernels) a
-// way to split it into finer-grained equal-capability pieces (§3.6).
+// demands for the contention engine, and (for decomposable kernels) how
+// to split it into finer-grained equal-capability pieces (§3.6). The
+// split is described by value, so a descriptor holds no closure.
 type KernelDesc struct {
 	Name  string
 	Class gpusim.KernelClass
@@ -31,37 +34,108 @@ type KernelDesc struct {
 	// Collective marks kernels that rendezvous across the
 	// tensor-parallel group (all-reduce) or a stage pair (p2p).
 	Collective bool
+
+	// split is how runtime decomposition divides the kernel, indivisible
+	// if it does not; gemm holds a GEMM split's m, n and k. They pack
+	// into the word beside Collective: every compiled shape stores 14–15
+	// descriptors, so each word a descriptor grows shows in the memory
+	// every workload allocates (TestKernelDescSize).
+	split splitKind
+	gemm  [3]int32
+
 	// Bytes is the payload of communication kernels.
 	Bytes int64
 
-	// piece costs piece i of a parts-way split into equal-capability
-	// sub-kernels, unnamed; nil if the kernel is not decomposable. The
-	// callers name the pieces they keep, so counting how many pieces fit
-	// builds no names, and one costed descriptor serves every layer of a
-	// Plan.
-	piece func(i, parts int) KernelDesc
+	// costs prices the pieces of a GEMM or all-reduce split: the cost
+	// models of the compiler that built the kernel, which every one of
+	// its descriptors shares.
+	costs *costModels
+}
+
+// splitKind selects how a kernel's pieces are costed.
+type splitKind uint8
+
+const (
+	indivisible splitKind = iota
+	// splitColumns divides a GEMM's output columns (SplitVertical).
+	splitColumns
+	// splitRows divides a GEMM's activation rows (SplitHorizontal).
+	splitRows
+	// splitChunks divides an all-reduce's payload into chunks, each
+	// paying the collective latency again.
+	splitChunks
+	// splitEqual divides duration and bytes evenly (WithEqualSplit).
+	splitEqual
+)
+
+// costModels prices a compiler's kernels and their pieces.
+type costModels struct {
+	cm   *costmodel.Model
+	comm *nccl.Comm
 }
 
 // CanSplit reports whether runtime kernel decomposition applies.
-func (k KernelDesc) CanSplit() bool { return k.piece != nil }
+func (k KernelDesc) CanSplit() bool { return k.split != indivisible }
 
-// Split decomposes the kernel into parts equal pieces. It returns
-// ok=false when the kernel is indivisible or parts < 2.
-func (k KernelDesc) Split(parts int) ([]KernelDesc, bool) {
-	if k.piece == nil || parts < 2 {
-		return nil, false
-	}
-	out := make([]KernelDesc, parts)
-	for i := range out {
-		out[i] = k.namedPiece(i, parts)
-	}
-	return out, true
+// Remainder is a kernel under runtime decomposition, by value: Root, the
+// descriptor the first split cut, and Scales, the share of it each split
+// so far left, in split order. Its pieces are Root's, scaled by each
+// level in turn; with no scales it is Root whole. Root is read-only, as
+// a plan's descriptors are shared; Scales is the caller's, which appends
+// each split's scale to it.
+type Remainder struct {
+	Root   *KernelDesc
+	Scales []float64
 }
 
-// namedPiece returns piece i of a parts-way split, named after k.
-func (k KernelDesc) namedPiece(i, parts int) KernelDesc {
-	p := k.piece(i, parts)
-	p.Name = pieceName(k.Name, i, parts)
+// cost returns the duration and bytes of piece i of a parts-way split.
+// The scales apply one at a time, each truncating to whole nanoseconds
+// and bytes; their product would round differently.
+func (r Remainder) cost(i, parts int) (d time.Duration, b int64) {
+	k := r.Root
+	switch k.split {
+	case splitColumns, splitRows:
+		m, n, kk := int(k.gemm[0]), int(k.gemm[1]), int(k.gemm[2])
+		splitDim := n
+		if k.split == splitRows {
+			splitDim = m
+		}
+		size := splitDim / parts
+		if i < splitDim%parts {
+			size++
+		}
+		if k.split == splitRows {
+			m = size
+		} else {
+			n = size
+		}
+		d = k.costs.cm.GEMM(m, n, kk)
+	case splitChunks:
+		b = k.Bytes / int64(parts)
+		if int64(i) < k.Bytes%int64(parts) {
+			b++
+		}
+		d = k.costs.comm.AllReduceChunk(k.Bytes, b)
+	case splitEqual:
+		d, b = k.Duration/time.Duration(parts), k.Bytes/int64(parts)
+	}
+	for _, f := range r.Scales {
+		d = time.Duration(float64(d) * f)
+		b = int64(float64(b) * f)
+	}
+	return d, b
+}
+
+// piece returns piece i of a parts-way split, unnamed and indivisible.
+func (r Remainder) piece(i, parts int) KernelDesc {
+	k := r.Root
+	p := KernelDesc{
+		Class:         k.Class,
+		ComputeDemand: k.ComputeDemand,
+		MemBWDemand:   k.MemBWDemand,
+		Collective:    k.Collective,
+	}
+	p.Duration, p.Bytes = r.cost(i, parts)
 	return p
 }
 
@@ -69,13 +143,14 @@ func (k KernelDesc) namedPiece(i, parts int) KernelDesc {
 // fit within budget together, at most parts-1 (a kernel that fits whole
 // needs no split); 0 when the kernel is indivisible, parts < 2 or not
 // even the first piece fits. It costs the pieces without building them.
-func (k *KernelDesc) FittingPieces(parts int, budget time.Duration) int {
-	if k.piece == nil || parts < 2 {
+func (r Remainder) FittingPieces(parts int, budget time.Duration) int {
+	if !r.Root.CanSplit() || parts < 2 {
 		return 0
 	}
 	var acc time.Duration
 	for i := 0; i < parts-1; i++ {
-		if acc += k.piece(i, parts).Duration; acc > budget {
+		d, _ := r.cost(i, parts)
+		if acc += d; acc > budget {
 			return i
 		}
 	}
@@ -115,21 +190,26 @@ func (s *Splitter) Hold(k *KernelDesc) *KernelDesc {
 	return &s.buf[len(s.buf)-1]
 }
 
-// SplitPrefix splits k, named name, into parts pieces. It returns the
+// SplitPrefix splits r, named name, into parts pieces. It returns the
 // first take pieces and a remainder kernel representing the rest, used
 // when the scheduler only needs a fraction of a lengthy kernel to fill
 // an overlap window. Only the head pieces and the remainder are built;
-// the head pieces live in the buffer until Reset. name, not k.Name,
+// the head pieces live in the buffer until Reset. name, not r.Root.Name,
 // names the pieces, because a plan's shared layer descriptor carries the
 // block's base name.
-func (s *Splitter) SplitPrefix(k *KernelDesc, name string, parts, take int) (head []KernelDesc, rest KernelDesc, ok bool) {
-	if k.piece == nil || parts < 2 || take <= 0 || take >= parts {
-		return nil, KernelDesc{}, false
+//
+// The remainder merges the remaining pieces into one kernel, to avoid
+// needless launches, but keeps the original split granularity: its
+// pieces are r's scaled by scale, so they are those of the Remainder
+// with r's root and scale appended to r's scales.
+func (s *Splitter) SplitPrefix(r Remainder, name string, parts, take int) (head []KernelDesc, rest KernelDesc, scale float64, ok bool) {
+	if !r.Root.CanSplit() || parts < 2 || take <= 0 || take >= parts {
+		return nil, KernelDesc{}, 0, false
 	}
 	names := s.namesOf(name, parts)
 	start := len(s.buf)
 	for i := 0; i < take; i++ {
-		p := k.piece(i, parts)
+		p := r.piece(i, parts)
 		if names[i] == "" {
 			names[i] = pieceName(name, i, parts)
 		}
@@ -137,29 +217,19 @@ func (s *Splitter) SplitPrefix(k *KernelDesc, name string, parts, take int) (hea
 		s.buf = append(s.buf, p)
 	}
 	head = s.buf[start:len(s.buf):len(s.buf)]
-	// Merge the remaining pieces into one kernel to avoid needless
-	// launches; its duration is the sum of the tail pieces.
-	rest = k.piece(take, parts)
-	for i := take + 1; i < parts; i++ {
-		p := k.piece(i, parts)
-		rest.Duration += p.Duration
-		rest.Bytes += p.Bytes
+	// The remainder's duration is the sum of the tail pieces.
+	rest = *r.Root
+	rest.Duration, rest.Bytes = 0, 0
+	for i := take; i < parts; i++ {
+		d, b := r.cost(i, parts)
+		rest.Duration += d
+		rest.Bytes += b
 	}
 	if names[parts+take] == "" {
 		names[parts+take] = fmt.Sprintf("%s[rest%d/%d]", name, parts-take, parts)
 	}
 	rest.Name = names[parts+take]
-	// The merged remainder keeps the original split granularity: its
-	// pieces are the original's, scaled.
-	orig := k.piece
-	frac := float64(parts-take) / float64(parts)
-	rest.piece = func(i, p int) KernelDesc {
-		q := orig(i, p)
-		q.Duration = time.Duration(float64(q.Duration) * frac)
-		q.Bytes = int64(float64(q.Bytes) * frac)
-		return q
-	}
-	return head, rest, true
+	return head, rest, float64(parts-take) / float64(parts), true
 }
 
 // namesOf returns the interned name slots of a parts-way split of name.

@@ -326,7 +326,7 @@ func TestSplitPrefix(t *testing.T) {
 		}
 	}
 	var sp Splitter
-	head, rest, ok := sp.SplitPrefix(&g, g.Name, 8, 3)
+	head, rest, _, ok := sp.SplitPrefix(Remainder{Root: &g}, g.Name, 8, 3)
 	if !ok {
 		t.Fatal("SplitPrefix failed")
 	}
@@ -361,21 +361,21 @@ func TestSplitPrefixRejectsBadArgs(t *testing.T) {
 	k, _ := c.IntraOp(model.OPT30B(), 4, ctxWorkload(2, 64))
 	g := k[1]
 	var sp Splitter
-	if _, _, ok := sp.SplitPrefix(&g, g.Name, 8, 0); ok {
+	if _, _, _, ok := sp.SplitPrefix(Remainder{Root: &g}, g.Name, 8, 0); ok {
 		t.Fatal("take=0 accepted")
 	}
-	if _, _, ok := sp.SplitPrefix(&g, g.Name, 8, 8); ok {
+	if _, _, _, ok := sp.SplitPrefix(Remainder{Root: &g}, g.Name, 8, 8); ok {
 		t.Fatal("take=parts accepted")
 	}
-	if _, _, ok := sp.SplitPrefix(&g, g.Name, 1, 1); ok {
+	if _, _, _, ok := sp.SplitPrefix(Remainder{Root: &g}, g.Name, 1, 1); ok {
 		t.Fatal("parts=1 accepted")
 	}
 }
 
 // buildAndCount is the reference count FittingPieces replaces: build
 // every piece and count the leading ones that fit, at most parts-1.
-func buildAndCount(k KernelDesc, parts int, budget time.Duration) int {
-	pieces, ok := k.Split(parts)
+func buildAndCount(r Remainder, parts int, budget time.Duration) int {
+	pieces, ok := r.Split(r.Root.Name, parts)
 	if !ok {
 		return 0
 	}
@@ -409,21 +409,24 @@ func TestFittingPiecesMatchesBuildAndCount(t *testing.T) {
 	checked := 0
 	for _, k := range kernels {
 		if !k.CanSplit() {
-			if k.FittingPieces(8, k.Duration) != 0 {
+			if (Remainder{Root: &k}).FittingPieces(8, k.Duration) != 0 {
 				t.Fatalf("%s: indivisible kernel counted pieces", k.Name)
 			}
 			continue
 		}
 		descs := []KernelDesc{k}
+		rems := []Remainder{{Root: &k}}
 		var sp Splitter
-		if _, rest, ok := sp.SplitPrefix(&k, k.Name, 8, 3); ok {
+		if _, rest, scale, ok := sp.SplitPrefix(rems[0], k.Name, 8, 3); ok {
 			descs = append(descs, rest)
+			rems = append(rems, Remainder{Root: &k, Scales: []float64{scale}})
 		}
-		for _, d := range descs {
+		for i, d := range descs {
+			r := rems[i]
 			for _, parts := range []int{1, 2, 3, 4, 8, 16} {
 				for step := 0; step <= 24; step++ {
 					budget := d.Duration * time.Duration(step) / 20
-					if got, want := d.FittingPieces(parts, budget), buildAndCount(d, parts, budget); got != want {
+					if got, want := r.FittingPieces(parts, budget), buildAndCount(r, parts, budget); got != want {
 						t.Fatalf("%s: %d-way split within %v: %d pieces fit, building and counting says %d",
 							d.Name, parts, budget, got, want)
 					}

@@ -171,14 +171,14 @@ func TestPeriodicPlanMatchesPerLayerCompile(t *testing.T) {
 						wp, _ := w.Split(8)
 						sameKernels(t, at+" Split(8)", gp, wp)
 						var sp Splitter
-						gh, gr, gok := sp.SplitPrefix(shared, gname, 8, 3)
-						wh, wr, wok := sp.SplitPrefix(&w, w.Name, 8, 3)
+						gh, gr, gs, gok := sp.SplitPrefix(Remainder{Root: shared}, gname, 8, 3)
+						wh, wr, ws, wok := sp.SplitPrefix(Remainder{Root: &w}, w.Name, 8, 3)
 						if !gok || !wok {
 							t.Fatalf("%s: SplitPrefix(8, 3) refused", at)
 						}
 						sameKernels(t, at+" SplitPrefix(8, 3)", append(gh, gr), append(wh, wr))
-						grp, _ := gr.Split(8)
-						wrp, _ := wr.Split(8)
+						grp, _ := Remainder{Root: shared, Scales: []float64{gs}}.Split(gr.Name, 8)
+						wrp, _ := Remainder{Root: &w, Scales: []float64{ws}}.Split(wr.Name, 8)
 						sameKernels(t, at+" remainder Split(8)", grp, wrp)
 						for p := range gp {
 							if gp[p].Name != pieceName(g.Name, p, 8) || grp[p].Name != pieceName(gr.Name, p, 8) {
@@ -293,10 +293,10 @@ func TestConcurrentPlansShareNames(t *testing.T) {
 }
 
 // A compile allocates only the plan it returns: the Plan, its three
-// descriptor blocks, the splitter of each decomposable kernel and the
-// name of each all-reduce. The op lists are built on the stack and the
-// names table is interned, so two shapes of one phase share one names
-// table.
+// descriptor blocks and the name of each all-reduce. A decomposable
+// kernel describes its split by value, the op lists are built on the
+// stack and the names table is interned, so two shapes of one phase
+// share one names table.
 func TestIntraOpPlanAllocatesOnlyWhatItKeeps(t *testing.T) {
 	c := compilerFor(hw.A100Node())
 	spec := model.OPT30B()
@@ -317,9 +317,6 @@ func TestIntraOpPlanAllocatesOnlyWhatItKeeps(t *testing.T) {
 		for _, block := range [][]KernelDesc{p2.Pre, p2.Layer, p2.Post} {
 			kept++
 			for _, k := range block {
-				if k.CanSplit() {
-					kept++
-				}
 				if strings.HasSuffix(k.Name, "_ar") {
 					kept++
 				}

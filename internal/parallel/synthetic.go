@@ -21,17 +21,9 @@ func SyntheticKernel(name string, class gpusim.KernelClass, dur time.Duration, c
 
 // WithEqualSplit returns a copy of k that decomposes into exactly-equal
 // pieces (duration and bytes divided evenly, no overhead). Real kernels
-// from the compiler carry cost-model splitters; this idealized splitter
+// from the compiler split by their cost models; this idealized split
 // isolates scheduler behaviour from decomposition overhead in tests.
 func (k KernelDesc) WithEqualSplit() KernelDesc {
-	base := k
-	base.piece = nil
-	out := k
-	out.piece = func(_, parts int) KernelDesc {
-		p := base
-		p.Duration = base.Duration / time.Duration(parts)
-		p.Bytes = base.Bytes / int64(parts)
-		return p
-	}
-	return out
+	k.split = splitEqual
+	return k
 }
