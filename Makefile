@@ -16,10 +16,10 @@ test:
 	$(GO) test ./...
 
 # The concurrency-bearing packages (parallel sweep executor, event
-# engine, the compiler's shared layer-name table) plus the
-# fault-injection, deadline/retry, serving-telemetry, and observability
-# layers get a dedicated -race pass, over the same list as the race
-# gate of tools/ci.
+# engine, the compiler's shared layer-name table and decode blocks)
+# plus the fault-injection, deadline/retry, serving-telemetry, and
+# observability layers get a dedicated -race pass, over the same list
+# as the race gate of tools/ci.
 race:
 	$(GO) test -race ./internal/runner ./internal/simclock ./internal/parallel ./internal/faults ./internal/serve ./internal/cluster ./internal/trace ./internal/metrics ./internal/analyze ./internal/kvcache ./internal/generate
 
@@ -35,8 +35,9 @@ bench:
 # The stdlib fuzz targets, 15 s each (plain `go test` runs only their
 # seeds): the scenario loader, the paged KV allocator against a naive
 # model, the calendar queue against the reference heap, iteration
-# replay against the simulation, and runtime decomposition's chains of
-# remainders against the closures they replaced. A replay input runs
+# replay against the simulation, runtime decomposition's chains of
+# remainders against the closures they replaced, and decode plans that
+# share their batch's blocks against fresh compiles. A replay input runs
 # whole serving simulations, so its minimization is capped at 10 runs
 # per input.
 fuzz:
@@ -45,6 +46,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzEngineVsRefheap -fuzztime 15s -parallel 1 ./internal/simclock
 	$(GO) test -run XXX -fuzz FuzzContinuousReplay -fuzztime 15s -fuzzminimizetime 10x -parallel 1 ./internal/runtimes
 	$(GO) test -run XXX -fuzz FuzzSplitChain -fuzztime 15s -parallel 1 ./internal/parallel
+	$(GO) test -run XXX -fuzz FuzzDecodePlans -fuzztime 15s -parallel 1 ./internal/parallel
 
 # Full-fidelity paper reproduction: rerun every experiment that
 # results_full.txt holds (table1 through straggler) at -batches 200 and

@@ -111,7 +111,7 @@ func (b *Batch) abortFn() func(now simclock.Time) {
 // kernels without copying or modifying it, so the caller must not
 // modify it afterwards.
 func NewBatch(id int, w model.Workload, kernels []parallel.KernelDesc) *Batch {
-	return newBatch(id, w, &parallel.Plan{Pre: kernels})
+	return newBatch(id, w, parallel.FlatPlan(kernels))
 }
 
 func newBatch(id int, w model.Workload, plan *parallel.Plan) *Batch {
@@ -280,9 +280,12 @@ type planCache struct {
 // past it the least recently used plans are dropped. Plans are
 // layer-periodic (parallel.Plan), so a shape holds one layer's
 // descriptors, not every layer's: OPT-30B at four-way tensor parallelism
-// stores 14 descriptors per context shape and 15 per decode shape,
-// though either expands to 578 or more kernels per rank. The budget
-// keeps about 9,000 such shapes.
+// stores 14 descriptors per context shape, though it expands to 578
+// kernels per rank. The decode shapes of one batch size share that
+// batch's 15 descriptors and each holds only its own attention
+// descriptor, but a decode plan's Stored still counts the 15, so the
+// budget, which keeps about 9,000 shapes, and the eviction order do not
+// depend on how the compiler shares blocks.
 const planBudget = 1 << 17
 
 // cachedPlan is one entry of the plan cache. records holds the shape's

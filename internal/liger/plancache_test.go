@@ -144,6 +144,39 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 	}
 }
 
+// The decode plans of one batch size share their batch's blocks but
+// each holds its own attention, and a cut of a sharing plan keeps it:
+// it is the compile of the cut depth at its own context length, not at
+// the one its batch's blocks were compiled for.
+func TestCutKeepsItsOwnAttention(t *testing.T) {
+	spec := model.OPT30B()
+	comp := parallel.NewCompiler(hw.A100Node(), nccl.Config{ReducedChannels: true})
+	asm, err := NewAssembler(comp, spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := model.Workload{Batch: 4, CtxLen: 128, Phase: model.Decode}
+	long := model.Workload{Batch: 4, CtxLen: 4096, Phase: model.Decode}
+	var cuts [2][]string
+	for i, w := range []model.Workload{short, long} {
+		b, err := asm.Assemble(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts[i] = describe(batchDescs(b.Cut(2, nil)))
+		ks, err := parallel.NewCompiler(hw.A100Node(), nccl.Config{ReducedChannels: true}).IntraOp(spec.WithLayers(2), 4, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := describe(ks); !reflect.DeepEqual(cuts[i], want) {
+			t.Fatalf("ctx %d: the cut runs\n%s\nwant\n%s", w.CtxLen, strings.Join(cuts[i], "\n"), strings.Join(want, "\n"))
+		}
+	}
+	if reflect.DeepEqual(cuts[0], cuts[1]) {
+		t.Fatal("the two context lengths cost alike: the test compares nothing")
+	}
+}
+
 // The cache holds at most planBudget descriptors, dropping the least
 // recently used plans first; an evicted shape compiles again on demand.
 // A plan counts the descriptors it stores, one layer's worth, not the
@@ -174,7 +207,8 @@ func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	asm.SetReplay(first, World{Folded: true}, rec)
 	asm.SetReplay(first, World{}, rec)
 	perPlan := plan.Stored()
-	if want := first.Remaining() - (spec.Layers-1)*len(plan.Layer); perPlan != want {
+	perLayer := first.Cut(2, nil).Remaining() - first.Cut(1, nil).Remaining()
+	if want := first.Remaining() - (spec.Layers-1)*perLayer; perPlan != want {
 		t.Fatalf("a %d-kernel plan stores %d descriptors, want %d: one layer's", first.Remaining(), perPlan, want)
 	}
 	n := planBudget/perPlan + 2

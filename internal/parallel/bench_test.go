@@ -36,6 +36,25 @@ func BenchmarkCompileIntraOpPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileDecodePlan measures one decode plan-cache miss in
+// continuous serving: a new context length of a batch size whose blocks
+// the compiler holds, so only the attention kernel is compiled.
+func BenchmarkCompileDecodePlan(b *testing.B) {
+	c := NewCompiler(hw.V100Node(), nccl.Config{ReducedChannels: true})
+	spec := model.OPT30B()
+	w := model.Workload{Batch: 8, CtxLen: 512, Phase: model.Decode}
+	if _, err := c.IntraOpPlan(spec, 4, w); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.CtxLen = 513 + i%1024
+		if _, err := c.IntraOpPlan(spec, 4, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompilePipelinePlan measures the per-batch compile of the
 // pipeline baselines on a 4-stage node: Inter-Op's single-device plan
 // and Inter-Th's plan of 4-way partitioned pieces.

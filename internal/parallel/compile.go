@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 	"time"
 
 	"liger/internal/costmodel"
@@ -47,6 +48,8 @@ type Compiler struct {
 	// names holds the per-layer kernel names every Plan of this compiler
 	// shares; it fills on the first compile.
 	names layerNames
+	// decode holds the blocks the decode plans of each batch size share.
+	decode decodeBlocks
 }
 
 // NewCompiler builds a compiler for the node. ncclCfg selects the
@@ -189,7 +192,7 @@ func (c *Compiler) compileOp(out []KernelDesc, prefix string, op model.Op, tp in
 	}
 	if op.ReduceAfter && tp > 1 {
 		bytes := int64(tokens) * int64(c.hidden(op)) * 2
-		out = append(out, c.allReduceDesc(name+"_ar", bytes))
+		out = append(out, c.allReduceDesc(c.names.reduce(name), bytes))
 	}
 	return out
 }
@@ -257,10 +260,15 @@ func IntraOpCapacity(node hw.Node, spec model.Spec, w model.Workload) float64 {
 
 // IntraOpPlan compiles the forward pass of IntraOp in layer-periodic
 // form. Every transformer layer lowers to the same costed kernels, so
-// the layer block is compiled and costed once, whatever the depth. At
+// the layer block is compiled and costed once, whatever the depth, and
+// a decode plan compiles only its attention once its batch size has
+// been compiled (decodeBlocks). At
 // tp == 1 it is also the Inter-Op pipeline's plan: the single-device
 // pass its stages split by StageSpan.
 func (c *Compiler) IntraOpPlan(spec model.Spec, tp int, w model.Workload) (*Plan, error) {
+	if w.Phase == model.Decode {
+		return c.decodePlan(spec, tp, w)
+	}
 	return c.periodicPlan(spec, tp, w, false)
 }
 
@@ -274,19 +282,18 @@ func (c *Compiler) InterThPlan(spec model.Spec, stages int, w model.Workload) (*
 	return c.periodicPlan(spec, stages, w, true)
 }
 
-// periodicPlan validates a compile and builds its plan, lowering the
-// Pre, layer and Post blocks at degree tp: with compileBlock, or with
-// compilePieces when pieces is set.
+// periodicPlan validates a compile and builds its plan.
 func (c *Compiler) periodicPlan(spec model.Spec, tp int, w model.Workload, pieces bool) (*Plan, error) {
-	if err := spec.Validate(); err != nil {
+	if err := validate(spec, tp, w); err != nil {
 		return nil, err
 	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	if tp < 1 {
-		return nil, fmt.Errorf("parallel: tensor-parallel degree %d", tp)
-	}
+	return c.build(spec, tp, w, pieces), nil
+}
+
+// build builds the plan of a valid compile, lowering the pre, layer and
+// post blocks at degree tp: with compileBlock, or with compilePieces
+// when pieces is set.
+func (c *Compiler) build(spec model.Spec, tp int, w model.Workload, pieces bool) *Plan {
 	block := func(ops []model.Op) []KernelDesc {
 		if pieces {
 			return c.compilePieces(ops, tp, w)
@@ -295,13 +302,106 @@ func (c *Compiler) periodicPlan(spec model.Spec, tp int, w model.Workload, piece
 	}
 	var ops [blockOps]model.Op
 	p := &Plan{
-		Pre:    block(model.PreOps(ops[:0], spec, w)),
-		Layer:  block(model.LayerOps(ops[:0], spec, w)),
-		Post:   block(model.PostOps(ops[:0], spec, w)),
+		pre:    block(model.PreOps(ops[:0], spec, w)),
+		layer:  block(model.LayerOps(ops[:0], spec, w)),
+		post:   block(model.PostOps(ops[:0], spec, w)),
 		Layers: spec.Layers,
 	}
-	p.names = c.names.of(p.Layer, p.Layers)
-	return p, nil
+	p.names = c.names.of(p.layer, p.Layers)
+	return p
+}
+
+// validate reports a compile of spec at degree tp for w that cannot be.
+func validate(spec model.Spec, tp int, w model.Workload) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	if err := w.Validate(); err != nil {
+		return err
+	}
+	if tp < 1 {
+		return fmt.Errorf("parallel: tensor-parallel degree %d", tp)
+	}
+	return nil
+}
+
+// decodeBlocks holds, per (spec, degree, batch), the first decode plan
+// compiled for it, whose pre, layer and post blocks every later decode
+// plan of that key shares: in a decode plan only the attention kernel
+// reads the context length, and continuous serving asks for a new
+// context length at nearly every step. The blocks are bounded by the
+// distinct batch sizes, so they are never dropped.
+type decodeBlocks struct {
+	mu     sync.Mutex
+	blocks map[decodeKey]decodeBlock
+}
+
+type decodeKey struct {
+	spec      model.Spec
+	tp, batch int
+}
+
+// decodeBlock is a key's first plan and the index of its attention
+// kernel in the layer block.
+type decodeBlock struct {
+	plan *Plan
+	attn int
+}
+
+// decodePlan compiles a decode plan: the first of its batch size whole,
+// every later one as that plan's blocks with an attention descriptor of
+// its own when its context length costs attention differently.
+func (c *Compiler) decodePlan(spec model.Spec, tp int, w model.Workload) (*Plan, error) {
+	if err := validate(spec, tp, w); err != nil {
+		return nil, err
+	}
+	var ops [blockOps]model.Op
+	op := attentionOp(model.LayerOps(ops[:0], spec, w))
+	blk, fresh := c.decodeBlock(spec, tp, w, op.Name)
+	if fresh {
+		return blk.plan, nil
+	}
+	var out [1]KernelDesc
+	attn := c.compileOp(out[:0], "", op, tp, w)[0]
+	p := *blk.plan
+	if attn != p.layer[blk.attn] {
+		p.attn = &override{j: blk.attn, desc: attn}
+	}
+	return &p, nil
+}
+
+// decodeBlock returns the block of w's batch size at degree tp, and
+// whether this call compiled it, for w; attn names the attention
+// kernel. The compile must be valid.
+func (c *Compiler) decodeBlock(spec model.Spec, tp int, w model.Workload, attn string) (blk decodeBlock, fresh bool) {
+	d := &c.decode
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	key := decodeKey{spec: spec, tp: tp, batch: w.Batch}
+	if blk, ok := d.blocks[key]; ok {
+		return blk, false
+	}
+	blk.plan = c.build(spec, tp, w, false)
+	for j, k := range blk.plan.layer {
+		if k.Name == attn {
+			blk.attn = j
+		}
+	}
+	if d.blocks == nil {
+		d.blocks = make(map[decodeKey]decodeBlock)
+	}
+	d.blocks[key] = blk
+	return blk, true
+}
+
+// attentionOp returns the attention op of a layer's ops.
+func attentionOp(ops []model.Op) model.Op {
+	for _, op := range ops {
+		if op.Kind == model.OpAttention {
+			return op
+		}
+	}
+	panic("parallel: a layer without attention")
 }
 
 // blockOps sizes the stack array the op builders fill during a compile:

@@ -37,9 +37,10 @@ type KernelDesc struct {
 
 	// split is how runtime decomposition divides the kernel, indivisible
 	// if it does not; gemm holds a GEMM split's m, n and k. They pack
-	// into the word beside Collective: every compiled shape stores 14–15
-	// descriptors, so each word a descriptor grows shows in the memory
-	// every workload allocates (TestKernelDescSize).
+	// into the word beside Collective: every context shape and every
+	// decode batch size stores 14–15 descriptors (Plan), so each word a
+	// descriptor grows shows in the memory every workload allocates
+	// (TestKernelDescSize).
 	split splitKind
 	gemm  [3]int32
 

@@ -7,44 +7,70 @@ import (
 )
 
 // Plan is a compiled forward pass in layer-periodic form: the kernels
-// before the transformer stack (Pre), one layer's kernels (Layer)
-// repeated Layers times, and the kernels after it (Post). Every layer of
+// before the transformer stack (pre), one layer's kernels (layer)
+// repeated Layers times, and the kernels after it (post). Every layer of
 // a decoder lowers to the same costed kernels and only the "l<i>." name
 // prefix differs, so a plan stores one layer and names the i-th copy
-// when it is read. A Plan is read-only once built and may be shared.
+// when it is read. A decode plan goes further: only its attention reads
+// the context length, so the decode plans of one batch size share one
+// set of blocks and each holds only its own attention descriptor
+// (attn), which At, the one reader of the layer block, reads in place
+// of the block's. For OPT-30B at four-way tensor parallelism a context
+// shape stores 14 descriptors and a decode batch size 15. A Plan is
+// read-only once built and may be shared.
 type Plan struct {
-	Pre, Layer, Post []KernelDesc
+	pre, layer, post []KernelDesc
 	Layers           int
 
-	// names[j][l] is the name of Layer[j] in layer l. A plan built
-	// without it repeats Layer's names verbatim.
+	// names[j][l] is the name of layer[j] in layer l. A plan built
+	// without it repeats layer's names verbatim.
 	names [][]string
+
+	// attn, when not nil, stands in for one kernel of the shared layer
+	// block in every layer. It is out of line so that a Plan stays in
+	// its 112-byte size class (TestPlanSize).
+	attn *override
 }
 
-// Len returns the number of kernels the plan expands to.
-func (p *Plan) Len() int { return len(p.Pre) + p.Layers*len(p.Layer) + len(p.Post) }
+// override is a plan's own descriptor for kernel j of its layer block.
+type override struct {
+	j    int
+	desc KernelDesc
+}
 
-// Stored returns the number of descriptors the plan holds: Layer counts
-// once, not Layers times.
-func (p *Plan) Stored() int { return len(p.Pre) + len(p.Layer) + len(p.Post) }
+// FlatPlan wraps a flat kernel sequence as a plan with only a pre block,
+// read in place: the caller must not modify kernels afterwards.
+func FlatPlan(kernels []KernelDesc) *Plan { return &Plan{pre: kernels} }
+
+// Len returns the number of kernels the plan expands to.
+func (p *Plan) Len() int { return len(p.pre) + p.Layers*len(p.layer) + len(p.post) }
+
+// Stored returns the number of descriptors the plan's blocks hold: the
+// layer block counts once, not Layers times, and a decode plan counts
+// the blocks it shares with its batch size, as if it held them alone.
+func (p *Plan) Stored() int { return len(p.pre) + len(p.layer) + len(p.post) }
 
 // At returns kernel i of the expanded sequence, 0 <= i < Len(), and its
-// name, without copying it: the descriptor is the plan's own, shared by
-// every layer, so its Name is the layer block's base name and name is
-// kernel i's. Callers must not modify the descriptor.
+// name, without copying it: the descriptor is the plan's own, or its
+// batch size's, shared by every layer, so its Name is the layer block's
+// base name and name is kernel i's. Callers must not modify the
+// descriptor.
 func (p *Plan) At(i int) (k *KernelDesc, name string) {
-	if i < len(p.Pre) {
-		k = &p.Pre[i]
+	if i < len(p.pre) {
+		k = &p.pre[i]
 		return k, k.Name
 	}
-	i -= len(p.Pre)
-	n := p.Layers * len(p.Layer)
+	i -= len(p.pre)
+	n := p.Layers * len(p.layer)
 	if i >= n {
-		k = &p.Post[i-n]
+		k = &p.post[i-n]
 		return k, k.Name
 	}
-	l, j := i/len(p.Layer), i%len(p.Layer)
-	k = &p.Layer[j]
+	l, j := i/len(p.layer), i%len(p.layer)
+	k = &p.layer[j]
+	if p.attn != nil && j == p.attn.j {
+		k = &p.attn.desc
+	}
 	if p.names != nil {
 		return k, p.names[j][l]
 	}
@@ -74,14 +100,15 @@ func (p *Plan) CheckStages(n int) error {
 // StageSpan returns the span [lo, hi) of the expanded sequence that
 // stage s of an n-stage pipeline runs on its device: a contiguous run of
 // layers, the Layers%n leftover layers going one each to the leading
-// stages, with Pre on stage 0 and Post on stage n-1. The spans of stages
-// 0 to n-1 tile [0, Len()) in order. n must pass CheckStages.
+// stages, with the pre block on stage 0 and the post block on stage
+// n-1. The spans of stages 0 to n-1 tile [0, Len()) in order. n must
+// pass CheckStages.
 func (p *Plan) StageSpan(s, n int) (lo, hi int) {
 	per, extra := p.Layers/n, p.Layers%n
-	lo = len(p.Pre) + (s*per+min(s, extra))*len(p.Layer)
-	hi = lo + per*len(p.Layer)
+	lo = len(p.pre) + (s*per+min(s, extra))*len(p.layer)
+	hi = lo + per*len(p.layer)
 	if s < extra {
-		hi += len(p.Layer)
+		hi += len(p.layer)
 	}
 	if s == 0 {
 		lo = 0
@@ -98,11 +125,28 @@ func (p *Plan) StageSpan(s, n int) (lo, hi int) {
 // new kernels, and every table shares its strings. tables holds one
 // names table per distinct layer-name sequence and depth, shared by
 // every plan with that layer block; a compiler sees a handful (one per
-// phase and model depth), so a linear scan finds them.
+// phase and model depth), so a linear scan finds them. reduced[name] is
+// name + "_ar", the all-reduce after kernel name.
 type layerNames struct {
-	mu     sync.Mutex
-	byBase map[string][]string
-	tables []namesTable
+	mu      sync.Mutex
+	byBase  map[string][]string
+	tables  []namesTable
+	reduced map[string]string
+}
+
+// reduce returns the interned name of the all-reduce after kernel name.
+func (t *layerNames) reduce(name string) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ar, ok := t.reduced[name]
+	if !ok {
+		if t.reduced == nil {
+			t.reduced = make(map[string]string)
+		}
+		ar = name + "_ar"
+		t.reduced[name] = ar
+	}
+	return ar
 }
 
 // namesTable is one interned table: names[j][l] names kernel bases[j]

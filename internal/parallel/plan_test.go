@@ -1,10 +1,13 @@
 package parallel
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strings"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"liger/internal/gpusim"
 	"liger/internal/hw"
@@ -127,10 +130,76 @@ func sameKernels(t *testing.T, what string, got, want []KernelDesc) {
 	}
 }
 
+// sameSplits fails unless the splittable kernels of layers 0, 1 and the
+// last, read out of plan, decompose like want's, the per-layer compile
+// of spec.
+func sameSplits(t *testing.T, name string, plan *Plan, spec model.Spec, want []KernelDesc) {
+	t.Helper()
+	splits := 0
+	for _, l := range []int{0, 1, spec.Layers - 1} {
+		for j := range plan.layer {
+			i := len(plan.pre) + l*len(plan.layer) + j
+			shared, gname := plan.At(i)
+			w := want[i]
+			if !w.CanSplit() {
+				continue
+			}
+			splits++
+			at := fmt.Sprintf("%s %s", name, w.Name)
+			g := *shared
+			g.Name = gname
+			gp, _ := g.Split(8)
+			wp, _ := w.Split(8)
+			sameKernels(t, at+" Split(8)", gp, wp)
+			var sp Splitter
+			gh, gr, gs, gok := sp.SplitPrefix(Remainder{Root: shared}, gname, 8, 3)
+			wh, wr, ws, wok := sp.SplitPrefix(Remainder{Root: &w}, w.Name, 8, 3)
+			if !gok || !wok {
+				t.Fatalf("%s: SplitPrefix(8, 3) refused", at)
+			}
+			sameKernels(t, at+" SplitPrefix(8, 3)", append(gh, gr), append(wh, wr))
+			grp, _ := Remainder{Root: shared, Scales: []float64{gs}}.Split(gr.Name, 8)
+			wrp, _ := Remainder{Root: &w, Scales: []float64{ws}}.Split(wr.Name, 8)
+			sameKernels(t, at+" remainder Split(8)", grp, wrp)
+			for p := range gp {
+				if gp[p].Name != pieceName(g.Name, p, 8) || grp[p].Name != pieceName(gr.Name, p, 8) {
+					t.Fatalf("%s: piece %d named %s, remainder piece %s", at, p, gp[p].Name, grp[p].Name)
+				}
+			}
+		}
+	}
+	if splits == 0 {
+		t.Fatalf("%s: no splittable layer kernel compared", name)
+	}
+}
+
+// decodeRuns lists decode shapes that share blocks: batch 8 at several
+// context lengths, interleaved with batches 3 and 1, in the order given
+// (ascending contexts) or reversed, so that a batch's block is compiled
+// first at its shortest or at its longest context.
+func decodeRuns(reversed bool) []model.Workload {
+	var ws []model.Workload
+	for _, ctx := range []int{64, 512, 513, 2048, 8192} {
+		ws = append(ws,
+			model.Workload{Batch: 8, CtxLen: ctx, Phase: model.Decode},
+			model.Workload{Batch: 3, CtxLen: ctx + 100, Phase: model.Decode},
+			model.Workload{Batch: 8, CtxLen: ctx, SeqLen: 32, Phase: model.Decode},
+			model.Workload{Batch: 1, CtxLen: 2 * ctx, Phase: model.Decode})
+	}
+	if reversed {
+		slices.Reverse(ws)
+	}
+	return ws
+}
+
 // The layer-periodic plan expands to exactly the per-layer compile, and
 // a kernel read out of the shared layer block decomposes exactly like
 // the kernel compiled for its own layer: same piece names, durations
 // and bytes, for whole splits, prefix splits and re-split remainders.
+// Decode plans of one batch size share their batch's blocks and hold
+// their own attention, and still do both, whichever context length
+// compiled the blocks and whatever batches, models and degrees the
+// compiler saw in between.
 func TestPeriodicPlanMatchesPerLayerCompile(t *testing.T) {
 	c := compilerFor(hw.A100Node())
 	workloads := []model.Workload{
@@ -151,97 +220,107 @@ func TestPeriodicPlanMatchesPerLayerCompile(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameKernels(t, name, got, want)
-				if plan.Len() != len(want) || plan.Stored() != len(want)-(spec.Layers-1)*len(plan.Layer) {
+				if plan.Len() != len(want) || plan.Stored() != len(want)-(spec.Layers-1)*len(plan.layer) {
 					t.Fatalf("%s: plan of %d kernels stores %d descriptors", name, plan.Len(), plan.Stored())
 				}
-				splits := 0
-				for _, l := range []int{0, 1, spec.Layers - 1} {
-					for j := range plan.Layer {
-						i := len(plan.Pre) + l*len(plan.Layer) + j
-						shared, gname := plan.At(i)
-						w := want[i]
-						if !w.CanSplit() {
-							continue
-						}
-						splits++
-						at := fmt.Sprintf("%s %s", name, w.Name)
-						g := *shared
-						g.Name = gname
-						gp, _ := g.Split(8)
-						wp, _ := w.Split(8)
-						sameKernels(t, at+" Split(8)", gp, wp)
-						var sp Splitter
-						gh, gr, gs, gok := sp.SplitPrefix(Remainder{Root: shared}, gname, 8, 3)
-						wh, wr, ws, wok := sp.SplitPrefix(Remainder{Root: &w}, w.Name, 8, 3)
-						if !gok || !wok {
-							t.Fatalf("%s: SplitPrefix(8, 3) refused", at)
-						}
-						sameKernels(t, at+" SplitPrefix(8, 3)", append(gh, gr), append(wh, wr))
-						grp, _ := Remainder{Root: shared, Scales: []float64{gs}}.Split(gr.Name, 8)
-						wrp, _ := Remainder{Root: &w, Scales: []float64{ws}}.Split(wr.Name, 8)
-						sameKernels(t, at+" remainder Split(8)", grp, wrp)
-						for p := range gp {
-							if gp[p].Name != pieceName(g.Name, p, 8) || grp[p].Name != pieceName(gr.Name, p, 8) {
-								t.Fatalf("%s: piece %d named %s, remainder piece %s", at, p, gp[p].Name, grp[p].Name)
-							}
+				sameSplits(t, name, plan, spec, want)
+			}
+		}
+	}
+	type key struct {
+		spec      string
+		tp, batch int
+	}
+	for _, reversed := range []bool{false, true} {
+		c := compilerFor(hw.A100Node())
+		first := make(map[key]*Plan)
+		overrides := 0
+		for _, w := range decodeRuns(reversed) {
+			for _, spec := range []model.Spec{model.OPT30B(), model.GLM130B(), model.Tiny()} {
+				for _, tp := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s tp=%d batch=%d ctx=%d reversed=%v", spec.Name, tp, w.Batch, w.CtxLen, reversed)
+					plan, err := c.IntraOpPlan(spec, tp, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := intraOpPerLayer(c, spec, tp, w)
+					sameKernels(t, name, plan.Kernels(), want)
+					sameSplits(t, name, plan, spec, want)
+					k := key{spec.Name, tp, w.Batch}
+					ref, ok := first[k]
+					if !ok {
+						first[k] = plan
+						continue
+					}
+					if &plan.pre[0] != &ref.pre[0] || &plan.layer[0] != &ref.layer[0] || &plan.post[0] != &ref.post[0] {
+						t.Fatalf("%s: the plan does not share its batch's blocks", name)
+					}
+					if plan.attn != nil {
+						overrides++
+					}
+					for i := 0; i < plan.Len(); i++ {
+						got, _ := plan.At(i)
+						base, _ := ref.At(i)
+						if got != base && got.Name != "attn" {
+							t.Fatalf("%s: kernel %d (%s) is not its batch's", name, i, got.Name)
 						}
 					}
 				}
-				if splits == 0 {
-					t.Fatalf("%s: no splittable layer kernel compared", name)
-				}
 			}
+		}
+		if overrides == 0 {
+			t.Fatalf("reversed=%v: no decode plan held its own attention", reversed)
 		}
 	}
 }
 
 // Every stage span of a pipeline plan is the per-layer stage compile,
 // kernel for kernel, and so is every stage's send; the spans tile the
-// plan in order.
+// plan in order. So are those of Inter-Op decode plans, which share
+// their batch's blocks, whichever context length compiled the blocks.
 func TestStageSpansMatchPerLayerCompile(t *testing.T) {
-	c := compilerFor(hw.A100Node())
-	workloads := []model.Workload{
-		{Batch: 2, SeqLen: 64, Phase: model.Context},
-		{Batch: 8, CtxLen: 512, Phase: model.Decode},
-	}
-	for _, spec := range []model.Spec{model.OPT30B(), model.OPT66B(), model.Tiny().WithLayers(7)} {
-		for stages := 1; stages <= 4; stages++ {
-			for _, theoretical := range []bool{false, true} {
-				for _, w := range workloads {
-					name := fmt.Sprintf("%s %d stages theoretical=%v %v", spec.Name, stages, theoretical, w.Phase)
-					plan, err := pipelinePlan(c, spec, stages, w, theoretical)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := plan.CheckStages(stages); err != nil {
-						t.Fatal(err)
-					}
-					tp := 1
-					if theoretical {
-						tp = stages
-					}
-					want := pipelinePerLayer(c, spec, stages, w, tp)
-					next := 0
-					for s, ref := range want {
-						at := fmt.Sprintf("%s stage %d", name, s)
-						lo, hi := plan.StageSpan(s, stages)
-						if lo != next {
-							t.Fatalf("%s: span [%d, %d) does not start at %d", at, lo, hi, next)
+	for _, reversed := range []bool{false, true} {
+		c := compilerFor(hw.A100Node())
+		workloads := append([]model.Workload{{Batch: 2, SeqLen: 64, Phase: model.Context}}, decodeRuns(reversed)...)
+		for _, w := range workloads {
+			for _, spec := range []model.Spec{model.OPT30B(), model.OPT66B(), model.Tiny().WithLayers(7)} {
+				for stages := 1; stages <= 4; stages++ {
+					for _, theoretical := range []bool{false, true} {
+						name := fmt.Sprintf("%s %d stages theoretical=%v %+v", spec.Name, stages, theoretical, w)
+						plan, err := pipelinePlan(c, spec, stages, w, theoretical)
+						if err != nil {
+							t.Fatal(err)
 						}
-						next = hi
-						got := make([]KernelDesc, 0, hi-lo)
-						for i := lo; i < hi; i++ {
-							k, kname := plan.At(i)
-							got = append(got, *k)
-							got[len(got)-1].Name = kname
+						if err := plan.CheckStages(stages); err != nil {
+							t.Fatal(err)
 						}
-						sameKernels(t, at, got, ref.kernels)
-						if ref.send != nil {
-							sameKernels(t, at+" send", []KernelDesc{c.StageSend(spec, s, w)}, []KernelDesc{*ref.send})
+						tp := 1
+						if theoretical {
+							tp = stages
 						}
-					}
-					if next != plan.Len() {
-						t.Fatalf("%s: spans end at %d of %d kernels", name, next, plan.Len())
+						want := pipelinePerLayer(c, spec, stages, w, tp)
+						next := 0
+						for s, ref := range want {
+							at := fmt.Sprintf("%s stage %d", name, s)
+							lo, hi := plan.StageSpan(s, stages)
+							if lo != next {
+								t.Fatalf("%s: span [%d, %d) does not start at %d", at, lo, hi, next)
+							}
+							next = hi
+							got := make([]KernelDesc, 0, hi-lo)
+							for i := lo; i < hi; i++ {
+								k, kname := plan.At(i)
+								got = append(got, *k)
+								got[len(got)-1].Name = kname
+							}
+							sameKernels(t, at, got, ref.kernels)
+							if ref.send != nil {
+								sameKernels(t, at+" send", []KernelDesc{c.StageSend(spec, s, w)}, []KernelDesc{*ref.send})
+							}
+						}
+						if next != plan.Len() {
+							t.Fatalf("%s: spans end at %d of %d kernels", name, next, plan.Len())
+						}
 					}
 				}
 			}
@@ -292,41 +371,133 @@ func TestConcurrentPlansShareNames(t *testing.T) {
 	}
 }
 
-// A compile allocates only the plan it returns: the Plan, its three
-// descriptor blocks and the name of each all-reduce. A decomposable
-// kernel describes its split by value, the op lists are built on the
-// stack and the names table is interned, so two shapes of one phase
-// share one names table.
+// Concurrent decode compiles of overlapping batches through one
+// compiler race to build each batch's blocks under its lock, and every
+// plan still expands to the per-layer compile: whichever goroutine's
+// context length built a block, the others read their own attention.
+func TestConcurrentDecodePlansShareBlocks(t *testing.T) {
+	c := compilerFor(hw.A100Node())
+	specs := []model.Spec{model.Tiny(), model.OPT30B()}
+	const workers = 4
+	plans := make([][]*Plan, workers)
+	shape := func(g, i int) (model.Spec, int, model.Workload) {
+		return specs[i%2], 1 << (i % 3), model.Workload{Batch: 1 + (g+i)%5, CtxLen: 16 + 37*g + 101*i, Phase: model.Decode}
+	}
+	var wg sync.WaitGroup
+	for g := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 24; i++ {
+				spec, tp, w := shape(g, i)
+				p, err := c.IntraOpPlan(spec, tp, w)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				plans[g] = append(plans[g], p)
+			}
+		}()
+	}
+	wg.Wait()
+	for g, ps := range plans {
+		for i, p := range ps {
+			spec, tp, w := shape(g, i)
+			sameKernels(t, fmt.Sprintf("%s tp=%d %+v", spec.Name, tp, w), p.Kernels(), intraOpPerLayer(c, spec, tp, w))
+		}
+	}
+}
+
+// A compile allocates only the plan it returns: the Plan and its three
+// descriptor blocks. A decomposable kernel describes its split by value,
+// the op lists are built on the stack and the kernel and all-reduce
+// names are interned, so two shapes of one phase share one names table.
+// Once its batch's blocks exist, a decode compile allocates exactly the
+// Plan and its own attention descriptor.
 func TestIntraOpPlanAllocatesOnlyWhatItKeeps(t *testing.T) {
 	c := compilerFor(hw.A100Node())
 	spec := model.OPT30B()
-	for _, phase := range []model.Phase{model.Context, model.Decode} {
-		w1 := model.Workload{Batch: 2, SeqLen: 64, CtxLen: 64, Phase: phase}
-		w2 := model.Workload{Batch: 5, SeqLen: 96, CtxLen: 320, Phase: phase}
-		p1, err := c.IntraOpPlan(spec, 4, w1)
+	compile := func(w model.Workload) *Plan {
+		p, err := c.IntraOpPlan(spec, 4, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var p2 *Plan
-		allocs := testing.AllocsPerRun(20, func() {
-			if p2, err = c.IntraOpPlan(spec, 4, w2); err != nil {
-				t.Fatal(err)
-			}
-		})
-		kept := 1 // the Plan
-		for _, block := range [][]KernelDesc{p2.Pre, p2.Layer, p2.Post} {
-			kept++
-			for _, k := range block {
-				if strings.HasSuffix(k.Name, "_ar") {
-					kept++
-				}
-			}
-		}
-		if allocs > float64(kept) {
-			t.Errorf("%v: a compile allocates %v objects, but its plan keeps %d", phase, allocs, kept)
-		}
+		return p
+	}
+	for _, phase := range []model.Phase{model.Context, model.Decode} {
+		p1 := compile(model.Workload{Batch: 2, SeqLen: 64, CtxLen: 64, Phase: phase})
+		w2 := model.Workload{Batch: 5, SeqLen: 96, CtxLen: 320, Phase: phase}
+		p2 := compile(w2)
 		if &p1.names[0] != &p2.names[0] {
 			t.Errorf("%v: two shapes of one phase built separate names tables", phase)
 		}
+		want, what := 4.0, "the Plan and its three blocks"
+		if phase == model.Decode {
+			// Batch 5's blocks exist, compiled at context 320.
+			w2.CtxLen = 640
+			if compile(w2).attn == nil {
+				t.Fatal("a decode plan at a new context length shares its batch's attention")
+			}
+			want, what = 2, "the Plan and its attention"
+		}
+		if allocs := testing.AllocsPerRun(20, func() { compile(w2) }); allocs != want {
+			t.Errorf("%v: a compile allocates %v objects, want %v: %s", phase, allocs, want, what)
+		}
 	}
+}
+
+// A Plan stays in the 112-byte size class: the plan cache holds one per
+// shape, and a decode plan's own attention is out of line to keep it
+// there.
+func TestPlanSize(t *testing.T) {
+	if got := unsafe.Sizeof(Plan{}); got > 112 {
+		t.Fatalf("Plan is %d bytes, want at most 112", got)
+	}
+}
+
+// FuzzDecodePlans compiles a fuzzed sequence of decode shapes, each a
+// model preset, a degree, a batch and a context length, through one
+// compiler, so that each shape may read blocks an earlier shape of its
+// batch built, and compares every plan's kernels, splits included, with
+// a fresh compiler's.
+func FuzzDecodePlans(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 16; n *= 2 {
+		steps := make([]byte, 5*n)
+		rng.Read(steps)
+		f.Add(steps)
+	}
+	// One batch at three context lengths, another batch between them.
+	f.Add([]byte{0, 2, 7, 0, 200, 0, 2, 7, 1, 0, 1, 1, 3, 0, 9, 0, 2, 7, 0, 17})
+	specs := []model.Spec{model.OPT30B(), model.GLM130B(), model.Tiny(), model.LLaMA70B()}
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		c := compilerFor(hw.A100Node())
+		// Past 16 shapes an input only repeats what shorter ones cover.
+		steps = steps[:min(len(steps), 5*16)]
+		for ; len(steps) >= 5; steps = steps[5:] {
+			spec, tp := specs[int(steps[0])%len(specs)], 1<<(steps[1]%4)
+			w := model.Workload{Batch: 1 + int(steps[2])%32, CtxLen: 1 + int(binary.BigEndian.Uint16(steps[3:])), Phase: model.Decode}
+			name := fmt.Sprintf("%s tp=%d %+v", spec.Name, tp, w)
+			got, err := c.IntraOpPlan(spec, tp, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := compilerFor(hw.A100Node()).IntraOpPlan(spec, tp, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gk, wk := got.Kernels(), want.Kernels()
+			if len(gk) != len(wk) {
+				t.Fatalf("%s: %d kernels, want %d", name, len(gk), len(wk))
+			}
+			for i := range wk {
+				// Every field but the compiler's own cost models.
+				g, k := gk[i], wk[i]
+				g.costs, k.costs = nil, nil
+				if g != k {
+					t.Fatalf("%s: kernel %d is\n  %+v\nwant\n  %+v", name, i, g, k)
+				}
+			}
+		}
+	})
 }

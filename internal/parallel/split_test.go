@@ -41,7 +41,8 @@ func (r Remainder) namedPiece(name string, i, parts int) KernelDesc {
 // than the 72 of the descriptor with a piece closure it replaced, for
 // the split kind and the three GEMM dimensions packed beside Collective
 // and the shared cost-model pointer in place of the closure. Every
-// compiled shape stores 14–15 descriptors: a prototype that also kept
+// context shape and every decode batch size stores 14–15 descriptors
+// (a decode shape adds only its attention): a prototype that also kept
 // the remainder's chain of scales in the descriptor (a pointer and a
 // slice, +32 B) raised serve-decode's and serve-kv-pressure's alloc_mb
 // by 15 %, though neither ever splits a kernel.

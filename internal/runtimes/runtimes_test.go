@@ -279,13 +279,14 @@ func TestIntraOpSubmitAllocatesThePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := 1
-	for _, block := range [][]parallel.KernelDesc{plan.Pre, plan.Layer, plan.Post} {
-		kept++
-		for _, k := range block {
-			if k.CanSplit() {
-				kept++
-			}
+	// The Plan, its three blocks and each splittable descriptor it
+	// holds, once: every layer reads the same ones.
+	kept := 4
+	held := make(map[*parallel.KernelDesc]bool)
+	for i := 0; i < plan.Len(); i++ {
+		if k, _ := plan.At(i); k.CanSplit() && !held[k] {
+			held[k] = true
+			kept++
 		}
 	}
 	submit := func() {

@@ -16,10 +16,11 @@
 //     ./internal/cluster ./internal/trace ./internal/metrics
 //     ./internal/analyze ./internal/kvcache ./internal/generate
 //     (the concurrency-bearing packages, including the compiler's
-//     shared layer-name table, plus the fault-injection,
-//     deadline/retry, fleet, serving-telemetry and observability
-//     layers get a dedicated race pass; the Makefile's race target
-//     runs the same list)
+//     shared layer-name table (TestConcurrentPlansShareNames) and its
+//     decode blocks (TestConcurrentDecodePlansShareBlocks), plus the
+//     fault-injection, deadline/retry, fleet, serving-telemetry and
+//     observability layers get a dedicated race pass; the Makefile's
+//     race target runs the same list)
 //  5. go test ./... (full suite), then `go test ./...` inside
 //     tools/perf, the benchmark harness's own module
 //  6. the benchmark's readings gate: `bash tools/perf/run.sh
