@@ -34,7 +34,7 @@ bench:
 
 # The stdlib fuzz targets, 15 s each (plain `go test` runs only their
 # seeds): the scenario loader, the paged KV allocator against a naive
-# model, the calendar queue against the reference heap, iteration
+# model, the event queue against the reference heap, iteration
 # replay against the simulation, runtime decomposition's chains of
 # remainders against the closures they replaced, and decode plans that
 # share their batch's blocks against fresh compiles. A replay input runs

@@ -57,15 +57,10 @@ type engineStats struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 	// SimulatedNS is the virtual time the calibration run covered.
 	SimulatedNS int64 `json:"simulated_ns"`
-	// MaxPending is the queue-occupancy high-water mark; Compactions,
-	// Reloads, Rebases, Resizes and FarPushes expose the calendar
-	// queue's adaptation behaviour (see docs/PERF.md).
+	// MaxPending is the queue-occupancy high-water mark; Compactions
+	// counts the queue's tombstone-compaction passes (see docs/PERF.md).
 	MaxPending  int    `json:"max_pending"`
 	Compactions uint64 `json:"compactions"`
-	Reloads     uint64 `json:"reloads"`
-	Rebases     uint64 `json:"rebases"`
-	Resizes     uint64 `json:"resizes"`
-	FarPushes   uint64 `json:"far_pushes"`
 	// BySubsystem decomposes scheduled events by origin.
 	BySubsystem gpusim.EventCounters `json:"by_subsystem"`
 }
@@ -180,10 +175,6 @@ func measureEngine(node hw.Node, spec model.Spec, batch, batches int) (*engineSt
 		SimulatedNS: clk.Now().Nanoseconds(),
 		MaxPending:  st.MaxPending,
 		Compactions: st.Compactions,
-		Reloads:     st.Reloads,
-		Rebases:     st.Rebases,
-		Resizes:     st.Resizes,
-		FarPushes:   st.FarPushes,
 		BySubsystem: eng.SimNode().EventCounters(),
 	}
 	if wall > 0 {

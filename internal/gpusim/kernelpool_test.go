@@ -16,11 +16,9 @@ import (
 // group) that retire kernels outside the normal completion.
 
 func TestSteadyStateLaunchAllocatesNothing(t *testing.T) {
-	// The warm-up fills the pools and also grows every slot of the
-	// engine's calendar ring to its steady-state capacity. Each run lands
-	// its events on different slots, and since only stream heads get
-	// delivery events, few events land per run: 50 or even 600 warm-up
-	// runs still left a slot growth or two to the measured runs.
+	// The warm-up fills the pools and also grows the engine's queue
+	// slices to their steady-state capacity, so that no measured run
+	// pays for a growth.
 	const perRun, runs, warm = 32, 20, 1500
 	eng, n := testNode(t, 2)
 	s0, s1 := n.NewStream(0), n.NewStream(1)

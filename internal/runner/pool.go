@@ -61,13 +61,15 @@ func NewPool(workers int) *Pool {
 }
 
 // Run executes fn(i) for every i in [0, n) and blocks until all jobs
-// finish. On a serial pool jobs run in index order on the caller. Rounds
-// do not overlap: Run must not be called again before it returns.
+// finish. On a serial pool jobs run in index order on the caller, and so
+// does a one-job round on any pool: waking the workers would only hand
+// the job to one of them. Rounds do not overlap: Run must not be called
+// again before it returns.
 func (p *Pool) Run(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if len(p.cmds) == 0 {
+	if len(p.cmds) == 0 || n == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

@@ -6,12 +6,17 @@ import (
 )
 
 // TestPoolRunsEveryJobExactlyOnce drives many rounds of varying size
-// through one pool and checks the job set is exact each time.
+// through one pool and checks the job set is exact each time. Every
+// other round has one job, which runs on the caller, so one-job and
+// parallel rounds alternate on the same workers.
 func TestPoolRunsEveryJobExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		p := NewPool(workers)
-		for round := 0; round < 50; round++ {
+		for round := 0; round < 100; round++ {
 			n := 1 + round%17
+			if round%2 == 1 {
+				n = 1
+			}
 			counts := make([]atomic.Int64, n)
 			p.Run(n, func(i int) { counts[i].Add(1) })
 			for i := range counts {

@@ -47,3 +47,35 @@ func BenchmarkEngineCancelReschedule(b *testing.B) {
 		handles[j] = e.At(Time(2000+i%1000)*time.Microsecond, func(Time) {})
 	}
 }
+
+// BenchmarkStepWithFarArrivals is the serving pattern: 16
+// self-rescheduling events (the kernel steady state) fire among 1,000
+// arrivals scheduled up front in time order, far beyond the kernels'
+// horizon. The last arrival schedules the next 1,000, so the queue holds
+// the same mix at every step.
+func BenchmarkStepWithFarArrivals(b *testing.B) {
+	e := New()
+	var fn, arrive, last Event
+	fn = func(now Time) {
+		e.At(now+time.Microsecond, fn)
+	}
+	arrive = func(Time) {}
+	last = func(now Time) {
+		for i := 1; i <= 1000; i++ {
+			f := arrive
+			if i == 1000 {
+				f = last
+			}
+			e.At(now+Time(i)*100*time.Microsecond, f)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		e.At(Time(i), fn)
+	}
+	last(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

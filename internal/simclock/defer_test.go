@@ -116,7 +116,10 @@ func TestDeferredComputationRunsUntouched(t *testing.T) {
 // catches it up, at instants before, between and on its events, from
 // inside a firing foreign event and between steps of an engine stepped
 // by hand: the log must match the plain run's, and the clock must be
-// back at the foreign event's position after the touch.
+// back at the foreign event's position after the touch. Two long spans
+// take a Touch too: one late, when the catch-up's events land behind
+// everything queued after the computation started, and one early, when
+// they land seconds ahead of the clock.
 func TestCatchUpIsExact(t *testing.T) {
 	touches := map[string]func(e *Engine){
 		"Touch":       func(e *Engine) { e.Touch() },
@@ -139,36 +142,15 @@ func TestCatchUpIsExact(t *testing.T) {
 			t.Run(fmt.Sprintf("%s between steps at %d", name, at), func(t *testing.T) { c.check(t) })
 		}
 	}
-}
-
-// TestCatchUpBehindTheWindow: the foreign events move the calendar's
-// window past the deferred computation's start before the touch, so the
-// catch-up schedules behind the window and the calendar rebases.
-func TestCatchUpBehindTheWindow(t *testing.T) {
-	ms := Time(time.Millisecond)
-	c := deferCase{start: 7, end: 50 * ms, steps: []Time{0, 3, 2 * ms, 50 * ms}, chain: 2, more: ms,
-		foreign: []Time{20 * ms, 30 * ms, 60 * ms}, touchAt: 30 * ms, touch: func(e *Engine) {
-			if e.winStart <= 7 {
-				panic("the window did not move past the computation's start")
-			}
-			e.Touch()
-		}}
-	if e := c.check(t); e.Stats().Rebases == 0 {
-		t.Fatal("the catch-up did not rebase the calendar")
-	}
-}
-
-// TestCatchUpIntoTheFarBand: the catch-up schedules events beyond the
-// near window, which wait in the far band until their instant.
-func TestCatchUpIntoTheFarBand(t *testing.T) {
-	s := Time(time.Second)
-	c := deferCase{start: 5, end: 3 * s, steps: []Time{0, 1, 2 * s, 3 * s}, chain: 1, more: s / 2,
-		foreign: []Time{50, 2500 * Time(time.Millisecond)}, touchAt: 50, touch: func(e *Engine) {
-			e.Touch()
-		}}
-	before := New().Stats().FarPushes
-	if e := c.check(t); e.Stats().FarPushes == before {
-		t.Fatal("the catch-up pushed nothing into the far band")
+	ms, s := Time(time.Millisecond), Time(time.Second)
+	for name, c := range map[string]deferCase{
+		"Touch late in a 50ms span": {start: 7, end: 50 * ms, steps: []Time{0, 3, 2 * ms, 50 * ms}, chain: 2, more: ms,
+			foreign: []Time{20 * ms, 30 * ms, 60 * ms}, touchAt: 30 * ms},
+		"Touch early in a 3s span": {start: 5, end: 3 * s, steps: []Time{0, 1, 2 * s, 3 * s}, chain: 1, more: s / 2,
+			foreign: []Time{50, 2500 * ms}, touchAt: 50},
+	} {
+		c.touch = touches["Touch"]
+		t.Run(name, func(t *testing.T) { c.check(t) })
 	}
 }
 
@@ -278,69 +260,5 @@ func shardRefusals(t *testing.T) {
 	s.RunUntil(e.Now() + 50)
 	if !caught {
 		t.Fatal("Sharded.RunUntil stopped inside a deferred span without catching it up")
-	}
-}
-
-// TestDeferredSpansDoNotWidenTheCalendar: a chain of deferred
-// computations, each 900 µs long, leaves the ring sliding over long
-// empty stretches between far-band reloads. A plain stream that sparse
-// widens the buckets; the deferred one does not, since the events it
-// skipped would have filled them. With an idle gap after each
-// computation, as between the dispatches a node shard serves, the
-// deferred chain's windows hold the gaps' empty stretches with few pops
-// beside them. On a shard they must not count as sparse either, and the
-// deferred chain resizes exactly as the plain one that simulates every
-// event.
-func TestDeferredSpansDoNotWidenTheCalendar(t *testing.T) {
-	const hop = 900 * Time(time.Microsecond)
-	run := func(deferred, dense bool, gap Time) Stats {
-		e := New()
-		e.shard = gap > 0
-		for i := range Time(40) {
-			e.At(i*5*Time(time.Millisecond), func(Time) {})
-		}
-		n := 0
-		var start, next Event
-		start = func(now Time) {
-			fill := func() {
-				for d := Time(0); d < hop; d += 4 * Time(time.Microsecond) {
-					e.At(now+d, func(Time) {})
-				}
-				e.At(now+hop, next)
-			}
-			switch {
-			case deferred:
-				if !e.Defer(now+hop, next, fill) {
-					t.Fatal("Defer refused")
-				}
-			case dense:
-				fill()
-			default:
-				e.At(now+hop, next)
-			}
-		}
-		next = func(now Time) {
-			if n++; n == 200 {
-				return
-			}
-			if gap == 0 {
-				start(now)
-			} else {
-				e.At(now+gap, start)
-			}
-		}
-		e.At(0, start)
-		e.Run()
-		return e.Stats()
-	}
-	for _, deferred := range []bool{false, true} {
-		if got := run(deferred, false, 0).Resizes; deferred != (got == 0) {
-			t.Fatalf("deferred %v: %d resizes", deferred, got)
-		}
-	}
-	gap := 3 * Time(time.Millisecond)
-	plain, deferred := run(false, true, gap), run(true, false, gap)
-	if deferred.Resizes != plain.Resizes {
-		t.Fatalf("idle gaps after deferred spans: %d resizes, the plain run %d", deferred.Resizes, plain.Resizes)
 	}
 }

@@ -1,9 +1,9 @@
 // Package refheap is the frozen binary-heap reference implementation of
-// the simclock engine — the exact event queue the simulator shipped with
-// before the calendar-queue rewrite.
+// the simclock engine — the plain container/heap event queue the
+// simulator first shipped with.
 //
 // It exists for the differential property test in internal/simclock,
-// which drives this engine and the calendar-queue engine side by side
+// which drives this engine and simclock's run-plus-heap engine side by side
 // through randomized schedule/cancel/re-arm/Reserve+AtSeq/RunUntil
 // workloads and asserts identical fire order and clock values — the strongest form of
 // the "byte-identical semantics" guarantee.

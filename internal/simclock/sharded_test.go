@@ -265,7 +265,7 @@ func TestShardedWindowAllocatesNothing(t *testing.T) {
 		}
 		windows := func() { s.RunUntil(s.Shard(0).Now() + 4*la) }
 		for k := 0; k < 2000; k++ {
-			windows() // fill the calendar buckets, the pools and the buffers
+			windows() // fill the queue's slices, the pools and the buffers
 		}
 		before := s.Stats()
 		if a := testing.AllocsPerRun(100, windows); a != 0 {

@@ -12,29 +12,26 @@
 //
 // # Queue design
 //
-// Events live in a two-band calendar queue instead of a binary heap (see
-// docs/PERF.md for the full design and its measured throughput):
+// Events live in two structures (see docs/PERF.md for the design and its
+// measurements):
 //
-//   - the near band is a ring of fixed-width time buckets covering the
-//     window [winStart, winStart+nb·width). Enqueue into a future bucket
-//     is an O(1) append; a bucket is sorted once, lazily, when the clock
-//     reaches it, so the near-horizon events that dominate kernel
-//     scheduling cost O(1) amortized to enqueue and dequeue;
-//   - events beyond the window overflow into the far band, a min-heap
-//     ordered by (time, seq), and migrate into the ring as the window
-//     slides over them.
+//   - the run, a slice sorted by (time, key) and consumed from a head
+//     index: an event whose place is at or after the run's last entry is
+//     appended to it in O(1). Arrivals scheduled up front in time order,
+//     and chains that each re-arm one step ahead, all land here;
+//   - a 4-ary min-heap on (time, key) holding every other event, the
+//     out-of-order set.
 //
-// The firing order is the total order on (time, seq) — exactly the order
-// the old heap produced — so the rewrite is semantically invisible: the
-// differential test in this package drives both engines side by side
-// through randomized workloads and asserts identical behaviour.
+// The next event is the earlier of the two heads, so the firing order is
+// the total order on (time, key) whichever structure holds an event. The
+// differential test in this package drives this engine and the plain
+// reference heap (refheap) side by side through randomized workloads and
+// asserts identical behaviour.
 //
 // Hot-path notes: fired and cancelled entries are recycled through a
 // per-engine free list, so steady-state stepping allocates nothing;
-// cancellation is O(1) (a tombstone flag), and the queue is compacted
-// when tombstones outnumber live events. Bucket width self-tunes: the
-// ring widens when events are too sparse for the window and narrows when
-// single buckets grow pathological.
+// cancellation is O(1) (a tombstone flag), and both structures are
+// compacted when tombstones outnumber live events.
 //
 // # Reserved positions
 //
@@ -57,9 +54,6 @@ package simclock
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
-	"sort"
 	"time"
 )
 
@@ -117,44 +111,9 @@ func (h Handle) Cancel() {
 	}
 }
 
-// Calendar geometry. The ring has nb buckets; bucket width is 1<<shift
-// nanoseconds, self-tuned between minShift and maxShift.
-const (
-	nbBits = 8
-	nb     = 1 << nbBits
-	nbMask = nb - 1
-
-	// minShift = 64 ns buckets; maxShift = ~67 ms buckets (window ~17 s).
-	minShift  = 6
-	maxShift  = 26
-	initShift = 12 // ~4.1 µs buckets, window ~1 ms: kernel-scheduling scale
-
-	// sortInline is the bucket size up to which insertion sort beats the
-	// general sort.
-	sortInline = 24
-
-	// fatBucket triggers a width halving when a single bucket's live
-	// population exceeds it (sorted inserts into the current bucket would
-	// otherwise degenerate into large memmoves).
-	fatBucket = 1024
-
-	// sparseWindow widens the ring at reload when the previous window
-	// turned over with this many advances per pop or more.
-	sparseWindow = 4
-)
-
 // compactMinLen is the queue size below which compaction is never
 // worthwhile (the walk costs more than the memory it reclaims).
 const compactMinLen = 64
-
-// bucket is one slot of the near-band ring. items[head:] are the entries
-// not yet consumed; sorted marks whether that slice is ordered by
-// (at, seq). head > 0 implies sorted.
-type bucket struct {
-	items  []*item
-	head   int
-	sorted bool
-}
 
 // Stats are engine-level instrumentation counters (see ligerprof
 // -engine-stats). All counters are cumulative over the engine's life.
@@ -165,16 +124,10 @@ type Stats struct {
 	MaxPending int
 	// Compactions counts tombstone-compaction passes.
 	Compactions uint64
-	// Reloads counts window reloads from the far band (the near band
-	// drained and the window re-seeded at the next far event).
-	Reloads uint64
-	// Rebases counts window rebases (an event scheduled before the
-	// current window start forced a redistribution).
-	Rebases uint64
-	// Resizes counts bucket-width changes.
-	Resizes uint64
-	// FarPushes counts events that overflowed past the window into the
-	// far band.
+	// Resizes and FarPushes are always 0. They counted the calendar
+	// queue's bucket-width changes and far-band overflows, and stay only
+	// while tools/perf still reads them.
+	Resizes   uint64
 	FarPushes uint64
 }
 
@@ -189,44 +142,17 @@ type Engine struct {
 	// against.
 	curKey uint64
 
-	// Near band: ring of nb buckets. buckets[cur] holds events in
-	// [winStart, winStart+width); every stored near event e satisfies
-	// winStart <= e.at < winStart + nb*width.
-	buckets   []bucket
-	cur       int
-	winStart  Time
-	shift     uint
-	nearCount int // entries stored in buckets (live + cancelled)
-	// occ is the non-empty-bucket bitmap (by ring index), letting the
-	// window slide straight to the next populated bucket instead of
-	// scanning empties one by one.
-	occ [nb / 64]uint64
+	// run[head:] are the queued entries of the run, sorted by (at, key);
+	// heap is a 4-ary min-heap on (at, key) of the rest.
+	run  []*item
+	head int
+	heap []*item
 
-	// Far band: min-heap on (at, seq) for events at or beyond the window
-	// end.
-	far []*item
-
-	// cancelled counts tombstones still stored across both bands.
+	// cancelled counts tombstones still stored in either structure.
 	cancelled int
 	// free recycles fired/cancelled items; At pops from it before
 	// allocating.
 	free []*item
-	// scratch is reused by rebase/resize redistribution passes.
-	scratch []*item
-
-	// Window-turnover counters driving width self-tuning. Slides over a
-	// deferred computation's span (Defer) do not count as advances: the
-	// plain run fires the skipped events there, so an empty stretch of
-	// the ring says nothing about the simulation's density. On a shard,
-	// nor does a window that skipped one (skipped) count as sparse: its
-	// idle stretches outside the span, the gaps between the dispatches
-	// other shards post, are as long as the plain run's, but its pops
-	// are fewer. One engine keeps the test as it was, so its calendar
-	// and allocations stay exactly those of earlier releases.
-	advances  uint64
-	pops      uint64
-	maxBucket int
-	skipped   bool
 
 	stats Stats
 
@@ -261,7 +187,7 @@ type deferral struct {
 
 // New returns an engine with the clock at zero and no pending events.
 func New() *Engine {
-	return &Engine{buckets: make([]bucket, nb), shift: initShift, stop: never, deferEnd: -1}
+	return &Engine{stop: never, deferEnd: -1}
 }
 
 // Now returns the current virtual time.
@@ -277,7 +203,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // caught up first.
 func (e *Engine) Pending() int {
 	e.Touch()
-	return e.nearCount + len(e.far) - e.cancelled
+	return e.stored() - e.cancelled
 }
 
 // PendingRaw returns the number of stored queue entries including
@@ -286,7 +212,7 @@ func (e *Engine) Pending() int {
 // computation is caught up first.
 func (e *Engine) PendingRaw() int {
 	e.Touch()
-	return e.nearCount + len(e.far)
+	return e.stored()
 }
 
 // Stats returns the engine's instrumentation counters.
@@ -296,11 +222,8 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// width returns the current bucket width.
-func (e *Engine) width() Time { return Time(1) << e.shift }
-
-// winEnd returns the first instant beyond the near window.
-func (e *Engine) winEnd() Time { return e.winStart + Time(1)<<(e.shift+nbBits) }
+// stored returns the number of queued entries, tombstones included.
+func (e *Engine) stored() int { return len(e.run) - e.head + len(e.heap) }
 
 // newItem takes an item from the free list (or allocates one) and arms it
 // at position (at, key).
@@ -441,7 +364,6 @@ func (e *Engine) Defer(end Time, done Event, catchUp func()) bool {
 	}
 	e.deferred = deferral{end: e.At(end, e.endFn), done: done, catchUp: catchUp, at: e.now, cur: e.curKey}
 	e.deferEnd = end
-	e.skipped = true
 	return true
 }
 
@@ -523,392 +445,149 @@ func (e *Engine) AtSeq(at Time, seq uint64, fn Event) Handle {
 	return e.push(e.newItem(at, localKey|seq, fn))
 }
 
-// push queues an armed item and returns its handle.
+// push queues an armed item and returns its handle: at the run's tail
+// when it orders after every entry there, into the heap otherwise.
 func (e *Engine) push(it *item) Handle {
-	e.schedule(it)
-	if live := e.nearCount + len(e.far) - e.cancelled; live > e.stats.MaxPending {
+	if n := len(e.run); n == e.head || itemAfter(it, e.run[n-1]) {
+		e.appendRun(it)
+	} else {
+		e.heapPush(it)
+	}
+	if live := e.stored() - e.cancelled; live > e.stats.MaxPending {
 		e.stats.MaxPending = live
 	}
 	return Handle{eng: e, it: it, gen: it.gen}
 }
 
-// schedule places an armed item into the correct band. This is the only
-// place a width narrowing can trigger: insertNear is also called from
-// redistribution loops (pullFar, rebase, resize), where a reentrant
-// resize would corrupt the iteration in progress.
-func (e *Engine) schedule(it *item) {
-	if it.at < e.winStart {
-		// The window was slid or reloaded past this instant while the
-		// clock is still behind it (an idle peek jumped ahead, then a
-		// near-term event arrived). Rebase the window down to cover it.
-		e.rebase(it.at)
+// appendRun appends an item to the run. A full slice whose consumed head
+// is at least half of it slides its entries down instead of growing, so
+// a run that never drains keeps a bounded footprint.
+func (e *Engine) appendRun(it *item) {
+	if n := len(e.run); n == cap(e.run) && e.head > 0 && 2*e.head >= n {
+		m := copy(e.run, e.run[e.head:])
+		clear(e.run[m:])
+		e.run, e.head = e.run[:m], 0
 	}
-	idx := uint64(it.at-e.winStart) >> e.shift
-	if idx >= nb {
-		e.farPush(it)
-		e.stats.FarPushes++
-		return
-	}
-	e.insertNear(it, int(idx))
-	if e.maxBucket > fatBucket && e.shift > minShift {
-		e.resize(e.shift - 2)
-	}
+	e.run = append(e.run, it)
 }
 
-// insertNear stores an item whose window offset is idx buckets ahead of
-// cur. Future buckets take an O(1) append; the current, already-sorted
-// bucket takes an ordered insert so consumption stays correct.
-func (e *Engine) insertNear(it *item, idx int) {
-	b := &e.buckets[(e.cur+idx)&nbMask]
-	e.nearCount++
-	if len(b.items) == b.head {
-		// Empty (or fully consumed) bucket: mark occupancy, append.
-		e.setOcc((e.cur + idx) & nbMask)
-		if b.head > 0 {
-			// Fully consumed sorted bucket: appending one item keeps
-			// items[head:] trivially sorted.
-			b.items = append(b.items, it)
-			return
-		}
-		b.items = append(b.items, it)
-		b.sorted = true // single entry
-		return
-	}
-	if !b.sorted {
-		b.items = append(b.items, it)
-		return
-	}
-	// Sorted bucket (the one being consumed, typically). Fast path: the
-	// new entry usually has the latest seq, so it lands at the end unless
-	// an existing entry orders after it.
-	if last := b.items[len(b.items)-1]; !itemAfter(last, it) {
-		b.items = append(b.items, it)
-	} else {
-		lo := b.head
-		j := lo + sort.Search(len(b.items)-lo, func(k int) bool {
-			return itemAfter(b.items[lo+k], it)
-		})
-		b.items = append(b.items, nil)
-		copy(b.items[j+1:], b.items[j:])
-		b.items[j] = it
-	}
-	if n := len(b.items) - b.head; n > e.maxBucket {
-		e.maxBucket = n
-	}
-}
-
-// setOcc / clearOcc maintain the non-empty-bucket bitmap.
-func (e *Engine) setOcc(i int)   { e.occ[i>>6] |= 1 << uint(i&63) }
-func (e *Engine) clearOcc(i int) { e.occ[i>>6] &^= 1 << uint(i&63) }
-
-// nextOcc returns the ring distance from cur to the nearest populated
-// bucket (0 when buckets[cur] itself is populated). Must only be called
-// with nearCount > 0.
-func (e *Engine) nextOcc() int {
-	for d := 0; d < nb; {
-		i := (e.cur + d) & nbMask
-		w := e.occ[i>>6] >> uint(i&63)
-		if w != 0 {
-			return d + bits.TrailingZeros64(w)
-		}
-		// Skip the rest of this word.
-		d += 64 - i&63
-	}
-	// Unreachable while the occupancy bitmap is consistent with
-	// nearCount; fall back to the current bucket.
-	return 0
-}
-
-// farPush adds an item to the far-band min-heap.
-func (e *Engine) farPush(it *item) {
-	e.far = append(e.far, it)
-	i := len(e.far) - 1
+// heapPush adds an item to the heap.
+func (e *Engine) heapPush(it *item) {
+	h := append(e.heap, it)
+	i := len(h) - 1
 	for i > 0 {
-		p := (i - 1) / 2
-		if !itemAfter(e.far[p], e.far[i]) {
+		p := (i - 1) / 4
+		if !itemAfter(h[p], it) {
 			break
 		}
-		e.far[p], e.far[i] = e.far[i], e.far[p]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = it
+	e.heap = h
 }
 
-// farPop removes and returns the far-band minimum.
-func (e *Engine) farPop() *item {
-	h := e.far
-	it := h[0]
+// heapPop removes the heap's minimum.
+func (e *Engine) heapPop() {
+	h := e.heap
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h[n] = nil
-	e.far = h[:n]
-	e.farSiftDown(0)
-	return it
+	e.heap = h[:n]
+	if n > 0 {
+		e.siftDown(0, last)
+	}
 }
 
-// farSiftDown restores the heap property downward from i.
-func (e *Engine) farSiftDown(i int) {
-	h := e.far
+// siftDown places it at heap slot i or below, restoring the heap
+// property beneath i.
+func (e *Engine) siftDown(i int, it *item) {
+	h := e.heap
 	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		m := l
-		if r := l + 1; r < n && itemAfter(h[l], h[r]) {
-			m = r
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if itemAfter(h[m], h[j]) {
+				m = j
+			}
 		}
-		if !itemAfter(h[i], h[m]) {
-			return
+		if !itemAfter(it, h[m]) {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = it
 }
 
-// pullFar migrates far-band events that now fall inside the window.
-func (e *Engine) pullFar() {
-	end := e.winEnd()
-	for len(e.far) > 0 && e.far[0].at < end {
-		it := e.farPop()
-		e.insertNear(it, int(uint64(it.at-e.winStart)>>e.shift))
-	}
-}
-
-// sortBucket orders items[head:] by (at, seq). Unsorted buckets always
-// have head == 0. Small buckets use insertion sort; larger ones the
-// library sort.
-func (e *Engine) sortBucket(b *bucket) {
-	s := b.items
-	if len(s) <= sortInline {
-		for i := 1; i < len(s); i++ {
-			it := s[i]
-			j := i - 1
-			for j >= 0 && itemAfter(s[j], it) {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = it
-		}
-	} else {
-		slices.SortFunc(s, func(a, b *item) int {
-			if itemAfter(b, a) {
-				return -1
-			}
-			return 1
-		})
-	}
-	b.sorted = true
-}
-
-// settle positions the queue so the next live event sits at
-// buckets[cur].items[head], sliding the window and migrating the far
-// band as needed, and returns that event (nil when none remain).
-// Cancelled entries encountered on the way are reclaimed.
+// settle returns the next live event, the earlier of the run's head and
+// the heap's, without taking it (nil when none remain). Cancelled
+// entries encountered on the way are reclaimed.
 func (e *Engine) settle() *item {
 	for {
-		if e.nearCount == 0 {
-			if len(e.far) == 0 {
-				return nil
-			}
-			e.reload()
+		var it *item
+		if e.head < len(e.run) {
+			it = e.run[e.head]
 		}
-		if d := e.nextOcc(); d > 0 {
-			e.cur = (e.cur + d) & nbMask
-			e.winStart += Time(d) << e.shift
-			if e.deferEnd < 0 {
-				e.advances += uint64(d)
-			}
-			e.pullFar()
+		if len(e.heap) > 0 && (it == nil || itemAfter(it, e.heap[0])) {
+			it = e.heap[0]
 		}
-		b := &e.buckets[e.cur]
-		for b.head < len(b.items) {
-			if !b.sorted {
-				e.sortBucket(b)
-			}
-			it := b.items[b.head]
-			if !it.cancelled {
-				return it
-			}
-			b.items[b.head] = nil
-			b.head++
-			e.nearCount--
-			e.cancelled--
-			e.recycle(it)
+		if it == nil || !it.cancelled {
+			return it
 		}
-		// Bucket exhausted (everything in it was cancelled): reset it and
-		// advance one slot.
-		e.resetBucket(e.cur)
-		e.cur = (e.cur + 1) & nbMask
-		e.winStart += e.width()
-		if e.deferEnd < 0 {
-			e.advances++
-		}
-		e.pullFar()
+		e.take(it)
+		e.cancelled--
+		e.recycle(it)
 	}
 }
 
-// resetBucket clears a consumed bucket for reuse, keeping its capacity.
-func (e *Engine) resetBucket(i int) {
-	b := &e.buckets[i]
-	b.items = b.items[:0]
-	b.head = 0
-	b.sorted = false
-	e.clearOcc(i)
-}
-
-// take removes the settled head event from the current bucket.
-func (e *Engine) take() *item {
-	b := &e.buckets[e.cur]
-	it := b.items[b.head]
-	b.items[b.head] = nil
-	b.head++
-	e.nearCount--
-	e.pops++
-	if b.head == len(b.items) {
-		e.resetBucket(e.cur)
-	}
-	return it
-}
-
-// reload re-seeds an empty window at the next far-band event, applying
-// width feedback from the window that just turned over: widen when the
-// window was mostly empty advances, narrow when a bucket went
-// pathological (narrowing is also triggered inline by insertNear).
-func (e *Engine) reload() {
-	if !(e.shard && e.skipped) && e.pops > 0 && e.advances > sparseWindow*e.pops && e.shift < maxShift {
-		e.shift += 2
-		if e.shift > maxShift {
-			e.shift = maxShift
-		}
-		e.stats.Resizes++
-	}
-	e.advances, e.pops, e.maxBucket = 0, 0, 0
-	e.skipped = e.deferEnd >= 0
-	e.cur = 0
-	e.winStart = e.far[0].at
-	e.stats.Reloads++
-	e.pullFar()
-}
-
-// rebase slides the window start down to at (an event arrived behind the
-// window while the clock still permits it), redistributing stored near
-// events. Rare: it takes an idle window jump followed by a near-term
-// schedule to get here.
-func (e *Engine) rebase(at Time) {
-	e.stats.Rebases++
-	e.collectNear()
-	e.cur = 0
-	e.winStart = at
-	tmp := e.scratch
-	for i, it := range tmp {
-		tmp[i] = nil
-		idx := uint64(it.at-at) >> e.shift
-		if idx >= nb {
-			e.farPush(it)
-		} else {
-			e.insertNear(it, int(idx))
-		}
-	}
-	e.scratch = tmp[:0]
-}
-
-// resize changes the bucket width to 1<<newShift, redistributing the
-// near band in place. Correctness does not depend on the width — only
-// the cost profile does — so resizing cannot affect firing order.
-func (e *Engine) resize(newShift uint) {
-	if newShift < minShift {
-		newShift = minShift
-	} else if newShift > maxShift {
-		newShift = maxShift
-	}
-	if newShift == e.shift {
+// take removes a head entry, the run's or the heap's, from the queue.
+func (e *Engine) take(it *item) {
+	if e.head == len(e.run) || e.run[e.head] != it {
+		e.heapPop()
 		return
 	}
-	e.stats.Resizes++
-	e.collectNear()
-	e.shift = newShift
-	e.cur = 0
-	e.maxBucket = 0
-	tmp := e.scratch
-	for i, it := range tmp {
-		tmp[i] = nil
-		idx := uint64(it.at-e.winStart) >> e.shift
-		if idx >= nb {
-			e.farPush(it)
-		} else {
-			e.insertNear(it, int(idx))
-		}
+	e.run[e.head] = nil
+	if e.head++; e.head == len(e.run) {
+		e.run, e.head = e.run[:0], 0
 	}
-	e.scratch = tmp[:0]
 }
 
-// collectNear drains every stored near entry into e.scratch and resets
-// the ring. nearCount drops to zero; callers reinsert.
-func (e *Engine) collectNear() {
-	tmp := e.scratch[:0]
-	for i := range e.buckets {
-		b := &e.buckets[i]
-		for _, it := range b.items[b.head:] {
-			tmp = append(tmp, it)
-		}
-		if len(b.items) > 0 || b.head > 0 {
-			e.resetBucket(i)
-		}
-	}
-	e.scratch = tmp
-	e.nearCount = 0
-}
-
-// maybeCompact rebuilds both bands without cancelled placeholders once
-// they exceed half the queue. The (at, seq) total order is untouched by
-// removal, so compaction cannot change the pop sequence of live events.
+// maybeCompact rebuilds both structures without cancelled placeholders
+// once they exceed half the queue. The (at, key) total order is
+// untouched by removal, so compaction cannot change the pop sequence of
+// live events.
 func (e *Engine) maybeCompact() {
-	total := e.nearCount + len(e.far)
+	total := e.stored()
 	if total < compactMinLen || e.cancelled*2 <= total {
 		return
 	}
 	e.stats.Compactions++
-	for i := range e.buckets {
-		b := &e.buckets[i]
-		if b.head == len(b.items) {
-			continue
-		}
-		live := b.items[:0]
-		for _, it := range b.items[b.head:] {
-			if it.cancelled {
-				e.nearCount--
-				e.recycle(it)
-			} else {
-				live = append(live, it)
-			}
-		}
-		for j := len(live); j < len(b.items); j++ {
-			b.items[j] = nil
-		}
-		b.items = live
-		b.head = 0
-		if len(live) == 0 {
-			b.sorted = false
-			e.clearOcc(i)
-		}
+	e.run, e.head = e.dropCancelled(e.run, e.head), 0
+	e.heap = e.dropCancelled(e.heap, 0)
+	for i := (len(e.heap)+2)/4 - 1; i >= 0; i-- {
+		e.siftDown(i, e.heap[i])
 	}
-	liveFar := e.far[:0]
-	for _, it := range e.far {
+	e.cancelled = 0
+}
+
+// dropCancelled moves the live entries of s[from:] to the front of s, in
+// order, recycles the cancelled ones and clears the slots left behind.
+func (e *Engine) dropCancelled(s []*item, from int) []*item {
+	live := s[:0]
+	for _, it := range s[from:] {
 		if it.cancelled {
 			e.recycle(it)
 		} else {
-			liveFar = append(liveFar, it)
+			live = append(live, it)
 		}
 	}
-	for j := len(liveFar); j < len(e.far); j++ {
-		e.far[j] = nil
-	}
-	e.far = liveFar
-	for i := len(e.far)/2 - 1; i >= 0; i-- {
-		e.farSiftDown(i)
-	}
-	e.cancelled = 0
+	clear(s[len(live):])
+	return live
 }
 
 // Step fires the earliest pending event. It reports whether an event
@@ -925,7 +604,7 @@ func (e *Engine) Step() bool {
 // fire takes the settled head event off the queue, moves the clock to
 // its position and runs it.
 func (e *Engine) fire(it *item) {
-	e.take()
+	e.take(it)
 	e.now, e.curKey = it.at, it.key+1
 	e.fired++
 	fn := it.fn
