@@ -20,6 +20,7 @@ import (
 	"liger/internal/hw"
 	"liger/internal/model"
 	"liger/internal/serve"
+	"liger/internal/simclock"
 )
 
 func main() {
@@ -41,12 +42,25 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cont, err := generate.RunContinuous(eng.Clock(), eng.Runtime(), generate.ContinuousConfig{
-			SequenceWorkload: serve.SequenceWorkload{
-				Sequences: sequences, RatePerSec: rate,
-				PromptLen: prompt, GenTokens: tokens, MaxPool: 16, Seed: 9,
-			},
+		// One decode node over a paged KV cache, fed straight from the
+		// arrivals; the ledger stamps each sequence and folds the run.
+		w := serve.SequenceWorkload{
+			Sequences: sequences, RatePerSec: rate,
+			PromptLen: prompt, GenTokens: tokens, MaxPool: 16, Seed: 9,
+		}
+		ledger := serve.NewLedger(w.Sequences, w.GenTokens)
+		dec, err := serve.NewDecodeNode(eng.Clock(), eng.Runtime(), serve.DecodeNodeConfig{
+			Node: node, Model: spec, SequenceWorkload: w, Hooks: ledger.Hooks(),
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		w.Arrive(eng.Clock(), func(id int, now simclock.Time) {
+			ledger.Arrive(id, now)
+			dec.Add(id, false, now)
+		})
+		eng.Clock().Run()
+		cont, err := ledger.Result(eng.Runtime().Name(), dec)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,15 +18,15 @@ import (
 // KV cache crosses the inter-node network — paying a full
 // hw.NetworkSpec.Transfer of the prompt's cache bytes — to a decode
 // node, which runs iteration-level decoding over a paged allocator
-// (serve.ContinuousBatcher + kvcache.PagedManager). The split isolates
-// the two phases' interference: prefill's long context batches never
-// stall decode iterations, at the price of the transfer latency on
-// every handoff.
+// (serve.DecodeNode, the decode node a single-node continuous run
+// serves on too). The split isolates the two phases' interference:
+// prefill's long context batches never stall decode iterations, at the
+// price of the transfer latency on every handoff.
 //
 // Execution runs on the fleet's node table (docs/FLEET.md § Topology):
 // nodes 0..P-1 are the prefill pool, nodes P..P+D-1 the decode pool.
-// The frontend runs the arrival process, routing and latency
-// bookkeeping. Prefill requests take the fleet's dispatch and notice
+// The frontend runs the arrival process, routing and the run's
+// serve.Ledger. Prefill requests take the fleet's dispatch and notice
 // path; the KV handoff and the decode nodes' finish notices are posts
 // of their own, at +latency or more.
 
@@ -81,23 +81,21 @@ type Disagg struct {
 	cfg DisaggConfig
 
 	// decodes is the decode pool: the node table's last DecodeNodes
-	// nodes, indexed by pool position.
+	// nodes, indexed by pool position; decs holds their decode sides.
 	decodes []*node
+	decs    []*serve.DecodeNode
 
 	// frontRec is the frontend shard's serving recorder (nil untraced):
 	// system arrival / first-token / finish lifecycle instants plus the
 	// KV-handoff spans the frontend prices.
 	frontRec *trace.Recorder
 
-	// Frontend-owned routing and bookkeeping.
+	// Frontend-owned routing, KV handoff totals and sequence ledger.
 	prefillLoad []int
 	decodeLoad  []int
-	arrived     []simclock.Time
-	firstTok    []simclock.Time
-	finished    []simclock.Time
-	completed   int
 	transfers   int
 	kvBytes     int64
+	ledger      *serve.Ledger
 }
 
 // NewDisagg validates the configuration and builds the two pools over
@@ -126,9 +124,7 @@ func NewDisagg(cfg DisaggConfig) (*Disagg, error) {
 		decodes:     topo.nodes[cfg.PrefillNodes:],
 		prefillLoad: make([]int, cfg.PrefillNodes),
 		decodeLoad:  make([]int, cfg.DecodeNodes),
-		arrived:     make([]simclock.Time, cfg.Sequences),
-		firstTok:    make([]simclock.Time, cfg.Sequences),
-		finished:    make([]simclock.Time, cfg.Sequences),
+		ledger:      serve.NewLedger(cfg.Sequences, cfg.GenTokens),
 	}
 	d.done = d.prefillDone
 	if cfg.Trace {
@@ -145,7 +141,7 @@ func NewDisagg(cfg DisaggConfig) (*Disagg, error) {
 		}
 	}
 	cfg.Arrive(d.front, func(seq int, now simclock.Time) {
-		d.arrived[seq] = now
+		d.ledger.Arrive(seq, now)
 		if d.frontRec != nil {
 			d.frontRec.SeqEvent(serve.SeqEvent{
 				Pool: -1, Seq: seq, Kind: serve.SeqArrive, At: now, Tokens: cfg.PromptLen,
@@ -156,34 +152,30 @@ func NewDisagg(cfg DisaggConfig) (*Disagg, error) {
 	return d, nil
 }
 
-// wireDecode gives decode node n (pool position i) its paged KV cache
-// and iteration-level batcher, and sends each finished sequence to the
-// frontend.
+// wireDecode makes node n decode node i of the pool, and sends each
+// finished sequence to the frontend.
 func (d *Disagg) wireDecode(i int, n *node) error {
-	kv, err := kvcache.NewPaged(d.cfg.Node, d.cfg.Model, d.cfg.MaxPool, d.cfg.PromptLen+d.cfg.GenTokens, d.cfg.KV)
-	if err != nil {
-		return err
-	}
 	shard := n.idx + 1
-	cb, err := serve.NewContinuousBatcher(n.rt, kv, d.cfg.MaxPool, serve.ContinuousHooks{
-		Finished: func(id int, now simclock.Time) {
-			d.sh.Post(shard, 0, now+d.latency, func(now simclock.Time) {
-				d.seqFinished(i, id, now)
-			})
-		},
-	})
-	if err != nil {
-		return err
-	}
-	n.rt.SetOnDone(cb.OnDone)
-	n.kv, n.cb = kv, cb
 	if d.cfg.Trace {
 		n.rec = trace.NewRecorder()
-		n.rec.SetPool(i)
-		cb.SetTracer(n.rec, i)
-		kv.SetTracer(n.rec, n.eng.Now)
 	}
-	return nil
+	dec, err := serve.NewDecodeNode(n.eng, n.rt, serve.DecodeNodeConfig{
+		Node:             d.cfg.Node,
+		Model:            d.cfg.Model,
+		SequenceWorkload: d.cfg.SequenceWorkload,
+		KV:               d.cfg.KV,
+		Recorder:         n.rec,
+		Pool:             i,
+		Hooks: serve.ContinuousHooks{
+			Finished: func(id int, now simclock.Time) {
+				d.sh.Post(shard, 0, now+d.latency, func(now simclock.Time) {
+					d.seqFinished(i, id, now)
+				})
+			},
+		},
+	})
+	d.decs = append(d.decs, dec)
+	return err
 }
 
 // leastLoaded returns the index of the smallest load, the lowest index
@@ -215,7 +207,7 @@ func (d *Disagg) prefillDone(pIdx, seq int, status serve.DispatchStatus, now sim
 		return
 	}
 	d.prefillLoad[pIdx]--
-	d.firstTok[seq] = now
+	d.ledger.FirstToken(seq, now)
 	best := leastLoaded(d.decodeLoad)
 	d.decodeLoad[best]++
 	n := d.decodes[best]
@@ -237,12 +229,7 @@ func (d *Disagg) prefillDone(pIdx, seq int, status serve.DispatchStatus, now sim
 		})
 	}
 	d.sh.Post(0, n.idx+1, at, func(now simclock.Time) {
-		n.cb.Add(serve.GenSeq{
-			ID:        seq,
-			Prompt:    d.cfg.PromptLen,
-			Gen:       d.cfg.GenTokens,
-			Prefilled: true,
-		}, now)
+		d.decs[best].Add(seq, true, now)
 	})
 }
 
@@ -250,8 +237,7 @@ func (d *Disagg) prefillDone(pIdx, seq int, status serve.DispatchStatus, now sim
 // sequence.
 func (d *Disagg) seqFinished(nodeIdx, seq int, now simclock.Time) {
 	d.decodeLoad[nodeIdx]--
-	d.finished[seq] = now
-	d.completed++
+	d.ledger.Finish(seq, now)
 	if d.frontRec != nil {
 		d.frontRec.SeqEvent(serve.SeqEvent{
 			Pool: -1, Seq: seq, Kind: serve.SeqFinish, At: now, Tokens: d.cfg.GenTokens,
@@ -259,32 +245,20 @@ func (d *Disagg) seqFinished(nodeIdx, seq int, now simclock.Time) {
 	}
 }
 
-// Run executes the simulation to completion and returns its
-// serve.SequenceResult. TTFT spans arrival to the prefill-completion
-// notice reaching the frontend; TPOT is decode time per token from that
-// notice, so it absorbs the KV transfer (the disaggregation tax). The
-// decode counters sum over the decode pool, and KVPeakBlocks is the
-// highest node's paged-allocator high-water mark.
+// Run executes the simulation to completion and returns its result,
+// checked and folded by the ledger (serve.Ledger.Result). TTFT spans
+// arrival to the prefill-completion notice reaching the frontend; TPOT
+// is decode time per token from that notice, so it absorbs the KV
+// transfer (the disaggregation tax). The decode counters sum over the
+// decode pool, and KVPeakBlocks is the highest node's paged-allocator
+// high-water mark.
 func (d *Disagg) Run() (serve.Result, error) {
 	if err := d.run(); err != nil {
 		return serve.Result{}, err
 	}
-	batchers := make([]*serve.ContinuousBatcher, len(d.decodes))
-	for i, n := range d.decodes {
-		if err := n.cb.Err(); err != nil {
-			return serve.Result{}, fmt.Errorf("cluster: decode node %d: %w", i, err)
-		}
-		if err := serve.AuditKV(n.kv); err != nil {
-			return serve.Result{}, fmt.Errorf("cluster: decode node %d: %w", i, err)
-		}
-		batchers[i] = n.cb
-	}
-	if d.completed != d.cfg.Sequences {
-		return serve.Result{}, fmt.Errorf("cluster: %d of %d sequences finished", d.completed, d.cfg.Sequences)
-	}
-	res := serve.SequenceResult(d.cfg.Runtime.String(), d.arrived, d.firstTok, d.finished, d.cfg.GenTokens, batchers...)
-	for _, n := range d.decodes {
-		res.KVPeakBlocks = max(res.KVPeakBlocks, n.kv.PeakUsedBlocks())
+	res, err := d.ledger.Result(d.cfg.Runtime.String(), d.decs...)
+	if err != nil {
+		return serve.Result{}, fmt.Errorf("cluster: %w", err)
 	}
 	return res, nil
 }

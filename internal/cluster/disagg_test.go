@@ -50,10 +50,15 @@ func runDisaggNode(t *testing.T, cfg DisaggConfig) (*Disagg, serve.Result) {
 	return d, res
 }
 
-// sequences folds a finished run's per-sequence instants as Run does:
-// each sequence's TTFT, TPOT and total latency.
-func sequences(d *Disagg) (ttft, tpot, total []time.Duration) {
-	return serve.FoldSequences(d.arrived, d.firstTok, d.finished, d.cfg.GenTokens)
+// sequences folds a finished run's ledger as Run does: each
+// sequence's TTFT, TPOT and total latency.
+func sequences(t *testing.T, d *Disagg) (ttft, tpot, total []time.Duration) {
+	t.Helper()
+	ttft, tpot, total, err := d.ledger.Fold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ttft, tpot, total
 }
 
 func TestDisaggCompletesAllSequences(t *testing.T) {
@@ -74,7 +79,7 @@ func TestDisaggCompletesAllSequences(t *testing.T) {
 	// TTFT spans two network crossings (dispatch + completion notice)
 	// plus the prefill itself; TPOT absorbs the transfer.
 	lat := hw.IBNetwork().Latency
-	ttft, _, _ := sequences(d)
+	ttft, _, _ := sequences(t, d)
 	for i, d := range ttft {
 		if d < 2*lat {
 			t.Fatalf("sequence %d TTFT %v under two network latencies", i, d)
@@ -105,7 +110,7 @@ func TestDisaggByteIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ttft, tpot, total := sequences(d)
+		ttft, tpot, total := sequences(t, d)
 		return fmt.Sprint(ttft, tpot, total) + string(b)
 	}
 	serial := enc(1)
@@ -139,21 +144,21 @@ func TestDisaggDoubleReleaseFailsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := d.decodes[1]
+	n, dec := d.decodes[1], d.decs[1]
 	const seq = 1 << 20 // no workload sequence has this id
 	n.eng.At(0, func(simclock.Time) {
-		if err := n.kv.Admit(seq, 16); err != nil {
+		if err := dec.KV.Admit(seq, 16); err != nil {
 			t.Error(err)
 		}
-		n.kv.Release(seq)
-		n.kv.Release(seq)
+		dec.KV.Release(seq)
+		dec.KV.Release(seq)
 	})
 	_, err = d.Run()
 	if err == nil || !strings.Contains(err.Error(), "decode node 1") || !strings.Contains(err.Error(), "double release") {
 		t.Fatalf("run with a double-released sequence returned %v, want decode node 1's invariant violation", err)
 	}
-	if n.kv.Violations() != 1 {
-		t.Fatalf("%d violations recorded, want 1", n.kv.Violations())
+	if dec.KV.Violations() != 1 {
+		t.Fatalf("%d violations recorded, want 1", dec.KV.Violations())
 	}
 }
 
@@ -164,16 +169,37 @@ func TestDisaggLeakedSequenceFailsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := d.decodes[1]
+	n, dec := d.decodes[1], d.decs[1]
 	const seq = 1 << 20 // no workload sequence has this id
 	n.eng.At(0, func(simclock.Time) {
-		if err := n.kv.Admit(seq, 16); err != nil {
+		if err := dec.KV.Admit(seq, 16); err != nil {
 			t.Error(err)
 		}
 	})
 	_, err = d.Run()
 	if err == nil || !strings.Contains(err.Error(), "decode node 1") || !strings.Contains(err.Error(), "kv cache still holds 1") {
 		t.Fatalf("run that leaked a sequence returned %v, want decode node 1's leak error", err)
+	}
+}
+
+// A sequence whose prefill notice is lost never reaches a decode node,
+// so it never finishes: the ledger fails the run.
+func TestDisaggNeverFinishedFailsRun(t *testing.T) {
+	d, err := NewDisagg(disaggCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefillDone := d.done
+	d.done = func(owner, req int, status serve.DispatchStatus, now simclock.Time) {
+		if req == 5 {
+			d.prefillLoad[owner]--
+			return
+		}
+		prefillDone(owner, req, status, now)
+	}
+	_, err = d.Run()
+	if err == nil || !strings.Contains(err.Error(), "23 of 24 sequences finished") {
+		t.Fatalf("run that lost a sequence returned %v, want the ledger's error", err)
 	}
 }
 

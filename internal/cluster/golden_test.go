@@ -42,7 +42,7 @@ func TestDisaggGolden(t *testing.T) {
 				}
 				buf.Write(b)
 				var seqs struct{ TTFT, TPOT, Total []time.Duration }
-				seqs.TTFT, seqs.TPOT, seqs.Total = sequences(d)
+				seqs.TTFT, seqs.TPOT, seqs.Total = sequences(t, d)
 				if b, err = json.MarshalIndent(seqs, "", " "); err != nil {
 					t.Fatal(err)
 				}

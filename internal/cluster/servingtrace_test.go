@@ -112,7 +112,7 @@ func TestDisaggTraceDoesNotPerturb(t *testing.T) {
 	if len(rep.Requests) != tres.Completed {
 		t.Fatalf("decomposed %d requests, ran %d", len(rep.Requests), tres.Completed)
 	}
-	ttft, _, _ := sequences(td)
+	ttft, _, _ := sequences(t, td)
 	for _, r := range rep.Requests {
 		if got := ttft[r.Seq].Nanoseconds(); r.TTFTNS != got {
 			t.Fatalf("seq %d: report TTFT %dns, cluster measured %dns", r.Seq, r.TTFTNS, got)

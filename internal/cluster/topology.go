@@ -7,7 +7,6 @@ import (
 	"liger/internal/faults"
 	"liger/internal/gpusim"
 	"liger/internal/hw"
-	"liger/internal/kvcache"
 	"liger/internal/model"
 	"liger/internal/runtimes"
 	"liger/internal/serve"
@@ -47,10 +46,7 @@ type node struct {
 	// deliveries bounce as lost.
 	dead bool
 
-	// Decode role: the iteration-level batcher over the node's paged KV
-	// cache, and its shard-local serving recorder (nil untraced).
-	kv  *kvcache.PagedManager
-	cb  *serve.ContinuousBatcher
+	// Decode role: the shard-local serving recorder (nil untraced).
 	rec *trace.Recorder
 }
 

@@ -1,7 +1,6 @@
 package generate
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -10,24 +9,57 @@ import (
 	"liger/internal/kvcache"
 	"liger/internal/model"
 	"liger/internal/serve"
+	"liger/internal/simclock"
 )
 
-func contCfg() ContinuousConfig {
-	return ContinuousConfig{
+// The continuous tests serve on the one decode path, serve.DecodeNode
+// and serve.Ledger, beside generate.Run's static conversations.
+
+func contCfg() serve.DecodeNodeConfig {
+	return serve.DecodeNodeConfig{
+		Node:  hw.A100Node(),
+		Model: model.OPT30B().WithLayers(8),
 		SequenceWorkload: serve.SequenceWorkload{
 			Sequences: 12, RatePerSec: 500, PromptLen: 32, GenTokens: 6, MaxPool: 8, Seed: 1,
 		},
 	}
 }
 
+// serveContinuous serves cfg's workload on eng as the single-node
+// continuous run does: one decode node fed straight from the arrivals,
+// and the ledger whose Result checks and folds the run.
+func serveContinuous(t *testing.T, eng *core.Engine, cfg serve.DecodeNodeConfig) (serve.Result, *serve.DecodeNode, *serve.Ledger, error) {
+	t.Helper()
+	ledger := serve.NewLedger(cfg.Sequences, cfg.GenTokens)
+	cfg.Hooks = ledger.Hooks()
+	node, err := serve.NewDecodeNode(eng.Clock(), eng.Runtime(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Arrive(eng.Clock(), func(id int, now simclock.Time) {
+		ledger.Arrive(id, now)
+		node.Add(id, false, now)
+	})
+	eng.Clock().Run()
+	res, err := ledger.Result(eng.Runtime().Name(), node)
+	return res, node, ledger, err
+}
+
+// mustServe serves cfg on a fresh engine of kind and fails the test
+// on a run error.
+func mustServe(t *testing.T, kind core.RuntimeKind, cfg serve.DecodeNodeConfig) serve.Result {
+	t.Helper()
+	res, _, _, err := serveContinuous(t, engineFor(t, kind), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestContinuousCompletesAllSequences(t *testing.T) {
 	for _, kind := range []core.RuntimeKind{core.KindLiger, core.KindIntraOp} {
 		t.Run(kind.String(), func(t *testing.T) {
-			eng := engineFor(t, kind)
-			res, err := RunContinuous(eng.Clock(), eng.Runtime(), contCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustServe(t, kind, contCfg())
 			if res.Completed != 12 || len(res.Latencies) != 12 {
 				t.Fatalf("incomplete %+v", res)
 			}
@@ -42,14 +74,9 @@ func TestContinuousCompletesAllSequences(t *testing.T) {
 }
 
 func TestContinuousRespectsMaxPool(t *testing.T) {
-	eng := engineFor(t, core.KindLiger)
 	cfg := contCfg()
 	cfg.MaxPool = 2
-	res, err := RunContinuous(eng.Clock(), eng.Runtime(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanPool > 2 {
+	if res := mustServe(t, core.KindLiger, cfg); res.MeanPool > 2 {
 		t.Fatalf("pool exceeded cap: %v", res.MeanPool)
 	}
 }
@@ -60,15 +87,11 @@ func TestContinuousPoolingBeatsStaticPerToken(t *testing.T) {
 	// improve substantially over per-conversation static batches at the
 	// same offered load (TTFT trades the other way — a new sequence
 	// waits for the running iteration before its prefill).
-	e1 := engineFor(t, core.KindIntraOp)
-	cont, err := RunContinuous(e1.Clock(), e1.Runtime(), ContinuousConfig{
-		SequenceWorkload: serve.SequenceWorkload{
-			Sequences: 32, RatePerSec: 160, PromptLen: 32, GenTokens: 16, MaxPool: 8, Seed: 1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	cfg := contCfg()
+	cfg.SequenceWorkload = serve.SequenceWorkload{
+		Sequences: 32, RatePerSec: 160, PromptLen: 32, GenTokens: 16, MaxPool: 8, Seed: 1,
 	}
+	cont := mustServe(t, core.KindIntraOp, cfg)
 	e2 := engineFor(t, core.KindIntraOp)
 	static, err := Run(e2.Clock(), e2.Runtime(), Config{
 		Conversations: 8, BatchSize: 4, PromptLen: 32, GenTokens: 16,
@@ -93,20 +116,12 @@ func TestContinuousSerialChainDegeneratesLiger(t *testing.T) {
 	// *multiple* batches' iterations concurrently (see generate.Run and
 	// TestLigerImprovesGeneration); it composes with batching policy
 	// rather than replacing it.
-	run := func(kind core.RuntimeKind) serve.Result {
-		e := engineFor(t, kind)
-		res, err := RunContinuous(e.Clock(), e.Runtime(), ContinuousConfig{
-			SequenceWorkload: serve.SequenceWorkload{
-				Sequences: 32, RatePerSec: 160, PromptLen: 32, GenTokens: 16, MaxPool: 8, Seed: 1,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cfg := contCfg()
+	cfg.SequenceWorkload = serve.SequenceWorkload{
+		Sequences: 32, RatePerSec: 160, PromptLen: 32, GenTokens: 16, MaxPool: 8, Seed: 1,
 	}
-	lg := run(core.KindLiger)
-	intra := run(core.KindIntraOp)
+	lg := mustServe(t, core.KindLiger, cfg)
+	intra := mustServe(t, core.KindIntraOp, cfg)
 	ratio := float64(lg.AvgLatency) / float64(intra.AvgLatency)
 	if ratio > 1.05 || ratio < 0.95 {
 		t.Fatalf("serial continuous chain: Liger %v vs Intra-Op %v (ratio %.3f, want ≈1)",
@@ -114,68 +129,70 @@ func TestContinuousSerialChainDegeneratesLiger(t *testing.T) {
 	}
 }
 
+// The decode node's paged cache gates every admission and ends the run
+// empty, its high-water mark reported.
 func TestContinuousWithKVAdmission(t *testing.T) {
-	eng := engineFor(t, core.KindLiger)
-	kv, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B().WithLayers(8), 8, 32, kvcache.PagedConfig{})
+	res, node, _, err := serveContinuous(t, engineFor(t, core.KindLiger), contCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := contCfg()
-	cfg.KV = kv
-	if _, err := RunContinuous(eng.Clock(), eng.Runtime(), cfg); err != nil {
-		t.Fatal(err)
+	if node.KV.Live() != 0 {
+		t.Fatalf("%d sequences leaked from the cache", node.KV.Live())
 	}
-	if kv.Live() != 0 {
-		t.Fatalf("%d sequences leaked from the cache", kv.Live())
+	if res.KVPeakBlocks == 0 || res.KVPeakBlocks != node.KV.PeakUsedBlocks() {
+		t.Fatalf("result peak %d blocks, cache peak %d", res.KVPeakBlocks, node.KV.PeakUsedBlocks())
 	}
 }
 
-// tightPagedKV builds a paged allocator whose capacity sits between
-// the workload's total prompt footprint and its worst-case peak, so
-// every prompt admits but decoding must preempt. The node memory is
-// solved from two probes (budget is linear in MemGB).
-func tightPagedKV(t *testing.T, capTokens int) *kvcache.PagedManager {
+// pressureCfg is 16 sequences of 256 prompt + 128 generated tokens on
+// OPT-30B: their 4096 prompt tokens fit in a 5000-token cache, their
+// 6144-token peak does not.
+func pressureCfg(t *testing.T) serve.DecodeNodeConfig {
 	t.Helper()
-	node := hw.A100Node()
-	probe := func(memGB float64) int64 {
-		node.GPU.MemGB = memGB
-		m, err := kvcache.NewPaged(node, model.OPT30B(), 16, 512, kvcache.PagedConfig{BlockTokens: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Budget()
-	}
-	b80, b40 := probe(80), probe(40)
-	slope := float64(b80-b40) / 40 // budget bytes per GB
-	m80, _ := kvcache.NewPaged(hw.A100Node(), model.OPT30B(), 16, 512, kvcache.PagedConfig{BlockTokens: 16})
-	target := float64(capTokens) * float64(m80.BytesPerToken())
-	node.GPU.MemGB = 80 + (target-float64(b80))/slope
-	kv, err := kvcache.NewPaged(node, model.OPT30B(), 16, 512, kvcache.PagedConfig{BlockTokens: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := kv.TotalBlocks() * kv.BlockTokens()
-	if got < capTokens-64 || got > capTokens+64 {
-		t.Fatalf("tight allocator capacity %d tokens, want ≈%d", got, capTokens)
-	}
-	return kv
-}
-
-// The tentpole acceptance pin at the generate layer: with a paged
-// allocator sized between prompt footprint and worst-case peak, the
-// run preempts under pressure yet every sequence still completes, and
-// the preempted work shows up as recomputed prefill tokens.
-func TestContinuousPagedPreemptionCompletes(t *testing.T) {
-	// 16 sequences of 256 prompt + 128 generated: 4096 prompt tokens fit
-	// in a 5000-token pool, the 6144-token peak does not.
-	kv := tightPagedKV(t, 5000)
-	eng := engineFor(t, core.KindLiger)
-	res, err := RunContinuous(eng.Clock(), eng.Runtime(), ContinuousConfig{
+	cfg := serve.DecodeNodeConfig{
+		Model: model.OPT30B(),
 		SequenceWorkload: serve.SequenceWorkload{
 			Sequences: 16, RatePerSec: 500, PromptLen: 256, GenTokens: 128, MaxPool: 16, Seed: 1,
 		},
-		KV: kv,
-	})
+		KV: kvcache.PagedConfig{BlockTokens: 16},
+	}
+	cfg.Node = tightNode(t, cfg, 5000)
+	return cfg
+}
+
+// tightNode returns an A100 node whose paged cache for cfg holds about
+// capTokens tokens: between the workload's total prompt footprint and
+// its worst-case peak, so every prompt admits but decoding must
+// preempt. The node memory is solved from two probes (budget is linear
+// in MemGB).
+func tightNode(t *testing.T, cfg serve.DecodeNodeConfig, capTokens int) hw.Node {
+	t.Helper()
+	node := hw.A100Node()
+	paged := func(memGB float64) *kvcache.PagedManager {
+		node.GPU.MemGB = memGB
+		m, err := kvcache.NewPaged(node, cfg.Model, cfg.MaxPool, cfg.PromptLen+cfg.GenTokens, cfg.KV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m40, m80 := paged(40), paged(80)
+	slope := float64(m80.Budget()-m40.Budget()) / 40 // budget bytes per GB
+	target := float64(capTokens) * float64(m80.BytesPerToken())
+	kv := paged(80 + (target-float64(m80.Budget()))/slope)
+	got := kv.TotalBlocks() * kv.BlockTokens()
+	if got < capTokens-64 || got > capTokens+64 {
+		t.Fatalf("tight cache capacity %d tokens, want ≈%d", got, capTokens)
+	}
+	return node
+}
+
+// The acceptance pin for paged preemption: with a cache sized
+// between prompt footprint and worst-case peak, the run preempts under
+// pressure yet every sequence still completes, and the preempted work
+// shows up as recomputed prefill tokens.
+func TestContinuousPagedPreemptionCompletes(t *testing.T) {
+	res, node, _, err := serveContinuous(t, engineFor(t, core.KindLiger), pressureCfg(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +205,7 @@ func TestContinuousPagedPreemptionCompletes(t *testing.T) {
 	if res.RecomputedTokens < 256 {
 		t.Fatalf("recomputed %d tokens, want at least one full resume", res.RecomputedTokens)
 	}
+	kv := node.KV
 	if kv.Live() != 0 || kv.FreeBlocks() != kv.TotalBlocks() {
 		t.Fatalf("cache leaked: %d live, %d/%d free", kv.Live(), kv.FreeBlocks(), kv.TotalBlocks())
 	}
@@ -195,22 +213,11 @@ func TestContinuousPagedPreemptionCompletes(t *testing.T) {
 		t.Fatalf("%d invariant violations: %v", kv.Violations(), kv.InvariantErr())
 	}
 	// The same workload with ample memory never preempts and is faster.
-	eng2 := engineFor(t, core.KindLiger)
-	roomy, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B(), 16, 512, kvcache.PagedConfig{BlockTokens: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := RunContinuous(eng2.Clock(), eng2.Runtime(), ContinuousConfig{
-		SequenceWorkload: serve.SequenceWorkload{
-			Sequences: 16, RatePerSec: 500, PromptLen: 256, GenTokens: 128, MaxPool: 16, Seed: 1,
-		},
-		KV: roomy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	roomy := pressureCfg(t)
+	roomy.Node = hw.A100Node()
+	base := mustServe(t, core.KindLiger, roomy)
 	if base.Preemptions != 0 {
-		t.Fatalf("roomy allocator preempted %d times", base.Preemptions)
+		t.Fatalf("roomy cache preempted %d times", base.Preemptions)
 	}
 	if res.AvgLatency <= base.AvgLatency {
 		t.Fatalf("pressure run %v not slower than roomy run %v — recompute cost missing",
@@ -218,51 +225,7 @@ func TestContinuousPagedPreemptionCompletes(t *testing.T) {
 	}
 }
 
-// doubleRelease is a paged allocator whose owner releases one sequence
-// twice — the accounting bug the allocator's invariant ledger records.
-type doubleRelease struct {
-	*kvcache.PagedManager
-	seq int
-}
-
-func (d doubleRelease) Release(id int) {
-	d.PagedManager.Release(id)
-	if id == d.seq {
-		d.PagedManager.Release(id)
-	}
-}
-
-func TestContinuousDoubleReleaseFailsRun(t *testing.T) {
-	kv, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B(), 16, 512, kvcache.PagedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engineFor(t, core.KindLiger)
-	cfg := contCfg()
-	cfg.KV = doubleRelease{PagedManager: kv, seq: 3}
-	_, err = RunContinuous(eng.Clock(), eng.Runtime(), cfg)
-	if err == nil || !strings.Contains(err.Error(), "double release") {
-		t.Fatalf("run with a double-released sequence returned %v, want the invariant violation", err)
-	}
-	if kv.Violations() != 1 {
-		t.Fatalf("%d violations recorded, want 1", kv.Violations())
-	}
-}
-
-func TestContinuousLeakedSequenceFailsRun(t *testing.T) {
-	kv, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B(), 16, 512, kvcache.PagedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engineFor(t, core.KindLiger)
-	cfg := contCfg()
-	cfg.KV = leakyRelease{PagedManager: kv, seq: 3}
-	_, err = RunContinuous(eng.Clock(), eng.Runtime(), cfg)
-	if err == nil || !strings.Contains(err.Error(), "kv cache still holds 1") {
-		t.Fatalf("run that leaked a sequence returned %v, want the leak error", err)
-	}
-}
-
+// The decode node rejects a bad workload.
 func TestContinuousValidation(t *testing.T) {
 	bad := []serve.SequenceWorkload{
 		{},
@@ -271,8 +234,11 @@ func TestContinuousValidation(t *testing.T) {
 		{Sequences: 1, RatePerSec: 1, PromptLen: 1, GenTokens: 1, MaxPool: 0},
 	}
 	for i, w := range bad {
-		if (ContinuousConfig{SequenceWorkload: w}).Validate() == nil {
-			t.Errorf("bad config %d accepted", i)
+		eng := engineFor(t, core.KindLiger)
+		cfg := contCfg()
+		cfg.SequenceWorkload = w
+		if _, err := serve.NewDecodeNode(eng.Clock(), eng.Runtime(), cfg); err == nil {
+			t.Errorf("bad workload %d accepted", i)
 		}
 	}
 }

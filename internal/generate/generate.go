@@ -1,10 +1,12 @@
-// Package generate drives full generative lifecycles over any runtime:
-// each conversation is a batch of requests that runs the initial
-// conditioning (prefill) phase over its prompt and then samples tokens
-// one at a time against a growing KV cache (§4.3). Decode iterations
-// are submitted dynamically — each step when the previous completes —
-// so the Liger runtime interleaves steps of different conversations.
-// KV-cache admission control queues conversations that do not fit.
+// Package generate drives static generative conversations over any
+// runtime: each conversation is a batch of requests that runs the
+// initial conditioning (prefill) phase over its prompt and then samples
+// tokens one at a time against a growing KV cache (§4.3). Decode
+// iterations are submitted dynamically — each step when the previous
+// completes — so the Liger runtime interleaves steps of different
+// conversations. KV-cache admission control queues conversations that
+// do not fit. Continuous (iteration-level) serving is serve.DecodeNode;
+// both keep a serve.Ledger.
 package generate
 
 import (
@@ -84,11 +86,12 @@ type conversation struct {
 }
 
 // Run executes the workload on the runtime attached to eng. It owns the
-// runtime's completion callback for the duration of the run. Unlike
-// RunContinuous, every conversation carries its own batch through its
-// whole generation, so several conversations' iterations are in flight
-// at once — the concurrency Liger interleaves. A run whose KV allocator
-// fails the run-end audit (serve.AuditKV) fails.
+// runtime's completion callback for the duration of the run. Unlike a
+// continuous decode node (serve.DecodeNode), every conversation carries
+// its own batch through its whole generation, so several conversations'
+// iterations are in flight at once — the concurrency Liger interleaves.
+// A run in which a conversation never finished, or whose KV allocator
+// fails the run-end audit (serve.AuditKV), fails.
 func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -96,9 +99,7 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 	res := Result{}
 	perConv := cfg.BatchSize * (cfg.PromptLen + cfg.GenTokens)
 
-	arrived := make([]simclock.Time, cfg.Conversations)
-	firstTok := make([]simclock.Time, cfg.Conversations)
-	finished := make([]simclock.Time, cfg.Conversations)
+	ledger := serve.NewLedger(cfg.Conversations, cfg.GenTokens)
 	outstanding := map[int]*conversation{}
 	var admitQueue []*conversation
 	pendingID := 0
@@ -144,11 +145,11 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 		}
 		delete(outstanding, done.ID)
 		if c.step == 0 {
-			firstTok[c.id] = done.Done
+			ledger.FirstToken(c.id, done.Done)
 		}
 		c.step++
 		if c.step > cfg.GenTokens {
-			finished[c.id] = done.Done
+			ledger.Finish(c.id, done.Done)
 			if cfg.KV != nil {
 				cfg.KV.Release(c.id)
 			}
@@ -164,7 +165,7 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 		i := i
 		eng.At(simclock.Time(i)*simclock.Time(cfg.ArrivalGap), func(now simclock.Time) {
 			c := &conversation{id: i}
-			arrived[i] = now
+			ledger.Arrive(i, now)
 			if !admit(c) {
 				res.QueuedForKV++
 				admitQueue = append(admitQueue, c)
@@ -175,15 +176,14 @@ func Run(eng *simclock.Engine, rt runtimes.Runtime, cfg Config) (Result, error) 
 	if runErr != nil {
 		return res, runErr
 	}
+	ttft, tpot, total, err := ledger.Fold()
+	if err != nil {
+		return res, fmt.Errorf("generate: %w", err)
+	}
 	if err := serve.AuditKV(cfg.KV); err != nil {
 		return res, fmt.Errorf("generate: %w", err)
 	}
-	for i, f := range finished {
-		if f == 0 {
-			return res, fmt.Errorf("generate: conversation %d never finished", i)
-		}
-	}
 	res.Conversations = cfg.Conversations
-	res.TTFT, res.TPOT, res.Total = serve.FoldSequences(arrived, firstTok, finished, cfg.GenTokens)
+	res.TTFT, res.TPOT, res.Total = ttft, tpot, total
 	return res, nil
 }

@@ -110,7 +110,21 @@ func TestKVAdmissionQueues(t *testing.T) {
 	}
 }
 
-// Run fails on a broken KV ledger like the continuous drivers do: a
+// doubleRelease is a paged allocator whose owner releases one sequence
+// twice — the accounting bug the allocator's invariant ledger records.
+type doubleRelease struct {
+	*kvcache.PagedManager
+	seq int
+}
+
+func (d doubleRelease) Release(id int) {
+	d.PagedManager.Release(id)
+	if id == d.seq {
+		d.PagedManager.Release(id)
+	}
+}
+
+// Run fails on a broken KV ledger like continuous serving does: a
 // double release is an invariant violation, not a successful run.
 func TestRunDoubleReleaseFailsRun(t *testing.T) {
 	kv, err := kvcache.NewPaged(hw.A100Node(), model.OPT30B().WithLayers(8), 2, 32, kvcache.PagedConfig{})

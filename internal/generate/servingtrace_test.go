@@ -13,10 +13,6 @@ import (
 	"liger/internal/trace"
 )
 
-// The recorder is the serve layer's tracer too; trace sits below
-// serve, so the assertion lives here.
-var _ serve.ServingTracer = (*trace.Recorder)(nil)
-
 // checkDecompositionTiles pins the serving report's defining invariant
 // against the driver's own measurements: every request's segments are
 // contiguous, tile [arrival, finish] exactly, sum to the measured total
@@ -83,21 +79,33 @@ func checkDecompositionTiles(t *testing.T, rep *analyze.ServingReport, res serve
 	}
 }
 
+// traced serves cfg, whose Recorder is set, on a fresh engine of kind
+// and returns the result with each sequence's TTFT as the ledger
+// measured it, in sequence order.
+func traced(t *testing.T, kind core.RuntimeKind, cfg serve.DecodeNodeConfig) (serve.Result, []time.Duration) {
+	t.Helper()
+	res, _, ledger, err := serveContinuous(t, engineFor(t, kind), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttft, _, _, err := ledger.Fold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, ttft
+}
+
 func TestServingTraceDecompositionTilesLatency(t *testing.T) {
 	for _, kind := range []core.RuntimeKind{core.KindLiger, core.KindIntraOp} {
 		t.Run(kind.String(), func(t *testing.T) {
-			eng := engineFor(t, kind)
 			rec := trace.NewRecorder()
 			cfg := contCfg()
-			cfg.Tracer = rec
-			res, ttft, err := runContinuous(eng.Clock(), eng.Runtime(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg.Recorder = rec
+			res, ttft := traced(t, kind, cfg)
 			rep := analyze.AnalyzeServing(rec)
 			checkDecompositionTiles(t, rep, res, ttft)
-			// No allocator, no pressure: the uncontended decomposition is
-			// queue + prefill + decode only.
+			// No pressure: the uncontended decomposition is queue +
+			// prefill + decode only.
 			for _, k := range []string{"preempt_wait", "recompute", "handoff", "notify"} {
 				if rep.SegmentNS[k] != 0 {
 					t.Fatalf("segment %q = %d on an uncontended single-node run", k, rep.SegmentNS[k])
@@ -115,20 +123,10 @@ func TestServingTraceDecompositionTilesLatency(t *testing.T) {
 // the tracer's KV event stream, the analyzer's episodes/counters, and
 // the metrics snapshot all agree with the driver's preemption counts.
 func TestServingTraceKVPressureEpisodes(t *testing.T) {
-	kv := tightPagedKV(t, 5000)
-	eng := engineFor(t, core.KindLiger)
 	rec := trace.NewRecorder()
-	kv.SetTracer(rec, eng.Clock().Now)
-	res, ttft, err := runContinuous(eng.Clock(), eng.Runtime(), ContinuousConfig{
-		SequenceWorkload: serve.SequenceWorkload{
-			Sequences: 16, RatePerSec: 500, PromptLen: 256, GenTokens: 128, MaxPool: 16, Seed: 1,
-		},
-		KV:     kv,
-		Tracer: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := pressureCfg(t)
+	cfg.Recorder = rec
+	res, ttft := traced(t, core.KindLiger, cfg)
 	if res.Preemptions == 0 {
 		t.Fatal("no preemption despite engineered memory pressure")
 	}
@@ -184,8 +182,8 @@ func TestServingTraceKVPressureEpisodes(t *testing.T) {
 	if got := snap.Counters["recomputed_tokens"]; got != int64(res.RecomputedTokens) {
 		t.Fatalf("metrics recomputed_tokens %d, driver %d", got, res.RecomputedTokens)
 	}
-	if got := int(snap.Gauges["kv_peak_blocks"]); got != kv.PeakUsedBlocks() {
-		t.Fatalf("metrics kv_peak_blocks %d, allocator peak %d", got, kv.PeakUsedBlocks())
+	if got := int(snap.Gauges["kv_peak_blocks"]); got != res.KVPeakBlocks {
+		t.Fatalf("metrics kv_peak_blocks %d, allocator peak %d", got, res.KVPeakBlocks)
 	}
 }
 
@@ -193,20 +191,10 @@ func TestServingTraceKVPressureEpisodes(t *testing.T) {
 // the golden determinism contract every downstream writer relies on.
 func TestServingTraceRepeatRunByteIdentical(t *testing.T) {
 	render := func() (string, string, string) {
-		kv := tightPagedKV(t, 5000)
-		eng := engineFor(t, core.KindLiger)
 		rec := trace.NewRecorder()
-		kv.SetTracer(rec, eng.Clock().Now)
-		_, err := RunContinuous(eng.Clock(), eng.Runtime(), ContinuousConfig{
-			SequenceWorkload: serve.SequenceWorkload{
-				Sequences: 16, RatePerSec: 500, PromptLen: 256, GenTokens: 128, MaxPool: 16, Seed: 1,
-			},
-			KV:     kv,
-			Tracer: rec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := pressureCfg(t)
+		cfg.Recorder = rec
+		traced(t, core.KindLiger, cfg)
 		rec.Normalize()
 		var chrome, report, snap bytes.Buffer
 		if err := rec.WriteChromeTrace(&chrome); err != nil {

@@ -56,7 +56,7 @@ type Compiled struct {
 }
 
 // ContinuousPlan is a continuous-mode workload lowered to concrete
-// numbers: sequence shape, pool cap, and the KV admission knobs.
+// numbers: sequence shape, pool cap, and the paged KV cache's knobs.
 type ContinuousPlan struct {
 	// Sequences is the arrival count (workload.batches, or derived from
 	// duration × rate).
@@ -64,9 +64,8 @@ type ContinuousPlan struct {
 	// Prompt/Gen shape every sequence; Pool caps live sequences per
 	// decode iteration.
 	Prompt, Gen, Pool int
-	// KV arms cache admission control (a kv: section was present);
-	// Block and Watermark are the paged allocator's knobs.
-	KV        bool
+	// Block and Watermark are the paged KV cache's knobs: the kv:
+	// section's, or 16 tokens and 5 % without one.
 	Block     int
 	Watermark float64
 	// Prefill and Decode size the disaggregated pools, and Network is
@@ -243,7 +242,7 @@ func (c *Compiled) AtRate(rate float64) (*Compiled, error) {
 
 // compileContinuous lowers a continuous-mode workload: sequence shape
 // defaults, a prompt-sized capacity normalizer for relative rates, and
-// the KV admission knobs. Trace is filled just enough for reporting —
+// the paged KV cache's knobs. Trace is filled just enough for reporting —
 // continuous runs never generate a batch trace.
 func (c *Compiled) compileContinuous(sc *Scenario) error {
 	w := sc.Workload
@@ -284,7 +283,6 @@ func (c *Compiled) compileContinuous(sc *Scenario) error {
 		Watermark: 0.05,
 	}
 	if kv := sc.KV; kv != nil {
-		plan.KV = true
 		if kv.Block != 0 {
 			plan.Block = kv.Block
 		}
@@ -293,8 +291,6 @@ func (c *Compiled) compileContinuous(sc *Scenario) error {
 		}
 	}
 	if disagg {
-		// Every decode node serves over its own paged KV cache.
-		plan.KV = true
 		plan.Prefill, plan.Decode = sc.Cluster.Prefill, sc.Cluster.Decode
 		if plan.Network, err = networkPreset(sc.Cluster.Network); err != nil {
 			return err

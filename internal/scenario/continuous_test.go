@@ -5,7 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"liger/internal/core"
 	"liger/internal/hw"
+	"liger/internal/model"
+	"liger/internal/runtimes"
+	"liger/internal/serve"
+	"liger/internal/simclock"
 )
 
 // continuousYAML is a small continuous-mode scenario; tests splice
@@ -118,9 +123,10 @@ func TestParseContinuousErrors(t *testing.T) {
 }
 
 // TestCompileContinuousDefaults pins the lowered plan: prompt/gen/pool
-// default to 32/16/8, and the kv section's block size defaults to 16
-// tokens. (The kv section keeps one explicit key: an empty kv: decodes
-// as null, which means no kv section at all.)
+// default to 32/16/8, and the paged cache's block size and watermark
+// to 16 tokens and 5 %, with or without a kv section. (The kv section
+// keeps one explicit key: an empty kv: decodes as null, which means no
+// kv section at all.)
 func TestCompileContinuousDefaults(t *testing.T) {
 	sc, err := Parse([]byte("name: t\nmodel: tiny\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 1\nkv:\n  watermark: 0.05\n"), "t")
 	if err != nil {
@@ -137,14 +143,14 @@ func TestCompileContinuousDefaults(t *testing.T) {
 	if cp.Sequences != 5 || cp.Prompt != 32 || cp.Gen != 16 || cp.Pool != 8 {
 		t.Errorf("plan = %+v", cp)
 	}
-	if !cp.KV || cp.Block != 16 || cp.Watermark != 0.05 {
+	if cp.Block != 16 || cp.Watermark != 0.05 {
 		t.Errorf("kv plan = %+v", cp)
 	}
 	if c.Rate != 1 || c.Horizon.Seconds() != 5 {
 		t.Errorf("rate %v horizon %v", c.Rate, c.Horizon)
 	}
 
-	// Without a kv section the run is pool-capped only.
+	// Without a kv section the cache takes the same defaults.
 	sc2, err := Parse([]byte("name: t\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 1\n"), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +159,8 @@ func TestCompileContinuousDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Continuous.KV {
-		t.Error("kv armed without a kv section")
+	if *c2.Continuous != *cp {
+		t.Errorf("plan without a kv section = %+v, want %+v", c2.Continuous, cp)
 	}
 }
 
@@ -162,30 +168,8 @@ func TestCompileContinuousDefaults(t *testing.T) {
 // assert pipeline on a continuous scenario and pins the determinism
 // contract: byte-identical reports at any -parallel or -shards setting.
 func TestRunContinuousScenario(t *testing.T) {
-	sc, err := Parse([]byte(continuousYAML), "t")
-	if err != nil {
-		t.Fatal(err)
-	}
 	render := func(parallel, shards int) string {
-		c, err := Compile(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Run(c, RunOptions{Parallel: parallel, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Pass {
-			t.Fatalf("assertions failed: %s", rep.Verdict())
-		}
-		var text, js bytes.Buffer
-		if err := rep.WriteText(&text); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteJSON(&js); err != nil {
-			t.Fatal(err)
-		}
-		return text.String() + js.String()
+		return renderContinuous(t, continuousYAML, RunOptions{Parallel: parallel, Shards: shards})
 	}
 	base := render(1, 0)
 	for _, cfg := range []struct{ parallel, shards int }{{4, 0}, {2, 4}} {
@@ -200,9 +184,127 @@ func TestRunContinuousScenario(t *testing.T) {
 	}
 }
 
-// TestCompileDisaggPools pins the lowered pools: sizes, network,
-// always-on paged KV on the decode nodes, and a capacity-relative rate
-// that scales with the prefill pool.
+// renderContinuous runs doc on every runtime and returns its text and
+// JSON reports.
+func renderContinuous(t *testing.T, doc string, opts RunOptions) string {
+	t.Helper()
+	sc, err := Parse([]byte(doc), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Pass {
+		t.Fatalf("assertions failed: %s", rep.Verdict())
+	}
+	var text, js bytes.Buffer
+	if err := rep.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	return text.String() + js.String()
+}
+
+// A continuous scenario without a kv section serves over the default
+// paged cache: its reports are the bytes of the same scenario with
+// kv: {block: 16}.
+func TestContinuousWithoutKVServesTheDefaultCache(t *testing.T) {
+	const kv = "kv:\n  block: 16\n"
+	if !strings.Contains(continuousYAML, kv) {
+		t.Fatal("continuousYAML lost its kv section")
+	}
+	with := renderContinuous(t, continuousYAML, RunOptions{})
+	without := renderContinuous(t, strings.Replace(continuousYAML, kv, "", 1), RunOptions{})
+	if with != without {
+		t.Fatalf("reports differ without a kv section:\n%s\nvs\n%s", without, with)
+	}
+	if !strings.Contains(with, "kv paged (block 16, watermark 5%)") {
+		t.Fatalf("report does not name the default cache:\n%s", with)
+	}
+}
+
+// runContinuousFault serves continuousYAML on Liger with fault applied
+// to the single-node run's engine and decode node, and returns the
+// run's error.
+func runContinuousFault(t *testing.T, fault func(*core.Engine, *serve.DecodeNode)) error {
+	t.Helper()
+	sc, err := Parse([]byte(continuousYAML), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testHookDecodeNode = fault
+	defer func() { testHookDecodeNode = nil }()
+	_, err = RunOne(c, core.KindLiger, RunOptions{})
+	return err
+}
+
+// foreignSeq is a sequence id no workload sequence has.
+const foreignSeq = 1 << 20
+
+// A KV accounting bug on the single node fails the run, like one on a
+// disaggregated decode node (cluster's TestDisaggDoubleReleaseFailsRun).
+func TestContinuousDoubleReleaseFailsRun(t *testing.T) {
+	err := runContinuousFault(t, func(eng *core.Engine, n *serve.DecodeNode) {
+		eng.Clock().At(0, func(simclock.Time) {
+			if err := n.KV.Admit(foreignSeq, 16); err != nil {
+				t.Error(err)
+			}
+			n.KV.Release(foreignSeq)
+			n.KV.Release(foreignSeq)
+		})
+	})
+	if err == nil || !strings.Contains(err.Error(), "decode node 0") || !strings.Contains(err.Error(), "double release") {
+		t.Fatalf("run with a double-released sequence returned %v, want the invariant violation", err)
+	}
+}
+
+// A sequence the single node's cache never releases fails the run.
+func TestContinuousLeakedSequenceFailsRun(t *testing.T) {
+	err := runContinuousFault(t, func(eng *core.Engine, n *serve.DecodeNode) {
+		eng.Clock().At(0, func(simclock.Time) {
+			if err := n.KV.Admit(foreignSeq, 16); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	if err == nil || !strings.Contains(err.Error(), "kv cache still holds 1") {
+		t.Fatalf("run that leaked a sequence returned %v, want the leak error", err)
+	}
+}
+
+// A lost decode completion stalls the single node's batcher, so its
+// sequences never finish: the ledger fails the run before the KV audit
+// sees the sequences the stalled batcher still holds.
+func TestContinuousNeverFinishedFailsRun(t *testing.T) {
+	err := runContinuousFault(t, func(eng *core.Engine, n *serve.DecodeNode) {
+		lost := false
+		eng.Runtime().SetOnDone(func(c runtimes.Completion) {
+			if !lost && c.Workload.Phase == model.Decode {
+				lost = true
+				return
+			}
+			n.Batcher.OnDone(c)
+		})
+	})
+	if err == nil || !strings.Contains(err.Error(), "of 12 sequences finished") {
+		t.Fatalf("run that lost a completion returned %v, want the ledger's error", err)
+	}
+}
+
+// TestCompileDisaggPools pins the lowered pools: sizes, network, and a
+// capacity-relative rate that scales with the prefill pool.
 func TestCompileDisaggPools(t *testing.T) {
 	const doc = "name: t\nmodel: tiny\nworkload:\n  mode: continuous\n  batches: 5\n  rate: 0.5x\n"
 	compile := func(doc string) *Compiled {
@@ -222,9 +324,6 @@ func TestCompileDisaggPools(t *testing.T) {
 	cp := pooled.Continuous
 	if cp.Prefill != 3 || cp.Decode != 2 || cp.Network.Name != hw.EthernetNetwork().Name {
 		t.Errorf("pools = %d prefill / %d decode over %q", cp.Prefill, cp.Decode, cp.Network.Name)
-	}
-	if !cp.KV {
-		t.Error("decode pools run without paged KV")
 	}
 	if pooled.Cluster != nil {
 		t.Error("disaggregated pools compiled into a replica fleet")

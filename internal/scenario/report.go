@@ -191,9 +191,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 func kvDesc(cp *ContinuousPlan) string {
-	if !cp.KV {
-		return "off"
-	}
 	return fmt.Sprintf("paged (block %d, watermark %.0f%%)", cp.Block, 100*cp.Watermark)
 }
 

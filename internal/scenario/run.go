@@ -9,12 +9,12 @@ import (
 	"liger/internal/cluster"
 	"liger/internal/core"
 	"liger/internal/faults"
-	"liger/internal/generate"
 	"liger/internal/kvcache"
 	"liger/internal/liger"
 	"liger/internal/runner"
 	"liger/internal/runtimes"
 	"liger/internal/serve"
+	"liger/internal/simclock"
 	"liger/internal/trace"
 )
 
@@ -165,42 +165,51 @@ func runBatch(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcome, er
 	return out, nil
 }
 
-// runContinuous serves a continuous-mode workload on one node:
-// iteration-level generative scheduling through serve.ContinuousBatcher,
-// optionally gated by a KV allocator.
+// runContinuous serves a continuous-mode workload on one node: one
+// serve.DecodeNode fed straight from the arrivals, and the run's
+// serve.Ledger.
 func runContinuous(c *Compiled, kind core.RuntimeKind, opts RunOptions) (*Outcome, error) {
 	eng, err := core.NewEngine(c.engineOptions(kind))
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{}
-	plan := c.Continuous
-	ccfg := generate.ContinuousConfig{SequenceWorkload: c.sequenceWorkload()}
 	if opts.Trace {
 		out.Recorder = trace.NewRecorder()
-		ccfg.Tracer = out.Recorder
 	}
-	var paged *kvcache.PagedManager
-	if plan.KV {
-		if paged, err = kvcache.NewPaged(c.Node, c.Model, plan.Pool, plan.Prompt+plan.Gen, plan.pagedConfig()); err != nil {
-			return nil, fmt.Errorf("kv: %w", err)
-		}
-		if out.Recorder != nil {
-			paged.SetTracer(out.Recorder, eng.Clock().Now)
-		}
-		ccfg.KV = paged
+	w := c.sequenceWorkload()
+	ledger := serve.NewLedger(w.Sequences, w.GenTokens)
+	node, err := serve.NewDecodeNode(eng.Clock(), eng.Runtime(), serve.DecodeNodeConfig{
+		Node:             c.Node,
+		Model:            c.Model,
+		SequenceWorkload: w,
+		KV:               c.Continuous.pagedConfig(),
+		Recorder:         out.Recorder,
+		Hooks:            ledger.Hooks(),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("kv: %w", err)
 	}
-	if out.Result, err = generate.RunContinuous(eng.Clock(), eng.Runtime(), ccfg); err != nil {
+	if testHookDecodeNode != nil {
+		testHookDecodeNode(eng, node)
+	}
+	w.Arrive(eng.Clock(), func(id int, now simclock.Time) {
+		ledger.Arrive(id, now)
+		node.Add(id, false, now)
+	})
+	eng.Clock().Run()
+	if out.Result, err = ledger.Result(eng.Runtime().Name(), node); err != nil {
 		return nil, err
-	}
-	if paged != nil {
-		out.Result.KVPeakBlocks = paged.PeakUsedBlocks()
 	}
 	if out.Recorder != nil {
 		out.Recorder.Normalize()
 	}
 	return out, nil
 }
+
+// testHookDecodeNode, when set by a test, sees a single-node run's
+// engine and decode node before the first arrival.
+var testHookDecodeNode func(*core.Engine, *serve.DecodeNode)
 
 // runDisagg serves a continuous-mode workload on disaggregated prefill
 // and decode pools, each decode node over its own paged KV cache.

@@ -49,8 +49,8 @@ type Scenario struct {
 	// and decode pools instead, it disaggregates a continuous workload.
 	Cluster  *ClusterSpec `yaml:"cluster"`
 	Workload Workload     `yaml:"workload,required"`
-	// KV, when present, arms KV-cache admission control for a
-	// continuous-mode workload over the paged allocator.
+	// KV shapes a continuous-mode workload's paged KV cache; without
+	// it the cache takes its defaults.
 	KV     *KVSpec    `yaml:"kv"`
 	Policy PolicySpec `yaml:"policy"`
 	Chaos  Chaos      `yaml:"chaos"`
@@ -200,10 +200,10 @@ type Workload struct {
 	Seed int64 `yaml:"seed"`
 }
 
-// KVSpec arms KV-cache admission control (continuous mode only) over
-// the paged allocator: prompts are admitted in whole blocks, the cache
-// grows one token per decode iteration, and the newest sequence is
-// preempted when blocks run out.
+// KVSpec shapes the paged KV cache every continuous-mode run serves
+// over: prompts are admitted in whole blocks, the cache grows one
+// token per decode iteration, and the newest sequence is preempted
+// when blocks run out.
 type KVSpec struct {
 	// Block is the paged allocator's tokens-per-block (default 16).
 	Block int `yaml:"block"`

@@ -3,9 +3,12 @@ package serve
 import (
 	"fmt"
 
+	"liger/internal/hw"
+	"liger/internal/kvcache"
 	"liger/internal/model"
 	"liger/internal/runtimes"
 	"liger/internal/simclock"
+	"liger/internal/trace"
 )
 
 // Iteration-level continuous batching (Orca-style): instead of carrying
@@ -14,7 +17,7 @@ import (
 // sequences are admitted and prefilled between iterations. The batcher
 // owns the scheduling policy only — KV memory lives behind the
 // KVAllocator interface, so the same loop runs over the paged
-// allocator, a decorated or fake one, or no admission control at all.
+// allocator or a decorated or fake one.
 
 // KVAllocator is the admission-control surface the continuous batcher
 // drives (implemented by kvcache.PagedManager).
@@ -69,6 +72,66 @@ func AuditKV(kv KVAllocator) error {
 		return fmt.Errorf("kv cache still holds %d sequences after the run", n)
 	}
 	return nil
+}
+
+// DecodeNode is one node's continuous decode side: a paged KV cache
+// and the iteration-level batcher over it, serving the node's runtime.
+// The single-node continuous run is one decode node fed straight from
+// the arrivals; a disaggregated cluster runs one per decode-pool node.
+// Ledger.Result is their shared run-end check.
+type DecodeNode struct {
+	KV      *kvcache.PagedManager
+	Batcher *ContinuousBatcher
+	w       SequenceWorkload
+}
+
+// DecodeNodeConfig shapes one decode node.
+type DecodeNodeConfig struct {
+	// Node and Model size the paged cache for MaxPool live sequences
+	// of PromptLen+GenTokens tokens; KV sets its block size and
+	// eviction watermark.
+	Node  hw.Node
+	Model model.Spec
+	SequenceWorkload
+	KV kvcache.PagedConfig
+	// Recorder, if non-nil, records the batcher's iterations and
+	// sequence lifecycles and the cache's block transitions, tagged
+	// with Pool: 0 on a single node, the decode-pool index in a
+	// cluster. Recording never perturbs the simulation.
+	Recorder *trace.Recorder
+	Pool     int
+	Hooks    ContinuousHooks
+}
+
+// NewDecodeNode builds the node's paged cache and batcher, installs
+// the recorder on both and takes over rt's completion callback. eng is
+// the clock driving rt, which stamps the cache's block transitions.
+func NewDecodeNode(eng *simclock.Engine, rt runtimes.Runtime, cfg DecodeNodeConfig) (*DecodeNode, error) {
+	if err := cfg.SequenceWorkload.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	kv, err := kvcache.NewPaged(cfg.Node, cfg.Model, cfg.MaxPool, cfg.PromptLen+cfg.GenTokens, cfg.KV)
+	if err != nil {
+		return nil, err
+	}
+	cb, err := NewContinuousBatcher(rt, kv, cfg.MaxPool, cfg.Hooks)
+	if err != nil {
+		return nil, err
+	}
+	if rec := cfg.Recorder; rec != nil {
+		rec.SetPool(cfg.Pool)
+		cb.SetTracer(rec, cfg.Pool)
+		kv.SetTracer(rec, eng.Now)
+	}
+	rt.SetOnDone(cb.OnDone)
+	return &DecodeNode{KV: kv, Batcher: cb, w: cfg.SequenceWorkload}, nil
+}
+
+// Add hands the workload's sequence id to the batcher at now.
+// prefilled marks a prompt cache computed elsewhere and transferred in
+// (GenSeq.Prefilled).
+func (n *DecodeNode) Add(id int, prefilled bool, now simclock.Time) {
+	n.Batcher.Add(GenSeq{ID: id, Prompt: n.w.PromptLen, Gen: n.w.GenTokens, Prefilled: prefilled}, now)
 }
 
 // GenSeq is one generative sequence entering the continuous batcher.
@@ -176,22 +239,23 @@ type ContinuousBatcher struct {
 	RecomputedTokens int
 }
 
-// NewContinuousBatcher builds the iteration scheduler. kv may be nil
-// (no admission control); when it implements PreemptingAllocator the
-// paged preemption path is armed.
+// NewContinuousBatcher builds the iteration scheduler over kv, which
+// gates admission; when it implements PreemptingAllocator the paged
+// preemption path is armed.
 func NewContinuousBatcher(rt runtimes.Runtime, kv KVAllocator, maxPool int, hooks ContinuousHooks) (*ContinuousBatcher, error) {
 	if rt == nil {
 		return nil, fmt.Errorf("serve: continuous batcher needs a runtime")
+	}
+	if kv == nil {
+		return nil, fmt.Errorf("serve: continuous batcher needs a KV allocator")
 	}
 	if maxPool < 1 {
 		return nil, fmt.Errorf("serve: continuous pool size %d", maxPool)
 	}
 	b := &ContinuousBatcher{rt: rt, kv: kv, maxPool: maxPool, hooks: hooks, byID: map[int]*genState{}}
 	b.tag, _ = rt.(runtimes.Tagged)
-	if kv != nil {
-		b.pre, _ = kv.(PreemptingAllocator)
-		b.blocks, _ = kv.(BlockStats)
-	}
+	b.pre, _ = kv.(PreemptingAllocator)
+	b.blocks, _ = kv.(BlockStats)
 	return b, nil
 }
 
@@ -307,14 +371,12 @@ func (b *ContinuousBatcher) step(now simclock.Time) {
 	// admission deterministic and starvation-free.
 	for b.waitQ.len() > 0 && len(b.pool)+len(b.prefilling) < b.maxPool {
 		s := b.waitQ.front()
-		if b.kv != nil {
-			if !b.kv.CanAdmit(s.resumeLen) {
-				break
-			}
-			if err := b.kv.Admit(s.ID, s.resumeLen); err != nil {
-				b.fail(err)
-				return
-			}
+		if !b.kv.CanAdmit(s.resumeLen) {
+			break
+		}
+		if err := b.kv.Admit(s.ID, s.resumeLen); err != nil {
+			b.fail(err)
+			return
 		}
 		b.waitQ.popFront()
 		admitted++
@@ -370,34 +432,32 @@ func (b *ContinuousBatcher) step(now simclock.Time) {
 	// Grow every pool member's cache by the token this iteration will
 	// produce. An allocator failure is memory pressure: preempt the
 	// lowest-priority sequence and retry, rather than failing the run.
-	if b.kv != nil {
-		b.snapshot = append(b.snapshot[:0], b.pool...)
-		for _, s := range b.snapshot {
-			if s.ctx == 0 {
-				continue // evicted earlier in this loop
+	b.snapshot = append(b.snapshot[:0], b.pool...)
+	for _, s := range b.snapshot {
+		if s.ctx == 0 {
+			continue // evicted earlier in this loop
+		}
+	extend:
+		for {
+			err := b.kv.Extend(s.ID)
+			if err == nil {
+				break
 			}
-		extend:
-			for {
-				err := b.kv.Extend(s.ID)
-				if err == nil {
-					break
-				}
-				if b.pre == nil || len(b.pool) <= 1 {
-					b.fail(fmt.Errorf("serve: kv cache exhausted with no preemption headroom: %w", err))
-					return
-				}
-				victim := b.preemptOne(now)
-				if !victim {
-					b.fail(fmt.Errorf("serve: kv cache exhausted and nothing evictable: %w", err))
-					return
-				}
-				if s.ctx == 0 {
-					break extend // s itself was the victim
-				}
+			if b.pre == nil || len(b.pool) <= 1 {
+				b.fail(fmt.Errorf("serve: kv cache exhausted with no preemption headroom: %w", err))
+				return
+			}
+			victim := b.preemptOne(now)
+			if !victim {
+				b.fail(fmt.Errorf("serve: kv cache exhausted and nothing evictable: %w", err))
+				return
+			}
+			if s.ctx == 0 {
+				break extend // s itself was the victim
 			}
 		}
-		clear(b.snapshot)
 	}
+	clear(b.snapshot)
 	maxCtx := 0
 	for _, s := range b.pool {
 		s.ctx++
@@ -476,9 +536,7 @@ func (b *ContinuousBatcher) OnDone(c runtimes.Completion) {
 	for _, s := range b.pool {
 		s.produced++
 		if s.produced >= s.Gen {
-			if b.kv != nil {
-				b.kv.Release(s.ID)
-			}
+			b.kv.Release(s.ID)
 			delete(b.byID, s.ID)
 			retired++
 			b.seqEvent(SeqFinish, s.ID, s.produced, now)

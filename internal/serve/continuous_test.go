@@ -78,8 +78,13 @@ type continuousHarness struct {
 	preempted []int
 }
 
+// newContinuousHarness builds the harness over kv; a nil kv stands for
+// an allocator that never runs out.
 func newContinuousHarness(t *testing.T, kv KVAllocator, maxPool int) *continuousHarness {
 	t.Helper()
+	if kv == nil {
+		kv = newFakeAlloc(1<<30, 0)
+	}
 	h := &continuousHarness{
 		eng:      simclock.New(),
 		firstTok: map[int]simclock.Time{},
@@ -375,11 +380,15 @@ func TestContinuousRejectsBadSequences(t *testing.T) {
 	if h2.cb.Err() == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	if _, err := NewContinuousBatcher(nil, nil, 2, ContinuousHooks{}); err == nil {
+	kv := newFakeAlloc(64, 0)
+	if _, err := NewContinuousBatcher(nil, kv, 2, ContinuousHooks{}); err == nil {
 		t.Fatal("nil runtime accepted")
 	}
 	rt := &fakeRuntime{eng: simclock.New(), service: time.Millisecond}
-	if _, err := NewContinuousBatcher(rt, nil, 0, ContinuousHooks{}); err == nil {
+	if _, err := NewContinuousBatcher(rt, nil, 2, ContinuousHooks{}); err == nil {
+		t.Fatal("nil allocator accepted")
+	}
+	if _, err := NewContinuousBatcher(rt, kv, 0, ContinuousHooks{}); err == nil {
 		t.Fatal("zero pool accepted")
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"liger/internal/stats"
 )
 
-// SequenceWorkload is the workload both generative drivers serve
-// (generate.RunContinuous, cluster.Disagg): Sequences identical
+// SequenceWorkload is the workload continuous serving serves, on one
+// decode node or on disaggregated pools: Sequences identical
 // sequences of a PromptLen-token prompt and GenTokens decode tokens,
 // arriving Poisson at RatePerSec with gaps drawn from Seed, at most
 // MaxPool live per decode iteration.
@@ -52,25 +52,86 @@ func (w SequenceWorkload) Arrive(eng *simclock.Engine, arrive func(id int, now s
 	}
 }
 
-// FoldSequences returns each sequence's TTFT (arrival to first token),
-// TPOT (first token to finish, per generated token) and total latency
-// (arrival to finish), in sequence order, from index-aligned instants.
-func FoldSequences(arrived, firstTok, finished []simclock.Time, genTokens int) (ttft, tpot, total []time.Duration) {
-	for i := range arrived {
-		ttft = append(ttft, firstTok[i]-arrived[i])
-		tpot = append(tpot, (finished[i]-firstTok[i])/time.Duration(genTokens))
-		total = append(total, finished[i]-arrived[i])
-	}
-	return ttft, tpot, total
+// Ledger is a generative run's per-sequence record: each sequence's
+// arrival, first-token and finish instants, indexed by sequence id.
+// Every generative driver keeps one — the single-node continuous run,
+// the disaggregated frontend and generate.Run — and folds it into its
+// result. A run in which any sequence never finished fails.
+type Ledger struct {
+	arrived, firstTok, finished []simclock.Time
+	genTokens                   int
+	completed                   int
 }
 
-// SequenceResult folds a finished generative run into a Result
-// (FoldSequences). Latencies holds every sequence's total latency in
-// sequence order, with its mean and percentiles; TTFT and TPOT are the
-// means; Makespan is the latest finish. The decode counters sum over
-// the batchers that served the run.
-func SequenceResult(runtime string, arrived, firstTok, finished []simclock.Time, genTokens int, batchers ...*ContinuousBatcher) Result {
-	ttft, tpot, total := FoldSequences(arrived, firstTok, finished, genTokens)
+// NewLedger returns the ledger of sequences sequences that decode
+// genTokens tokens each.
+func NewLedger(sequences, genTokens int) *Ledger {
+	return &Ledger{
+		arrived:   make([]simclock.Time, sequences),
+		firstTok:  make([]simclock.Time, sequences),
+		finished:  make([]simclock.Time, sequences),
+		genTokens: genTokens,
+	}
+}
+
+// Arrive stamps sequence id's arrival.
+func (l *Ledger) Arrive(id int, now simclock.Time) { l.arrived[id] = now }
+
+// FirstToken stamps sequence id's first token.
+func (l *Ledger) FirstToken(id int, now simclock.Time) { l.firstTok[id] = now }
+
+// Finish stamps sequence id's finish.
+func (l *Ledger) Finish(id int, now simclock.Time) {
+	l.finished[id] = now
+	l.completed++
+}
+
+// Hooks returns batcher hooks that stamp each first token and finish.
+func (l *Ledger) Hooks() ContinuousHooks {
+	return ContinuousHooks{FirstToken: l.FirstToken, Finished: l.Finish}
+}
+
+// Fold returns each sequence's TTFT (arrival to first token), TPOT
+// (first token to finish, per generated token) and total latency
+// (arrival to finish), in sequence order. It fails unless every
+// sequence finished. Callers prefix its errors, and Result's, with
+// their own name.
+func (l *Ledger) Fold() (ttft, tpot, total []time.Duration, err error) {
+	if l.completed != len(l.finished) {
+		return nil, nil, nil, fmt.Errorf("%d of %d sequences finished", l.completed, len(l.finished))
+	}
+	for i := range l.arrived {
+		ttft = append(ttft, l.firstTok[i]-l.arrived[i])
+		tpot = append(tpot, (l.finished[i]-l.firstTok[i])/time.Duration(l.genTokens))
+		total = append(total, l.finished[i]-l.arrived[i])
+	}
+	return ttft, tpot, total, nil
+}
+
+// Result is the run-end check and fold of a continuous run served by
+// nodes. The run fails on a node's batcher error, then on a sequence
+// that never finished (Fold), then on a node's KV audit (AuditKV), so
+// a cache still holding a sequence is reported as a leak only when
+// every sequence finished. Latencies holds every sequence's total
+// latency in sequence order, with its mean and percentiles; TTFT and
+// TPOT are the means; Makespan is the latest finish. The decode
+// counters sum over the nodes, and KVPeakBlocks is the highest node's
+// cache high-water mark.
+func (l *Ledger) Result(runtime string, nodes ...*DecodeNode) (Result, error) {
+	for i, n := range nodes {
+		if err := n.Batcher.Err(); err != nil {
+			return Result{}, fmt.Errorf("decode node %d: %w", i, err)
+		}
+	}
+	ttft, tpot, total, err := l.Fold()
+	if err != nil {
+		return Result{}, err
+	}
+	for i, n := range nodes {
+		if err := AuditKV(n.KV); err != nil {
+			return Result{}, fmt.Errorf("decode node %d: %w", i, err)
+		}
+	}
 	pcts := stats.Percentiles(total, 50, 95, 99)
 	res := Result{
 		Runtime:    runtime,
@@ -85,18 +146,20 @@ func SequenceResult(runtime string, arrived, firstTok, finished []simclock.Time,
 		TPOT:       stats.Mean(tpot),
 		Continuous: true,
 	}
-	for _, f := range finished {
+	for _, f := range l.finished {
 		res.Makespan = max(res.Makespan, f)
 	}
 	var poolSum int
-	for _, cb := range batchers {
+	for _, n := range nodes {
+		cb := n.Batcher
 		res.Iterations += cb.Iterations
 		poolSum += cb.PoolSum
 		res.Preemptions += cb.Preemptions
 		res.RecomputedTokens += cb.RecomputedTokens
+		res.KVPeakBlocks = max(res.KVPeakBlocks, n.KV.PeakUsedBlocks())
 	}
 	if res.Iterations > 0 {
 		res.MeanPool = float64(poolSum) / float64(res.Iterations)
 	}
-	return res
+	return res, nil
 }

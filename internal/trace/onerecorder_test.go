@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"liger/internal/core"
-	"liger/internal/generate"
 	"liger/internal/hw"
-	"liger/internal/kvcache"
 	"liger/internal/model"
 	"liger/internal/serve"
+	"liger/internal/simclock"
 	"liger/internal/trace"
 )
 
@@ -40,14 +39,19 @@ func tracedContinuous(t *testing.T, rec *trace.Recorder) {
 		t.Fatal(err)
 	}
 	w := serve.SequenceWorkload{Sequences: 8, RatePerSec: 2000, PromptLen: 32, GenTokens: 4, MaxPool: 4, Seed: 1}
-	kv, err := kvcache.NewPaged(node, spec, w.MaxPool, w.PromptLen+w.GenTokens, kvcache.PagedConfig{})
+	ledger := serve.NewLedger(w.Sequences, w.GenTokens)
+	dec, err := serve.NewDecodeNode(eng.Clock(), eng.Runtime(), serve.DecodeNodeConfig{
+		Node: node, Model: spec, SequenceWorkload: w, Recorder: rec, Hooks: ledger.Hooks(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv.SetTracer(rec, eng.Clock().Now)
-	if _, err := generate.RunContinuous(eng.Clock(), eng.Runtime(), generate.ContinuousConfig{
-		SequenceWorkload: w, KV: kv, Tracer: rec,
-	}); err != nil {
+	w.Arrive(eng.Clock(), func(id int, now simclock.Time) {
+		ledger.Arrive(id, now)
+		dec.Add(id, false, now)
+	})
+	eng.Clock().Run()
+	if _, err := ledger.Result(eng.Runtime().Name(), dec); err != nil {
 		t.Fatal(err)
 	}
 	rec.Normalize()

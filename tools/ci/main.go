@@ -110,9 +110,10 @@
 //     assertions, the impossible-slo and no-spare-capacity negative
 //     fixtures must FAIL (exit 1) — a gate that cannot reject is not a
 //     gate — and `scenarios/cascading-failures.yaml`,
-//     `scenarios/fleet-node-loss.yaml`, and `scenarios/decode-heavy.yaml`
-//     (the continuous-batching corpus entry) must print byte-identical
-//     reports at -parallel 1 and -parallel 4 -shards 4
+//     `scenarios/fleet-node-loss.yaml`, `scenarios/decode-heavy.yaml`
+//     (the continuous-batching corpus entry) and
+//     `scenarios/disagg-pools.yaml` (the disaggregated one) must print
+//     byte-identical reports at -parallel 1 and -parallel 4 -shards 4
 //  19. stress: `ligersim stress -n 25 -seed 42` at -parallel 1 and 4
 //     must produce byte-identical aggregate survival reports, plus a
 //     small -race pass (`stress -n 3 -seed 7`) over the randomized fleet
@@ -590,9 +591,10 @@ func scenarioAcceptance() error {
 		}
 	}
 	// Determinism: the flagship chaos scenario, the fleet node-loss
-	// scenario, and the continuous-batching scenario must render the
-	// same bytes at any -parallel or -shards setting.
-	for _, name := range []string{"cascading-failures.yaml", "fleet-node-loss.yaml", "decode-heavy.yaml"} {
+	// scenario, and the single-node and disaggregated continuous
+	// scenarios must render the same bytes at any -parallel or -shards
+	// setting.
+	for _, name := range []string{"cascading-failures.yaml", "fleet-node-loss.yaml", "decode-heavy.yaml", "disagg-pools.yaml"} {
 		err := smoke{
 			what: "report",
 			args: ligersim("run"),
