@@ -36,10 +36,11 @@ bench:
 # seeds): the scenario loader, the paged KV allocator against a naive
 # model, the event queue against the reference heap, iteration
 # replay against the simulation, runtime decomposition's chains of
-# remainders against the closures they replaced, and decode plans that
-# share their batch's blocks against fresh compiles. A replay input runs
-# whole serving simulations, so its minimization is capped at 10 runs
-# per input.
+# remainders against the closures they replaced, decode plans that
+# share their batch's blocks against fresh compiles, the period
+# fast-forward against the simulation, and the time-shift relation it
+# rests on. Replay, fast-forward and time-shift inputs run whole
+# simulations, so their minimization is capped at 10 runs per input.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 15s -parallel 1 ./internal/scenario
 	$(GO) test -run XXX -fuzz FuzzPagedOps -fuzztime 15s -parallel 1 ./internal/kvcache
@@ -47,6 +48,8 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzContinuousReplay -fuzztime 15s -fuzzminimizetime 10x -parallel 1 ./internal/runtimes
 	$(GO) test -run XXX -fuzz FuzzSplitChain -fuzztime 15s -parallel 1 ./internal/parallel
 	$(GO) test -run XXX -fuzz FuzzDecodePlans -fuzztime 15s -parallel 1 ./internal/parallel
+	$(GO) test -run XXX -fuzz FuzzFastForward -fuzztime 15s -fuzzminimizetime 10x -parallel 1 ./internal/liger
+	$(GO) test -run XXX -fuzz FuzzTimeShift -fuzztime 15s -fuzzminimizetime 10x -parallel 1 ./internal/liger
 
 # Full-fidelity paper reproduction: rerun every experiment that
 # results_full.txt holds (table1 through straggler) at -batches 200 and

@@ -50,6 +50,10 @@ type Collective struct {
 	// scanEpoch marks the last Device.recompute pass that gathered this
 	// collective (the epoch-mark dedup).
 	scanEpoch uint64
+	// warpEpoch and warpIdx name the group in a state encoding
+	// (Node.EncodeState).
+	warpEpoch uint64
+	warpIdx   int
 }
 
 // ID returns the collective's node-unique identifier.
@@ -121,6 +125,7 @@ func (c *Collective) join(k *kernelInstance, now simclock.Time) {
 	}
 	if len(c.members) == 1 && c.timeout > 0 {
 		c.node.evCounts.Collective++
+		c.node.seqs++
 		c.timeoutH = c.node.eng.After(c.timeout, c.abortFn)
 	}
 	if c.joined == c.size {
@@ -172,6 +177,7 @@ func (c *Collective) refreshRate(now simclock.Time) {
 	c.completion.Cancel()
 	delay := completionDelay(c.remainingNS, rate)
 	c.node.evCounts.Collective++
+	c.node.seqs++
 	c.completion = c.node.eng.After(delay, c.completionFn)
 }
 

@@ -52,6 +52,16 @@ func (s DeviceStats) Add(o DeviceStats) DeviceStats {
 	}
 }
 
+// Sub returns the field-wise difference s - o.
+func (s DeviceStats) Sub(o DeviceStats) DeviceStats {
+	return DeviceStats{
+		ComputeBusy: s.ComputeBusy - o.ComputeBusy,
+		CommBusy:    s.CommBusy - o.CommBusy,
+		OverlapBusy: s.OverlapBusy - o.OverlapBusy,
+		KernelsRun:  s.KernelsRun - o.KernelsRun,
+	}
+}
+
 // Device is one simulated GPU.
 type Device struct {
 	node    *Node
@@ -437,10 +447,8 @@ func (d *Device) tryAdmit(s *Stream, k *kernelInstance, now simclock.Time) bool 
 // than its first head attempt sat blocked on SM capacity; the last
 // finish on the device is what freed it.
 func (d *Device) emitDep(k *kernelInstance, now simclock.Time) {
-	tr := d.node.tracer
-	if tr == nil {
-		return
-	}
+	// The stamps are kept with or without a tracer, so that a node's
+	// state, which a warp compares (Warp), does not depend on one.
 	if !k.headStamped {
 		k.headStamped = true
 		k.headAt = now
@@ -448,6 +456,10 @@ func (d *Device) emitDep(k *kernelInstance, now simclock.Time) {
 	}
 	if now > k.headAt {
 		k.admitPred = d.lastFreed
+	}
+	tr := d.node.tracer
+	if tr == nil {
+		return
 	}
 	coll := -1
 	if k.spec.Coll != nil {
@@ -579,9 +591,10 @@ func (d *Device) emitSpan(k *kernelInstance, end simclock.Time) {
 		coll = k.spec.Coll.id
 	}
 	m := d.copies()
+	name := ShiftName(k.spec.Name, k.nameShift)
 	for r := range m {
 		tr.KernelSpan(KernelSpan{
-			ID: k.ref().copyID(m - 1 - r), Device: d.copyID(r), Name: k.spec.Name, Class: k.spec.Class,
+			ID: k.ref().copyID(m - 1 - r), Device: d.copyID(r), Name: name, Class: k.spec.Class,
 			Start: k.startedAt, End: end,
 			Batch: k.spec.Batch, Req: k.spec.Req, Coll: coll,
 			Cancelled: k.cancelled,
@@ -714,5 +727,6 @@ func (d *Device) setKernelRate(k *kernelInstance, rate float64, now simclock.Tim
 	k.completion.Cancel()
 	delay := completionDelay(k.remainingNS, rate)
 	d.node.evCounts.Device++
+	d.node.seqs++
 	k.completion = d.node.eng.After(delay, k.completionFn)
 }

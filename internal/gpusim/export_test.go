@@ -26,4 +26,7 @@ func SetFolding(n *Node, on bool) { n.noFold = !on }
 // TraceFoldedLead installs tr on n, a node that folds leads, past
 // SetTracer's refusal: a test compares every record of such a run but
 // the dependency records with the unfolded run's.
-func TraceFoldedLead(n *Node, tr Tracer) { n.tracer = tr }
+func TraceFoldedLead(n *Node, tr Tracer) {
+	n.tape = &tape{inner: tr}
+	n.tracer = n.tape
+}

@@ -126,6 +126,14 @@ type kernelInstance struct {
 	// a normal completion. Set by the cancel paths before finish so the
 	// tracer can flag the span.
 	cancelled string
+
+	// nameShift is the layers a warp moved the kernel on (Node.Shift):
+	// its name is spec.Name shifted by as many (ShiftName).
+	nameShift int
+	// warpEpoch and warpIdx name the instance in a state encoding
+	// (Node.EncodeState).
+	warpEpoch uint64
+	warpIdx   int
 }
 
 // ref names k in dependency records.

@@ -22,6 +22,7 @@ package gpusim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"liger/internal/hw"
@@ -231,6 +232,26 @@ type Node struct {
 	diverged    bool
 
 	tracer Tracer
+	// tape, while a tracer is installed, keeps the records of the recent
+	// rounds for a warp to re-emit (see Warp).
+	tape *tape
+
+	// The node's own events, for Warp: the sequence numbers it took and
+	// the events of its that fired; notes lists its pending host
+	// callbacks in scheduling order, noteFree recycles them, and
+	// warpEpoch numbers the state encodings (Node.EncodeState).
+	seqs, fired uint64
+	notes       []*hostNote
+	noteFree    []*hostNote
+	warpEpoch   uint64
+}
+
+// hostNote is a host callback the node scheduled (notifyHost,
+// HostBarrier), pooled with its firing callback.
+type hostNote struct {
+	fn     func(simclock.Time)
+	h      simclock.Handle
+	fireFn simclock.Event
 }
 
 // New builds a simulated node from a hardware description.
@@ -339,14 +360,21 @@ func (n *Node) SetTracer(t Tracer) {
 	if t != nil && n.foldLeads {
 		panic("gpusim: SetTracer on a node that folds leads")
 	}
-	n.tracer = t
+	n.tracer, n.tape = nil, nil
+	if t != nil {
+		n.tape = &tape{inner: t}
+		n.tracer = n.tape
+	}
 }
 
 // Tracer returns the installed tracer (nil when tracing is disabled).
 // Runtimes use it to report recovery transitions.
 func (n *Node) Tracer() Tracer {
 	n.touch()
-	return n.tracer
+	if n.tape == nil {
+		return nil
+	}
+	return n.tape.inner
 }
 
 // newEvent takes an event from the free list (or allocates one) for a
@@ -375,8 +403,38 @@ func (n *Node) recycleEvent(ev *Event) {
 
 // notifyHost runs fn on the host after the notification latency.
 func (n *Node) notifyHost(fn func(simclock.Time)) {
+	n.hostAfter(n.spec.Host.NotifyLatency, fn)
+}
+
+// hostAfter runs fn on the host d from now, listed on the node until it
+// fires.
+func (n *Node) hostAfter(d time.Duration, fn func(simclock.Time)) {
+	var note *hostNote
+	if l := len(n.noteFree); l > 0 {
+		note = n.noteFree[l-1]
+		n.noteFree[l-1] = nil
+		n.noteFree = n.noteFree[:l-1]
+	} else {
+		note = &hostNote{}
+		note.fireFn = func(t simclock.Time) { n.fireNote(note, t) }
+	}
+	note.fn = fn
 	n.evCounts.Host++
-	n.eng.After(n.spec.Host.NotifyLatency, fn)
+	n.seqs++
+	note.h = n.eng.After(d, note.fireFn)
+	n.notes = append(n.notes, note)
+}
+
+// fireNote runs a host callback and recycles its note.
+func (n *Node) fireNote(note *hostNote, t simclock.Time) {
+	n.fired++
+	if i := slices.Index(n.notes, note); i >= 0 {
+		n.notes = slices.Delete(n.notes, i, i+1)
+	}
+	fn := note.fn
+	note.fn, note.h = nil, simclock.Handle{}
+	n.noteFree = append(n.noteFree, note)
+	fn(t)
 }
 
 // newKernel takes a kernel instance from the free list (or allocates
@@ -391,6 +449,7 @@ func (n *Node) newKernel() *kernelInstance {
 	}
 	k := &kernelInstance{}
 	k.completionFn = func(t simclock.Time) {
+		n.fired++
 		k.updateProgress(t)
 		k.stream.dev.finish(k, t)
 	}
@@ -434,6 +493,7 @@ func (n *Node) NewStreamOnConnection(dev, conn int) *Stream {
 	s := &Stream{node: n, dev: d, id: n.nextStreamID, conn: d.conns[conn],
 		lastDone: noKernel, advCause: CauseDelivery, advPred: noKernel}
 	s.deliverFn = func(t simclock.Time) {
+		n.fired++
 		s.advCause, s.advPred = CauseDelivery, noKernel
 		s.advance(t)
 	}
@@ -461,8 +521,14 @@ func (n *Node) NewCollective(size int) *Collective {
 			completionFn: c.completionFn, abortFn: c.abortFn}
 	} else {
 		c = &Collective{node: n}
-		c.completionFn = func(t simclock.Time) { c.finish(t) }
-		c.abortFn = func(t simclock.Time) { c.abort(t) }
+		c.completionFn = func(t simclock.Time) {
+			n.fired++
+			c.finish(t)
+		}
+		c.abortFn = func(t simclock.Time) {
+			n.fired++
+			c.abort(t)
+		}
 	}
 	c.id, c.size, c.timeout = n.nextCollID, size, n.collTimeout
 	if cap(c.members) < size {
@@ -556,8 +622,7 @@ func (n *Node) Drained() bool {
 func (n *Node) HostBarrier(events []*Event, fn func(now simclock.Time)) {
 	n.touch()
 	if len(events) == 0 {
-		n.evCounts.Host++
-		n.eng.After(0, fn)
+		n.hostAfter(0, fn)
 		return
 	}
 	pending := len(events)
@@ -567,8 +632,7 @@ func (n *Node) HostBarrier(events []*Event, fn func(now simclock.Time)) {
 		ev.onFire(func(simclock.Time) {
 			pending--
 			if pending == 0 {
-				n.evCounts.Host++
-				n.eng.After(jitter, fn)
+				n.hostAfter(jitter, fn)
 			}
 		})
 	}

@@ -60,6 +60,10 @@ type Event struct {
 	// kernel inherits.
 	firedBy kernelRef
 	subs    []eventSub
+	// warpEpoch and warpIdx name the event in a state encoding
+	// (Node.EncodeState).
+	warpEpoch uint64
+	warpIdx   int
 }
 
 // eventSub is one same-instant subscription to an event: a stream whose
@@ -170,8 +174,9 @@ type Stream struct {
 	qhead    int
 	priority int
 	// deliverFn is the delivery callback armHead schedules for whichever
-	// command heads the stream.
+	// command heads the stream, deliverH the last one it armed.
 	deliverFn simclock.Event
+	deliverH  simclock.Handle
 
 	// lastDone is the last kernel completed on this stream (noKernel if
 	// none); events recorded on the stream inherit it as their firing
@@ -248,11 +253,13 @@ func (s *Stream) issue(cmd command) simclock.Time {
 	cmd.deliveredAt = d.deliver(&s.conn.lastDelivery, now)
 	cmd.followerAt = cmd.deliveredAt
 	cmd.seq = eng.Reserve()
+	s.node.seqs++
 	if cmd.leadOnly {
 		d.leadDepth++
 	} else if d.withLead {
 		cmd.followerAt = d.deliver(&s.conn.followerDelivery, now)
 		eng.Reserve()
+		s.node.seqs++
 	}
 	if s.qhead > 0 && 2*s.qhead >= len(s.queue) && len(s.queue) == cap(s.queue) {
 		// Full, and at least half of it retired: slide the outstanding
@@ -290,7 +297,7 @@ func (s *Stream) armHead() {
 		s.node.diverged = true
 	}
 	s.node.evCounts.Stream++
-	eng.AtSeq(cmd.deliveredAt, cmd.seq, s.deliverFn)
+	s.deliverH = eng.AtSeq(cmd.deliveredAt, cmd.seq, s.deliverFn)
 }
 
 // Launch enqueues a kernel. The call returns immediately (asynchronous

@@ -3,6 +3,7 @@ package liger
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"liger/internal/gpusim"
@@ -36,12 +37,15 @@ func (r RoundRecord) String() string {
 }
 
 // EnableJournal starts recording round decisions, keeping at most cap
-// records (oldest dropped). Zero cap disables.
+// records (oldest dropped): a cap below the records kept trims them to
+// the newest cap. Zero cap disables.
 func (s *Scheduler) EnableJournal(cap int) {
 	s.touch()
 	s.journalCap = cap
 	if cap <= 0 {
 		s.journal = nil
+	} else if n := len(s.journal); n > cap {
+		s.journal = slices.Delete(s.journal, 0, n-cap)
 	}
 }
 

@@ -55,6 +55,29 @@ func TestJournalBounded(t *testing.T) {
 	}
 }
 
+// Lowering the cap below the records kept trims the journal to the
+// newest cap records, and it stays bounded by the new cap.
+func TestJournalCapLowered(t *testing.T) {
+	eng, _, s := testRig(t, testCfg())
+	s.EnableJournal(10)
+	eng.After(0, func(simclock.Time) {
+		s.Submit(syntheticBatch(0, 10, 2, 20*time.Microsecond, 20*time.Microsecond))
+	})
+	eng.RunUntil(200 * time.Microsecond)
+	before := append([]RoundRecord(nil), s.Journal()...)
+	if len(before) < 5 {
+		t.Fatalf("journal holds %d records before the cap is lowered, want at least 5", len(before))
+	}
+	s.EnableJournal(3)
+	if j := s.Journal(); len(j) != 3 || j[0].Round != before[len(before)-3].Round || j[2].Round != before[len(before)-1].Round {
+		t.Fatalf("journal after lowering the cap to 3: %d records from round %d; want the newest 3 of %d", len(j), j[0].Round, len(before))
+	}
+	eng.Run()
+	if j := s.Journal(); len(j) != 3 || j[2].Round != s.Stats().Rounds {
+		t.Fatalf("journal holds %d records ending at round %d of %d; want the newest 3", len(j), j[len(j)-1].Round, s.Stats().Rounds)
+	}
+}
+
 func TestJournalDisabledByDefault(t *testing.T) {
 	eng, _, s := testRig(t, testCfg())
 	eng.After(0, func(simclock.Time) {

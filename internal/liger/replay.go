@@ -279,6 +279,7 @@ func (s *Scheduler) Replay(b *Batch, rec *Replay, catchUp func(*Batch, *Replay))
 	if !eng.Defer(eng.Now()+rec.Duration, s.replayDone, s.replayCaught) {
 		return false
 	}
+	s.ff.reset()
 	s.replaying, s.replayRec, s.catchUp = b, rec, catchUp
 	return true
 }
@@ -322,5 +323,6 @@ func (st Stats) Since(earlier Stats) Stats {
 		SecondaryOverruns:  st.SecondaryOverruns - earlier.SecondaryOverruns,
 		DegradedFallbacks:  st.DegradedFallbacks - earlier.DegradedFallbacks,
 		DegradedRebalances: st.DegradedRebalances - earlier.DegradedRebalances,
+		FastForwarded:      st.FastForwarded - earlier.FastForwarded,
 	}
 }

@@ -27,6 +27,9 @@ type Stats struct {
 	// SecondaryOverruns counts rounds whose secondary subset outlasted
 	// the primary on the device timeline.
 	SecondaryOverruns int
+	// FastForwarded counts the rounds, among Rounds, that the period
+	// fast-forward skipped instead of simulating (fastforward.go).
+	FastForwarded int
 	// AdaptedFactor is the final online contention factor (equals the
 	// configured factor unless AdaptiveContention is on).
 	AdaptedFactor float64
@@ -107,8 +110,12 @@ type Scheduler struct {
 	// nextRound is the round-completion trigger, allocated on the first
 	// round.
 	nextRound func(now simclock.Time)
-	// obsFree recycles overrun observers (see observeOverrun).
+	// obsFree recycles overrun observers (see observeOverrun); obsLive
+	// lists those still waiting for an end event, oldest first.
 	obsFree []*roundObserver
+	obsLive []*roundObserver
+	// ff is the period fast-forward.
+	ff fastForward
 
 	// replaying is the batch a Replay runs, with its record and its
 	// catch-up, until its completion event replayDone fires or the engine
@@ -126,6 +133,7 @@ func NewScheduler(node *gpusim.Node, cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	s := &Scheduler{node: node, cfg: cfg, alive: node.AliveDevices(), rep: -1, live: make(map[*Batch]struct{})}
+	s.ff.reset()
 	for d := 0; d < node.NumDevices(); d++ {
 		// Compute launches on connection 0, communication on connection 1:
 		// a burst of compute launches can never delay the delivery of a
@@ -202,6 +210,10 @@ func (s *Scheduler) batchDone(b *Batch, t simclock.Time) {
 		s.processing = slices.Delete(s.processing, i, i+1)
 	}
 	delete(s.live, b)
+	if len(s.live) == 0 {
+		// Idle: the fast-forward's detector goes back for others to use.
+		s.ff.release()
+	}
 	if b.workspaceHeld {
 		b.workspaceHeld = false
 		s.node.FreeAll(b.WorkspaceBytes)
@@ -505,6 +517,12 @@ func (s *Scheduler) launchRound(now simclock.Time) {
 	if s.nextRound == nil {
 		s.nextRound = func(t simclock.Time) {
 			s.roundPending = false
+			if s.ff.watch != nil {
+				s.ff.watch(false, t)
+			}
+			if s.fastForward(t) {
+				return
+			}
 			s.maybeStartRound(t)
 		}
 	}
@@ -607,6 +625,7 @@ func (s *Scheduler) observeOverrun(ep, es *gpusim.Event, window time.Duration) {
 	}
 	o.threshold = window / 50 // ignore sub-2% overruns: noise, not failures
 	o.primEnded, o.primAt, o.pending = false, 0, 2
+	s.obsLive = append(s.obsLive, o)
 	ep.Observe(o.onPrim)
 	es.Observe(o.onSec)
 }
@@ -646,7 +665,11 @@ func (o *roundObserver) secondaryEnded(now simclock.Time) {
 func (o *roundObserver) done() {
 	o.pending--
 	if o.pending == 0 {
-		o.s.obsFree = append(o.s.obsFree, o)
+		s := o.s
+		if i := slices.Index(s.obsLive, o); i >= 0 {
+			s.obsLive = slices.Delete(s.obsLive, i, i+1)
+		}
+		s.obsFree = append(s.obsFree, o)
 	}
 }
 
@@ -683,6 +706,7 @@ func (s *Scheduler) collectives(buf []*gpusim.Collective, subset []Func) []*gpus
 // when nothing is in flight.
 func (s *Scheduler) Quiesce(now simclock.Time, drained func(now simclock.Time)) {
 	s.touch()
+	s.ff.reset()
 	s.quiescing = true
 	s.onDrained = drained
 	s.drainSet = make(map[*Batch]struct{}, len(s.live))
@@ -718,6 +742,7 @@ func (s *Scheduler) Quiesce(now simclock.Time, drained func(now simclock.Time)) 
 // model and nothing queued can ever run.
 func (s *Scheduler) FailAll(now simclock.Time) {
 	s.touch()
+	s.ff.reset()
 	waiting := s.waiting
 	s.waiting = nil
 	processing := s.processing
@@ -736,6 +761,7 @@ func (s *Scheduler) FailAll(now simclock.Time) {
 // reduced world.
 func (s *Scheduler) Resume(now simclock.Time) {
 	s.touch()
+	s.ff.reset()
 	s.alive = s.node.AliveDevices()
 	s.quiescing = false
 	s.drainSet = nil

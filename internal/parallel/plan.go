@@ -77,6 +77,20 @@ func (p *Plan) At(i int) (k *KernelDesc, name string) {
 	return k, k.Name
 }
 
+// Layer returns the layer kernel i of the expanded sequence runs in and
+// its index in the layer block, or -1 and -1 when it lies in the pre or
+// post block.
+func (p *Plan) Layer(i int) (l, j int) {
+	i -= len(p.pre)
+	if i < 0 || i >= p.Layers*len(p.layer) {
+		return -1, -1
+	}
+	return i / len(p.layer), i % len(p.layer)
+}
+
+// LayerLen returns the number of kernels in the layer block.
+func (p *Plan) LayerLen() int { return len(p.layer) }
+
 // Kernels expands the plan into its flat kernel sequence.
 func (p *Plan) Kernels() []KernelDesc {
 	out := make([]KernelDesc, p.Len())

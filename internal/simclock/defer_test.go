@@ -262,3 +262,90 @@ func shardRefusals(t *testing.T) {
 		t.Fatal("Sharded.RunUntil stopped inside a deferred span without catching it up")
 	}
 }
+
+// deferSeqsRun runs a computation that starts at 10 from inside an
+// event, takes five sequence numbers and ends with an event at (30, its
+// third number), deferred with DeferSeqs or not. A foreign event queued
+// before it fires at 30, and one at 20 touches the engine when touch is
+// set. It returns the log and the engine's sequence number at the end.
+func deferSeqsRun(t *testing.T, deferred, touch bool) (string, uint64) {
+	t.Helper()
+	e := New()
+	var log strings.Builder
+	e.At(20, func(now Time) {
+		if touch {
+			e.Touch()
+		}
+		fmt.Fprintf(&log, "%d foreign at 20, seq %d\n", now, e.Seq())
+	})
+	e.At(30, func(now Time) { fmt.Fprintf(&log, "%d foreign at 30\n", now) })
+	e.At(10, func(Time) {
+		first := e.Seq()
+		end := func(now Time) { fmt.Fprintf(&log, "%d end, seq %d\n", now, e.Seq()-first) }
+		compute := func() {
+			e.At(15, func(now Time) { fmt.Fprintf(&log, "%d step\n", now) })
+			e.Reserve()
+			e.AtSeq(30, e.Reserve(), end)
+			e.ReserveN(2)
+		}
+		if !deferred {
+			compute()
+			return
+		}
+		if !e.DeferSeqs(30, first+2, 5, end, compute) {
+			t.Fatal("DeferSeqs refused")
+		}
+		if seq, ok := e.Firing(); !ok || seq >= first {
+			t.Errorf("Firing() = %d, %v inside the event that deferred at seq %d", seq, ok, first)
+		}
+	})
+	e.Run()
+	return log.String(), e.Seq()
+}
+
+// A computation deferred with DeferSeqs takes its sequence numbers at
+// once and ends in the place of its own last event; caught up, it gives
+// them back and takes them again as it runs, so a plain run and a
+// deferred one, touched or not, fire the same events in the same order
+// and end at the same sequence number.
+func TestDeferSeqs(t *testing.T) {
+	for _, touch := range []bool{false, true} {
+		want, wantSeq := deferSeqsRun(t, false, touch)
+		if !touch {
+			// Left deferred, the computation logs only its end.
+			want = strings.Replace(want, "15 step\n", "", 1)
+		}
+		got, gotSeq := deferSeqsRun(t, true, touch)
+		if got != want {
+			t.Errorf("touch %v: deferred run logged\n%s\nplain run\n%s", touch, got, want)
+		}
+		if gotSeq != wantSeq {
+			t.Errorf("touch %v: deferred run ends at seq %d, plain run at %d", touch, gotSeq, wantSeq)
+		}
+	}
+	e := New()
+	e.At(10, func(Time) {
+		first := e.Seq()
+		if e.DeferSeqs(30, first+5, 5, func(Time) {}, func() {}) || e.DeferSeqs(30, first-1, 5, func(Time) {}, func() {}) {
+			t.Error("DeferSeqs took an end outside its block")
+		}
+		if e.Seq() != first {
+			t.Errorf("refused DeferSeqs took %d sequence numbers", e.Seq()-first)
+		}
+	})
+	e.RunUntil(20)
+	h := e.At(40, func(Time) {})
+	if at, _, ok := h.Pos(); !ok || at != 40 {
+		t.Errorf("Pos of a queued event = %v, %v; want 40, true", at, ok)
+	}
+	h.Cancel()
+	if _, _, ok := h.Pos(); ok {
+		t.Error("Pos of a cancelled event reports it queued")
+	}
+	e.At(25, func(Time) {
+		if e.DeferSeqs(35, e.Seq(), 1, func(Time) {}, func() {}) {
+			t.Error("DeferSeqs deferred past the RunUntil deadline")
+		}
+	})
+	e.RunUntil(30)
+}

@@ -176,13 +176,16 @@ type Engine struct {
 }
 
 // deferral is the computation Defer skipped: the event standing for its
-// end, its catch-up, and the clock's position when it was skipped.
+// end, its catch-up, the clock's position when it was skipped, and the
+// sequence numbers DeferSeqs took for it, from first on.
 type deferral struct {
 	end     Handle
 	done    Event
 	catchUp func()
 	at      Time
 	cur     uint64
+	first   uint64
+	seqs    uint64
 }
 
 // New returns an engine with the clock at zero and no pending events.
@@ -367,6 +370,45 @@ func (e *Engine) Defer(end Time, done Event, catchUp func()) bool {
 	return true
 }
 
+// DeferSeqs is Defer for a computation that would take the next n
+// sequence numbers and whose end is an event it schedules: it takes the
+// numbers now, and done fires at position (end, seq), where seq is one
+// of them, in place of that event. A catch-up gives the numbers back
+// before it runs catchUp, which takes them again as it simulates.
+func (e *Engine) DeferSeqs(end Time, seq uint64, n int, done Event, catchUp func()) bool {
+	e.Touch()
+	first := e.seq
+	if end > e.stop || e.catching || n < 1 || seq < first || seq >= first+uint64(n) {
+		return false
+	}
+	if e.endFn == nil {
+		e.endFn = e.endDeferred
+	}
+	e.seq += uint64(n)
+	e.deferred = deferral{end: e.AtSeq(end, seq, e.endFn), done: done, catchUp: catchUp, at: e.now, cur: e.curKey,
+		first: first, seqs: uint64(n)}
+	e.deferEnd = end
+	return true
+}
+
+// Firing returns the sequence number of the event firing now, and false
+// when none is or it was posted by another shard.
+func (e *Engine) Firing() (uint64, bool) {
+	if e.curKey&localKey == 0 {
+		return 0, false
+	}
+	return (e.curKey - 1) &^ localKey, true
+}
+
+// Pos returns the position of the event h names, and false when it fired,
+// was cancelled, or was posted by another shard.
+func (h Handle) Pos() (Time, uint64, bool) {
+	if h.it == nil || h.it.gen != h.gen || h.it.cancelled || h.it.key&localKey == 0 {
+		return 0, 0, false
+	}
+	return h.it.at, h.it.key &^ localKey, true
+}
+
 // Touch catches up the computation Defer skipped, if there is one.
 func (e *Engine) Touch() {
 	if e.deferEnd >= 0 {
@@ -386,6 +428,11 @@ func (e *Engine) catchUp() {
 	d := e.deferred
 	e.deferred, e.deferEnd = deferral{}, -1
 	d.end.Cancel()
+	if d.seqs > 0 {
+		// Nothing took a sequence number since DeferSeqs: every Reserve
+		// catches up first.
+		e.seq = d.first
+	}
 	now, cur := e.now, e.curKey
 	e.now, e.curKey, e.catching = d.at, d.cur, true
 	d.catchUp()

@@ -70,7 +70,15 @@
 //     on (deferred computations and their catch-ups, the
 //     window-independent post order of
 //     TestShardedPostOrderIgnoresBarriers, reserved blocks, Drained,
-//     Work, the per-plan record, Settled) under -race
+//     Work, the per-plan record, Settled), and the period fast-forward:
+//     its differentials against the simulation, plain, traced and at 1
+//     and 4 workers (TestFastForwardMatchesSimulation,
+//     TestFastForwardTraced, TestFastForwardParallel), the state every
+//     jump lands on (TestFastForwardLandsOnSimulatedState), its refusals
+//     (TestFastForwardNeverFires), its catch-ups
+//     (TestFastForwardCatchUp), the FuzzFastForward and FuzzTimeShift
+//     seeds, the engine primitive (TestDeferSeqs) and the journal cap it
+//     reads (TestJournalCapLowered), under -race
 //
 // Then the determinism smokes. Each runs one command at two settings
 // and fails unless stdout (host-dependent lines stripped) and every
@@ -213,7 +221,7 @@ func main() {
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
 			"./internal/analyze")},
 		{"replay race", command("go", "test", "-race",
-			"-run", "SoloIteration|Synthesized|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled|LeadFold|PlanCache|SynthesizesEachShapeOnce",
+			"-run", "SoloIteration|Synthesized|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled|LeadFold|PlanCache|SynthesizesEachShapeOnce|FastForward|TimeShift|JournalCapLowered",
 			"./internal/runtimes", "./internal/simclock", "./internal/gpusim", "./internal/liger", "./internal/scenario")},
 		{"failover smoke", smoke{
 			what: "failover sweep",
