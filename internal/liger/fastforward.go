@@ -50,7 +50,8 @@ type fastForward struct {
 	inputs [ffPeriod]ffInputs
 	// det is the rest, taken from detectors at the first round start
 	// that may jump and given back when no batch is live: a scheduler
-	// that never gets there, such as a replay probe's, holds none.
+	// that never gets there, such as one under InterStreamOnly sync,
+	// holds none.
 	det *ffDetector
 	// doneFn, caughtF and advance are the scheduler's jumped,
 	// caughtUpJump and advanceOf, made once.
@@ -118,7 +119,7 @@ type ffState struct {
 // ffMinLayers is the fewest layers a plan needs for a jump: the primary
 // batch moves on every period, and a jump needs it to be a period into
 // its layers at a candidate and a period clear of its last layer after
-// the next. A replay probe's plan of at most three layers never jumps.
+// the next.
 const ffMinLayers = 5
 
 // ffEncodeCap is the room an encoding buffer starts with: an OPT-30B

@@ -290,8 +290,8 @@ const planBudget = 1 << 17
 
 // cachedPlan is one entry of the plan cache. records holds the shape's
 // recorded solo iteration in each world that has one (see Replay), or
-// nonlinear for a world whose probes do not extend to one. The cache's
-// lock guards it.
+// unrecordable for a world whose probe failed or did not complete. The
+// cache's lock guards it.
 type cachedPlan struct {
 	w       model.Workload
 	plan    *parallel.Plan
@@ -429,14 +429,14 @@ func (p *Plans) cacheFor(tp int) *planCache {
 }
 
 // Records counts the records the cache holds and the shapes it marks
-// (MarkNonlinear), over every entry and world.
+// (MarkUnrecordable), over every entry and world.
 func (p *Plans) Records() (held, marked int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, c := range p.caches {
 		for e := c.lru.Front(); e != nil; e = e.Next() {
 			for _, r := range e.Value.(*cachedPlan).records {
-				if r.rec == nonlinear {
+				if r.rec == unrecordable {
 					marked++
 				} else {
 					held++

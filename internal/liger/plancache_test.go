@@ -145,10 +145,11 @@ func TestPlanCacheIsolatedFromDecomposition(t *testing.T) {
 }
 
 // The decode plans of one batch size share their batch's blocks but
-// each holds its own attention, and a cut of a sharing plan keeps it:
-// it is the compile of the cut depth at its own context length, not at
-// the one its batch's blocks were compiled for.
-func TestCutKeepsItsOwnAttention(t *testing.T) {
+// each holds its own attention, and a detached batch of a sharing plan
+// (Batch.Detached, what a replay probe runs) keeps it: it runs the
+// compile of the model at its own context length, not at the one its
+// batch's blocks were compiled for.
+func TestDetachedRunsItsOwnAttention(t *testing.T) {
 	spec := model.OPT30B()
 	comp := parallel.NewCompiler(hw.A100Node(), nccl.Config{ReducedChannels: true})
 	asm, err := NewAssembler(comp, spec, 4)
@@ -157,22 +158,25 @@ func TestCutKeepsItsOwnAttention(t *testing.T) {
 	}
 	short := model.Workload{Batch: 4, CtxLen: 128, Phase: model.Decode}
 	long := model.Workload{Batch: 4, CtxLen: 4096, Phase: model.Decode}
-	var cuts [2][]string
+	var runs [2][]string
 	for i, w := range []model.Workload{short, long} {
 		b, err := asm.Assemble(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cuts[i] = describe(batchDescs(b.Cut(2, nil)))
-		ks, err := parallel.NewCompiler(hw.A100Node(), nccl.Config{ReducedChannels: true}).IntraOp(spec.WithLayers(2), 4, w)
+		runs[i] = describe(batchDescs(b.Detached(nil)))
+		ks, err := parallel.NewCompiler(hw.A100Node(), nccl.Config{ReducedChannels: true}).IntraOp(spec, 4, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := describe(ks); !reflect.DeepEqual(cuts[i], want) {
-			t.Fatalf("ctx %d: the cut runs\n%s\nwant\n%s", w.CtxLen, strings.Join(cuts[i], "\n"), strings.Join(want, "\n"))
+		if want := describe(ks); !reflect.DeepEqual(runs[i], want) {
+			t.Fatalf("ctx %d: the detached batch runs\n%s\nwant\n%s", w.CtxLen, strings.Join(runs[i], "\n"), strings.Join(want, "\n"))
+		}
+		if b.Remaining() != len(ks) {
+			t.Fatalf("ctx %d: draining the detached batch moved the assembled one", w.CtxLen)
 		}
 	}
-	if reflect.DeepEqual(cuts[0], cuts[1]) {
+	if reflect.DeepEqual(runs[0], runs[1]) {
 		t.Fatal("the two context lengths cost alike: the test compares nothing")
 	}
 }
@@ -207,7 +211,7 @@ func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	asm.SetReplay(first, World{Folded: true}, rec)
 	asm.SetReplay(first, World{}, rec)
 	perPlan := plan.Stored()
-	perLayer := first.Cut(2, nil).Remaining() - first.Cut(1, nil).Remaining()
+	perLayer := plan.LayerLen()
 	if want := first.Remaining() - (spec.Layers-1)*perLayer; perPlan != want {
 		t.Fatalf("a %d-kernel plan stores %d descriptors, want %d: one layer's", first.Remaining(), perPlan, want)
 	}

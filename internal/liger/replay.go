@@ -5,18 +5,17 @@ import (
 	"time"
 
 	"liger/internal/gpusim"
-	"liger/internal/parallel"
 	"liger/internal/simclock"
 )
 
 // Iteration replay. A batch run solo on a settled scheduler (Settled) and
 // a drained, healthy node takes the same time and does the same work at
 // every start instant: the simulation only ever reads time differences.
-// Every decoder layer runs the same kernels, so that outcome is also
-// affine in the layer count. runtimes.Liger decides when a replay is
-// exact and synthesizes a shape's record from probes of its plan cut to
-// 1, 2 and 3 layers (Batch.Cut, Extend); the shape's plan-cache entry
-// keeps the record, one per World, and the scheduler runs it.
+// runtimes.Liger decides when a replay is exact and synthesizes a
+// shape's record from one probe of its plan at full depth
+// (Batch.Detached, Probe.Record), whose steady layers the period
+// fast-forward skips; the shape's plan-cache entry keeps the record, one
+// per World, and the scheduler runs it.
 
 // Replay is the recorded outcome of one solo iteration of a shape. It
 // is kept small: a serving run records hundreds of shapes.
@@ -56,7 +55,7 @@ func NewReplay(d time.Duration, seqs int, w gpusim.Work, sched Stats) *Replay {
 // that completed. A node replays only records of its own world: its own
 // probe would have produced exactly those. Alive has bit d set for each
 // surviving device d; a node of more than 64 devices has no records
-// (Extend).
+// (Probe.Record).
 type World struct {
 	Alive   uint64
 	Folded  bool
@@ -64,8 +63,8 @@ type World struct {
 }
 
 // Replay returns the record of b's shape in world w, nil when there is
-// none, and reports whether the shape is marked in w as one whose probes
-// do not extend to a record (MarkNonlinear). b is a batch a assembled.
+// none, and reports whether the shape is marked in w as one without a
+// record (MarkUnrecordable). b is a batch a assembled.
 func (a *Assembler) Replay(b *Batch, w World) (rec *Replay, marked bool) {
 	e := b.entry
 	if e == nil {
@@ -75,7 +74,7 @@ func (a *Assembler) Replay(b *Batch, w World) (rec *Replay, marked bool) {
 	defer a.plans.mu.Unlock()
 	for _, r := range e.records {
 		if r.world == w {
-			if r.rec == nonlinear {
+			if r.rec == unrecordable {
 				return nil, true
 			}
 			return r.rec, false
@@ -104,45 +103,37 @@ func (a *Assembler) SetReplay(b *Batch, w World, rec *Replay) {
 	e.records = append(e.records, worldRecord{w, rec})
 }
 
-// nonlinear stands in a plan-cache entry's record of a world for a
-// shape marked by MarkNonlinear.
-var nonlinear = new(Replay)
+// unrecordable stands in a plan-cache entry's record of a world for a
+// shape marked by MarkUnrecordable.
+var unrecordable = new(Replay)
 
-// MarkNonlinear marks b's shape in world w as one whose probes do not
-// extend to a record (Extend refused them), so none is synthesized
+// MarkUnrecordable marks b's shape in world w as one whose probe failed
+// or did not complete (Probe.Record refused it), so it is not probed
 // again. Like a record, the mark lives with the shape's plan-cache
 // entry. b is a batch a assembled.
-func (a *Assembler) MarkNonlinear(b *Batch, w World) { a.SetReplay(b, w, nonlinear) }
+func (a *Assembler) MarkUnrecordable(b *Batch, w World) { a.SetReplay(b, w, unrecordable) }
 
-// Layers returns how many times b's plan repeats its layer block.
-func (b *Batch) Layers() int { return b.plan.Layers }
-
-// Cut returns a batch of b's shape whose plan is b's cut to layers
-// layers, 1 <= layers <= b.Layers(): the same Pre, layer block and
-// Post, the block repeated layers times. It is assembled outside the
-// plan cache, so it has no record, holds no workspace and takes no
-// batch id from the assembler; a probe node runs it. reuse, when not
-// nil, is a batch an earlier Cut returned, no longer running; Cut
-// resets and returns it, with the plan view it owns, so probing
-// allocates nothing per shape.
-func (b *Batch) Cut(layers int, reuse *Batch) *Batch {
+// Detached returns a batch of b's shape that runs b's plan, shared
+// read-only. It is outside the plan cache, so it has no record, holds no
+// workspace and takes no batch id from the assembler; a probe node runs
+// it. reuse, when not nil, is a batch an earlier Detached returned, no
+// longer running; Detached resets and returns it, so probing allocates
+// nothing per shape.
+func (b *Batch) Detached(reuse *Batch) *Batch {
 	p := reuse
 	if p == nil {
-		p = &Batch{plan: new(parallel.Plan)}
+		p = new(Batch)
 	}
-	view := p.plan
-	*view = *b.plan
-	view.Layers = layers
-	*p = Batch{ID: b.ID, Workload: b.Workload, Req: -1, plan: view,
+	*p = Batch{ID: b.ID, Workload: b.Workload, Req: -1, plan: b.plan,
 		kernelDoneFn: p.kernelDoneFn, failFn: p.failFn}
 	return p
 }
 
-// Probe is the measure of one solo iteration of a cut plan (Batch.Cut)
-// on a warm, drained private node: the span from submit to completion,
-// the engine sequence numbers the submit took, whether the batch
-// failed, the node's tallies at submit and at completion, and the
-// counters the iteration added to its scheduler (Stats.Since).
+// Probe is the measure of one solo iteration of a detached batch
+// (Batch.Detached) on a warm, drained private node: the span from submit
+// to completion, the engine sequence numbers the submit took, whether
+// the batch failed, the node's tallies at submit and at completion, and
+// the counters the iteration added to its scheduler (Stats.Since).
 type Probe struct {
 	Duration      time.Duration
 	Seqs          int
@@ -151,84 +142,28 @@ type Probe struct {
 	Stats         Stats
 }
 
-// moved returns the mask of the devices whose stats the iteration moved.
-func (q *Probe) moved() uint64 {
+// Record returns the record of the iteration q measured: its duration,
+// sequence numbers and counters, and the tally delta of the devices it
+// moved. It reports false, returning no record, when the iteration
+// failed or the node has more than 64 devices.
+func (q *Probe) Record() (*Replay, bool) {
+	if q.Failed || len(q.After.Devices) > 64 {
+		return nil, false
+	}
 	var mask uint64
 	for i, d := range q.After.Devices {
 		if d != q.Before.Devices[i] {
 			mask |= 1 << i
 		}
 	}
-	return mask
-}
-
-// fields appends the record fields q measured to f: the duration, the
-// submit's sequence numbers, the kernel and collective ids and the
-// scheduler counters (the first probeFields), then each device's busy
-// times and kernel count.
-func (q *Probe) fields(f []int64) []int64 {
-	st := &q.Stats
-	f = append(f, int64(q.Duration), int64(q.Seqs),
-		int64(q.After.Kernels-q.Before.Kernels), int64(q.After.Collectives-q.Before.Collectives),
-		int64(st.Rounds), int64(st.PrimaryKernels), int64(st.SecondaryKernels), int64(st.Decompositions),
-		int64(st.EmptySecondary), int64(st.SecondaryOverruns), int64(st.DegradedFallbacks), int64(st.DegradedRebalances))
-	for i, a := range q.After.Devices {
-		b := q.Before.Devices[i]
-		f = append(f, int64(a.ComputeBusy-b.ComputeBusy), int64(a.CommBusy-b.CommBusy),
-			int64(a.OverlapBusy-b.OverlapBusy), int64(a.KernelsRun-b.KernelsRun))
-	}
-	return f
-}
-
-// probeFields counts the fields of a probe before its devices'.
-const probeFields = 12
-
-// Extend returns the record of a solo iteration of a plan of layers
-// layers from probes p of that plan cut to 1, 2 and 3 layers. Every field of the record is p[0]'s
-// plus layers-1 times its step from p[0] to p[1]. Extend reports false,
-// returning no record, when a probe failed, the probes' devices did not
-// all move alike, or a field does not take the same step from p[1] to
-// p[2]: the duration, the submit's sequence numbers, the kernel and
-// collective ids, every scheduler counter, and each device's busy times
-// and kernel count. A plan of at most 3 layers needs no extension:
-// p[layers-1], probed at the plan's own depth, is its record, and the
-// other probes are not read.
-func Extend(p *[3]Probe, layers int) (*Replay, bool) {
-	base, check := &p[0], layers > len(p)
-	if !check {
-		base = &p[layers-1]
-	}
-	mask, n := base.moved(), len(base.After.Devices)
-	if n > 64 || base.Failed || check && (p[1].Failed || p[2].Failed || p[1].moved() != mask || p[2].moved() != mask) {
-		return nil, false
-	}
-	var buf [3][probeFields + 4*64]int64
-	f := base.fields(buf[0][:0])
-	if check {
-		f1, f2 := p[1].fields(buf[1][:0]), p[2].fields(buf[2][:0])
-		if len(f1) != len(f) || len(f2) != len(f) {
-			return nil, false
-		}
-		for j := range f {
-			step := f1[j] - f[j]
-			if f2[j]-f1[j] != step {
-				return nil, false
-			}
-			f[j] += int64(layers-1) * step
+	w := gpusim.Work{Kernels: q.After.Kernels - q.Before.Kernels, Collectives: q.After.Collectives - q.Before.Collectives,
+		Mask: mask, Devices: make([]gpusim.DeviceStats, 0, bits.OnesCount64(mask))}
+	for i, d := range q.After.Devices {
+		if mask&(1<<i) != 0 {
+			w.Devices = append(w.Devices, d.Sub(q.Before.Devices[i]))
 		}
 	}
-	w := gpusim.Work{Kernels: int(f[2]), Collectives: int(f[3]), Mask: mask,
-		Devices: make([]gpusim.DeviceStats, 0, bits.OnesCount64(mask))}
-	for i := range n {
-		if d := f[probeFields+4*i:]; mask&(1<<i) != 0 {
-			w.Devices = append(w.Devices, gpusim.DeviceStats{ComputeBusy: simclock.Time(d[0]),
-				CommBusy: simclock.Time(d[1]), OverlapBusy: simclock.Time(d[2]), KernelsRun: int(d[3])})
-		}
-	}
-	sched := Stats{Rounds: int(f[4]), PrimaryKernels: int(f[5]), SecondaryKernels: int(f[6]),
-		Decompositions: int(f[7]), EmptySecondary: int(f[8]), SecondaryOverruns: int(f[9]),
-		DegradedFallbacks: int(f[10]), DegradedRebalances: int(f[11])}
-	return NewReplay(time.Duration(f[0]), int(f[1]), w, sched), true
+	return NewReplay(q.Duration, q.Seqs, w, q.Stats), true
 }
 
 // Settled reports whether the scheduler is in the state a replay probes

@@ -13,11 +13,11 @@ import (
 )
 
 // TestReplayRecordLivesOnThePlan: a shape's replay record and its
-// nonlinear mark are shared by every batch of the shape, also one an
+// unrecordable mark are shared by every batch of the shape, also one an
 // assembler sharing the plan cache assembled, one of each per world.
 // After Retarget the assembler sees neither, while an assembler still at
-// the old degree keeps both. A cut batch runs the shape's plan with fewer
-// layers and has neither.
+// the old degree keeps both. A detached batch runs the shape's plan and
+// has neither.
 func TestReplayRecordLivesOnThePlan(t *testing.T) {
 	comp := parallel.NewCompiler(hw.V100Node(), nccl.Config{ReducedChannels: true})
 	asm, err := NewAssembler(comp, model.Tiny(), 4)
@@ -47,7 +47,7 @@ func TestReplayRecordLivesOnThePlan(t *testing.T) {
 	if got, marked := asm.Replay(b, other); got != nil || marked {
 		t.Fatal("another world sees the record")
 	}
-	asm.MarkNonlinear(b, other)
+	asm.MarkUnrecordable(b, other)
 	b2, _ := peer.Assemble(w)
 	if got, marked := peer.Replay(b2, other); got != nil || !marked {
 		t.Fatal("a batch of the marked shape does not see the mark")
@@ -58,16 +58,12 @@ func TestReplayRecordLivesOnThePlan(t *testing.T) {
 	if held, marked := shared.Records(); held != 1 || marked != 1 {
 		t.Fatalf("the cache holds %d records and %d marks, want 1 and 1", held, marked)
 	}
-	cut := b2.Cut(2, nil)
-	if got, marked := peer.Replay(cut, folded); got != nil || marked || cut.Workload != w || cut.Layers() != 2 {
-		t.Fatalf("cut batch: record %v, marked %v, shape %v, %d layers", got, marked, cut.Workload, cut.Layers())
+	det := b2.Detached(nil)
+	if got, marked := peer.Replay(det, folded); got != nil || marked || det.Workload != w || det.plan != b2.plan || det.Req != -1 {
+		t.Fatalf("detached batch: record %v, marked %v, shape %v, own plan %v", got, marked, det.Workload, det.plan != b2.plan)
 	}
-	kernels := func(layers int) int { return b2.Cut(layers, nil).Remaining() }
-	if kernels(4) != b2.Remaining() || kernels(2) == kernels(1) || kernels(3)-kernels(2) != kernels(2)-kernels(1) {
-		t.Fatalf("cut batches of %d, %d, %d and %d kernels from a plan of %d", kernels(1), kernels(2), kernels(3), kernels(4), b2.Remaining())
-	}
-	if again := b2.Cut(1, cut); again != cut || again.Layers() != 1 || b2.Layers() != model.Tiny().Layers {
-		t.Fatal("a reused cut batch")
+	if again := b2.Detached(det); again != det || again.Remaining() != b2.Remaining() {
+		t.Fatal("a reused detached batch")
 	}
 	if err := asm.Retarget(comp.ForWorldSize(2), 2); err != nil {
 		t.Fatal(err)

@@ -40,3 +40,15 @@ func Record(r *Liger, w model.Workload) (*liger.Replay, liger.World) {
 	}
 	return rec, liger.World{}
 }
+
+// ProbeFastForwarded counts the periods the probe schedulers of r's
+// record store skipped (liger.Stats.FastForwarded), over its worlds.
+func ProbeFastForwarded(r *Liger) int {
+	n := 0
+	for _, w := range r.records.worlds {
+		if w.probe != nil {
+			n += w.probe.sched.Stats().FastForwarded
+		}
+	}
+	return n
+}

@@ -14,11 +14,10 @@ import (
 // Iteration replay. A serving loop submits each iteration from the
 // completion of the one before, so the iteration starts on a drained
 // node with nothing else in flight. Such a solo iteration takes the same
-// time and does the same work at every start instant, and every decoder
-// layer adds the same to it (liger.Replay), so the runtime answers it
-// from a per-shape record: one completion event instead of the
-// simulation. Every condition below keeps the answer exact; when one
-// fails the batch is simulated as it always was.
+// time and does the same work at every start instant (liger.Replay), so
+// the runtime answers it from a per-shape record: one completion event
+// instead of the simulation. Every condition below keeps the answer
+// exact; when one fails the batch is simulated as it always was.
 //
 //  1. Chained or sharded: the submit happens inside this runtime's own
 //     completion delivery, or the node's engine is a shard of a sharded
@@ -52,13 +51,13 @@ import (
 // The record comes from a probe node, not from the run itself: a
 // private copy of the node, warm and drained, with an engine of its own
 // (probe). The first submit of a shape that meets conditions 1 and 2
-// runs the shape's plan cut to 1, 2 and 3 layers there (liger.Batch.Cut)
-// and extends the three outcomes linearly to the model's layer count
-// (liger.Extend); a model of at most 3 layers is probed at its own
-// depth. The record goes on the shape's plan-cache entry, under the
-// node's world (liger.World), and the submit replays at once. A shape
-// whose probes do not take equal steps is marked and simulated as
-// always.
+// runs the shape's plan there once, at full depth (liger.Batch.Detached);
+// under Hybrid sync the probe's scheduler fast-forwards the steady
+// layers, as the runtime's own would. That run is the record
+// (liger.Probe.Record). It goes on the shape's plan-cache entry, under
+// the node's world (liger.World), and the submit replays at once. A
+// shape whose probe failed or did not complete is marked and simulated
+// as always.
 //
 // A record is a pure function of its plan and its world, so the runtimes
 // of a cluster share one record store (Records): the plan cache, with
@@ -231,9 +230,9 @@ func (r *Liger) currentWorld() liger.World {
 
 // synthesize probes b's shape in world k, the node's, and stores its
 // record on the shape's plan-cache entry, returning it. It marks the
-// shape and returns nil when the probes do not extend to a record. When
-// the probe node that folds the lead diverged, the shape is probed again
-// with the lead apart. A runtime sharing the store that synthesized or
+// shape and returns nil when the probe yields no record. When the probe
+// node that folds the lead diverged, the shape is probed again with the
+// lead apart. A runtime sharing the store that synthesized or
 // marked the shape in k meanwhile leaves nothing to probe.
 func (r *Liger) synthesize(b *liger.Batch, k liger.World) *liger.Replay {
 	w := r.records.worldOf(k)
@@ -255,10 +254,10 @@ func (r *Liger) synthesize(b *liger.Batch, k liger.World) *liger.Replay {
 	}
 	var rec *liger.Replay
 	if ok {
-		rec, ok = liger.Extend(&p.runs, b.Layers())
+		rec, ok = p.m.Record()
 	}
 	if !ok {
-		r.assembler.MarkNonlinear(b, k)
+		r.assembler.MarkUnrecordable(b, k)
 		w.fallbacks++
 		return nil
 	}
@@ -280,11 +279,12 @@ type probe struct {
 	node      *gpusim.Node
 	sched     *liger.Scheduler
 	lead, rep int
-	// batch is the cut batch running (liger.Batch.Cut), reused from probe
-	// to probe; m is the measure it fills, nil once it completed.
+	// batch is the detached batch running (liger.Batch.Detached), reused
+	// from probe to probe; m is its measure, and running is set until
+	// it completes.
 	batch    *liger.Batch
-	m        *liger.Probe
-	runs     [3]liger.Probe
+	m        liger.Probe
+	running  bool
 	submitFn func(simclock.Time)
 }
 
@@ -316,49 +316,31 @@ func newProbe(node *gpusim.Node, cfg liger.Config, foldLead bool) *probe {
 	return p
 }
 
-// shape measures b's shape into p.runs under the collective watchdog
-// timeout: the plan cut to 1, 2 and 3 layers, or only at its own depth
-// when it has at most 3. It reports false when a run did not start
-// settled and drained or did not complete.
-func (p *probe) shape(b *liger.Batch, timeout time.Duration) bool {
-	p.node.SetCollectiveTimeout(timeout)
-	layers := b.Layers()
-	lo, hi := 1, len(p.runs)
-	if layers <= hi {
-		lo, hi = layers, layers
-	}
-	for k := lo; k <= hi; k++ {
-		if !p.run(b, k, &p.runs[k-1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// run measures into m one solo iteration of b's plan cut to layers
-// layers, warming the node first with the plan cut to one layer when it
+// shape measures one solo iteration of b's plan into p.m under the
+// collective watchdog timeout, warming the node first with one when it
 // is cold. It reports false when the iteration did not start settled
 // and drained or did not complete.
-func (p *probe) run(b *liger.Batch, layers int, m *liger.Probe) bool {
-	if !p.sched.Settled() && !p.measure(b, 1, m) {
+func (p *probe) shape(b *liger.Batch, timeout time.Duration) bool {
+	p.node.SetCollectiveTimeout(timeout)
+	if !p.sched.Settled() && !p.measure(b) {
 		return false
 	}
-	return p.sched.Settled() && p.node.Drained() && p.measure(b, layers, m)
+	return p.sched.Settled() && p.node.Drained() && p.measure(b)
 }
 
-// measure runs b's plan cut to layers layers on the probe node into m.
-func (p *probe) measure(b *liger.Batch, layers int, m *liger.Probe) bool {
-	p.batch, p.m = b.Cut(layers, p.batch), m
+// measure runs b's plan on the probe node into p.m.
+func (p *probe) measure(b *liger.Batch) bool {
+	p.batch, p.running = b.Detached(p.batch), true
 	p.eng.After(0, p.submitFn)
 	p.eng.Run()
-	m.Failed = p.batch.Failed
-	return p.m == nil
+	p.m.Failed = p.batch.Failed
+	return !p.running
 }
 
-// submit submits the cut batch, reading the tally, counters and engine
-// sequence before it.
+// submit submits the detached batch, reading the tally, counters and
+// engine sequence before it.
 func (p *probe) submit(simclock.Time) {
-	m := p.m
+	m := &p.m
 	p.readTally(&m.Before)
 	m.Stats = p.sched.Stats()
 	seq := p.eng.Seq()
@@ -366,13 +348,13 @@ func (p *probe) submit(simclock.Time) {
 	m.Seqs = int(p.eng.Seq() - seq)
 }
 
-// done completes the measure of the cut batch b at its completion.
+// done completes the measure of the detached batch b at its completion.
 func (p *probe) done(b *liger.Batch, now simclock.Time) {
-	m := p.m
+	m := &p.m
 	m.Duration = now - b.SubmittedAt
 	p.readTally(&m.After)
 	m.Stats = p.sched.Stats().Since(m.Stats)
-	p.m = nil
+	p.running = false
 }
 
 // readTally reads the probe node's tally into t in the layout of the

@@ -151,6 +151,30 @@ func TestSoloIterationIgnoresStartInstant(t *testing.T) {
 	}
 }
 
+// TestCPUGPUNeverReplays: CPU-GPU sync submits each chained iteration
+// with a round still pending, so the scheduler is never settled at a
+// submit and nothing is replayed or synthesized.
+func TestCPUGPUNeverReplays(t *testing.T) {
+	shapes := []model.Workload{
+		{Batch: 8, CtxLen: 40, Phase: model.Decode},
+		{Batch: 1, SeqLen: 39, Phase: model.Context},
+	}
+	cfg := liger.DefaultConfig("a100")
+	cfg.Sync = liger.CPUGPU
+	eng, _, rt := rig{hw.A100Node(), model.OPT30B(), cfg, folded}.build(t)
+	n := 0
+	rt.SetOnDone(func(runtimes.Completion) {
+		if n++; n < 6 {
+			rt.Submit(shapes[n%2])
+		}
+	})
+	eng.At(0, func(simclock.Time) { rt.Submit(shapes[0]) })
+	eng.Run()
+	if synth := runtimes.Store(rt).Stats().Synthesized; n != 6 || runtimes.Replays(rt) != 0 || synth != 0 {
+		t.Fatalf("%d iterations, %d replayed, %d records synthesized; want 6, 0, 0", n, runtimes.Replays(rt), synth)
+	}
+}
+
 // continuousRun is a continuous-batching scenario on the tiny model.
 type continuousRun struct {
 	pool        int

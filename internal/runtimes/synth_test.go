@@ -8,7 +8,6 @@ import (
 
 	"liger/internal/cluster"
 	"liger/internal/core"
-	"liger/internal/gpusim"
 	"liger/internal/hw"
 	"liger/internal/kvcache"
 	"liger/internal/liger"
@@ -35,9 +34,6 @@ const (
 	// under Hybrid sync keeps the lead apart.
 	folded layout = iota
 	unfolded
-	// leadFolded is a probe node's under Hybrid sync: the lead folds with
-	// the followers (gpusim.Node.FoldLeads).
-	leadFolded
 )
 
 // build returns a Liger runtime over a fresh node of the rig, built as
@@ -48,23 +44,10 @@ func (g rig) build(t testing.TB) (*simclock.Engine, *core.Engine, *runtimes.Lige
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch g.layout {
-	case unfolded:
+	if g.layout == unfolded {
 		e.SimNode().KeepUnfolded()
-	case leadFolded:
-		e.SimNode().FoldLeads()
 	}
 	return e.Clock(), e, e.Runtime().(*runtimes.Liger)
-}
-
-// readTally reads node's tally into t in the layout of the runtime's
-// node: on a rig whose node folds the lead, the lead's slot gets the
-// representative's stats, as a probe node's tally does.
-func (g rig) readTally(node *gpusim.Node, t *gpusim.Tally) {
-	node.ReadTally(t)
-	if g.layout == leadFolded {
-		t.Devices[0] = t.Devices[len(t.Devices)-1]
-	}
 }
 
 // simulated runs a cold iteration of ws[0] on a fresh node of the rig
@@ -79,7 +62,7 @@ func (g rig) simulated(t testing.TB, ws []model.Workload) []liger.Probe {
 	var out []liger.Probe
 	var m liger.Probe
 	submit := func(w model.Workload) {
-		g.readTally(node, &m.Before)
+		node.ReadTally(&m.Before)
 		m.Stats = rt.Scheduler().Stats()
 		seq := eng.Seq()
 		if err := rt.Submit(w); err != nil {
@@ -91,7 +74,7 @@ func (g rig) simulated(t testing.TB, ws []model.Workload) []liger.Probe {
 	rt.SetOnDone(func(c runtimes.Completion) {
 		if !cold {
 			m.Duration, m.Failed = c.Latency(), c.Failed
-			g.readTally(node, &m.After)
+			node.ReadTally(&m.After)
 			m.Stats = rt.Scheduler().Stats().Since(m.Stats)
 			out = append(out, m)
 			m = liger.Probe{}
@@ -105,88 +88,16 @@ func (g rig) simulated(t testing.TB, ws []model.Workload) []liger.Probe {
 	if len(out) != len(ws) {
 		t.Fatalf("%d of %d iterations measured", len(out), len(ws))
 	}
-	if g.layout == leadFolded && node.Diverged() {
-		t.Fatal("the node that folds its lead diverged")
-	}
 	return out
 }
 
 // recordOf returns the record of the iteration p measured.
 func recordOf(p liger.Probe) *liger.Replay {
-	rec, ok := liger.Extend(&[3]liger.Probe{p}, 1)
+	rec, ok := p.Record()
 	if !ok {
 		panic("the record of a failed iteration")
 	}
 	return rec
-}
-
-// TestSoloIterationIsLayerAffine is the premise of synthesized records:
-// for OPT-30B, OPT-66B and the tiny model, a context and a decode shape,
-// Hybrid and InterStreamOnly sync, degradation-aware scheduling on and
-// off, folded and unfolded, and for OPT-30B and OPT-66B under Hybrid
-// sync with the lead folded too, as a probe node folds it, the record of
-// a warm solo iteration at 1 to 12 layers is the 1-layer record plus the
-// step from 1 to 2 layers once per layer added (liger.Extend of the 1-,
-// 2- and 3-layer records). CPU-GPU sync submits each chained iteration
-// with a round still pending, so it never replays.
-func TestSoloIterationIsLayerAffine(t *testing.T) {
-	const depth = 12
-	shapes := []model.Workload{
-		{Batch: 8, CtxLen: 40, Phase: model.Decode},
-		{Batch: 1, SeqLen: 39, Phase: model.Context},
-	}
-	for _, spec := range []model.Spec{model.OPT30B(), model.OPT66B(), model.Tiny()} {
-		for _, sync := range []liger.SyncMode{liger.Hybrid, liger.InterStreamOnly} {
-			for _, aware := range []bool{false, true} {
-				for _, l := range []layout{folded, unfolded, leadFolded} {
-					cfg := liger.DefaultConfig("a100")
-					cfg.Sync, cfg.DegradationAware = sync, aware
-					name := fmt.Sprintf("%s/%v/aware=%v/unfolded=%v", spec.Name, sync, aware, l == unfolded)
-					if l == leadFolded {
-						// The tiny model's kernels are short enough for the
-						// lead's issue gap to bind: its fold diverges.
-						if sync != liger.Hybrid || spec.Name == model.Tiny().Name {
-							continue
-						}
-						name = fmt.Sprintf("%s/%v/aware=%v/leadfolded", spec.Name, sync, aware)
-					}
-					t.Run(name, func(t *testing.T) {
-						byDepth := make([][]liger.Probe, depth+1)
-						for k := 1; k <= depth; k++ {
-							cut := spec
-							cut.Layers = k
-							byDepth[k] = rig{hw.A100Node(), cut, cfg, l}.simulated(t, shapes)
-						}
-						for i, w := range shapes {
-							probes := [3]liger.Probe{byDepth[1][i], byDepth[2][i], byDepth[3][i]}
-							for k := 1; k <= depth; k++ {
-								got, ok := liger.Extend(&probes, k)
-								if want := recordOf(byDepth[k][i]); !ok || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-									t.Fatalf("%v at %d layers: extended %+v (%v), simulated %+v", w, k, got, ok, want)
-								}
-							}
-						}
-					})
-				}
-			}
-		}
-	}
-	t.Run("CPUGPU", func(t *testing.T) {
-		cfg := liger.DefaultConfig("a100")
-		cfg.Sync = liger.CPUGPU
-		eng, _, rt := rig{hw.A100Node(), model.OPT30B(), cfg, folded}.build(t)
-		n := 0
-		rt.SetOnDone(func(runtimes.Completion) {
-			if n++; n < 6 {
-				rt.Submit(shapes[n%2])
-			}
-		})
-		eng.At(0, func(simclock.Time) { rt.Submit(shapes[0]) })
-		eng.Run()
-		if synth := runtimes.Store(rt).Stats().Synthesized; n != 6 || runtimes.Replays(rt) != 0 || synth != 0 {
-			t.Fatalf("%d iterations, %d replayed, %d records synthesized; want 6, 0, 0", n, runtimes.Replays(rt), synth)
-		}
-	})
 }
 
 // synthesizedRecords returns the shapes of ws, in order and without
@@ -260,44 +171,50 @@ func servingChain(t *testing.T, g rig, seqs int, prompt, gen [2]int, pool int) (
 }
 
 // TestSynthesizedRecordsMatchSimulation is the differential of record
-// synthesis: every record a run synthesized from probes must equal,
-// field for field, the record of the same shape simulated in full on a
-// fresh node, chained from the completion of the iteration before. The
-// runs are continuous-batching chains of OPT-30B on 80 GB and 40 GB
-// A100 nodes, the second with prompts of 384 to 640 tokens, and fleets
-// of OPT-30B replicas on the shards of a sharded executor at 1 and 4
-// workers, serving context and decode shapes. A fleet's nodes share one
-// record store, so each of its records is compared once, and every
-// node must see it. Their probe nodes fold
-// the lead with the followers and never diverge, so no shape is probed
+// synthesis: every record a run synthesized from its full-depth probe
+// must equal, field for field, the record of the same shape simulated
+// on a fresh node with replay off, chained from the completion of the
+// iteration before. The runs are continuous-batching chains of OPT-30B
+// on 80 GB and 40 GB A100 nodes, the second with prompts of 384 to 640
+// tokens, and fleets of OPT-30B replicas on the shards of a sharded
+// executor at 1 and 4 workers, serving context and decode shapes. A
+// fleet's nodes share one record store, so each of its records is
+// compared once, and every node must see it. Their probe nodes fold the
+// lead with the followers and never diverge, so no shape is probed
 // again. A chain of the tiny model under the same Hybrid sync diverges,
 // and its records, probed again with the lead apart, must match too.
-// Extension must also refuse probes whose third step differs from the
-// second in any one field.
+// The 80 GB chain runs three more ways: under InterStreamOnly sync,
+// which replays but never fast-forwards, so its probes simulate every
+// layer; with degradation-aware scheduling off; and on a node that keeps
+// its devices unfolded, whose probe node keeps them unfolded too.
 func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 	cfg := liger.DefaultConfig("a100")
 	cfg.DegradationAware = true
+	interStream, unaware := cfg, cfg
+	interStream.Sync, unaware.DegradationAware = liger.InterStreamOnly, false
 	small := hw.A100Node()
 	small.GPU.MemGB = 40
 	compared := 0
 	for _, c := range []struct {
 		name        string
-		node        hw.Node
-		spec        model.Spec
+		g           rig
 		seqs        int
 		prompt, gen [2]int
 		pool        int
 	}{
-		{"80GB", hw.A100Node(), model.OPT30B(), 32, [2]int{16, 48}, [2]int{16, 48}, 16},
-		{"40GB", small, model.OPT30B(), 32, [2]int{384, 640}, [2]int{24, 40}, 24},
-		{"tiny", hw.A100Node(), model.Tiny(), 24, [2]int{16, 48}, [2]int{8, 24}, 12},
+		{"80GB", rig{hw.A100Node(), model.OPT30B(), cfg, folded}, 32, [2]int{16, 48}, [2]int{16, 48}, 16},
+		{"40GB", rig{small, model.OPT30B(), cfg, folded}, 32, [2]int{384, 640}, [2]int{24, 40}, 24},
+		{"tiny", rig{hw.A100Node(), model.Tiny(), cfg, folded}, 24, [2]int{16, 48}, [2]int{8, 24}, 12},
+		{"inter-stream-only", rig{hw.A100Node(), model.OPT30B(), interStream, folded}, 32, [2]int{16, 48}, [2]int{16, 48}, 16},
+		{"unaware", rig{hw.A100Node(), model.OPT30B(), unaware, folded}, 32, [2]int{16, 48}, [2]int{16, 48}, 16},
+		{"unfolded", rig{hw.A100Node(), model.OPT30B(), cfg, unfolded}, 32, [2]int{16, 48}, [2]int{16, 48}, 16},
 	} {
 		t.Run("chain/"+c.name, func(t *testing.T) {
-			g := rig{c.node, c.spec, cfg, folded}
+			g := c.g
 			rt, ws := servingChain(t, g, c.seqs, c.prompt, c.gen, c.pool)
 			shapes, recs := synthesizedRecords(t, rt, ws)
 			compared += matchSimulated(t, g, shapes, recs)
-			if n, tiny := runtimes.Store(rt).Stats().Reprobes, c.spec.Name == model.Tiny().Name; tiny != (n > 0) {
+			if n, tiny := runtimes.Store(rt).Stats().Reprobes, g.spec.Name == model.Tiny().Name; tiny != (n > 0) {
 				t.Fatalf("%d shapes probed again with the lead apart", n)
 			}
 		})
@@ -359,52 +276,26 @@ func TestSynthesizedRecordsMatchSimulation(t *testing.T) {
 			}
 		})
 	}
-	t.Run("unequal steps", func(t *testing.T) {
-		g := rig{hw.A100Node(), model.OPT30B(), cfg, folded}
-		w := []model.Workload{{Batch: 4, CtxLen: 64, Phase: model.Decode}}
-		var probes [3]liger.Probe
-		for k := range probes {
-			cut := g
-			cut.spec.Layers = k + 1
-			probes[k] = cut.simulated(t, w)[0]
-		}
-		if got, ok := liger.Extend(&probes, g.spec.Layers); !ok || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", recordOf(g.simulated(t, w)[0])) {
-			t.Fatalf("extended %+v (%v), not the simulated record", got, ok)
-		}
-		// Each perturbation moves one field of the third probe.
-		perturb := []func(p *liger.Probe){
-			func(p *liger.Probe) { p.Duration++ },
-			func(p *liger.Probe) { p.Seqs++ },
-			func(p *liger.Probe) { p.Failed = true },
-			func(p *liger.Probe) { p.After.Kernels++ },
-			func(p *liger.Probe) { p.After.Collectives++ },
-			func(p *liger.Probe) { p.Stats.Rounds++ },
-			func(p *liger.Probe) { p.Stats.PrimaryKernels++ },
-			func(p *liger.Probe) { p.Stats.SecondaryKernels++ },
-			func(p *liger.Probe) { p.Stats.Decompositions++ },
-			func(p *liger.Probe) { p.Stats.EmptySecondary++ },
-			func(p *liger.Probe) { p.Stats.SecondaryOverruns++ },
-			func(p *liger.Probe) { p.Stats.DegradedFallbacks++ },
-			func(p *liger.Probe) { p.Stats.DegradedRebalances++ },
-		}
-		for d := range probes[2].After.Devices {
-			perturb = append(perturb,
-				func(p *liger.Probe) { p.After.Devices[d].ComputeBusy++ },
-				func(p *liger.Probe) { p.After.Devices[d].CommBusy++ },
-				func(p *liger.Probe) { p.After.Devices[d].OverlapBusy++ },
-				func(p *liger.Probe) { p.After.Devices[d].KernelsRun++ })
-		}
-		for i, f := range perturb {
-			moved := probes
-			moved[2].After.Devices = slices.Clone(probes[2].After.Devices)
-			f(&moved[2])
-			if rec, ok := liger.Extend(&moved, g.spec.Layers); ok {
-				t.Fatalf("perturbation %d extended to %+v", i, rec)
-			}
-		}
-	})
 	if compared < 300 {
 		t.Fatalf("%d records compared, want at least 300", compared)
 	}
 	t.Logf("%d synthesized records match the simulation", compared)
+}
+
+// TestProbesFastForward: a probe runs its shape at full depth, and under
+// Hybrid sync its scheduler skips the steady layers, as the runtime's
+// own would. Under InterStreamOnly sync, which never fast-forwards, the
+// probes of the same chain simulate every layer.
+func TestProbesFastForward(t *testing.T) {
+	for _, sync := range []liger.SyncMode{liger.Hybrid, liger.InterStreamOnly} {
+		t.Run(sync.String(), func(t *testing.T) {
+			cfg := liger.DefaultConfig("a100")
+			cfg.Sync = sync
+			rt, _ := servingChain(t, rig{hw.A100Node(), model.OPT30B(), cfg, folded}, 32, [2]int{16, 48}, [2]int{16, 48}, 16)
+			synth, ff := runtimes.Store(rt).Stats().Synthesized, runtimes.ProbeFastForwarded(rt)
+			if synth == 0 || (sync == liger.Hybrid) != (ff > 0) {
+				t.Fatalf("%d records synthesized, %d periods fast-forwarded", synth, ff)
+			}
+		})
+	}
 }

@@ -46,11 +46,12 @@
 //  9. an observability race pass: the tracer hook, dependency-edge
 //     emission, per-request decomposition, the interval algebra,
 //     trace-analysis, and metrics-export paths under -race
-//  10. a replay race pass: iteration replay's start-instant proof and
-//     its layer-count proof (TestSoloIterationIsLayerAffine), the
-//     differential of records synthesized from 1-, 2- and 3-layer
-//     probes against fully simulated ones
-//     (TestSynthesizedRecordsMatchSimulation), the divergence check and
+//  10. a replay race pass: iteration replay's start-instant proof
+//     (TestSoloIterationIgnoresStartInstant), the CPU-GPU refusal
+//     (TestCPUGPUNeverReplays), the differential of records
+//     synthesized from full-depth probes against fully simulated ones
+//     (TestSynthesizedRecordsMatchSimulation), the probes' period
+//     fast-forward (TestProbesFastForward), the divergence check and
 //     refusals of probe nodes that fold the lead (TestLeadFoldDiverges,
 //     TestLeadFoldRefusals), replay's differential
 //     against the simulation (the FuzzContinuousReplay seeds,
@@ -221,7 +222,7 @@ func main() {
 			"./internal/runtimes", "./internal/serve", "./internal/stats",
 			"./internal/analyze")},
 		{"replay race", command("go", "test", "-race",
-			"-run", "SoloIteration|Synthesized|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled|LeadFold|PlanCache|SynthesizesEachShapeOnce|FastForward|TimeShift|JournalCapLowered",
+			"-run", "SoloIteration|CPUGPUNeverReplays|Synthesized|ProbesFastForward|ContinuousReplay|ReplayFollows|ShardReplay|CatchUp|EveryEntryPoint|Defer|PostOrder|InReserved|ShardEngines|DrainedAndWork|ReplayRecord|Settled|LeadFold|PlanCache|SynthesizesEachShapeOnce|FastForward|TimeShift|JournalCapLowered",
 			"./internal/runtimes", "./internal/simclock", "./internal/gpusim", "./internal/liger", "./internal/scenario")},
 		{"failover smoke", smoke{
 			what: "failover sweep",
