@@ -21,7 +21,8 @@ func SetFastForward(s *Scheduler, on bool) {
 
 // RoundState is the state of a scheduler and its node at a round start:
 // the round, the clock, the engine's next sequence number, the state's
-// encoding and its kernels' names.
+// encoding and its kernels' names. Period is, at a round start a jump
+// landed on, the primary batch's layers per period of that jump.
 type RoundState struct {
 	Round  int
 	Now    simclock.Time
@@ -29,6 +30,7 @@ type RoundState struct {
 	Enc    []uint64
 	Tails  []string
 	Layers []int
+	Period int
 }
 
 // WatchRounds calls fn with the state of every round start s simulates,
@@ -51,7 +53,11 @@ func WatchRounds(s *Scheduler, fn func(landed bool, st RoundState)) {
 			return
 		}
 		tails, layers, _ := d.w.Kernels()
-		fn(landed, RoundState{Round: s.stats.Rounds, Now: now, Seq: s.node.Engine().Seq(),
-			Enc: slices.Clone(d.enc.Words()), Tails: slices.Clone(tails), Layers: slices.Clone(layers)})
+		st := RoundState{Round: s.stats.Rounds, Now: now, Seq: s.node.Engine().Seq(),
+			Enc: slices.Clone(d.enc.Words()), Tails: slices.Clone(tails), Layers: slices.Clone(layers)}
+		if landed {
+			st.Period = d.adv[0]
+		}
+		fn(landed, st)
 	}
 }

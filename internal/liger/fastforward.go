@@ -10,44 +10,52 @@ import (
 )
 
 // Period fast-forward (docs/PERF.md, "Period fast-forward"). In steady
-// state the rounds repeat every decoder layer: a layer is a period of
-// ffPeriod rounds, in which every batch of the processing list moves on
-// by whole layers and the node does the same work, shifted in time. At
-// each round start the scheduler checks whether it and its node are in
-// the state they were in one period earlier, shifted (gpusim.Warp). When
-// they are, nothing but that state decides the next periods, until an
-// event from outside fires or a batch leaves its layer blocks, so the
-// scheduler skips k of them at once: it takes its node's pending events
-// off the engine and defers the k periods (simclock.Engine.DeferSeqs).
-// At their end it moves every batch's cursor on by k periods, shifts the
-// node's state and events by k periods (gpusim.Node.Shift) and adds k
-// periods' work to every counter. Anything that touches the node or the
+// state the rounds repeat every few decoder layers: a period is a whole
+// number of the primary batch's layers, one when the secondary batches
+// keep their place in theirs and up to ffMaxLayers when a decomposed
+// secondary moves on by a fraction of a layer per primary layer. In a
+// period every batch of the processing list moves on by whole layers
+// and the node does the same work, shifted in time. At each round start
+// the scheduler checks whether it and its node are in the state they
+// were in one period earlier, shifted (gpusim.Warp). When they are,
+// nothing but that state decides the next periods, until an event from
+// outside fires or a batch leaves its layer blocks, so the scheduler
+// skips k of them at once: it takes its node's pending events off the
+// engine and defers the k periods (simclock.Engine.DeferSeqs). At their
+// end it moves every batch's cursor on by k periods, shifts the node's
+// state and events by k periods (gpusim.Node.Shift) and adds k periods'
+// work to every counter. Anything that touches the node or the
 // scheduler before that, or schedules an event into the skipped span,
-// catches the periods up: the scheduler puts its node's events back where
-// they were and simulates them.
+// catches the periods up: the scheduler puts its node's events back
+// where they were and simulates them.
 //
-// The check costs O(processing batches) per round until the round
-// inputs, every batch's place in its layer, repeat those of a period
-// earlier; only then is the whole state encoded and compared. A jump
-// needs the encodings to be equal: a jump never rests on round inputs
-// alone. It also needs the period before it to have run nothing but the
-// node (the engine took and fired only the node's sequence numbers and
-// events), and it stops before any batch enters its last layer and
-// before the next event the engine holds from outside. It never fires
-// with a journal, with AdaptiveContention or outside Hybrid sync.
+// The check costs O(processing batches) per round and lag until the
+// round inputs, every batch's place in its layer, repeat those of an
+// earlier round start; the shortest such lag is the candidate's period,
+// and only a period later is the whole state encoded and compared. A
+// jump needs the encodings to be equal: a jump never rests on round
+// inputs alone. It also needs the period before it to have run nothing
+// but the node (the engine took and fired only the node's sequence
+// numbers and events), and it stops before any batch enters its last
+// layer and before the next event the engine holds from outside. It
+// never fires with a journal, with AdaptiveContention or outside Hybrid
+// sync.
 
-// ffPeriod is the rounds of a layer period: compute, all-reduce,
-// compute, all-reduce.
-const ffPeriod = 4
+// ffMaxLayers is the longest period looked for, in layers of the
+// primary batch, and ffRounds the round starts whose inputs are kept for
+// it: a layer is four rounds (compute, all-reduce, compute, all-reduce).
+const (
+	ffMaxLayers = 8
+	ffRounds    = 4 * ffMaxLayers
+)
 
 // fastForward is the scheduler's period detector and the jump in
 // progress.
 type fastForward struct {
 	// off disables the fast-forward (tests: the simulated oracle).
 	off bool
-	// inputs holds the round inputs of the last ffPeriod round starts,
-	// by round modulo ffPeriod.
-	inputs [ffPeriod]ffInputs
+	// inputs holds the round inputs of the last ffRounds round starts.
+	inputs ffInputs
 	// det is the rest, taken from detectors at the first round start
 	// that may jump and given back when no batch is live: a scheduler
 	// that never gets there, such as one under InterStreamOnly sync,
@@ -88,22 +96,114 @@ type ffDetector struct {
 	from, to int
 }
 
-// ffInputs are a round's inputs: the processing list's batches and
-// cursors.
+// ffInputs are the inputs of the round start being checked (cur) and of
+// the last ffRounds round starts, by round modulo ffRounds: each
+// processing batch's id, layer, offset in its layer block and split
+// depth (the scales of a split head). The kept ones share one backing
+// slice: entry e's i-th batch is at at[ffWords*(e*stride+i)]. first is
+// the first round kept since the last reset, -1 before it.
 type ffInputs struct {
-	round    int
-	ids, pos []int
+	round, n      [ffRounds]int
+	stride, first int
+	at, cur       []int
 }
 
-// ffState is an encoded round start with the counters a period is
-// measured by: the engine's clock, sequence number and fired events, the
-// node's own sequence numbers and events, its tally, the scheduler's
-// counters and the node's tape position. same reports whether its
-// encoding equals the one before it. tails and layers are its kernels'
-// names and rests its batches' split heads' names, "" for a head that
-// is not split, split by gpusim.LayerName.
+// ffWords is the words an input holds per batch.
+const ffWords = 4
+
+func (in *ffInputs) reset() {
+	for e := range in.round {
+		in.round[e] = -1
+	}
+	in.first = -1
+}
+
+// read takes the processing list's inputs into cur.
+func (in *ffInputs) read(processing []*Batch) {
+	in.cur = in.cur[:0]
+	for _, b := range processing {
+		l, j := b.plan.Layer(b.pos)
+		in.cur = append(in.cur, b.ID, l, j, len(b.scales))
+	}
+}
+
+// store keeps cur as round r's inputs.
+func (in *ffInputs) store(r int) {
+	n := len(in.cur) / ffWords
+	if n > in.stride {
+		// Every entry held fewer batches, so none could match.
+		in.stride = n
+		in.at = make([]int, ffWords*ffRounds*n)
+		in.reset()
+	}
+	if in.first < 0 {
+		in.first = r
+	}
+	e := r % ffRounds
+	in.round[e], in.n[e] = r, n
+	copy(in.at[ffWords*e*in.stride:], in.cur)
+}
+
+// repeats reports whether cur, round r's inputs, repeats those lag
+// rounds earlier: the same batches, in layer blocks, at the same offsets
+// and split depths, none behind and at least one moved on. room is then
+// the periods of lag rounds left before a batch that moves on enters its
+// last layer, at that pace.
+func (in *ffInputs) repeats(r, lag int, processing []*Batch) (room int, ok bool) {
+	e := (r - lag) % ffRounds
+	if in.round[e] != r-lag || in.n[e] != len(processing) {
+		return 0, false
+	}
+	prev := in.at[ffWords*e*in.stride:]
+	room = math.MaxInt
+	for i, b := range processing {
+		c, p := in.cur[ffWords*i:ffWords*(i+1)], prev[ffWords*i:ffWords*(i+1)]
+		if c[0] != p[0] || c[2] < 0 || c[2] != p[2] || c[3] != p[3] || c[1] < p[1] {
+			return 0, false
+		}
+		if a := c[1] - p[1]; a > 0 {
+			room = min(room, (b.plan.Layers-2-c[1])/a)
+		}
+	}
+	return room, room != math.MaxInt
+}
+
+// shortest returns the shortest lag at which cur, round r's inputs,
+// repeats, for a new candidate: the lag is its period, and it jumps a
+// period later, so room is a period less than repeats'. Only lags back
+// to the first round kept are searched. The primary moves on at least a
+// layer per period, so no lag leaves room when a batch is outside its
+// layer blocks or the primary is within three layers of its last; the
+// lags are not searched then.
+func (in *ffInputs) shortest(r int, processing []*Batch) (lag, room int, ok bool) {
+	if in.first < 0 {
+		return 0, 0, false
+	}
+	for i := 0; i < len(in.cur); i += ffWords {
+		if in.cur[i+2] < 0 {
+			return 0, 0, false
+		}
+	}
+	if processing[0].plan.Layers-2-in.cur[1] < 2 {
+		return 0, 0, false
+	}
+	for lag = 1; lag <= min(ffRounds, r-in.first); lag++ {
+		if room, ok = in.repeats(r, lag, processing); ok {
+			return lag, room - 1, true
+		}
+	}
+	return 0, 0, false
+}
+
+// ffState is an encoded round start, the rounds of its period, and the
+// counters a period is measured by: the engine's clock, sequence number
+// and fired events, the node's own sequence numbers and events, its
+// tally, the scheduler's counters and the node's tape position. same
+// reports whether its encoding equals the one before it. tails and
+// layers are its kernels' names and rests its batches' split heads'
+// names, "" for a head that is not split, split by gpusim.LayerName.
 type ffState struct {
-	round          int
+	round, period  int
 	same           bool
 	tails, rests   []string
 	layers, restLs []int
@@ -117,9 +217,9 @@ type ffState struct {
 }
 
 // ffMinLayers is the fewest layers a plan needs for a jump: the primary
-// batch moves on every period, and a jump needs it to be a period into
-// its layers at a candidate and a period clear of its last layer after
-// the next.
+// batch moves on at least a layer every period, and a jump needs it to
+// be a period into its layers at a candidate and a period clear of its
+// last layer after the next.
 const ffMinLayers = 5
 
 // ffEncodeCap is the room an encoding buffer starts with: an OPT-30B
@@ -128,9 +228,7 @@ const ffMinLayers = 5
 const ffEncodeCap = 640
 
 func (f *fastForward) reset() {
-	for i := range f.inputs {
-		f.inputs[i].round = -1
-	}
+	f.inputs.reset()
 	if f.det != nil {
 		f.det.cand.round = -1
 	}
@@ -169,45 +267,36 @@ func (s *Scheduler) fastForward(now simclock.Time) bool {
 		s.node.TapeMark(-1)
 		return false
 	}
-	keep, cand := math.MaxInt, -1
-	if d := f.det; d != nil && d.cand.round >= 0 {
-		keep, cand = d.cand.tape, d.cand.round
+	r := s.stats.Rounds
+	f.inputs.read(s.processing)
+	// due is the round start the candidate is compared at, -1 when there
+	// is none or it is stale.
+	keep, due := math.MaxInt, -1
+	if d := f.det; d != nil && d.cand.round >= 0 && d.cand.round+d.cand.period >= r {
+		keep, due = d.cand.tape, d.cand.round+d.cand.period
 	}
 	mark := s.node.TapeMark(keep)
-	r := s.stats.Rounds
-	in := &f.inputs[r%ffPeriod]
-	repeats := in.round == r-ffPeriod && len(in.ids) == len(s.processing)
-	// room is the periods left before a batch that moves on enters its
-	// last layer, at the pace of the period just run.
-	room := math.MaxInt
-	for i, b := range s.processing {
-		if !repeats {
-			break
-		}
-		l, j := b.plan.Layer(b.pos)
-		pl, pj := b.plan.Layer(in.pos[i])
-		repeats = in.ids[i] == b.ID && j >= 0 && pj == j && l >= pl
-		if a := l - pl; a > 0 {
-			room = min(room, (b.plan.Layers-2-l)/a)
-		}
-	}
-	in.round = r
-	in.ids, in.pos = in.ids[:0], in.pos[:0]
-	for _, b := range s.processing {
-		in.ids = append(in.ids, b.ID)
-		in.pos = append(in.pos, b.pos)
-	}
-	if !repeats || cand > r-ffPeriod {
-		// The inputs do not repeat, or the candidate's period is still
-		// running.
+	if due > r {
+		// The candidate's period is still running.
+		f.inputs.store(r)
 		return false
 	}
-	if room != math.MaxInt && cand < r-ffPeriod {
-		// A new candidate jumps a period later, with a period less room.
-		room--
+	// room is the periods left before a batch that moves on enters its
+	// last layer, at the pace of the period just run.
+	period, room, ok := 0, 0, false
+	if due == r {
+		period = f.det.cand.period
+		room, ok = f.inputs.repeats(r, period, s.processing)
 	}
-	if room < 1 || room == math.MaxInt {
-		// A batch enters its last layer too soon, or none moves on.
+	if !ok {
+		// No candidate, or its inputs did not repeat: look for a new one.
+		due = -1
+		period, room, ok = f.inputs.shortest(r, s.processing)
+	}
+	f.inputs.store(r)
+	if !ok || room < 1 {
+		// The inputs do not repeat, or a batch enters its last layer too
+		// soon.
 		if f.det != nil {
 			f.det.cand.round = -1
 		}
@@ -218,11 +307,11 @@ func (s *Scheduler) fastForward(now simclock.Time) bool {
 		f.det.cand.round = -1
 	}
 	d := f.det
-	if !s.capture(now, trig, mark) {
+	if !s.capture(now, trig, mark, period) {
 		d.cand.round = -1
 		return false
 	}
-	if cand == r-ffPeriod && s.tryJump(now, trig) {
+	if due == r && s.tryJump(now, trig) {
 		return true
 	}
 	d.cand, d.cur = d.cur, d.cand
@@ -230,9 +319,10 @@ func (s *Scheduler) fastForward(now simclock.Time) bool {
 }
 
 // capture encodes the round start at now, which the engine's event trig
-// set off, with the tape at mark, into the detector's current state. It
-// reports false when the state does not encode.
-func (s *Scheduler) capture(now simclock.Time, trig uint64, mark int) bool {
+// set off, with the tape at mark, into the detector's current state, to
+// be compared period rounds later. It reports false when the state does
+// not encode.
+func (s *Scheduler) capture(now simclock.Time, trig uint64, mark, period int) bool {
 	f := s.ff.det
 	st := &f.cur
 	same, ok := s.encode(now, trig)
@@ -241,7 +331,7 @@ func (s *Scheduler) capture(now simclock.Time, trig uint64, mark int) bool {
 	}
 	eng := s.node.Engine()
 	tails, layers, _ := f.w.Kernels()
-	st.round, st.same = s.stats.Rounds, same
+	st.round, st.period, st.same = s.stats.Rounds, period, same
 	clear(st.tails)
 	st.tails = append(st.tails[:0], tails...)
 	st.layers = append(st.layers[:0], layers...)
@@ -280,7 +370,7 @@ func (s *Scheduler) tryJump(now simclock.Time, trig uint64) bool {
 		return false
 	}
 	delta := cur.stats.Since(prev.stats)
-	if delta.Rounds != ffPeriod || delta.BatchesDone != 0 {
+	if delta.Rounds != prev.period || delta.BatchesDone != 0 {
 		return false
 	}
 	// Each batch's layers per period, and the periods before one enters

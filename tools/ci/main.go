@@ -75,11 +75,14 @@
 //     its differentials against the simulation, plain, traced and at 1
 //     and 4 workers (TestFastForwardMatchesSimulation,
 //     TestFastForwardTraced, TestFastForwardParallel), the state every
-//     jump lands on (TestFastForwardLandsOnSimulatedState), its refusals
+//     jump lands on, from one-layer and from multi-layer periods
+//     (TestFastForwardLandsOnSimulatedState), its refusals
 //     (TestFastForwardNeverFires), its catch-ups
-//     (TestFastForwardCatchUp), the FuzzFastForward and FuzzTimeShift
-//     seeds, the engine primitive (TestDeferSeqs) and the journal cap it
-//     reads (TestJournalCapLowered), under -race
+//     (TestFastForwardCatchUp), the FuzzFastForward seeds (two batches
+//     in flight with a decomposed secondary among them) and the
+//     FuzzTimeShift seeds (every record shifted when one draws a
+//     recorder), the engine primitive (TestDeferSeqs) and the journal
+//     cap it reads (TestJournalCapLowered), under -race
 //
 // Then the determinism smokes. Each runs one command at two settings
 // and fails unless stdout (host-dependent lines stripped) and every
